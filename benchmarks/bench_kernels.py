@@ -1,0 +1,109 @@
+"""Microbenchmarks of the metric kernels at the shapes of the ``skew`` and
+``deep`` benchmark workloads.
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py --benchmark-only
+
+The file name does not match pytest's ``test_*.py`` pattern, so a plain
+``pytest`` run does not collect it.
+
+* skew: fixed-ratio draws of 120 positives and 600 negatives from a
+  2,400-row pool, 250 draws per group.
+* deep: full-pool resamples of an 8,000-row pool, 20 draws per group.
+
+Each shape times the batched kernel on pre-drawn rows, the per-draw loop of
+scalar kernels it replaced, and threshold selection on the pooled
+validation rows of three groups.
+"""
+
+import numpy as np
+import pytest
+
+from disparity_audit.concepts import GroupPool
+from disparity_audit.metrics import (
+    auc_roc,
+    average_precision,
+    confusion_at_threshold,
+    rank_pool,
+    ranked_metrics,
+    rates_from_confusion,
+    select_threshold,
+)
+
+METRICS = ("ap", "auc_roc", "tpr", "fpr")
+
+# name: (positives, negatives, draw size (None: resample the whole pool),
+#        draws, validation rows)
+SHAPES = {
+    "skew": (120, 2280, (120, 600), 250, 1800),
+    "deep": (400, 7600, None, 20, 6000),
+}
+
+
+def _scores(rng, n, mu):
+    return 1.0 / (1.0 + np.exp(-rng.normal(mu, 1.0, size=n)))
+
+
+def _ids(prefix, n):
+    return np.array([f"{prefix}{k:06d}" for k in range(n)], dtype=object)
+
+
+def _case(name):
+    n_pos, n_neg, ratio, n_draws, n_val = SHAPES[name]
+    rng = np.random.default_rng(0)
+    pool = GroupPool(
+        pos_scores=_scores(rng, n_pos, 1.0), pos_ids=_ids("p", n_pos),
+        neg_scores=_scores(rng, n_neg, 0.0), neg_ids=_ids("n", n_neg),
+    )
+    if ratio is None:
+        draws = [rng.integers(0, n_pos + n_neg, size=n_pos + n_neg) for _ in range(n_draws)]
+    else:
+        draws = [
+            np.concatenate([rng.integers(0, n_pos, ratio[0]),
+                            n_pos + rng.integers(0, n_neg, ratio[1])])
+            for _ in range(n_draws)
+        ]
+    val_labels = (rng.random(n_val) < n_pos / (n_pos + n_neg)).astype(np.int8)
+    val_scores = _scores(rng, n_val, 0.0) + 0.2 * val_labels
+    return pool, draws, val_scores, val_labels
+
+
+@pytest.fixture(scope="module", params=sorted(SHAPES))
+def case(request):
+    return request.param, _case(request.param)
+
+
+def test_ranked_metrics(benchmark, case):
+    name, (pool, draws, _, _) = case
+    benchmark.group = f"kernel-{name}"
+    ranked = rank_pool(*pool.all_rows(), threshold=0.6)
+    out = benchmark(ranked_metrics, ranked, draws, METRICS)
+    assert out["ap"].shape == (len(draws),)
+
+
+def test_scalar_loop(benchmark, case):
+    name, (pool, draws, _, _) = case
+    benchmark.group = f"kernel-{name}"
+    scores, labels, ids = pool.all_rows()
+
+    def loop():
+        for rows in draws:
+            s, y = scores[rows], labels[rows]
+            average_precision(s, y, tiebreak=ids[rows])
+            auc_roc(s, y)
+            bundle = rates_from_confusion(confusion_at_threshold(s, y, 0.6))
+            bundle.tpr, bundle.fpr
+
+    benchmark(loop)
+
+
+def test_rank_pool(benchmark, case):
+    name, (pool, _, _, _) = case
+    benchmark.group = f"kernel-{name}"
+    benchmark(rank_pool, *pool.all_rows(), threshold=0.6)
+
+
+def test_select_threshold(benchmark, case):
+    name, (_, _, val_scores, val_labels) = case
+    benchmark.group = f"select_threshold-{name}"
+    choice = benchmark(select_threshold, val_scores, val_labels)
+    assert 0.0 < choice.f1 <= 1.0

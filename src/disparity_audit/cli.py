@@ -135,7 +135,7 @@ def _cmd_sample_plan(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = load_config(args.config, preset=args.preset, seed=args.seed, output_dir=args.output)
-    result = run_pipeline(cfg, jobs=args.jobs)
+    result = run_pipeline(cfg)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.output_dir / "results.csv"
     write_results_csv(result.estimates, cfg.evaluation_version, path)
@@ -145,7 +145,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config, preset=args.preset, seed=args.seed, output_dir=args.output)
-    result = run_pipeline(cfg, jobs=args.jobs)
+    result = run_pipeline(cfg)
     paths = write_outputs(result, cfg)
     report = paths["report"].read_text(encoding="utf-8")
     sys.stdout.write(report)
@@ -232,20 +232,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, jobs=False):
+    def add_common(p):
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--output", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--preset", default=None,
                        help="evaluation version preset (baseline|v1|v2|v3|reliable)")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="worker threads over concepts")
 
     add_common(sub.add_parser("assign-groups", help="write group assignments CSV"))
     add_common(sub.add_parser("map", help="write per-image target sets"))
     add_common(sub.add_parser("sample-plan", help="write per-concept sampling budgets"))
-    add_common(sub.add_parser("evaluate", help="compute results.csv only"), jobs=True)
-    add_common(sub.add_parser("run", help="full pipeline with all artifacts"), jobs=True)
+    add_common(sub.add_parser("evaluate", help="compute results.csv only"))
+    add_common(sub.add_parser("run", help="full pipeline with all artifacts"))
 
     p = sub.add_parser("compare", help="diff two results tables")
     p.add_argument("--a", required=True, help="first results.csv")

@@ -1,15 +1,17 @@
 """Classification and ranking metrics for one (concept, group) batch of rows.
 
 Undefined values (e.g. precision with no predicted positives, AUC with a
-degenerate class) are returned as ``None`` and must be handled explicitly by
-callers; they are never silently coerced to 0 or NaN.
+degenerate class) are returned as ``None`` by the scalar functions and must
+be handled explicitly by callers; they are never silently coerced to 0.
+``ranked_metrics``, which scores many bootstrap draws at once in rank space,
+marks them NaN.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -186,6 +188,25 @@ def auc_roc(scores: Sequence[float], labels: Sequence[int]) -> float | None:
     return float(u / (n_pos * n_neg))
 
 
+def _rate_arrays(
+    tp: np.ndarray, fp: np.ndarray, tn: np.ndarray, fn: np.ndarray
+) -> dict[str, np.ndarray]:
+    """``rates_from_confusion`` over arrays of counts, with the same IEEE
+    operations; NaN where the scalar version returns ``None``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tpr = tp / (tp + fn)
+        precision = tp / (tp + fp)
+        f1 = 2 * precision * tpr / (precision + tpr)
+        return {
+            "tpr": tpr,
+            "fpr": fp / (fp + tn),
+            "precision": precision,
+            "recall": tpr,
+            "accuracy": (tp + tn) / (tp + fp + tn + fn),
+            "f1": np.where(precision + tpr == 0, 0.0, f1),
+        }
+
+
 def select_threshold(
     scores: Sequence[float], labels: Sequence[int], concept: str = ""
 ) -> ThresholdChoice:
@@ -195,27 +216,174 @@ def select_threshold(
     value below the minimum (predict everything positive); the all-negative
     candidate above the maximum is disallowed. Ties go to the lowest
     threshold.
+
+    One sort per class, then every candidate's confusion counts come from a
+    ``searchsorted`` (Lipton et al., ECML 2014): O(n log n) instead of one
+    confusion pass per candidate.
     """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
     if s.shape[0] == 0:
         raise DataError("select_threshold needs at least one row")
-    if int(np.sum(y == 1)) == 0:
+    pos = y == 1
+    if not pos.any():
         raise DataError("select_threshold needs at least one positive row")
     distinct = np.unique(s)
-    candidates = [float(distinct[0]) - 1.0]
-    candidates.extend(
-        float((a + b) / 2.0) for a, b in zip(distinct[:-1], distinct[1:])
+    candidates = np.concatenate(
+        [distinct[:1] - 1.0, (distinct[:-1] + distinct[1:]) / 2.0]
     )
-    best_t = None
-    best_f1 = -1.0
-    for t in candidates:
-        bundle = rates_from_confusion(confusion_at_threshold(s, y, t))
-        f1 = bundle.f1 if bundle.f1 is not None else 0.0
-        if f1 > best_f1:
-            best_f1 = f1
-            best_t = t
-    return ThresholdChoice(concept=concept, threshold=best_t, f1=best_f1)
+    pos_sorted = np.sort(s[pos])
+    neg_sorted = np.sort(s[~pos])
+    # rows predicted positive (score >= t) per class, for every candidate t
+    tp = pos_sorted.size - np.searchsorted(pos_sorted, candidates, side="left")
+    fp = neg_sorted.size - np.searchsorted(neg_sorted, candidates, side="left")
+    f1 = _rate_arrays(tp, fp, neg_sorted.size - fp, pos_sorted.size - tp)["f1"]
+    best = int(np.argmax(np.nan_to_num(f1, nan=0.0)))  # first maximum: lowest t
+    return ThresholdChoice(
+        concept=concept, threshold=float(candidates[best]), f1=float(f1[best])
+    )
+
+
+# Draws are scored in blocks of at most this many ranks, so the rank matrix
+# and the kernels' temporaries stay small whatever the draw count and size.
+_BLOCK_ELEMENTS = 1 << 13
+
+
+@dataclass(frozen=True)
+class RankedPool:
+    """One group's pool sorted once by (score desc, tie-break key asc).
+
+    A row's rank is its position in that order, so a bootstrap draw is a
+    vector of ranks, and sorting it reproduces the order that
+    ``average_precision`` computes for the drawn rows.
+    """
+
+    rank_of_row: np.ndarray  # int32, per row in pool order
+    label_at_rank: np.ndarray  # bool, positive label
+    tie_at_rank: np.ndarray  # int32, equal scores share an id; ids ascend with rank
+    cut: int | None  # ranks below it score >= the decision threshold
+
+
+def rank_pool(
+    scores: Sequence[float],
+    labels: Sequence[int],
+    tiebreak: Sequence | None = None,
+    threshold: float | None = None,
+) -> RankedPool:
+    """Sort a pool once for ``ranked_metrics``; ``threshold`` enables the
+    threshold metrics."""
+    s = np.asarray(scores, dtype=float)
+    order = _ranking_order(s, tiebreak)
+    rank_of_row = np.empty(s.shape[0], dtype=np.int32)
+    rank_of_row[order] = np.arange(s.shape[0], dtype=np.int32)
+    s_desc = s[order]
+    tie = np.zeros(s.shape[0], dtype=np.int32)
+    np.cumsum(s_desc[1:] != s_desc[:-1], out=tie[1:])
+    # score >= threshold is a prefix of the descending order
+    cut = None if threshold is None else int(np.count_nonzero(s >= threshold))
+    return RankedPool(
+        rank_of_row=rank_of_row,
+        label_at_rank=np.asarray(labels)[order] == 1,
+        tie_at_rank=tie,
+        cut=cut,
+    )
+
+
+def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of consecutive runs of ``values``, run i ``counts[i]`` long.
+
+    Each run is summed as an array of its own, so every sum takes numpy's
+    pairwise order for that length and equals a scalar kernel's ``sum()``.
+    """
+    if (counts == counts[0]).all():
+        return values.reshape(counts.size, int(counts[0])).sum(axis=1)
+    return np.array([run.sum() for run in np.split(values, np.cumsum(counts)[:-1])])
+
+
+def _ap_rows(labels: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
+    """``average_precision`` of each row of rank-sorted labels."""
+    cum_pos = np.cumsum(labels, axis=1)
+    positions = np.broadcast_to(np.arange(1, labels.shape[1] + 1), labels.shape)
+    prec_at_pos = cum_pos[labels] / positions[labels]
+    with np.errstate(invalid="ignore"):
+        return np.where(n_pos > 0, _row_sums(prec_at_pos, n_pos) / n_pos, np.nan)
+
+
+def _auc_rows(ties: np.ndarray, labels: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
+    """``auc_roc`` of each row of rank-sorted tie ids and labels.
+
+    A tie group over descending positions [start, end] of an m-row draw has
+    ascending average rank m - (start + end) / 2. Twice the positives' rank
+    sum is an integer, so it is exact, and so is every step up to the final
+    division, which is the scalar kernel's.
+    """
+    m = ties.shape[1]
+    idx = np.arange(m)
+    first = np.ones(ties.shape, dtype=bool)
+    first[:, 1:] = ties[:, 1:] != ties[:, :-1]
+    last = np.ones(ties.shape, dtype=bool)
+    last[:, :-1] = first[:, 1:]
+    start = np.maximum.accumulate(np.where(first, idx, 0), axis=1)
+    end = np.minimum.accumulate(np.where(last, idx, m - 1)[:, ::-1], axis=1)[:, ::-1]
+    twice_rank_sum = np.where(labels, 2 * m - start - end, 0).sum(axis=1)
+    n_neg = m - n_pos
+    u = twice_rank_sum / 2.0 - n_pos * (n_pos + 1) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((n_pos > 0) & (n_neg > 0), u / (n_pos * n_neg), np.nan)
+
+
+def _rank_blocks(pool: RankedPool, draws: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The draws as ranks, in int32 blocks of whole rows holding at most
+    ``_BLOCK_ELEMENTS`` ranks (one row at least). The buffer is reused."""
+    block = None
+    filled = 0
+    for rows in draws:
+        if block is None:
+            n_rows = max(1, _BLOCK_ELEMENTS // max(rows.size, 1))
+            block = np.empty((n_rows, rows.size), dtype=np.int32)
+        block[filled] = pool.rank_of_row[rows]
+        filled += 1
+        if filled == block.shape[0]:
+            yield block
+            filled = 0
+    if filled:
+        yield block[:filled]
+
+
+def ranked_metrics(
+    pool: RankedPool, draws: Iterable[np.ndarray], metrics: Sequence[str]
+) -> dict[str, np.ndarray]:
+    """Metric values of every draw from ``pool``, in draw order.
+
+    Each draw is an array of row indices into the pool's rows (repeats
+    allowed), all draws of the same length. A block of draws becomes a
+    matrix of ranks, one row per draw, sorted along rows once; each value
+    then equals the scalar kernel on the drawn rows bit for bit:
+    ``average_precision`` tie-broken by the pool's key, ``auc_roc``, and
+    ``rates_from_confusion(confusion_at_threshold(...))`` at the pool's
+    threshold. NaN marks an undefined value.
+    """
+    parts: dict[str, list[np.ndarray]] = {metric: [] for metric in metrics}
+    for ranks in _rank_blocks(pool, draws):
+        sorted_ranks = np.sort(ranks, axis=1)
+        labels = pool.label_at_rank[sorted_ranks]
+        n_pos = np.count_nonzero(labels, axis=1)
+        block: dict[str, np.ndarray] = {}
+        if "ap" in parts:
+            block["ap"] = _ap_rows(labels, n_pos)
+        if "auc_roc" in parts:
+            block["auc_roc"] = _auc_rows(pool.tie_at_rank[sorted_ranks], labels, n_pos)
+        if pool.cut is not None:
+            predicted = sorted_ranks < pool.cut
+            tp = np.count_nonzero(predicted & labels, axis=1)
+            fp = np.count_nonzero(predicted, axis=1) - tp
+            block.update(_rate_arrays(tp, fp, ranks.shape[1] - n_pos - fp, n_pos - tp))
+        for metric, values in parts.items():
+            values.append(block[metric])
+    return {
+        metric: np.concatenate(values) if values else np.empty(0)
+        for metric, values in parts.items()
+    }
 
 
 def split_validation_test(

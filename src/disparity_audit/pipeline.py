@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -46,11 +45,9 @@ from .groups import (
     assignment_summary,
 )
 from .metrics import (
-    auc_roc,
-    average_precision,
-    confusion_at_threshold,
     hit_vector,
-    rates_from_confusion,
+    rank_pool,
+    ranked_metrics,
     select_threshold,
     split_validation_test,
 )
@@ -58,9 +55,8 @@ from .sampling import (
     compute_budget,
     derive_rng,
     derive_seed,
-    draw_baseline_bootstrap,
-    draw_bootstrap,
-    draw_rows,
+    draw_baseline_group,
+    draw_group,
     filter_rare_concepts,
 )
 
@@ -129,21 +125,6 @@ class ConceptEvaluation:
     thresholds: dict[str, float]
 
 
-def _metric_values(
-    metric: str,
-    scores: np.ndarray,
-    labels: np.ndarray,
-    ids: np.ndarray,
-    threshold: float | None,
-) -> float | None:
-    if metric == "ap":
-        return average_precision(scores, labels, tiebreak=ids)
-    if metric == "auc_roc":
-        return auc_roc(scores, labels)
-    bundle = rates_from_confusion(confusion_at_threshold(scores, labels, threshold))
-    return getattr(bundle, metric)
-
-
 def evaluate_concept(
     table: ConceptEvalTable,
     *,
@@ -210,26 +191,24 @@ def evaluate_concept(
             g: (eval_table.pools[g].n_pos, eval_table.pools[g].n_neg) for g in groups
         }
 
-    values: dict[tuple[str, str], np.ndarray] = {
-        (m, g): np.full(bootstraps, np.nan) for m in point_metrics for g in groups
-    }
-    for b in range(bootstraps):
-        if plan is not None:
-            draws = draw_bootstrap(eval_table, plan, b)
-        else:
-            draws = draw_baseline_bootstrap(eval_table, seed, b)
-        for g in groups:
-            scores, labels, ids = draw_rows(eval_table, draws[g])
-            for m in point_metrics:
-                v = _metric_values(m, scores, labels, ids, thresholds.get(g))
-                if v is not None:
-                    values[(m, g)][b] = v
-
+    # One group at a time: sort its pool once, then score the draws (and the
+    # identity draw, the full sample) from ranks into that order.
+    values: dict[tuple[str, str], np.ndarray] = {}
     full_sample: dict[tuple[str, str], float | None] = {}
     for g in groups:
-        scores, labels, ids = eval_table.pools[g].all_rows()
-        for m in point_metrics:
-            full_sample[(m, g)] = _metric_values(m, scores, labels, ids, thresholds.get(g))
+        pool = eval_table.pools[g]
+        ranked = rank_pool(*pool.all_rows(), threshold=thresholds.get(g))
+        if plan is not None:
+            draws = (draw_group(pool, plan, g, b) for b in range(bootstraps))
+        else:
+            draws = (
+                draw_baseline_group(pool, seed, concept, g, b) for b in range(bootstraps)
+            )
+        for m, v in ranked_metrics(ranked, draws, point_metrics).items():
+            values[(m, g)] = v
+        identity = [np.arange(pool.n_pos + pool.n_neg)]
+        for m, v in ranked_metrics(ranked, identity, point_metrics).items():
+            full_sample[(m, g)] = None if np.isnan(v[0]) else float(v[0])
 
     return ConceptEvaluation(
         concept=concept,
@@ -249,7 +228,6 @@ def evaluate_tables(
     concepts: Sequence[str],
     groups: Sequence[str],
     cfg: RunConfig,
-    jobs: int = 1,
 ) -> tuple[list[MetricEstimate], dict]:
     """Evaluate retained concepts and reduce to per-concept and aggregate
     disparity estimates for every group pair."""
@@ -257,37 +235,28 @@ def evaluate_tables(
     skipped: dict[str, str] = {}
     evaluations: dict[str, ConceptEvaluation] = {}
 
-    def _one(concept: str) -> tuple[str, ConceptEvaluation | None, str | None]:
+    for concept in concepts:
         table = tables[concept]
         missing = [g for g in groups if g not in table.pools]
         if missing:
-            return concept, None, f"no rows for group(s): {', '.join(missing)}"
-        try:
-            ev = evaluate_concept(
-                table,
-                metrics=point_metrics,
-                mode=cfg.sampling_mode,
-                ratio=cfg.ratio,
-                bootstraps=cfg.bootstraps,
-                seed=cfg.seed,
-                validation_fraction=cfg.validation_fraction,
-                threshold_scope=cfg.threshold_scope,
-            )
-            return concept, ev, None
-        except DataError as e:
-            return concept, None, str(e)
-
-    if jobs > 1 and len(concepts) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_one, concepts))
-    else:
-        outcomes = [_one(c) for c in concepts]
-    for concept, ev, reason in outcomes:
-        if ev is None:
-            skipped[concept] = reason
-            log.warning("skipping concept %s: %s", concept, reason)
+            reason = f"no rows for group(s): {', '.join(missing)}"
         else:
-            evaluations[concept] = ev
+            try:
+                evaluations[concept] = evaluate_concept(
+                    table,
+                    metrics=point_metrics,
+                    mode=cfg.sampling_mode,
+                    ratio=cfg.ratio,
+                    bootstraps=cfg.bootstraps,
+                    seed=cfg.seed,
+                    validation_fraction=cfg.validation_fraction,
+                    threshold_scope=cfg.threshold_scope,
+                )
+                continue
+            except DataError as e:
+                reason = str(e)
+        skipped[concept] = reason
+        log.warning("skipping concept %s: %s", concept, reason)
 
     estimates: list[MetricEstimate] = []
     evaluated = [c for c in concepts if c in evaluations]
@@ -350,19 +319,22 @@ def evaluate_hit_rate(
         hit_values[g] = hits
         n_images[g] = int(hits.size)
 
+    # Draws are keyed per group, so each group's means serve every pair.
+    boots: dict[str, np.ndarray] = {}
+    for g, hits in hit_values.items():
+        if hits.size == 0:
+            continue
+        draws = np.empty(cfg.bootstraps)
+        for i in range(cfg.bootstraps):
+            rng = derive_rng(cfg.seed, "hit_rate", g, i)
+            draws[i] = hits[rng.integers(0, hits.size, size=hits.size)].mean()
+        boots[g] = draws
+
     estimates: list[MetricEstimate] = []
     for a, b in _pairs(groups):
-        if hit_values[a].size == 0 or hit_values[b].size == 0:
+        if a not in boots or b not in boots:
             log.warning("hit rate: empty pool for pair (%s, %s); skipped", a, b)
             continue
-        boots: dict[str, np.ndarray] = {}
-        for g in (a, b):
-            hits = hit_values[g]
-            draws = np.empty(cfg.bootstraps)
-            for i in range(cfg.bootstraps):
-                rng = derive_rng(cfg.seed, "hit_rate", g, i)
-                draws[i] = hits[rng.integers(0, hits.size, size=hits.size)].mean()
-            boots[g] = draws
         estimates.append(
             per_concept_disparity(
                 boots[a], boots[b],
@@ -382,7 +354,7 @@ class PipelineResult:
     validation: dict
 
 
-def run_pipeline(cfg: RunConfig, jobs: int = 1) -> PipelineResult:
+def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Execute the full audit pipeline in memory."""
     loaded = load_dataset(cfg)
     images = loaded.images
@@ -422,9 +394,7 @@ def run_pipeline(cfg: RunConfig, jobs: int = 1) -> PipelineResult:
             mapping=cfg.mapping, strict=cfg.strict_mapping,
         )
         retained = filter_rare_concepts(tables, cfg.min_per_group, groups=groups)
-        point_estimates, eval_diag = evaluate_tables(
-            tables, retained, groups, cfg, jobs=jobs
-        )
+        point_estimates, eval_diag = evaluate_tables(tables, retained, groups, cfg)
         estimates.extend(point_estimates)
     if "hit_rate" in cfg.metrics:
         estimates.extend(

@@ -1,8 +1,7 @@
 """Rare-label filtering and prevalence-controlled bootstrap sampling.
 
 Every draw's RNG stream is derived from (seed, concept, group, bootstrap
-index), so results are identical regardless of evaluation order or
-parallelism.
+index), so results are identical regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .concepts import ConceptEvalTable
+from .concepts import ConceptEvalTable, GroupPool
 from .errors import DataError, InvariantError
 
 
@@ -148,6 +147,29 @@ def compute_budget(
     )
 
 
+def draw_group(
+    pool: GroupPool, plan: SamplingPlan, group: str, bootstrap_index: int
+) -> np.ndarray:
+    """One group's fixed-prevalence draw, uniform with replacement from each
+    class: row indices into ``pool.all_rows()``, the plan's positives first."""
+    rng = derive_rng(plan.seed, "draw", plan.concept, group, bootstrap_index)
+    pos = rng.integers(0, pool.n_pos, size=plan.positives_per_group)
+    neg = rng.integers(0, pool.n_neg, size=plan.negatives_per_group)
+    return np.concatenate([pos, neg + pool.n_pos])
+
+
+def draw_baseline_group(
+    pool: GroupPool, seed: int, concept: str, group: str, bootstrap_index: int
+) -> np.ndarray:
+    """One group's standard bootstrap draw: row indices into
+    ``pool.all_rows()``, the whole pool resampled at its own size."""
+    n = pool.n_pos + pool.n_neg
+    if n == 0:
+        raise InvariantError(f"empty pool for concept {concept!r} group {group!r}")
+    rng = derive_rng(seed, "baseline", concept, group, bootstrap_index)
+    return rng.integers(0, n, size=n)
+
+
 def draw_bootstrap(
     table: ConceptEvalTable, plan: SamplingPlan, bootstrap_index: int
 ) -> dict[str, BootstrapDraw]:
@@ -155,12 +177,11 @@ def draw_bootstrap(
     draws: dict[str, BootstrapDraw] = {}
     for g in plan.groups:
         pool = table.pools[g]
-        rng = derive_rng(plan.seed, "draw", plan.concept, g, bootstrap_index)
-        pos = rng.integers(0, pool.n_pos, size=plan.positives_per_group)
-        neg = rng.integers(0, pool.n_neg, size=plan.negatives_per_group)
+        idx = draw_group(pool, plan, g, bootstrap_index)
         draws[g] = BootstrapDraw(
             concept=plan.concept, group=g, bootstrap_index=bootstrap_index,
-            positive_indices=pos, negative_indices=neg,
+            positive_indices=idx[:plan.positives_per_group],
+            negative_indices=idx[plan.positives_per_group:] - pool.n_pos,
         )
     return draws
 
@@ -176,11 +197,7 @@ def draw_baseline_bootstrap(
     draws: dict[str, BootstrapDraw] = {}
     for g in table.groups:
         pool = table.pools[g]
-        n = pool.n_pos + pool.n_neg
-        if n == 0:
-            raise InvariantError(f"empty pool for concept {table.concept!r} group {g!r}")
-        rng = derive_rng(seed, "baseline", table.concept, g, bootstrap_index)
-        idx = rng.integers(0, n, size=n)
+        idx = draw_baseline_group(pool, seed, table.concept, g, bootstrap_index)
         draws[g] = BootstrapDraw(
             concept=table.concept, group=g, bootstrap_index=bootstrap_index,
             positive_indices=idx[idx < pool.n_pos],
@@ -199,23 +216,3 @@ def baseline_full_sample(table: ConceptEvalTable) -> dict[str, BootstrapDraw]:
         )
         for g in table.groups
     }
-
-
-def draw_rows(
-    table: ConceptEvalTable, draw: BootstrapDraw
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Materialize (scores, labels, ids) for one draw."""
-    pool = table.pools[draw.group]
-    scores = np.concatenate(
-        [pool.pos_scores[draw.positive_indices], pool.neg_scores[draw.negative_indices]]
-    )
-    labels = np.concatenate(
-        [
-            np.ones(draw.positive_indices.shape[0], dtype=np.int8),
-            np.zeros(draw.negative_indices.shape[0], dtype=np.int8),
-        ]
-    )
-    ids = np.concatenate(
-        [pool.pos_ids[draw.positive_indices], pool.neg_ids[draw.negative_indices]]
-    )
-    return scores, labels, ids

@@ -103,13 +103,6 @@ class TestEvaluateTables:
         assert set(diag["concepts_skipped"]) == {"c1", "c2"}
         assert estimates == []
 
-    def test_jobs_parallelism_is_deterministic(self, tmp_path):
-        _, _, _, tables = two_group_tables()
-        cfg = cfg_for(tmp_path)
-        serial, _ = evaluate_tables(tables, ["c1", "c2"], ["A", "B"], cfg, jobs=1)
-        threaded, _ = evaluate_tables(tables, ["c1", "c2"], ["A", "B"], cfg, jobs=4)
-        assert serial == threaded
-
 
 class TestMultiGroup:
     def test_all_pairs_estimated_and_spread_nonnegative(self, tmp_path):

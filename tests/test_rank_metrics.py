@@ -1,0 +1,303 @@
+"""Rank-space bootstrap scoring against the scalar reference kernels.
+
+``ranked_metrics`` must give, on every draw, exactly the values of
+``average_precision`` (tie-broken by image id), ``auc_roc`` and
+``rates_from_confusion(confusion_at_threshold(...))`` on the drawn rows, and
+``select_threshold`` must choose what the per-candidate scan chose.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from disparity_audit import (
+    auc_roc,
+    average_precision,
+    compute_budget,
+    confusion_at_threshold,
+    draw_baseline_bootstrap,
+    draw_bootstrap,
+    rates_from_confusion,
+    select_threshold,
+    split_validation_test,
+)
+from disparity_audit.concepts import ConceptEvalTable, GroupPool
+from disparity_audit.config import THRESHOLD_METRICS
+from disparity_audit.metrics import rank_pool, ranked_metrics
+from disparity_audit.pipeline import evaluate_concept
+from disparity_audit.sampling import derive_seed, draw_baseline_group, draw_group
+
+from test_metrics import f1_at, threshold_oracle_f1
+
+ALL_METRICS = ("ap", "auc_roc") + THRESHOLD_METRICS
+
+
+def scalar_metrics(scores, labels, ids, threshold):
+    """Every metric of one batch of rows from the scalar kernels."""
+    out = {
+        "ap": average_precision(scores, labels, tiebreak=ids),
+        "auc_roc": auc_roc(scores, labels),
+    }
+    if threshold is not None:
+        bundle = rates_from_confusion(confusion_at_threshold(scores, labels, threshold))
+        out.update({m: getattr(bundle, m) for m in THRESHOLD_METRICS})
+    return out
+
+
+def assert_same(batched, scalar):
+    """NaN where the scalar kernel gives None, otherwise the same double."""
+    if scalar is None:
+        assert math.isnan(batched)
+    else:
+        assert batched == scalar and type(scalar) is float
+
+
+def check_draws(scores, labels, ids, draws, threshold):
+    metrics = ALL_METRICS if threshold is not None else ("ap", "auc_roc")
+    pool = rank_pool(scores, labels, ids, threshold=threshold)
+    batched = ranked_metrics(pool, draws, metrics)
+    undefined = 0
+    for b, rows in enumerate(draws):
+        ref = scalar_metrics(scores[rows], labels[rows], ids[rows], threshold)
+        for m in metrics:
+            assert_same(batched[m][b], ref[m])
+            undefined += ref[m] is None
+    return undefined
+
+
+def make_pool(n_pos, n_neg, rng, distinct=None):
+    """A pool sorted by id, as ``build_concept_tables`` makes it; with
+    ``distinct`` set, scores take only that many values (heavy ties)."""
+    def scores(n):
+        if distinct is None:
+            return rng.random(n)
+        return rng.integers(0, distinct, size=n) / distinct
+
+    def ids(prefix, n):
+        # ids are not in score order, so the tie-break key matters
+        return np.array(sorted(f"{prefix}{k:05d}" for k in rng.permutation(n)), dtype=object)
+
+    return GroupPool(
+        pos_scores=scores(n_pos), pos_ids=ids("x", n_pos),
+        neg_scores=scores(n_neg), neg_ids=ids("m", n_neg),
+    )
+
+
+class TestRankedMetricsEquivalence:
+    @pytest.mark.parametrize("distinct", [None, 3, 40])
+    @pytest.mark.parametrize("n_pos,n_neg", [(5, 30), (150, 750), (300, 12000)])
+    def test_reliable_draws(self, n_pos, n_neg, distinct):
+        rng = np.random.default_rng(n_pos + n_neg + (distinct or 0))
+        table = ConceptEvalTable("c", {"A": make_pool(n_pos, n_neg, rng, distinct)})
+        plan = compute_budget(table, (1, 5), seed=3, bootstrap_count=1)
+        pool = table.pools["A"]
+        scores, labels, ids = pool.all_rows()
+        draws = [draw_group(pool, plan, "A", b) for b in range(9 if n_neg > 1000 else 25)]
+        threshold = float(np.median(scores))
+        check_draws(scores, labels, ids, draws, threshold)
+
+    @pytest.mark.parametrize("distinct", [None, 2, 25])
+    @pytest.mark.parametrize("n_pos,n_neg", [(1, 5), (2, 40), (40, 900), (400, 9000)])
+    def test_baseline_draws(self, n_pos, n_neg, distinct):
+        rng = np.random.default_rng(7 * n_pos + n_neg + (distinct or 0))
+        pool = make_pool(n_pos, n_neg, rng, distinct)
+        scores, labels, ids = pool.all_rows()
+        draws = [
+            draw_baseline_group(pool, 11, "c", "A", b)
+            for b in range(6 if n_neg > 1000 else 40)
+        ]
+        threshold = float(np.quantile(scores, 0.8))
+        undefined = check_draws(scores, labels, ids, draws, threshold)
+        if n_pos == 1:
+            # a single positive is missed by about a third of the draws
+            assert undefined > 0
+
+    def test_zero_positive_or_negative_draws(self):
+        scores = np.array([0.4, 0.4, 0.9, 0.1])
+        labels = np.array([1, 1, 0, 0], dtype=np.int8)
+        ids = np.array(["b", "a", "c", "d"], dtype=object)
+        draws = [np.array(r) for r in ([0, 0, 1, 1], [2, 3, 3, 2], [1, 1, 1, 1], [0, 2, 2, 0])]
+        assert check_draws(scores, labels, ids, draws, threshold=0.4) > 0
+        pool = rank_pool(scores, labels, ids, threshold=0.4)
+        values = ranked_metrics(pool, draws, ALL_METRICS)
+        assert math.isnan(values["ap"][1]) and math.isnan(values["auc_roc"][0])
+        assert math.isnan(values["tpr"][1]) and math.isnan(values["fpr"][2])
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_one_row_pool(self, label):
+        scores = np.array([0.3])
+        labels = np.array([label], dtype=np.int8)
+        ids = np.array(["only"], dtype=object)
+        draws = [np.zeros(1, dtype=np.int64)] * 3
+        for threshold in (0.2, 0.3, 0.4):
+            check_draws(scores, labels, ids, draws, threshold)
+
+    def test_full_sample_is_identity_draw(self):
+        rng = np.random.default_rng(5)
+        pool = make_pool(60, 240, rng, distinct=10)
+        scores, labels, ids = pool.all_rows()
+        check_draws(scores, labels, ids, [np.arange(scores.size)], threshold=0.5)
+
+    def test_repeated_rows_and_tied_ids(self):
+        # equal scores on different ids, and one row drawn many times
+        scores = np.array([0.5, 0.5, 0.5, 0.2, 0.5, 0.2])
+        labels = np.array([1, 0, 1, 0, 0, 1], dtype=np.int8)
+        ids = np.array(["e", "a", "c", "b", "d", "f"], dtype=object)
+        draws = [np.array(r) for r in (
+            [0, 0, 0, 1, 2, 3], [4, 4, 4, 4, 0, 5], [5, 3, 5, 3, 1, 1], [2, 1, 0, 4, 3, 5],
+        )]
+        check_draws(scores, labels, ids, draws, threshold=0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(lambda n: st.tuples(
+            st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0]), min_size=n, max_size=n),
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            st.permutations(range(n)),
+            st.integers(1, 15).flatmap(lambda m: st.lists(
+                st.lists(st.integers(0, n - 1), min_size=m, max_size=m), min_size=1, max_size=6,
+            )),
+            st.sampled_from([-1.0, 0.0, 0.125, 0.5, 0.6, 1.0, 2.0]),
+        ))
+    )
+    def test_matches_scalar_kernels(self, case):
+        scores, labels, order, draws, threshold = case
+        ids = np.array([f"i{k:02d}" for k in order], dtype=object)
+        check_draws(
+            np.array(scores), np.array(labels, dtype=np.int8), ids,
+            [np.array(r) for r in draws], threshold,
+        )
+
+
+def reference_evaluation(table, metric, mode, scope, bootstraps, seed, fraction=0.2):
+    """What ``evaluate_concept`` computes for one metric, from the scalar
+    functions: for a threshold metric split, select and restrict first; then
+    score every draw and the full sample."""
+    thresholds = {}
+    eval_table = table
+    if metric in THRESHOLD_METRICS:
+        val, test = {}, {}
+        for g in table.groups:
+            pool = table.pools[g]
+            scores, labels, _ = pool.all_rows()
+            split_seed = derive_seed(seed, "split", table.concept, g)
+            v, t = split_validation_test(labels, fraction, split_seed)
+            val[g] = (scores[v], labels[v])
+            test[g] = (t[t < pool.n_pos], t[t >= pool.n_pos] - pool.n_pos)
+        if scope == "pooled":
+            t = select_threshold(
+                np.concatenate([val[g][0] for g in table.groups]),
+                np.concatenate([val[g][1] for g in table.groups]),
+            ).threshold
+            thresholds = {g: t for g in table.groups}
+        else:
+            thresholds = {g: select_threshold(*val[g]).threshold for g in table.groups}
+        eval_table = table.restrict(test)
+    plan = compute_budget(eval_table, (1, 4), seed=seed) if mode == "reliable" else None
+
+    def value(pool, pos, neg, g):
+        scores = np.concatenate([pool.pos_scores[pos], pool.neg_scores[neg]])
+        labels = np.concatenate([np.ones(pos.size, np.int8), np.zeros(neg.size, np.int8)])
+        ids = np.concatenate([pool.pos_ids[pos], pool.neg_ids[neg]])
+        return scalar_metrics(scores, labels, ids, thresholds.get(g))[metric]
+
+    values = {g: [] for g in table.groups}
+    for b in range(bootstraps):
+        if plan is not None:
+            draws = draw_bootstrap(eval_table, plan, b)
+        else:
+            draws = draw_baseline_bootstrap(eval_table, seed, b)
+        for g, d in draws.items():
+            values[g].append(value(eval_table.pools[g], d.positive_indices, d.negative_indices, g))
+    full = {
+        g: value(p, np.arange(p.n_pos), np.arange(p.n_neg), g)
+        for g, p in eval_table.pools.items()
+    }
+    return thresholds, values, full
+
+
+class TestMetricsThroughEvaluateConcept:
+    @pytest.mark.parametrize("mode", ["reliable", "baseline"])
+    @pytest.mark.parametrize("scope", ["pooled", "per_group"])
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_matches_per_draw_reference(self, metric, scope, mode):
+        rng = np.random.default_rng(42)
+        # Scores tie across labels and every negative id sorts before every
+        # positive id, so the AP tie-break matters; with two test positives
+        # in B, some baseline draws have none.
+        table = ConceptEvalTable("c", {
+            "A": make_pool(30, 90, rng, distinct=12),
+            "B": make_pool(3, 70, rng, distinct=12),
+        })
+        ev = evaluate_concept(
+            table, metrics=[metric], mode=mode, ratio=(1, 4), bootstraps=40, seed=8,
+            validation_fraction=0.2, threshold_scope=scope,
+        )
+        thresholds, values, full = reference_evaluation(table, metric, mode, scope, 40, 8)
+        assert ev.thresholds == thresholds
+        for g in table.groups:
+            for b in range(40):
+                assert_same(ev.values[(metric, g)][b], values[g][b])
+            assert ev.full_sample[(metric, g)] == full[g]
+        if mode == "baseline" and metric in ("tpr", "recall", "f1"):
+            assert None in values["B"]
+
+
+def scan_select_threshold(scores, labels):
+    """The per-candidate scan: one confusion pass per candidate threshold."""
+    s = np.asarray(scores, dtype=float)
+    distinct = np.unique(s)
+    candidates = [float(distinct[0]) - 1.0]
+    candidates.extend(float((a + b) / 2.0) for a, b in zip(distinct[:-1], distinct[1:]))
+    best_t, best_f1 = None, -1.0
+    for t in candidates:
+        f1 = rates_from_confusion(confusion_at_threshold(s, labels, t)).f1
+        f1 = 0.0 if f1 is None else f1
+        if f1 > best_f1:
+            best_t, best_f1 = t, f1
+    return best_t, best_f1
+
+
+def check_threshold(scores, labels, optimal=True):
+    choice = select_threshold(scores, labels)
+    assert (choice.threshold, choice.f1) == scan_select_threshold(scores, labels)
+    assert type(choice.threshold) is float and type(choice.f1) is float
+    assert abs(f1_at(list(scores), list(labels), choice.threshold) - choice.f1) < 1e-12
+    if optimal:
+        assert abs(choice.f1 - threshold_oracle_f1(list(scores), list(labels))) < 1e-12
+
+
+class TestSelectThresholdSweep:
+    @pytest.mark.parametrize("distinct", [2, 5, 20])
+    @pytest.mark.parametrize("n", [1, 7, 60, 200])
+    def test_heavy_ties(self, n, distinct):
+        rng = np.random.default_rng(n * distinct)
+        for _ in range(5):
+            scores = (rng.integers(0, distinct, size=n) / distinct).tolist()
+            labels = rng.integers(0, 2, size=n)
+            labels[rng.integers(0, n)] = 1
+            check_threshold(scores, labels.tolist())
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 200])
+    def test_all_positive_takes_lowest_threshold(self, n):
+        scores = np.random.default_rng(n).random(n).tolist()
+        check_threshold(scores, [1] * n)
+        assert select_threshold(scores, [1] * n).threshold < min(scores)
+
+    @pytest.mark.parametrize(
+        "labels", [[0, 1], [1, 0], [1, 1], [0, 1, 1], [1, 0, 1], [0, 0, 1], [1, 0, 0]]
+    )
+    def test_adjacent_doubles(self, labels):
+        # The midpoint of two adjacent doubles rounds onto one of them, so
+        # the cut between them is no candidate and the exhaustive optimum
+        # can be missed; the sweep still picks what the scan picked.
+        a = 0.5
+        b = float(np.nextafter(a, 1.0))
+        c = float(np.nextafter(b, 1.0))
+        assert (a + b) / 2.0 in (a, b)
+        scores = [a, b, c][:len(labels)]
+        check_threshold(scores, labels, optimal=False)
+        check_threshold(scores[::-1], labels, optimal=False)

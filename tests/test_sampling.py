@@ -4,19 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disparity_audit import (
-    AnnotatedImage,
     DataError,
-    GroupAssignment,
-    PredictionRecord,
     baseline_full_sample,
-    build_concept_tables,
     compute_budget,
     draw_baseline_bootstrap,
     draw_bootstrap,
     filter_rare_concepts,
 )
 from disparity_audit.concepts import ConceptEvalTable, GroupPool
-from disparity_audit.sampling import derive_rng, derive_seed, draw_rows
+from disparity_audit.sampling import derive_rng, derive_seed
 
 
 def make_pool(n_pos, n_neg, seed=0):
@@ -206,19 +202,3 @@ class TestDeriveRng:
         assert derive_seed(3, "x", 4) == derive_seed(3, "x", 4)
         assert derive_seed(3, "x", 4) != derive_seed(3, "x", 5)
 
-
-class TestDrawRows:
-    def test_materialization(self):
-        images = [
-            AnnotatedImage(image_id=f"i{k}", direct_labels=frozenset({"c"} if k < 2 else {"z"}))
-            for k in range(6)
-        ]
-        assignments = [GroupAssignment(f"i{k}", group="A") for k in range(6)]
-        predictions = [
-            PredictionRecord(image_id=f"i{k}", scores={"c": k / 10}) for k in range(6)
-        ]
-        table = build_concept_tables(images, assignments, predictions, ["c"])["c"]
-        draws = baseline_full_sample(table)
-        scores, labels, ids = draw_rows(table, draws["A"])
-        assert labels.sum() == 2 and labels.size == 6
-        assert set(ids) == {f"i{k}" for k in range(6)}
