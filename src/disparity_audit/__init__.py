@@ -31,7 +31,6 @@ from .concepts import (
     GroupPool,
     build_concept_tables,
     canonicalize_label,
-    display_name,
     image_target_set,
     map_to_model_classes,
 )
@@ -43,7 +42,6 @@ from .metrics import (
     auc_roc,
     average_precision,
     confusion_at_threshold,
-    hit_rate_at_k,
     precision_from_rates,
     rates_from_confusion,
     select_threshold,
@@ -52,7 +50,6 @@ from .metrics import (
 from .sampling import (
     BootstrapDraw,
     SamplingPlan,
-    baseline_full_sample,
     compute_budget,
     derive_rng,
     derive_seed,
@@ -63,9 +60,8 @@ from .sampling import (
 from .disparity import (
     MetricEstimate,
     aggregate_disparity,
-    max_pairwise_spread,
     per_concept_disparity,
     percentile,
     significance_flag,
 )
-from .synth import CellSpec, ScenarioSpec, closed_form_auc, generate, prevalence_sweep
+from .synth import CellSpec, ScenarioSpec, closed_form_auc, generate

@@ -27,6 +27,7 @@ from .pipeline import (
     assign_groups,
     compare_results,
     load_dataset,
+    plan_concepts,
     read_results_csv,
     render_report,
     run_pipeline,
@@ -36,7 +37,7 @@ from .pipeline import (
     write_plot_data,
     write_results_csv,
 )
-from .sampling import compute_budget, filter_rare_concepts
+from .sampling import compute_budget
 from .synth import ScenarioSpec, generate
 
 log = logging.getLogger("disparity_audit")
@@ -88,30 +89,21 @@ def _cmd_sample_plan(args) -> int:
     loaded = load_dataset(cfg)
     images, predictions = loaded.images, loaded.predictions
     assignments = assign_groups(images, cfg)
-    group_of = {a.image_id: a.group for a in assignments if a.assigned}
-    scored = set()
-    for p in predictions:
-        scored.update(p.scores)
-    targets = set()
-    for img in images:
-        if img.image_id in group_of:
-            targets.update(image_target_set(img, cfg.mapping, strict=cfg.strict_mapping))
-    concepts = sorted(targets & scored)
+    groups = list(cfg.group_order())
+    concepts, _, counts, retained = plan_concepts(
+        images, assignments, predictions, groups, cfg
+    )
     tables = build_concept_tables(
-        images, assignments, predictions, concepts,
+        images, assignments, predictions, retained,
         mapping=cfg.mapping, strict=cfg.strict_mapping,
     )
-    groups = list(cfg.group_order())
-    retained = filter_rare_concepts(tables, cfg.min_per_group, groups=groups)
     plans: dict[str, dict] = {}
     for c in concepts:
         entry: dict = {
-            "retained": c in retained,
-            "pools": {
-                g: [tables[c].n_pos(g), tables[c].n_neg(g)] for g in groups
-            },
+            "retained": c in tables,
+            "pools": {g: list(counts[c][g]) for g in groups},
         }
-        if c in retained and cfg.sampling_mode == "reliable":
+        if c in tables and cfg.sampling_mode == "reliable":
             try:
                 plan = compute_budget(tables[c], cfg.ratio, seed=cfg.seed,
                                       bootstrap_count=cfg.bootstraps)

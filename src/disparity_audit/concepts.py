@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -22,8 +21,6 @@ from .errors import DataError
 log = logging.getLogger("disparity_audit.concepts")
 
 ConceptId = str
-
-_SYNSET_SUFFIX = re.compile(r"\.[a-z]+\.\d+$")
 
 
 def canonicalize_label(raw: str) -> ConceptId:
@@ -38,11 +35,6 @@ def canonicalize_label(raw: str) -> ConceptId:
     if not out:
         raise DataError(f"label {raw!r} is empty after canonicalization")
     return out
-
-
-def display_name(concept: ConceptId) -> str:
-    """Human-readable form: drop a trailing ``.pos.NN`` suffix, underscores to spaces."""
-    return _SYNSET_SUFFIX.sub("", concept).replace("_", " ")
 
 
 @dataclass(frozen=True)

@@ -144,10 +144,6 @@ class RunConfig:
     top_n: int
     output_dir: Path
 
-    @property
-    def threshold_metrics_requested(self) -> tuple[str, ...]:
-        return tuple(m for m in self.metrics if m in THRESHOLD_METRICS)
-
     def group_order(self) -> tuple[str, ...]:
         if self.group_method in ("boxes", "captions"):
             return self.terms.group_order

@@ -9,8 +9,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -214,7 +216,7 @@ def _parse_image(obj: dict, ctx: str) -> AnnotatedImage:
         raise DataError(f"{ctx}: {e}") from e
 
 
-def load_annotations(path: str | Path, format: str = "jsonl") -> list[AnnotatedImage]:
+def load_annotations(path: str | Path) -> list[AnnotatedImage]:
     """Load an annotations file into AnnotatedImage records.
 
     An image_id may appear on several lines only when the repeated records
@@ -223,14 +225,11 @@ def load_annotations(path: str | Path, format: str = "jsonl") -> list[AnnotatedI
 
     Args:
         path: JSON Lines file, one object per image.
-        format: annotation schema id; only ``"jsonl"`` is supported.
 
     Raises:
         DataError: on malformed lines (with line number), conflicting
             duplicate image_ids, or boxes outside image bounds.
     """
-    if format != "jsonl":
-        raise DataError(f"unsupported annotation format {format!r}")
     path = Path(path)
     if not path.exists():
         raise DataError(f"annotations file not found: {path}")
@@ -323,15 +322,18 @@ def validate_dataset(
     concept_universe: set[str] = set()
     for p in predictions:
         concept_universe.update(p.scores)
+    # Count first; only a partially covered concept needs its ids listed.
+    n_scored = Counter(
+        chain.from_iterable(scores_by_id.get(img.image_id, ()) for img in images)
+    )
     unscored: dict[str, list[str]] = {}
     for concept in sorted(concept_universe):
-        missing = sorted(
-            img.image_id
-            for img in images
-            if concept not in scores_by_id.get(img.image_id, {})
-        )
-        if missing and len(missing) < len(images):
-            unscored[concept] = missing
+        if 0 < n_scored[concept] < len(images):
+            unscored[concept] = sorted(
+                img.image_id
+                for img in images
+                if concept not in scores_by_id.get(img.image_id, {})
+            )
     label_universe: set[str] = set()
     for img in images:
         label_universe.update(img.direct_labels)

@@ -164,11 +164,3 @@ def significance_flag(estimate: MetricEstimate) -> bool:
     if estimate.ci_low is None or estimate.ci_high is None:
         return False
     return not (estimate.ci_low <= 0.0 <= estimate.ci_high)
-
-
-def max_pairwise_spread(points: Mapping[str, float]) -> float:
-    """Largest pairwise difference (max - min) of a per-group statistic; >= 0."""
-    if not points:
-        raise DataError("max_pairwise_spread needs at least one group value")
-    values = list(points.values())
-    return max(values) - min(values)

@@ -469,15 +469,3 @@ def hit_vector(
     if short_of_k:
         log.warning("hit rate: %d image(s) scored for fewer than k concepts", short_of_k)
     return ids, np.asarray(hits, dtype=float)
-
-
-def hit_rate_at_k(
-    score_maps: Mapping[str, Mapping[str, float]],
-    target_sets: Mapping[str, AbstractSet[str]],
-    k: int,
-) -> float | None:
-    """Fraction of images whose top-k predictions intersect their target set."""
-    _, hits = hit_vector(score_maps, target_sets, k)
-    if hits.size == 0:
-        return None
-    return float(hits.mean())

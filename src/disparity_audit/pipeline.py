@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -346,12 +348,69 @@ def evaluate_hit_rate(
     return estimates
 
 
+def plan_concepts(
+    images: Sequence[AnnotatedImage],
+    assignments: Sequence[GroupAssignment],
+    predictions: Sequence[PredictionRecord],
+    groups: Sequence[str],
+    cfg: RunConfig,
+) -> tuple[list[str], list[str], dict[str, dict[str, tuple[int, int]]], list[str]]:
+    """Decide which concepts get evaluated, from per-group counts alone.
+
+    Candidates are the targets of group-assigned images that some prediction
+    scores. Returns ``(candidates, unscored_targets, counts, retained)``:
+    ``counts`` maps each candidate and each group in ``groups`` to the
+    ``(n_pos, n_neg)`` scored rows ``build_concept_tables`` would give it,
+    and ``retained`` holds the candidates that pass the rare-label filter on
+    those counts, so only they need a table.
+    """
+    group_of = {a.image_id: a.group for a in assignments if a.assigned}
+    scores_of = {p.image_id: p.scores for p in predictions}
+    target_universe: set[str] = set()
+    # Per group: the score dicts of its images, and every scored target of
+    # each image; both are counted once per group below, in C.
+    scored: dict[str, list[Mapping[str, float]]] = {}
+    positive: dict[str, list[str]] = {}
+    for img in images:
+        group = group_of.get(img.image_id)
+        if group is None:
+            continue
+        targets = image_target_set(img, cfg.mapping, strict=cfg.strict_mapping)
+        target_universe.update(targets)
+        scores = scores_of.get(img.image_id, {})
+        scored.setdefault(group, []).append(scores)
+        positive.setdefault(group, []).extend(targets & scores.keys())
+
+    scored_concepts: set[str] = set()
+    for p in predictions:
+        scored_concepts.update(p.scores)
+    candidates = sorted(target_universe & scored_concepts)
+    unscored_targets = sorted(target_universe - scored_concepts)
+    if unscored_targets:
+        log.warning(
+            "%d target concept(s) have no scores and were dropped: %s",
+            len(unscored_targets), ", ".join(unscored_targets[:10]),
+        )
+
+    counts: dict[str, dict[str, tuple[int, int]]] = {c: {} for c in candidates}
+    for g in groups:
+        n_scored = Counter(chain.from_iterable(scored.get(g, ())))
+        n_pos = Counter(positive.get(g, ()))
+        for c in candidates:
+            counts[c][g] = (n_pos[c], n_scored[c] - n_pos[c])
+
+    retained = filter_rare_concepts(
+        {c: {g: n_pos for g, (n_pos, _) in counts[c].items()} for c in candidates},
+        cfg.min_per_group, groups=groups,
+    )
+    return candidates, unscored_targets, counts, retained
+
+
 @dataclass
 class PipelineResult:
     estimates: list[MetricEstimate]
     assignments: list[GroupAssignment]
     manifest: dict
-    validation: dict
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
@@ -367,33 +426,18 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     groups = list(cfg.group_order())
     summary = assignment_summary(assignments, groups=groups)
 
-    group_of = {a.image_id: a.group for a in assignments if a.assigned}
-    scored_concepts: set[str] = set()
-    for p in predictions:
-        scored_concepts.update(p.scores)
-    target_universe: set[str] = set()
-    for img in images:
-        if img.image_id in group_of:
-            target_universe.update(
-                image_target_set(img, cfg.mapping, strict=cfg.strict_mapping)
-            )
-    eval_concepts = sorted(target_universe & scored_concepts)
-    unscored_targets = sorted(target_universe - scored_concepts)
-    if unscored_targets:
-        log.warning(
-            "%d target concept(s) have no scores and were dropped: %s",
-            len(unscored_targets), ", ".join(unscored_targets[:10]),
-        )
-
+    eval_concepts, unscored_targets, _, retained = plan_concepts(
+        images, assignments, predictions, groups, cfg
+    )
+    if all(m == "hit_rate" for m in cfg.metrics):
+        retained = []  # no per-concept metric, so no concept is evaluated
     estimates: list[MetricEstimate] = []
     eval_diag: dict = {"concepts_evaluated": [], "concepts_skipped": {}}
-    retained: list[str] = []
-    if eval_concepts and any(m != "hit_rate" for m in cfg.metrics):
+    if retained:
         tables = build_concept_tables(
-            images, assignments, predictions, eval_concepts,
+            images, assignments, predictions, retained,
             mapping=cfg.mapping, strict=cfg.strict_mapping,
         )
-        retained = filter_rare_concepts(tables, cfg.min_per_group, groups=groups)
         point_estimates, eval_diag = evaluate_tables(tables, retained, groups, cfg)
         estimates.extend(point_estimates)
     if "hit_rate" in cfg.metrics:
@@ -440,10 +484,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             },
         },
     }
-    return PipelineResult(
-        estimates=estimates, assignments=assignments,
-        manifest=manifest, validation=validation,
-    )
+    return PipelineResult(estimates=estimates, assignments=assignments, manifest=manifest)
 
 
 def _fmt(value) -> str:

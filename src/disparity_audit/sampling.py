@@ -60,10 +60,6 @@ class SamplingPlan:
         if self.bootstrap_count < 1:
             raise DataError("bootstrap_count must be >= 1")
 
-    @property
-    def prevalence(self) -> float:
-        return self.pos_parts / (self.pos_parts + self.neg_parts)
-
 
 @dataclass(frozen=True)
 class BootstrapDraw:
@@ -77,24 +73,25 @@ class BootstrapDraw:
 
 
 def filter_rare_concepts(
-    tables: Mapping[str, ConceptEvalTable],
+    positives: Mapping[str, Mapping[str, int]],
     k: int,
     groups: Iterable[str] | None = None,
 ) -> list[str]:
     """Concepts retained under the rare-label rule: every group has >= k positives.
 
-    ``groups`` defaults to the union of groups seen across all tables, so a
-    concept missing a group entirely is removed.
+    ``positives`` maps concept -> group -> scored positive count. ``groups``
+    defaults to the union of groups seen across all concepts, so a concept
+    missing a group entirely is removed.
     """
     if k < 1:
         raise DataError(f"rare-label threshold must be >= 1, got {k}")
     if groups is None:
-        required = sorted({g for t in tables.values() for g in t.pools})
+        required = sorted({g for per_group in positives.values() for g in per_group})
     else:
         required = sorted(groups)
     retained = [
-        c for c in sorted(tables)
-        if all(tables[c].n_pos(g) >= k for g in required)
+        c for c in sorted(positives)
+        if all(positives[c].get(g, 0) >= k for g in required)
     ]
     return retained
 
@@ -204,15 +201,3 @@ def draw_baseline_bootstrap(
             negative_indices=idx[idx >= pool.n_pos] - pool.n_pos,
         )
     return draws
-
-
-def baseline_full_sample(table: ConceptEvalTable) -> dict[str, BootstrapDraw]:
-    """The identity draw: every row of every group's pool exactly once."""
-    return {
-        g: BootstrapDraw(
-            concept=table.concept, group=g, bootstrap_index=-1,
-            positive_indices=np.arange(table.pools[g].n_pos),
-            negative_indices=np.arange(table.pools[g].n_neg),
-        )
-        for g in table.groups
-    }

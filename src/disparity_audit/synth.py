@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from . import metrics
 from .data import AnnotatedImage, GroupAssignment, PredictionRecord
 from .errors import DataError
-from .sampling import derive_rng, derive_seed
+from .sampling import derive_rng
 
 
 @dataclass(frozen=True)
@@ -196,36 +195,3 @@ def closed_form_auc(
     z = (mu_pos - mu_neg) / math.sqrt(sigma_pos**2 + sigma_neg**2)
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
-
-@dataclass(frozen=True)
-class SweepPoint:
-    alpha: float
-    ap: float
-    tpr: float | None
-    fpr: float | None
-
-
-def prevalence_sweep(
-    cell: CellSpec,
-    alphas: Sequence[float],
-    threshold: float,
-    seed: int,
-) -> list[SweepPoint]:
-    """Regenerate one cell at each prevalence and measure AP and TPR/FPR at a
-    fixed threshold; the score laws stay fixed across the sweep."""
-    points: list[SweepPoint] = []
-    for i, alpha in enumerate(alphas):
-        swept = replace(cell, prevalence=float(alpha))
-        spec = ScenarioSpec(
-            concepts={"swept": {"g": swept}}, seed=derive_seed(seed, "sweep", i)
-        )
-        images, _, predictions = generate(spec)
-        scores_of = {p.image_id: p.scores["swept"] for p in predictions}
-        values = np.array([scores_of[img.image_id] for img in images])
-        y = np.array([1 if "swept" in img.direct_labels else 0 for img in images])
-        ap = metrics.average_precision(values, y)
-        bundle = metrics.rates_from_confusion(
-            metrics.confusion_at_threshold(values, y, threshold)
-        )
-        points.append(SweepPoint(alpha=float(alpha), ap=ap, tpr=bundle.tpr, fpr=bundle.fpr))
-    return points

@@ -1,8 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from disparity_audit import cli, pipeline
 from disparity_audit.cli import main
+from disparity_audit.concepts import build_concept_tables
+from disparity_audit.config import load_config
+from disparity_audit.pipeline import assign_groups, load_dataset
+
+TERMS = Path(__file__).resolve().parents[1] / "configs" / "terms_coco_captions.json"
 
 
 @pytest.fixture
@@ -14,6 +21,13 @@ def workspace(tmp_path):
                 "A": {"prevalence": 0.4, "mu_pos": 1.5, "sigma_pos": 1, "mu_neg": 0,
                       "sigma_neg": 1, "n": 150},
                 "B": {"prevalence": 0.2, "mu_pos": 1.0, "sigma_pos": 1, "mu_neg": 0,
+                      "sigma_neg": 1, "n": 150},
+            },
+            # 5 positives in B: below min_per_group 10, so filtered as rare
+            "c2": {
+                "A": {"prevalence": 0.4, "mu_pos": 1.0, "sigma_pos": 1, "mu_neg": 0,
+                      "sigma_neg": 1, "n": 150},
+                "B": {"prevalence": 0.03, "mu_pos": 1.0, "sigma_pos": 1, "mu_neg": 0,
                       "sigma_neg": 1, "n": 150},
             },
         },
@@ -76,6 +90,15 @@ class TestSubcommands:
         assert c1["retained"] is True
         # budget: A has 60 pos / 90 neg, B has 30 pos / 120 neg; 1:2 ratio
         assert c1["budget"] == [30, 60]
+        c2 = plan["concepts"]["c2"]
+        assert c2["retained"] is False and "budget" not in c2
+        cfg = load_config(cfg_path)
+        loaded = load_dataset(cfg)
+        table = build_concept_tables(
+            loaded.images, assign_groups(loaded.images, cfg), loaded.predictions, ["c2"]
+        )["c2"]
+        assert c2["pools"] == {g: [table.n_pos(g), table.n_neg(g)] for g in ("A", "B")}
+        assert c2["pools"]["B"] == [5, 145]
 
     def test_evaluate_then_report_and_compare(self, workspace, capsys):
         tmp_path, cfg_path = workspace
@@ -153,3 +176,49 @@ class TestExitCodes:
 
     def test_synth_missing_scenario_is_3(self, tmp_path, capsys):
         assert main(["synth", "--scenario", str(tmp_path / "missing.json")]) == 3
+
+
+def test_concept_scored_only_on_excluded_image(tmp_path, monkeypatch):
+    """Target ``z`` of an assigned image is scored only on an image excluded
+    from group assignment: it is a candidate with zero scored positives, so
+    the rare-label filter drops it and no table is built for it."""
+    annotations, predictions = [], []
+    for group in ("man", "woman"):
+        for i in range(40):
+            image_id = f"{group}-{i:02d}"
+            labels = ["dog"] if i % 2 else ["cat"]
+            annotations.append({"image_id": image_id, "labels": labels,
+                                "captions": [f"a {group} in a park"]})
+            predictions.append({"image_id": image_id,
+                                "scores": {"cat": (i % 7) / 7, "dog": (i % 5) / 5}})
+    annotations[0]["labels"].append("z")
+    annotations.append({"image_id": "crowd", "labels": ["dog"], "captions": ["some people"]})
+    predictions.append({"image_id": "crowd", "scores": {"cat": 0.5, "dog": 0.5, "z": 0.5}})
+    for name, records in (("ann.jsonl", annotations), ("pred.jsonl", predictions)):
+        (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "annotations": "ann.jsonl", "predictions": "pred.jsonl",
+        "group_method": "captions", "terms": str(TERMS),
+        "metrics": ["ap"], "drop_unlabeled": False, "output_dir": "out",
+        "sampling": {"mode": "reliable", "ratio": [1, 1], "bootstraps": 10,
+                     "seed": 1, "min_per_group": 5},
+    }))
+    built = []
+
+    def spy(images, assignments, preds, concepts, **kwargs):
+        built.extend(concepts)
+        return build_concept_tables(images, assignments, preds, concepts, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_concept_tables", spy)
+    monkeypatch.setattr(cli, "build_concept_tables", spy)
+
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    concepts = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]["concepts"]
+    assert concepts["candidates"] == 3
+    assert concepts["retained_after_rare_filter"] == 2
+    assert main(["sample-plan", "--config", str(cfg_path)]) == 0
+    z = json.loads((tmp_path / "out" / "sample_plan.json").read_text())["concepts"]["z"]
+    assert z["retained"] is False
+    assert z["pools"] == {"man": [0, 0], "woman": [0, 0]}
+    assert "z" not in built and set(built) == {"cat", "dog"}

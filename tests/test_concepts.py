@@ -11,7 +11,6 @@ from disparity_audit import (
     PredictionRecord,
     build_concept_tables,
     canonicalize_label,
-    display_name,
     image_target_set,
     map_to_model_classes,
 )
@@ -35,11 +34,9 @@ MAPPING_1K = ClassMapping.from_dict({
 class TestCanonicalize:
     def test_synset_key_preserved(self):
         assert canonicalize_label("male_child.n.01") == "male_child.n.01"
-        assert display_name("male_child.n.01") == "male child"
 
     def test_plain_label_identity(self):
         assert canonicalize_label("dog") == "dog"
-        assert display_name("dog") == "dog"
 
     @given(st.text(min_size=1).filter(lambda s: s.strip()))
     def test_idempotent(self, raw):

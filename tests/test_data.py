@@ -103,10 +103,6 @@ class TestLoadAnnotations:
         b = sorted(load_annotations(p2), key=lambda i: i.image_id)
         assert a == b
 
-    def test_unknown_format_rejected(self, annotations_path):
-        with pytest.raises(DataError, match="format"):
-            load_annotations(annotations_path, format="csv")
-
 
 class TestLoadPredictions:
     def test_accepts_known_image(self, tmp_path, annotations_path):
@@ -179,6 +175,18 @@ class TestValidateDataset:
         report = validate_dataset(images, preds)
         assert report["unscored"] == {"dog": ["i2"]}
         assert report["zero_positive_concepts"] == ["dog"]
+
+    def test_image_without_prediction_missing_everywhere(self):
+        images = [
+            AnnotatedImage(image_id=i, direct_labels=frozenset({"cat"}))
+            for i in ("i1", "i2", "i3")
+        ]
+        preds = [
+            PredictionRecord(image_id="i1", scores={"cat": 0.9, "dog": 0.1}),
+            PredictionRecord(image_id="i3", scores={"cat": 0.4}),
+        ]
+        report = validate_dataset(images, preds)
+        assert report["unscored"] == {"cat": ["i2"], "dog": ["i2", "i3"]}
 
     def test_pure_never_mutates(self):
         images = [AnnotatedImage(image_id="i1", direct_labels=frozenset({"cat"}))]

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from disparity_audit import (
     DataError,
     aggregate_disparity,
-    max_pairwise_spread,
     per_concept_disparity,
     percentile,
     significance_flag,
@@ -190,13 +189,3 @@ class TestConvergence:
         mc_se = d_sd * np.sqrt(1 / 250 + 1 / 4000)
         assert abs(small.point - large.point) < 3 * mc_se
 
-
-class TestMaxPairwise:
-    def test_spread_nonnegative_and_antisymmetric_consistent(self):
-        points = {"Africa": 0.2, "Asia": 0.5, "Europe": 0.1, "Americas": 0.4}
-        assert max_pairwise_spread(points) == pytest.approx(0.4)
-        assert max_pairwise_spread({"only": 0.3}) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            max_pairwise_spread({})

@@ -12,13 +12,12 @@ from disparity_audit import (
     auc_roc,
     average_precision,
     confusion_at_threshold,
-    hit_rate_at_k,
     precision_from_rates,
     rates_from_confusion,
     select_threshold,
     split_validation_test,
 )
-from disparity_audit.metrics import top_k_concepts
+from disparity_audit.metrics import hit_vector, top_k_concepts
 
 
 # Independent oracles, kept deliberately naive.
@@ -345,22 +344,22 @@ class TestHitRate:
     }
 
     def test_direct_hit(self):
-        rate = hit_rate_at_k({"i1": self.SCORES["i1"]}, {"i1": {"shower"}}, k=5)
+        rate = hit_vector({"i1": self.SCORES["i1"]}, {"i1": {"shower"}}, k=5)[1].mean()
         assert rate == 1.0
 
     def test_any_mapped_class_counts(self):
         targets = {"i2": {"shower_room", "shower", "bathtub"}}
         scores = {"i2": {"bathtub": 0.9, "a": 0.8, "b": 0.7, "c": 0.6, "d": 0.5, "e": 0.4}}
-        assert hit_rate_at_k(scores, targets, k=5) == 1.0
+        assert hit_vector(scores, targets, k=5)[1].mean() == 1.0
 
     def test_mean_over_images(self):
         targets = {"i1": {"shower"}, "i2": {"shower"}}
-        assert hit_rate_at_k(self.SCORES, targets, k=5) == 0.5
+        assert hit_vector(self.SCORES, targets, k=5)[1].mean() == 0.5
 
     def test_empty_target_excluded(self, caplog):
         targets = {"i1": {"shower"}, "i2": set()}
         with caplog.at_level("WARNING"):
-            rate = hit_rate_at_k(self.SCORES, targets, k=5)
+            rate = hit_vector(self.SCORES, targets, k=5)[1].mean()
         assert rate == 1.0
         assert "empty target" in caplog.text
 

@@ -7,8 +7,11 @@ from disparity_audit import DataError
 from disparity_audit.concepts import build_concept_tables
 from disparity_audit.config import resolve_config_dict
 from disparity_audit.pipeline import (
+    assign_groups,
     compare_results,
     evaluate_tables,
+    load_dataset,
+    plan_concepts,
     read_results_csv,
     render_report,
     run_pipeline,
@@ -106,8 +109,6 @@ class TestEvaluateTables:
 
 class TestMultiGroup:
     def test_all_pairs_estimated_and_spread_nonnegative(self, tmp_path):
-        from disparity_audit import max_pairwise_spread
-
         groups = ("Africa", "Americas", "Asia", "Europe")
         cells = {
             g: CellSpec(prevalence=0.3, mu_pos=1 + 0.1 * i, sigma_pos=1,
@@ -130,7 +131,7 @@ class TestMultiGroup:
         for (a, b), d in sorted(diffs.items()):
             if a in base and b not in base:
                 base[b] = base[a] - d
-        spread = max_pairwise_spread(base)
+        spread = max(base.values()) - min(base.values())
         assert spread >= 0
         assert spread == pytest.approx(max(abs(v) for v in diffs.values()), abs=1e-12)
 
@@ -212,7 +213,9 @@ class TestReport:
         assert ordered == ["alpha", "mid", "zeta"]
 
 
-def synth_workspace(tmp_path: Path, seed=7, n=240):
+def synth_workspace(tmp_path: Path, seed=7, n=240, rare=False):
+    """Two retained concepts; ``rare`` adds ``c3``, with 12 positives in B
+    (below min_per_group 20) and no score on every tenth image."""
     scenario = {
         "seed": seed,
         "concepts": {
@@ -230,6 +233,13 @@ def synth_workspace(tmp_path: Path, seed=7, n=240):
             },
         },
     }
+    if rare:
+        scenario["concepts"]["c3"] = {
+            "A": {"prevalence": 0.3, "mu_pos": 1, "sigma_pos": 1, "mu_neg": 0,
+                  "sigma_neg": 1, "n": n},
+            "B": {"prevalence": 0.05, "mu_pos": 1, "sigma_pos": 1, "mu_neg": 0,
+                  "sigma_neg": 1, "n": n},
+        }
     spec = ScenarioSpec.from_dict(scenario)
     images, assignments, predictions = generate(spec)
     ann = tmp_path / "annotations.jsonl"
@@ -242,8 +252,9 @@ def synth_workspace(tmp_path: Path, seed=7, n=240):
             }) + "\n")
     pred = tmp_path / "predictions.jsonl"
     with pred.open("w") as f:
-        for p in predictions:
-            f.write(json.dumps({"image_id": p.image_id, "scores": p.scores}) + "\n")
+        for i, p in enumerate(predictions):
+            scores = {c: v for c, v in p.scores.items() if c != "c3" or i % 10}
+            f.write(json.dumps({"image_id": p.image_id, "scores": scores}) + "\n")
     region = tmp_path / "region.json"
     region.write_text(json.dumps({"country_to_group": {"A": "A", "B": "B"}}))
     config = {
@@ -298,6 +309,40 @@ class TestRunPipeline:
             points = [float(l.split(",")[1]) for l in lines]
             assert points == sorted(points)
 
+    def test_tables_built_for_retained_concepts_only(self, tmp_path, monkeypatch):
+        from disparity_audit import pipeline
+        from disparity_audit.config import load_config
+
+        built = []
+
+        def spy(images, assignments, predictions, concepts, **kwargs):
+            built.append(list(concepts))
+            return build_concept_tables(images, assignments, predictions, concepts, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_concept_tables", spy)
+        result = run_pipeline(load_config(synth_workspace(tmp_path, rare=True)))
+        concepts = result.manifest["stages"]["concepts"]
+        assert concepts["candidates"] == 3
+        assert concepts["retained_after_rare_filter"] == 2
+        assert built == [["c1", "c2"]]
+
+    def test_plan_counts_are_table_pool_sizes(self, tmp_path):
+        from disparity_audit.config import load_config
+
+        cfg = load_config(synth_workspace(tmp_path, rare=True))
+        loaded = load_dataset(cfg)
+        assignments = assign_groups(loaded.images, cfg)
+        candidates, unscored, counts, retained = plan_concepts(
+            loaded.images, assignments, loaded.predictions, ["A", "B"], cfg
+        )
+        assert (candidates, unscored, retained) == (["c1", "c2", "c3"], [], ["c1", "c2"])
+        tables = build_concept_tables(loaded.images, assignments, loaded.predictions, candidates)
+        for c in candidates:
+            for g in ("A", "B"):
+                assert counts[c][g] == (tables[c].n_pos(g), tables[c].n_neg(g))
+        assert counts["c3"]["B"][0] < 20 <= counts["c3"]["A"][0]
+        assert sum(counts["c3"]["A"]) < 240  # every tenth image lacks a c3 score
+
     def test_drop_unlabeled_accounting(self, tmp_path):
         from disparity_audit.config import load_config
 
@@ -311,3 +356,62 @@ class TestRunPipeline:
         ingest = result.manifest["stages"]["ingest"]
         assert ingest["images_dropped_unlabeled"] == ingest["images_without_labels"]
         assert ingest["images_used"] == ingest["images_loaded"] - ingest["images_dropped_unlabeled"]
+
+
+class TestPlanConcepts:
+    """plan_concepts on hand-built records: metadata groups, no class mapping."""
+
+    @staticmethod
+    def records():
+        from disparity_audit.data import (
+            AnnotatedImage, ExclusionReason, GroupAssignment, PredictionRecord,
+        )
+
+        rows = [  # image_id, group (None = excluded), labels, scores
+            ("a1", "A", {"cat"}, {"cat": 0.9, "dog": 0.2}),
+            ("a2", "A", {"dog"}, {"cat": 0.1, "dog": 0.8}),
+            ("a3", "A", {"cat"}, {"dog": 0.5}),
+            ("b1", "B", {"cat"}, {"cat": 0.7, "dog": 0.3}),
+            ("b2", "B", {"owl"}, {"cat": 0.2}),
+            ("x1", None, {"cat", "dog"}, {"cat": 0.6, "dog": 0.6}),
+        ]
+        images = [AnnotatedImage(image_id=i, direct_labels=frozenset(l)) for i, _, l, _ in rows]
+        assignments = [
+            GroupAssignment(image_id=i, group=g) if g is not None else
+            GroupAssignment(image_id=i, reason=ExclusionReason.NO_GROUP_EVIDENCE)
+            for i, g, _, _ in rows
+        ]
+        predictions = [PredictionRecord(image_id=i, scores=s) for i, _, _, s in rows]
+        return images, assignments, predictions
+
+    def cfg(self, tmp_path):
+        import dataclasses
+
+        return dataclasses.replace(cfg_for(tmp_path), min_per_group=1)
+
+    def test_counts_skip_excluded_images_and_unscored_rows(self, tmp_path):
+        candidates, _, counts, retained = plan_concepts(
+            *self.records(), ["A", "B"], self.cfg(tmp_path)
+        )
+        assert candidates == ["cat", "dog"]
+        assert counts == {
+            "cat": {"A": (1, 1), "B": (1, 1)},
+            "dog": {"A": (1, 2), "B": (0, 1)},
+        }
+        assert retained == ["cat"]
+
+    def test_unscored_target_dropped_with_warning(self, tmp_path, caplog):
+        with caplog.at_level("WARNING", logger="disparity_audit.pipeline"):
+            candidates, unscored, counts, _ = plan_concepts(
+                *self.records(), ["A", "B"], self.cfg(tmp_path)
+            )
+        assert unscored == ["owl"]
+        assert "owl" not in candidates and "owl" not in counts
+        assert "have no scores" in caplog.text and "owl" in caplog.text
+
+    def test_group_without_images_blocks_retention(self, tmp_path):
+        _, _, counts, retained = plan_concepts(
+            *self.records(), ["A", "B", "C"], self.cfg(tmp_path)
+        )
+        assert counts["cat"]["C"] == counts["dog"]["C"] == (0, 0)
+        assert retained == []

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from disparity_audit import (
     DataError,
-    baseline_full_sample,
     compute_budget,
     draw_baseline_bootstrap,
     draw_bootstrap,
@@ -33,28 +32,24 @@ def make_table(concept="c", **pools):
 
 
 class TestRareFilter:
+    """The filter reads concept -> group -> scored positive count."""
+
     def test_retained_when_all_groups_clear_k(self):
-        tables = {"c": make_table(A=(60, 10), B=(55, 10))}
-        assert filter_rare_concepts(tables, 50) == ["c"]
+        assert filter_rare_concepts({"c": {"A": 60, "B": 55}}, 50) == ["c"]
 
     def test_boundary_one_short(self):
-        tables = {"c": make_table(A=(49, 10), B=(80, 10))}
-        assert filter_rare_concepts(tables, 50) == []
+        assert filter_rare_concepts({"c": {"A": 49, "B": 80}}, 50) == []
 
     def test_single_positive_removed_at_k30(self):
-        tables = {"musical_instrument": make_table(Africa=(1, 20), Europe=(7, 20))}
-        assert filter_rare_concepts(tables, 30) == []
+        positives = {"musical_instrument": {"Africa": 1, "Europe": 7}}
+        assert filter_rare_concepts(positives, 30) == []
 
     def test_missing_group_counts_as_zero(self):
-        tables = {
-            "c": make_table(A=(60, 10), B=(60, 10)),
-            "d": make_table(A=(60, 10)),
-        }
-        assert filter_rare_concepts(tables, 50) == ["c"]
+        positives = {"c": {"A": 60, "B": 60}, "d": {"A": 60}}
+        assert filter_rare_concepts(positives, 50) == ["c"]
 
     def test_explicit_group_list(self):
-        tables = {"c": make_table(A=(60, 10))}
-        assert filter_rare_concepts(tables, 50, groups=["A", "B"]) == []
+        assert filter_rare_concepts({"c": {"A": 60}}, 50, groups=["A", "B"]) == []
 
     def test_k_below_one_errors(self):
         with pytest.raises(DataError):
@@ -162,12 +157,6 @@ class TestDraws:
 
 
 class TestBaseline:
-    def test_identity_passthrough(self):
-        table = make_table(A=(7, 13))
-        draws = baseline_full_sample(table)
-        assert draws["A"].positive_indices.tolist() == list(range(7))
-        assert draws["A"].negative_indices.tolist() == list(range(13))
-
     def test_bootstrap_draw_size_is_pool_size(self):
         table = make_table(A=(7, 13))
         for b in range(20):

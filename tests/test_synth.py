@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from disparity_audit import (
     DataError,
     ScenarioSpec,
     auc_roc,
+    average_precision,
     closed_form_auc,
+    confusion_at_threshold,
     generate,
-    prevalence_sweep,
+    rates_from_confusion,
 )
+from disparity_audit.sampling import derive_seed
 from disparity_audit.synth import logistic
 
 
@@ -107,32 +111,41 @@ class TestClosedFormAuc:
         assert abs(aucs.mean() - truth) < 3 * se
 
 
+def cell_at_prevalence(cell, alpha, seed):
+    """Scores and labels of one cell regenerated at prevalence ``alpha``; the
+    score laws stay fixed."""
+    spec = ScenarioSpec(concepts={"c": {"g": replace(cell, prevalence=alpha)}}, seed=seed)
+    images, _, predictions = generate(spec)
+    scores_of = {p.image_id: p.scores["c"] for p in predictions}
+    scores = np.array([scores_of[img.image_id] for img in images])
+    labels = np.array([1 if "c" in img.direct_labels else 0 for img in images])
+    return scores, labels
+
+
 class TestPrevalenceSweep:
     CELL = CellSpec(prevalence=0.5, mu_pos=1, sigma_pos=1, mu_neg=0, sigma_neg=1, n=4000)
 
     def test_tpr_fpr_stable_ap_moves(self):
-        points = prevalence_sweep(self.CELL, alphas=[0.5, 0.1], threshold=0.6, seed=4)
-        by_alpha = {p.alpha: p for p in points}
-        p_hi, p_lo = by_alpha[0.5], by_alpha[0.1]
-        # binomial 3-sigma bounds for the rate estimates at each prevalence
-        for attr in ("tpr", "fpr"):
-            v_hi, v_lo = getattr(p_hi, attr), getattr(p_lo, attr)
-            n_hi = 2000 if attr == "tpr" else 2000
-            n_lo = 400 if attr == "tpr" else 3600
+        measured = {}
+        for i, alpha in enumerate((0.5, 0.1)):
+            scores, labels = cell_at_prevalence(self.CELL, alpha, seed=derive_seed(4, "sweep", i))
+            rates = rates_from_confusion(confusion_at_threshold(scores, labels, 0.6))
+            measured[alpha] = (average_precision(scores, labels), rates.tpr, rates.fpr)
+        (ap_hi, tpr_hi, fpr_hi), (ap_lo, tpr_lo, fpr_lo) = measured[0.5], measured[0.1]
+        # binomial 3-sigma bounds: 2000/2000 rows at alpha 0.5, 400/3600 at 0.1
+        for v_hi, v_lo, n_hi, n_lo in ((tpr_hi, tpr_lo, 2000, 400),
+                                       (fpr_hi, fpr_lo, 2000, 3600)):
             pooled = (v_hi + v_lo) / 2
             bound = 3 * math.sqrt(pooled * (1 - pooled) * (1 / n_hi + 1 / n_lo))
             assert abs(v_hi - v_lo) <= bound
-        assert p_hi.ap - p_lo.ap > 0.1
+        assert ap_hi - ap_lo > 0.1
 
     def test_perfect_separation_prevalence_proof(self):
         cell = CellSpec(prevalence=0.5, mu_pos=60, sigma_pos=0.5, mu_neg=-60,
                         sigma_neg=0.5, n=400)
-        points = prevalence_sweep(cell, alphas=[0.5, 0.1, 0.02], threshold=0.5, seed=5)
-        assert all(p.ap == 1.0 for p in points)
-
-    def test_single_alpha_single_row(self):
-        points = prevalence_sweep(self.CELL, alphas=[0.3], threshold=0.6, seed=6)
-        assert len(points) == 1 and points[0].alpha == 0.3
+        for i, alpha in enumerate((0.5, 0.1, 0.02)):
+            scores, labels = cell_at_prevalence(cell, alpha, seed=derive_seed(5, "sweep", i))
+            assert average_precision(scores, labels) == 1.0
 
 
 class TestScenarioIO:
