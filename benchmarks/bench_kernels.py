@@ -51,8 +51,10 @@ def _case(name):
     n_pos, n_neg, ratio, n_draws, n_val = SHAPES[name]
     rng = np.random.default_rng(0)
     pool = GroupPool(
-        pos_scores=_scores(rng, n_pos, 1.0), pos_ids=_ids("p", n_pos),
-        neg_scores=_scores(rng, n_neg, 0.0), neg_ids=_ids("n", n_neg),
+        scores=np.concatenate([_scores(rng, n_pos, 1.0), _scores(rng, n_neg, 0.0)]),
+        labels=np.repeat(np.int8([1, 0]), [n_pos, n_neg]),
+        ids=np.concatenate([_ids("p", n_pos), _ids("n", n_neg)]),
+        n_pos=n_pos,
     )
     if ratio is None:
         draws = [rng.integers(0, n_pos + n_neg, size=n_pos + n_neg) for _ in range(n_draws)]
@@ -75,7 +77,7 @@ def case(request):
 def test_ranked_metrics(benchmark, case):
     name, (pool, draws, _, _) = case
     benchmark.group = f"kernel-{name}"
-    ranked = rank_pool(*pool.all_rows(), threshold=0.6)
+    ranked = rank_pool(pool.scores, pool.labels, pool.ids, threshold=0.6)
     out = benchmark(ranked_metrics, ranked, draws, METRICS)
     assert out["ap"].shape == (len(draws),)
 
@@ -83,7 +85,7 @@ def test_ranked_metrics(benchmark, case):
 def test_scalar_loop(benchmark, case):
     name, (pool, draws, _, _) = case
     benchmark.group = f"kernel-{name}"
-    scores, labels, ids = pool.all_rows()
+    scores, labels, ids = pool.scores, pool.labels, pool.ids
 
     def loop():
         for rows in draws:
@@ -99,7 +101,7 @@ def test_scalar_loop(benchmark, case):
 def test_rank_pool(benchmark, case):
     name, (pool, _, _, _) = case
     benchmark.group = f"kernel-{name}"
-    benchmark(rank_pool, *pool.all_rows(), threshold=0.6)
+    benchmark(rank_pool, pool.scores, pool.labels, pool.ids, threshold=0.6)
 
 
 def test_select_threshold(benchmark, case):

@@ -48,13 +48,9 @@ from .metrics import (
     split_validation_test,
 )
 from .sampling import (
-    BootstrapDraw,
-    SamplingPlan,
     compute_budget,
     derive_rng,
     derive_seed,
-    draw_baseline_bootstrap,
-    draw_bootstrap,
     filter_rare_concepts,
 )
 from .disparity import (

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .concepts import build_concept_tables, image_target_set
+from .concepts import image_target_set
 from .config import load_config
 from .data import load_annotations
 from .errors import AuditError, ConfigError, DataError
@@ -93,21 +93,15 @@ def _cmd_sample_plan(args) -> int:
     concepts, _, counts, retained = plan_concepts(
         images, assignments, predictions, groups, cfg
     )
-    tables = build_concept_tables(
-        images, assignments, predictions, retained,
-        mapping=cfg.mapping, strict=cfg.strict_mapping,
-    )
     plans: dict[str, dict] = {}
     for c in concepts:
         entry: dict = {
-            "retained": c in tables,
+            "retained": c in retained,
             "pools": {g: list(counts[c][g]) for g in groups},
         }
-        if c in tables and cfg.sampling_mode == "reliable":
+        if c in retained and cfg.sampling_mode == "reliable":
             try:
-                plan = compute_budget(tables[c], cfg.ratio, seed=cfg.seed,
-                                      bootstrap_count=cfg.bootstraps)
-                entry["budget"] = [plan.positives_per_group, plan.negatives_per_group]
+                entry["budget"] = list(compute_budget(c, counts[c], cfg.ratio))
             except DataError as e:
                 entry["skip_reason"] = str(e)
         plans[c] = entry

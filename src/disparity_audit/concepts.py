@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .data import AnnotatedImage, GroupAssignment, PredictionRecord
-from .errors import DataError
+from .errors import DataError, InvariantError
 
 log = logging.getLogger("disparity_audit.concepts")
 
@@ -142,52 +142,47 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroupPool:
-    """Scored rows for one (concept, group), split into positives/negatives.
+    """Scored rows for one (concept, group): the ``n_pos`` positives first,
+    then the negatives, each class sorted by image id.
 
-    Rows are sorted by image_id so downstream ranking tie-breaks and
-    bootstrap draws are deterministic.
+    Splits, ranks and bootstrap draws all index these rows, so the order
+    makes them deterministic; ``draw_group`` relies on positives coming first.
     """
 
-    pos_scores: np.ndarray
-    pos_ids: np.ndarray
-    neg_scores: np.ndarray
-    neg_ids: np.ndarray
+    scores: np.ndarray
+    labels: np.ndarray
+    ids: np.ndarray
+    n_pos: int
 
-    @property
-    def n_pos(self) -> int:
-        return int(self.pos_scores.shape[0])
+    def __post_init__(self):
+        n = self.labels.shape[0]
+        if not (0 <= self.n_pos <= n and np.array_equal(self.labels, np.arange(n) < self.n_pos)):
+            raise InvariantError(
+                f"pool labels must be {self.n_pos} positive(s) followed by negatives"
+            )
 
     @property
     def n_neg(self) -> int:
-        return int(self.neg_scores.shape[0])
+        return int(self.labels.shape[0]) - self.n_pos
 
-    def all_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(scores, labels, ids) for the whole pool, positives first."""
-        scores = np.concatenate([self.pos_scores, self.neg_scores])
-        labels = np.concatenate(
-            [np.ones(self.n_pos, dtype=np.int8), np.zeros(self.n_neg, dtype=np.int8)]
-        )
-        ids = np.concatenate([self.pos_ids, self.neg_ids])
-        return scores, labels, ids
-
-    def take(self, pos_idx: np.ndarray, neg_idx: np.ndarray) -> "GroupPool":
+    def take(self, rows: np.ndarray) -> "GroupPool":
+        """The pool of the given ascending row indices."""
+        labels = self.labels[rows]
         return GroupPool(
-            pos_scores=_readonly(self.pos_scores[pos_idx]),
-            pos_ids=_readonly(self.pos_ids[pos_idx]),
-            neg_scores=_readonly(self.neg_scores[neg_idx]),
-            neg_ids=_readonly(self.neg_ids[neg_idx]),
+            scores=_readonly(self.scores[rows]),
+            labels=_readonly(labels),
+            ids=_readonly(self.ids[rows]),
+            n_pos=int(np.count_nonzero(labels)),
         )
 
 
 def _make_pool(rows: list[tuple[str, float, int]]) -> GroupPool:
-    rows.sort(key=lambda r: r[0])
-    pos = [(i, s) for i, s, y in rows if y == 1]
-    neg = [(i, s) for i, s, y in rows if y == 0]
+    rows.sort(key=lambda r: (-r[2], r[0]))
     return GroupPool(
-        pos_scores=_readonly(np.array([s for _, s in pos], dtype=float)),
-        pos_ids=_readonly(np.array([i for i, _ in pos], dtype=object)),
-        neg_scores=_readonly(np.array([s for _, s in neg], dtype=float)),
-        neg_ids=_readonly(np.array([i for i, _ in neg], dtype=object)),
+        scores=_readonly(np.array([s for _, s, _ in rows], dtype=float)),
+        labels=_readonly(np.array([y for _, _, y in rows], dtype=np.int8)),
+        ids=_readonly(np.array([i for i, _, _ in rows], dtype=object)),
+        n_pos=sum(y for _, _, y in rows),
     )
 
 
@@ -208,11 +203,11 @@ class ConceptEvalTable:
     def n_neg(self, group: str) -> int:
         return self.pools[group].n_neg if group in self.pools else 0
 
-    def restrict(self, indices: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> "ConceptEvalTable":
-        """New table keeping only the given (pos, neg) row indices per group."""
+    def restrict(self, rows: Mapping[str, np.ndarray]) -> "ConceptEvalTable":
+        """New table keeping only the given ascending row indices per group."""
         return ConceptEvalTable(
             concept=self.concept,
-            pools={g: self.pools[g].take(p, n) for g, (p, n) in indices.items()},
+            pools={g: self.pools[g].take(r) for g, r in rows.items()},
         )
 
 

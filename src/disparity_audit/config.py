@@ -162,6 +162,16 @@ def _path(resolved: Mapping, key: str, base: Path) -> Path:
     return p
 
 
+def _int(value: Any, key: str, minimum: int | None = None) -> int:
+    """An integer config value, at least ``minimum`` if given; bools and
+    floats are not integers."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
 def load_config(
     path: str | Path, preset: str | None = None, seed: int | None = None,
     output_dir: str | None = None,
@@ -221,9 +231,7 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown metrics: {unknown}; expected among {KNOWN_METRICS}")
 
-    k = int(resolved.get("k", 5))
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    k = _int(resolved.get("k", 5), "k", minimum=1)
     vfrac = float(resolved.get("validation_fraction", 0.2))
     if not 0 < vfrac < 1:
         raise ConfigError(f"validation_fraction must be in (0, 1), got {vfrac}")
@@ -241,13 +249,9 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
         or any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in ratio_raw)
     ):
         raise ConfigError(f"sampling ratio must be two positive integers, got {ratio_raw!r}")
-    bootstraps = int(sampling.get("bootstraps", 250))
-    if bootstraps < 1:
-        raise ConfigError(f"bootstraps must be >= 1, got {bootstraps}")
-    min_per_group = int(sampling.get("min_per_group", 50))
-    if min_per_group < 1:
-        raise ConfigError(f"min_per_group must be >= 1, got {min_per_group}")
-    seed = int(sampling.get("seed", 0))
+    bootstraps = _int(sampling.get("bootstraps", 250), "bootstraps", minimum=1)
+    min_per_group = _int(sampling.get("min_per_group", 50), "min_per_group", minimum=1)
+    seed = _int(sampling.get("seed", 0), "seed")
 
     out_dir = resolved.get("output_dir") or "out"
     output_dir = Path(out_dir)
@@ -277,6 +281,6 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
         sampling_mode=mode,
         evaluation_version=str(resolved.get("evaluation_version", "custom")),
         drop_unlabeled=bool(resolved.get("drop_unlabeled", True)),
-        top_n=int(resolved.get("top_n", 5)),
+        top_n=_int(resolved.get("top_n", 5), "top_n"),
         output_dir=output_dir,
     )

@@ -157,18 +157,14 @@ def evaluate_concept(
     thresholds: dict[str, float] = {}
     if threshold_metrics:
         val_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        eval_indices: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        test_rows: dict[str, np.ndarray] = {}
         for g in groups:
             pool = table.pools[g]
-            scores, labels, _ = pool.all_rows()
             split_seed = derive_seed(seed, "split", concept, g)
-            val_idx, test_idx = split_validation_test(
-                labels, validation_fraction, split_seed
+            val_idx, test_rows[g] = split_validation_test(
+                pool.labels, validation_fraction, split_seed
             )
-            val_rows[g] = (scores[val_idx], labels[val_idx])
-            pos_test = test_idx[test_idx < pool.n_pos]
-            neg_test = test_idx[test_idx >= pool.n_pos] - pool.n_pos
-            eval_indices[g] = (pos_test, neg_test)
+            val_rows[g] = (pool.scores[val_idx], pool.labels[val_idx])
         if threshold_scope == "pooled":
             pooled_scores = np.concatenate([val_rows[g][0] for g in groups])
             pooled_labels = np.concatenate([val_rows[g][1] for g in groups])
@@ -178,20 +174,15 @@ def evaluate_concept(
             for g in groups:
                 choice = select_threshold(val_rows[g][0], val_rows[g][1], concept=concept)
                 thresholds[g] = choice.threshold
-        eval_table = table.restrict(eval_indices)
+        eval_table = table.restrict(test_rows)
     else:
         eval_table = table
 
-    plan = None
+    sizes = {g: (eval_table.n_pos(g), eval_table.n_neg(g)) for g in groups}
+    budget = None
     if mode == "reliable":
-        plan = compute_budget(eval_table, ratio, seed=seed, bootstrap_count=bootstraps)
-        sizes = {
-            g: (plan.positives_per_group, plan.negatives_per_group) for g in groups
-        }
-    else:
-        sizes = {
-            g: (eval_table.pools[g].n_pos, eval_table.pools[g].n_neg) for g in groups
-        }
+        budget = compute_budget(concept, sizes, ratio)
+        sizes = {g: budget for g in groups}
 
     # One group at a time: sort its pool once, then score the draws (and the
     # identity draw, the full sample) from ranks into that order.
@@ -199,16 +190,18 @@ def evaluate_concept(
     full_sample: dict[tuple[str, str], float | None] = {}
     for g in groups:
         pool = eval_table.pools[g]
-        ranked = rank_pool(*pool.all_rows(), threshold=thresholds.get(g))
-        if plan is not None:
-            draws = (draw_group(pool, plan, g, b) for b in range(bootstraps))
+        ranked = rank_pool(pool.scores, pool.labels, pool.ids, threshold=thresholds.get(g))
+        if budget is not None:
+            draws = (
+                draw_group(pool, budget, seed, concept, g, b) for b in range(bootstraps)
+            )
         else:
             draws = (
                 draw_baseline_group(pool, seed, concept, g, b) for b in range(bootstraps)
             )
         for m, v in ranked_metrics(ranked, draws, point_metrics).items():
             values[(m, g)] = v
-        identity = [np.arange(pool.n_pos + pool.n_neg)]
+        identity = [np.arange(pool.labels.size)]
         for m, v in ranked_metrics(ranked, identity, point_metrics).items():
             full_sample[(m, g)] = None if np.isnan(v[0]) else float(v[0])
 
@@ -304,22 +297,20 @@ def evaluate_hit_rate(
     """Top-k hit rate per group with full-pool bootstrap CIs on pair differences."""
     group_of = {a.image_id: a.group for a in assignments if a.assigned}
     scores_of = {p.image_id: p.scores for p in predictions}
+    targets: dict[str, dict] = {g: {} for g in groups}
+    score_maps: dict[str, dict] = {g: {} for g in groups}
+    for img in images:
+        g = group_of.get(img.image_id)
+        if g not in targets:
+            continue
+        targets[g][img.image_id] = image_target_set(
+            img, cfg.mapping, strict=cfg.strict_mapping
+        )
+        if img.image_id in scores_of:
+            score_maps[g][img.image_id] = scores_of[img.image_id]
     hit_values: dict[str, np.ndarray] = {}
-    n_images: dict[str, int] = {}
     for g in groups:
-        targets = {}
-        score_maps = {}
-        for img in images:
-            if group_of.get(img.image_id) != g:
-                continue
-            targets[img.image_id] = image_target_set(
-                img, cfg.mapping, strict=cfg.strict_mapping
-            )
-            if img.image_id in scores_of:
-                score_maps[img.image_id] = scores_of[img.image_id]
-        _, hits = hit_vector(score_maps, targets, cfg.k)
-        hit_values[g] = hits
-        n_images[g] = int(hits.size)
+        _, hit_values[g] = hit_vector(score_maps[g], targets[g], cfg.k)
 
     # Draws are keyed per group, so each group's means serve every pair.
     boots: dict[str, np.ndarray] = {}
@@ -341,7 +332,7 @@ def evaluate_hit_rate(
             per_concept_disparity(
                 boots[a], boots[b],
                 metric="hit_rate", concept="aggregate", group_a=a, group_b=b,
-                sample_sizes={a: (n_images[a], 0), b: (n_images[b], 0)},
+                sample_sizes={a: (hit_values[a].size, 0), b: (hit_values[b].size, 0)},
                 full_sample=float(hit_values[a].mean() - hit_values[b].mean()),
             )
         )
@@ -362,7 +353,8 @@ def plan_concepts(
     ``counts`` maps each candidate and each group in ``groups`` to the
     ``(n_pos, n_neg)`` scored rows ``build_concept_tables`` would give it,
     and ``retained`` holds the candidates that pass the rare-label filter on
-    those counts, so only they need a table.
+    those counts, so only they need a table. A run whose only metric is
+    ``hit_rate`` evaluates no concept, so it retains none.
     """
     group_of = {a.image_id: a.group for a in assignments if a.assigned}
     scores_of = {p.image_id: p.scores for p in predictions}
@@ -403,6 +395,8 @@ def plan_concepts(
         {c: {g: n_pos for g, (n_pos, _) in counts[c].items()} for c in candidates},
         cfg.min_per_group, groups=groups,
     )
+    if all(m == "hit_rate" for m in cfg.metrics):
+        retained = []
     return candidates, unscored_targets, counts, retained
 
 
@@ -429,8 +423,6 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     eval_concepts, unscored_targets, _, retained = plan_concepts(
         images, assignments, predictions, groups, cfg
     )
-    if all(m == "hit_rate" for m in cfg.metrics):
-        retained = []  # no per-concept metric, so no concept is evaluated
     estimates: list[MetricEstimate] = []
     eval_diag: dict = {"concepts_evaluated": [], "concepts_skipped": {}}
     if retained:

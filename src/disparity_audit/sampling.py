@@ -7,12 +7,11 @@ index), so results are identical regardless of evaluation order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .concepts import ConceptEvalTable, GroupPool
+from .concepts import GroupPool
 from .errors import DataError, InvariantError
 
 
@@ -34,42 +33,6 @@ def derive_seed(*parts) -> int:
 def derive_rng(*parts) -> np.random.Generator:
     """Deterministic generator keyed on the given parts; platform-independent."""
     return np.random.default_rng(np.random.SeedSequence(derive_seed(*parts)))
-
-
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Fixed-prevalence per-group budget for one concept's bootstrap draws.
-
-    The budget is identical for every group: ``positives_per_group``
-    positives and ``negatives_per_group`` negatives per draw, realizing the
-    pos:neg ratio exactly.
-    """
-
-    concept: str
-    pos_parts: int
-    neg_parts: int
-    positives_per_group: int
-    negatives_per_group: int
-    groups: tuple[str, ...]
-    seed: int
-    bootstrap_count: int
-
-    def __post_init__(self):
-        if self.positives_per_group < 1:
-            raise DataError("sampling plan needs at least one positive per group")
-        if self.bootstrap_count < 1:
-            raise DataError("bootstrap_count must be >= 1")
-
-
-@dataclass(frozen=True)
-class BootstrapDraw:
-    """Row indices (with repetition) into one group's positive/negative pools."""
-
-    concept: str
-    group: str
-    bootstrap_index: int
-    positive_indices: np.ndarray
-    negative_indices: np.ndarray
 
 
 def filter_rare_concepts(
@@ -97,16 +60,13 @@ def filter_rare_concepts(
 
 
 def compute_budget(
-    table: ConceptEvalTable,
-    ratio: tuple[int, int],
-    *,
-    seed: int = 0,
-    bootstrap_count: int = 1,
-) -> SamplingPlan:
+    concept: str, sizes: Mapping[str, tuple[int, int]], ratio: tuple[int, int]
+) -> tuple[int, int]:
     """Largest per-group budget achieving the exact pos:neg ratio in every group.
 
-    With ratio 1:r this is p* = min over groups of min(P_g, floor(N_g / r)),
-    and each draw takes (p*, r*p*) rows.
+    ``sizes`` maps group -> (positives, negatives) in its pool. With ratio
+    1:r this is p* = min over groups of min(P_g, floor(N_g / r)), and each
+    draw takes ``(p*, r*p*)`` rows from every group.
 
     Raises:
         DataError: naming the first group whose pool cannot host even one
@@ -116,88 +76,44 @@ def compute_budget(
     if pos_parts < 1 or neg_parts < 1:
         raise DataError(f"ratio parts must be positive integers, got {ratio}")
     units = None
-    for g in table.groups:
-        pool = table.pools[g]
-        if pool.n_pos < pos_parts:
+    for g in sorted(sizes):
+        n_pos, n_neg = sizes[g]
+        if n_pos < pos_parts:
             raise DataError(
-                f"concept {table.concept!r}: group {g!r} has {pool.n_pos} positive(s), "
+                f"concept {concept!r}: group {g!r} has {n_pos} positive(s), "
                 f"fewer than the {pos_parts} required per ratio unit"
             )
-        if pool.n_neg < neg_parts:
+        if n_neg < neg_parts:
             raise DataError(
-                f"concept {table.concept!r}: group {g!r} has {pool.n_neg} negative(s), "
+                f"concept {concept!r}: group {g!r} has {n_neg} negative(s), "
                 f"fewer than the {neg_parts} required per ratio unit"
             )
-        g_units = min(pool.n_pos // pos_parts, pool.n_neg // neg_parts)
+        g_units = min(n_pos // pos_parts, n_neg // neg_parts)
         units = g_units if units is None else min(units, g_units)
     if units is None:
-        raise DataError(f"concept {table.concept!r} has no groups to sample")
-    return SamplingPlan(
-        concept=table.concept,
-        pos_parts=pos_parts,
-        neg_parts=neg_parts,
-        positives_per_group=units * pos_parts,
-        negatives_per_group=units * neg_parts,
-        groups=table.groups,
-        seed=seed,
-        bootstrap_count=bootstrap_count,
-    )
+        raise DataError(f"concept {concept!r} has no groups to sample")
+    return units * pos_parts, units * neg_parts
 
 
 def draw_group(
-    pool: GroupPool, plan: SamplingPlan, group: str, bootstrap_index: int
+    pool: GroupPool, budget: tuple[int, int], seed: int, concept: str, group: str,
+    bootstrap_index: int,
 ) -> np.ndarray:
     """One group's fixed-prevalence draw, uniform with replacement from each
-    class: row indices into ``pool.all_rows()``, the plan's positives first."""
-    rng = derive_rng(plan.seed, "draw", plan.concept, group, bootstrap_index)
-    pos = rng.integers(0, pool.n_pos, size=plan.positives_per_group)
-    neg = rng.integers(0, pool.n_neg, size=plan.negatives_per_group)
+    class: row indices into ``pool``, the budget's positives first."""
+    rng = derive_rng(seed, "draw", concept, group, bootstrap_index)
+    pos = rng.integers(0, pool.n_pos, size=budget[0])
+    neg = rng.integers(0, pool.n_neg, size=budget[1])
     return np.concatenate([pos, neg + pool.n_pos])
 
 
 def draw_baseline_group(
     pool: GroupPool, seed: int, concept: str, group: str, bootstrap_index: int
 ) -> np.ndarray:
-    """One group's standard bootstrap draw: row indices into
-    ``pool.all_rows()``, the whole pool resampled at its own size."""
+    """One group's standard bootstrap draw: row indices into ``pool``, the
+    whole pool resampled at its own size, so prevalence is not controlled."""
     n = pool.n_pos + pool.n_neg
     if n == 0:
         raise InvariantError(f"empty pool for concept {concept!r} group {group!r}")
     rng = derive_rng(seed, "baseline", concept, group, bootstrap_index)
     return rng.integers(0, n, size=n)
-
-
-def draw_bootstrap(
-    table: ConceptEvalTable, plan: SamplingPlan, bootstrap_index: int
-) -> dict[str, BootstrapDraw]:
-    """One fixed-prevalence draw per group: uniform with replacement from each pool."""
-    draws: dict[str, BootstrapDraw] = {}
-    for g in plan.groups:
-        pool = table.pools[g]
-        idx = draw_group(pool, plan, g, bootstrap_index)
-        draws[g] = BootstrapDraw(
-            concept=plan.concept, group=g, bootstrap_index=bootstrap_index,
-            positive_indices=idx[:plan.positives_per_group],
-            negative_indices=idx[plan.positives_per_group:] - pool.n_pos,
-        )
-    return draws
-
-
-def draw_baseline_bootstrap(
-    table: ConceptEvalTable, seed: int, bootstrap_index: int
-) -> dict[str, BootstrapDraw]:
-    """Standard bootstrap draw per group: the full pool resampled at its own size.
-
-    Prevalence is not controlled; the positive count of a draw is random
-    with expectation P_g / (P_g + N_g).
-    """
-    draws: dict[str, BootstrapDraw] = {}
-    for g in table.groups:
-        pool = table.pools[g]
-        idx = draw_baseline_group(pool, seed, table.concept, g, bootstrap_index)
-        draws[g] = BootstrapDraw(
-            concept=table.concept, group=g, bootstrap_index=bootstrap_index,
-            positive_indices=idx[idx < pool.n_pos],
-            negative_indices=idx[idx >= pool.n_pos] - pool.n_pos,
-        )
-    return draws

@@ -156,10 +156,10 @@ def generate(
             label_rng = derive_rng(spec.seed, "labels", concept, group)
             positive_rows = set(label_rng.permutation(n)[:n_pos].tolist())
             score_rng = derive_rng(spec.seed, "scores", concept, group)
-            pos_scores = logistic(score_rng.normal(cell.mu_pos, cell.sigma_pos, size=n_pos))
-            neg_scores = logistic(score_rng.normal(cell.mu_neg, cell.sigma_neg, size=n - n_pos))
-            pos_iter = iter(pos_scores.tolist())
-            neg_iter = iter(neg_scores.tolist())
+            pos_values = logistic(score_rng.normal(cell.mu_pos, cell.sigma_pos, size=n_pos))
+            neg_values = logistic(score_rng.normal(cell.mu_neg, cell.sigma_neg, size=n - n_pos))
+            pos_iter = iter(pos_values.tolist())
+            neg_iter = iter(neg_values.tolist())
             for row, image_id in enumerate(ids):
                 if row in positive_rows:
                     labels[image_id].add(concept)

@@ -22,7 +22,6 @@ from disparity_audit import (
     build_concept_tables,
     compute_budget,
     confusion_at_threshold,
-    draw_bootstrap,
     generate,
     per_concept_disparity,
     precision_from_rates,
@@ -39,7 +38,7 @@ from disparity_audit.groups import (
     assign_group_from_captions,
 )
 from disparity_audit.pipeline import evaluate_tables
-from disparity_audit.sampling import derive_rng
+from disparity_audit.sampling import derive_rng, draw_group
 
 from corpus import (
     BOX_CASES,
@@ -219,10 +218,12 @@ def test_criterion_05_bootstrap_ci_calibration():
 def _pool(n_pos, n_neg, seed):
     rng = np.random.default_rng(seed)
     return GroupPool(
-        pos_scores=rng.random(n_pos),
-        pos_ids=np.array([f"p{i}" for i in range(n_pos)], dtype=object),
-        neg_scores=rng.random(n_neg),
-        neg_ids=np.array([f"n{i}" for i in range(n_neg)], dtype=object),
+        scores=np.concatenate([rng.random(n_pos), rng.random(n_neg)]),
+        labels=np.repeat(np.int8([1, 0]), [n_pos, n_neg]),
+        ids=np.array(
+            [f"p{i}" for i in range(n_pos)] + [f"n{i}" for i in range(n_neg)], dtype=object
+        ),
+        n_pos=n_pos,
     )
 
 
@@ -232,18 +233,21 @@ def test_criterion_06_sampling_exactness():
     table = ConceptEvalTable(
         concept="c", pools={"A": _pool(40, 300, 1), "B": _pool(60, 180, 2)}
     )
-    plan = compute_budget(table, (1, 5), seed=9, bootstrap_count=100)
-    assert plan.positives_per_group == 36
-    assert plan.negatives_per_group == 180
+    sizes = {g: (table.n_pos(g), table.n_neg(g)) for g in table.groups}
+    budget = compute_budget(table.concept, sizes, (1, 5))
+    assert budget[0] == 36
+    assert budget[1] == 180
     p_next = 37
     assert not all(
         table.pools[g].n_pos >= p_next and table.pools[g].n_neg >= 5 * p_next
         for g in table.groups
     )
     for b in range(100):
-        for g, draw in draw_bootstrap(table, plan, b).items():
-            n_pos = draw.positive_indices.size
-            total = n_pos + draw.negative_indices.size
+        for g in table.groups:
+            pool = table.pools[g]
+            rows = draw_group(pool, budget, 9, table.concept, g, b)
+            n_pos = np.count_nonzero(pool.labels[rows])
+            total = rows.size
             assert n_pos * 6 == total  # prevalence exactly 1/6
     _report(6, "budget fixture p*=36; all draws at prevalence exactly 1/6", "exact")
 

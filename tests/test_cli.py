@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from disparity_audit import cli, pipeline
+from disparity_audit import cli, concepts, pipeline
 from disparity_audit.cli import main
-from disparity_audit.concepts import build_concept_tables
+from disparity_audit.concepts import GroupPool, build_concept_tables
 from disparity_audit.config import load_config
 from disparity_audit.pipeline import assign_groups, load_dataset
 
@@ -100,6 +100,48 @@ class TestSubcommands:
         assert c2["pools"] == {g: [table.n_pos(g), table.n_neg(g)] for g in ("A", "B")}
         assert c2["pools"]["B"] == [5, 145]
 
+    def test_sample_plan_builds_no_table(self, workspace, monkeypatch):
+        """Budgets come from the plan's per-group counts; no pool is built."""
+        tmp_path, cfg_path = workspace
+        pools_built = []
+        check = GroupPool.__post_init__
+
+        def spy(pool):
+            pools_built.append(pool)
+            check(pool)
+
+        def no_tables(*args, **kwargs):
+            raise AssertionError("sample-plan built concept tables")
+
+        monkeypatch.setattr(GroupPool, "__post_init__", spy)
+        assert not hasattr(cli, "build_concept_tables")
+        with monkeypatch.context() as m:
+            m.setattr(concepts, "build_concept_tables", no_tables)
+            m.setattr(pipeline, "build_concept_tables", no_tables)
+            assert main(["sample-plan", "--config", str(cfg_path)]) == 0
+        assert pools_built == []
+        plan = json.loads((tmp_path / "out" / "sample_plan.json").read_text())
+        assert plan["concepts"]["c1"]["budget"] == [30, 60]
+        # the spy sees the pools that run builds
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert pools_built
+
+    def test_sample_plan_hit_rate_only_retains_nothing(self, workspace):
+        """``run`` evaluates no concept when hit rate is the only metric, so
+        ``sample-plan`` retains none and gives no budget."""
+        tmp_path, cfg_path = workspace
+        raw = json.loads(cfg_path.read_text())
+        raw["metrics"] = ["hit_rate"]
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["sample-plan", "--config", str(cfg_path)]) == 0
+        plan = json.loads((tmp_path / "out" / "sample_plan.json").read_text())
+        assert set(plan["concepts"]) == {"c1", "c2"}
+        for entry in plan["concepts"].values():
+            assert entry["retained"] is False and "budget" not in entry
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["stages"]["concepts"]["retained_after_rare_filter"] == 0
+
     def test_evaluate_then_report_and_compare(self, workspace, capsys):
         tmp_path, cfg_path = workspace
         assert main(["evaluate", "--config", str(cfg_path),
@@ -177,6 +219,25 @@ class TestExitCodes:
     def test_synth_missing_scenario_is_3(self, tmp_path, capsys):
         assert main(["synth", "--scenario", str(tmp_path / "missing.json")]) == 3
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("sampling", "bootstraps", "many"),
+        ("sampling", "min_per_group", "x"),
+        ("sampling", "seed", "s"),
+        ("sampling", "bootstraps", 2.7),
+        ("sampling", "seed", True),
+        ("sampling", "bootstraps", 0),
+        (None, "k", 2.7),
+        (None, "top_n", True),
+    ])
+    def test_malformed_integer_field_is_2(self, workspace, capsys, section, key, value):
+        tmp_path, cfg_path = workspace
+        raw = json.loads(cfg_path.read_text())
+        (raw[section] if section else raw)[key] = value
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and repr(value) in err
+
 
 def test_concept_scored_only_on_excluded_image(tmp_path, monkeypatch):
     """Target ``z`` of an assigned image is scored only on an image excluded
@@ -211,7 +272,6 @@ def test_concept_scored_only_on_excluded_image(tmp_path, monkeypatch):
         return build_concept_tables(images, assignments, preds, concepts, **kwargs)
 
     monkeypatch.setattr(pipeline, "build_concept_tables", spy)
-    monkeypatch.setattr(cli, "build_concept_tables", spy)
 
     assert main(["run", "--config", str(cfg_path)]) == 0
     concepts = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]["concepts"]

@@ -113,15 +113,15 @@ class TestConceptTables:
         tables = build_concept_tables(images, assignments, predictions, ["c"])
         pool = tables["c"].pools["A"]
         assert pool.n_pos == 2 and pool.n_neg == 3
-        assert set(pool.pos_ids) == {"a1", "a2"}
-        assert set(pool.neg_ids) == {"a3", "a4", "a5"}
+        assert list(pool.ids) == ["a1", "a2", "a3", "a4", "a5"]
+        assert list(pool.labels) == [1, 1, 0, 0, 0]
 
     def test_excluded_image_in_no_table(self):
         images, assignments, predictions = _fixture_dataset()
         tables = build_concept_tables(images, assignments, predictions, ["c", "other"])
         for table in tables.values():
             for pool in table.pools.values():
-                assert "x1" not in set(pool.pos_ids) | set(pool.neg_ids)
+                assert "x1" not in set(pool.ids)
 
     def test_missing_score_omitted(self, caplog):
         images, assignments, predictions = _fixture_dataset()
@@ -143,9 +143,8 @@ class TestConceptTables:
         assigned = {"a1", "a2", "a3", "a4", "a5"}
         for table in tables.values():
             pool = table.pools["A"]
-            ids = set(pool.pos_ids) | set(pool.neg_ids)
-            assert ids == assigned
-            assert set(pool.pos_ids) & set(pool.neg_ids) == set()
+            assert set(pool.ids) == assigned
+            assert len(pool.ids) == len(assigned)
 
     def test_mapping_changes_targets_not_scores(self):
         images = [
@@ -162,9 +161,9 @@ class TestConceptTables:
             mapping=MAPPING_1K,
         )
         cell = tables["cellphone"].pools["A"]
-        assert list(cell.pos_ids) == ["i1"] and list(cell.neg_ids) == ["i2"]
+        assert list(cell.ids) == ["i1", "i2"] and cell.n_pos == 1
         meter = tables["parking meter"].pools["A"]
-        assert list(meter.pos_ids) == ["i2"] and list(meter.neg_ids) == ["i1"]
+        assert list(meter.ids) == ["i2", "i1"] and meter.n_pos == 1
 
     def test_box_labels_count_as_dataset_labels(self):
         from disparity_audit import BoxAnnotation
@@ -180,10 +179,10 @@ class TestConceptTables:
         tables = build_concept_tables(images, assignments, predictions, ["c"])
         pool = tables["c"].pools["A"]
         with pytest.raises(ValueError):
-            pool.pos_scores[0] = 42.0
+            pool.scores[0] = 42.0
 
     def test_restrict_subsets_rows(self):
         images, assignments, predictions = _fixture_dataset()
         tables = build_concept_tables(images, assignments, predictions, ["c"])
-        sub = tables["c"].restrict({"A": (np.array([0]), np.array([1, 2]))})
+        sub = tables["c"].restrict({"A": np.array([0, 3, 4])})
         assert sub.pools["A"].n_pos == 1 and sub.pools["A"].n_neg == 2

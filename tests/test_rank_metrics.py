@@ -18,8 +18,6 @@ from disparity_audit import (
     average_precision,
     compute_budget,
     confusion_at_threshold,
-    draw_baseline_bootstrap,
-    draw_bootstrap,
     rates_from_confusion,
     select_threshold,
     split_validation_test,
@@ -80,9 +78,12 @@ def make_pool(n_pos, n_neg, rng, distinct=None):
         # ids are not in score order, so the tie-break key matters
         return np.array(sorted(f"{prefix}{k:05d}" for k in rng.permutation(n)), dtype=object)
 
+    parts = [(scores(n), ids(prefix, n)) for prefix, n in (("x", n_pos), ("m", n_neg))]
     return GroupPool(
-        pos_scores=scores(n_pos), pos_ids=ids("x", n_pos),
-        neg_scores=scores(n_neg), neg_ids=ids("m", n_neg),
+        scores=np.concatenate([s for s, _ in parts]),
+        labels=np.repeat(np.int8([1, 0]), [n_pos, n_neg]),
+        ids=np.concatenate([i for _, i in parts]),
+        n_pos=n_pos,
     )
 
 
@@ -91,11 +92,12 @@ class TestRankedMetricsEquivalence:
     @pytest.mark.parametrize("n_pos,n_neg", [(5, 30), (150, 750), (300, 12000)])
     def test_reliable_draws(self, n_pos, n_neg, distinct):
         rng = np.random.default_rng(n_pos + n_neg + (distinct or 0))
-        table = ConceptEvalTable("c", {"A": make_pool(n_pos, n_neg, rng, distinct)})
-        plan = compute_budget(table, (1, 5), seed=3, bootstrap_count=1)
-        pool = table.pools["A"]
-        scores, labels, ids = pool.all_rows()
-        draws = [draw_group(pool, plan, "A", b) for b in range(9 if n_neg > 1000 else 25)]
+        pool = make_pool(n_pos, n_neg, rng, distinct)
+        budget = compute_budget("c", {"A": (n_pos, n_neg)}, (1, 5))
+        scores, labels, ids = pool.scores, pool.labels, pool.ids
+        draws = [
+            draw_group(pool, budget, 3, "c", "A", b) for b in range(9 if n_neg > 1000 else 25)
+        ]
         threshold = float(np.median(scores))
         check_draws(scores, labels, ids, draws, threshold)
 
@@ -104,7 +106,7 @@ class TestRankedMetricsEquivalence:
     def test_baseline_draws(self, n_pos, n_neg, distinct):
         rng = np.random.default_rng(7 * n_pos + n_neg + (distinct or 0))
         pool = make_pool(n_pos, n_neg, rng, distinct)
-        scores, labels, ids = pool.all_rows()
+        scores, labels, ids = pool.scores, pool.labels, pool.ids
         draws = [
             draw_baseline_group(pool, 11, "c", "A", b)
             for b in range(6 if n_neg > 1000 else 40)
@@ -138,7 +140,7 @@ class TestRankedMetricsEquivalence:
     def test_full_sample_is_identity_draw(self):
         rng = np.random.default_rng(5)
         pool = make_pool(60, 240, rng, distinct=10)
-        scores, labels, ids = pool.all_rows()
+        scores, labels, ids = pool.scores, pool.labels, pool.ids
         check_draws(scores, labels, ids, [np.arange(scores.size)], threshold=0.5)
 
     def test_repeated_rows_and_tied_ids(self):
@@ -182,11 +184,9 @@ def reference_evaluation(table, metric, mode, scope, bootstraps, seed, fraction=
         val, test = {}, {}
         for g in table.groups:
             pool = table.pools[g]
-            scores, labels, _ = pool.all_rows()
             split_seed = derive_seed(seed, "split", table.concept, g)
-            v, t = split_validation_test(labels, fraction, split_seed)
-            val[g] = (scores[v], labels[v])
-            test[g] = (t[t < pool.n_pos], t[t >= pool.n_pos] - pool.n_pos)
+            v, test[g] = split_validation_test(pool.labels, fraction, split_seed)
+            val[g] = (pool.scores[v], pool.labels[v])
         if scope == "pooled":
             t = select_threshold(
                 np.concatenate([val[g][0] for g in table.groups]),
@@ -196,26 +196,24 @@ def reference_evaluation(table, metric, mode, scope, bootstraps, seed, fraction=
         else:
             thresholds = {g: select_threshold(*val[g]).threshold for g in table.groups}
         eval_table = table.restrict(test)
-    plan = compute_budget(eval_table, (1, 4), seed=seed) if mode == "reliable" else None
+    sizes = {g: (eval_table.n_pos(g), eval_table.n_neg(g)) for g in table.groups}
+    budget = compute_budget(table.concept, sizes, (1, 4)) if mode == "reliable" else None
 
-    def value(pool, pos, neg, g):
-        scores = np.concatenate([pool.pos_scores[pos], pool.neg_scores[neg]])
-        labels = np.concatenate([np.ones(pos.size, np.int8), np.zeros(neg.size, np.int8)])
-        ids = np.concatenate([pool.pos_ids[pos], pool.neg_ids[neg]])
-        return scalar_metrics(scores, labels, ids, thresholds.get(g))[metric]
+    def value(pool, rows, g):
+        return scalar_metrics(
+            pool.scores[rows], pool.labels[rows], pool.ids[rows], thresholds.get(g)
+        )[metric]
 
     values = {g: [] for g in table.groups}
     for b in range(bootstraps):
-        if plan is not None:
-            draws = draw_bootstrap(eval_table, plan, b)
-        else:
-            draws = draw_baseline_bootstrap(eval_table, seed, b)
-        for g, d in draws.items():
-            values[g].append(value(eval_table.pools[g], d.positive_indices, d.negative_indices, g))
-    full = {
-        g: value(p, np.arange(p.n_pos), np.arange(p.n_neg), g)
-        for g, p in eval_table.pools.items()
-    }
+        for g in table.groups:
+            pool = eval_table.pools[g]
+            if budget is not None:
+                rows = draw_group(pool, budget, seed, table.concept, g, b)
+            else:
+                rows = draw_baseline_group(pool, seed, table.concept, g, b)
+            values[g].append(value(pool, rows, g))
+    full = {g: value(p, np.arange(p.labels.size), g) for g, p in eval_table.pools.items()}
     return thresholds, values, full
 
 

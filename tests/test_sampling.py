@@ -3,24 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disparity_audit import (
-    DataError,
-    compute_budget,
-    draw_baseline_bootstrap,
-    draw_bootstrap,
-    filter_rare_concepts,
-)
+from disparity_audit import DataError, InvariantError, compute_budget, filter_rare_concepts
 from disparity_audit.concepts import ConceptEvalTable, GroupPool
-from disparity_audit.sampling import derive_rng, derive_seed
+from disparity_audit.sampling import (
+    derive_rng,
+    derive_seed,
+    draw_baseline_group,
+    draw_group,
+)
 
 
 def make_pool(n_pos, n_neg, seed=0):
     rng = np.random.default_rng(seed)
     return GroupPool(
-        pos_scores=rng.random(n_pos),
-        pos_ids=np.array([f"p{i}" for i in range(n_pos)], dtype=object),
-        neg_scores=rng.random(n_neg),
-        neg_ids=np.array([f"n{i}" for i in range(n_neg)], dtype=object),
+        scores=np.concatenate([rng.random(n_pos), rng.random(n_neg)]),
+        labels=np.repeat(np.int8([1, 0]), [n_pos, n_neg]),
+        ids=np.array(
+            [f"p{i}" for i in range(n_pos)] + [f"n{i}" for i in range(n_neg)], dtype=object
+        ),
+        n_pos=n_pos,
     )
 
 
@@ -29,6 +30,42 @@ def make_table(concept="c", **pools):
         concept=concept,
         pools={g: make_pool(p, n, seed=hash(g) % 1000) for g, (p, n) in pools.items()},
     )
+
+
+def sizes(table):
+    return {g: (table.n_pos(g), table.n_neg(g)) for g in table.groups}
+
+
+def draw_all(table, budget, seed, b):
+    """One fixed-prevalence draw per group, split into (positive, negative)
+    indices into that group's positives and negatives."""
+    out = {}
+    for g in table.groups:
+        pool = table.pools[g]
+        rows = draw_group(pool, budget, seed, table.concept, g, b)
+        out[g] = (rows[rows < pool.n_pos], rows[rows >= pool.n_pos] - pool.n_pos)
+    return out
+
+
+class TestGroupPool:
+    def test_labels_must_be_positives_first(self):
+        with pytest.raises(InvariantError):
+            GroupPool(
+                scores=np.zeros(3), labels=np.int8([1, 0, 1]),
+                ids=np.array(["a", "b", "c"], dtype=object), n_pos=2,
+            )
+
+    def test_n_pos_must_match_labels(self):
+        with pytest.raises(InvariantError):
+            GroupPool(
+                scores=np.zeros(2), labels=np.int8([1, 1]),
+                ids=np.array(["a", "b"], dtype=object), n_pos=3,
+            )
+
+    def test_take_keeps_class_order(self):
+        sub = make_pool(4, 6).take(np.array([1, 3, 4, 9]))
+        assert (sub.n_pos, sub.n_neg) == (2, 2)
+        assert list(sub.ids) == ["p1", "p3", "n0", "n5"]
 
 
 class TestRareFilter:
@@ -58,36 +95,33 @@ class TestRareFilter:
 
 class TestComputeBudget:
     def test_fixture_budget(self):
-        table = make_table(A=(40, 300), B=(60, 180))
-        plan = compute_budget(table, (1, 5))
-        assert plan.positives_per_group == 36
-        assert plan.negatives_per_group == 180
+        assert compute_budget("c", {"A": (40, 300), "B": (60, 180)}, (1, 5)) == (36, 180)
 
     def test_budget_optimality(self):
         # p* + 1 = 37 would need 185 negatives in B, which has 180
-        table = make_table(A=(40, 300), B=(60, 180))
-        plan = compute_budget(table, (1, 5))
-        p_next = plan.positives_per_group + 1
-        feasible = all(
-            table.pools[g].n_pos >= p_next and table.pools[g].n_neg >= 5 * p_next
-            for g in table.groups
-        )
+        pools = {"A": (40, 300), "B": (60, 180)}
+        p_next = compute_budget("c", pools, (1, 5))[0] + 1
+        feasible = all(n_pos >= p_next and n_neg >= 5 * p_next for n_pos, n_neg in pools.values())
         assert not feasible
 
     def test_exact_fit(self):
-        table = make_table(A=(10, 50), B=(10, 50))
-        plan = compute_budget(table, (1, 5))
-        assert (plan.positives_per_group, plan.negatives_per_group) == (10, 50)
+        assert compute_budget("c", {"A": (10, 50), "B": (10, 50)}, (1, 5)) == (10, 50)
 
     def test_insufficient_negatives_names_group(self):
-        table = make_table(A=(5, 3), B=(5, 40))
         with pytest.raises(DataError, match="'A'"):
-            compute_budget(table, (1, 4))
+            compute_budget("c", {"A": (5, 3), "B": (5, 40)}, (1, 4))
 
     def test_zero_positives_names_group(self):
-        table = make_table(A=(0, 30), B=(5, 30))
         with pytest.raises(DataError, match="'A'"):
-            compute_budget(table, (1, 5))
+            compute_budget("c", {"A": (0, 30), "B": (5, 30)}, (1, 5))
+
+    def test_first_failing_group_in_sorted_order(self):
+        with pytest.raises(DataError, match="group 'A' has 0 positive"):
+            compute_budget("c", {"B": (0, 30), "A": (0, 30)}, (1, 5))
+
+    def test_no_groups(self):
+        with pytest.raises(DataError, match="no groups to sample"):
+            compute_budget("c", {}, (1, 5))
 
     @given(
         pa=st.integers(1, 200), na=st.integers(5, 400),
@@ -95,10 +129,8 @@ class TestComputeBudget:
     )
     @settings(max_examples=100, deadline=None)
     def test_budget_is_maximal(self, pa, na, pb, nb):
-        table = make_table(A=(pa, na), B=(pb, nb))
-        plan = compute_budget(table, (1, 5))
-        p = plan.positives_per_group
-        assert plan.negatives_per_group == 5 * p
+        p, n = compute_budget("c", {"A": (pa, na), "B": (pb, nb)}, (1, 5))
+        assert n == 5 * p
         for g, (pp, nn) in {"A": (pa, na), "B": (pb, nb)}.items():
             assert p <= pp and 5 * p <= nn
         assert any(
@@ -109,37 +141,37 @@ class TestComputeBudget:
 class TestDraws:
     def test_cardinality(self):
         table = make_table(A=(5, 40), B=(5, 40))
-        plan = compute_budget(table, (1, 5), seed=1, bootstrap_count=3)
-        draws = draw_bootstrap(table, plan, 0)
+        budget = compute_budget("c", sizes(table), (1, 5))
+        draws = draw_all(table, budget, 1, 0)
         for g in ("A", "B"):
-            assert draws[g].positive_indices.shape == (plan.positives_per_group,)
-            assert draws[g].negative_indices.shape == (plan.negatives_per_group,)
+            assert draws[g][0].shape == (budget[0],)
+            assert draws[g][1].shape == (budget[1],)
 
     def test_prevalence_exact_every_draw(self):
         table = make_table(A=(13, 90), B=(20, 70))
-        plan = compute_budget(table, (1, 5), seed=2, bootstrap_count=50)
+        budget = compute_budget("c", sizes(table), (1, 5))
         for b in range(50):
-            for g, draw in draw_bootstrap(table, plan, b).items():
-                n_pos = draw.positive_indices.size
-                n_tot = n_pos + draw.negative_indices.size
+            for g, (pos, neg) in draw_all(table, budget, 2, b).items():
+                n_pos = pos.size
+                n_tot = n_pos + neg.size
                 assert n_pos / n_tot == pytest.approx(1 / 6)
 
     def test_determinism(self):
         table = make_table(A=(5, 40))
-        plan = compute_budget(table, (1, 5), seed=7, bootstrap_count=2)
-        a = draw_bootstrap(table, plan, 1)["A"]
-        b = draw_bootstrap(table, plan, 1)["A"]
-        assert np.array_equal(a.positive_indices, b.positive_indices)
-        assert np.array_equal(a.negative_indices, b.negative_indices)
+        budget = compute_budget("c", sizes(table), (1, 5))
+        a = draw_all(table, budget, 7, 1)["A"]
+        b = draw_all(table, budget, 7, 1)["A"]
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_uniformity_against_binomial_oracle(self):
         # 10,000 draws from 5 positives: each positive's frequency ~ Binomial(T, 1/5)
         table = make_table(A=(5, 40))
-        plan = compute_budget(table, (1, 5), seed=3, bootstrap_count=10_000)
+        budget = compute_budget("c", sizes(table), (1, 5))
         counts = np.zeros(5)
         for b in range(10_000):
-            draw = draw_bootstrap(table, plan, b)["A"]
-            counts += np.bincount(draw.positive_indices, minlength=5)
+            pos, _ = draw_all(table, budget, 3, b)["A"]
+            counts += np.bincount(pos, minlength=5)
         total = counts.sum()
         expected = total / 5
         sigma = np.sqrt(total * 0.2 * 0.8)
@@ -147,36 +179,31 @@ class TestDraws:
 
     def test_order_and_parallelism_independence(self):
         table = make_table(A=(8, 30), B=(9, 31))
-        plan = compute_budget(table, (1, 3), seed=11, bootstrap_count=4)
-        forward = [draw_bootstrap(table, plan, b) for b in range(4)]
-        backward = [draw_bootstrap(table, plan, b) for b in reversed(range(4))][::-1]
+        budget = compute_budget("c", sizes(table), (1, 3))
+        forward = [draw_all(table, budget, 11, b) for b in range(4)]
+        backward = [draw_all(table, budget, 11, b) for b in reversed(range(4))][::-1]
         for f, r in zip(forward, backward):
             for g in ("A", "B"):
-                assert np.array_equal(f[g].positive_indices, r[g].positive_indices)
-                assert np.array_equal(f[g].negative_indices, r[g].negative_indices)
+                assert np.array_equal(f[g][0], r[g][0])
+                assert np.array_equal(f[g][1], r[g][1])
 
 
 class TestBaseline:
     def test_bootstrap_draw_size_is_pool_size(self):
-        table = make_table(A=(7, 13))
+        pool = make_table(A=(7, 13)).pools["A"]
         for b in range(20):
-            draw = draw_baseline_bootstrap(table, seed=5, bootstrap_index=b)["A"]
-            assert draw.positive_indices.size + draw.negative_indices.size == 20
+            rows = draw_baseline_group(pool, 5, "c", "A", b)
+            assert rows.size == 20
 
     def test_prevalence_matches_binomial_expectation(self):
-        table = make_table(A=(7, 13))
+        pool = make_table(A=(7, 13)).pools["A"]
         n_draws = 4000
         frac = np.empty(n_draws)
         for b in range(n_draws):
-            draw = draw_baseline_bootstrap(table, seed=6, bootstrap_index=b)["A"]
-            frac[b] = draw.positive_indices.size / 20
+            rows = draw_baseline_group(pool, 6, "c", "A", b)
+            frac[b] = np.count_nonzero(rows < pool.n_pos) / 20
         se = np.sqrt(0.35 * 0.65 / (20 * n_draws))
         assert abs(frac.mean() - 0.35) < 4 * se
-
-    def test_zero_bootstrap_count_rejected(self):
-        table = make_table(A=(5, 20))
-        with pytest.raises(DataError):
-            compute_budget(table, (1, 4), bootstrap_count=0)
 
 
 class TestDeriveRng:

@@ -64,15 +64,15 @@ class TestGenerate:
         spec = scenario(prevalence=0.5, n=n, seed=3)
         images, _, predictions = generate(spec)
         pos_ids = {i.image_id for i in images if "c" in i.direct_labels}
-        pos_scores = np.array(
+        positive = np.array(
             [p.scores["c"] for p in predictions if p.image_id in pos_ids]
         )
         rng = np.random.default_rng(123456)
         reference = logistic(rng.normal(1.0, 1.0, size=400_000))
         se = math.sqrt(
-            pos_scores.var(ddof=1) / pos_scores.size + reference.var(ddof=1) / reference.size
+            positive.var(ddof=1) / positive.size + reference.var(ddof=1) / reference.size
         )
-        assert abs(pos_scores.mean() - reference.mean()) < 4 * se
+        assert abs(positive.mean() - reference.mean()) < 4 * se
 
     def test_inconsistent_group_sizes_rejected(self):
         cell_a = CellSpec(prevalence=0.5, mu_pos=1, sigma_pos=1, mu_neg=0, sigma_neg=1, n=10)
