@@ -1,5 +1,6 @@
 """Microbenchmarks of the metric kernels at the shapes of the ``skew`` and
-``deep`` benchmark workloads.
+``deep`` benchmark workloads, and of score ingest and top-k hit rate at the
+shape of the ``wide`` workload.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py --benchmark-only
 
@@ -13,21 +14,30 @@ The file name does not match pytest's ``test_*.py`` pattern, so a plain
 Each shape times the batched kernel on pre-drawn rows, the per-draw loop of
 scalar kernels it replaced, and threshold selection on the pooled
 validation rows of three groups.
+
+* wide: 200 concepts scored on 3 x 1,500 images, written by ``synth`` as a
+  predictions file; times ``load_predictions`` on that file and
+  ``hit_vector`` (k 5) on the loaded matrix.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from disparity_audit.concepts import GroupPool
+from disparity_audit.data import load_predictions
 from disparity_audit.metrics import (
     auc_roc,
     average_precision,
     confusion_at_threshold,
+    hit_vector,
     rank_pool,
     ranked_metrics,
     rates_from_confusion,
     select_threshold,
 )
+from disparity_audit.synth import CellSpec, ScenarioSpec, generate
 
 METRICS = ("ap", "auc_roc", "tpr", "fpr")
 
@@ -109,3 +119,37 @@ def test_select_threshold(benchmark, case):
     benchmark.group = f"select_threshold-{name}"
     choice = benchmark(select_threshold, val_scores, val_labels)
     assert 0.0 < choice.f1 <= 1.0
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """The wide shape: predictions file, annotated images, and each image's
+    labels as a target mask over the sorted concepts."""
+    cells = {
+        g: CellSpec(prevalence=p, mu_pos=1.0, sigma_pos=1.0, mu_neg=0.0, sigma_neg=1.0, n=1500)
+        for g, p in (("alpha", 0.04), ("beta", 0.02), ("gamma", 0.05))
+    }
+    spec = ScenarioSpec(concepts={f"w{i:03d}": cells for i in range(200)}, seed=0)
+    images, _, predictions = generate(spec)
+    path = tmp_path_factory.mktemp("wide") / "predictions.jsonl"
+    with path.open("w", encoding="utf-8") as f:
+        for p in predictions:
+            f.write(json.dumps({"image_id": p.image_id, "scores": p.scores}) + "\n")
+    concepts = sorted(spec.concepts)
+    targets = np.array([[c in img.direct_labels for c in concepts] for img in images])
+    return path, images, targets
+
+
+def test_load_predictions(benchmark, wide):
+    path, images, _ = wide
+    benchmark.group = "ingest-wide"
+    matrix = benchmark(load_predictions, path, images)
+    assert matrix.scores.shape == (4500, 200)
+
+
+def test_hit_vector(benchmark, wide):
+    path, images, targets = wide
+    benchmark.group = "ingest-wide"
+    scores = load_predictions(path, images).scores
+    hits = benchmark(hit_vector, scores, targets, targets.any(axis=1), 5)
+    assert 0 < hits.size <= len(images)

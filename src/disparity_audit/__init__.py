@@ -9,6 +9,7 @@ from .data import (
     ExclusionReason,
     GroupAssignment,
     PredictionRecord,
+    ScoreMatrix,
     load_annotations,
     load_predictions,
     validate_dataset,
@@ -29,9 +30,11 @@ from .concepts import (
     ClassMapping,
     ConceptEvalTable,
     GroupPool,
+    TargetMatrix,
     build_concept_tables,
     canonicalize_label,
     image_target_set,
+    map_targets,
     map_to_model_classes,
 )
 from .metrics import (

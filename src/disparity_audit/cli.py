@@ -87,21 +87,18 @@ def _cmd_map(args) -> int:
 def _cmd_sample_plan(args) -> int:
     cfg = load_config(args.config, preset=args.preset, seed=args.seed, output_dir=args.output)
     loaded = load_dataset(cfg)
-    images, predictions = loaded.images, loaded.predictions
-    assignments = assign_groups(images, cfg)
+    assignments = assign_groups(loaded.images, cfg)
     groups = list(cfg.group_order())
-    concepts, _, counts, retained = plan_concepts(
-        images, assignments, predictions, groups, cfg
-    )
+    plan = plan_concepts(loaded.images, assignments, loaded.predictions, groups, cfg)
     plans: dict[str, dict] = {}
-    for c in concepts:
+    for c, counts in plan.counts.items():
         entry: dict = {
-            "retained": c in retained,
-            "pools": {g: list(counts[c][g]) for g in groups},
+            "retained": c in plan.retained,
+            "pools": {g: list(counts[g]) for g in groups},
         }
-        if c in retained and cfg.sampling_mode == "reliable":
+        if c in plan.retained and cfg.sampling_mode == "reliable":
             try:
-                entry["budget"] = list(compute_budget(c, counts[c], cfg.ratio))
+                entry["budget"] = list(compute_budget(c, counts, cfg.ratio))
             except DataError as e:
                 entry["skip_reason"] = str(e)
         plans[c] = entry

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import AnnotatedImage, GroupAssignment, PredictionRecord
+from .data import AnnotatedImage, GroupAssignment, ScoreMatrix
 from .errors import DataError, InvariantError
 
 log = logging.getLogger("disparity_audit.concepts")
@@ -176,16 +176,6 @@ class GroupPool:
         )
 
 
-def _make_pool(rows: list[tuple[str, float, int]]) -> GroupPool:
-    rows.sort(key=lambda r: (-r[2], r[0]))
-    return GroupPool(
-        scores=_readonly(np.array([s for _, s, _ in rows], dtype=float)),
-        labels=_readonly(np.array([y for _, _, y in rows], dtype=np.int8)),
-        ids=_readonly(np.array([i for i, _, _ in rows], dtype=object)),
-        n_pos=sum(y for _, _, y in rows),
-    )
-
-
 @dataclass(frozen=True)
 class ConceptEvalTable:
     """Aligned score/label rows for one concept, partitioned by group."""
@@ -211,59 +201,103 @@ class ConceptEvalTable:
         )
 
 
-def build_concept_tables(
+@dataclass(frozen=True)
+class TargetMatrix:
+    """The group-assigned images in image-id order, each mapped once to its
+    model-class targets.
+
+    ``concepts`` are the candidates: targets of these images that some
+    prediction scores, sorted. ``targets`` marks each image's targets among
+    them; ``has_targets`` is False only for an image with no target at all,
+    scored or not. ``unscored`` are the targets no prediction scores.
+    ``predictions`` is the score matrix the tables and the hit rate read.
+    """
+
+    ids: np.ndarray
+    groups: np.ndarray
+    concepts: tuple[ConceptId, ...]
+    targets: np.ndarray
+    has_targets: np.ndarray
+    unscored: tuple[ConceptId, ...]
+    predictions: ScoreMatrix
+
+
+def map_targets(
     images: Sequence[AnnotatedImage],
     assignments: Sequence[GroupAssignment],
-    predictions: Sequence[PredictionRecord],
-    concepts: Iterable[ConceptId],
+    predictions: ScoreMatrix,
     mapping: ClassMapping | None = None,
     strict: bool = True,
+) -> TargetMatrix:
+    """Map every group-assigned image with ``image_target_set``, once."""
+    group_of = {a.image_id: a.group for a in assignments if a.assigned}
+    assigned = sorted(
+        (img for img in images if img.image_id in group_of), key=lambda img: img.image_id
+    )
+    target_sets = [image_target_set(img, mapping, strict=strict) for img in assigned]
+    universe = frozenset().union(*target_sets)
+    scored = frozenset(predictions.concepts)
+    concepts = sorted(universe & scored)
+    column = {c: j for j, c in enumerate(concepts)}
+    cells = [(i, column[c]) for i, ts in enumerate(target_sets) for c in ts if c in column]
+    targets = np.zeros((len(assigned), len(concepts)), dtype=bool)
+    if cells:
+        targets[tuple(np.array(cells, dtype=np.intp).T)] = True
+    return TargetMatrix(
+        ids=_readonly(np.array([img.image_id for img in assigned], dtype=object)),
+        groups=_readonly(np.array([group_of[img.image_id] for img in assigned], dtype=object)),
+        concepts=tuple(concepts),
+        targets=_readonly(targets),
+        has_targets=_readonly(np.array([bool(ts) for ts in target_sets], dtype=bool)),
+        unscored=tuple(sorted(universe - scored)),
+        predictions=predictions,
+    )
+
+
+def build_concept_tables(
+    targets: TargetMatrix, concepts: Iterable[ConceptId]
 ) -> dict[ConceptId, ConceptEvalTable]:
     """Build per-concept evaluation tables over group-assigned images.
 
-    An image contributes a row to concept ``c``'s table iff it was assigned
-    a group and carries a score for ``c``; the row is positive iff the
-    image's (mapped) target set contains ``c``. Images lacking a score for a
-    concept are omitted from that concept's table with a coverage warning.
+    An image contributes a row to concept ``c``'s table iff it carries a
+    score for ``c``; the row is positive iff ``c`` is among the image's
+    targets. Images lacking a score for a concept are omitted from that
+    concept's table with a coverage warning. Each pool holds its positives,
+    then its negatives, each in image-id order.
 
     Raises:
         DataError: if any requested concept ends up with zero scored rows.
     """
     concept_list = sorted({canonicalize_label(c) for c in concepts})
-    group_of = {a.image_id: a.group for a in assignments if a.assigned}
-    scores_of = {p.image_id: p.scores for p in predictions}
+    predictions = targets.predictions
+    scores = predictions.take(targets.ids, predictions.columns(concept_list))
+    candidate = {c: j for j, c in enumerate(targets.concepts)}
+    masks = {g: targets.groups == g for g in sorted(set(targets.groups.tolist()))}
+    no_targets = np.zeros(len(targets.ids), dtype=bool)
 
-    rows: dict[str, dict[str, list[tuple[str, float, int]]]] = {
-        c: {} for c in concept_list
-    }
-    coverage_gaps: dict[str, int] = {c: 0 for c in concept_list}
-    for img in images:
-        group = group_of.get(img.image_id)
-        if group is None:
-            continue
-        targets = image_target_set(img, mapping, strict=strict)
-        scores = scores_of.get(img.image_id, {})
-        for c in concept_list:
-            score = scores.get(c)
-            if score is None:
-                coverage_gaps[c] += 1
-                continue
-            rows[c].setdefault(group, []).append(
-                (img.image_id, float(score), 1 if c in targets else 0)
-            )
-
-    for c, gaps in coverage_gaps.items():
+    tables: dict[str, ConceptEvalTable] = {}
+    for j, c in enumerate(concept_list):
+        column = scores[:, j]
+        scored = ~np.isnan(column)
+        gaps = int(scored.size - np.count_nonzero(scored))
         if gaps:
             log.warning(
                 "concept %s: %d assigned image(s) lack a score and were omitted", c, gaps
             )
-
-    tables: dict[str, ConceptEvalTable] = {}
-    for c in concept_list:
-        n_rows = sum(len(v) for v in rows[c].values())
-        if n_rows == 0:
+        positive = targets.targets[:, candidate[c]] if c in candidate else no_targets
+        pools: dict[str, GroupPool] = {}
+        for g, mask in masks.items():
+            rows = mask & scored
+            pos = np.flatnonzero(rows & positive)
+            order = np.concatenate([pos, np.flatnonzero(rows & ~positive)])
+            if order.size:
+                pools[g] = GroupPool(
+                    scores=_readonly(column[order]),
+                    labels=_readonly((np.arange(order.size) < pos.size).astype(np.int8)),
+                    ids=_readonly(targets.ids[order]),
+                    n_pos=int(pos.size),
+                )
+        if not pools:
             raise DataError(f"concept {c!r} has no scored images")
-        tables[c] = ConceptEvalTable(
-            concept=c, pools={g: _make_pool(v) for g, v in rows[c].items()}
-        )
+        tables[c] = ConceptEvalTable(concept=c, pools=pools)
     return tables

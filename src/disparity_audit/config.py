@@ -172,6 +172,27 @@ def _int(value: Any, key: str, minimum: int | None = None) -> int:
     return value
 
 
+def _float(value: Any, key: str) -> float:
+    """A number config value; bools and strings are not numbers."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _bool(value: Any, key: str) -> bool:
+    """A JSON true/false config value."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _str(value: Any, key: str) -> str:
+    """A non-empty string config value."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{key} must be a non-empty string, got {value!r}")
+    return value
+
+
 def load_config(
     path: str | Path, preset: str | None = None, seed: int | None = None,
     output_dir: str | None = None,
@@ -213,7 +234,7 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
     try:
         if group_method in ("boxes", "captions"):
             terms = GroupTermConfig.from_file(_path(resolved, "terms", base))
-            if not resolved.get("apply_term_exclusions", False):
+            if not _bool(resolved.get("apply_term_exclusions", False), "apply_term_exclusions"):
                 terms = terms.without_exclusions()
         else:
             region = RegionGroupConfig.from_file(_path(resolved, "region", base))
@@ -232,7 +253,7 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
         raise ConfigError(f"unknown metrics: {unknown}; expected among {KNOWN_METRICS}")
 
     k = _int(resolved.get("k", 5), "k", minimum=1)
-    vfrac = float(resolved.get("validation_fraction", 0.2))
+    vfrac = _float(resolved.get("validation_fraction", 0.2), "validation_fraction")
     if not 0 < vfrac < 1:
         raise ConfigError(f"validation_fraction must be in (0, 1), got {vfrac}")
     scope = resolved.get("threshold_scope", "pooled")
@@ -264,12 +285,12 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
         annotations=annotations,
         predictions=predictions,
         group_method=group_method,
-        metadata_key=str(resolved.get("metadata_key", "country")),
+        metadata_key=_str(resolved.get("metadata_key", "country"), "metadata_key"),
         terms=terms,
         region=region,
         box_filter=box_filter,
         mapping=mapping,
-        strict_mapping=bool(resolved.get("strict_mapping", True)),
+        strict_mapping=_bool(resolved.get("strict_mapping", True), "strict_mapping"),
         metrics=metrics,
         k=k,
         validation_fraction=vfrac,
@@ -280,7 +301,7 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
         min_per_group=min_per_group,
         sampling_mode=mode,
         evaluation_version=str(resolved.get("evaluation_version", "custom")),
-        drop_unlabeled=bool(resolved.get("drop_unlabeled", True)),
+        drop_unlabeled=_bool(resolved.get("drop_unlabeled", True), "drop_unlabeled"),
         top_n=_int(resolved.get("top_n", 5), "top_n"),
         output_dir=output_dir,
     )

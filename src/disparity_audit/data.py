@@ -9,12 +9,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DataError
 
@@ -94,19 +95,166 @@ class AnnotatedImage:
 
 @dataclass(frozen=True)
 class PredictionRecord:
-    """Per-image confidence scores keyed by concept id; any finite scale."""
+    """One image's confidence scores keyed by concept id, as ``synth`` makes
+    them; ``ScoreMatrix.from_records`` checks every score and loads them."""
 
     image_id: str
     scores: Mapping[str, float]
 
-    def __post_init__(self):
-        for concept, score in self.scores.items():
-            if not concept:
-                raise DataError(f"image {self.image_id!r}: empty concept key in scores")
-            if not isinstance(score, (int, float)) or isinstance(score, bool) or not math.isfinite(score):
-                raise DataError(
-                    f"image {self.image_id!r}: non-finite score {score!r} for {concept!r}"
-                )
+
+@dataclass(frozen=True)
+class ScoreMatrix:
+    """Prediction scores in columnar form.
+
+    ``rows`` maps each scored image id to its row, in file order;
+    ``concepts`` are the column concept ids, sorted; ``scores`` is the
+    read-only float64 ``images x concepts`` array, NaN where an image has no
+    score for a concept. Every column holds at least one score.
+    """
+
+    rows: Mapping[str, int]
+    concepts: tuple[str, ...]
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @classmethod
+    def from_records(cls, records: Iterable[PredictionRecord]) -> "ScoreMatrix":
+        return build_score_matrix(
+            (f"image {r.image_id!r}", r.image_id, r.scores) for r in records
+        )
+
+    def columns(self, concepts: Iterable[str]) -> np.ndarray:
+        """Column index of each concept.
+
+        Raises:
+            DataError: for a concept that no image has a score for.
+        """
+        out = []
+        for concept in concepts:
+            j = bisect_left(self.concepts, concept)
+            if j == len(self.concepts) or self.concepts[j] != concept:
+                raise DataError(f"concept {concept!r} has no scored images")
+            out.append(j)
+        return np.array(out, dtype=np.intp)
+
+    def take(self, image_ids: Sequence[str], columns: np.ndarray | None = None) -> np.ndarray:
+        """Scores of the given images, one row each (all NaN for an image
+        without predictions), over the given columns or all of them."""
+        if columns is None:
+            columns = np.arange(len(self.concepts))
+        rows = np.fromiter(
+            (self.rows.get(i, -1) for i in image_ids), dtype=np.intp, count=len(image_ids)
+        )
+        out = np.full((rows.size, columns.size), np.nan)
+        scored = rows >= 0
+        out[scored] = self.scores[np.ix_(rows[scored], columns)]
+        return out
+
+    def without(self, image_ids: AbstractSet[str]) -> "ScoreMatrix":
+        """The matrix without the given images' rows, and without the columns
+        that only they scored."""
+        kept = [i for i in self.rows if i not in image_ids]
+        scores = self.scores[[self.rows[i] for i in kept]]
+        scored = ~np.isnan(scores).all(axis=0)
+        scores = scores[:, scored]
+        scores.setflags(write=False)
+        return ScoreMatrix(
+            rows={image_id: r for r, image_id in enumerate(kept)},
+            concepts=tuple(c for c, keep in zip(self.concepts, scored.tolist()) if keep),
+            scores=scores,
+        )
+
+
+_FLOAT_ONLY = frozenset({float})
+_CHUNK_CELLS = 1 << 16
+
+
+def _checked_scores(ctx: str, scores: Mapping[str, float]) -> list[float]:
+    """Every score of one record as a finite float, or the error naming the
+    first bad one."""
+    values = []
+    for concept, score in scores.items():
+        if not isinstance(score, (int, float)) or isinstance(score, bool):
+            raise DataError(f"{ctx}: score for {concept!r} is not a number")
+        try:
+            value = float(score)
+        except OverflowError:
+            raise DataError(
+                f"{ctx}: score for {concept!r} is too large for a float"
+            ) from None
+        if not math.isfinite(value):
+            raise DataError(f"{ctx}: non-finite score {score!r} for {concept!r}")
+        values.append(value)
+    return values
+
+
+def build_score_matrix(
+    records: Iterable[tuple[str, str, Mapping[str, float]]],
+) -> ScoreMatrix:
+    """The score matrix of ``(ctx, image_id, scores)`` records.
+
+    Each score must be an int or float (not a bool), finite as a float, and
+    keyed by a non-empty concept id; each image id may occur once. ``ctx``
+    names the record in errors, e.g. ``file:line``.
+
+    Raises:
+        DataError: on the first bad record, naming its ``ctx`` and the concept.
+    """
+    row_of: dict[str, int] = {}
+    column_of: dict[str, int] = {}  # in order of first appearance
+    # Cells are gathered in Python lists and moved into arrays every
+    # _CHUNK_CELLS, so the parsed float objects do not all live at once.
+    chunks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+    lengths: list[int] = []
+    columns: list[int] = []
+    values: list[float] = []
+
+    def flush() -> None:
+        chunks.append((
+            len(row_of) - len(lengths),
+            np.array(lengths, dtype=np.intp),
+            np.array(columns, dtype=np.int32),
+            np.array(values, dtype=float),
+        ))
+        lengths.clear()
+        columns.clear()
+        values.clear()
+
+    for ctx, image_id, scores in records:
+        if image_id in row_of:
+            raise DataError(f"{ctx}: duplicate prediction for image {image_id!r}")
+        if "" in scores:
+            raise DataError(f"{ctx}: empty concept key in scores")
+        cells = list(scores.values())
+        # Floats with a finite sum are all finite: one C-level check per record.
+        if not _FLOAT_ONLY.issuperset(map(type, cells)) or not math.isfinite(sum(cells)):
+            cells = _checked_scores(ctx, scores)
+        start = len(columns)
+        try:
+            columns.extend(map(column_of.__getitem__, scores))
+        except KeyError:
+            del columns[start:]
+            columns.extend(column_of.setdefault(c, len(column_of)) for c in scores)
+        values.extend(cells)
+        lengths.append(len(cells))
+        row_of[image_id] = len(row_of)
+        if len(values) >= _CHUNK_CELLS:
+            flush()
+    flush()
+
+    concepts = sorted(column_of)
+    sorted_column = np.empty(len(concepts), dtype=np.intp)
+    sorted_column[np.array([column_of[c] for c in concepts], dtype=np.intp)] = np.arange(
+        len(concepts)
+    )
+    matrix = np.full((len(row_of), len(concepts)), np.nan)
+    for first_row, chunk_lengths, chunk_columns, chunk_values in chunks:
+        rows = np.repeat(np.arange(first_row, first_row + chunk_lengths.size), chunk_lengths)
+        matrix[rows, sorted_column[chunk_columns]] = chunk_values
+    matrix.setflags(write=False)
+    return ScoreMatrix(rows=row_of, concepts=tuple(concepts), scores=matrix)
 
 
 class ExclusionReason(Enum):
@@ -255,58 +403,48 @@ def load_annotations(path: str | Path) -> list[AnnotatedImage]:
     return [by_id[i] for i in order]
 
 
-def load_predictions(
-    path: str | Path, images: Sequence[AnnotatedImage]
-) -> list[PredictionRecord]:
-    """Load a predictions file; every record must resolve to a loaded image.
+def load_predictions(path: str | Path, images: Sequence[AnnotatedImage]) -> ScoreMatrix:
+    """Load a predictions file into a score matrix; every record must
+    resolve to a loaded image.
 
     Args:
         path: JSON Lines file of ``{"image_id": ..., "scores": {...}}``.
         images: the already-loaded annotation records.
 
     Raises:
-        DataError: malformed line, duplicate image_id, non-finite score, or
-            image_ids absent from ``images`` (all offenders listed).
+        DataError: malformed line, duplicate image_id, bad score (each with
+            ``file:line``), or image_ids absent from ``images`` (all
+            offenders listed, with their lines).
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"predictions file not found: {path}")
     known = {img.image_id for img in images}
-    records: list[PredictionRecord] = []
-    seen: set[str] = set()
-    unknown: list[str] = []
-    for line_no, obj in _iter_jsonl(path):
-        ctx = f"{path}:{line_no}"
-        image_id = _req_str(obj, "image_id", ctx)
-        scores = obj.get("scores")
-        if not isinstance(scores, dict):
-            raise DataError(f"{ctx}: missing or invalid 'scores' object")
-        if image_id in seen:
-            raise DataError(f"{ctx}: duplicate prediction for image {image_id!r}")
-        seen.add(image_id)
-        clean: dict[str, float] = {}
-        for concept, score in scores.items():
-            if not isinstance(score, (int, float)) or isinstance(score, bool):
-                raise DataError(f"{ctx}: score for {concept!r} is not a number")
-            clean[str(concept)] = float(score)
-        try:
-            rec = PredictionRecord(image_id=image_id, scores=clean)
-        except DataError as e:
-            raise DataError(f"{ctx}: {e}") from e
-        if image_id not in known:
-            unknown.append(image_id)
-        records.append(rec)
+    unknown: list[tuple[str, int]] = []
+
+    def records():
+        for line_no, obj in _iter_jsonl(path):
+            ctx = f"{path}:{line_no}"
+            image_id = _req_str(obj, "image_id", ctx)
+            scores = obj.get("scores")
+            if not isinstance(scores, dict):
+                raise DataError(f"{ctx}: missing or invalid 'scores' object")
+            if image_id not in known:
+                unknown.append((image_id, line_no))
+            yield ctx, image_id, scores
+
+    matrix = build_score_matrix(records())
     if unknown:
+        unknown.sort()
         raise DataError(
-            "prediction image_ids do not resolve to any annotated image: "
-            + ", ".join(sorted(unknown))
+            f"{path}: prediction image_ids do not resolve to any annotated image: "
+            + ", ".join(i for i, _ in unknown)
+            + " (lines " + ", ".join(str(n) for _, n in unknown) + ")"
         )
-    return records
+    return matrix
 
 
-def validate_dataset(
-    images: Sequence[AnnotatedImage], predictions: Sequence[PredictionRecord]
-) -> dict:
+def validate_dataset(images: Sequence[AnnotatedImage], predictions: ScoreMatrix) -> dict:
     """Cross-check annotations against predictions; reporting only, never mutates.
 
     Returns a dict with keys:
@@ -318,27 +456,18 @@ def validate_dataset(
         labels (compared in raw label space, before any class mapping).
     """
     without_labels = sorted(img.image_id for img in images if not img.has_labels)
-    scores_by_id = {p.image_id: p.scores for p in predictions}
-    concept_universe: set[str] = set()
-    for p in predictions:
-        concept_universe.update(p.scores)
-    # Count first; only a partially covered concept needs its ids listed.
-    n_scored = Counter(
-        chain.from_iterable(scores_by_id.get(img.image_id, ()) for img in images)
-    )
-    unscored: dict[str, list[str]] = {}
-    for concept in sorted(concept_universe):
-        if 0 < n_scored[concept] < len(images):
-            unscored[concept] = sorted(
-                img.image_id
-                for img in images
-                if concept not in scores_by_id.get(img.image_id, {})
-            )
+    ids = np.array(sorted(img.image_id for img in images), dtype=object)
+    scored = ~np.isnan(predictions.take(ids))
+    n_scored = scored.sum(axis=0)
+    unscored = {
+        predictions.concepts[j]: ids[~scored[:, j]].tolist()
+        for j in np.flatnonzero((n_scored > 0) & (n_scored < len(ids)))
+    }
     label_universe: set[str] = set()
     for img in images:
         label_universe.update(img.direct_labels)
         label_universe.update(b.raw_label for b in img.boxes)
-    zero_positive = sorted(c for c in concept_universe if c not in label_universe)
+    zero_positive = [c for c in predictions.concepts if c not in label_universe]
     return {
         "images_without_labels": without_labels,
         "unscored": unscored,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -425,47 +425,37 @@ def split_validation_test(
     return val, test
 
 
-def top_k_concepts(scores: Mapping[str, float], k: int) -> list[str]:
-    """The k highest-scored concepts; score ties broken by concept id."""
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [concept for concept, _ in ranked[:k]]
-
-
 def hit_vector(
-    score_maps: Mapping[str, Mapping[str, float]],
-    target_sets: Mapping[str, AbstractSet[str]],
-    k: int,
-) -> tuple[list[str], np.ndarray]:
+    scores: np.ndarray, targets: np.ndarray, has_targets: np.ndarray, k: int
+) -> np.ndarray:
     """Per-image top-k hit indicators over images with usable targets/scores.
 
-    Images with an empty target set or no scores are excluded with a warning.
-    Returns the kept image ids (sorted) and their 0/1 hit values.
+    ``scores`` is ``images x concepts`` with NaN where an image has no score
+    and columns sorted by concept id; ``targets`` marks each image's targets
+    among those columns, and ``has_targets`` is False for an image whose
+    target set is empty. An image is a hit when one of its k highest-scored
+    concepts is a target; score ties break by concept id, and an unscored
+    cell is never among the top k. Images with an empty target set or no
+    scores are excluded with a warning. Returns the 0/1 hit values of the
+    kept images, in row order.
     """
-    ids: list[str] = []
-    hits: list[int] = []
-    skipped_empty = 0
-    skipped_unscored = 0
-    short_of_k = 0
-    for image_id in sorted(target_sets):
-        targets = target_sets[image_id]
-        if not targets:
-            skipped_empty += 1
-            continue
-        scores = score_maps.get(image_id)
-        if not scores:
-            skipped_unscored += 1
-            continue
-        if len(scores) < k:
-            short_of_k += 1
-        top = top_k_concepts(scores, k)
-        ids.append(image_id)
-        hits.append(1 if set(top) & set(targets) else 0)
+    if k < 1:
+        raise DataError(f"k must be >= 1, got {k}")
+    n_scored = np.count_nonzero(~np.isnan(scores), axis=1)
+    kept = has_targets & (n_scored > 0)
+    skipped_empty = int(np.count_nonzero(~has_targets))
+    skipped_unscored = int(np.count_nonzero(has_targets & (n_scored == 0)))
+    short_of_k = int(np.count_nonzero(kept & (n_scored < k)))
+    kept_scores = scores[kept]
+    # Stable on -score: ties keep column order, i.e. concept id; NaN sorts last.
+    top = np.argsort(-kept_scores, axis=1, kind="stable")[:, :k]
+    hit = np.take_along_axis(targets[kept], top, axis=1) & ~np.isnan(
+        np.take_along_axis(kept_scores, top, axis=1)
+    )
     if skipped_empty:
         log.warning("hit rate: %d image(s) with empty target sets excluded", skipped_empty)
     if skipped_unscored:
         log.warning("hit rate: %d image(s) without scores excluded", skipped_unscored)
     if short_of_k:
         log.warning("hit rate: %d image(s) scored for fewer than k concepts", short_of_k)
-    return ids, np.asarray(hits, dtype=float)
+    return hit.any(axis=1).astype(float)

@@ -10,9 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -21,14 +19,15 @@ import numpy as np
 from . import __version__
 from .concepts import (
     ConceptEvalTable,
+    TargetMatrix,
     build_concept_tables,
-    image_target_set,
+    map_targets,
 )
 from .config import RANKING_METRICS, THRESHOLD_METRICS, RunConfig, config_hash
 from .data import (
     AnnotatedImage,
     GroupAssignment,
-    PredictionRecord,
+    ScoreMatrix,
     load_annotations,
     load_predictions,
     validate_dataset,
@@ -87,7 +86,7 @@ def assign_groups(
 @dataclass
 class LoadedDataset:
     images: list[AnnotatedImage]
-    predictions: list[PredictionRecord]
+    predictions: ScoreMatrix
     validation: dict
     images_loaded: int
     unlabeled: list[str]
@@ -108,7 +107,7 @@ def load_dataset(cfg: RunConfig) -> LoadedDataset:
     if cfg.drop_unlabeled and unlabeled:
         dropped = set(unlabeled)
         images = [img for img in images if img.image_id not in dropped]
-        predictions = [p for p in predictions if p.image_id not in dropped]
+        predictions = predictions.without(dropped)
         log.info("dropped %d image(s) without labels", len(dropped))
     return LoadedDataset(
         images=images, predictions=predictions, validation=validation,
@@ -288,29 +287,18 @@ def evaluate_tables(
 
 
 def evaluate_hit_rate(
-    images: Sequence[AnnotatedImage],
-    assignments: Sequence[GroupAssignment],
-    predictions: Sequence[PredictionRecord],
-    groups: Sequence[str],
-    cfg: RunConfig,
+    targets: TargetMatrix, groups: Sequence[str], cfg: RunConfig
 ) -> list[MetricEstimate]:
     """Top-k hit rate per group with full-pool bootstrap CIs on pair differences."""
-    group_of = {a.image_id: a.group for a in assignments if a.assigned}
-    scores_of = {p.image_id: p.scores for p in predictions}
-    targets: dict[str, dict] = {g: {} for g in groups}
-    score_maps: dict[str, dict] = {g: {} for g in groups}
-    for img in images:
-        g = group_of.get(img.image_id)
-        if g not in targets:
-            continue
-        targets[g][img.image_id] = image_target_set(
-            img, cfg.mapping, strict=cfg.strict_mapping
-        )
-        if img.image_id in scores_of:
-            score_maps[g][img.image_id] = scores_of[img.image_id]
+    predictions = targets.predictions
+    candidate_columns = predictions.columns(targets.concepts)
     hit_values: dict[str, np.ndarray] = {}
     for g in groups:
-        _, hit_values[g] = hit_vector(score_maps[g], targets[g], cfg.k)
+        rows = targets.groups == g
+        scores = predictions.take(targets.ids[rows])
+        is_target = np.zeros(scores.shape, dtype=bool)
+        is_target[:, candidate_columns] = targets.targets[rows]
+        hit_values[g] = hit_vector(scores, is_target, targets.has_targets[rows], cfg.k)
 
     # Draws are keyed per group, so each group's means serve every pair.
     boots: dict[str, np.ndarray] = {}
@@ -339,65 +327,70 @@ def evaluate_hit_rate(
     return estimates
 
 
+@dataclass
+class ConceptPlan:
+    """Which concepts get evaluated, decided from per-group counts alone.
+
+    ``counts`` maps each candidate and each group to the ``(n_pos, n_neg)``
+    scored rows ``build_concept_tables`` would give it; ``retained`` holds
+    the candidates that pass the rare-label filter on those counts, so only
+    they need a table.
+    """
+
+    targets: TargetMatrix
+    counts: dict[str, dict[str, tuple[int, int]]]
+    retained: list[str]
+
+    @property
+    def candidates(self) -> list[str]:
+        return list(self.targets.concepts)
+
+    @property
+    def unscored_targets(self) -> list[str]:
+        return list(self.targets.unscored)
+
+
 def plan_concepts(
     images: Sequence[AnnotatedImage],
     assignments: Sequence[GroupAssignment],
-    predictions: Sequence[PredictionRecord],
+    predictions: ScoreMatrix,
     groups: Sequence[str],
     cfg: RunConfig,
-) -> tuple[list[str], list[str], dict[str, dict[str, tuple[int, int]]], list[str]]:
-    """Decide which concepts get evaluated, from per-group counts alone.
+) -> ConceptPlan:
+    """Decide which concepts get evaluated.
 
     Candidates are the targets of group-assigned images that some prediction
-    scores. Returns ``(candidates, unscored_targets, counts, retained)``:
-    ``counts`` maps each candidate and each group in ``groups`` to the
-    ``(n_pos, n_neg)`` scored rows ``build_concept_tables`` would give it,
-    and ``retained`` holds the candidates that pass the rare-label filter on
-    those counts, so only they need a table. A run whose only metric is
-    ``hit_rate`` evaluates no concept, so it retains none.
+    scores. Each group's counts are column sums of the scored and target
+    masks under its rows. A run whose only metric is ``hit_rate`` evaluates
+    no concept, so it retains none.
     """
-    group_of = {a.image_id: a.group for a in assignments if a.assigned}
-    scores_of = {p.image_id: p.scores for p in predictions}
-    target_universe: set[str] = set()
-    # Per group: the score dicts of its images, and every scored target of
-    # each image; both are counted once per group below, in C.
-    scored: dict[str, list[Mapping[str, float]]] = {}
-    positive: dict[str, list[str]] = {}
-    for img in images:
-        group = group_of.get(img.image_id)
-        if group is None:
-            continue
-        targets = image_target_set(img, cfg.mapping, strict=cfg.strict_mapping)
-        target_universe.update(targets)
-        scores = scores_of.get(img.image_id, {})
-        scored.setdefault(group, []).append(scores)
-        positive.setdefault(group, []).extend(targets & scores.keys())
-
-    scored_concepts: set[str] = set()
-    for p in predictions:
-        scored_concepts.update(p.scores)
-    candidates = sorted(target_universe & scored_concepts)
-    unscored_targets = sorted(target_universe - scored_concepts)
-    if unscored_targets:
+    targets = map_targets(
+        images, assignments, predictions, cfg.mapping, strict=cfg.strict_mapping
+    )
+    if targets.unscored:
         log.warning(
             "%d target concept(s) have no scores and were dropped: %s",
-            len(unscored_targets), ", ".join(unscored_targets[:10]),
+            len(targets.unscored), ", ".join(targets.unscored[:10]),
         )
-
-    counts: dict[str, dict[str, tuple[int, int]]] = {c: {} for c in candidates}
+    scored = ~np.isnan(
+        predictions.take(targets.ids, predictions.columns(targets.concepts))
+    )
+    positive = scored & targets.targets
+    counts: dict[str, dict[str, tuple[int, int]]] = {c: {} for c in targets.concepts}
     for g in groups:
-        n_scored = Counter(chain.from_iterable(scored.get(g, ())))
-        n_pos = Counter(positive.get(g, ()))
-        for c in candidates:
-            counts[c][g] = (n_pos[c], n_scored[c] - n_pos[c])
+        rows = targets.groups == g
+        n_scored = np.count_nonzero(scored[rows], axis=0).tolist()
+        n_pos = np.count_nonzero(positive[rows], axis=0).tolist()
+        for c, p, n in zip(targets.concepts, n_pos, n_scored):
+            counts[c][g] = (p, n - p)
 
     retained = filter_rare_concepts(
-        {c: {g: n_pos for g, (n_pos, _) in counts[c].items()} for c in candidates},
+        {c: {g: p for g, (p, _) in by_group.items()} for c, by_group in counts.items()},
         cfg.min_per_group, groups=groups,
     )
     if all(m == "hit_rate" for m in cfg.metrics):
         retained = []
-    return candidates, unscored_targets, counts, retained
+    return ConceptPlan(targets=targets, counts=counts, retained=retained)
 
 
 @dataclass
@@ -420,22 +413,15 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     groups = list(cfg.group_order())
     summary = assignment_summary(assignments, groups=groups)
 
-    eval_concepts, unscored_targets, _, retained = plan_concepts(
-        images, assignments, predictions, groups, cfg
-    )
+    plan = plan_concepts(images, assignments, predictions, groups, cfg)
     estimates: list[MetricEstimate] = []
     eval_diag: dict = {"concepts_evaluated": [], "concepts_skipped": {}}
-    if retained:
-        tables = build_concept_tables(
-            images, assignments, predictions, retained,
-            mapping=cfg.mapping, strict=cfg.strict_mapping,
-        )
-        point_estimates, eval_diag = evaluate_tables(tables, retained, groups, cfg)
+    if plan.retained:
+        tables = build_concept_tables(plan.targets, plan.retained)
+        point_estimates, eval_diag = evaluate_tables(tables, plan.retained, groups, cfg)
         estimates.extend(point_estimates)
     if "hit_rate" in cfg.metrics:
-        estimates.extend(
-            evaluate_hit_rate(images, assignments, predictions, groups, cfg)
-        )
+        estimates.extend(evaluate_hit_rate(plan.targets, groups, cfg))
 
     manifest = {
         "tool": "disparity-audit",
@@ -461,9 +447,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                 "excluded_total": sum(1 for a in assignments if not a.assigned),
             },
             "concepts": {
-                "candidates": len(eval_concepts),
-                "unscored_targets": len(unscored_targets),
-                "retained_after_rare_filter": len(retained),
+                "candidates": len(plan.candidates),
+                "unscored_targets": len(plan.unscored_targets),
+                "retained_after_rare_filter": len(plan.retained),
                 "rare_filter_min_per_group": cfg.min_per_group,
                 "skipped": eval_diag.get("concepts_skipped", {}),
             },

@@ -16,6 +16,7 @@ from disparity_audit import (
     CellSpec,
     ConfusionCounts,
     ScenarioSpec,
+    ScoreMatrix,
     accuracy_from_rates,
     auc_roc,
     average_precision,
@@ -23,6 +24,7 @@ from disparity_audit import (
     compute_budget,
     confusion_at_threshold,
     generate,
+    map_targets,
     per_concept_disparity,
     precision_from_rates,
     rates_from_confusion,
@@ -155,7 +157,8 @@ def _flagship_tables(seed: int):
     }
     spec = ScenarioSpec(concepts={"widget": cells}, seed=seed)
     images, assignments, predictions = generate(spec)
-    return build_concept_tables(images, assignments, predictions, ["widget"])
+    targets = map_targets(images, assignments, ScoreMatrix.from_records(predictions))
+    return build_concept_tables(targets, ["widget"])
 
 
 def test_criterion_04_flagship_prevalence_reproduction():

@@ -5,7 +5,7 @@ import pytest
 
 from disparity_audit import cli, concepts, pipeline
 from disparity_audit.cli import main
-from disparity_audit.concepts import GroupPool, build_concept_tables
+from disparity_audit.concepts import GroupPool, build_concept_tables, map_targets
 from disparity_audit.config import load_config
 from disparity_audit.pipeline import assign_groups, load_dataset
 
@@ -94,9 +94,10 @@ class TestSubcommands:
         assert c2["retained"] is False and "budget" not in c2
         cfg = load_config(cfg_path)
         loaded = load_dataset(cfg)
-        table = build_concept_tables(
-            loaded.images, assign_groups(loaded.images, cfg), loaded.predictions, ["c2"]
-        )["c2"]
+        targets = map_targets(
+            loaded.images, assign_groups(loaded.images, cfg), loaded.predictions
+        )
+        table = build_concept_tables(targets, ["c2"])["c2"]
         assert c2["pools"] == {g: [table.n_pos(g), table.n_neg(g)] for g in ("A", "B")}
         assert c2["pools"]["B"] == [5, 145]
 
@@ -184,6 +185,53 @@ class TestSubcommands:
         assert manifest["stages"]["concepts"]["retained_after_rare_filter"] == 0
 
 
+def test_ingest_order_does_not_change_artifacts(workspace):
+    """One scenario written as-is and with shuffled line order and shuffled
+    score-key order gives byte-identical artifacts, hit rate included; every
+    seventh image lacks its c2 score, so some cells are missing."""
+    import random
+
+    tmp_path, cfg_path = workspace
+    data = tmp_path / "data"
+    annotations = data.joinpath("annotations.jsonl").read_text().splitlines()
+    predictions = [json.loads(line) for line in data.joinpath("predictions.jsonl").open()]
+    for i, record in enumerate(predictions):
+        if i % 7 == 0:
+            del record["scores"]["c2"]
+    raw = json.loads(cfg_path.read_text())
+    raw["metrics"] = ["ap", "tpr", "hit_rate"]
+    rng = random.Random(11)
+    outputs = {}
+    for name, shuffle in (("as_is", False), ("shuffled", True)):
+        root = tmp_path / name
+        (root / "data").mkdir(parents=True)
+        ann, preds = list(annotations), [dict(r) for r in predictions]
+        if shuffle:
+            rng.shuffle(ann)
+            rng.shuffle(preds)
+            for r in preds:
+                items = list(r["scores"].items())
+                rng.shuffle(items)
+                r["scores"] = dict(items)
+        (root / "data" / "annotations.jsonl").write_text("\n".join(ann) + "\n")
+        (root / "data" / "predictions.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in preds)
+        )
+        (root / "data" / "region_identity.json").write_bytes(
+            (data / "region_identity.json").read_bytes()
+        )
+        (root / "run.json").write_text(json.dumps(raw))
+        assert main(["run", "--config", str(root / "run.json")]) == 0
+        outputs[name] = {
+            f: (root / "out" / f).read_bytes()
+            for f in ("results.csv", "manifest.json", "report.txt")
+        }
+    assert outputs["as_is"] == outputs["shuffled"]
+    manifest = json.loads(outputs["as_is"]["manifest.json"])
+    assert manifest["stages"]["ingest"]["score_coverage_gaps"] == 1
+    assert b"hit_rate" in outputs["as_is"]["results.csv"]
+
+
 class TestExitCodes:
     def test_missing_config_is_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
@@ -239,6 +287,49 @@ class TestExitCodes:
         assert "config error" in err and key in err and repr(value) in err
 
 
+    @pytest.mark.parametrize("key,value", [
+        ("validation_fraction", "abc"),
+        ("validation_fraction", True),
+        ("drop_unlabeled", "false"),
+        ("drop_unlabeled", 0),
+        ("strict_mapping", "no"),
+        ("metadata_key", 5),
+        ("metadata_key", ""),
+    ])
+    def test_malformed_scalar_field_is_2(self, workspace, capsys, key, value):
+        tmp_path, cfg_path = workspace
+        raw = json.loads(cfg_path.read_text())
+        raw[key] = value
+        cfg_path.write_text(json.dumps(raw))
+        for command in ("run", "sample-plan"):
+            assert main([command, "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and key in err and repr(value) in err
+
+    def test_malformed_term_exclusions_flag_is_2(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        raw = json.loads(cfg_path.read_text())
+        raw.update(group_method="captions", terms=str(TERMS), apply_term_exclusions="false")
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "apply_term_exclusions" in err and "'false'" in err
+
+    def test_huge_integer_score_is_3(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        pred_path = tmp_path / "data" / "predictions.jsonl"
+        lines = pred_path.read_text().splitlines()
+        record = json.loads(lines[1])
+        lines[1] = json.dumps(record).replace(
+            json.dumps(record["scores"]["c2"]), "1" + "0" * 400
+        )
+        pred_path.write_text("\n".join(lines) + "\n")
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert f"{pred_path}:2: score for 'c2' is too large" in err
+
+
 def test_concept_scored_only_on_excluded_image(tmp_path, monkeypatch):
     """Target ``z`` of an assigned image is scored only on an image excluded
     from group assignment: it is a candidate with zero scored positives, so
@@ -267,9 +358,9 @@ def test_concept_scored_only_on_excluded_image(tmp_path, monkeypatch):
     }))
     built = []
 
-    def spy(images, assignments, preds, concepts, **kwargs):
+    def spy(targets, concepts):
         built.extend(concepts)
-        return build_concept_tables(images, assignments, preds, concepts, **kwargs)
+        return build_concept_tables(targets, concepts)
 
     monkeypatch.setattr(pipeline, "build_concept_tables", spy)
 

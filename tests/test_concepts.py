@@ -9,9 +9,11 @@ from disparity_audit import (
     DataError,
     GroupAssignment,
     PredictionRecord,
+    ScoreMatrix,
     build_concept_tables,
     canonicalize_label,
     image_target_set,
+    map_targets,
     map_to_model_classes,
 )
 from disparity_audit.data import ExclusionReason
@@ -83,6 +85,12 @@ class TestMapping:
             ClassMapping.from_dict({"name": "m", "map": {"x": []}})
 
 
+def tables_of(images, assignments, predictions, concepts, mapping=None):
+    """Concept tables of hand-built records."""
+    targets = map_targets(images, assignments, ScoreMatrix.from_records(predictions), mapping)
+    return build_concept_tables(targets, concepts)
+
+
 def _fixture_dataset():
     images = [
         AnnotatedImage(image_id="a1", direct_labels=frozenset({"c"})),
@@ -110,7 +118,7 @@ def _fixture_dataset():
 class TestConceptTables:
     def test_partition_two_pos_three_neg(self):
         images, assignments, predictions = _fixture_dataset()
-        tables = build_concept_tables(images, assignments, predictions, ["c"])
+        tables = tables_of(images, assignments, predictions, ["c"])
         pool = tables["c"].pools["A"]
         assert pool.n_pos == 2 and pool.n_neg == 3
         assert list(pool.ids) == ["a1", "a2", "a3", "a4", "a5"]
@@ -118,7 +126,7 @@ class TestConceptTables:
 
     def test_excluded_image_in_no_table(self):
         images, assignments, predictions = _fixture_dataset()
-        tables = build_concept_tables(images, assignments, predictions, ["c", "other"])
+        tables = tables_of(images, assignments, predictions, ["c", "other"])
         for table in tables.values():
             for pool in table.pools.values():
                 assert "x1" not in set(pool.ids)
@@ -127,7 +135,7 @@ class TestConceptTables:
         images, assignments, predictions = _fixture_dataset()
         predictions[0] = PredictionRecord(image_id="a1", scores={"other": 0.5})
         with caplog.at_level("WARNING"):
-            tables = build_concept_tables(images, assignments, predictions, ["c"])
+            tables = tables_of(images, assignments, predictions, ["c"])
         pool = tables["c"].pools["A"]
         assert pool.n_pos == 1
         assert "lack a score" in caplog.text
@@ -135,11 +143,11 @@ class TestConceptTables:
     def test_zero_scored_concept_errors(self):
         images, assignments, predictions = _fixture_dataset()
         with pytest.raises(DataError, match="no scored images"):
-            build_concept_tables(images, assignments, predictions, ["unscored_concept"])
+            tables_of(images, assignments, predictions, ["unscored_concept"])
 
     def test_positives_negatives_partition_group(self):
         images, assignments, predictions = _fixture_dataset()
-        tables = build_concept_tables(images, assignments, predictions, ["c", "other"])
+        tables = tables_of(images, assignments, predictions, ["c", "other"])
         assigned = {"a1", "a2", "a3", "a4", "a5"}
         for table in tables.values():
             pool = table.pools["A"]
@@ -156,7 +164,7 @@ class TestConceptTables:
             PredictionRecord(image_id="i1", scores={"cellphone": 0.9, "parking meter": 0.2}),
             PredictionRecord(image_id="i2", scores={"cellphone": 0.1, "parking meter": 0.8}),
         ]
-        tables = build_concept_tables(
+        tables = tables_of(
             images, assignments, predictions, ["cellphone", "parking meter"],
             mapping=MAPPING_1K,
         )
@@ -174,15 +182,41 @@ class TestConceptTables:
         )
         assert "necktie.n.01" in image_target_set(img)
 
+    def test_targets_mapped_once_per_assigned_image(self, monkeypatch):
+        from disparity_audit import concepts
+
+        images, assignments, predictions = _fixture_dataset()
+        images.append(AnnotatedImage(image_id="a0", direct_labels=frozenset({"owl"})))
+        assignments.append(GroupAssignment("a0", group="B"))
+        calls = []
+        mapped = concepts.image_target_set
+
+        def spy(image, *args, **kwargs):
+            calls.append(image.image_id)
+            return mapped(image, *args, **kwargs)
+
+        monkeypatch.setattr(concepts, "image_target_set", spy)
+        targets = map_targets(images, assignments, ScoreMatrix.from_records(predictions))
+        assert sorted(calls) == ["a0", "a1", "a2", "a3", "a4", "a5"]
+        assert list(targets.ids) == ["a0", "a1", "a2", "a3", "a4", "a5"]
+        assert list(targets.groups) == ["B", "A", "A", "A", "A", "A"]
+        assert targets.concepts == ("c", "other") and targets.unscored == ("owl",)
+        assert targets.targets.tolist() == [
+            [False, False], [True, False], [True, False],
+            [False, True], [False, True], [False, True],
+        ]
+        assert targets.has_targets.all()
+        assert set(build_concept_tables(targets, ["c", "other"])["c"].pools) == {"A"}
+
     def test_pools_are_readonly(self):
         images, assignments, predictions = _fixture_dataset()
-        tables = build_concept_tables(images, assignments, predictions, ["c"])
+        tables = tables_of(images, assignments, predictions, ["c"])
         pool = tables["c"].pools["A"]
         with pytest.raises(ValueError):
             pool.scores[0] = 42.0
 
     def test_restrict_subsets_rows(self):
         images, assignments, predictions = _fixture_dataset()
-        tables = build_concept_tables(images, assignments, predictions, ["c"])
+        tables = tables_of(images, assignments, predictions, ["c"])
         sub = tables["c"].restrict({"A": np.array([0, 3, 4])})
         assert sub.pools["A"].n_pos == 1 and sub.pools["A"].n_neg == 2

@@ -1,6 +1,9 @@
 import copy
 import json
+import math
+import re
 
+import numpy as np
 import pytest
 
 from disparity_audit import (
@@ -10,6 +13,7 @@ from disparity_audit import (
     ExclusionReason,
     GroupAssignment,
     PredictionRecord,
+    ScoreMatrix,
     load_annotations,
     load_predictions,
     validate_dataset,
@@ -104,13 +108,56 @@ class TestLoadAnnotations:
         assert a == b
 
 
+def matrix(records):
+    """Score matrix of ``{image_id: scores}``."""
+    return ScoreMatrix.from_records(
+        PredictionRecord(image_id=i, scores=scores) for i, scores in records.items()
+    )
+
+
 class TestLoadPredictions:
     def test_accepts_known_image(self, tmp_path, annotations_path):
         images = load_annotations(annotations_path)
         path = tmp_path / "p.jsonl"
         write_jsonl(path, [{"image_id": "img1", "scores": {"dog": 0.3}}])
-        records = load_predictions(path, images)
-        assert records[0].scores == {"dog": 0.3}
+        loaded = load_predictions(path, images)
+        assert dict(loaded.rows) == {"img1": 0}
+        assert loaded.concepts == ("dog",)
+        assert loaded.scores.tolist() == [[0.3]]
+
+    def test_matrix_rows_in_file_order_columns_sorted_nan_where_missing(
+        self, tmp_path, annotations_path
+    ):
+        images = load_annotations(annotations_path)
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [
+            {"image_id": "img2", "scores": {"zebra": 1, "cat": 0.25}},
+            {"image_id": "img1", "scores": {"cat": -0.0, "ant": 2.5}},
+        ])
+        loaded = load_predictions(path, images)
+        assert list(loaded.rows) == ["img2", "img1"]
+        assert loaded.concepts == ("ant", "cat", "zebra")
+        assert loaded.scores.dtype == np.float64
+        cells = loaded.scores.tolist()
+        assert cells[0][1:] == [0.25, 1.0] and math.isnan(cells[0][0])
+        assert cells[1][:2] == [2.5, 0.0] and math.isnan(cells[1][2])
+        assert math.copysign(1.0, cells[1][1]) == -1.0
+        with pytest.raises(ValueError):
+            loaded.scores[0, 0] = 1.0
+
+    def test_matrix_spans_chunks(self):
+        """Records are moved into arrays in chunks; every cell lands once."""
+        rng = np.random.default_rng(0)
+        concepts = [f"c{j:03d}" for j in range(300)]
+        records = {
+            f"i{r:04d}": {c: float(v) for c, v in zip(concepts, rng.random(300)) if v < 0.9}
+            for r in range(400)
+        }
+        loaded = matrix(records)
+        for image_id, scores in records.items():
+            row = loaded.scores[loaded.rows[image_id]]
+            expected = [scores.get(c, math.nan) for c in loaded.concepts]
+            np.testing.assert_array_equal(row, expected)
 
     def test_nan_score_is_error(self, tmp_path, annotations_path):
         images = load_annotations(annotations_path)
@@ -118,6 +165,53 @@ class TestLoadPredictions:
         path.write_text('{"image_id": "img1", "scores": {"dog": NaN}}\n', encoding="utf-8")
         with pytest.raises(DataError, match="non-finite"):
             load_predictions(path, images)
+
+    @pytest.mark.parametrize("scores,message", [
+        ('{"cat": 0.1, "dog": "0.5"}', "score for 'dog' is not a number"),
+        ('{"cat": 0.1, "dog": true}', "score for 'dog' is not a number"),
+        ('{"cat": 0.1, "dog": null}', "score for 'dog' is not a number"),
+        ('{"cat": 0.1, "dog": NaN}', "non-finite score nan for 'dog'"),
+        ('{"cat": 0.1, "dog": -Infinity}', "non-finite score -inf for 'dog'"),
+        ('{"cat": 0.1, "dog": 1' + "0" * 400 + "}", "score for 'dog' is too large"),
+        ('{"cat": 0.1, "": 0.5}', "empty concept key"),
+    ])
+    def test_bad_score_names_file_line_and_concept(
+        self, tmp_path, annotations_path, scores, message
+    ):
+        images = load_annotations(annotations_path)
+        path = tmp_path / "p.jsonl"
+        path.write_text(
+            '{"image_id": "img1", "scores": {"cat": 0.5, "dog": 1}}\n\n'
+            f'{{"image_id": "img2", "scores": {scores}}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: {message}")):
+            load_predictions(path, images)
+
+    def test_duplicate_names_file_line(self, tmp_path, annotations_path):
+        images = load_annotations(annotations_path)
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [
+            {"image_id": "img1", "scores": {"a": 0.1}},
+            {"image_id": "img2", "scores": {"a": 0.1}},
+            {"image_id": "img1", "scores": {"b": 0.2}},
+        ])
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: duplicate prediction")):
+            load_predictions(path, images)
+
+    def test_unknown_image_names_file_and_lines(self, tmp_path, annotations_path):
+        images = load_annotations(annotations_path)
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [
+            {"image_id": "img1", "scores": {"a": 0.1}},
+            {"image_id": "ghost", "scores": {"a": 0.1}},
+        ])
+        with pytest.raises(DataError, match=re.escape(f"{path}: ") + ".*ghost \\(lines 2\\)"):
+            load_predictions(path, images)
+
+    def test_records_name_the_image(self):
+        with pytest.raises(DataError, match="image 'i2': score for 'dog' is not a number"):
+            matrix({"i1": {"dog": 0.5}, "i2": {"dog": False}})
 
     def test_unresolvable_image_lists_offenders(self, tmp_path, annotations_path):
         images = load_annotations(annotations_path)
@@ -139,12 +233,18 @@ class TestLoadPredictions:
         with pytest.raises(DataError, match="duplicate"):
             load_predictions(path, images)
 
+    def test_without_drops_rows_and_columns_only_they_scored(self):
+        loaded = matrix({"i1": {"a": 0.1, "b": 0.2}, "i2": {"a": 0.3}, "i3": {"c": 0.4}})
+        kept = loaded.without({"i1", "i3"})
+        assert dict(kept.rows) == {"i2": 0}
+        assert kept.concepts == ("a",)
+        assert kept.scores.tolist() == [[0.3]]
+
 
 class TestValidateDataset:
     def test_clean_dataset_empty_report(self):
         images = [AnnotatedImage(image_id="i1", direct_labels=frozenset({"cat"}))]
-        preds = [PredictionRecord(image_id="i1", scores={"cat": 0.9})]
-        report = validate_dataset(images, preds)
+        report = validate_dataset(images, matrix({"i1": {"cat": 0.9}}))
         assert report == {
             "images_without_labels": [],
             "unscored": {},
@@ -156,11 +256,7 @@ class TestValidateDataset:
             AnnotatedImage(image_id="empty"),
             AnnotatedImage(image_id="full", direct_labels=frozenset({"cat"})),
         ]
-        preds = [
-            PredictionRecord(image_id="empty", scores={"cat": 0.2}),
-            PredictionRecord(image_id="full", scores={"cat": 0.8}),
-        ]
-        report = validate_dataset(images, preds)
+        report = validate_dataset(images, matrix({"empty": {"cat": 0.2}, "full": {"cat": 0.8}}))
         assert report["images_without_labels"] == ["empty"]
 
     def test_coverage_gap_listed(self):
@@ -168,32 +264,29 @@ class TestValidateDataset:
             AnnotatedImage(image_id="i1", direct_labels=frozenset({"cat"})),
             AnnotatedImage(image_id="i2", direct_labels=frozenset({"cat"})),
         ]
-        preds = [
-            PredictionRecord(image_id="i1", scores={"cat": 0.9, "dog": 0.1}),
-            PredictionRecord(image_id="i2", scores={"cat": 0.8}),
-        ]
-        report = validate_dataset(images, preds)
+        report = validate_dataset(
+            images, matrix({"i1": {"cat": 0.9, "dog": 0.1}, "i2": {"cat": 0.8}})
+        )
         assert report["unscored"] == {"dog": ["i2"]}
         assert report["zero_positive_concepts"] == ["dog"]
 
     def test_image_without_prediction_missing_everywhere(self):
         images = [
             AnnotatedImage(image_id=i, direct_labels=frozenset({"cat"}))
-            for i in ("i1", "i2", "i3")
+            for i in ("i3", "i1", "i2")
         ]
-        preds = [
-            PredictionRecord(image_id="i1", scores={"cat": 0.9, "dog": 0.1}),
-            PredictionRecord(image_id="i3", scores={"cat": 0.4}),
-        ]
-        report = validate_dataset(images, preds)
+        report = validate_dataset(
+            images, matrix({"i3": {"cat": 0.4}, "i1": {"cat": 0.9, "dog": 0.1}})
+        )
         assert report["unscored"] == {"cat": ["i2"], "dog": ["i2", "i3"]}
 
     def test_pure_never_mutates(self):
         images = [AnnotatedImage(image_id="i1", direct_labels=frozenset({"cat"}))]
-        preds = [PredictionRecord(image_id="i1", scores={"cat": 0.9})]
-        before = (copy.deepcopy(images), copy.deepcopy(preds))
+        preds = matrix({"i1": {"cat": 0.9}})
+        before = (copy.deepcopy(images), preds.scores.copy(), dict(preds.rows))
         validate_dataset(images, preds)
-        assert (images, preds) == before
+        assert images == before[0]
+        assert np.array_equal(preds.scores, before[1]) and dict(preds.rows) == before[2]
 
 
 class TestTypes:

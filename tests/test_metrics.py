@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from disparity_audit import (
     select_threshold,
     split_validation_test,
 )
-from disparity_audit.metrics import hit_vector, top_k_concepts
+from disparity_audit.data import PredictionRecord, ScoreMatrix
+from disparity_audit.metrics import hit_vector, log as metrics_log
 
 
 # Independent oracles, kept deliberately naive.
@@ -337,6 +339,53 @@ class TestSplit:
             split_validation_test([1, 0], 1.0, seed=0)
 
 
+def top_k_oracle(scores, k):
+    """The per-dict rule the matrix top-k replaced: sort every score, ties by
+    concept id, and keep the first k."""
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [concept for concept, _ in ranked[:k]]
+
+
+def hit_oracle(score_maps, target_sets, k):
+    """Hit values in image-id order, and the (empty targets, no scores,
+    fewer than k scores) image counts, by the per-dict rule."""
+    hits, skipped_empty, skipped_unscored, short_of_k = [], 0, 0, 0
+    for image_id in sorted(target_sets):
+        targets = target_sets[image_id]
+        scores = score_maps.get(image_id)
+        if not targets:
+            skipped_empty += 1
+        elif not scores:
+            skipped_unscored += 1
+        else:
+            short_of_k += len(scores) < k
+            hits.append(1.0 if set(top_k_oracle(scores, k)) & set(targets) else 0.0)
+    return hits, (skipped_empty, skipped_unscored, short_of_k)
+
+
+WARNINGS = ("empty target sets", "without scores", "fewer than k")
+
+
+def matrix_hits(score_maps, target_sets, k):
+    """``hit_vector`` on the matrix form of per-image score dicts, with rows
+    in image-id order; returns the hits and the three warning counts."""
+    matrix = ScoreMatrix.from_records(
+        PredictionRecord(image_id=i, scores=s) for i, s in score_maps.items()
+    )
+    ids = sorted(target_sets)
+    targets = np.array(
+        [[c in target_sets[i] for c in matrix.concepts] for i in ids], dtype=bool
+    ).reshape(len(ids), len(matrix.concepts))
+    has_targets = np.array([bool(target_sets[i]) for i in ids], dtype=bool)
+    with mock.patch.object(metrics_log, "warning") as warn:
+        hits = hit_vector(matrix.take(ids), targets, has_targets, k)
+    logged = {args[0]: args[1] for args, _ in warn.call_args_list}
+    counts = tuple(
+        next((n for msg, n in logged.items() if key in msg), 0) for key in WARNINGS
+    )
+    return hits.tolist(), counts
+
+
 class TestHitRate:
     SCORES = {
         "i1": {"shower": 0.9, "floor": 0.5, "wall": 0.4, "sink": 0.3, "door": 0.2, "cat": 0.1},
@@ -344,25 +393,66 @@ class TestHitRate:
     }
 
     def test_direct_hit(self):
-        rate = hit_vector({"i1": self.SCORES["i1"]}, {"i1": {"shower"}}, k=5)[1].mean()
-        assert rate == 1.0
+        hits, _ = matrix_hits({"i1": self.SCORES["i1"]}, {"i1": {"shower"}}, k=5)
+        assert hits == [1.0]
 
     def test_any_mapped_class_counts(self):
         targets = {"i2": {"shower_room", "shower", "bathtub"}}
         scores = {"i2": {"bathtub": 0.9, "a": 0.8, "b": 0.7, "c": 0.6, "d": 0.5, "e": 0.4}}
-        assert hit_vector(scores, targets, k=5)[1].mean() == 1.0
+        assert matrix_hits(scores, targets, k=5)[0] == [1.0]
 
     def test_mean_over_images(self):
         targets = {"i1": {"shower"}, "i2": {"shower"}}
-        assert hit_vector(self.SCORES, targets, k=5)[1].mean() == 0.5
+        assert np.mean(matrix_hits(self.SCORES, targets, k=5)[0]) == 0.5
 
-    def test_empty_target_excluded(self, caplog):
+    def test_empty_target_excluded(self):
         targets = {"i1": {"shower"}, "i2": set()}
-        with caplog.at_level("WARNING"):
-            rate = hit_vector(self.SCORES, targets, k=5)[1].mean()
-        assert rate == 1.0
-        assert "empty target" in caplog.text
+        hits, counts = matrix_hits(self.SCORES, targets, k=5)
+        assert hits == [1.0]
+        assert counts == (1, 0, 0)
 
     def test_top_k_tie_break_deterministic(self):
-        scores = {"b": 0.5, "a": 0.5, "c": 0.4}
-        assert top_k_concepts(scores, 2) == ["a", "b"]
+        # "a" and "b" tie above "c": k=2 keeps them by concept id, so "c" misses
+        scores = {"i1": {"b": 0.5, "a": 0.5, "c": 0.4}}
+        assert matrix_hits(scores, {"i1": {"c"}}, k=2)[0] == [0.0]
+        assert matrix_hits(scores, {"i1": {"b"}}, k=1)[0] == [0.0]
+        assert matrix_hits(scores, {"i1": {"a"}}, k=1)[0] == [1.0]
+
+    def test_unscored_cell_never_hits(self):
+        # i2 has one score, so its top 2 reaches into an unscored column
+        scores = {"i1": {"a": 0.1, "b": 0.2}, "i2": {"b": 0.3}}
+        hits, counts = matrix_hits(scores, {"i1": {"x"}, "i2": {"a"}}, k=2)
+        assert hits == [0.0, 0.0]
+        assert counts == (0, 0, 1)
+
+    def test_bad_k(self):
+        with pytest.raises(DataError, match="k must be"):
+            hit_vector(np.zeros((1, 1)), np.ones((1, 1), bool), np.ones(1, bool), 0)
+
+    CONCEPTS = ("a", "b", "c", "d", "e")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        images=st.dictionaries(
+            st.sampled_from(["i0", "i1", "i2", "i3", "i4", "i5"]),
+            st.tuples(
+                st.none() | st.dictionaries(
+                    st.sampled_from(CONCEPTS),
+                    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0])
+                    | st.floats(-2, 2, allow_nan=False),
+                    max_size=5,
+                ),
+                st.sets(st.sampled_from(CONCEPTS + ("unscored",)), max_size=3),
+            ),
+            max_size=6,
+        ),
+        k=st.integers(1, 6),
+    )
+    def test_matches_per_dict_rule(self, images, k):
+        """Tied scores, 0.0 against -0.0, fewer than k scores, no scores and
+        empty target sets all give the hits and warnings of the old rule."""
+        score_maps = {i: s for i, (s, _) in images.items() if s is not None}
+        target_sets = {i: t for i, (_, t) in images.items()}
+        assert matrix_hits(score_maps, target_sets, k) == hit_oracle(
+            score_maps, target_sets, k
+        )

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from disparity_audit import DataError
-from disparity_audit.concepts import build_concept_tables
+from disparity_audit.concepts import build_concept_tables, map_targets
+from disparity_audit.data import ScoreMatrix
 from disparity_audit.config import resolve_config_dict
 from disparity_audit.pipeline import (
     assign_groups,
@@ -27,9 +28,13 @@ def two_group_tables(seed=0, n=300, prev_a=0.3, prev_b=0.3):
         "B": CellSpec(prevalence=prev_b, mu_pos=1, sigma_pos=1, mu_neg=0, sigma_neg=1, n=n),
     }
     spec = ScenarioSpec(concepts={"c1": cells, "c2": cells}, seed=seed)
+    return synth_tables(spec, ["c1", "c2"])
+
+
+def synth_tables(spec, concepts):
     images, assignments, predictions = generate(spec)
-    tables = build_concept_tables(images, assignments, predictions, ["c1", "c2"])
-    return images, assignments, predictions, tables
+    targets = map_targets(images, assignments, ScoreMatrix.from_records(predictions))
+    return build_concept_tables(targets, concepts)
 
 
 def cfg_for(tmp_path, mode="reliable", metrics=("ap", "tpr", "fpr"), ratio=(1, 4),
@@ -63,7 +68,7 @@ def cfg_for(tmp_path, mode="reliable", metrics=("ap", "tpr", "fpr"), ratio=(1, 4
 
 class TestEvaluateTables:
     def test_shapes_and_sign_convention(self, tmp_path):
-        _, _, _, tables = two_group_tables()
+        tables = two_group_tables()
         cfg = cfg_for(tmp_path)
         estimates, diag = evaluate_tables(tables, ["c1", "c2"], ["A", "B"], cfg)
         keys = {(e.metric, e.concept) for e in estimates}
@@ -74,7 +79,7 @@ class TestEvaluateTables:
         assert diag["concepts_evaluated"] == ["c1", "c2"]
 
     def test_ratio_mode_equalizes_sample_sizes(self, tmp_path):
-        _, _, _, tables = two_group_tables(prev_a=0.5, prev_b=0.2)
+        tables = two_group_tables(prev_a=0.5, prev_b=0.2)
         cfg = cfg_for(tmp_path, mode="reliable", metrics=("ap",))
         estimates, _ = evaluate_tables(tables, ["c1"], ["A", "B"], cfg)
         per = [e for e in estimates if e.concept == "c1"][0]
@@ -84,21 +89,21 @@ class TestEvaluateTables:
         assert n == 4 * p
 
     def test_thresholds_fixed_from_validation(self, tmp_path):
-        _, _, _, tables = two_group_tables()
+        tables = two_group_tables()
         cfg = cfg_for(tmp_path, metrics=("tpr", "fpr"))
         _, diag = evaluate_tables(tables, ["c1"], ["A", "B"], cfg)
         thresholds = diag["thresholds"]["c1"]
         assert thresholds["A"] == thresholds["B"]  # pooled scope
 
     def test_per_group_scope_thresholds_differ_in_general(self, tmp_path):
-        _, _, _, tables = two_group_tables(prev_a=0.5, prev_b=0.1)
+        tables = two_group_tables(prev_a=0.5, prev_b=0.1)
         cfg = cfg_for(tmp_path, metrics=("tpr",), scope="per_group")
         _, diag = evaluate_tables(tables, ["c1"], ["A", "B"], cfg)
         thresholds = diag["thresholds"]["c1"]
         assert set(thresholds) == {"A", "B"}
 
     def test_infeasible_budget_skipped_with_reason(self, tmp_path):
-        _, _, _, tables = two_group_tables(n=30, prev_a=0.9, prev_b=0.9)
+        tables = two_group_tables(n=30, prev_a=0.9, prev_b=0.9)
         # 27 positives, 3 negatives: ratio 1:4 infeasible
         cfg = cfg_for(tmp_path, mode="reliable", metrics=("ap",))
         estimates, diag = evaluate_tables(tables, ["c1", "c2"], ["A", "B"], cfg)
@@ -116,8 +121,7 @@ class TestMultiGroup:
             for i, g in enumerate(groups)
         }
         spec = ScenarioSpec(concepts={"c1": cells}, seed=2)
-        images, assignments, predictions = generate(spec)
-        tables = build_concept_tables(images, assignments, predictions, ["c1"])
+        tables = synth_tables(spec, ["c1"])
         cfg = cfg_for(tmp_path, metrics=("ap",), ratio=(1, 2))
         estimates, _ = evaluate_tables(tables, ["c1"], list(groups), cfg)
         per = [e for e in estimates if e.concept == "c1"]
@@ -138,7 +142,7 @@ class TestMultiGroup:
 
 class TestResultsCsv:
     def test_round_trip(self, tmp_path):
-        _, _, _, tables = two_group_tables()
+        tables = two_group_tables()
         cfg = cfg_for(tmp_path, metrics=("ap",))
         estimates, _ = evaluate_tables(tables, ["c1"], ["A", "B"], cfg)
         path = tmp_path / "results.csv"
@@ -315,9 +319,9 @@ class TestRunPipeline:
 
         built = []
 
-        def spy(images, assignments, predictions, concepts, **kwargs):
+        def spy(targets, concepts):
             built.append(list(concepts))
-            return build_concept_tables(images, assignments, predictions, concepts, **kwargs)
+            return build_concept_tables(targets, concepts)
 
         monkeypatch.setattr(pipeline, "build_concept_tables", spy)
         result = run_pipeline(load_config(synth_workspace(tmp_path, rare=True)))
@@ -332,11 +336,12 @@ class TestRunPipeline:
         cfg = load_config(synth_workspace(tmp_path, rare=True))
         loaded = load_dataset(cfg)
         assignments = assign_groups(loaded.images, cfg)
-        candidates, unscored, counts, retained = plan_concepts(
-            loaded.images, assignments, loaded.predictions, ["A", "B"], cfg
+        plan = plan_concepts(loaded.images, assignments, loaded.predictions, ["A", "B"], cfg)
+        candidates, counts = plan.candidates, plan.counts
+        assert (candidates, plan.unscored_targets, plan.retained) == (
+            ["c1", "c2", "c3"], [], ["c1", "c2"]
         )
-        assert (candidates, unscored, retained) == (["c1", "c2", "c3"], [], ["c1", "c2"])
-        tables = build_concept_tables(loaded.images, assignments, loaded.predictions, candidates)
+        tables = build_concept_tables(plan.targets, candidates)
         for c in candidates:
             for g in ("A", "B"):
                 assert counts[c][g] == (tables[c].n_pos(g), tables[c].n_neg(g))
@@ -381,7 +386,9 @@ class TestPlanConcepts:
             GroupAssignment(image_id=i, reason=ExclusionReason.NO_GROUP_EVIDENCE)
             for i, g, _, _ in rows
         ]
-        predictions = [PredictionRecord(image_id=i, scores=s) for i, _, _, s in rows]
+        predictions = ScoreMatrix.from_records(
+            PredictionRecord(image_id=i, scores=s) for i, _, _, s in rows
+        )
         return images, assignments, predictions
 
     def cfg(self, tmp_path):
@@ -390,28 +397,22 @@ class TestPlanConcepts:
         return dataclasses.replace(cfg_for(tmp_path), min_per_group=1)
 
     def test_counts_skip_excluded_images_and_unscored_rows(self, tmp_path):
-        candidates, _, counts, retained = plan_concepts(
-            *self.records(), ["A", "B"], self.cfg(tmp_path)
-        )
-        assert candidates == ["cat", "dog"]
-        assert counts == {
+        plan = plan_concepts(*self.records(), ["A", "B"], self.cfg(tmp_path))
+        assert plan.candidates == ["cat", "dog"]
+        assert plan.counts == {
             "cat": {"A": (1, 1), "B": (1, 1)},
             "dog": {"A": (1, 2), "B": (0, 1)},
         }
-        assert retained == ["cat"]
+        assert plan.retained == ["cat"]
 
     def test_unscored_target_dropped_with_warning(self, tmp_path, caplog):
         with caplog.at_level("WARNING", logger="disparity_audit.pipeline"):
-            candidates, unscored, counts, _ = plan_concepts(
-                *self.records(), ["A", "B"], self.cfg(tmp_path)
-            )
-        assert unscored == ["owl"]
-        assert "owl" not in candidates and "owl" not in counts
+            plan = plan_concepts(*self.records(), ["A", "B"], self.cfg(tmp_path))
+        assert plan.unscored_targets == ["owl"]
+        assert "owl" not in plan.candidates and "owl" not in plan.counts
         assert "have no scores" in caplog.text and "owl" in caplog.text
 
     def test_group_without_images_blocks_retention(self, tmp_path):
-        _, _, counts, retained = plan_concepts(
-            *self.records(), ["A", "B", "C"], self.cfg(tmp_path)
-        )
-        assert counts["cat"]["C"] == counts["dog"]["C"] == (0, 0)
-        assert retained == []
+        plan = plan_concepts(*self.records(), ["A", "B", "C"], self.cfg(tmp_path))
+        assert plan.counts["cat"]["C"] == plan.counts["dog"]["C"] == (0, 0)
+        assert plan.retained == []
