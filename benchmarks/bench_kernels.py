@@ -18,6 +18,9 @@ validation rows of three groups.
 * wide: 200 concepts scored on 3 x 1,500 images, written by ``synth`` as a
   predictions file; times ``load_predictions`` on that file and
   ``hit_vector`` (k 5) on the loaded matrix.
+* deep: 3 concepts labelled on 3 x 10,000 images, written by ``synth`` as
+  an annotations file (30,000 lines of id, labels and metadata); times
+  ``load_annotations`` on that file.
 """
 
 import json
@@ -26,7 +29,7 @@ import numpy as np
 import pytest
 
 from disparity_audit.concepts import GroupPool
-from disparity_audit.data import load_predictions
+from disparity_audit.data import load_annotations, load_predictions
 from disparity_audit.metrics import (
     auc_roc,
     average_precision,
@@ -153,3 +156,25 @@ def test_hit_vector(benchmark, wide):
     scores = load_predictions(path, images).scores
     hits = benchmark(hit_vector, scores, targets, targets.any(axis=1), 5)
     assert 0 < hits.size <= len(images)
+
+
+@pytest.fixture(scope="module")
+def deep_annotations(tmp_path_factory):
+    """The deep shape: an annotations file of 30,000 lines."""
+    cells = {
+        g: CellSpec(prevalence=p, mu_pos=1.0, sigma_pos=1.0, mu_neg=0.0, sigma_neg=1.0, n=10000)
+        for g, p in (("alpha", 0.3), ("beta", 0.1), ("gamma", 0.05))
+    }
+    images, _, _ = generate(ScenarioSpec(concepts={f"d{i}": cells for i in range(3)}, seed=0))
+    path = tmp_path_factory.mktemp("deep") / "annotations.jsonl"
+    with path.open("w", encoding="utf-8") as f:
+        for img in images:
+            f.write(json.dumps({"image_id": img.image_id, "labels": sorted(img.direct_labels),
+                                "metadata": dict(img.metadata)}) + "\n")
+    return path
+
+
+def test_load_annotations(benchmark, deep_annotations):
+    benchmark.group = "ingest-deep"
+    images = benchmark(load_annotations, deep_annotations)
+    assert len(images) == 30000

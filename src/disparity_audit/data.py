@@ -13,11 +13,17 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError
+
+try:
+    import orjson
+except ImportError:  # the optional ``fast`` extra: stdlib json decodes every line
+    orjson = None
+
 
 @dataclass(frozen=True)
 class BoxAnnotation:
@@ -309,38 +315,104 @@ def _opt_int(obj: dict, key: str, ctx: str) -> int | None:
     return v
 
 
-def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
-    with path.open(encoding="utf-8") as f:
+def _opt_list(obj: dict, key: str, ctx: str) -> list:
+    v = obj.get(key)
+    if v is None:
+        return []
+    if not isinstance(v, list):
+        raise DataError(f"{ctx}: {key!r} must be an array, got {type(v).__name__}")
+    return v
+
+
+def _decode(line: str, exact: Callable[[dict], bool] | None) -> object:
+    """The JSON value of one line.
+
+    orjson decodes it when it imports. Whatever orjson rejects is decoded
+    again by stdlib ``json``, which also accepts ``NaN``, ``Infinity``,
+    ``1e400``, integers wider than 64 bits and lone-surrogate escapes, so
+    such a line meets the same checks downstream with or without orjson.
+    ``exact(obj)`` is False for an object that orjson may have decoded
+    otherwise than stdlib; it is decoded again by stdlib too. The one
+    difference left: orjson decodes a valid line nested deeper than stdlib's
+    recursion limit, which stdlib rejects.
+    """
+    if orjson is not None:
+        try:
+            obj = orjson.loads(line)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if exact is None or not isinstance(obj, dict) or exact(obj):
+                return obj
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as e:
+            # Undecodable bytes arrive as surrogates (see _iter_jsonl).
+            byte = ord(line[e.start]) - 0xDC00
+            raise DataError(f"invalid UTF-8 (byte 0x{byte:02x})") from None
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as e:
+        raise DataError(f"malformed JSON ({e.msg})") from e
+    except RecursionError:
+        raise DataError("malformed JSON (nested too deeply)") from None
+
+
+def _iter_jsonl(
+    path: Path, exact: Callable[[dict], bool] | None = None
+) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line of a JSON Lines
+    file; lines end at ``\\n``, ``\\r\\n`` or ``\\r``. See ``_decode``
+    for ``exact``."""
+    # surrogateescape defers a bad byte to the line that holds it, so the
+    # error names that line, after every earlier line is checked.
+    with path.open(encoding="utf-8", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{line_no}: malformed JSON ({e.msg})") from e
+                obj = _decode(line, exact)
+            except DataError as e:
+                raise DataError(f"{path}:{line_no}: {e}") from e.__cause__
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{line_no}: expected a JSON object")
             yield line_no, obj
 
 
+def _ints_exact(obj: dict) -> bool:
+    """False when an annotation's integer field decoded as a float: orjson
+    turns an integer outside [-2**63, 2**64) into a float, where stdlib
+    keeps the int that the field's checks read."""
+    if type(obj.get("width")) is float or type(obj.get("height")) is float:
+        return False
+    boxes = obj.get("boxes")
+    if type(boxes) is list:
+        for b in boxes:
+            if type(b) is dict and any(type(b.get(k)) is float for k in "xywh"):
+                return False
+    return True
+
+
 def _parse_image(obj: dict, ctx: str) -> AnnotatedImage:
     image_id = _req_str(obj, "image_id", ctx)
     boxes = []
-    for i, b in enumerate(obj.get("boxes") or []):
+    for i, b in enumerate(_opt_list(obj, "boxes", ctx)):
         if not isinstance(b, dict):
             raise DataError(f"{ctx}: box #{i} is not an object")
+        raw_label = _req_str(b, "label", f"{ctx} box #{i}")
         try:
             boxes.append(
                 BoxAnnotation(
-                    raw_label=_req_str(b, "label", f"{ctx} box #{i}"),
+                    raw_label=raw_label,
                     x=b.get("x", 0), y=b.get("y", 0), w=b.get("w"), h=b.get("h"),
                 )
             )
         except DataError as e:
             raise DataError(f"{ctx}: {e}") from e
-    captions = obj.get("captions") or []
-    labels = obj.get("labels") or []
+    captions = _opt_list(obj, "captions", ctx)
+    labels = _opt_list(obj, "labels", ctx)
     metadata = obj.get("metadata") or {}
     if not all(isinstance(c, str) for c in captions):
         raise DataError(f"{ctx}: captions must be strings")
@@ -350,11 +422,12 @@ def _parse_image(obj: dict, ctx: str) -> AnnotatedImage:
         isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
     ):
         raise DataError(f"{ctx}: metadata must map strings to strings")
+    width, height = _opt_int(obj, "width", ctx), _opt_int(obj, "height", ctx)
     try:
         return AnnotatedImage(
             image_id=image_id,
-            width=_opt_int(obj, "width", ctx),
-            height=_opt_int(obj, "height", ctx),
+            width=width,
+            height=height,
             boxes=tuple(boxes),
             captions=tuple(captions),
             direct_labels=frozenset(labels),
@@ -383,7 +456,7 @@ def load_annotations(path: str | Path) -> list[AnnotatedImage]:
         raise DataError(f"annotations file not found: {path}")
     by_id: dict[str, AnnotatedImage] = {}
     order: list[str] = []
-    for line_no, obj in _iter_jsonl(path):
+    for line_no, obj in _iter_jsonl(path, _ints_exact):
         img = _parse_image(obj, f"{path}:{line_no}")
         prev = by_id.get(img.image_id)
         if prev is None:

@@ -329,6 +329,22 @@ class TestExitCodes:
         assert "data error" in err and "Traceback" not in err
         assert f"{pred_path}:2: score for 'c2' is too large" in err
 
+    @pytest.mark.parametrize("name,line,message", [
+        ("annotations", b'{"image_id": "caf\xe9"}', "invalid UTF-8 (byte 0xe9)"),
+        ("predictions", b'{"image_id": "x", "scores": ' + b"[" * 5000,
+         "malformed JSON (nested too deeply)"),
+    ])
+    def test_undecodable_line_is_3(self, workspace, capsys, name, line, message):
+        tmp_path, cfg_path = workspace
+        path = tmp_path / "data" / f"{name}.jsonl"
+        lines = path.read_bytes().splitlines()
+        lines[2] = line
+        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert f"{path}:3: {message}" in err
+
 
 def test_concept_scored_only_on_excluded_image(tmp_path, monkeypatch):
     """Target ``z`` of an assigned image is scored only on an image excluded

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import json
 import math
@@ -5,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from disparity_audit import (
     AnnotatedImage,
@@ -14,10 +17,21 @@ from disparity_audit import (
     GroupAssignment,
     PredictionRecord,
     ScoreMatrix,
+    data,
     load_annotations,
     load_predictions,
     validate_dataset,
 )
+
+
+@contextlib.contextmanager
+def stdlib_decoder():
+    """Decode every line with stdlib ``json``, as without orjson installed."""
+    saved, data.orjson = data.orjson, None
+    try:
+        yield
+    finally:
+        data.orjson = saved
 
 
 def write_jsonl(path, records):
@@ -93,6 +107,36 @@ class TestLoadAnnotations:
         ])
         with pytest.raises(DataError, match="width/height"):
             load_annotations(path)
+
+    @pytest.mark.parametrize("key,value,kind", [
+        ("labels", '"cat"', "str"),
+        ("labels", '{"cat": 1}', "dict"),
+        ("labels", "5", "int"),
+        ("captions", '"a man"', "str"),
+        ("boxes", '{"label": "x", "x": 0, "y": 0, "w": 1, "h": 1}', "dict"),
+    ])
+    def test_non_array_field_names_file_line_and_field(self, tmp_path, key, value, kind):
+        path = tmp_path / "a.jsonl"
+        path.write_text(
+            f'{{"image_id": "ok", "{key}": null}}\n{{"image_id": "bad", "{key}": {value}}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            DataError, match=re.escape(f"{path}:2: {key!r} must be an array, got {kind}")
+        ):
+            load_annotations(path)
+
+    @pytest.mark.parametrize("record,message", [
+        ({"image_id": "a", "width": 1.5}, ":1: 'width' must be an integer, got 1.5"),
+        ({"image_id": "a", "width": 9, "height": 9, "boxes": [{"x": 0, "w": 1, "h": 1}]},
+         ":1 box #0: missing or invalid 'label'"),
+    ])
+    def test_field_error_names_file_line_once(self, tmp_path, record, message):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [record])
+        with pytest.raises(DataError) as err:
+            load_annotations(path)
+        assert str(err.value) == f"{path}{message}"
 
     def test_order_independent_set_equality(self, tmp_path):
         records = [
@@ -306,3 +350,199 @@ class TestTypes:
             GroupAssignment("i")
         assert GroupAssignment("i", group="man").assigned
         assert not GroupAssignment("i", reason=ExclusionReason.NO_GROUP_EVIDENCE).assigned
+
+
+class TestDecoding:
+    """Both loaders read lines through one decoder: orjson when it imports,
+    stdlib ``json`` for every line orjson rejects (and for all lines
+    without orjson)."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_line_numbers_count_every_newline_style(self, tmp_path, newline):
+        path = tmp_path / "a.jsonl"
+        lines = ['{"image_id": "a"}', "", '{"image_id": "b"}', "{bad"]
+        path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+        with pytest.raises(DataError, match=re.escape(f"{path}:4: malformed JSON")):
+            load_annotations(path)
+        path.write_bytes(newline.join(lines[:3]).encode("utf-8"))
+        assert [img.image_id for img in load_annotations(path)] == ["a", "b"]
+
+    def test_invalid_utf8_names_file_line(self, tmp_path, annotations_path):
+        images = load_annotations(annotations_path)
+        ann = tmp_path / "a.jsonl"
+        ann.write_bytes(b'{"image_id": "a"}\r\n{"image_id": "b\xff"}\r\n')
+        with pytest.raises(DataError, match=re.escape(f"{ann}:2: invalid UTF-8 (byte 0xff)")):
+            load_annotations(ann)
+        pred = tmp_path / "p.jsonl"
+        pred.write_bytes(
+            b'{"image_id": "img1", "scores": {"a": 0.1}}\n'
+            b'{"image_id": "img2", "scores": {"caf\xc3": 0.1}}\n'
+        )
+        with pytest.raises(DataError, match=re.escape(f"{pred}:2: invalid UTF-8 (byte 0xc3)")):
+            load_predictions(pred, images)
+
+    def test_earlier_bad_line_is_reported_before_invalid_utf8(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(b'{"labels": ["x"]}\n{"image_id": "\xed\xa0\x80"}\n')
+        with pytest.raises(DataError, match=re.escape(f"{path}:1: missing or invalid")):
+            load_annotations(path)
+
+    def test_too_deep_for_stdlib_is_data_error(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        deep = "[" * 5000 + "]" * 5000
+        path.write_text('{"image_id": "a"}\n{"image_id": "b", "extra": ' + deep + "}\n")
+        with stdlib_decoder(), pytest.raises(
+            DataError, match=re.escape(f"{path}:2: malformed JSON (nested too deeply)")
+        ):
+            load_annotations(path)
+        path.write_text('{"image_id": "a"}\n{"image_id": "b", "extra": ' + "[" * 5000 + "}\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: malformed JSON")):
+            load_annotations(path)
+
+    def test_deep_valid_line_loads_with_orjson(self, tmp_path):
+        """The one difference between the decoders: orjson has no nesting
+        limit, so a valid line too deep for stdlib loads."""
+        pytest.importorskip("orjson")
+        path = tmp_path / "a.jsonl"
+        path.write_text('{"image_id": "b", "extra": ' + "[" * 5000 + "]" * 5000 + "}\n")
+        assert [img.image_id for img in load_annotations(path)] == ["b"]
+
+    def test_integer_fields_beyond_64_bits_stay_integers(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        big = 2**64
+        path.write_text(json.dumps({
+            "image_id": "a", "width": big + 1, "height": 2**70,
+            "boxes": [{"label": "x", "x": 0, "y": 0, "w": big, "h": 2**65}],
+        }) + "\n")
+        (img,) = load_annotations(path)
+        assert (img.width, img.height) == (big + 1, 2**70)
+        assert (img.boxes[0].w, img.boxes[0].h) == (big, 2**65)
+        assert type(img.width) is int and type(img.boxes[0].w) is int
+        path.write_text(json.dumps({
+            "image_id": "a", "width": 10, "height": 10,
+            "boxes": [{"label": "x", "x": -(2**63) - 1, "w": 1, "h": 1}],
+        }) + "\n")
+        with pytest.raises(DataError, match=re.escape("got (-9223372036854775809, 0)")):
+            load_annotations(path)
+
+
+# Number literals at the edges where the decoders could part: the 64-bit
+# integer limits, doubles that overflow or underflow, halfway cases, and the
+# non-standard literals that only stdlib accepts.
+EDGE_NUMBERS = [
+    "0", "-0", "-0.0", "0.0", "1", "7", "64", "2.5", "1e5", "1E-5",
+    str(2**63 - 1), str(2**63), str(2**64 - 1), str(2**64), str(2**64 + 1),
+    str(-(2**63)), str(-(2**63) - 1), str(-(2**64)), "1" + "0" * 25, "1" + "0" * 400,
+    str(int(1.7976931348623157e308)), str(2**1024 - 2**970), str(2**1024 - 2**970 - 1),
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400",
+    "5e-324", "-5e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+    "2.2250738585072011e-308", "1.7976931348623157e308", "1.7976931348623159e308",
+    "9007199254740993", "9007199254740993.0",
+    "1.00000000000000011102230246251565404236316680908203125",
+]
+numbers = st.one_of(
+    st.sampled_from(EDGE_NUMBERS),
+    st.integers(min_value=-(2**80), max_value=2**80).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308).map(repr),
+)
+strings = st.one_of(
+    st.sampled_from(['"i0"', '"x"', '"cat"', '""', '"\\ud800"', '"a\\udfff"',
+                     '"\\ud83d\\ude00"', '"café"', '"ключ"']),
+    st.text(max_size=4).map(json.dumps),
+    st.text(max_size=4).map(lambda t: json.dumps(t, ensure_ascii=False)),
+)
+scalars = st.one_of(numbers, strings, st.sampled_from(["true", "false", "null"]))
+
+
+def object_text(members):
+    return "{" + ", ".join(f"{k}: {v}" for k, v in members) + "}"
+
+
+def arrays(item, max_size=3):
+    return st.lists(item, max_size=max_size).map(lambda xs: "[" + ", ".join(xs) + "]")
+
+
+values = st.one_of(scalars, arrays(scalars, 2), arrays(arrays(scalars, 2), 2),
+                   st.lists(st.tuples(strings, scalars), max_size=2).map(object_text))
+
+
+@st.composite
+def json_object(draw, fields):
+    """An object text with ``fields`` (key: (usual value, unusual value)) in
+    random order. Most draws keep every field usual, so most lines get far
+    enough to reach the checks of later fields and the score matrix; some
+    give one field an unusual value or drop it, add an extra key (non-ASCII
+    and lone surrogates among them), or give a key twice."""
+    keys = list(fields)
+    odd, absent = (draw(st.sampled_from([None] * 4 + keys)) for _ in range(2))
+    members = [(k, draw(fields[k][k == odd])) for k in keys if k != absent]
+    if draw(st.sampled_from([False, False, False, True])):
+        members.append((draw(strings), draw(values)))
+    if members and draw(st.sampled_from([False, False, False, True])):
+        key = draw(st.sampled_from([k for k, _ in members]))
+        members.append((key, draw(st.one_of(fields.get(key, (values,))))))
+    return object_text(draw(st.permutations(members)))
+
+
+offset = (st.sampled_from(["0", "5", "10"]), numbers)
+extent = (st.sampled_from(["1", "5", "64"]), numbers)
+label = (st.sampled_from(['"cat"', '"dog"', '"man"']), strings)
+box = json_object({'"label"': label, '"x"': offset, '"y"': offset, '"w"': extent, '"h"': extent})
+annotation_line = json_object({
+    '"image_id"': (st.sampled_from(['"i0"', '"i1"', '"i2"']), values),
+    '"width"': (st.sampled_from(["100", str(2**64)]), numbers),
+    '"height"': (st.sampled_from(["100", str(2**64)]), numbers),
+    '"boxes"': (arrays(box, 2), values),
+    '"captions"': (arrays(strings), values),
+    '"labels"': (arrays(st.one_of(*label)), values),
+    '"metadata"': (st.lists(st.tuples(strings, strings), max_size=2).map(object_text), values),
+})
+concept = st.one_of(st.sampled_from(['"cat"', '"dog"', '"é"']), strings)
+prediction_line = json_object({
+    '"image_id"': (st.sampled_from(['"i0"', '"i1"', '"i2"', '"i3"']), values),
+    '"scores"': (
+        st.lists(st.tuples(concept, numbers), max_size=4).map(object_text),
+        st.one_of(st.lists(st.tuples(concept, scalars), max_size=4).map(object_text), values),
+    ),
+})
+
+
+def jsonl(line):
+    """Lines of a file; the first sometimes starts with a BOM."""
+    return st.tuples(st.sampled_from([""] * 7 + ["\ufeff"]),
+                     st.lists(line, min_size=1, max_size=3)).map(
+        lambda t: t[0] + "\n".join(t[1]) + "\n"
+    )
+
+
+def outcome(load):
+    try:
+        return load()
+    except DataError as e:
+        return f"DataError: {e}"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(annotations=jsonl(annotation_line), predictions=jsonl(prediction_line))
+def test_orjson_and_stdlib_decode_alike(tmp_path, annotations, predictions):
+    """Generated annotation and prediction files load to equal records and
+    bit-equal score cells, or fail with the same error, on both decoders."""
+    pytest.importorskip("orjson")
+    ann, pred = tmp_path / "a.jsonl", tmp_path / "p.jsonl"
+    ann.write_text(annotations, encoding="utf-8")
+    pred.write_text(predictions, encoding="utf-8")
+    images = [AnnotatedImage(image_id=f"i{k}") for k in range(4)]
+
+    def load_scores():
+        matrix = load_predictions(pred, images)
+        cells = [[x.hex() for x in row] for row in matrix.scores.tolist()]
+        return dict(matrix.rows), matrix.concepts, cells
+
+    def load():
+        return outcome(lambda: load_annotations(ann)), outcome(load_scores)
+
+    fast = load()
+    with stdlib_decoder():
+        assert load() == fast
