@@ -19,8 +19,10 @@ validation rows of three groups.
   predictions file; times ``load_predictions`` on that file and
   ``hit_vector`` (k 5) on the loaded matrix.
 * deep: 3 concepts labelled on 3 x 10,000 images, written by ``synth`` as
-  an annotations file (30,000 lines of id, labels and metadata); times
-  ``load_annotations`` on that file.
+  an annotations file (30,000 lines of id, labels and metadata, 8 distinct
+  label sets); times ``load_annotations`` on that file, then
+  ``assign_groups`` (metadata method) and ``map_targets`` on the loaded
+  images.
 """
 
 import json
@@ -28,8 +30,9 @@ import json
 import numpy as np
 import pytest
 
-from disparity_audit.concepts import GroupPool
-from disparity_audit.data import load_annotations, load_predictions
+from disparity_audit.concepts import GroupPool, map_targets
+from disparity_audit.config import load_config
+from disparity_audit.data import ScoreMatrix, load_annotations, load_predictions
 from disparity_audit.metrics import (
     auc_roc,
     average_precision,
@@ -40,6 +43,7 @@ from disparity_audit.metrics import (
     rates_from_confusion,
     select_threshold,
 )
+from disparity_audit.pipeline import assign_groups
 from disparity_audit.synth import CellSpec, ScenarioSpec, generate
 
 METRICS = ("ap", "auc_roc", "tpr", "fpr")
@@ -159,22 +163,51 @@ def test_hit_vector(benchmark, wide):
 
 
 @pytest.fixture(scope="module")
-def deep_annotations(tmp_path_factory):
-    """The deep shape: an annotations file of 30,000 lines."""
+def deep(tmp_path_factory):
+    """The deep shape: an annotations file of 30,000 lines, a run config that
+    assigns groups from its metadata, and the scores as a matrix."""
     cells = {
         g: CellSpec(prevalence=p, mu_pos=1.0, sigma_pos=1.0, mu_neg=0.0, sigma_neg=1.0, n=10000)
         for g, p in (("alpha", 0.3), ("beta", 0.1), ("gamma", 0.05))
     }
-    images, _, _ = generate(ScenarioSpec(concepts={f"d{i}": cells for i in range(3)}, seed=0))
-    path = tmp_path_factory.mktemp("deep") / "annotations.jsonl"
+    spec = ScenarioSpec(concepts={f"d{i}": cells for i in range(3)}, seed=0)
+    images, _, predictions = generate(spec)
+    directory = tmp_path_factory.mktemp("deep")
+    path = directory / "annotations.jsonl"
     with path.open("w", encoding="utf-8") as f:
         for img in images:
             f.write(json.dumps({"image_id": img.image_id, "labels": sorted(img.direct_labels),
                                 "metadata": dict(img.metadata)}) + "\n")
-    return path
+    (directory / "predictions.jsonl").write_text("")
+    (directory / "region.json").write_text(
+        json.dumps({"country_to_group": {g: g for g in spec.groups}})
+    )
+    (directory / "run.json").write_text(json.dumps({
+        "annotations": "annotations.jsonl", "predictions": "predictions.jsonl",
+        "group_method": "metadata", "metadata_key": "group", "region": "region.json",
+    }))
+    return path, load_config(directory / "run.json"), ScoreMatrix.from_records(predictions)
 
 
-def test_load_annotations(benchmark, deep_annotations):
+def test_load_annotations(benchmark, deep):
+    path, _, _ = deep
     benchmark.group = "ingest-deep"
-    images = benchmark(load_annotations, deep_annotations)
+    images = benchmark(load_annotations, path)
     assert len(images) == 30000
+
+
+def test_assign_groups(benchmark, deep):
+    path, cfg, _ = deep
+    benchmark.group = "ingest-deep"
+    images = load_annotations(path)
+    assignments = benchmark(assign_groups, images, cfg)
+    assert sum(a.assigned for a in assignments) == 30000
+
+
+def test_map_targets(benchmark, deep):
+    path, cfg, predictions = deep
+    benchmark.group = "ingest-deep"
+    images = load_annotations(path)
+    assignments = assign_groups(images, cfg)
+    targets = benchmark(map_targets, images, assignments, predictions)
+    assert targets.targets.shape == (30000, 3)

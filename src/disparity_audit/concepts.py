@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -203,14 +204,15 @@ class ConceptEvalTable:
 
 @dataclass(frozen=True)
 class TargetMatrix:
-    """The group-assigned images in image-id order, each mapped once to its
-    model-class targets.
+    """The group-assigned images in image-id order, mapped to their
+    model-class targets once per distinct label set.
 
     ``concepts`` are the candidates: targets of these images that some
     prediction scores, sorted. ``targets`` marks each image's targets among
     them; ``has_targets`` is False only for an image with no target at all,
     scored or not. ``unscored`` are the targets no prediction scores.
-    ``predictions`` is the score matrix the tables and the hit rate read.
+    ``predictions`` is the score matrix the tables and the hit rate read, and
+    ``rows`` each image's row in it (``ScoreMatrix.row_of``).
     """
 
     ids: np.ndarray
@@ -220,6 +222,7 @@ class TargetMatrix:
     has_targets: np.ndarray
     unscored: tuple[ConceptId, ...]
     predictions: ScoreMatrix
+    rows: np.ndarray
 
 
 def map_targets(
@@ -229,28 +232,42 @@ def map_targets(
     mapping: ClassMapping | None = None,
     strict: bool = True,
 ) -> TargetMatrix:
-    """Map every group-assigned image with ``image_target_set``, once."""
-    group_of = {a.image_id: a.group for a in assignments if a.assigned}
+    """Map the group-assigned images with ``image_target_set``, once per
+    distinct label set: an image's targets depend only on its direct labels
+    and its box labels."""
+    group_of = {a.image_id: a.group for a in assignments if a.group is not None}
     assigned = sorted(
-        (img for img in images if img.image_id in group_of), key=lambda img: img.image_id
+        (img for img in images if img.image_id in group_of), key=attrgetter("image_id")
     )
-    target_sets = [image_target_set(img, mapping, strict=strict) for img in assigned]
+    keys = [
+        (img.direct_labels, tuple(b.raw_label for b in img.boxes)) if img.boxes
+        else img.direct_labels
+        for img in assigned
+    ]
+    key_of: dict[object, int] = {}
+    target_sets: list[frozenset[ConceptId]] = []
+    for key, img in zip(keys, assigned):
+        if key not in key_of:
+            key_of[key] = len(target_sets)
+            target_sets.append(image_target_set(img, mapping, strict=strict))
+    image_key = np.fromiter(map(key_of.__getitem__, keys), dtype=np.intp, count=len(keys))
     universe = frozenset().union(*target_sets)
     scored = frozenset(predictions.concepts)
     concepts = sorted(universe & scored)
     column = {c: j for j, c in enumerate(concepts)}
-    cells = [(i, column[c]) for i, ts in enumerate(target_sets) for c in ts if c in column]
-    targets = np.zeros((len(assigned), len(concepts)), dtype=bool)
-    if cells:
-        targets[tuple(np.array(cells, dtype=np.intp).T)] = True
+    key_targets = np.zeros((len(target_sets), len(concepts)), dtype=bool)
+    for k, ts in enumerate(target_sets):
+        key_targets[k, [column[c] for c in ts if c in column]] = True
+    ids = np.array([img.image_id for img in assigned], dtype=object)
     return TargetMatrix(
-        ids=_readonly(np.array([img.image_id for img in assigned], dtype=object)),
+        ids=_readonly(ids),
         groups=_readonly(np.array([group_of[img.image_id] for img in assigned], dtype=object)),
         concepts=tuple(concepts),
-        targets=_readonly(targets),
-        has_targets=_readonly(np.array([bool(ts) for ts in target_sets], dtype=bool)),
+        targets=_readonly(key_targets[image_key]),
+        has_targets=_readonly(np.array([bool(ts) for ts in target_sets], dtype=bool)[image_key]),
         unscored=tuple(sorted(universe - scored)),
         predictions=predictions,
+        rows=_readonly(predictions.row_of(ids)),
     )
 
 
@@ -270,7 +287,7 @@ def build_concept_tables(
     """
     concept_list = sorted({canonicalize_label(c) for c in concepts})
     predictions = targets.predictions
-    scores = predictions.take(targets.ids, predictions.columns(concept_list))
+    scores = predictions.take_rows(targets.rows, predictions.columns(concept_list))
     candidate = {c: j for j, c in enumerate(targets.concepts)}
     masks = {g: targets.groups == g for g in sorted(set(targets.groups.tolist()))}
     no_targets = np.zeros(len(targets.ids), dtype=bool)

@@ -7,8 +7,10 @@ downstream modules receive read-only views.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,7 +27,7 @@ except ImportError:  # the optional ``fast`` extra: stdlib json decodes every li
     orjson = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoxAnnotation:
     """One rectangular object annotation in pixel coordinates."""
 
@@ -58,7 +60,7 @@ class BoxAnnotation:
         return self.area / (width * height)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedImage:
     """One image's boxes, captions, direct labels, and source metadata.
 
@@ -145,14 +147,22 @@ class ScoreMatrix:
             out.append(j)
         return np.array(out, dtype=np.intp)
 
+    def row_of(self, image_ids: Sequence[str]) -> np.ndarray:
+        """Row of each image in ``scores``, -1 for an image without predictions."""
+        n = len(image_ids)
+        return np.fromiter(
+            map(self.rows.get, image_ids, itertools.repeat(-1, n)), dtype=np.intp, count=n
+        )
+
     def take(self, image_ids: Sequence[str], columns: np.ndarray | None = None) -> np.ndarray:
         """Scores of the given images, one row each (all NaN for an image
         without predictions), over the given columns or all of them."""
+        return self.take_rows(self.row_of(image_ids), columns)
+
+    def take_rows(self, rows: np.ndarray, columns: np.ndarray | None = None) -> np.ndarray:
+        """``take`` by the images' rows, as ``row_of`` gives them."""
         if columns is None:
             columns = np.arange(len(self.concepts))
-        rows = np.fromiter(
-            (self.rows.get(i, -1) for i in image_ids), dtype=np.intp, count=len(image_ids)
-        )
         out = np.full((rows.size, columns.size), np.nan)
         scored = rows >= 0
         out[scored] = self.scores[np.ix_(rows[scored], columns)]
@@ -273,7 +283,7 @@ class ExclusionReason(Enum):
     NEUTRAL_TERM_PRESENT = "NeutralTermPresent"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupAssignment:
     """Outcome of group operationalization for one image.
 
@@ -324,26 +334,38 @@ def _opt_list(obj: dict, key: str, ctx: str) -> list:
     return v
 
 
-def _decode(line: str, exact: Callable[[dict], bool] | None) -> object:
-    """The JSON value of one line.
+# A \u escape of a surrogate code point: the only way a decoded string can
+# hold a lone surrogate, once the line itself is valid UTF-8.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
-    orjson decodes it when it imports. Whatever orjson rejects is decoded
-    again by stdlib ``json``, which also accepts ``NaN``, ``Infinity``,
-    ``1e400``, integers wider than 64 bits and lone-surrogate escapes, so
-    such a line meets the same checks downstream with or without orjson.
-    ``exact(obj)`` is False for an object that orjson may have decoded
-    otherwise than stdlib; it is decoded again by stdlib too. The one
-    difference left: orjson decodes a valid line nested deeper than stdlib's
-    recursion limit, which stdlib rejects.
+
+def _unencodable(value: object) -> str | None:
+    """The first string in a decoded JSON value that UTF-8 cannot encode."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, str):
+            try:
+                v.encode("utf-8")
+            except UnicodeEncodeError:
+                return v
+        elif isinstance(v, dict):
+            stack.extend(v)
+            stack.extend(v.values())
+        elif isinstance(v, list):
+            stack.extend(v)
+    return None
+
+
+def _decode(line: str) -> object:
+    """The JSON value of one line, decoded by stdlib ``json``.
+
+    Stdlib also accepts ``NaN``, ``Infinity``, ``1e400`` and integers wider
+    than 64 bits, which orjson rejects, so such a line meets the same checks
+    downstream with or without orjson. A string that UTF-8 cannot encode
+    (a lone-surrogate escape, which orjson also rejects) is an error here,
+    as it could not be written out again.
     """
-    if orjson is not None:
-        try:
-            obj = orjson.loads(line)
-        except orjson.JSONDecodeError:
-            pass
-        else:
-            if exact is None or not isinstance(obj, dict) or exact(obj):
-                return obj
     if not line.isascii():
         try:
             line.encode("utf-8")
@@ -352,19 +374,31 @@ def _decode(line: str, exact: Callable[[dict], bool] | None) -> object:
             byte = ord(line[e.start]) - 0xDC00
             raise DataError(f"invalid UTF-8 (byte 0x{byte:02x})") from None
     try:
-        return json.loads(line)
+        obj = json.loads(line)
     except json.JSONDecodeError as e:
         raise DataError(f"malformed JSON ({e.msg})") from e
     except RecursionError:
         raise DataError("malformed JSON (nested too deeply)") from None
+    if _SURROGATE_ESCAPE.search(line):
+        bad = _unencodable(obj)
+        if bad is not None:
+            raise DataError(f"string {bad!r} holds a lone surrogate, which UTF-8 cannot encode")
+    return obj
 
 
 def _iter_jsonl(
     path: Path, exact: Callable[[dict], bool] | None = None
 ) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line of a JSON Lines
-    file; lines end at ``\\n``, ``\\r\\n`` or ``\\r``. See ``_decode``
-    for ``exact``."""
+    file; lines end at ``\\n``, ``\\r\\n`` or ``\\r``.
+
+    orjson decodes each line when it imports. A line orjson rejects is
+    decoded again by ``_decode`` (stdlib), and so is an object for which
+    ``exact(obj)`` is False: one that orjson may have decoded otherwise
+    than stdlib. The one difference left: orjson decodes a valid line nested
+    deeper than stdlib's recursion limit, which stdlib rejects.
+    """
+    loads = orjson.loads if orjson is not None else None
     # surrogateescape defers a bad byte to the line that holds it, so the
     # error names that line, after every earlier line is checked.
     with path.open(encoding="utf-8", errors="surrogateescape") as f:
@@ -372,8 +406,19 @@ def _iter_jsonl(
             line = line.strip()
             if not line:
                 continue
+            if loads is not None:
+                try:
+                    obj = loads(line)
+                except orjson.JSONDecodeError:
+                    pass
+                else:
+                    if type(obj) is not dict:
+                        raise DataError(f"{path}:{line_no}: expected a JSON object")
+                    if exact is None or exact(obj):
+                        yield line_no, obj
+                        continue
             try:
-                obj = _decode(line, exact)
+                obj = _decode(line)
             except DataError as e:
                 raise DataError(f"{path}:{line_no}: {e}") from e.__cause__
             if not isinstance(obj, dict):
@@ -382,10 +427,16 @@ def _iter_jsonl(
 
 
 def _ints_exact(obj: dict) -> bool:
-    """False when an annotation's integer field decoded as a float: orjson
-    turns an integer outside [-2**63, 2**64) into a float, where stdlib
-    keeps the int that the field's checks read."""
-    if type(obj.get("width")) is float or type(obj.get("height")) is float:
+    """False when an annotation field that a check reads decoded as a float:
+    orjson turns an integer outside [-2**63, 2**64) into a float, where
+    stdlib keeps the int that the field's checks and errors read (the value
+    of ``width``/``height`` and box coordinates, the type name of the rest)."""
+    get = obj.get
+    if (
+        type(get("width")) is float or type(get("height")) is float
+        or type(get("boxes")) is float or type(get("captions")) is float
+        or type(get("labels")) is float or type(get("metadata")) is float
+    ):
         return False
     boxes = obj.get("boxes")
     if type(boxes) is list:
@@ -395,8 +446,7 @@ def _ints_exact(obj: dict) -> bool:
     return True
 
 
-def _parse_image(obj: dict, ctx: str) -> AnnotatedImage:
-    image_id = _req_str(obj, "image_id", ctx)
+def _parse_boxes(obj: dict, ctx: str) -> tuple[BoxAnnotation, ...]:
     boxes = []
     for i, b in enumerate(_opt_list(obj, "boxes", ctx)):
         if not isinstance(b, dict):
@@ -411,27 +461,69 @@ def _parse_image(obj: dict, ctx: str) -> AnnotatedImage:
             )
         except DataError as e:
             raise DataError(f"{ctx}: {e}") from e
-    captions = _opt_list(obj, "captions", ctx)
-    labels = _opt_list(obj, "labels", ctx)
-    metadata = obj.get("metadata") or {}
-    if not all(isinstance(c, str) for c in captions):
-        raise DataError(f"{ctx}: captions must be strings")
-    if not all(isinstance(s, str) and s for s in labels):
-        raise DataError(f"{ctx}: labels must be non-empty strings")
-    if not isinstance(metadata, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
-    ):
-        raise DataError(f"{ctx}: metadata must map strings to strings")
-    width, height = _opt_int(obj, "width", ctx), _opt_int(obj, "height", ctx)
+    return tuple(boxes)
+
+
+_NO_LABELS: frozenset[str] = frozenset()
+
+
+def _parse_image(
+    obj: dict, ctx: str, label_sets: dict[tuple, frozenset[str]], metadata_maps: dict[tuple, dict]
+) -> AnnotatedImage:
+    """One annotation record.
+
+    ``label_sets`` and ``metadata_maps`` intern one file's checked ``labels``
+    and ``metadata``, keyed by their contents: each distinct value is checked
+    once and shared by every record that carries it. An absent field costs
+    one lookup; the field helpers run only to name a wrong-typed value.
+    """
+    image_id = obj.get("image_id")
+    if type(image_id) is not str or not image_id:
+        image_id = _req_str(obj, "image_id", ctx)
+    boxes = obj.get("boxes")
+    boxes = () if boxes is None else _parse_boxes(obj, ctx)
+    captions = obj.get("captions")
+    if captions is not None and type(captions) is not list:
+        captions = _opt_list(obj, "captions", ctx)
+    labels = obj.get("labels")
+    if labels is not None and type(labels) is not list:
+        labels = _opt_list(obj, "labels", ctx)
+    metadata = obj.get("metadata")
+    if metadata is not None and type(metadata) is not dict:
+        raise DataError(f"{ctx}: 'metadata' must be an object, got {type(metadata).__name__}")
+    if captions:
+        if not all(isinstance(c, str) for c in captions):
+            raise DataError(f"{ctx}: captions must be strings")
+        captions = tuple(captions)
+    else:
+        captions = ()
+    direct_labels = _NO_LABELS
+    if labels:
+        key = tuple(labels)
+        try:
+            direct_labels = label_sets[key]
+        except (KeyError, TypeError):  # TypeError: an unhashable item, so not a label
+            if not all(isinstance(s, str) and s for s in labels):
+                raise DataError(f"{ctx}: labels must be non-empty strings") from None
+            direct_labels = label_sets[key] = frozenset(labels)
+    if metadata:
+        key = (*metadata, *metadata.values())  # keys, then values: one tuple
+        try:
+            metadata = metadata_maps[key]
+        except (KeyError, TypeError):
+            if not all(isinstance(x, str) for x in key):
+                raise DataError(f"{ctx}: metadata must map strings to strings") from None
+            metadata_maps[key] = metadata
+    else:
+        metadata = {}
+    width, height = obj.get("width"), obj.get("height")
+    if width is not None and type(width) is not int:
+        width = _opt_int(obj, "width", ctx)
+    if height is not None and type(height) is not int:
+        height = _opt_int(obj, "height", ctx)
     try:
         return AnnotatedImage(
-            image_id=image_id,
-            width=width,
-            height=height,
-            boxes=tuple(boxes),
-            captions=tuple(captions),
-            direct_labels=frozenset(labels),
-            metadata=dict(metadata),
+            image_id, width, height, boxes, captions, direct_labels, metadata
         )
     except DataError as e:
         raise DataError(f"{ctx}: {e}") from e
@@ -454,14 +546,15 @@ def load_annotations(path: str | Path) -> list[AnnotatedImage]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"annotations file not found: {path}")
-    by_id: dict[str, AnnotatedImage] = {}
-    order: list[str] = []
+    by_id: dict[str, AnnotatedImage] = {}  # in order of first appearance
+    label_sets: dict[tuple, frozenset[str]] = {}
+    metadata_maps: dict[tuple, dict] = {}
+    name = str(path)
     for line_no, obj in _iter_jsonl(path, _ints_exact):
-        img = _parse_image(obj, f"{path}:{line_no}")
+        img = _parse_image(obj, f"{name}:{line_no}", label_sets, metadata_maps)
         prev = by_id.get(img.image_id)
         if prev is None:
             by_id[img.image_id] = img
-            order.append(img.image_id)
             continue
         merged_labels = prev.direct_labels | img.direct_labels
         if (
@@ -473,7 +566,7 @@ def load_annotations(path: str | Path) -> list[AnnotatedImage]:
                 "conflicting fields (only label-only repetitions are collapsed)"
             )
         by_id[img.image_id] = dataclasses.replace(prev, direct_labels=merged_labels)
-    return [by_id[i] for i in order]
+    return list(by_id.values())
 
 
 def load_predictions(path: str | Path, images: Sequence[AnnotatedImage]) -> ScoreMatrix:
@@ -495,10 +588,14 @@ def load_predictions(path: str | Path, images: Sequence[AnnotatedImage]) -> Scor
     known = {img.image_id for img in images}
     unknown: list[tuple[str, int]] = []
 
+    name = str(path)
+
     def records():
         for line_no, obj in _iter_jsonl(path):
-            ctx = f"{path}:{line_no}"
-            image_id = _req_str(obj, "image_id", ctx)
+            ctx = f"{name}:{line_no}"
+            image_id = obj.get("image_id")
+            if type(image_id) is not str or not image_id:
+                image_id = _req_str(obj, "image_id", ctx)
             scores = obj.get("scores")
             if not isinstance(scores, dict):
                 raise DataError(f"{ctx}: missing or invalid 'scores' object")
@@ -536,10 +633,8 @@ def validate_dataset(images: Sequence[AnnotatedImage], predictions: ScoreMatrix)
         predictions.concepts[j]: ids[~scored[:, j]].tolist()
         for j in np.flatnonzero((n_scored > 0) & (n_scored < len(ids)))
     }
-    label_universe: set[str] = set()
-    for img in images:
-        label_universe.update(img.direct_labels)
-        label_universe.update(b.raw_label for b in img.boxes)
+    label_universe: set[str] = set().union(*{img.direct_labels for img in images})
+    label_universe.update(b.raw_label for img in images for b in img.boxes)
     zero_positive = [c for c in predictions.concepts if c not in label_universe]
     return {
         "images_without_labels": without_labels,

@@ -54,7 +54,7 @@ from .metrics import (
 )
 from .sampling import (
     compute_budget,
-    derive_rng,
+    derive_rngs,
     derive_seed,
     draw_baseline_group,
     draw_group,
@@ -191,13 +191,11 @@ def evaluate_concept(
         pool = eval_table.pools[g]
         ranked = rank_pool(pool.scores, pool.labels, pool.ids, threshold=thresholds.get(g))
         if budget is not None:
-            draws = (
-                draw_group(pool, budget, seed, concept, g, b) for b in range(bootstraps)
-            )
+            rngs = derive_rngs(seed, "draw", concept, g)
+            draws = (draw_group(pool, budget, rngs(b)) for b in range(bootstraps))
         else:
-            draws = (
-                draw_baseline_group(pool, seed, concept, g, b) for b in range(bootstraps)
-            )
+            rngs = derive_rngs(seed, "baseline", concept, g)
+            draws = (draw_baseline_group(pool, rngs(b)) for b in range(bootstraps))
         for m, v in ranked_metrics(ranked, draws, point_metrics).items():
             values[(m, g)] = v
         identity = [np.arange(pool.labels.size)]
@@ -295,7 +293,7 @@ def evaluate_hit_rate(
     hit_values: dict[str, np.ndarray] = {}
     for g in groups:
         rows = targets.groups == g
-        scores = predictions.take(targets.ids[rows])
+        scores = predictions.take_rows(targets.rows[rows])
         is_target = np.zeros(scores.shape, dtype=bool)
         is_target[:, candidate_columns] = targets.targets[rows]
         hit_values[g] = hit_vector(scores, is_target, targets.has_targets[rows], cfg.k)
@@ -306,9 +304,9 @@ def evaluate_hit_rate(
         if hits.size == 0:
             continue
         draws = np.empty(cfg.bootstraps)
+        rngs = derive_rngs(cfg.seed, "hit_rate", g)
         for i in range(cfg.bootstraps):
-            rng = derive_rng(cfg.seed, "hit_rate", g, i)
-            draws[i] = hits[rng.integers(0, hits.size, size=hits.size)].mean()
+            draws[i] = hits[rngs(i).integers(0, hits.size, size=hits.size)].mean()
         boots[g] = draws
 
     estimates: list[MetricEstimate] = []
@@ -373,7 +371,7 @@ def plan_concepts(
             len(targets.unscored), ", ".join(targets.unscored[:10]),
         )
     scored = ~np.isnan(
-        predictions.take(targets.ids, predictions.columns(targets.concepts))
+        predictions.take_rows(targets.rows, predictions.columns(targets.concepts))
     )
     positive = scored & targets.targets
     counts: dict[str, dict[str, tuple[int, int]]] = {c: {} for c in targets.concepts}

@@ -7,7 +7,7 @@ index), so results are identical regardless of evaluation order.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -22,17 +22,45 @@ def _part_hash(part) -> int:
     return int.from_bytes(digest, "big")
 
 
-def derive_seed(*parts) -> int:
-    """Stable 64-bit seed from a mixed tuple of ints and strings."""
+def _hashed(parts) -> "hashlib.blake2b":
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
         h.update(_part_hash(part).to_bytes(8, "big"))
-    return int.from_bytes(h.digest(), "big")
+    return h
+
+
+def derive_seed(*parts) -> int:
+    """Stable 64-bit seed from a mixed tuple of ints and strings."""
+    return int.from_bytes(_hashed(parts).digest(), "big")
+
+
+def derive_seeds(*parts) -> Callable[[int | str], int]:
+    """``last -> derive_seed(*parts, last)``, hashing ``parts`` once for
+    every ``last``."""
+    prefix = _hashed(parts)
+
+    def seed(last: int | str) -> int:
+        h = prefix.copy()
+        h.update(_part_hash(last).to_bytes(8, "big"))
+        return int.from_bytes(h.digest(), "big")
+
+    return seed
+
+
+def _generator(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 def derive_rng(*parts) -> np.random.Generator:
     """Deterministic generator keyed on the given parts; platform-independent."""
-    return np.random.default_rng(np.random.SeedSequence(derive_seed(*parts)))
+    return _generator(derive_seed(*parts))
+
+
+def derive_rngs(*parts) -> Callable[[int | str], np.random.Generator]:
+    """``last -> derive_rng(*parts, last)``, hashing ``parts`` once for
+    every ``last``: the streams of one group's bootstraps."""
+    seed = derive_seeds(*parts)
+    return lambda last: _generator(seed(last))
 
 
 def filter_rare_concepts(
@@ -96,24 +124,25 @@ def compute_budget(
 
 
 def draw_group(
-    pool: GroupPool, budget: tuple[int, int], seed: int, concept: str, group: str,
-    bootstrap_index: int,
+    pool: GroupPool, budget: tuple[int, int], rng: np.random.Generator
 ) -> np.ndarray:
     """One group's fixed-prevalence draw, uniform with replacement from each
-    class: row indices into ``pool``, the budget's positives first."""
-    rng = derive_rng(seed, "draw", concept, group, bootstrap_index)
+    class: row indices into ``pool``, the budget's positives first.
+
+    The pipeline draws bootstrap ``b`` of ``group`` with
+    ``derive_rng(seed, "draw", concept, group, b)``."""
     pos = rng.integers(0, pool.n_pos, size=budget[0])
     neg = rng.integers(0, pool.n_neg, size=budget[1])
     return np.concatenate([pos, neg + pool.n_pos])
 
 
-def draw_baseline_group(
-    pool: GroupPool, seed: int, concept: str, group: str, bootstrap_index: int
-) -> np.ndarray:
+def draw_baseline_group(pool: GroupPool, rng: np.random.Generator) -> np.ndarray:
     """One group's standard bootstrap draw: row indices into ``pool``, the
-    whole pool resampled at its own size, so prevalence is not controlled."""
+    whole pool resampled at its own size, so prevalence is not controlled.
+
+    The pipeline draws bootstrap ``b`` of ``group`` with
+    ``derive_rng(seed, "baseline", concept, group, b)``."""
     n = pool.n_pos + pool.n_neg
     if n == 0:
-        raise InvariantError(f"empty pool for concept {concept!r} group {group!r}")
-    rng = derive_rng(seed, "baseline", concept, group, bootstrap_index)
+        raise InvariantError("cannot resample an empty pool")
     return rng.integers(0, n, size=n)

@@ -248,7 +248,7 @@ def test_criterion_06_sampling_exactness():
     for b in range(100):
         for g in table.groups:
             pool = table.pools[g]
-            rows = draw_group(pool, budget, 9, table.concept, g, b)
+            rows = draw_group(pool, budget, derive_rng(9, "draw", table.concept, g, b))
             n_pos = np.count_nonzero(pool.labels[rows])
             total = rows.size
             assert n_pos * 6 == total  # prevalence exactly 1/6

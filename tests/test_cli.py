@@ -333,6 +333,10 @@ class TestExitCodes:
         ("annotations", b'{"image_id": "caf\xe9"}', "invalid UTF-8 (byte 0xe9)"),
         ("predictions", b'{"image_id": "x", "scores": ' + b"[" * 5000,
          "malformed JSON (nested too deeply)"),
+        ("annotations", b'{"image_id": "A-\\ud800"}',
+         "string 'A-\\ud800' holds a lone surrogate, which UTF-8 cannot encode"),
+        ("predictions", b'{"image_id": "x", "scores": {"c1\\udc00": 0.5}}',
+         "string 'c1\\udc00' holds a lone surrogate, which UTF-8 cannot encode"),
     ])
     def test_undecodable_line_is_3(self, workspace, capsys, name, line, message):
         tmp_path, cfg_path = workspace
@@ -344,6 +348,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err
         assert f"{path}:3: {message}" in err
+
+    def test_lone_surrogate_id_is_3_before_assignments_are_written(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        path = tmp_path / "data" / "annotations.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        lines[0] = json.dumps(dict(record, image_id=record["image_id"] + "\ud800"))
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["assign-groups", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert f"{path}:1: string " in err and "lone surrogate" in err
+        assert not (tmp_path / "out" / "assignments.csv").exists()
 
 
 def test_concept_scored_only_on_excluded_image(tmp_path, monkeypatch):

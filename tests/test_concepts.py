@@ -182,7 +182,7 @@ class TestConceptTables:
         )
         assert "necktie.n.01" in image_target_set(img)
 
-    def test_targets_mapped_once_per_assigned_image(self, monkeypatch):
+    def test_targets_mapped_once_per_distinct_label_set(self, monkeypatch):
         from disparity_audit import concepts
 
         images, assignments, predictions = _fixture_dataset()
@@ -192,12 +192,12 @@ class TestConceptTables:
         mapped = concepts.image_target_set
 
         def spy(image, *args, **kwargs):
-            calls.append(image.image_id)
+            calls.append(sorted(image.direct_labels))
             return mapped(image, *args, **kwargs)
 
         monkeypatch.setattr(concepts, "image_target_set", spy)
         targets = map_targets(images, assignments, ScoreMatrix.from_records(predictions))
-        assert sorted(calls) == ["a0", "a1", "a2", "a3", "a4", "a5"]
+        assert sorted(calls) == [["c"], ["other"], ["owl"]]
         assert list(targets.ids) == ["a0", "a1", "a2", "a3", "a4", "a5"]
         assert list(targets.groups) == ["B", "A", "A", "A", "A", "A"]
         assert targets.concepts == ("c", "other") and targets.unscored == ("owl",)
@@ -207,6 +207,47 @@ class TestConceptTables:
         ]
         assert targets.has_targets.all()
         assert set(build_concept_tables(targets, ["c", "other"])["c"].pools) == {"A"}
+
+    def test_box_labels_are_part_of_the_label_set(self):
+        """An image with boxes and the direct labels of a box-free image is
+        mapped on its own, so it gets its box targets."""
+        from disparity_audit import BoxAnnotation
+
+        images = [
+            AnnotatedImage(image_id="i1", direct_labels=frozenset({"c"})),
+            AnnotatedImage(
+                image_id="i2", width=10, height=10, direct_labels=frozenset({"c"}),
+                boxes=(BoxAnnotation("other", 0, 0, 5, 5),),
+            ),
+            AnnotatedImage(
+                image_id="i3", width=10, height=10, direct_labels=frozenset({"c"}),
+                boxes=(BoxAnnotation("owl", 0, 0, 5, 5),),
+            ),
+        ]
+        assignments = [GroupAssignment(img.image_id, group="A") for img in images]
+        predictions = ScoreMatrix.from_records(
+            PredictionRecord(img.image_id, {"c": 0.5, "other": 0.5, "owl": 0.5})
+            for img in images
+        )
+        targets = map_targets(images, assignments, predictions)
+        assert targets.concepts == ("c", "other", "owl")
+        assert targets.targets.tolist() == [
+            [True, False, False], [True, True, False], [True, False, True],
+        ]
+
+    def test_unmapped_label_warned_once_per_label_set(self, caplog):
+        images = [
+            AnnotatedImage(image_id=f"i{k}", direct_labels=frozenset({"phones", "owl"}))
+            for k in range(4)
+        ] + [AnnotatedImage(image_id="j", direct_labels=frozenset({"owl"}))]
+        assignments = [GroupAssignment(img.image_id, group="A") for img in images]
+        predictions = ScoreMatrix.from_records(
+            PredictionRecord(img.image_id, {"cellphone": 0.5}) for img in images
+        )
+        with caplog.at_level("WARNING", logger="disparity_audit.concepts"):
+            targets = map_targets(images, assignments, predictions, MAPPING_1K, strict=False)
+        assert targets.targets.tolist() == [[True]] * 4 + [[False]]
+        assert caplog.text.count("skipping unmapped label 'owl'") == 2
 
     def test_pools_are_readonly(self):
         images, assignments, predictions = _fixture_dataset()

@@ -138,6 +138,64 @@ class TestLoadAnnotations:
             load_annotations(path)
         assert str(err.value) == f"{path}{message}"
 
+    @pytest.mark.parametrize("value,kind", [
+        ("[]", "list"), ('""', "str"), ("false", "bool"), ("0", "int"), ('["x"]', "list"),
+    ])
+    def test_non_object_metadata_names_file_line_and_field(self, tmp_path, value, kind):
+        path = tmp_path / "a.jsonl"
+        path.write_text(
+            f'{{"image_id": "ok", "metadata": null}}\n'
+            f'{{"image_id": "bad", "metadata": {value}}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            DataError, match=re.escape(f"{path}:2: 'metadata' must be an object, got {kind}")
+        ):
+            load_annotations(path)
+
+    def test_null_or_absent_metadata_is_empty(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [{"image_id": "a", "metadata": None}, {"image_id": "b"},
+                           {"image_id": "c", "metadata": {}}])
+        assert [dict(img.metadata) for img in load_annotations(path)] == [{}, {}, {}]
+
+    def test_label_order_and_repeats_give_equal_label_sets(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [
+            {"image_id": "i1", "labels": ["a", "b"], "metadata": {"k": "v"}},
+            {"image_id": "i2", "labels": ["b", "a"], "metadata": {"k": "v"}},
+            {"image_id": "i3", "labels": ["a", "a", "b"], "metadata": {"k": "v"}},
+            {"image_id": "i4", "labels": ["a", "b"], "metadata": {"k": "w"}},
+        ])
+        images = load_annotations(path)
+        assert [img.direct_labels for img in images] == [frozenset({"a", "b"})] * 4
+        assert [dict(img.metadata) for img in images] == [{"k": "v"}] * 3 + [{"k": "w"}]
+
+    @pytest.mark.parametrize("bad", [["a", ""], ["a", 1], ["a", ["b"]], ["a", None]])
+    @pytest.mark.parametrize("line", [1, 2, 4])
+    def test_bad_label_list_is_error_on_every_line(self, tmp_path, bad, line):
+        """A bad list is never interned, so each line carrying it is checked,
+        also after good lines that share its labels."""
+        records = [{"image_id": f"i{k}", "labels": ["a"]} for k in range(5)]
+        records[line - 1] = {"image_id": "bad", "labels": bad}
+        if line > 1:
+            records[line - 2]["labels"] = ["a", "b"]
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, records)
+        with pytest.raises(DataError, match=re.escape(
+            f"{path}:{line}: labels must be non-empty strings"
+        )):
+            load_annotations(path)
+
+    def test_bad_metadata_value_is_error_after_good_records(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [{"image_id": "a", "metadata": {"k": "v"}},
+                           {"image_id": "b", "metadata": {"k": ["v"]}}])
+        with pytest.raises(DataError, match=re.escape(
+            f"{path}:2: metadata must map strings to strings"
+        )):
+            load_annotations(path)
+
     def test_order_independent_set_equality(self, tmp_path):
         records = [
             {"image_id": f"i{k}", "labels": [f"l{k}"], "captions": [f"c{k}"]}
@@ -381,6 +439,36 @@ class TestDecoding:
         with pytest.raises(DataError, match=re.escape(f"{pred}:2: invalid UTF-8 (byte 0xc3)")):
             load_predictions(pred, images)
 
+    @pytest.mark.parametrize("record", [
+        '{"image_id": "A-\\ud800"}',
+        '{"image_id": "a", "labels": ["x", "\\udfff"]}',
+        '{"image_id": "a", "metadata": {"country": "\\uD83D!"}}',
+        '{"image_id": "a", "metadata": {"\\ud800": "x"}}',
+        '{"image_id": "a", "captions": ["a \\ude00 b"]}',
+        '{"image_id": "a", "width": 9, "height": 9, '
+        '"boxes": [{"label": "\\ud800", "x": 0, "y": 0, "w": 1, "h": 1}]}',
+    ])
+    def test_string_utf8_cannot_encode_names_file_line(self, tmp_path, record):
+        path = tmp_path / "a.jsonl"
+        path.write_text('{"image_id": "ok", "labels": ["\\u00e9", "\\ud83d\\ude00"]}\n'
+                        + record + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: string ") + ".*"
+                           + re.escape("holds a lone surrogate, which UTF-8 cannot encode")):
+            load_annotations(path)
+
+    def test_prediction_string_utf8_cannot_encode_names_file_line(self, tmp_path):
+        ann = tmp_path / "a.jsonl"
+        write_jsonl(ann, [{"image_id": "A-\ud83d\ude00"}])
+        images = load_annotations(ann)
+        assert images[0].image_id == "A-\U0001f600"
+        pred = tmp_path / "p.jsonl"
+        for line in ('{"image_id": "A-\\ud800", "scores": {"c": 0.1}}',
+                     '{"image_id": "A-\\ud83d\\ude00", "scores": {"c\\udc00": 0.1}}'):
+            pred.write_text('{"image_id": "A-\\ud83d\\ude00", "scores": {"c": 0.1}}\n'
+                            + line + "\n")
+            with pytest.raises(DataError, match=re.escape(f"{pred}:2: string ")):
+                load_predictions(pred, images)
+
     def test_earlier_bad_line_is_reported_before_invalid_utf8(self, tmp_path):
         path = tmp_path / "a.jsonl"
         path.write_bytes(b'{"labels": ["x"]}\n{"image_id": "\xed\xa0\x80"}\n')
@@ -406,6 +494,19 @@ class TestDecoding:
         path = tmp_path / "a.jsonl"
         path.write_text('{"image_id": "b", "extra": ' + "[" * 5000 + "]" * 5000 + "}\n")
         assert [img.image_id for img in load_annotations(path)] == ["b"]
+
+    @pytest.mark.parametrize("key,kind", [
+        ("labels", "an array"), ("captions", "an array"), ("boxes", "an array"),
+        ("metadata", "an object"),
+    ])
+    def test_field_beyond_64_bits_is_named_as_int_on_both_decoders(self, tmp_path, key, kind):
+        path = tmp_path / "a.jsonl"
+        path.write_text(f'{{"image_id": "a", "{key}": {2**64}}}\n')
+        message = re.escape(f"{path}:1: {key!r} must be {kind}, got int")
+        with pytest.raises(DataError, match=message):
+            load_annotations(path)
+        with stdlib_decoder(), pytest.raises(DataError, match=message):
+            load_annotations(path)
 
     def test_integer_fields_beyond_64_bits_stay_integers(self, tmp_path):
         path = tmp_path / "a.jsonl"

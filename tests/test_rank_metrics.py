@@ -26,7 +26,7 @@ from disparity_audit.concepts import ConceptEvalTable, GroupPool
 from disparity_audit.config import THRESHOLD_METRICS
 from disparity_audit.metrics import rank_pool, ranked_metrics
 from disparity_audit.pipeline import evaluate_concept
-from disparity_audit.sampling import derive_seed, draw_baseline_group, draw_group
+from disparity_audit.sampling import derive_rng, derive_seed, draw_baseline_group, draw_group
 
 from test_metrics import f1_at, threshold_oracle_f1
 
@@ -96,7 +96,8 @@ class TestRankedMetricsEquivalence:
         budget = compute_budget("c", {"A": (n_pos, n_neg)}, (1, 5))
         scores, labels, ids = pool.scores, pool.labels, pool.ids
         draws = [
-            draw_group(pool, budget, 3, "c", "A", b) for b in range(9 if n_neg > 1000 else 25)
+            draw_group(pool, budget, derive_rng(3, "draw", "c", "A", b))
+            for b in range(9 if n_neg > 1000 else 25)
         ]
         threshold = float(np.median(scores))
         check_draws(scores, labels, ids, draws, threshold)
@@ -108,7 +109,7 @@ class TestRankedMetricsEquivalence:
         pool = make_pool(n_pos, n_neg, rng, distinct)
         scores, labels, ids = pool.scores, pool.labels, pool.ids
         draws = [
-            draw_baseline_group(pool, 11, "c", "A", b)
+            draw_baseline_group(pool, derive_rng(11, "baseline", "c", "A", b))
             for b in range(6 if n_neg > 1000 else 40)
         ]
         threshold = float(np.quantile(scores, 0.8))
@@ -209,9 +210,9 @@ def reference_evaluation(table, metric, mode, scope, bootstraps, seed, fraction=
         for g in table.groups:
             pool = eval_table.pools[g]
             if budget is not None:
-                rows = draw_group(pool, budget, seed, table.concept, g, b)
+                rows = draw_group(pool, budget, derive_rng(seed, "draw", table.concept, g, b))
             else:
-                rows = draw_baseline_group(pool, seed, table.concept, g, b)
+                rows = draw_baseline_group(pool, derive_rng(seed, "baseline", table.concept, g, b))
             values[g].append(value(pool, rows, g))
     full = {g: value(p, np.arange(p.labels.size), g) for g, p in eval_table.pools.items()}
     return thresholds, values, full

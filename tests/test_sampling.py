@@ -7,7 +7,9 @@ from disparity_audit import DataError, InvariantError, compute_budget, filter_ra
 from disparity_audit.concepts import ConceptEvalTable, GroupPool
 from disparity_audit.sampling import (
     derive_rng,
+    derive_rngs,
     derive_seed,
+    derive_seeds,
     draw_baseline_group,
     draw_group,
 )
@@ -42,7 +44,7 @@ def draw_all(table, budget, seed, b):
     out = {}
     for g in table.groups:
         pool = table.pools[g]
-        rows = draw_group(pool, budget, seed, table.concept, g, b)
+        rows = draw_group(pool, budget, derive_rng(seed, "draw", table.concept, g, b))
         out[g] = (rows[rows < pool.n_pos], rows[rows >= pool.n_pos] - pool.n_pos)
     return out
 
@@ -192,7 +194,7 @@ class TestBaseline:
     def test_bootstrap_draw_size_is_pool_size(self):
         pool = make_table(A=(7, 13)).pools["A"]
         for b in range(20):
-            rows = draw_baseline_group(pool, 5, "c", "A", b)
+            rows = draw_baseline_group(pool, derive_rng(5, "baseline", "c", "A", b))
             assert rows.size == 20
 
     def test_prevalence_matches_binomial_expectation(self):
@@ -200,7 +202,7 @@ class TestBaseline:
         n_draws = 4000
         frac = np.empty(n_draws)
         for b in range(n_draws):
-            rows = draw_baseline_group(pool, 6, "c", "A", b)
+            rows = draw_baseline_group(pool, derive_rng(6, "baseline", "c", "A", b))
             frac[b] = np.count_nonzero(rows < pool.n_pos) / 20
         se = np.sqrt(0.35 * 0.65 / (20 * n_draws))
         assert abs(frac.mean() - 0.35) < 4 * se
@@ -217,4 +219,16 @@ class TestDeriveRng:
     def test_seed_derivation_stable(self):
         assert derive_seed(3, "x", 4) == derive_seed(3, "x", 4)
         assert derive_seed(3, "x", 4) != derive_seed(3, "x", 5)
+
+    @pytest.mark.parametrize("prefix", [
+        (0, "draw", "c", "A"), (2**64 + 7, "baseline", "d0", "gamma"), (5, "hit_rate", "B"),
+        (-1, 3, "x"), ("seed", 0), (),
+    ])
+    def test_prefix_hashed_once_gives_the_same_seeds(self, prefix):
+        seeds, rngs = derive_seeds(*prefix), derive_rngs(*prefix)
+        for last in [*range(300), 2**63, -5, "b", ""]:
+            assert seeds(last) == derive_seed(*prefix, last)
+        for last in (0, 7, "z"):
+            assert np.array_equal(rngs(last).integers(0, 2**62, 8),
+                                  derive_rng(*prefix, last).integers(0, 2**62, 8))
 
