@@ -23,16 +23,26 @@ validation rows of three groups.
   label sets); times ``load_annotations`` on that file, then
   ``assign_groups`` (metadata method) and ``map_targets`` on the loaded
   images.
+* distinct: the deep images with no value repeated: each line carries its
+  own 3 to 8 labels out of 21,000 classes and a metadata URL of its own;
+  times ``load_annotations`` and ``map_targets``, the steps whose work is
+  once per distinct value.
 """
 
 import json
+import random
 
 import numpy as np
 import pytest
 
 from disparity_audit.concepts import GroupPool, map_targets
 from disparity_audit.config import load_config
-from disparity_audit.data import ScoreMatrix, load_annotations, load_predictions
+from disparity_audit.data import (
+    PredictionRecord,
+    ScoreMatrix,
+    load_annotations,
+    load_predictions,
+)
 from disparity_audit.metrics import (
     auc_roc,
     average_precision,
@@ -162,22 +172,16 @@ def test_hit_vector(benchmark, wide):
     assert 0 < hits.size <= len(images)
 
 
-@pytest.fixture(scope="module")
-def deep(tmp_path_factory):
-    """The deep shape: an annotations file of 30,000 lines, a run config that
-    assigns groups from its metadata, and the scores as a matrix."""
+def _deep_spec():
     cells = {
         g: CellSpec(prevalence=p, mu_pos=1.0, sigma_pos=1.0, mu_neg=0.0, sigma_neg=1.0, n=10000)
         for g, p in (("alpha", 0.3), ("beta", 0.1), ("gamma", 0.05))
     }
-    spec = ScenarioSpec(concepts={f"d{i}": cells for i in range(3)}, seed=0)
-    images, _, predictions = generate(spec)
-    directory = tmp_path_factory.mktemp("deep")
-    path = directory / "annotations.jsonl"
-    with path.open("w", encoding="utf-8") as f:
-        for img in images:
-            f.write(json.dumps({"image_id": img.image_id, "labels": sorted(img.direct_labels),
-                                "metadata": dict(img.metadata)}) + "\n")
+    return ScenarioSpec(concepts={f"d{i}": cells for i in range(3)}, seed=0)
+
+
+def _write_run(directory, spec):
+    """A run config that assigns groups from the ``group`` metadata key."""
     (directory / "predictions.jsonl").write_text("")
     (directory / "region.json").write_text(
         json.dumps({"country_to_group": {g: g for g in spec.groups}})
@@ -186,7 +190,45 @@ def deep(tmp_path_factory):
         "annotations": "annotations.jsonl", "predictions": "predictions.jsonl",
         "group_method": "metadata", "metadata_key": "group", "region": "region.json",
     }))
-    return path, load_config(directory / "run.json"), ScoreMatrix.from_records(predictions)
+    return load_config(directory / "run.json")
+
+
+@pytest.fixture(scope="module")
+def deep(tmp_path_factory):
+    """The deep shape: an annotations file of 30,000 lines, a run config that
+    assigns groups from its metadata, and the scores as a matrix."""
+    spec = _deep_spec()
+    images, _, predictions = generate(spec)
+    directory = tmp_path_factory.mktemp("deep")
+    path = directory / "annotations.jsonl"
+    with path.open("w", encoding="utf-8") as f:
+        for img in images:
+            f.write(json.dumps({"image_id": img.image_id, "labels": sorted(img.direct_labels),
+                                "metadata": dict(img.metadata)}) + "\n")
+    return path, _write_run(directory, spec), ScoreMatrix.from_records(predictions)
+
+
+@pytest.fixture(scope="module")
+def distinct(tmp_path_factory):
+    """The deep images with a label list and a metadata URL of their own, a
+    run config as for deep, and one score per image over 210 classes."""
+    spec = _deep_spec()
+    images, _, _ = generate(spec)
+    rng = random.Random(0)
+    classes = [f"c{k:05d}" for k in range(21000)]
+    directory = tmp_path_factory.mktemp("distinct")
+    path = directory / "annotations.jsonl"
+    with path.open("w", encoding="utf-8") as f:
+        for i, img in enumerate(images):
+            metadata = {"group": img.metadata["group"], "url": f"https://img.example/{i}.jpg"}
+            f.write(json.dumps({"image_id": img.image_id,
+                                "labels": rng.sample(classes, rng.randint(3, 8)),
+                                "metadata": metadata}) + "\n")
+    predictions = ScoreMatrix.from_records(
+        PredictionRecord(img.image_id, {classes[i % 210 * 100]: 0.5})
+        for i, img in enumerate(images)
+    )
+    return path, _write_run(directory, spec), predictions
 
 
 def test_load_annotations(benchmark, deep):
@@ -211,3 +253,19 @@ def test_map_targets(benchmark, deep):
     assignments = assign_groups(images, cfg)
     targets = benchmark(map_targets, images, assignments, predictions)
     assert targets.targets.shape == (30000, 3)
+
+
+def test_load_annotations_distinct(benchmark, distinct):
+    path, _, _ = distinct
+    benchmark.group = "ingest-distinct"
+    images = benchmark(load_annotations, path)
+    assert len({img.direct_labels for img in images}) == 30000
+
+
+def test_map_targets_distinct(benchmark, distinct):
+    path, cfg, predictions = distinct
+    benchmark.group = "ingest-distinct"
+    images = load_annotations(path)
+    assignments = assign_groups(images, cfg)
+    targets = benchmark(map_targets, images, assignments, predictions)
+    assert targets.targets.shape[0] == 30000

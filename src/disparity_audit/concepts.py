@@ -250,21 +250,25 @@ def map_targets(
         if key not in key_of:
             key_of[key] = len(target_sets)
             target_sets.append(image_target_set(img, mapping, strict=strict))
-    image_key = np.fromiter(map(key_of.__getitem__, keys), dtype=np.intp, count=len(keys))
     universe = frozenset().union(*target_sets)
     scored = frozenset(predictions.concepts)
     concepts = sorted(universe & scored)
     column = {c: j for j, c in enumerate(concepts)}
+    cells = [(k, column[c]) for k, ts in enumerate(target_sets) for c in ts if c in column]
     key_targets = np.zeros((len(target_sets), len(concepts)), dtype=bool)
-    for k, ts in enumerate(target_sets):
-        key_targets[k, [column[c] for c in ts if c in column]] = True
+    if cells:
+        key_targets[tuple(np.array(cells, dtype=np.intp).T)] = True
+    key_has_targets = np.array([bool(ts) for ts in target_sets], dtype=bool)
+    if len(target_sets) < len(keys):  # else each image has its own key, in image order
+        image_key = np.fromiter(map(key_of.__getitem__, keys), dtype=np.intp, count=len(keys))
+        key_targets, key_has_targets = key_targets[image_key], key_has_targets[image_key]
     ids = np.array([img.image_id for img in assigned], dtype=object)
     return TargetMatrix(
         ids=_readonly(ids),
         groups=_readonly(np.array([group_of[img.image_id] for img in assigned], dtype=object)),
         concepts=tuple(concepts),
-        targets=_readonly(key_targets[image_key]),
-        has_targets=_readonly(np.array([bool(ts) for ts in target_sets], dtype=bool)[image_key]),
+        targets=_readonly(key_targets),
+        has_targets=_readonly(key_has_targets),
         unscored=tuple(sorted(universe - scored)),
         predictions=predictions,
         rows=_readonly(predictions.row_of(ids)),

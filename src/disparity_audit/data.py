@@ -15,6 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -154,13 +155,9 @@ class ScoreMatrix:
             map(self.rows.get, image_ids, itertools.repeat(-1, n)), dtype=np.intp, count=n
         )
 
-    def take(self, image_ids: Sequence[str], columns: np.ndarray | None = None) -> np.ndarray:
-        """Scores of the given images, one row each (all NaN for an image
-        without predictions), over the given columns or all of them."""
-        return self.take_rows(self.row_of(image_ids), columns)
-
     def take_rows(self, rows: np.ndarray, columns: np.ndarray | None = None) -> np.ndarray:
-        """``take`` by the images' rows, as ``row_of`` gives them."""
+        """Scores of the images at the given rows (as ``row_of`` gives them),
+        one row each (all NaN for row -1), over the given columns or all."""
         if columns is None:
             columns = np.arange(len(self.concepts))
         out = np.full((rows.size, columns.size), np.nan)
@@ -465,65 +462,59 @@ def _parse_boxes(obj: dict, ctx: str) -> tuple[BoxAnnotation, ...]:
 
 
 _NO_LABELS: frozenset[str] = frozenset()
+_NO_METADATA: Mapping[str, str] = MappingProxyType({})
 
 
 def _parse_image(
-    obj: dict, ctx: str, label_sets: dict[tuple, frozenset[str]], metadata_maps: dict[tuple, dict]
+    obj: dict,
+    ctx: str,
+    label_sets: dict[frozenset[str], frozenset[str]],
+    metadata_maps: dict[tuple[str, ...], Mapping[str, str]],
 ) -> AnnotatedImage:
     """One annotation record.
 
-    ``label_sets`` and ``metadata_maps`` intern one file's checked ``labels``
-    and ``metadata``, keyed by their contents: each distinct value is checked
-    once and shared by every record that carries it. An absent field costs
-    one lookup; the field helpers run only to name a wrong-typed value.
+    ``label_sets`` and ``metadata_maps`` intern one file's checked label sets
+    and metadata: each distinct value is checked once, and every record that
+    carries it shares one ``frozenset`` or one read-only mapping.
     """
-    image_id = obj.get("image_id")
-    if type(image_id) is not str or not image_id:
-        image_id = _req_str(obj, "image_id", ctx)
-    boxes = obj.get("boxes")
-    boxes = () if boxes is None else _parse_boxes(obj, ctx)
-    captions = obj.get("captions")
-    if captions is not None and type(captions) is not list:
-        captions = _opt_list(obj, "captions", ctx)
-    labels = obj.get("labels")
-    if labels is not None and type(labels) is not list:
-        labels = _opt_list(obj, "labels", ctx)
+    image_id = _req_str(obj, "image_id", ctx)
+    boxes = _parse_boxes(obj, ctx) if "boxes" in obj else ()
+    captions = _opt_list(obj, "captions", ctx)
+    labels = _opt_list(obj, "labels", ctx)
     metadata = obj.get("metadata")
-    if metadata is not None and type(metadata) is not dict:
-        raise DataError(f"{ctx}: 'metadata' must be an object, got {type(metadata).__name__}")
-    if captions:
-        if not all(isinstance(c, str) for c in captions):
-            raise DataError(f"{ctx}: captions must be strings")
-        captions = tuple(captions)
-    else:
-        captions = ()
+    if captions and not all(isinstance(c, str) for c in captions):
+        raise DataError(f"{ctx}: captions must be strings")
     direct_labels = _NO_LABELS
     if labels:
-        key = tuple(labels)
         try:
-            direct_labels = label_sets[key]
-        except (KeyError, TypeError):  # TypeError: an unhashable item, so not a label
+            direct_labels = frozenset(labels)
+        except TypeError:  # an unhashable item, so not a label
+            direct_labels = None
+        checked = label_sets.get(direct_labels)
+        if checked is None:
             if not all(isinstance(s, str) and s for s in labels):
-                raise DataError(f"{ctx}: labels must be non-empty strings") from None
-            direct_labels = label_sets[key] = frozenset(labels)
-    if metadata:
+                raise DataError(f"{ctx}: labels must be non-empty strings")
+            checked = label_sets[direct_labels] = direct_labels
+        direct_labels = checked
+    if metadata is None:
+        metadata = _NO_METADATA
+    elif not isinstance(metadata, dict):
+        raise DataError(f"{ctx}: 'metadata' must be an object, got {type(metadata).__name__}")
+    else:
         key = (*metadata, *metadata.values())  # keys, then values: one tuple
         try:
-            metadata = metadata_maps[key]
-        except (KeyError, TypeError):
-            if not all(isinstance(x, str) for x in key):
-                raise DataError(f"{ctx}: metadata must map strings to strings") from None
-            metadata_maps[key] = metadata
-    else:
-        metadata = {}
-    width, height = obj.get("width"), obj.get("height")
-    if width is not None and type(width) is not int:
-        width = _opt_int(obj, "width", ctx)
-    if height is not None and type(height) is not int:
-        height = _opt_int(obj, "height", ctx)
+            checked = metadata_maps.get(key)
+        except TypeError:  # an unhashable value, so not a string
+            checked = None
+        if checked is None:
+            if not all(isinstance(v, str) for v in metadata.values()):  # JSON keys are strings
+                raise DataError(f"{ctx}: metadata must map strings to strings")
+            checked = metadata_maps[key] = MappingProxyType(metadata)
+        metadata = checked
+    width, height = _opt_int(obj, "width", ctx), _opt_int(obj, "height", ctx)
     try:
         return AnnotatedImage(
-            image_id, width, height, boxes, captions, direct_labels, metadata
+            image_id, width, height, boxes, tuple(captions), direct_labels, metadata
         )
     except DataError as e:
         raise DataError(f"{ctx}: {e}") from e
@@ -547,8 +538,8 @@ def load_annotations(path: str | Path) -> list[AnnotatedImage]:
     if not path.exists():
         raise DataError(f"annotations file not found: {path}")
     by_id: dict[str, AnnotatedImage] = {}  # in order of first appearance
-    label_sets: dict[tuple, frozenset[str]] = {}
-    metadata_maps: dict[tuple, dict] = {}
+    label_sets: dict[frozenset[str], frozenset[str]] = {}
+    metadata_maps: dict[tuple[str, ...], Mapping[str, str]] = {}
     name = str(path)
     for line_no, obj in _iter_jsonl(path, _ints_exact):
         img = _parse_image(obj, f"{name}:{line_no}", label_sets, metadata_maps)
@@ -627,7 +618,7 @@ def validate_dataset(images: Sequence[AnnotatedImage], predictions: ScoreMatrix)
     """
     without_labels = sorted(img.image_id for img in images if not img.has_labels)
     ids = np.array(sorted(img.image_id for img in images), dtype=object)
-    scored = ~np.isnan(predictions.take(ids))
+    scored = ~np.isnan(predictions.take_rows(predictions.row_of(ids)))
     n_scored = scored.sum(axis=0)
     unscored = {
         predictions.concepts[j]: ids[~scored[:, j]].tolist()

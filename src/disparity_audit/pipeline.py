@@ -38,7 +38,7 @@ from .disparity import (
     per_concept_disparity,
     significance_flag,
 )
-from .errors import DataError
+from .errors import DataError, InvariantError
 from .groups import (
     assign_group_from_boxes,
     assign_group_from_captions,
@@ -196,8 +196,11 @@ def evaluate_concept(
         else:
             rngs = derive_rngs(seed, "baseline", concept, g)
             draws = (draw_baseline_group(pool, rngs(b)) for b in range(bootstraps))
-        for m, v in ranked_metrics(ranked, draws, point_metrics).items():
-            values[(m, g)] = v
+        try:
+            for m, v in ranked_metrics(ranked, draws, point_metrics).items():
+                values[(m, g)] = v
+        except InvariantError as e:
+            raise InvariantError(f"concept {concept!r} group {g!r}: {e}") from e
         identity = [np.arange(pool.labels.size)]
         for m, v in ranked_metrics(ranked, identity, point_metrics).items():
             full_sample[(m, g)] = None if np.isnan(v[0]) else float(v[0])

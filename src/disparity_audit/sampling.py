@@ -34,33 +34,22 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(_hashed(parts).digest(), "big")
 
 
-def derive_seeds(*parts) -> Callable[[int | str], int]:
-    """``last -> derive_seed(*parts, last)``, hashing ``parts`` once for
-    every ``last``."""
-    prefix = _hashed(parts)
-
-    def seed(last: int | str) -> int:
-        h = prefix.copy()
-        h.update(_part_hash(last).to_bytes(8, "big"))
-        return int.from_bytes(h.digest(), "big")
-
-    return seed
-
-
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def derive_rng(*parts) -> np.random.Generator:
     """Deterministic generator keyed on the given parts; platform-independent."""
-    return _generator(derive_seed(*parts))
+    return np.random.default_rng(np.random.SeedSequence(derive_seed(*parts)))
 
 
 def derive_rngs(*parts) -> Callable[[int | str], np.random.Generator]:
     """``last -> derive_rng(*parts, last)``, hashing ``parts`` once for
     every ``last``: the streams of one group's bootstraps."""
-    seed = derive_seeds(*parts)
-    return lambda last: _generator(seed(last))
+    prefix = _hashed(parts)
+
+    def rng(last: int | str) -> np.random.Generator:
+        h = prefix.copy()
+        h.update(_part_hash(last).to_bytes(8, "big"))
+        return np.random.default_rng(np.random.SeedSequence(int.from_bytes(h.digest(), "big")))
+
+    return rng
 
 
 def filter_rare_concepts(

@@ -171,6 +171,14 @@ class TestLoadAnnotations:
         assert [img.direct_labels for img in images] == [frozenset({"a", "b"})] * 4
         assert [dict(img.metadata) for img in images] == [{"k": "v"}] * 3 + [{"k": "w"}]
 
+    def test_shared_metadata_is_read_only(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [{"image_id": f"i{k}", "metadata": {"k": "v"}} for k in range(2)])
+        first, second = load_annotations(path)
+        with pytest.raises(TypeError):
+            first.metadata["k"] = "changed"
+        assert dict(second.metadata) == {"k": "v"}
+
     @pytest.mark.parametrize("bad", [["a", ""], ["a", 1], ["a", ["b"]], ["a", None]])
     @pytest.mark.parametrize("line", [1, 2, 4])
     def test_bad_label_list_is_error_on_every_line(self, tmp_path, bad, line):

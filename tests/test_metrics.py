@@ -378,7 +378,7 @@ def matrix_hits(score_maps, target_sets, k):
     ).reshape(len(ids), len(matrix.concepts))
     has_targets = np.array([bool(target_sets[i]) for i in ids], dtype=bool)
     with mock.patch.object(metrics_log, "warning") as warn:
-        hits = hit_vector(matrix.take(ids), targets, has_targets, k)
+        hits = hit_vector(matrix.take_rows(matrix.row_of(ids)), targets, has_targets, k)
     logged = {args[0]: args[1] for args, _ in warn.call_args_list}
     counts = tuple(
         next((n for msg, n in logged.items() if key in msg), 0) for key in WARNINGS

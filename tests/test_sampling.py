@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from disparity_audit import DataError, InvariantError, compute_budget, filter_rare_concepts
 from disparity_audit.concepts import ConceptEvalTable, GroupPool
+from disparity_audit.pipeline import evaluate_concept
 from disparity_audit.sampling import (
     derive_rng,
     derive_rngs,
     derive_seed,
-    derive_seeds,
     draw_baseline_group,
     draw_group,
 )
@@ -207,6 +207,14 @@ class TestBaseline:
         se = np.sqrt(0.35 * 0.65 / (20 * n_draws))
         assert abs(frac.mean() - 0.35) < 4 * se
 
+    def test_empty_pool_error_names_concept_and_group(self):
+        table = make_table(concept="c", A=(3, 5), B=(0, 0))
+        with pytest.raises(InvariantError, match="concept 'c' group 'B': cannot resample"):
+            evaluate_concept(
+                table, metrics=["ap"], mode="baseline", ratio=(1, 3), bootstraps=2, seed=0,
+                validation_fraction=0.5, threshold_scope="pooled",
+            )
+
 
 class TestDeriveRng:
     def test_distinct_keys_distinct_streams(self):
@@ -225,10 +233,9 @@ class TestDeriveRng:
         (-1, 3, "x"), ("seed", 0), (),
     ])
     def test_prefix_hashed_once_gives_the_same_seeds(self, prefix):
-        seeds, rngs = derive_seeds(*prefix), derive_rngs(*prefix)
+        rngs = derive_rngs(*prefix)
         for last in [*range(300), 2**63, -5, "b", ""]:
-            assert seeds(last) == derive_seed(*prefix, last)
+            assert rngs(last).bit_generator.seed_seq.entropy == derive_seed(*prefix, last)
         for last in (0, 7, "z"):
             assert np.array_equal(rngs(last).integers(0, 2**62, 8),
                                   derive_rng(*prefix, last).integers(0, 2**62, 8))
-
