@@ -38,15 +38,8 @@ from .concepts import (
     map_to_model_classes,
 )
 from .metrics import (
-    ConfusionCounts,
-    RateBundle,
-    ThresholdChoice,
-    accuracy_from_rates,
-    auc_roc,
-    average_precision,
-    confusion_at_threshold,
-    precision_from_rates,
-    rates_from_confusion,
+    rank_pool,
+    ranked_metrics,
     select_threshold,
     split_validation_test,
 )

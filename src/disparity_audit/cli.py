@@ -156,6 +156,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.top_n < 0:
+        raise ConfigError(f"--top-n must be >= 0, got {args.top_n}")
     rows = read_results_csv(args.results)
     manifest = None
     if args.manifest:

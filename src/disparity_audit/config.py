@@ -302,6 +302,6 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
         sampling_mode=mode,
         evaluation_version=str(resolved.get("evaluation_version", "custom")),
         drop_unlabeled=_bool(resolved.get("drop_unlabeled", True), "drop_unlabeled"),
-        top_n=_int(resolved.get("top_n", 5), "top_n"),
+        top_n=_int(resolved.get("top_n", 5), "top_n", minimum=0),
         output_dir=output_dir,
     )

@@ -62,6 +62,27 @@ def _as_float_array(values: Sequence[float | None]) -> np.ndarray:
     return np.array([np.nan if v is None else float(v) for v in values], dtype=float)
 
 
+def _estimate(
+    d: np.ndarray, total: int, ci: tuple[float, float], **fields
+) -> MetricEstimate:
+    """The estimate from the finite disparities ``d`` of ``total``
+    bootstraps: their mean and percentile interval, or no value when none
+    survived. ``fields`` names the metric, concept, groups and sizes."""
+    used = int(d.size)
+    if used == 0:
+        return MetricEstimate(
+            point=None, ci_low=None, ci_high=None,
+            bootstrap_count=total, bootstraps_used=0, unreliable=True, **fields,
+        )
+    return MetricEstimate(
+        point=float(d.mean()),
+        ci_low=percentile(d, ci[0]),
+        ci_high=percentile(d, ci[1]),
+        bootstrap_count=total, bootstraps_used=used,
+        unreliable=(total - used) * 2 > total, **fields,
+    )
+
+
 def per_concept_disparity(
     values_a: Sequence[float | None],
     values_b: Sequence[float | None],
@@ -90,25 +111,10 @@ def per_concept_disparity(
     if total == 0:
         raise DataError("need at least one bootstrap value per group")
     mask = np.isfinite(a) & np.isfinite(b)
-    used = int(mask.sum())
-    unreliable = (total - used) * 2 > total
-    if used == 0:
-        return MetricEstimate(
-            metric=metric, concept=concept, group_a=group_a, group_b=group_b,
-            point=None, ci_low=None, ci_high=None,
-            bootstrap_count=total, bootstraps_used=0,
-            sample_sizes=dict(sample_sizes or {}), full_sample=full_sample,
-            unreliable=True,
-        )
-    d = a[mask] - b[mask]
-    return MetricEstimate(
+    return _estimate(
+        a[mask] - b[mask], total, ci,
         metric=metric, concept=concept, group_a=group_a, group_b=group_b,
-        point=float(d.mean()),
-        ci_low=percentile(d, ci[0]),
-        ci_high=percentile(d, ci[1]),
-        bootstrap_count=total, bootstraps_used=used,
         sample_sizes=dict(sample_sizes or {}), full_sample=full_sample,
-        unreliable=unreliable,
     )
 
 
@@ -137,25 +143,11 @@ def aggregate_disparity(
     mat_b = np.vstack([_as_float_array(values_b[c]) for c in concepts])
     if mat_a.shape != mat_b.shape:
         raise InvariantError("bootstrap streams differ in length across groups")
-    total = mat_a.shape[1]
     mask = np.all(np.isfinite(mat_a), axis=0) & np.all(np.isfinite(mat_b), axis=0)
-    used = int(mask.sum())
-    unreliable = (total - used) * 2 > total
-    if used == 0:
-        return MetricEstimate(
-            metric=metric, concept="aggregate", group_a=group_a, group_b=group_b,
-            point=None, ci_low=None, ci_high=None,
-            bootstrap_count=total, bootstraps_used=0,
-            sample_sizes={}, full_sample=full_sample, unreliable=True,
-        )
-    d = mat_a[:, mask].mean(axis=0) - mat_b[:, mask].mean(axis=0)
-    return MetricEstimate(
+    return _estimate(
+        mat_a[:, mask].mean(axis=0) - mat_b[:, mask].mean(axis=0), mat_a.shape[1], ci,
         metric=metric, concept="aggregate", group_a=group_a, group_b=group_b,
-        point=float(d.mean()),
-        ci_low=percentile(d, ci[0]),
-        ci_high=percentile(d, ci[1]),
-        bootstrap_count=total, bootstraps_used=used,
-        sample_sizes={}, full_sample=full_sample, unreliable=unreliable,
+        sample_sizes={}, full_sample=full_sample,
     )
 
 

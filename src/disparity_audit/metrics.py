@@ -1,10 +1,10 @@
-"""Classification and ranking metrics for one (concept, group) batch of rows.
+"""Classification and ranking metrics for one (concept, group) pool of rows.
 
+A pool is sorted once (``rank_pool``); ``ranked_metrics`` then scores every
+bootstrap draw, and the full sample as the identity draw, in rank space.
 Undefined values (e.g. precision with no predicted positives, AUC with a
-degenerate class) are returned as ``None`` by the scalar functions and must
-be handled explicitly by callers; they are never silently coerced to 0.
-``ranked_metrics``, which scores many bootstrap draws at once in rank space,
-marks them NaN.
+degenerate class) are NaN and must be handled explicitly by callers; they
+are never silently coerced to 0.
 """
 
 from __future__ import annotations
@@ -20,179 +20,12 @@ from .errors import DataError
 log = logging.getLogger("disparity_audit.metrics")
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def __post_init__(self):
-        for name in ("tp", "fp", "tn", "fn"):
-            if getattr(self, name) < 0:
-                raise DataError(f"confusion count {name} must be >= 0")
-
-    @property
-    def positives(self) -> int:
-        return self.tp + self.fn
-
-    @property
-    def negatives(self) -> int:
-        return self.fp + self.tn
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-    @property
-    def prevalence(self) -> float:
-        if self.total == 0:
-            raise DataError("prevalence of an empty confusion matrix is undefined")
-        return self.positives / self.total
-
-
-@dataclass(frozen=True)
-class RateBundle:
-    """Confusion-derived rates; ``None`` marks an undefined rate."""
-
-    tpr: float | None
-    fpr: float | None
-    precision: float | None
-    recall: float | None
-    accuracy: float | None
-    f1: float | None
-    prevalence: float
-
-
-@dataclass(frozen=True)
-class ThresholdChoice:
-    """Decision threshold for one concept and the validation F1 it achieved."""
-
-    concept: str
-    threshold: float
-    f1: float
-
-
-def confusion_at_threshold(
-    scores: Sequence[float], labels: Sequence[int], threshold: float
-) -> ConfusionCounts:
-    """Counts with the rule: predict positive iff score >= threshold."""
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels)
-    pred = s >= threshold
-    pos = y == 1
-    return ConfusionCounts(
-        tp=int(np.sum(pred & pos)),
-        fp=int(np.sum(pred & ~pos)),
-        tn=int(np.sum(~pred & ~pos)),
-        fn=int(np.sum(~pred & pos)),
-    )
-
-
-def rates_from_confusion(c: ConfusionCounts) -> RateBundle:
-    tpr = c.tp / c.positives if c.positives > 0 else None
-    fpr = c.fp / c.negatives if c.negatives > 0 else None
-    precision = c.tp / (c.tp + c.fp) if (c.tp + c.fp) > 0 else None
-    accuracy = (c.tp + c.tn) / c.total if c.total > 0 else None
-    recall = tpr
-    if precision is None or recall is None:
-        f1 = None
-    elif precision + recall == 0:
-        f1 = 0.0
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
-    return RateBundle(
-        tpr=tpr, fpr=fpr, precision=precision, recall=recall,
-        accuracy=accuracy, f1=f1, prevalence=c.prevalence,
-    )
-
-
-def precision_from_rates(prevalence: float, tpr: float, fpr: float) -> float | None:
-    """Precision from prevalence and the class-conditional rates:
-
-        precision = a*TPR / (a*TPR + (1-a)*FPR)
-
-    Undefined (``None``) when the denominator is zero.
-    """
-    if not 0 <= prevalence <= 1:
-        raise DataError(f"prevalence must be in [0, 1], got {prevalence}")
-    denom = prevalence * tpr + (1 - prevalence) * fpr
-    if denom <= 0:
-        return None
-    return prevalence * tpr / denom
-
-
-def accuracy_from_rates(prevalence: float, tpr: float, fpr: float) -> float:
-    """Accuracy identity: a*TPR + (1-a)*(1-FPR)."""
-    if not 0 <= prevalence <= 1:
-        raise DataError(f"prevalence must be in [0, 1], got {prevalence}")
-    return prevalence * tpr + (1 - prevalence) * (1 - fpr)
-
-
-def _ranking_order(
-    scores: np.ndarray, tiebreak: Sequence | None
-) -> np.ndarray:
-    """Indices sorting scores descending; ties broken by the tiebreak key
-    ascending (row position when no key is given)."""
-    if tiebreak is None:
-        tb = np.arange(scores.shape[0])
-    else:
-        tb = np.asarray(tiebreak)
-    return np.lexsort((tb, -scores))
-
-
-def average_precision(
-    scores: Sequence[float], labels: Sequence[int], tiebreak: Sequence | None = None
-) -> float | None:
-    """Non-interpolated AP: mean over positives of precision at their rank.
-
-    Equals the mean precision at each threshold where recall increments when
-    scores are distinct. ``None`` with zero positive rows.
-    """
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels)
-    n_pos = int(np.sum(y == 1))
-    if n_pos == 0:
-        return None
-    order = _ranking_order(s, tiebreak)
-    y_sorted = (y[order] == 1)
-    cum_pos = np.cumsum(y_sorted)
-    ranks = np.arange(1, s.shape[0] + 1)
-    prec_at_pos = cum_pos[y_sorted] / ranks[y_sorted]
-    return float(prec_at_pos.sum() / n_pos)
-
-
-def _average_ranks(s: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts + 1
-    return ((starts + ends) / 2.0)[inverse]
-
-
-def auc_roc(scores: Sequence[float], labels: Sequence[int]) -> float | None:
-    """Area under the ROC curve via the rank-sum identity.
-
-    Equals the fraction of (positive, negative) pairs ranked correctly, ties
-    counting one half. ``None`` when either class is empty.
-    """
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels)
-    pos = y == 1
-    n_pos = int(pos.sum())
-    n_neg = int(s.shape[0] - n_pos)
-    if n_pos == 0 or n_neg == 0:
-        return None
-    ranks = _average_ranks(s)
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
-
-
 def _rate_arrays(
     tp: np.ndarray, fp: np.ndarray, tn: np.ndarray, fn: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """``rates_from_confusion`` over arrays of counts, with the same IEEE
-    operations; NaN where the scalar version returns ``None``."""
+    """Confusion-derived rates over arrays of counts; NaN marks an undefined
+    rate, and F1 is 0 where precision and recall are both 0. Each rate takes
+    the IEEE operations of the scalar reference, so it equals it bit for bit."""
     with np.errstate(divide="ignore", invalid="ignore"):
         tpr = tp / (tp + fn)
         precision = tp / (tp + fp)
@@ -208,13 +41,16 @@ def _rate_arrays(
 
 
 def select_threshold(
-    scores: Sequence[float], labels: Sequence[int], concept: str = ""
-) -> ThresholdChoice:
-    """F1-maximizing decision threshold over the given validation rows.
+    scores: Sequence[float], labels: Sequence[int]
+) -> tuple[float, float]:
+    """F1-maximizing decision threshold over the given validation rows, and
+    the F1 it achieves there.
 
     Candidates are the midpoints between consecutive distinct scores plus one
     value below the minimum (predict everything positive); the all-negative
-    candidate above the maximum is disallowed. Ties go to the lowest
+    candidate above the maximum is disallowed. Where a midpoint rounds onto
+    the lower of two adjacent doubles, the upper one is the candidate, so
+    every cut between distinct scores is reachable. Ties go to the lowest
     threshold.
 
     One sort per class, then every candidate's confusion counts come from a
@@ -229,9 +65,9 @@ def select_threshold(
     if not pos.any():
         raise DataError("select_threshold needs at least one positive row")
     distinct = np.unique(s)
-    candidates = np.concatenate(
-        [distinct[:1] - 1.0, (distinct[:-1] + distinct[1:]) / 2.0]
-    )
+    lower, upper = distinct[:-1], distinct[1:]
+    mid = (lower + upper) / 2.0
+    candidates = np.concatenate([distinct[:1] - 1.0, np.where(mid == lower, upper, mid)])
     pos_sorted = np.sort(s[pos])
     neg_sorted = np.sort(s[~pos])
     # rows predicted positive (score >= t) per class, for every candidate t
@@ -239,9 +75,7 @@ def select_threshold(
     fp = neg_sorted.size - np.searchsorted(neg_sorted, candidates, side="left")
     f1 = _rate_arrays(tp, fp, neg_sorted.size - fp, pos_sorted.size - tp)["f1"]
     best = int(np.argmax(np.nan_to_num(f1, nan=0.0)))  # first maximum: lowest t
-    return ThresholdChoice(
-        concept=concept, threshold=float(candidates[best]), f1=float(f1[best])
-    )
+    return float(candidates[best]), float(f1[best])
 
 
 # Draws are scored in blocks of at most this many ranks, so the rank matrix
@@ -254,8 +88,7 @@ class RankedPool:
     """One group's pool sorted once by (score desc, tie-break key asc).
 
     A row's rank is its position in that order, so a bootstrap draw is a
-    vector of ranks, and sorting it reproduces the order that
-    ``average_precision`` computes for the drawn rows.
+    vector of ranks, and sorting it gives the drawn rows' ranking order.
     """
 
     rank_of_row: np.ndarray  # int32, per row in pool order
@@ -273,7 +106,8 @@ def rank_pool(
     """Sort a pool once for ``ranked_metrics``; ``threshold`` enables the
     threshold metrics."""
     s = np.asarray(scores, dtype=float)
-    order = _ranking_order(s, tiebreak)
+    tb = np.arange(s.shape[0]) if tiebreak is None else np.asarray(tiebreak)
+    order = np.lexsort((tb, -s))
     rank_of_row = np.empty(s.shape[0], dtype=np.int32)
     rank_of_row[order] = np.arange(s.shape[0], dtype=np.int32)
     s_desc = s[order]
@@ -293,7 +127,7 @@ def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sums of consecutive runs of ``values``, run i ``counts[i]`` long.
 
     Each run is summed as an array of its own, so every sum takes numpy's
-    pairwise order for that length and equals a scalar kernel's ``sum()``.
+    pairwise order for that length, as a ``sum()`` over that run alone.
     """
     if (counts == counts[0]).all():
         return values.reshape(counts.size, int(counts[0])).sum(axis=1)
@@ -301,7 +135,8 @@ def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _ap_rows(labels: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
-    """``average_precision`` of each row of rank-sorted labels."""
+    """Non-interpolated AP of each row of rank-sorted labels: the mean over
+    positives of the precision at their rank."""
     cum_pos = np.cumsum(labels, axis=1)
     positions = np.broadcast_to(np.arange(1, labels.shape[1] + 1), labels.shape)
     prec_at_pos = cum_pos[labels] / positions[labels]
@@ -310,12 +145,13 @@ def _ap_rows(labels: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
 
 
 def _auc_rows(ties: np.ndarray, labels: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
-    """``auc_roc`` of each row of rank-sorted tie ids and labels.
+    """AUC-ROC of each row of rank-sorted tie ids and labels, by the
+    rank-sum identity (ties count one half).
 
     A tie group over descending positions [start, end] of an m-row draw has
     ascending average rank m - (start + end) / 2. Twice the positives' rank
     sum is an integer, so it is exact, and so is every step up to the final
-    division, which is the scalar kernel's.
+    division.
     """
     m = ties.shape[1]
     idx = np.arange(m)
@@ -357,11 +193,11 @@ def ranked_metrics(
 
     Each draw is an array of row indices into the pool's rows (repeats
     allowed), all draws of the same length. A block of draws becomes a
-    matrix of ranks, one row per draw, sorted along rows once; each value
-    then equals the scalar kernel on the drawn rows bit for bit:
-    ``average_precision`` tie-broken by the pool's key, ``auc_roc``, and
-    ``rates_from_confusion(confusion_at_threshold(...))`` at the pool's
-    threshold. NaN marks an undefined value.
+    matrix of ranks, one row per draw, sorted along rows once. ``ap`` ranks
+    ties by the pool's key, ``auc_roc`` counts them one half, and the
+    threshold metrics predict positive iff score >= the pool's threshold.
+    Each value equals the scalar reference kernel (``tests/oracles.py``) on
+    the drawn rows bit for bit. NaN marks an undefined value.
     """
     parts: dict[str, list[np.ndarray]] = {metric: [] for metric in metrics}
     for ranks in _rank_blocks(pool, draws):

@@ -167,12 +167,11 @@ def evaluate_concept(
         if threshold_scope == "pooled":
             pooled_scores = np.concatenate([val_rows[g][0] for g in groups])
             pooled_labels = np.concatenate([val_rows[g][1] for g in groups])
-            choice = select_threshold(pooled_scores, pooled_labels, concept=concept)
-            thresholds = {g: choice.threshold for g in groups}
+            threshold, _ = select_threshold(pooled_scores, pooled_labels)
+            thresholds = {g: threshold for g in groups}
         else:
             for g in groups:
-                choice = select_threshold(val_rows[g][0], val_rows[g][1], concept=concept)
-                thresholds[g] = choice.threshold
+                thresholds[g], _ = select_threshold(*val_rows[g])
         eval_table = table.restrict(test_rows)
     else:
         eval_table = table
@@ -516,15 +515,38 @@ def write_results_csv(
 
 
 def read_results_csv(path: str | Path) -> list[dict]:
+    """The rows of a results file, numbers parsed (``None`` when empty) and
+    ``significant`` as a bool. Only the key columns (metric, concept, group
+    pair) are required, so files written before a column was added load.
+
+    Raises:
+        DataError: naming the file, line and column of a missing key column
+            or value, or of a value that is not a number.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"results file not found: {path}")
+    keys = ("metric", "concept", "group_a", "group_b")
     out: list[dict] = []
     with path.open(encoding="utf-8", newline="") as f:
-        for row in csv.DictReader(f):
+        reader = csv.DictReader(f)
+        missing = [k for k in keys if k not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}:1: missing column(s) {', '.join(map(repr, missing))}")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
             parsed = dict(row)
+            for key in keys:
+                if row[key] is None:
+                    raise DataError(f"{where}: no value for column {key!r}")
             for key in ("point", "ci_low", "ci_high", "full_sample"):
-                parsed[key] = float(row[key]) if row.get(key) else None
+                text = row.get(key)
+                try:
+                    parsed[key] = float(text) if text else None
+                except ValueError:
+                    raise DataError(
+                        f"{where}: column {key!r} is not a number: {text!r}"
+                    ) from None
             parsed["significant"] = row.get("significant") == "true"
             out.append(parsed)
     return out

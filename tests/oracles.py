@@ -1,0 +1,220 @@
+"""Reference implementations that the shipped metric kernels are tested against.
+
+The package scores every metric in rank space (``metrics.rank_pool`` and
+``metrics.ranked_metrics``; threshold selection by ``select_threshold``).
+This module holds the independent definitions those kernels must match:
+
+* scalar kernels, one call per batch of rows, which ``ranked_metrics``
+  must equal bit for bit: ``average_precision``, ``auc_roc`` and
+  ``rates_from_confusion(confusion_at_threshold(...))``; undefined values
+  are ``None``, where the rank kernels give NaN;
+* the prevalence identities ``precision_from_rates`` and
+  ``accuracy_from_rates``;
+* brute-force enumerators, kept deliberately naive: ``ap_oracle``,
+  ``auc_oracle``, ``f1_at`` and ``threshold_oracle_f1``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from disparity_audit.errors import DataError
+
+
+@dataclass(frozen=True)
+class ConfusionCounts:
+    tp: int
+    fp: int
+    tn: int
+    fn: int
+
+    def __post_init__(self):
+        for name in ("tp", "fp", "tn", "fn"):
+            if getattr(self, name) < 0:
+                raise DataError(f"confusion count {name} must be >= 0")
+
+    @property
+    def positives(self) -> int:
+        return self.tp + self.fn
+
+    @property
+    def negatives(self) -> int:
+        return self.fp + self.tn
+
+    @property
+    def total(self) -> int:
+        return self.tp + self.fp + self.tn + self.fn
+
+    @property
+    def prevalence(self) -> float:
+        if self.total == 0:
+            raise DataError("prevalence of an empty confusion matrix is undefined")
+        return self.positives / self.total
+
+
+@dataclass(frozen=True)
+class RateBundle:
+    """Confusion-derived rates; ``None`` marks an undefined rate."""
+
+    tpr: float | None
+    fpr: float | None
+    precision: float | None
+    recall: float | None
+    accuracy: float | None
+    f1: float | None
+    prevalence: float
+
+
+def confusion_at_threshold(
+    scores: Sequence[float], labels: Sequence[int], threshold: float
+) -> ConfusionCounts:
+    """Counts with the rule: predict positive iff score >= threshold."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels)
+    pred = s >= threshold
+    pos = y == 1
+    return ConfusionCounts(
+        tp=int(np.sum(pred & pos)),
+        fp=int(np.sum(pred & ~pos)),
+        tn=int(np.sum(~pred & ~pos)),
+        fn=int(np.sum(~pred & pos)),
+    )
+
+
+def rates_from_confusion(c: ConfusionCounts) -> RateBundle:
+    tpr = c.tp / c.positives if c.positives > 0 else None
+    fpr = c.fp / c.negatives if c.negatives > 0 else None
+    precision = c.tp / (c.tp + c.fp) if (c.tp + c.fp) > 0 else None
+    accuracy = (c.tp + c.tn) / c.total if c.total > 0 else None
+    recall = tpr
+    if precision is None or recall is None:
+        f1 = None
+    elif precision + recall == 0:
+        f1 = 0.0
+    else:
+        f1 = 2 * precision * recall / (precision + recall)
+    return RateBundle(
+        tpr=tpr, fpr=fpr, precision=precision, recall=recall,
+        accuracy=accuracy, f1=f1, prevalence=c.prevalence,
+    )
+
+
+def precision_from_rates(prevalence: float, tpr: float, fpr: float) -> float | None:
+    """Precision from prevalence and the class-conditional rates:
+
+        precision = a*TPR / (a*TPR + (1-a)*FPR)
+
+    Undefined (``None``) when the denominator is zero.
+    """
+    if not 0 <= prevalence <= 1:
+        raise DataError(f"prevalence must be in [0, 1], got {prevalence}")
+    denom = prevalence * tpr + (1 - prevalence) * fpr
+    if denom <= 0:
+        return None
+    return prevalence * tpr / denom
+
+
+def accuracy_from_rates(prevalence: float, tpr: float, fpr: float) -> float:
+    """Accuracy identity: a*TPR + (1-a)*(1-FPR)."""
+    if not 0 <= prevalence <= 1:
+        raise DataError(f"prevalence must be in [0, 1], got {prevalence}")
+    return prevalence * tpr + (1 - prevalence) * (1 - fpr)
+
+
+def average_precision(
+    scores: Sequence[float], labels: Sequence[int], tiebreak: Sequence | None = None
+) -> float | None:
+    """Non-interpolated AP: mean over positives of precision at their rank.
+
+    Rows rank by score descending, ties by the tiebreak key ascending (row
+    position when no key is given). Equals the mean precision at each
+    threshold where recall increments when scores are distinct. ``None``
+    with zero positive rows.
+    """
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels)
+    n_pos = int(np.sum(y == 1))
+    if n_pos == 0:
+        return None
+    tb = np.arange(s.shape[0]) if tiebreak is None else np.asarray(tiebreak)
+    order = np.lexsort((tb, -s))
+    y_sorted = (y[order] == 1)
+    cum_pos = np.cumsum(y_sorted)
+    ranks = np.arange(1, s.shape[0] + 1)
+    prec_at_pos = cum_pos[y_sorted] / ranks[y_sorted]
+    return float(prec_at_pos.sum() / n_pos)
+
+
+def _average_ranks(s: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties sharing their average rank."""
+    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    starts = ends - counts + 1
+    return ((starts + ends) / 2.0)[inverse]
+
+
+def auc_roc(scores: Sequence[float], labels: Sequence[int]) -> float | None:
+    """Area under the ROC curve via the rank-sum identity.
+
+    Equals the fraction of (positive, negative) pairs ranked correctly, ties
+    counting one half. ``None`` when either class is empty.
+    """
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels)
+    pos = y == 1
+    n_pos = int(pos.sum())
+    n_neg = int(s.shape[0] - n_pos)
+    if n_pos == 0 or n_neg == 0:
+        return None
+    ranks = _average_ranks(s)
+    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def ap_oracle(scores, labels):
+    """Precision at every distinct threshold with a recall increment, averaged."""
+    n_pos = sum(labels)
+    if n_pos == 0:
+        return None
+    precisions = []
+    prev_recall = 0.0
+    for t in sorted(set(scores), reverse=True):
+        tp = sum(1 for s, y in zip(scores, labels) if s >= t and y == 1)
+        fp = sum(1 for s, y in zip(scores, labels) if s >= t and y == 0)
+        recall = tp / n_pos
+        if recall > prev_recall:
+            precisions.append(tp / (tp + fp))
+            prev_recall = recall
+    return sum(precisions) / len(precisions)
+
+
+def auc_oracle(scores, labels):
+    """Exhaustive (positive, negative) pair comparison; ties count one half."""
+    pos = [s for s, y in zip(scores, labels) if y == 1]
+    neg = [s for s, y in zip(scores, labels) if y == 0]
+    if not pos or not neg:
+        return None
+    total = 0.0
+    for sp in pos:
+        for sn in neg:
+            total += 1.0 if sp > sn else (0.5 if sp == sn else 0.0)
+    return total / (len(pos) * len(neg))
+
+
+def f1_at(scores, labels, t):
+    tp = sum(1 for s, y in zip(scores, labels) if s >= t and y == 1)
+    fp = sum(1 for s, y in zip(scores, labels) if s >= t and y == 0)
+    fn = sum(1 for s, y in zip(scores, labels) if s < t and y == 1)
+    if tp == 0:
+        return 0.0
+    p = tp / (tp + fp)
+    r = tp / (tp + fn)
+    return 2 * p * r / (p + r)
+
+
+def threshold_oracle_f1(scores, labels):
+    """Best F1 over every achievable non-all-negative prediction set."""
+    return max(f1_at(scores, labels, t) for t in set(scores))

@@ -14,20 +14,15 @@ import numpy as np
 
 from disparity_audit import (
     CellSpec,
-    ConfusionCounts,
     ScenarioSpec,
     ScoreMatrix,
-    accuracy_from_rates,
-    auc_roc,
-    average_precision,
     build_concept_tables,
     compute_budget,
-    confusion_at_threshold,
     generate,
     map_targets,
     per_concept_disparity,
-    precision_from_rates,
-    rates_from_confusion,
+    rank_pool,
+    ranked_metrics,
     select_threshold,
     significance_flag,
 )
@@ -39,8 +34,9 @@ from disparity_audit.groups import (
     assign_group_from_boxes,
     assign_group_from_captions,
 )
+from disparity_audit.metrics import _rate_arrays
 from disparity_audit.pipeline import evaluate_tables
-from disparity_audit.sampling import derive_rng, draw_group
+from disparity_audit.sampling import derive_rng, derive_rngs, draw_group
 
 from corpus import (
     BOX_CASES,
@@ -50,12 +46,40 @@ from corpus import (
     box_terms,
     caption_terms,
 )
-from test_metrics import ap_oracle, auc_oracle, f1_at, threshold_oracle_f1
+from oracles import (
+    ConfusionCounts,
+    accuracy_from_rates,
+    ap_oracle,
+    auc_oracle,
+    auc_roc,
+    f1_at,
+    precision_from_rates,
+    rates_from_confusion,
+    threshold_oracle_f1,
+)
 
 
 def _report(criterion: int, name: str, detail: str = ""):
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {criterion:02d} PASS: {name}{suffix}")
+
+
+def _full_sample(scores, labels, metrics, threshold=None):
+    """The metrics of all rows as ``evaluate_concept`` scores a full sample:
+    the identity draw through ``rank_pool`` + ``ranked_metrics``. NaN marks
+    an undefined value."""
+    pool = rank_pool(scores, labels, threshold=threshold)
+    values = ranked_metrics(pool, [np.arange(len(labels))], metrics)
+    return {m: float(v[0]) for m, v in values.items()}
+
+
+def _same(value, ref):
+    """The shipped kernel's value is the scalar reference's double, and NaN
+    where the reference gives None."""
+    if ref is None:
+        assert math.isnan(value)
+    else:
+        assert value == ref
 
 
 def _mini_cfg(mode: str, seed: int, metrics=("ap",), ratio=(1, 5), bootstraps=250,
@@ -74,31 +98,37 @@ def _mini_cfg(mode: str, seed: int, metrics=("ap",), ratio=(1, 5), bootstraps=25
 
 
 def test_criterion_01_rate_identities():
-    """Eq-style identities match confusion-derived rates within 1e-12; < 1 s."""
+    """Eq-style identities match the shipped kernel's confusion-derived rates
+    within 1e-12; < 1 s."""
     start = time.perf_counter()
     rng = np.random.default_rng(101)
-    checked = 0
-    while checked < 10_000:
+    counts = []
+    while len(counts) < 10_000:
         tp, fp, tn, fn = (int(x) for x in rng.integers(0, 1000, size=4))
-        c = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-        if c.positives == 0 or c.negatives == 0:
+        if tp + fn == 0 or fp + tn == 0:
             continue
-        r = rates_from_confusion(c)
+        counts.append(ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn))
+    rates = _rate_arrays(*np.array([(c.tp, c.fp, c.tn, c.fn) for c in counts]).T)
+    for i, c in enumerate(counts):
+        ref = rates_from_confusion(c)
+        for m in ("tpr", "fpr", "precision", "accuracy", "f1"):
+            _same(rates[m][i], getattr(ref, m))
+        tpr, fpr, precision = rates["tpr"][i], rates["fpr"][i], rates["precision"][i]
         alpha = c.prevalence
-        derived_p = precision_from_rates(alpha, r.tpr, r.fpr)
-        if r.precision is None:
+        derived_p = precision_from_rates(alpha, tpr, fpr)
+        if math.isnan(precision):
             assert derived_p is None or derived_p == 0.0
         else:
-            assert abs(derived_p - r.precision) < 1e-12
-        assert abs(accuracy_from_rates(alpha, r.tpr, r.fpr) - r.accuracy) < 1e-12
-        checked += 1
+            assert abs(derived_p - precision) < 1e-12
+        assert abs(accuracy_from_rates(alpha, tpr, fpr) - rates["accuracy"][i]) < 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     _report(1, "rate identities on 10,000 random confusions", f"{elapsed:.2f}s")
 
 
 def test_criterion_02_ranking_metric_oracles():
-    """AP and AUC match brute-force definitions on every labeling of <= 8 rows; < 10 s."""
+    """Shipped AP and AUC match brute-force definitions on every labeling of
+    <= 8 rows; < 10 s."""
     start = time.perf_counter()
     rng = np.random.default_rng(202)
     cases = 0
@@ -110,13 +140,13 @@ def test_criterion_02_ranking_metric_oracles():
             scores = scores.tolist()
             for labels in itertools.product([0, 1], repeat=n):
                 labels = list(labels)
-                ap, ap_ref = average_precision(scores, labels), ap_oracle(scores, labels)
-                auc, auc_ref = auc_roc(scores, labels), auc_oracle(scores, labels)
-                for got, ref in ((ap, ap_ref), (auc, auc_ref)):
+                got = _full_sample(scores, labels, ("ap", "auc_roc"))
+                for m, ref in (("ap", ap_oracle(scores, labels)),
+                               ("auc_roc", auc_oracle(scores, labels))):
                     if ref is None:
-                        assert got is None
+                        assert math.isnan(got[m])
                     else:
-                        assert abs(got - ref) < 1e-12
+                        assert abs(got[m] - ref) < 1e-12
                 cases += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
@@ -124,8 +154,10 @@ def test_criterion_02_ranking_metric_oracles():
 
 
 def test_criterion_03_prevalence_invariance():
-    """Duplicating negatives leaves TPR/FPR bit-identical; precision strictly drops."""
+    """Duplicating negatives leaves the shipped TPR/FPR bit-identical;
+    precision strictly drops."""
     rng = np.random.default_rng(303)
+    metrics = ("tpr", "fpr", "precision")
     checked = 0
     for _ in range(400):
         n = int(rng.integers(4, 40))
@@ -134,17 +166,16 @@ def test_criterion_03_prevalence_invariance():
         if labels.sum() == 0 or labels.sum() == n:
             continue
         t = float(rng.choice(scores))
-        base = confusion_at_threshold(scores, labels, t)
-        r1 = rates_from_confusion(base)
+        r1 = _full_sample(scores, labels, metrics, threshold=t)
         neg_mask = labels == 0
         for m in (2, 5, 10):
             dup_scores = np.concatenate([scores] + [scores[neg_mask]] * (m - 1))
             dup_labels = np.concatenate([labels] + [labels[neg_mask]] * (m - 1))
-            r2 = rates_from_confusion(confusion_at_threshold(dup_scores, dup_labels, t))
-            assert r1.tpr == r2.tpr  # bit-identical
-            assert r1.fpr == r2.fpr
-            if base.fp > 0 and base.tp > 0:
-                assert r2.precision < r1.precision
+            r2 = _full_sample(dup_scores, dup_labels, metrics, threshold=t)
+            assert r1["tpr"] == r2["tpr"]  # bit-identical
+            assert r1["fpr"] == r2["fpr"]
+            if r1["fpr"] > 0 and r1["tpr"] > 0:  # fp > 0 and tp > 0
+                assert r2["precision"] < r1["precision"]
             checked += 1
     assert checked > 300
     _report(3, f"TPR/FPR prevalence invariance on {checked} duplications", "exact")
@@ -185,7 +216,8 @@ def test_criterion_04_flagship_prevalence_reproduction():
 
 def test_criterion_05_bootstrap_ci_calibration():
     """95% interval for AUC disparity of identical-law groups covers 0 in
-    93-97% of 500 regenerations; < 5 min."""
+    93-97% of 500 regenerations, every draw scored by the shipped kernel and
+    the first seeds' draws checked against the scalar reference; < 5 min."""
     start = time.perf_counter()
     n, n_boot = 400, 250
     covered = 0
@@ -198,13 +230,12 @@ def test_criterion_05_bootstrap_ci_calibration():
             neg = 1 / (1 + np.exp(-rng.normal(0, 1, n - n_pos)))
             scores = np.concatenate([pos, neg])
             labels = np.concatenate([np.ones(n_pos), np.zeros(n - n_pos)])
-            vals = np.empty(n_boot)
-            for b in range(n_boot):
-                r2 = derive_rng(seed, "calibboot", g, b)
-                idx = r2.integers(0, n, n)
-                v = auc_roc(scores[idx], labels[idx])
-                vals[b] = np.nan if v is None else v
-            boots[g] = vals
+            rngs = derive_rngs(seed, "calibboot", g)
+            draws = [rngs(b).integers(0, n, n) for b in range(n_boot)]
+            boots[g] = ranked_metrics(rank_pool(scores, labels), draws, ("auc_roc",))["auc_roc"]
+            if seed < 3:
+                for idx, v in zip(draws, boots[g]):
+                    _same(v, auc_roc(scores[idx], labels[idx]))
         est = per_concept_disparity(
             boots["a"], boots["b"], metric="auc_roc", concept="c",
             group_a="a", group_b="b",
@@ -266,11 +297,11 @@ def test_criterion_07_threshold_rule():
             labels = list(labels)
             if sum(labels) == 0:
                 continue
-            choice = select_threshold(scores, labels)
-            assert abs(choice.f1 - threshold_oracle_f1(scores, labels)) < 1e-12
-            assert choice.threshold <= max(scores)
-            assert any(s >= choice.threshold for s in scores)
-            assert abs(f1_at(scores, labels, choice.threshold) - choice.f1) < 1e-12
+            threshold, f1 = select_threshold(scores, labels)
+            assert abs(f1 - threshold_oracle_f1(scores, labels)) < 1e-12
+            assert threshold <= max(scores)
+            assert any(s >= threshold for s in scores)
+            assert abs(f1_at(scores, labels, threshold) - f1) < 1e-12
             cases += 1
     _report(7, f"threshold selection optimal on {cases} instances", "exact")
 
@@ -320,7 +351,7 @@ def test_criterion_09_rare_concept_noise():
                 neg = 1 / (1 + np.exp(-rng.normal(0, 1, n_images - n_pos)))
                 scores = np.concatenate([pos, neg])
                 labels = np.concatenate([np.ones(n_pos), np.zeros(n_images - n_pos)])
-                values[g] = average_precision(scores, labels)
+                values[g] = _full_sample(scores, labels, ("ap",))["ap"]
             out[i] = abs(values["a"] - values["b"])
         return out
 

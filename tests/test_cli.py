@@ -12,6 +12,12 @@ from disparity_audit.pipeline import assign_groups, load_dataset
 TERMS = Path(__file__).resolve().parents[1] / "configs" / "terms_coco_captions.json"
 
 
+RESULTS_HEADER = (
+    "metric,concept,group_a,group_b,point,ci_low,ci_high,significant,full_sample"
+)
+RESULTS_ROW = "ap,c1,A,B,0.1,0.05,0.2,true,0.12"
+
+
 @pytest.fixture
 def workspace(tmp_path):
     scenario = {
@@ -276,6 +282,7 @@ class TestExitCodes:
         ("sampling", "bootstraps", 0),
         (None, "k", 2.7),
         (None, "top_n", True),
+        (None, "top_n", -1),
     ])
     def test_malformed_integer_field_is_2(self, workspace, capsys, section, key, value):
         tmp_path, cfg_path = workspace
@@ -305,6 +312,45 @@ class TestExitCodes:
             assert main([command, "--config", str(cfg_path)]) == 2
             err = capsys.readouterr().err
             assert "config error" in err and key in err and repr(value) in err
+
+    def test_report_negative_top_n_is_2(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        path.write_text(f"{RESULTS_HEADER}\n{RESULTS_ROW}\n")
+        assert main(["report", "--results", str(path), "--top-n", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "--top-n must be >= 0, got -1" in err
+
+    @pytest.mark.parametrize("text,line,column", [
+        ("concept,group_a,group_b,point\nc1,A,B,0.1\n", 1, "'metric'"),
+        ("metric,group_a,group_b,point\nap,A,B,0.1\n", 1, "'concept'"),
+        ("metric,concept,group_b,point\nap,c1,B,0.1\n", 1, "'group_a'"),
+        ("metric,concept,group_a,point\nap,c1,A,0.1\n", 1, "'group_b'"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW}\nap,c2\n", 3, "'group_a'"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW}\nap,c2,A,B,high,0,0.2,false,\n", 3, "'point'"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW}\nap,c2,A,B,0.1,-,0.2,false,\n", 3, "'ci_low'"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW}\nap,c2,A,B,0.1,0,0.2x,false,\n", 3, "'ci_high'"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW}\nap,c2,A,B,0.1,0,0.2,false,n/a\n", 3,
+         "'full_sample'"),
+    ], ids=["no-metric", "no-concept", "no-group_a", "no-group_b", "short-row",
+            "point", "ci_low", "ci_high", "full_sample"])
+    def test_malformed_results_file_is_3(self, tmp_path, capsys, text, line, column):
+        path = tmp_path / "results.csv"
+        path.write_text(text)
+        for argv in (["report", "--results", str(path)],
+                     ["compare", "--a", str(path), "--b", str(path)]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert "data error" in err and "Traceback" not in err
+            assert f"{path}:{line}: " in err and column in err
+
+    def test_results_file_without_later_columns_loads(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        path.write_text("metric,concept,group_a,group_b,point,ci_low,ci_high,significant\n"
+                        "ap,c1,A,B,0.1,0.05,0.2,true\n")
+        assert main(["report", "--results", str(path)]) == 0
+        assert "c1" in capsys.readouterr().out
+        assert main(["compare", "--a", str(path), "--b", str(path)]) == 0
+        assert "1 shared rows, 0 sign flip(s)" in capsys.readouterr().out
 
     def test_malformed_term_exclusions_flag_is_2(self, workspace, capsys):
         tmp_path, cfg_path = workspace

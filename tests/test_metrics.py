@@ -6,69 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disparity_audit import (
+from disparity_audit import DataError, select_threshold, split_validation_test
+from disparity_audit.data import PredictionRecord, ScoreMatrix
+from disparity_audit.metrics import hit_vector, log as metrics_log
+
+from oracles import (
     ConfusionCounts,
-    DataError,
     accuracy_from_rates,
+    ap_oracle,
+    auc_oracle,
     auc_roc,
     average_precision,
     confusion_at_threshold,
     precision_from_rates,
     rates_from_confusion,
-    select_threshold,
-    split_validation_test,
+    threshold_oracle_f1,
 )
-from disparity_audit.data import PredictionRecord, ScoreMatrix
-from disparity_audit.metrics import hit_vector, log as metrics_log
 
 
-# Independent oracles, kept deliberately naive.
-
-def ap_oracle(scores, labels):
-    """Precision at every distinct threshold with a recall increment, averaged."""
-    n_pos = sum(labels)
-    if n_pos == 0:
-        return None
-    precisions = []
-    prev_recall = 0.0
-    for t in sorted(set(scores), reverse=True):
-        tp = sum(1 for s, y in zip(scores, labels) if s >= t and y == 1)
-        fp = sum(1 for s, y in zip(scores, labels) if s >= t and y == 0)
-        recall = tp / n_pos
-        if recall > prev_recall:
-            precisions.append(tp / (tp + fp))
-            prev_recall = recall
-    return sum(precisions) / len(precisions)
-
-
-def auc_oracle(scores, labels):
-    """Exhaustive (positive, negative) pair comparison; ties count one half."""
-    pos = [s for s, y in zip(scores, labels) if y == 1]
-    neg = [s for s, y in zip(scores, labels) if y == 0]
-    if not pos or not neg:
-        return None
-    total = 0.0
-    for sp in pos:
-        for sn in neg:
-            total += 1.0 if sp > sn else (0.5 if sp == sn else 0.0)
-    return total / (len(pos) * len(neg))
-
-
-def f1_at(scores, labels, t):
-    tp = sum(1 for s, y in zip(scores, labels) if s >= t and y == 1)
-    fp = sum(1 for s, y in zip(scores, labels) if s >= t and y == 0)
-    fn = sum(1 for s, y in zip(scores, labels) if s < t and y == 1)
-    if tp == 0:
-        return 0.0
-    p = tp / (tp + fp)
-    r = tp / (tp + fn)
-    return 2 * p * r / (p + r)
-
-
-def threshold_oracle_f1(scores, labels):
-    """Best F1 over every achievable non-all-negative prediction set."""
-    return max(f1_at(scores, labels, t) for t in set(scores))
-
+# The scalar reference kernels (``oracles``) against hand counts and brute
+# force; ``test_rank_metrics`` holds the shipped rank kernels to them.
 
 class TestConfusion:
     def test_separable(self):
@@ -266,21 +223,21 @@ class TestAucRoc:
 
 class TestSelectThreshold:
     def test_worked_example(self):
-        choice = select_threshold([0.9, 0.8, 0.7, 0.1], [1, 0, 1, 0])
-        assert 0.1 < choice.threshold <= 0.7
-        assert choice.f1 == pytest.approx(0.8)
+        threshold, f1 = select_threshold([0.9, 0.8, 0.7, 0.1], [1, 0, 1, 0])
+        assert 0.1 < threshold <= 0.7
+        assert f1 == pytest.approx(0.8)
 
     def test_perfectly_separable(self):
-        choice = select_threshold([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
-        assert choice.f1 == 1.0
+        _, f1 = select_threshold([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
+        assert f1 == 1.0
 
     def test_never_all_negative(self):
         # one positive with the lowest score: all-negative would be tempting
         scores = [0.9, 0.8, 0.7, 0.1]
         labels = [0, 0, 0, 1]
-        choice = select_threshold(scores, labels)
-        assert choice.threshold <= max(scores)
-        assert any(s >= choice.threshold for s in scores)
+        threshold, _ = select_threshold(scores, labels)
+        assert threshold <= max(scores)
+        assert any(s >= threshold for s in scores)
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(3)
@@ -289,9 +246,9 @@ class TestSelectThreshold:
                 if sum(labels) == 0:
                     continue
                 scores = rng.random(n).tolist()
-                choice = select_threshold(scores, list(labels))
-                assert choice.f1 == pytest.approx(threshold_oracle_f1(scores, list(labels)))
-                assert choice.threshold <= max(scores)
+                threshold, f1 = select_threshold(scores, list(labels))
+                assert f1 == pytest.approx(threshold_oracle_f1(scores, list(labels)))
+                assert threshold <= max(scores)
 
     def test_requires_positive(self):
         with pytest.raises(DataError):
@@ -299,8 +256,8 @@ class TestSelectThreshold:
 
     def test_ties_take_lowest_threshold(self):
         # both "all positive" and "top-1" give f1 = 1 when everything is positive
-        choice = select_threshold([0.6, 0.4], [1, 1])
-        assert choice.threshold < 0.4
+        threshold, _ = select_threshold([0.6, 0.4], [1, 1])
+        assert threshold < 0.4
 
 
 class TestSplit:

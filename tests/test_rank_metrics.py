@@ -1,4 +1,5 @@
-"""Rank-space bootstrap scoring against the scalar reference kernels.
+"""Rank-space bootstrap scoring against the scalar reference kernels of
+``oracles``.
 
 ``ranked_metrics`` must give, on every draw, exactly the values of
 ``average_precision`` (tie-broken by image id), ``auc_roc`` and
@@ -13,22 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disparity_audit import (
-    auc_roc,
-    average_precision,
-    compute_budget,
-    confusion_at_threshold,
-    rates_from_confusion,
-    select_threshold,
-    split_validation_test,
-)
+from disparity_audit import compute_budget, select_threshold, split_validation_test
 from disparity_audit.concepts import ConceptEvalTable, GroupPool
 from disparity_audit.config import THRESHOLD_METRICS
 from disparity_audit.metrics import rank_pool, ranked_metrics
 from disparity_audit.pipeline import evaluate_concept
 from disparity_audit.sampling import derive_rng, derive_seed, draw_baseline_group, draw_group
 
-from test_metrics import f1_at, threshold_oracle_f1
+from oracles import (
+    auc_roc,
+    average_precision,
+    confusion_at_threshold,
+    f1_at,
+    rates_from_confusion,
+    threshold_oracle_f1,
+)
 
 ALL_METRICS = ("ap", "auc_roc") + THRESHOLD_METRICS
 
@@ -189,13 +189,13 @@ def reference_evaluation(table, metric, mode, scope, bootstraps, seed, fraction=
             v, test[g] = split_validation_test(pool.labels, fraction, split_seed)
             val[g] = (pool.scores[v], pool.labels[v])
         if scope == "pooled":
-            t = select_threshold(
+            t, _ = select_threshold(
                 np.concatenate([val[g][0] for g in table.groups]),
                 np.concatenate([val[g][1] for g in table.groups]),
-            ).threshold
+            )
             thresholds = {g: t for g in table.groups}
         else:
-            thresholds = {g: select_threshold(*val[g]).threshold for g in table.groups}
+            thresholds = {g: select_threshold(*val[g])[0] for g in table.groups}
         eval_table = table.restrict(test)
     sizes = {g: (eval_table.n_pos(g), eval_table.n_neg(g)) for g in table.groups}
     budget = compute_budget(table.concept, sizes, (1, 4)) if mode == "reliable" else None
@@ -246,11 +246,15 @@ class TestMetricsThroughEvaluateConcept:
 
 
 def scan_select_threshold(scores, labels):
-    """The per-candidate scan: one confusion pass per candidate threshold."""
+    """The per-candidate scan: one confusion pass per candidate threshold.
+    A candidate is the midpoint of two consecutive distinct scores, or the
+    upper score where the midpoint rounds onto the lower."""
     s = np.asarray(scores, dtype=float)
     distinct = np.unique(s)
     candidates = [float(distinct[0]) - 1.0]
-    candidates.extend(float((a + b) / 2.0) for a, b in zip(distinct[:-1], distinct[1:]))
+    for a, b in zip(distinct[:-1], distinct[1:]):
+        mid = (a + b) / 2.0
+        candidates.append(float(b if mid == a else mid))
     best_t, best_f1 = None, -1.0
     for t in candidates:
         f1 = rates_from_confusion(confusion_at_threshold(s, labels, t)).f1
@@ -260,13 +264,12 @@ def scan_select_threshold(scores, labels):
     return best_t, best_f1
 
 
-def check_threshold(scores, labels, optimal=True):
-    choice = select_threshold(scores, labels)
-    assert (choice.threshold, choice.f1) == scan_select_threshold(scores, labels)
-    assert type(choice.threshold) is float and type(choice.f1) is float
-    assert abs(f1_at(list(scores), list(labels), choice.threshold) - choice.f1) < 1e-12
-    if optimal:
-        assert abs(choice.f1 - threshold_oracle_f1(list(scores), list(labels))) < 1e-12
+def check_threshold(scores, labels):
+    threshold, f1 = select_threshold(scores, labels)
+    assert (threshold, f1) == scan_select_threshold(scores, labels)
+    assert type(threshold) is float and type(f1) is float
+    assert abs(f1_at(list(scores), list(labels), threshold) - f1) < 1e-12
+    assert abs(f1 - threshold_oracle_f1(list(scores), list(labels))) < 1e-12
 
 
 class TestSelectThresholdSweep:
@@ -284,19 +287,19 @@ class TestSelectThresholdSweep:
     def test_all_positive_takes_lowest_threshold(self, n):
         scores = np.random.default_rng(n).random(n).tolist()
         check_threshold(scores, [1] * n)
-        assert select_threshold(scores, [1] * n).threshold < min(scores)
+        assert select_threshold(scores, [1] * n)[0] < min(scores)
 
     @pytest.mark.parametrize(
         "labels", [[0, 1], [1, 0], [1, 1], [0, 1, 1], [1, 0, 1], [0, 0, 1], [1, 0, 0]]
     )
     def test_adjacent_doubles(self, labels):
-        # The midpoint of two adjacent doubles rounds onto one of them, so
-        # the cut between them is no candidate and the exhaustive optimum
-        # can be missed; the sweep still picks what the scan picked.
+        # The midpoint of two adjacent doubles rounds onto one of them; where
+        # it rounds onto the lower, the upper score is the candidate, so the
+        # cut between them is still reachable and the optimum is found.
         a = 0.5
         b = float(np.nextafter(a, 1.0))
         c = float(np.nextafter(b, 1.0))
-        assert (a + b) / 2.0 in (a, b)
+        assert (a + b) / 2.0 == a
         scores = [a, b, c][:len(labels)]
-        check_threshold(scores, labels, optimal=False)
-        check_threshold(scores[::-1], labels, optimal=False)
+        check_threshold(scores, labels)
+        check_threshold(scores[::-1], labels)

@@ -4,19 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from disparity_audit import (
-    CellSpec,
-    DataError,
-    ScenarioSpec,
-    auc_roc,
-    average_precision,
-    closed_form_auc,
-    confusion_at_threshold,
-    generate,
-    rates_from_confusion,
-)
+from disparity_audit import CellSpec, DataError, ScenarioSpec, closed_form_auc, generate
 from disparity_audit.sampling import derive_seed
 from disparity_audit.synth import logistic
+
+from oracles import auc_roc, average_precision, confusion_at_threshold, rates_from_confusion
 
 
 def scenario(prevalence=0.2, n=100, seed=1, mu_pos=1.0, mu_neg=0.0, sigma=1.0):
