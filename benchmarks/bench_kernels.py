@@ -18,11 +18,12 @@ and threshold selection on the pooled validation rows of three groups.
 * wide: 200 concepts scored on 3 x 1,500 images, written by ``synth`` as a
   predictions file; times ``load_predictions`` on that file and
   ``hit_vector`` (k 5) on the loaded matrix.
-* deep: 3 concepts labelled on 3 x 10,000 images, written by ``synth`` as
-  an annotations file (30,000 lines of id, labels and metadata, 8 distinct
-  label sets); times ``load_annotations`` on that file, then
-  ``assign_groups`` (metadata method) and ``map_targets`` on the loaded
-  images.
+* deep: 3 concepts labelled and scored on 3 x 10,000 images, written by
+  ``synth`` as an annotations file (30,000 lines of id, labels and
+  metadata, 8 distinct label sets) and a predictions file (30,000 records
+  of 3 scores); times ``load_annotations`` and ``load_predictions`` on
+  those files, then ``validate_dataset``, ``assign_groups`` (metadata
+  method) and ``map_targets`` on the loaded dataset.
 * distinct: the deep images with no value repeated: each line carries its
   own 3 to 8 labels out of 21,000 classes and a metadata URL of its own;
   times ``load_annotations`` and ``map_targets``, the steps whose work is
@@ -44,6 +45,7 @@ from disparity_audit.data import (
     ScoreMatrix,
     load_annotations,
     load_predictions,
+    validate_dataset,
 )
 from disparity_audit.metrics import hit_vector, rank_pool, ranked_metrics, select_threshold
 from disparity_audit.pipeline import assign_groups
@@ -197,7 +199,8 @@ def _write_run(directory, spec):
 @pytest.fixture(scope="module")
 def deep(tmp_path_factory):
     """The deep shape: an annotations file of 30,000 lines, a run config that
-    assigns groups from its metadata, and the scores as a matrix."""
+    assigns groups from its metadata and reads the predictions file written
+    beside it, and the scores as a matrix."""
     spec = _deep_spec()
     images, _, predictions = generate(spec)
     directory = tmp_path_factory.mktemp("deep")
@@ -206,7 +209,11 @@ def deep(tmp_path_factory):
         for img in images:
             f.write(json.dumps({"image_id": img.image_id, "labels": sorted(img.direct_labels),
                                 "metadata": dict(img.metadata)}) + "\n")
-    return path, _write_run(directory, spec), ScoreMatrix.from_records(predictions)
+    cfg = _write_run(directory, spec)
+    with cfg.predictions.open("w", encoding="utf-8") as f:
+        for p in predictions:
+            f.write(json.dumps({"image_id": p.image_id, "scores": p.scores}) + "\n")
+    return path, cfg, ScoreMatrix.from_records(predictions)
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +244,22 @@ def test_load_annotations(benchmark, deep):
     benchmark.group = "ingest-deep"
     images = benchmark(load_annotations, path)
     assert len(images) == 30000
+
+
+def test_load_predictions_deep(benchmark, deep):
+    path, cfg, _ = deep
+    benchmark.group = "ingest-deep"
+    images = load_annotations(path)
+    matrix = benchmark(load_predictions, cfg.predictions, images)
+    assert matrix.scores.shape == (30000, 3)
+
+
+def test_validate_dataset(benchmark, deep):
+    path, cfg, _ = deep
+    benchmark.group = "ingest-deep"
+    images = load_annotations(path)
+    report = benchmark(validate_dataset, images, load_predictions(cfg.predictions, images))
+    assert report["unscored"] == {}
 
 
 def test_assign_groups(benchmark, deep):

@@ -7,6 +7,7 @@ downstream modules receive read-only views.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -80,6 +81,8 @@ class AnnotatedImage:
     def __post_init__(self):
         if not self.image_id:
             raise DataError("image_id must be a non-empty string")
+        if not self.boxes and self.width is None and self.height is None:
+            return
         for name in ("width", "height"):
             v = getattr(self, name)
             if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v <= 0):
@@ -131,7 +134,8 @@ class ScoreMatrix:
     @classmethod
     def from_records(cls, records: Iterable[PredictionRecord]) -> "ScoreMatrix":
         return build_score_matrix(
-            (f"image {r.image_id!r}", r.image_id, r.scores) for r in records
+            ((r.image_id, (r.image_id, r.scores)) for r in records),
+            lambda image_id: f"image {image_id!r}",
         )
 
     def columns(self, concepts: Iterable[str]) -> np.ndarray:
@@ -184,36 +188,40 @@ _FLOAT_ONLY = frozenset({float})
 _CHUNK_CELLS = 1 << 16
 
 
-def _checked_scores(ctx: str, scores: Mapping[str, float]) -> list[float]:
+def _checked_scores(
+    scores: Mapping[str, float], where: Callable[[object], str], key: object
+) -> list[float]:
     """Every score of one record as a finite float, or the error naming the
-    first bad one."""
+    record (``where(key)``) and the first bad score."""
     values = []
     for concept, score in scores.items():
         if not isinstance(score, (int, float)) or isinstance(score, bool):
-            raise DataError(f"{ctx}: score for {concept!r} is not a number")
+            raise DataError(f"{where(key)}: score for {concept!r} is not a number")
         try:
             value = float(score)
         except OverflowError:
             raise DataError(
-                f"{ctx}: score for {concept!r} is too large for a float"
+                f"{where(key)}: score for {concept!r} is too large for a float"
             ) from None
         if not math.isfinite(value):
-            raise DataError(f"{ctx}: non-finite score {score!r} for {concept!r}")
+            raise DataError(f"{where(key)}: non-finite score {score!r} for {concept!r}")
         values.append(value)
     return values
 
 
 def build_score_matrix(
-    records: Iterable[tuple[str, str, Mapping[str, float]]],
+    records: Iterable[tuple[object, tuple[str, Mapping[str, float]]]],
+    where: Callable[[object], str],
 ) -> ScoreMatrix:
-    """The score matrix of ``(ctx, image_id, scores)`` records.
+    """The score matrix of ``(key, (image_id, scores))`` records.
 
     Each score must be an int or float (not a bool), finite as a float, and
-    keyed by a non-empty concept id; each image id may occur once. ``ctx``
-    names the record in errors, e.g. ``file:line``.
+    keyed by a non-empty concept id; each image id may occur once.
+    ``where(key)`` names a bad record in its error, e.g. as ``file:line``;
+    it is called only then.
 
     Raises:
-        DataError: on the first bad record, naming its ``ctx`` and the concept.
+        DataError: on the first bad record, naming it and the concept.
     """
     row_of: dict[str, int] = {}
     column_of: dict[str, int] = {}  # in order of first appearance
@@ -235,15 +243,15 @@ def build_score_matrix(
         columns.clear()
         values.clear()
 
-    for ctx, image_id, scores in records:
+    for key, (image_id, scores) in records:
         if image_id in row_of:
-            raise DataError(f"{ctx}: duplicate prediction for image {image_id!r}")
+            raise DataError(f"{where(key)}: duplicate prediction for image {image_id!r}")
         if "" in scores:
-            raise DataError(f"{ctx}: empty concept key in scores")
-        cells = list(scores.values())
+            raise DataError(f"{where(key)}: empty concept key in scores")
+        cells = scores.values()
         # Floats with a finite sum are all finite: one C-level check per record.
         if not _FLOAT_ONLY.issuperset(map(type, cells)) or not math.isfinite(sum(cells)):
-            cells = _checked_scores(ctx, scores)
+            cells = _checked_scores(scores, where, key)
         start = len(columns)
         try:
             columns.extend(map(column_of.__getitem__, scores))
@@ -306,31 +314,6 @@ class GroupAssignment:
         return self.group if self.group is not None else self.reason.value
 
 
-def _req_str(obj: dict, key: str, ctx: str) -> str:
-    v = obj.get(key)
-    if not isinstance(v, str) or not v:
-        raise DataError(f"{ctx}: missing or invalid {key!r}")
-    return v
-
-
-def _opt_int(obj: dict, key: str, ctx: str) -> int | None:
-    v = obj.get(key)
-    if v is None:
-        return None
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise DataError(f"{ctx}: {key!r} must be an integer, got {v!r}")
-    return v
-
-
-def _opt_list(obj: dict, key: str, ctx: str) -> list:
-    v = obj.get(key)
-    if v is None:
-        return []
-    if not isinstance(v, list):
-        raise DataError(f"{ctx}: {key!r} must be an array, got {type(v).__name__}")
-    return v
-
-
 # A \u escape of a surrogate code point: the only way a decoded string can
 # hold a lone surrogate, once the line itself is valid UTF-8.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
@@ -354,6 +337,17 @@ def _unencodable(value: object) -> str | None:
     return None
 
 
+def _check_utf8(line: str) -> None:
+    """Raise the error naming the first byte of ``line`` that was not valid
+    UTF-8, read with ``errors="surrogateescape"``."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as e:
+            byte = ord(line[e.start]) - 0xDC00
+            raise DataError(f"invalid UTF-8 (byte 0x{byte:02x})") from None
+
+
 def _decode(line: str) -> object:
     """The JSON value of one line, decoded by stdlib ``json``.
 
@@ -363,13 +357,7 @@ def _decode(line: str) -> object:
     (a lone-surrogate escape, which orjson also rejects) is an error here,
     as it could not be written out again.
     """
-    if not line.isascii():
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as e:
-            # Undecodable bytes arrive as surrogates (see _iter_jsonl).
-            byte = ord(line[e.start]) - 0xDC00
-            raise DataError(f"invalid UTF-8 (byte 0x{byte:02x})") from None
+    _check_utf8(line)
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
@@ -384,16 +372,20 @@ def _decode(line: str) -> object:
 
 
 def _iter_jsonl(
-    path: Path, exact: Callable[[dict], bool] | None = None
-) -> Iterator[tuple[int, dict]]:
-    """``(line number, object)`` for each non-blank line of a JSON Lines
-    file; lines end at ``\\n``, ``\\r\\n`` or ``\\r``.
+    path: Path,
+    parse: Callable[[dict, int], object],
+    exact: Callable[[dict], bool] | None = None,
+) -> Iterator[tuple[int, object]]:
+    """``(line number, parse(obj, line number))`` for the JSON object on each
+    non-blank line of a JSON Lines file; lines end at ``\\n``, ``\\r\\n`` or
+    ``\\r``.
 
     orjson decodes each line when it imports. A line orjson rejects is
-    decoded again by ``_decode`` (stdlib), and so is an object for which
-    ``exact(obj)`` is False: one that orjson may have decoded otherwise
-    than stdlib. The one difference left: orjson decodes a valid line nested
-    deeper than stdlib's recursion limit, which stdlib rejects.
+    decoded again by ``_decode`` (stdlib), and so is a line whose orjson
+    object ``parse`` rejects while ``exact(obj)`` is False: one that orjson
+    may have decoded otherwise than stdlib. A valid object is never checked
+    by ``exact``. The one difference left: orjson decodes a valid line
+    nested deeper than stdlib's recursion limit, which stdlib rejects.
     """
     loads = orjson.loads if orjson is not None else None
     # surrogateescape defers a bad byte to the line that holds it, so the
@@ -411,8 +403,13 @@ def _iter_jsonl(
                 else:
                     if type(obj) is not dict:
                         raise DataError(f"{path}:{line_no}: expected a JSON object")
-                    if exact is None or exact(obj):
-                        yield line_no, obj
+                    try:
+                        item = parse(obj, line_no)
+                    except DataError:
+                        if exact is None or exact(obj):
+                            raise
+                    else:
+                        yield line_no, item
                         continue
             try:
                 obj = _decode(line)
@@ -420,14 +417,16 @@ def _iter_jsonl(
                 raise DataError(f"{path}:{line_no}: {e}") from e.__cause__
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{line_no}: expected a JSON object")
-            yield line_no, obj
+            yield line_no, parse(obj, line_no)
 
 
 def _ints_exact(obj: dict) -> bool:
     """False when an annotation field that a check reads decoded as a float:
     orjson turns an integer outside [-2**63, 2**64) into a float, where
     stdlib keeps the int that the field's checks and errors read (the value
-    of ``width``/``height`` and box coordinates, the type name of the rest)."""
+    of ``width``/``height`` and box coordinates, the type name of the rest).
+    Every such field rejects a float, so only a record that fails its checks
+    can be one."""
     get = obj.get
     if (
         type(get("width")) is float or type(get("height")) is float
@@ -443,22 +442,30 @@ def _ints_exact(obj: dict) -> bool:
     return True
 
 
-def _parse_boxes(obj: dict, ctx: str) -> tuple[BoxAnnotation, ...]:
-    boxes = []
-    for i, b in enumerate(_opt_list(obj, "boxes", ctx)):
-        if not isinstance(b, dict):
-            raise DataError(f"{ctx}: box #{i} is not an object")
-        raw_label = _req_str(b, "label", f"{ctx} box #{i}")
+def _wrong_type(ctx: str, key: str, kind: str, value: object) -> DataError:
+    return DataError(f"{ctx}: {key!r} must be {kind}, got {type(value).__name__}")
+
+
+def _parse_boxes(boxes: object, name: str, line_no: int) -> tuple[BoxAnnotation, ...]:
+    if type(boxes) is not list:
+        raise _wrong_type(f"{name}:{line_no}", "boxes", "an array", boxes)
+    out = []
+    for i, b in enumerate(boxes):
+        if type(b) is not dict:
+            raise DataError(f"{name}:{line_no}: box #{i} is not an object")
+        raw_label = b.get("label")
+        if type(raw_label) is not str or not raw_label:
+            raise DataError(f"{name}:{line_no} box #{i}: missing or invalid 'label'")
         try:
-            boxes.append(
+            out.append(
                 BoxAnnotation(
                     raw_label=raw_label,
                     x=b.get("x", 0), y=b.get("y", 0), w=b.get("w"), h=b.get("h"),
                 )
             )
         except DataError as e:
-            raise DataError(f"{ctx}: {e}") from e
-    return tuple(boxes)
+            raise DataError(f"{name}:{line_no}: {e}") from e
+    return tuple(out)
 
 
 _NO_LABELS: frozenset[str] = frozenset()
@@ -466,24 +473,36 @@ _NO_METADATA: Mapping[str, str] = MappingProxyType({})
 
 
 def _parse_image(
-    obj: dict,
-    ctx: str,
+    name: str,
     label_sets: dict[frozenset[str], frozenset[str]],
     metadata_maps: dict[tuple[str, ...], Mapping[str, str]],
+    obj: dict,
+    line_no: int,
 ) -> AnnotatedImage:
-    """One annotation record.
+    """The annotation record on line ``line_no`` of the file ``name``.
 
     ``label_sets`` and ``metadata_maps`` intern one file's checked label sets
     and metadata: each distinct value is checked once, and every record that
-    carries it shares one ``frozenset`` or one read-only mapping.
+    carries it shares one ``frozenset`` or one read-only mapping. An absent
+    field costs one ``dict.get``; ``file:line`` is formatted only for an
+    error.
     """
-    image_id = _req_str(obj, "image_id", ctx)
-    boxes = _parse_boxes(obj, ctx) if "boxes" in obj else ()
-    captions = _opt_list(obj, "captions", ctx)
-    labels = _opt_list(obj, "labels", ctx)
-    metadata = obj.get("metadata")
+    get = obj.get
+    image_id = get("image_id")
+    if type(image_id) is not str or not image_id:
+        raise DataError(f"{name}:{line_no}: missing or invalid 'image_id'")
+    boxes = get("boxes")
+    boxes = () if boxes is None else _parse_boxes(boxes, name, line_no)
+    captions = get("captions")
+    if captions is None:
+        captions = ()
+    elif type(captions) is not list:
+        raise _wrong_type(f"{name}:{line_no}", "captions", "an array", captions)
+    labels = get("labels")
+    if labels is not None and type(labels) is not list:
+        raise _wrong_type(f"{name}:{line_no}", "labels", "an array", labels)
     if captions and not all(isinstance(c, str) for c in captions):
-        raise DataError(f"{ctx}: captions must be strings")
+        raise DataError(f"{name}:{line_no}: captions must be strings")
     direct_labels = _NO_LABELS
     if labels:
         try:
@@ -493,13 +512,14 @@ def _parse_image(
         checked = label_sets.get(direct_labels)
         if checked is None:
             if not all(isinstance(s, str) and s for s in labels):
-                raise DataError(f"{ctx}: labels must be non-empty strings")
+                raise DataError(f"{name}:{line_no}: labels must be non-empty strings")
             checked = label_sets[direct_labels] = direct_labels
         direct_labels = checked
+    metadata = get("metadata")
     if metadata is None:
         metadata = _NO_METADATA
-    elif not isinstance(metadata, dict):
-        raise DataError(f"{ctx}: 'metadata' must be an object, got {type(metadata).__name__}")
+    elif type(metadata) is not dict:
+        raise _wrong_type(f"{name}:{line_no}", "metadata", "an object", metadata)
     else:
         key = (*metadata, *metadata.values())  # keys, then values: one tuple
         try:
@@ -508,16 +528,21 @@ def _parse_image(
             checked = None
         if checked is None:
             if not all(isinstance(v, str) for v in metadata.values()):  # JSON keys are strings
-                raise DataError(f"{ctx}: metadata must map strings to strings")
+                raise DataError(f"{name}:{line_no}: metadata must map strings to strings")
             checked = metadata_maps[key] = MappingProxyType(metadata)
         metadata = checked
-    width, height = _opt_int(obj, "width", ctx), _opt_int(obj, "height", ctx)
+    width = get("width")
+    if width is not None and type(width) is not int:
+        raise DataError(f"{name}:{line_no}: 'width' must be an integer, got {width!r}")
+    height = get("height")
+    if height is not None and type(height) is not int:
+        raise DataError(f"{name}:{line_no}: 'height' must be an integer, got {height!r}")
     try:
         return AnnotatedImage(
             image_id, width, height, boxes, tuple(captions), direct_labels, metadata
         )
     except DataError as e:
-        raise DataError(f"{ctx}: {e}") from e
+        raise DataError(f"{name}:{line_no}: {e}") from e
 
 
 def load_annotations(path: str | Path) -> list[AnnotatedImage]:
@@ -538,11 +563,8 @@ def load_annotations(path: str | Path) -> list[AnnotatedImage]:
     if not path.exists():
         raise DataError(f"annotations file not found: {path}")
     by_id: dict[str, AnnotatedImage] = {}  # in order of first appearance
-    label_sets: dict[frozenset[str], frozenset[str]] = {}
-    metadata_maps: dict[tuple[str, ...], Mapping[str, str]] = {}
-    name = str(path)
-    for line_no, obj in _iter_jsonl(path, _ints_exact):
-        img = _parse_image(obj, f"{name}:{line_no}", label_sets, metadata_maps)
+    parse = functools.partial(_parse_image, str(path), {}, {})
+    for line_no, img in _iter_jsonl(path, parse, _ints_exact):
         prev = by_id.get(img.image_id)
         if prev is None:
             by_id[img.image_id] = img
@@ -578,23 +600,20 @@ def load_predictions(path: str | Path, images: Sequence[AnnotatedImage]) -> Scor
         raise DataError(f"predictions file not found: {path}")
     known = {img.image_id for img in images}
     unknown: list[tuple[str, int]] = []
-
     name = str(path)
 
-    def records():
-        for line_no, obj in _iter_jsonl(path):
-            ctx = f"{name}:{line_no}"
-            image_id = obj.get("image_id")
-            if type(image_id) is not str or not image_id:
-                image_id = _req_str(obj, "image_id", ctx)
-            scores = obj.get("scores")
-            if not isinstance(scores, dict):
-                raise DataError(f"{ctx}: missing or invalid 'scores' object")
-            if image_id not in known:
-                unknown.append((image_id, line_no))
-            yield ctx, image_id, scores
+    def record(obj: dict, line_no: int) -> tuple[str, dict]:
+        image_id = obj.get("image_id")
+        if type(image_id) is not str or not image_id:
+            raise DataError(f"{name}:{line_no}: missing or invalid 'image_id'")
+        scores = obj.get("scores")
+        if type(scores) is not dict:
+            raise DataError(f"{name}:{line_no}: missing or invalid 'scores' object")
+        if image_id not in known:
+            unknown.append((image_id, line_no))
+        return image_id, scores
 
-    matrix = build_score_matrix(records())
+    matrix = build_score_matrix(_iter_jsonl(path, record), lambda line_no: f"{name}:{line_no}")
     if unknown:
         unknown.sort()
         raise DataError(
@@ -617,13 +636,22 @@ def validate_dataset(images: Sequence[AnnotatedImage], predictions: ScoreMatrix)
         labels (compared in raw label space, before any class mapping).
     """
     without_labels = sorted(img.image_id for img in images if not img.has_labels)
-    ids = np.array(sorted(img.image_id for img in images), dtype=object)
-    scored = ~np.isnan(predictions.take_rows(predictions.row_of(ids)))
+    # Coverage from column counts of the rows of these images; ids are
+    # sorted and looked up only for the concepts with partial coverage.
+    known = {img.image_id for img in images}
+    scored = ~np.isnan(predictions.scores)
     n_scored = scored.sum(axis=0)
-    unscored = {
-        predictions.concepts[j]: ids[~scored[:, j]].tolist()
-        for j in np.flatnonzero((n_scored > 0) & (n_scored < len(ids)))
-    }
+    stray = predictions.rows.keys() - known
+    if stray:
+        n_scored -= scored[[predictions.rows[i] for i in stray]].sum(axis=0)
+    partial = np.flatnonzero((n_scored > 0) & (n_scored < len(known)))
+    unscored = {}
+    if partial.size:
+        ids = np.array(sorted(img.image_id for img in images), dtype=object)
+        gaps = np.isnan(predictions.take_rows(predictions.row_of(ids), partial))
+        unscored = {
+            predictions.concepts[j]: ids[gaps[:, k]].tolist() for k, j in enumerate(partial)
+        }
     label_universe: set[str] = set().union(*{img.direct_labels for img in images})
     label_universe.update(b.raw_label for img in images for b in img.boxes)
     zero_positive = [c for c in predictions.concepts if c not in label_universe]

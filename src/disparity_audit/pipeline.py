@@ -12,7 +12,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .data import (
     AnnotatedImage,
     GroupAssignment,
     ScoreMatrix,
+    _check_utf8,
     load_annotations,
     load_predictions,
     validate_dataset,
@@ -514,6 +515,17 @@ def write_results_csv(
         writer.writerows(rows)
 
 
+def _utf8_lines(lines: Iterable[str], path: Path) -> Iterator[str]:
+    """The lines of a file read with ``errors="surrogateescape"``; the first
+    that was not valid UTF-8 is a data error naming the file and line."""
+    for line_no, line in enumerate(lines, 1):
+        try:
+            _check_utf8(line)
+        except DataError as e:
+            raise DataError(f"{path}:{line_no}: {e}") from None
+        yield line
+
+
 def read_results_csv(path: str | Path) -> list[dict]:
     """The rows of a results file, numbers parsed (``None`` when empty) and
     ``significant`` as a bool. Only the key columns (metric, concept, group
@@ -521,15 +533,16 @@ def read_results_csv(path: str | Path) -> list[dict]:
 
     Raises:
         DataError: naming the file, line and column of a missing key column
-            or value, or of a value that is not a number.
+            or value, or of a value that is not a number; or the file and
+            line of a byte that is not valid UTF-8.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"results file not found: {path}")
     keys = ("metric", "concept", "group_a", "group_b")
     out: list[dict] = []
-    with path.open(encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
+    with path.open(encoding="utf-8", errors="surrogateescape", newline="") as f:
+        reader = csv.DictReader(_utf8_lines(f, path))
         missing = [k for k in keys if k not in (reader.fieldnames or ())]
         if missing:
             raise DataError(f"{path}:1: missing column(s) {', '.join(map(repr, missing))}")
@@ -635,6 +648,13 @@ def write_compare_csv(rows: Sequence[dict], path: Path) -> None:
             )
 
 
+def _interval(row: dict) -> str:
+    """``[ci_low, ci_high]`` of a results row; a bound the file leaves empty
+    is blank."""
+    low, high = ("" if v is None else f"{v:+.4f}" for v in (row["ci_low"], row["ci_high"]))
+    return f"[{low}, {high}]"
+
+
 def render_report(rows: Sequence[dict], top_n: int = 5, manifest: dict | None = None) -> str:
     """Human-readable summary: largest per-concept disparities per metric and
     group pair, aggregate rows, and exclusion accounting when available."""
@@ -656,10 +676,7 @@ def render_report(rows: Sequence[dict], top_n: int = 5, manifest: dict | None = 
         lines.append(f"== {metric}: {a} vs {b} (positive favors {a}) ==")
         for r in items[:top_n]:
             star = " *" if r["significant"] else ""
-            lines.append(
-                f"  {r['concept']:<30} {r['point']:+.4f}  "
-                f"[{r['ci_low']:+.4f}, {r['ci_high']:+.4f}]{star}"
-            )
+            lines.append(f"  {r['concept']:<30} {r['point']:+.4f}  {_interval(r)}{star}")
         lines.append("")
 
     if aggregates:
@@ -670,7 +687,7 @@ def render_report(rows: Sequence[dict], top_n: int = 5, manifest: dict | None = 
             star = " *" if r["significant"] else ""
             lines.append(
                 f"  {r['metric']:<10} {r['group_a']} vs {r['group_b']}: "
-                f"{r['point']:+.4f}  [{r['ci_low']:+.4f}, {r['ci_high']:+.4f}]{star}"
+                f"{r['point']:+.4f}  {_interval(r)}{star}"
             )
         lines.append("")
 

@@ -343,6 +343,27 @@ class TestExitCodes:
             assert "data error" in err and "Traceback" not in err
             assert f"{path}:{line}: " in err and column in err
 
+    def test_results_file_not_utf8_is_3(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        path.write_bytes(f"{RESULTS_HEADER}\n{RESULTS_ROW}\n".encode()
+                         + b"ap,caf\xe9,A,B,0.1,0.05,0.2,true,0.12\n")
+        for argv in (["report", "--results", str(path)],
+                     ["compare", "--a", str(path), "--b", str(path)]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert "data error" in err and "Traceback" not in err
+            assert f"{path}:3: invalid UTF-8 (byte 0xe9)" in err
+
+    def test_report_missing_bound_is_blank(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        path.write_text(f"{RESULTS_HEADER}\nap,c1,A,B,0.1,,0.2\nap,c2,A,B,0.3,0.1,,true\n"
+                        "ap,aggregate,A,B,0.2,,,false\n")
+        assert main(["report", "--results", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "+0.1000  [, +0.2000]\n" in out
+        assert "+0.3000  [+0.1000, ] *\n" in out
+        assert "A vs B: +0.2000  [, ]\n" in out
+
     def test_results_file_without_later_columns_loads(self, tmp_path, capsys):
         path = tmp_path / "results.csv"
         path.write_text("metric,concept,group_a,group_b,point,ci_low,ci_high,significant\n"

@@ -390,6 +390,29 @@ class TestValidateDataset:
         )
         assert report["unscored"] == {"cat": ["i2"], "dog": ["i2", "i3"]}
 
+    def test_only_partial_concepts_listed_with_sorted_ids(self):
+        images = [
+            AnnotatedImage(image_id=i, direct_labels=frozenset({"cat"}))
+            for i in ("i3", "i1", "i4", "i2")
+        ]
+        report = validate_dataset(images, matrix({
+            "i4": {"cat": 0.1, "dog": 0.2}, "i2": {"cat": 0.3},
+            "i1": {"cat": 0.5}, "i3": {"cat": 0.7, "dog": 0.4},
+        }))
+        assert report["unscored"] == {"dog": ["i1", "i2"]}
+
+    def test_row_of_image_outside_images_is_not_counted(self):
+        images = [
+            AnnotatedImage(image_id=i, direct_labels=frozenset({"cat"})) for i in ("i1", "i2")
+        ]
+        preds = matrix({
+            "i1": {"cat": 0.1, "dog": 0.2}, "other": {"cat": 0.3, "dog": 0.4},
+            "i2": {"cat": 0.5},
+        })
+        assert validate_dataset(images, preds)["unscored"] == {"dog": ["i2"]}
+        preds = matrix({"i1": {"cat": 0.1}, "x": {"cat": 0.3, "dog": 0.4}, "i2": {"cat": 0.5}})
+        assert validate_dataset(images, preds)["unscored"] == {}
+
     def test_pure_never_mutates(self):
         images = [AnnotatedImage(image_id="i1", direct_labels=frozenset({"cat"}))]
         preds = matrix({"i1": {"cat": 0.9}})
@@ -494,6 +517,29 @@ class TestDecoding:
         path.write_text('{"image_id": "a"}\n{"image_id": "b", "extra": ' + "[" * 5000 + "}\n")
         with pytest.raises(DataError, match=re.escape(f"{path}:2: malformed JSON")):
             load_annotations(path)
+
+    def test_too_deep_for_stdlib_inside_labels(self, tmp_path):
+        """orjson decodes the line, and its labels check fails; the line is
+        not decoded again, so the error is the labels check's."""
+        path = tmp_path / "a.jsonl"
+        path.write_text('{"image_id": "b", "labels": ' + "[" * 5000 + "]" * 5000 + "}\n")
+        message = (
+            "labels must be non-empty strings" if data.orjson is not None
+            else "malformed JSON (nested too deeply)"
+        )
+        with pytest.raises(DataError, match=re.escape(f"{path}:1: {message}")):
+            load_annotations(path)
+
+    def test_valid_records_skip_the_integer_guard(self, tmp_path, monkeypatch, annotations_path):
+        calls = []
+        ints_exact = data._ints_exact
+        monkeypatch.setattr(data, "_ints_exact", lambda obj: calls.append(obj) or ints_exact(obj))
+        assert len(load_annotations(annotations_path)) == 2
+        assert calls == []
+        path = tmp_path / "a.jsonl"
+        path.write_text(f'{{"image_id": "a"}}\n{{"image_id": "b", "width": {2**64}}}\n')
+        assert [img.width for img in load_annotations(path)] == [None, 2**64]
+        assert len(calls) == (data.orjson is not None)  # orjson read the width as a float
 
     def test_deep_valid_line_loads_with_orjson(self, tmp_path):
         """The one difference between the decoders: orjson has no nesting
