@@ -10,10 +10,14 @@ The file name does not match pytest's ``test_*.py`` pattern, so a plain
 * skew: fixed-ratio draws of 120 positives and 600 negatives from a
   2,400-row pool, 250 draws per group.
 * deep: full-pool resamples of an 8,000-row pool, 20 draws per group.
+* tied: the skew shape with every score rounded to a multiple of 1/20, so
+  tie groups hold both labels and AUC takes its tie correction.
 
 Each shape times the batched kernel on pre-drawn rows, the per-draw loop of
 scalar kernels it replaced (the reference kernels of ``tests/oracles.py``),
-and threshold selection on the pooled validation rows of three groups.
+and threshold selection on the pooled validation rows of three groups. The
+batched kernel's first three draws must equal the reference kernels', which
+``tests/test_bench_smoke.py`` checks at these shapes with timing off.
 
 * wide: 200 concepts scored on 3 x 1,500 images, written by ``synth`` as a
   predictions file; times ``load_predictions`` on that file and
@@ -62,15 +66,17 @@ from oracles import (  # noqa: E402
 METRICS = ("ap", "auc_roc", "tpr", "fpr")
 
 # name: (positives, negatives, draw size (None: resample the whole pool),
-#        draws, validation rows)
+#        draws, validation rows, score grid steps (None: unrounded))
 SHAPES = {
-    "skew": (120, 2280, (120, 600), 250, 1800),
-    "deep": (400, 7600, None, 20, 6000),
+    "skew": (120, 2280, (120, 600), 250, 1800, None),
+    "deep": (400, 7600, None, 20, 6000, None),
+    "tied": (120, 2280, (120, 600), 250, 1800, 20),
 }
 
 
-def _scores(rng, n, mu):
-    return 1.0 / (1.0 + np.exp(-rng.normal(mu, 1.0, size=n)))
+def _scores(rng, n, mu, grid=None):
+    scores = 1.0 / (1.0 + np.exp(-rng.normal(mu, 1.0, size=n)))
+    return scores if grid is None else np.round(scores * grid) / grid
 
 
 def _ids(prefix, n):
@@ -78,10 +84,10 @@ def _ids(prefix, n):
 
 
 def _case(name):
-    n_pos, n_neg, ratio, n_draws, n_val = SHAPES[name]
+    n_pos, n_neg, ratio, n_draws, n_val, grid = SHAPES[name]
     rng = np.random.default_rng(0)
     pool = GroupPool(
-        scores=np.concatenate([_scores(rng, n_pos, 1.0), _scores(rng, n_neg, 0.0)]),
+        scores=np.concatenate([_scores(rng, n_pos, 1.0, grid), _scores(rng, n_neg, 0.0, grid)]),
         labels=np.repeat(np.int8([1, 0]), [n_pos, n_neg]),
         ids=np.concatenate([_ids("p", n_pos), _ids("n", n_neg)]),
         n_pos=n_pos,
@@ -95,7 +101,7 @@ def _case(name):
             for _ in range(n_draws)
         ]
     val_labels = (rng.random(n_val) < n_pos / (n_pos + n_neg)).astype(np.int8)
-    val_scores = _scores(rng, n_val, 0.0) + 0.2 * val_labels
+    val_scores = _scores(rng, n_val, 0.0, grid) + 0.2 * val_labels
     return pool, draws, val_scores, val_labels
 
 
@@ -108,22 +114,32 @@ def test_ranked_metrics(benchmark, case):
     name, (pool, draws, _, _) = case
     benchmark.group = f"kernel-{name}"
     ranked = rank_pool(pool.scores, pool.labels, pool.ids, threshold=0.6)
+    assert ranked.mixed_ties == (name == "tied")
     out = benchmark(ranked_metrics, ranked, draws, METRICS)
     assert out["ap"].shape == (len(draws),)
+    for b, rows in enumerate(draws[:3]):
+        assert {m: out[m][b] for m in METRICS} == _scalar_metrics(pool, rows)
+
+
+def _scalar_metrics(pool, rows):
+    """The reference kernels' values of ``METRICS`` on one draw."""
+    s, y = pool.scores[rows], pool.labels[rows]
+    bundle = rates_from_confusion(confusion_at_threshold(s, y, 0.6))
+    return {
+        "ap": average_precision(s, y, tiebreak=pool.ids[rows]),
+        "auc_roc": auc_roc(s, y),
+        "tpr": bundle.tpr,
+        "fpr": bundle.fpr,
+    }
 
 
 def test_scalar_loop(benchmark, case):
     name, (pool, draws, _, _) = case
     benchmark.group = f"kernel-{name}"
-    scores, labels, ids = pool.scores, pool.labels, pool.ids
 
     def loop():
         for rows in draws:
-            s, y = scores[rows], labels[rows]
-            average_precision(s, y, tiebreak=ids[rows])
-            auc_roc(s, y)
-            bundle = rates_from_confusion(confusion_at_threshold(s, y, 0.6))
-            bundle.tpr, bundle.fpr
+            _scalar_metrics(pool, rows)
 
     benchmark(loop)
 

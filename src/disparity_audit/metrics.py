@@ -1,10 +1,11 @@
 """Classification and ranking metrics for one (concept, group) pool of rows.
 
 A pool is sorted once (``rank_pool``); ``ranked_metrics`` then scores every
-bootstrap draw, and the full sample as the identity draw, in rank space.
-Undefined values (e.g. precision with no predicted positives, AUC with a
-degenerate class) are NaN and must be handled explicitly by callers; they
-are never silently coerced to 0.
+bootstrap draw, and the full sample as the identity draw, in rank space,
+where AP, AUC and the threshold counts all read where each draw's positives
+land in its sorted ranks. Undefined values (e.g. precision with no
+predicted positives, AUC with a degenerate class) are NaN and must be
+handled explicitly by callers; they are never silently coerced to 0.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def select_threshold(
     pos = y == 1
     if not pos.any():
         raise DataError("select_threshold needs at least one positive row")
-    distinct = np.unique(s)
+    s_sorted = np.sort(s)
+    distinct = s_sorted[np.concatenate(([True], s_sorted[1:] != s_sorted[:-1]))]
     lower, upper = distinct[:-1], distinct[1:]
     mid = (lower + upper) / 2.0
     candidates = np.concatenate([distinct[:1] - 1.0, np.where(mid == lower, upper, mid)])
@@ -80,7 +82,7 @@ def select_threshold(
 
 # Draws are scored in blocks of at most this many ranks, so the rank matrix
 # and the kernels' temporaries stay small whatever the draw count and size.
-_BLOCK_ELEMENTS = 1 << 13
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,7 @@ class RankedPool:
     rank_of_row: np.ndarray  # int32, per row in pool order
     label_at_rank: np.ndarray  # bool, positive label
     tie_at_rank: np.ndarray  # int32, equal scores share an id; ids ascend with rank
+    mixed_ties: bool  # some tie group holds both labels, so ties can move AUC
     cut: int | None  # ranks below it score >= the decision threshold
 
 
@@ -111,14 +114,20 @@ def rank_pool(
     rank_of_row = np.empty(s.shape[0], dtype=np.int32)
     rank_of_row[order] = np.arange(s.shape[0], dtype=np.int32)
     s_desc = s[order]
+    label_at_rank = np.asarray(labels)[order] == 1
+    new_tie = s_desc[1:] != s_desc[:-1]
     tie = np.zeros(s.shape[0], dtype=np.int32)
-    np.cumsum(s_desc[1:] != s_desc[:-1], out=tie[1:])
+    np.cumsum(new_tie, out=tie[1:])
+    # a tie group is a run of ranks, so it holds both labels iff two
+    # neighbours inside it differ
+    mixed = bool(np.any(~new_tie & (label_at_rank[1:] != label_at_rank[:-1])))
     # score >= threshold is a prefix of the descending order
     cut = None if threshold is None else int(np.count_nonzero(s >= threshold))
     return RankedPool(
         rank_of_row=rank_of_row,
-        label_at_rank=np.asarray(labels)[order] == 1,
+        label_at_rank=label_at_rank,
         tie_at_rank=tie,
+        mixed_ties=mixed,
         cut=cut,
     )
 
@@ -134,38 +143,47 @@ def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.array([run.sum() for run in np.split(values, np.cumsum(counts)[:-1])])
 
 
-def _ap_rows(labels: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
-    """Non-interpolated AP of each row of rank-sorted labels: the mean over
-    positives of the precision at their rank."""
-    cum_pos = np.cumsum(labels, axis=1)
-    positions = np.broadcast_to(np.arange(1, labels.shape[1] + 1), labels.shape)
-    prec_at_pos = cum_pos[labels] / positions[labels]
+def _ap_rows(row: np.ndarray, at: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
+    """Non-interpolated AP of each draw from its positives' row and 0-based
+    position ``at`` (row-major): the k-th positive of a row adds precision
+    k / (at + 1), and AP is the mean of those."""
+    k = np.arange(1, row.size + 1) - (np.cumsum(n_pos) - n_pos)[row]
     with np.errstate(invalid="ignore"):
-        return np.where(n_pos > 0, _row_sums(prec_at_pos, n_pos) / n_pos, np.nan)
+        return np.where(n_pos > 0, _row_sums(k / (at + 1), n_pos) / n_pos, np.nan)
 
 
-def _auc_rows(ties: np.ndarray, labels: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
-    """AUC-ROC of each row of rank-sorted tie ids and labels, by the
-    rank-sum identity (ties count one half).
+def _auc_rows(
+    pool: RankedPool, sorted_ranks: np.ndarray, row: np.ndarray, at: np.ndarray,
+    n_pos: np.ndarray,
+) -> np.ndarray:
+    """AUC-ROC of each draw from its positives' row and 0-based position
+    ``at``, by the rank-sum identity (ties count one half).
 
-    A tie group over descending positions [start, end] of an m-row draw has
-    ascending average rank m - (start + end) / 2. Twice the positives' rank
-    sum is an integer, so it is exact, and so is every step up to the final
-    division.
+    Untied, U = n_pos n_neg + n_pos (n_pos - 1) / 2 - sum(at). A tie group
+    over positions [start, end] gives each positive in it the group's
+    average rank, which adds (2 at - start - end) / 2 to U; that sums to
+    zero over a group of one label, so it is computed only for a pool with
+    mixed ties. 2U is an integer, so every step up to the final division is
+    exact.
     """
-    m = ties.shape[1]
-    idx = np.arange(m)
-    first = np.ones(ties.shape, dtype=bool)
-    first[:, 1:] = ties[:, 1:] != ties[:, :-1]
-    last = np.ones(ties.shape, dtype=bool)
-    last[:, :-1] = first[:, 1:]
-    start = np.maximum.accumulate(np.where(first, idx, 0), axis=1)
-    end = np.minimum.accumulate(np.where(last, idx, m - 1)[:, ::-1], axis=1)[:, ::-1]
-    twice_rank_sum = np.where(labels, 2 * m - start - end, 0).sum(axis=1)
+    n_rows, m = sorted_ranks.shape
     n_neg = m - n_pos
-    u = twice_rank_sum / 2.0 - n_pos * (n_pos + 1) / 2.0
+    twice_u = 2 * n_pos * n_neg + n_pos * (n_pos - 1) - 2 * np.bincount(
+        row, weights=at, minlength=n_rows
+    )
+    if pool.mixed_ties:
+        # Tie ids ascend along each sorted row; offsetting each row past the
+        # pool's last id makes them ascend across the flattened block, so a
+        # search finds each positive's group bounds as flat indices. Their
+        # row offsets cancel in 2 flat - start - end.
+        offset = np.arange(n_rows, dtype=np.int64) * (int(pool.tie_at_rank[-1]) + 1)
+        ties = (pool.tie_at_rank.take(sorted_ranks) + offset[:, None]).ravel()
+        flat = row * m + at
+        start = np.searchsorted(ties, ties[flat], side="left")
+        end = np.searchsorted(ties, ties[flat], side="right") - 1
+        twice_u += np.bincount(row, weights=2 * flat - start - end, minlength=n_rows)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where((n_pos > 0) & (n_neg > 0), u / (n_pos * n_neg), np.nan)
+        return np.where((n_pos > 0) & (n_neg > 0), twice_u / 2.0 / (n_pos * n_neg), np.nan)
 
 
 def _rank_blocks(pool: RankedPool, draws: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
@@ -193,26 +211,30 @@ def ranked_metrics(
 
     Each draw is an array of row indices into the pool's rows (repeats
     allowed), all draws of the same length. A block of draws becomes a
-    matrix of ranks, one row per draw, sorted along rows once. ``ap`` ranks
-    ties by the pool's key, ``auc_roc`` counts them one half, and the
-    threshold metrics predict positive iff score >= the pool's threshold.
-    Each value equals the scalar reference kernel (``tests/oracles.py``) on
-    the drawn rows bit for bit. NaN marks an undefined value.
+    matrix of ranks, one row per draw, sorted along rows once; one
+    ``np.flatnonzero`` of its labels gives every positive's row and 0-based
+    position, and each metric reads those. ``ap`` ranks ties by the pool's
+    key, ``auc_roc`` counts them one half, and the threshold metrics predict
+    positive iff score >= the pool's threshold. Each value equals the scalar
+    reference kernel (``tests/oracles.py``) on the drawn rows bit for bit.
+    NaN marks an undefined value.
     """
     parts: dict[str, list[np.ndarray]] = {metric: [] for metric in metrics}
     for ranks in _rank_blocks(pool, draws):
         sorted_ranks = np.sort(ranks, axis=1)
-        labels = pool.label_at_rank[sorted_ranks]
-        n_pos = np.count_nonzero(labels, axis=1)
+        labels = pool.label_at_rank.take(sorted_ranks)
+        row, at = np.divmod(np.flatnonzero(labels), ranks.shape[1])
+        n_pos = np.bincount(row, minlength=ranks.shape[0])
         block: dict[str, np.ndarray] = {}
         if "ap" in parts:
-            block["ap"] = _ap_rows(labels, n_pos)
+            block["ap"] = _ap_rows(row, at, n_pos)
         if "auc_roc" in parts:
-            block["auc_roc"] = _auc_rows(pool.tie_at_rank[sorted_ranks], labels, n_pos)
+            block["auc_roc"] = _auc_rows(pool, sorted_ranks, row, at, n_pos)
         if pool.cut is not None:
-            predicted = sorted_ranks < pool.cut
-            tp = np.count_nonzero(predicted & labels, axis=1)
-            fp = np.count_nonzero(predicted, axis=1) - tp
+            # the predicted rows are a prefix of each sorted row
+            predicted = np.count_nonzero(sorted_ranks < pool.cut, axis=1)
+            tp = np.bincount(row[at < predicted[row]], minlength=ranks.shape[0])
+            fp = predicted - tp
             block.update(_rate_arrays(tp, fp, ranks.shape[1] - n_pos - fp, n_pos - tp))
         for metric, values in parts.items():
             values.append(block[metric])

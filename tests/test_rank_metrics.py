@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from disparity_audit import compute_budget, select_threshold, split_validation_test
@@ -144,6 +144,26 @@ class TestRankedMetricsEquivalence:
         scores, labels, ids = pool.scores, pool.labels, pool.ids
         check_draws(scores, labels, ids, [np.arange(scores.size)], threshold=0.5)
 
+    @pytest.mark.parametrize("scores,labels,mixed", [
+        ([0.9, 0.7, 0.5, 0.3, 0.1], [1, 0, 1, 0, 0], False),
+        # ties within one label only
+        ([0.9, 0.9, 0.5, 0.5, 0.5, 0.1], [1, 1, 0, 0, 0, 1], False),
+        # a group of three holding both labels, and one of two
+        ([0.9, 0.5, 0.5, 0.5, 0.1, 0.1], [1, 0, 1, 0, 1, 0], True),
+        # 0.0 == -0.0, so they tie across labels
+        ([0.5, 0.0, -0.0, -0.0, 0.0], [1, 1, 0, 1, 0], True),
+    ])
+    def test_tie_correction_only_where_labels_tie(self, scores, labels, mixed):
+        scores = np.array(scores)
+        labels = np.array(labels, dtype=np.int8)
+        ids = np.array([f"i{k}" for k in range(scores.size)[::-1]], dtype=object)
+        assert rank_pool(scores, labels, ids).mixed_ties is mixed
+        rng = np.random.default_rng(scores.size)
+        draws = [np.arange(scores.size)] + [
+            rng.integers(0, scores.size, size=scores.size) for _ in range(30)
+        ]
+        check_draws(scores, labels, ids, draws, threshold=0.5)
+
     def test_repeated_rows_and_tied_ids(self):
         # equal scores on different ids, and one row drawn many times
         scores = np.array([0.5, 0.5, 0.5, 0.2, 0.5, 0.2])
@@ -169,6 +189,7 @@ class TestRankedMetricsEquivalence:
     def test_matches_scalar_kernels(self, case):
         scores, labels, order, draws, threshold = case
         ids = np.array([f"i{k:02d}" for k in order], dtype=object)
+        event(f"mixed_ties={rank_pool(np.array(scores), np.array(labels), ids).mixed_ties}")
         check_draws(
             np.array(scores), np.array(labels, dtype=np.int8), ids,
             [np.array(r) for r in draws], threshold,
