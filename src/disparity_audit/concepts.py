@@ -144,36 +144,41 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class GroupPool:
     """Scored rows for one (concept, group): the ``n_pos`` positives first,
-    then the negatives, each class sorted by image id.
+    then the negatives, each class in image-id order.
 
+    ``image_rows`` gives each pool row's row in the ``TargetMatrix``. That
+    matrix is in image-id order, so these ints break score ties as the ids
+    would.
     Splits, ranks and bootstrap draws all index these rows, so the order
     makes them deterministic; ``draw_group`` relies on positives coming first.
     """
 
     scores: np.ndarray
-    labels: np.ndarray
-    ids: np.ndarray
+    image_rows: np.ndarray
     n_pos: int
 
-    def __post_init__(self):
-        n = self.labels.shape[0]
-        if not (0 <= self.n_pos <= n and np.array_equal(self.labels, np.arange(n) < self.n_pos)):
-            raise InvariantError(
-                f"pool labels must be {self.n_pos} positive(s) followed by negatives"
-            )
+    @property
+    def labels(self) -> np.ndarray:
+        """1 for each of the ``n_pos`` positives, then 0 (int8)."""
+        return np.repeat(np.int8([1, 0]), [self.n_pos, self.n_neg])
 
     @property
     def n_neg(self) -> int:
-        return int(self.labels.shape[0]) - self.n_pos
+        return int(self.scores.shape[0]) - self.n_pos
 
     def take(self, rows: np.ndarray) -> "GroupPool":
-        """The pool of the given ascending row indices."""
-        labels = self.labels[rows]
+        """The pool of the given strictly ascending row indices, so its
+        positives still come first.
+
+        Raises:
+            InvariantError: for row indices that are not strictly ascending.
+        """
+        if np.any(rows[1:] <= rows[:-1]):
+            raise InvariantError("pool rows must be taken in strictly ascending order")
         return GroupPool(
             scores=_readonly(self.scores[rows]),
-            labels=_readonly(labels),
-            ids=_readonly(self.ids[rows]),
-            n_pos=int(np.count_nonzero(labels)),
+            image_rows=_readonly(self.image_rows[rows]),
+            n_pos=int(np.searchsorted(rows, self.n_pos)),
         )
 
 
@@ -284,7 +289,8 @@ def build_concept_tables(
     score for ``c``; the row is positive iff ``c`` is among the image's
     targets. Images lacking a score for a concept are omitted from that
     concept's table with a coverage warning. Each pool holds its positives,
-    then its negatives, each in image-id order.
+    then its negatives, each in image-id order, and each row's image row in
+    ``targets``.
 
     Raises:
         DataError: if any requested concept ends up with zero scored rows.
@@ -314,8 +320,7 @@ def build_concept_tables(
             if order.size:
                 pools[g] = GroupPool(
                     scores=_readonly(column[order]),
-                    labels=_readonly((np.arange(order.size) < pos.size).astype(np.int8)),
-                    ids=_readonly(targets.ids[order]),
+                    image_rows=_readonly(order),
                     n_pos=int(pos.size),
                 )
         if not pools:

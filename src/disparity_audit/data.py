@@ -371,21 +371,17 @@ def _decode(line: str) -> object:
     return obj
 
 
-def _iter_jsonl(
-    path: Path,
-    parse: Callable[[dict, int], object],
-    exact: Callable[[dict], bool] | None = None,
-) -> Iterator[tuple[int, object]]:
+def _iter_jsonl(path: Path, parse: Callable[[dict, int], object]) -> Iterator[tuple[int, object]]:
     """``(line number, parse(obj, line number))`` for the JSON object on each
     non-blank line of a JSON Lines file; lines end at ``\\n``, ``\\r\\n`` or
     ``\\r``.
 
-    orjson decodes each line when it imports. A line orjson rejects is
-    decoded again by ``_decode`` (stdlib), and so is a line whose orjson
-    object ``parse`` rejects while ``exact(obj)`` is False: one that orjson
-    may have decoded otherwise than stdlib. A valid object is never checked
-    by ``exact``. The one difference left: orjson decodes a valid line
-    nested deeper than stdlib's recursion limit, which stdlib rejects.
+    orjson decodes each line when it imports. A line that orjson rejects, or
+    whose orjson value is not an object or fails ``parse``, is decoded again
+    by ``_decode`` (stdlib), and that decode's or that parse's error is the
+    one reported, so errors are the same with or without orjson. A valid
+    line is decoded once. The one difference left: orjson decodes a valid
+    line nested deeper than stdlib's recursion limit, which stdlib rejects.
     """
     loads = orjson.loads if orjson is not None else None
     # surrogateescape defers a bad byte to the line that holds it, so the
@@ -401,16 +397,14 @@ def _iter_jsonl(
                 except orjson.JSONDecodeError:
                     pass
                 else:
-                    if type(obj) is not dict:
-                        raise DataError(f"{path}:{line_no}: expected a JSON object")
-                    try:
-                        item = parse(obj, line_no)
-                    except DataError:
-                        if exact is None or exact(obj):
-                            raise
-                    else:
-                        yield line_no, item
-                        continue
+                    if type(obj) is dict:
+                        try:
+                            item = parse(obj, line_no)
+                        except DataError:
+                            pass
+                        else:
+                            yield line_no, item
+                            continue
             try:
                 obj = _decode(line)
             except DataError as e:
@@ -418,28 +412,6 @@ def _iter_jsonl(
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{line_no}: expected a JSON object")
             yield line_no, parse(obj, line_no)
-
-
-def _ints_exact(obj: dict) -> bool:
-    """False when an annotation field that a check reads decoded as a float:
-    orjson turns an integer outside [-2**63, 2**64) into a float, where
-    stdlib keeps the int that the field's checks and errors read (the value
-    of ``width``/``height`` and box coordinates, the type name of the rest).
-    Every such field rejects a float, so only a record that fails its checks
-    can be one."""
-    get = obj.get
-    if (
-        type(get("width")) is float or type(get("height")) is float
-        or type(get("boxes")) is float or type(get("captions")) is float
-        or type(get("labels")) is float or type(get("metadata")) is float
-    ):
-        return False
-    boxes = obj.get("boxes")
-    if type(boxes) is list:
-        for b in boxes:
-            if type(b) is dict and any(type(b.get(k)) is float for k in "xywh"):
-                return False
-    return True
 
 
 def _wrong_type(ctx: str, key: str, kind: str, value: object) -> DataError:
@@ -564,7 +536,7 @@ def load_annotations(path: str | Path) -> list[AnnotatedImage]:
         raise DataError(f"annotations file not found: {path}")
     by_id: dict[str, AnnotatedImage] = {}  # in order of first appearance
     parse = functools.partial(_parse_image, str(path), {}, {})
-    for line_no, img in _iter_jsonl(path, parse, _ints_exact):
+    for line_no, img in _iter_jsonl(path, parse):
         prev = by_id.get(img.image_id)
         if prev is None:
             by_id[img.image_id] = img
@@ -630,33 +602,25 @@ def validate_dataset(images: Sequence[AnnotatedImage], predictions: ScoreMatrix)
     Returns a dict with keys:
       - ``images_without_labels``: ids with no direct labels and no boxes
         (candidates for removal downstream);
-      - ``unscored``: concept -> sorted ids lacking a score for it, for every
-        concept with partial coverage;
+      - ``score_coverage_gaps``: the number of concepts that some, but not
+        all, of these images have a score for;
       - ``zero_positive_concepts``: scored concepts that appear in no image's
         labels (compared in raw label space, before any class mapping).
     """
     without_labels = sorted(img.image_id for img in images if not img.has_labels)
-    # Coverage from column counts of the rows of these images; ids are
-    # sorted and looked up only for the concepts with partial coverage.
+    # Coverage from column counts over the rows of these images only.
     known = {img.image_id for img in images}
-    scored = ~np.isnan(predictions.scores)
-    n_scored = scored.sum(axis=0)
-    stray = predictions.rows.keys() - known
+    missing = np.isnan(predictions.scores)
+    n_scored = len(predictions) - np.count_nonzero(missing, axis=0)
+    stray = [predictions.rows[i] for i in predictions.rows.keys() - known]
     if stray:
-        n_scored -= scored[[predictions.rows[i] for i in stray]].sum(axis=0)
-    partial = np.flatnonzero((n_scored > 0) & (n_scored < len(known)))
-    unscored = {}
-    if partial.size:
-        ids = np.array(sorted(img.image_id for img in images), dtype=object)
-        gaps = np.isnan(predictions.take_rows(predictions.row_of(ids), partial))
-        unscored = {
-            predictions.concepts[j]: ids[gaps[:, k]].tolist() for k, j in enumerate(partial)
-        }
+        n_scored -= len(stray) - np.count_nonzero(missing[stray], axis=0)
+    gaps = np.count_nonzero((n_scored > 0) & (n_scored < len(known)))
     label_universe: set[str] = set().union(*{img.direct_labels for img in images})
     label_universe.update(b.raw_label for img in images for b in img.boxes)
     zero_positive = [c for c in predictions.concepts if c not in label_universe]
     return {
         "images_without_labels": without_labels,
-        "unscored": unscored,
+        "score_coverage_gaps": int(gaps),
         "zero_positive_concepts": zero_positive,
     }

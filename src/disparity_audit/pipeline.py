@@ -23,7 +23,7 @@ from .concepts import (
     build_concept_tables,
     map_targets,
 )
-from .config import RANKING_METRICS, THRESHOLD_METRICS, RunConfig, config_hash
+from .config import THRESHOLD_METRICS, RunConfig, config_hash
 from .data import (
     AnnotatedImage,
     GroupAssignment,
@@ -90,7 +90,6 @@ class LoadedDataset:
     predictions: ScoreMatrix
     validation: dict
     images_loaded: int
-    unlabeled: list[str]
 
 
 def load_dataset(cfg: RunConfig) -> LoadedDataset:
@@ -111,8 +110,7 @@ def load_dataset(cfg: RunConfig) -> LoadedDataset:
         predictions = predictions.without(dropped)
         log.info("dropped %d image(s) without labels", len(dropped))
     return LoadedDataset(
-        images=images, predictions=predictions, validation=validation,
-        images_loaded=n_loaded, unlabeled=unlabeled,
+        images=images, predictions=predictions, validation=validation, images_loaded=n_loaded
     )
 
 
@@ -138,7 +136,8 @@ def evaluate_concept(
     validation_fraction: float,
     threshold_scope: str,
 ) -> ConceptEvaluation:
-    """Bootstrap one concept's metrics for every group.
+    """Bootstrap one concept's metrics (ranking and threshold metrics, not
+    ``hit_rate``) for every group.
 
     When threshold metrics are requested, a stratified validation/test split
     is made per group, thresholds are selected on validation rows (pooled
@@ -152,7 +151,6 @@ def evaluate_concept(
     concept = table.concept
     groups = table.groups
     threshold_metrics = [m for m in metrics if m in THRESHOLD_METRICS]
-    point_metrics = [m for m in metrics if m in THRESHOLD_METRICS + RANKING_METRICS]
 
     thresholds: dict[str, float] = {}
     if threshold_metrics:
@@ -160,11 +158,10 @@ def evaluate_concept(
         test_rows: dict[str, np.ndarray] = {}
         for g in groups:
             pool = table.pools[g]
+            labels = pool.labels
             split_seed = derive_seed(seed, "split", concept, g)
-            val_idx, test_rows[g] = split_validation_test(
-                pool.labels, validation_fraction, split_seed
-            )
-            val_rows[g] = (pool.scores[val_idx], pool.labels[val_idx])
+            val_idx, test_rows[g] = split_validation_test(labels, validation_fraction, split_seed)
+            val_rows[g] = (pool.scores[val_idx], labels[val_idx])
         if threshold_scope == "pooled":
             pooled_scores = np.concatenate([val_rows[g][0] for g in groups])
             pooled_labels = np.concatenate([val_rows[g][1] for g in groups])
@@ -189,7 +186,7 @@ def evaluate_concept(
     full_sample: dict[tuple[str, str], float | None] = {}
     for g in groups:
         pool = eval_table.pools[g]
-        ranked = rank_pool(pool.scores, pool.labels, pool.ids, threshold=thresholds.get(g))
+        ranked = rank_pool(pool.scores, pool.labels, pool.image_rows, threshold=thresholds.get(g))
         if budget is not None:
             rngs = derive_rngs(seed, "draw", concept, g)
             draws = (draw_group(pool, budget, rngs(b)) for b in range(bootstraps))
@@ -197,12 +194,12 @@ def evaluate_concept(
             rngs = derive_rngs(seed, "baseline", concept, g)
             draws = (draw_baseline_group(pool, rngs(b)) for b in range(bootstraps))
         try:
-            for m, v in ranked_metrics(ranked, draws, point_metrics).items():
+            for m, v in ranked_metrics(ranked, draws, metrics).items():
                 values[(m, g)] = v
         except InvariantError as e:
             raise InvariantError(f"concept {concept!r} group {g!r}: {e}") from e
-        identity = [np.arange(pool.labels.size)]
-        for m, v in ranked_metrics(ranked, identity, point_metrics).items():
+        identity = [np.arange(pool.scores.size)]
+        for m, v in ranked_metrics(ranked, identity, metrics).items():
             full_sample[(m, g)] = None if np.isnan(v[0]) else float(v[0])
 
     return ConceptEvaluation(
@@ -231,27 +228,20 @@ def evaluate_tables(
     evaluations: dict[str, ConceptEvaluation] = {}
 
     for concept in concepts:
-        table = tables[concept]
-        missing = [g for g in groups if g not in table.pools]
-        if missing:
-            reason = f"no rows for group(s): {', '.join(missing)}"
-        else:
-            try:
-                evaluations[concept] = evaluate_concept(
-                    table,
-                    metrics=point_metrics,
-                    mode=cfg.sampling_mode,
-                    ratio=cfg.ratio,
-                    bootstraps=cfg.bootstraps,
-                    seed=cfg.seed,
-                    validation_fraction=cfg.validation_fraction,
-                    threshold_scope=cfg.threshold_scope,
-                )
-                continue
-            except DataError as e:
-                reason = str(e)
-        skipped[concept] = reason
-        log.warning("skipping concept %s: %s", concept, reason)
+        try:
+            evaluations[concept] = evaluate_concept(
+                tables[concept],
+                metrics=point_metrics,
+                mode=cfg.sampling_mode,
+                ratio=cfg.ratio,
+                bootstraps=cfg.bootstraps,
+                seed=cfg.seed,
+                validation_fraction=cfg.validation_fraction,
+                threshold_scope=cfg.threshold_scope,
+            )
+        except DataError as e:
+            skipped[concept] = str(e)
+            log.warning("skipping concept %s: %s", concept, e)
 
     estimates: list[MetricEstimate] = []
     evaluated = [c for c in concepts if c in evaluations]
@@ -342,14 +332,6 @@ class ConceptPlan:
     counts: dict[str, dict[str, tuple[int, int]]]
     retained: list[str]
 
-    @property
-    def candidates(self) -> list[str]:
-        return list(self.targets.concepts)
-
-    @property
-    def unscored_targets(self) -> list[str]:
-        return list(self.targets.unscored)
-
 
 def plan_concepts(
     images: Sequence[AnnotatedImage],
@@ -408,7 +390,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     predictions = loaded.predictions
     validation = loaded.validation
     n_loaded = loaded.images_loaded
-    unlabeled = loaded.unlabeled
+    n_unlabeled = len(validation["images_without_labels"])
 
     assignments = assign_groups(images, cfg)
     groups = list(cfg.group_order())
@@ -433,11 +415,11 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         "stages": {
             "ingest": {
                 "images_loaded": n_loaded,
-                "images_without_labels": len(unlabeled),
-                "images_dropped_unlabeled": len(unlabeled) if cfg.drop_unlabeled else 0,
+                "images_without_labels": n_unlabeled,
+                "images_dropped_unlabeled": n_unlabeled if cfg.drop_unlabeled else 0,
                 "images_used": len(images),
                 "prediction_records": len(predictions),
-                "score_coverage_gaps": len(validation["unscored"]),
+                "score_coverage_gaps": validation["score_coverage_gaps"],
                 "zero_positive_concepts": len(validation["zero_positive_concepts"]),
             },
             "group_assignment": {
@@ -448,8 +430,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                 "excluded_total": sum(1 for a in assignments if not a.assigned),
             },
             "concepts": {
-                "candidates": len(plan.candidates),
-                "unscored_targets": len(plan.unscored_targets),
+                "candidates": len(plan.targets.concepts),
+                "unscored_targets": len(plan.targets.unscored),
                 "retained_after_rare_filter": len(plan.retained),
                 "rare_filter_min_per_group": cfg.min_per_group,
                 "skipped": eval_diag.get("concepts_skipped", {}),

@@ -253,10 +253,7 @@ def _pool(n_pos, n_neg, seed):
     rng = np.random.default_rng(seed)
     return GroupPool(
         scores=np.concatenate([rng.random(n_pos), rng.random(n_neg)]),
-        labels=np.repeat(np.int8([1, 0]), [n_pos, n_neg]),
-        ids=np.array(
-            [f"p{i}" for i in range(n_pos)] + [f"n{i}" for i in range(n_neg)], dtype=object
-        ),
+        image_rows=np.arange(n_pos + n_neg),
         n_pos=n_pos,
     )
 

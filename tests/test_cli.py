@@ -111,16 +111,16 @@ class TestSubcommands:
         """Budgets come from the plan's per-group counts; no pool is built."""
         tmp_path, cfg_path = workspace
         pools_built = []
-        check = GroupPool.__post_init__
+        init = GroupPool.__init__
 
-        def spy(pool):
+        def spy(pool, *args, **kwargs):
             pools_built.append(pool)
-            check(pool)
+            init(pool, *args, **kwargs)
 
         def no_tables(*args, **kwargs):
             raise AssertionError("sample-plan built concept tables")
 
-        monkeypatch.setattr(GroupPool, "__post_init__", spy)
+        monkeypatch.setattr(GroupPool, "__init__", spy)
         assert not hasattr(cli, "build_concept_tables")
         with monkeypatch.context() as m:
             m.setattr(concepts, "build_concept_tables", no_tables)

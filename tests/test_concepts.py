@@ -85,10 +85,19 @@ class TestMapping:
             ClassMapping.from_dict({"name": "m", "map": {"x": []}})
 
 
+def targets_of(images, assignments, predictions, mapping=None):
+    """Target matrix of hand-built records."""
+    return map_targets(images, assignments, ScoreMatrix.from_records(predictions), mapping)
+
+
 def tables_of(images, assignments, predictions, concepts, mapping=None):
     """Concept tables of hand-built records."""
-    targets = map_targets(images, assignments, ScoreMatrix.from_records(predictions), mapping)
-    return build_concept_tables(targets, concepts)
+    return build_concept_tables(targets_of(images, assignments, predictions, mapping), concepts)
+
+
+def pool_ids(targets, pool):
+    """The image id of each pool row."""
+    return targets.ids[pool.image_rows].tolist()
 
 
 def _fixture_dataset():
@@ -118,18 +127,18 @@ def _fixture_dataset():
 class TestConceptTables:
     def test_partition_two_pos_three_neg(self):
         images, assignments, predictions = _fixture_dataset()
-        tables = tables_of(images, assignments, predictions, ["c"])
-        pool = tables["c"].pools["A"]
+        targets = targets_of(images, assignments, predictions)
+        pool = build_concept_tables(targets, ["c"])["c"].pools["A"]
         assert pool.n_pos == 2 and pool.n_neg == 3
-        assert list(pool.ids) == ["a1", "a2", "a3", "a4", "a5"]
+        assert pool_ids(targets, pool) == ["a1", "a2", "a3", "a4", "a5"]
         assert list(pool.labels) == [1, 1, 0, 0, 0]
 
     def test_excluded_image_in_no_table(self):
         images, assignments, predictions = _fixture_dataset()
-        tables = tables_of(images, assignments, predictions, ["c", "other"])
-        for table in tables.values():
+        targets = targets_of(images, assignments, predictions)
+        for table in build_concept_tables(targets, ["c", "other"]).values():
             for pool in table.pools.values():
-                assert "x1" not in set(pool.ids)
+                assert "x1" not in pool_ids(targets, pool)
 
     def test_missing_score_omitted(self, caplog):
         images, assignments, predictions = _fixture_dataset()
@@ -147,12 +156,12 @@ class TestConceptTables:
 
     def test_positives_negatives_partition_group(self):
         images, assignments, predictions = _fixture_dataset()
-        tables = tables_of(images, assignments, predictions, ["c", "other"])
+        targets = targets_of(images, assignments, predictions)
         assigned = {"a1", "a2", "a3", "a4", "a5"}
-        for table in tables.values():
-            pool = table.pools["A"]
-            assert set(pool.ids) == assigned
-            assert len(pool.ids) == len(assigned)
+        for table in build_concept_tables(targets, ["c", "other"]).values():
+            ids = pool_ids(targets, table.pools["A"])
+            assert set(ids) == assigned
+            assert len(ids) == len(assigned)
 
     def test_mapping_changes_targets_not_scores(self):
         images = [
@@ -164,14 +173,12 @@ class TestConceptTables:
             PredictionRecord(image_id="i1", scores={"cellphone": 0.9, "parking meter": 0.2}),
             PredictionRecord(image_id="i2", scores={"cellphone": 0.1, "parking meter": 0.8}),
         ]
-        tables = tables_of(
-            images, assignments, predictions, ["cellphone", "parking meter"],
-            mapping=MAPPING_1K,
-        )
+        targets = targets_of(images, assignments, predictions, mapping=MAPPING_1K)
+        tables = build_concept_tables(targets, ["cellphone", "parking meter"])
         cell = tables["cellphone"].pools["A"]
-        assert list(cell.ids) == ["i1", "i2"] and cell.n_pos == 1
+        assert pool_ids(targets, cell) == ["i1", "i2"] and cell.n_pos == 1
         meter = tables["parking meter"].pools["A"]
-        assert list(meter.ids) == ["i2", "i1"] and meter.n_pos == 1
+        assert pool_ids(targets, meter) == ["i2", "i1"] and meter.n_pos == 1
 
     def test_box_labels_count_as_dataset_labels(self):
         from disparity_audit import BoxAnnotation

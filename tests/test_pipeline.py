@@ -337,9 +337,9 @@ class TestRunPipeline:
         loaded = load_dataset(cfg)
         assignments = assign_groups(loaded.images, cfg)
         plan = plan_concepts(loaded.images, assignments, loaded.predictions, ["A", "B"], cfg)
-        candidates, counts = plan.candidates, plan.counts
-        assert (candidates, plan.unscored_targets, plan.retained) == (
-            ["c1", "c2", "c3"], [], ["c1", "c2"]
+        candidates, counts = plan.targets.concepts, plan.counts
+        assert (candidates, plan.targets.unscored, plan.retained) == (
+            ("c1", "c2", "c3"), (), ["c1", "c2"]
         )
         tables = build_concept_tables(plan.targets, candidates)
         for c in candidates:
@@ -398,7 +398,7 @@ class TestPlanConcepts:
 
     def test_counts_skip_excluded_images_and_unscored_rows(self, tmp_path):
         plan = plan_concepts(*self.records(), ["A", "B"], self.cfg(tmp_path))
-        assert plan.candidates == ["cat", "dog"]
+        assert plan.targets.concepts == ("cat", "dog")
         assert plan.counts == {
             "cat": {"A": (1, 1), "B": (1, 1)},
             "dog": {"A": (1, 2), "B": (0, 1)},
@@ -408,8 +408,8 @@ class TestPlanConcepts:
     def test_unscored_target_dropped_with_warning(self, tmp_path, caplog):
         with caplog.at_level("WARNING", logger="disparity_audit.pipeline"):
             plan = plan_concepts(*self.records(), ["A", "B"], self.cfg(tmp_path))
-        assert plan.unscored_targets == ["owl"]
-        assert "owl" not in plan.candidates and "owl" not in plan.counts
+        assert plan.targets.unscored == ("owl",)
+        assert "owl" not in plan.targets.concepts and "owl" not in plan.counts
         assert "have no scores" in caplog.text and "owl" in caplog.text
 
     def test_group_without_images_blocks_retention(self, tmp_path):

@@ -7,6 +7,7 @@
 ``select_threshold`` must choose what the per-candidate scan chose.
 """
 
+import json
 import math
 
 import numpy as np
@@ -14,8 +15,20 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from disparity_audit import compute_budget, select_threshold, split_validation_test
-from disparity_audit.concepts import ConceptEvalTable, GroupPool
+from disparity_audit import (
+    GroupAssignment,
+    compute_budget,
+    load_annotations,
+    load_predictions,
+    select_threshold,
+    split_validation_test,
+)
+from disparity_audit.concepts import (
+    ConceptEvalTable,
+    GroupPool,
+    build_concept_tables,
+    map_targets,
+)
 from disparity_audit.config import THRESHOLD_METRICS
 from disparity_audit.metrics import rank_pool, ranked_metrics
 from disparity_audit.pipeline import evaluate_concept
@@ -53,9 +66,11 @@ def assert_same(batched, scalar):
         assert batched == scalar and type(scalar) is float
 
 
-def check_draws(scores, labels, ids, draws, threshold):
+def check_draws(scores, labels, ids, draws, threshold, tiebreak=None):
+    """``rank_pool`` breaks ties by ``tiebreak`` (default ``ids``), the
+    scalar kernels by ``ids``."""
     metrics = ALL_METRICS if threshold is not None else ("ap", "auc_roc")
-    pool = rank_pool(scores, labels, ids, threshold=threshold)
+    pool = rank_pool(scores, labels, ids if tiebreak is None else tiebreak, threshold=threshold)
     batched = ranked_metrics(pool, draws, metrics)
     undefined = 0
     for b, rows in enumerate(draws):
@@ -81,10 +96,16 @@ def make_pool(n_pos, n_neg, rng, distinct=None):
     parts = [(scores(n), ids(prefix, n)) for prefix, n in (("x", n_pos), ("m", n_neg))]
     return GroupPool(
         scores=np.concatenate([s for s, _ in parts]),
-        labels=np.repeat(np.int8([1, 0]), [n_pos, n_neg]),
-        ids=np.concatenate([i for _, i in parts]),
+        # each id's rank among the pool's ids: image rows in id order
+        image_rows=np.argsort(np.argsort(np.concatenate([i for _, i in parts]))),
         n_pos=n_pos,
     )
+
+
+def ids_of(pool):
+    """Image ids that sort as the pool's image rows: the scalar kernels'
+    tie-break, where the pipeline ranks by the rows themselves."""
+    return np.array([f"i{r:06d}" for r in pool.image_rows], dtype=object)
 
 
 class TestRankedMetricsEquivalence:
@@ -94,26 +115,26 @@ class TestRankedMetricsEquivalence:
         rng = np.random.default_rng(n_pos + n_neg + (distinct or 0))
         pool = make_pool(n_pos, n_neg, rng, distinct)
         budget = compute_budget("c", {"A": (n_pos, n_neg)}, (1, 5))
-        scores, labels, ids = pool.scores, pool.labels, pool.ids
+        scores, labels, ids = pool.scores, pool.labels, ids_of(pool)
         draws = [
             draw_group(pool, budget, derive_rng(3, "draw", "c", "A", b))
             for b in range(9 if n_neg > 1000 else 25)
         ]
         threshold = float(np.median(scores))
-        check_draws(scores, labels, ids, draws, threshold)
+        check_draws(scores, labels, ids, draws, threshold, pool.image_rows)
 
     @pytest.mark.parametrize("distinct", [None, 2, 25])
     @pytest.mark.parametrize("n_pos,n_neg", [(1, 5), (2, 40), (40, 900), (400, 9000)])
     def test_baseline_draws(self, n_pos, n_neg, distinct):
         rng = np.random.default_rng(7 * n_pos + n_neg + (distinct or 0))
         pool = make_pool(n_pos, n_neg, rng, distinct)
-        scores, labels, ids = pool.scores, pool.labels, pool.ids
+        scores, labels, ids = pool.scores, pool.labels, ids_of(pool)
         draws = [
             draw_baseline_group(pool, derive_rng(11, "baseline", "c", "A", b))
             for b in range(6 if n_neg > 1000 else 40)
         ]
         threshold = float(np.quantile(scores, 0.8))
-        undefined = check_draws(scores, labels, ids, draws, threshold)
+        undefined = check_draws(scores, labels, ids, draws, threshold, pool.image_rows)
         if n_pos == 1:
             # a single positive is missed by about a third of the draws
             assert undefined > 0
@@ -141,8 +162,10 @@ class TestRankedMetricsEquivalence:
     def test_full_sample_is_identity_draw(self):
         rng = np.random.default_rng(5)
         pool = make_pool(60, 240, rng, distinct=10)
-        scores, labels, ids = pool.scores, pool.labels, pool.ids
-        check_draws(scores, labels, ids, [np.arange(scores.size)], threshold=0.5)
+        scores, labels, ids = pool.scores, pool.labels, ids_of(pool)
+        check_draws(
+            scores, labels, ids, [np.arange(scores.size)], threshold=0.5, tiebreak=pool.image_rows
+        )
 
     @pytest.mark.parametrize("scores,labels,mixed", [
         ([0.9, 0.7, 0.5, 0.3, 0.1], [1, 0, 1, 0, 0], False),
@@ -223,7 +246,7 @@ def reference_evaluation(table, metric, mode, scope, bootstraps, seed, fraction=
 
     def value(pool, rows, g):
         return scalar_metrics(
-            pool.scores[rows], pool.labels[rows], pool.ids[rows], thresholds.get(g)
+            pool.scores[rows], pool.labels[rows], ids_of(pool)[rows], thresholds.get(g)
         )[metric]
 
     values = {g: [] for g in table.groups}
@@ -264,6 +287,49 @@ class TestMetricsThroughEvaluateConcept:
             assert ev.full_sample[(metric, g)] == full[g]
         if mode == "baseline" and metric in ("tpr", "recall", "f1"):
             assert None in values["B"]
+
+
+class TestTiesFollowImageIds:
+    # (id, group, positive, score), written neither in id order nor in
+    # numeric order; ids order as strings ("img10" < "img9"). In each group
+    # some score ties put a negative first in id order, some a positive.
+    ROWS = [
+        ("img9", "A", True, 0.5), ("img3", "B", True, 0.4), ("img100", "A", True, 0.8),
+        ("img10", "A", False, 0.5), ("img2", "A", False, 0.3), ("img31", "B", False, 0.4),
+        ("img11", "A", False, 0.8), ("img4", "B", False, 0.9), ("img30", "A", True, 0.3),
+        ("img5", "B", True, 0.9), ("img6", "B", False, 0.1),
+    ]
+
+    def test_identity_draw_matches_oracles_with_id_tiebreak(self, tmp_path):
+        ann, pred = tmp_path / "a.jsonl", tmp_path / "p.jsonl"
+        ann.write_text("".join(
+            json.dumps({"image_id": i, "labels": ["c"] if pos else ["other"]}) + "\n"
+            for i, _, pos, _ in self.ROWS
+        ))
+        pred.write_text("".join(
+            json.dumps({"image_id": i, "scores": {"c": s}}) + "\n"
+            for i, _, _, s in reversed(self.ROWS)
+        ))
+        images = load_annotations(ann)
+        targets = map_targets(
+            images, [GroupAssignment(i, group=g) for i, g, _, _ in self.ROWS],
+            load_predictions(pred, images),
+        )
+        table = build_concept_tables(targets, ["c"])["c"]
+        ev = evaluate_concept(
+            table, metrics=["ap", "auc_roc"], mode="baseline", ratio=(1, 4), bootstraps=1,
+            seed=0, validation_fraction=0.2, threshold_scope="pooled",
+        )
+        for g in ("A", "B"):
+            rows = [(i, pos, s) for i, grp, pos, s in self.ROWS if grp == g]
+            ids = np.array([i for i, _, _ in rows], dtype=object)
+            labels = np.array([int(pos) for _, pos, _ in rows], dtype=np.int8)
+            scores = np.array([s for _, _, s in rows])
+            ap = average_precision(scores, labels, tiebreak=ids)
+            # the tie-break decides AP here: positives-first order differs
+            assert ap != average_precision(scores, labels, tiebreak=1 - labels)
+            assert ev.full_sample[("ap", g)] == ap
+            assert ev.full_sample[("auc_roc", g)] == auc_roc(scores, labels)
 
 
 def scan_select_threshold(scores, labels):

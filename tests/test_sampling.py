@@ -16,13 +16,12 @@ from disparity_audit.sampling import (
 
 
 def make_pool(n_pos, n_neg, seed=0):
+    """Positives and negatives interleave in image order: the k-th positive
+    is image row 2k + 1, the k-th negative image row 2k."""
     rng = np.random.default_rng(seed)
     return GroupPool(
         scores=np.concatenate([rng.random(n_pos), rng.random(n_neg)]),
-        labels=np.repeat(np.int8([1, 0]), [n_pos, n_neg]),
-        ids=np.array(
-            [f"p{i}" for i in range(n_pos)] + [f"n{i}" for i in range(n_neg)], dtype=object
-        ),
+        image_rows=np.concatenate([2 * np.arange(n_pos) + 1, 2 * np.arange(n_neg)]),
         n_pos=n_pos,
     )
 
@@ -50,24 +49,25 @@ def draw_all(table, budget, seed, b):
 
 
 class TestGroupPool:
-    def test_labels_must_be_positives_first(self):
-        with pytest.raises(InvariantError):
-            GroupPool(
-                scores=np.zeros(3), labels=np.int8([1, 0, 1]),
-                ids=np.array(["a", "b", "c"], dtype=object), n_pos=2,
-            )
-
-    def test_n_pos_must_match_labels(self):
-        with pytest.raises(InvariantError):
-            GroupPool(
-                scores=np.zeros(2), labels=np.int8([1, 1]),
-                ids=np.array(["a", "b"], dtype=object), n_pos=3,
-            )
+    def test_labels_are_positives_first(self):
+        labels = make_pool(2, 3).labels
+        assert labels.dtype == np.int8 and labels.tolist() == [1, 1, 0, 0, 0]
 
     def test_take_keeps_class_order(self):
         sub = make_pool(4, 6).take(np.array([1, 3, 4, 9]))
         assert (sub.n_pos, sub.n_neg) == (2, 2)
-        assert list(sub.ids) == ["p1", "p3", "n0", "n5"]
+        assert sub.image_rows.tolist() == [3, 7, 0, 10]
+        assert sub.labels.tolist() == [1, 1, 0, 0]
+
+    @pytest.mark.parametrize("rows", [[4, 1], [1, 1], [0, 5, 2]])
+    def test_take_rejects_rows_not_strictly_ascending(self, rows):
+        # labels follow from n_pos, so such a take would mislabel rows
+        with pytest.raises(InvariantError, match="strictly ascending"):
+            make_pool(4, 6).take(np.array(rows))
+
+    def test_take_of_no_rows_is_empty(self):
+        sub = make_pool(4, 6).take(np.array([], dtype=np.intp))
+        assert (sub.n_pos, sub.n_neg, sub.image_rows.size) == (0, 0, 0)
 
 
 class TestRareFilter:
