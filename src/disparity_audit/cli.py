@@ -37,7 +37,6 @@ from .pipeline import (
     write_plot_data,
     write_results_csv,
 )
-from .sampling import compute_budget
 from .synth import ScenarioSpec, generate
 
 log = logging.getLogger("disparity_audit")
@@ -96,11 +95,12 @@ def _cmd_sample_plan(args) -> int:
             "retained": c in plan.retained,
             "pools": {g: list(counts[g]) for g in groups},
         }
-        if c in plan.retained and cfg.sampling_mode == "reliable":
-            try:
-                entry["budget"] = list(compute_budget(c, counts, cfg.ratio))
-            except DataError as e:
-                entry["skip_reason"] = str(e)
+        if c in plan.skipped:
+            entry["skip_reason"] = plan.skipped[c]
+        if c in plan.sized:
+            entry["evaluated"] = {g: list(n) for g, n in plan.sized[c].pools.items()}
+            if plan.sized[c].budget is not None:
+                entry["budget"] = list(plan.sized[c].budget)
         plans[c] = entry
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_common(sub.add_parser("assign-groups", help="write group assignments CSV"))
     add_common(sub.add_parser("map", help="write per-image target sets"))
-    add_common(sub.add_parser("sample-plan", help="write per-concept sampling budgets"))
+    add_common(sub.add_parser("sample-plan", help="write the per-concept evaluation plan"))
     add_common(sub.add_parser("evaluate", help="compute results.csv only"))
     add_common(sub.add_parser("run", help="full pipeline with all artifacts"))
 

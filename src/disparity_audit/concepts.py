@@ -220,7 +220,6 @@ class TargetMatrix:
     ``rows`` each image's row in it (``ScoreMatrix.row_of``).
     """
 
-    ids: np.ndarray
     groups: np.ndarray
     concepts: tuple[ConceptId, ...]
     targets: np.ndarray
@@ -267,16 +266,14 @@ def map_targets(
     if len(target_sets) < len(keys):  # else each image has its own key, in image order
         image_key = np.fromiter(map(key_of.__getitem__, keys), dtype=np.intp, count=len(keys))
         key_targets, key_has_targets = key_targets[image_key], key_has_targets[image_key]
-    ids = np.array([img.image_id for img in assigned], dtype=object)
     return TargetMatrix(
-        ids=_readonly(ids),
         groups=_readonly(np.array([group_of[img.image_id] for img in assigned], dtype=object)),
         concepts=tuple(concepts),
         targets=_readonly(key_targets),
         has_targets=_readonly(key_has_targets),
         unscored=tuple(sorted(universe - scored)),
         predictions=predictions,
-        rows=_readonly(predictions.row_of(ids)),
+        rows=_readonly(predictions.row_of([img.image_id for img in assigned])),
     )
 
 
@@ -300,7 +297,7 @@ def build_concept_tables(
     scores = predictions.take_rows(targets.rows, predictions.columns(concept_list))
     candidate = {c: j for j, c in enumerate(targets.concepts)}
     masks = {g: targets.groups == g for g in sorted(set(targets.groups.tolist()))}
-    no_targets = np.zeros(len(targets.ids), dtype=bool)
+    no_targets = np.zeros(len(targets.groups), dtype=bool)
 
     tables: dict[str, ConceptEvalTable] = {}
     for j, c in enumerate(concept_list):

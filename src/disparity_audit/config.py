@@ -120,7 +120,6 @@ class RunConfig:
     """Validated, fully resolved run configuration with loaded config objects."""
 
     raw: dict[str, Any]
-    base_dir: Path
     annotations: Path
     predictions: Path
     group_method: str
@@ -281,7 +280,6 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
 
     return RunConfig(
         raw=resolved,
-        base_dir=base,
         annotations=annotations,
         predictions=predictions,
         group_method=group_method,

@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import DataError, InvariantError
 
+CI = (2.5, 97.5)  # percentile ranks of the 95% interval
+
 
 @dataclass(frozen=True)
 class MetricEstimate:
@@ -62,9 +64,7 @@ def _as_float_array(values: Sequence[float | None]) -> np.ndarray:
     return np.array([np.nan if v is None else float(v) for v in values], dtype=float)
 
 
-def _estimate(
-    d: np.ndarray, total: int, ci: tuple[float, float], **fields
-) -> MetricEstimate:
+def _estimate(d: np.ndarray, total: int, **fields) -> MetricEstimate:
     """The estimate from the finite disparities ``d`` of ``total``
     bootstraps: their mean and percentile interval, or no value when none
     survived. ``fields`` names the metric, concept, groups and sizes."""
@@ -76,8 +76,8 @@ def _estimate(
         )
     return MetricEstimate(
         point=float(d.mean()),
-        ci_low=percentile(d, ci[0]),
-        ci_high=percentile(d, ci[1]),
+        ci_low=percentile(d, CI[0]),
+        ci_high=percentile(d, CI[1]),
         bootstrap_count=total, bootstraps_used=used,
         unreliable=(total - used) * 2 > total, **fields,
     )
@@ -93,7 +93,6 @@ def per_concept_disparity(
     group_b: str,
     sample_sizes: Mapping[str, tuple[int, int]] | None = None,
     full_sample: float | None = None,
-    ci: tuple[float, float] = (2.5, 97.5),
 ) -> MetricEstimate:
     """Disparity of one metric for one concept between two groups.
 
@@ -112,7 +111,7 @@ def per_concept_disparity(
         raise DataError("need at least one bootstrap value per group")
     mask = np.isfinite(a) & np.isfinite(b)
     return _estimate(
-        a[mask] - b[mask], total, ci,
+        a[mask] - b[mask], total,
         metric=metric, concept=concept, group_a=group_a, group_b=group_b,
         sample_sizes=dict(sample_sizes or {}), full_sample=full_sample,
     )
@@ -125,8 +124,6 @@ def aggregate_disparity(
     metric: str,
     group_a: str,
     group_b: str,
-    full_sample: float | None = None,
-    ci: tuple[float, float] = (2.5, 97.5),
 ) -> MetricEstimate:
     """Aggregate disparity over a shared concept set.
 
@@ -145,9 +142,9 @@ def aggregate_disparity(
         raise InvariantError("bootstrap streams differ in length across groups")
     mask = np.all(np.isfinite(mat_a), axis=0) & np.all(np.isfinite(mat_b), axis=0)
     return _estimate(
-        mat_a[:, mask].mean(axis=0) - mat_b[:, mask].mean(axis=0), mat_a.shape[1], ci,
+        mat_a[:, mask].mean(axis=0) - mat_b[:, mask].mean(axis=0), mat_a.shape[1],
         metric=metric, concept="aggregate", group_a=group_a, group_b=group_b,
-        sample_sizes={}, full_sample=full_sample,
+        sample_sizes={},
     )
 
 

@@ -41,6 +41,17 @@ def _rate_arrays(
         }
 
 
+def check_threshold_rows(labels: Sequence[int]) -> np.ndarray:
+    """The positive mask of ``select_threshold``'s labels; a data error
+    when they hold no row or no positive row."""
+    pos = np.asarray(labels) == 1
+    if pos.shape[0] == 0:
+        raise DataError("select_threshold needs at least one row")
+    if not pos.any():
+        raise DataError("select_threshold needs at least one positive row")
+    return pos
+
+
 def select_threshold(
     scores: Sequence[float], labels: Sequence[int]
 ) -> tuple[float, float]:
@@ -59,12 +70,7 @@ def select_threshold(
     confusion pass per candidate.
     """
     s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels)
-    if s.shape[0] == 0:
-        raise DataError("select_threshold needs at least one row")
-    pos = y == 1
-    if not pos.any():
-        raise DataError("select_threshold needs at least one positive row")
+    pos = check_threshold_rows(labels)
     s_sorted = np.sort(s)
     distinct = s_sorted[np.concatenate(([True], s_sorted[1:] != s_sorted[:-1]))]
     lower, upper = distinct[:-1], distinct[1:]

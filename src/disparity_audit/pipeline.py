@@ -47,6 +47,7 @@ from .groups import (
     assignment_summary,
 )
 from .metrics import (
+    check_threshold_rows,
     hit_vector,
     rank_pool,
     ranked_metrics,
@@ -118,10 +119,8 @@ def load_dataset(cfg: RunConfig) -> LoadedDataset:
 class ConceptEvaluation:
     """Per-bootstrap metric values for one concept, keyed (metric, group)."""
 
-    concept: str
     values: dict[tuple[str, str], np.ndarray]
     full_sample: dict[tuple[str, str], float | None]
-    sample_sizes: dict[str, tuple[int, int]]
     thresholds: dict[str, float]
 
 
@@ -129,63 +128,40 @@ def evaluate_concept(
     table: ConceptEvalTable,
     *,
     metrics: Sequence[str],
-    mode: str,
-    ratio: tuple[int, int],
+    splits: Mapping[str, tuple[np.ndarray, np.ndarray]] | None,
+    budget: tuple[int, int] | None,
     bootstraps: int,
     seed: int,
-    validation_fraction: float,
     threshold_scope: str,
 ) -> ConceptEvaluation:
     """Bootstrap one concept's metrics (ranking and threshold metrics, not
-    ``hit_rate``) for every group.
+    ``hit_rate``) for every group, as its ``ConceptSizing`` says.
 
-    When threshold metrics are requested, a stratified validation/test split
-    is made per group, thresholds are selected on validation rows (pooled
-    across groups or per group), and all metrics are evaluated on the test
-    portion. Ranking-only runs use the full pools.
-
-    Raises:
-        DataError: when the concept cannot be evaluated (budget or threshold
-            preconditions); callers skip the concept with a report entry.
+    With ``splits``, thresholds are selected on each group's validation rows
+    (pooled across groups or per group) and every metric is scored on its
+    test rows; without, on the full pools. With a ``budget`` each draw takes
+    that many positives and negatives from every group; without, each group
+    is resampled whole.
     """
     concept = table.concept
     groups = table.groups
-    threshold_metrics = [m for m in metrics if m in THRESHOLD_METRICS]
-
     thresholds: dict[str, float] = {}
-    if threshold_metrics:
-        val_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        test_rows: dict[str, np.ndarray] = {}
-        for g in groups:
-            pool = table.pools[g]
-            labels = pool.labels
-            split_seed = derive_seed(seed, "split", concept, g)
-            val_idx, test_rows[g] = split_validation_test(labels, validation_fraction, split_seed)
-            val_rows[g] = (pool.scores[val_idx], labels[val_idx])
+    if splits is not None:
+        val = {g: (table.pools[g].scores[v], table.pools[g].labels[v])
+               for g, (v, _) in splits.items()}
         if threshold_scope == "pooled":
-            pooled_scores = np.concatenate([val_rows[g][0] for g in groups])
-            pooled_labels = np.concatenate([val_rows[g][1] for g in groups])
-            threshold, _ = select_threshold(pooled_scores, pooled_labels)
-            thresholds = {g: threshold for g in groups}
+            pooled = [np.concatenate([val[g][i] for g in groups]) for i in (0, 1)]
+            thresholds = dict.fromkeys(groups, select_threshold(*pooled)[0])
         else:
-            for g in groups:
-                thresholds[g], _ = select_threshold(*val_rows[g])
-        eval_table = table.restrict(test_rows)
-    else:
-        eval_table = table
-
-    sizes = {g: (eval_table.n_pos(g), eval_table.n_neg(g)) for g in groups}
-    budget = None
-    if mode == "reliable":
-        budget = compute_budget(concept, sizes, ratio)
-        sizes = {g: budget for g in groups}
+            thresholds = {g: select_threshold(*val[g])[0] for g in groups}
+        table = table.restrict({g: test for g, (_, test) in splits.items()})
 
     # One group at a time: sort its pool once, then score the draws (and the
     # identity draw, the full sample) from ranks into that order.
     values: dict[tuple[str, str], np.ndarray] = {}
     full_sample: dict[tuple[str, str], float | None] = {}
     for g in groups:
-        pool = eval_table.pools[g]
+        pool = table.pools[g]
         ranked = rank_pool(pool.scores, pool.labels, pool.image_rows, threshold=thresholds.get(g))
         if budget is not None:
             rngs = derive_rngs(seed, "draw", concept, g)
@@ -202,13 +178,7 @@ def evaluate_concept(
         for m, v in ranked_metrics(ranked, identity, metrics).items():
             full_sample[(m, g)] = None if np.isnan(v[0]) else float(v[0])
 
-    return ConceptEvaluation(
-        concept=concept,
-        values=values,
-        full_sample=full_sample,
-        sample_sizes=sizes,
-        thresholds=thresholds,
-    )
+    return ConceptEvaluation(values=values, full_sample=full_sample, thresholds=thresholds)
 
 
 def _pairs(groups: Sequence[str]) -> list[tuple[str, str]]:
@@ -217,38 +187,27 @@ def _pairs(groups: Sequence[str]) -> list[tuple[str, str]]:
 
 def evaluate_tables(
     tables: Mapping[str, ConceptEvalTable],
-    concepts: Sequence[str],
+    plan: ConceptPlan,
     groups: Sequence[str],
     cfg: RunConfig,
-) -> tuple[list[MetricEstimate], dict]:
-    """Evaluate retained concepts and reduce to per-concept and aggregate
-    disparity estimates for every group pair."""
+) -> tuple[list[MetricEstimate], dict[str, dict[str, float]]]:
+    """Evaluate the concepts the plan sized and reduce to per-concept and
+    aggregate disparity estimates for every group pair. Also returns each
+    concept's per-group thresholds, for the concepts that have them."""
     point_metrics = [m for m in cfg.metrics if m != "hit_rate"]
-    skipped: dict[str, str] = {}
-    evaluations: dict[str, ConceptEvaluation] = {}
-
-    for concept in concepts:
-        try:
-            evaluations[concept] = evaluate_concept(
-                tables[concept],
-                metrics=point_metrics,
-                mode=cfg.sampling_mode,
-                ratio=cfg.ratio,
-                bootstraps=cfg.bootstraps,
-                seed=cfg.seed,
-                validation_fraction=cfg.validation_fraction,
-                threshold_scope=cfg.threshold_scope,
-            )
-        except DataError as e:
-            skipped[concept] = str(e)
-            log.warning("skipping concept %s: %s", concept, e)
-
+    evaluations = {
+        c: evaluate_concept(
+            tables[c], metrics=point_metrics, splits=s.splits, budget=s.budget,
+            bootstraps=cfg.bootstraps, seed=cfg.seed, threshold_scope=cfg.threshold_scope,
+        )
+        for c, s in plan.sized.items()
+    }
+    draw_sizes = {c: s.pools if s.budget is None else dict.fromkeys(s.pools, s.budget)
+                  for c, s in plan.sized.items()}
     estimates: list[MetricEstimate] = []
-    evaluated = [c for c in concepts if c in evaluations]
     for metric in point_metrics:
         for a, b in _pairs(groups):
-            for concept in evaluated:
-                ev = evaluations[concept]
+            for concept, ev in evaluations.items():
                 fs_a = ev.full_sample[(metric, a)]
                 fs_b = ev.full_sample[(metric, b)]
                 full = None if fs_a is None or fs_b is None else fs_a - fs_b
@@ -256,25 +215,18 @@ def evaluate_tables(
                     per_concept_disparity(
                         ev.values[(metric, a)], ev.values[(metric, b)],
                         metric=metric, concept=concept, group_a=a, group_b=b,
-                        sample_sizes=ev.sample_sizes, full_sample=full,
+                        sample_sizes=draw_sizes[concept], full_sample=full,
                     )
                 )
-            if evaluated:
+            if evaluations:
                 estimates.append(
                     aggregate_disparity(
-                        {c: evaluations[c].values[(metric, a)] for c in evaluated},
-                        {c: evaluations[c].values[(metric, b)] for c in evaluated},
+                        {c: ev.values[(metric, a)] for c, ev in evaluations.items()},
+                        {c: ev.values[(metric, b)] for c, ev in evaluations.items()},
                         metric=metric, group_a=a, group_b=b,
                     )
                 )
-    diagnostics = {
-        "concepts_evaluated": evaluated,
-        "concepts_skipped": skipped,
-        "thresholds": {
-            c: evaluations[c].thresholds for c in evaluated if evaluations[c].thresholds
-        },
-    }
-    return estimates, diagnostics
+    return estimates, {c: ev.thresholds for c, ev in evaluations.items() if ev.thresholds}
 
 
 def evaluate_hit_rate(
@@ -318,19 +270,69 @@ def evaluate_hit_rate(
     return estimates
 
 
+@dataclass(frozen=True)
+class ConceptSizing:
+    """How one concept is evaluated: each group's (validation, test) rows
+    when threshold metrics need a split, the ``(n_pos, n_neg)`` each group's
+    draws sample from, and in a reliable run the per-group budget."""
+
+    splits: dict[str, tuple[np.ndarray, np.ndarray]] | None
+    pools: dict[str, tuple[int, int]]
+    budget: tuple[int, int] | None
+
+
+def size_concept(
+    concept: str, counts: Mapping[str, tuple[int, int]], cfg: RunConfig
+) -> ConceptSizing:
+    """Size one concept from its groups' ``(n_pos, n_neg)`` alone, in sorted
+    group order. A pool is its positives, then its negatives, so its labels,
+    its split and the split's counts follow from those two numbers.
+
+    Raises:
+        DataError: when threshold selection would have no validation row or
+            no positive one, or else when no budget fits every group.
+    """
+    groups = sorted(counts)
+    pools = {g: counts[g] for g in groups}
+    splits = None
+    if any(m in THRESHOLD_METRICS for m in cfg.metrics):
+        splits = {
+            g: split_validation_test(
+                np.repeat(np.int8([1, 0]), counts[g]), cfg.validation_fraction,
+                derive_seed(cfg.seed, "split", concept, g),
+            )
+            for g in groups
+        }
+        val_labels = [splits[g][0] < counts[g][0] for g in groups]
+        if cfg.threshold_scope == "pooled":
+            val_labels = [np.concatenate(val_labels)]
+        for labels in val_labels:
+            check_threshold_rows(labels)
+        for g, (_, test) in splits.items():
+            n_pos = int(np.searchsorted(test, counts[g][0]))
+            pools[g] = (n_pos, test.size - n_pos)
+    budget = None
+    if cfg.sampling_mode == "reliable":
+        budget = compute_budget(concept, pools, cfg.ratio)
+    return ConceptSizing(splits=splits, pools=pools, budget=budget)
+
+
 @dataclass
 class ConceptPlan:
-    """Which concepts get evaluated, decided from per-group counts alone.
+    """How each concept is evaluated, decided from per-group counts alone.
 
     ``counts`` maps each candidate and each group to the ``(n_pos, n_neg)``
     scored rows ``build_concept_tables`` would give it; ``retained`` holds
-    the candidates that pass the rare-label filter on those counts, so only
-    they need a table.
+    the candidates that pass the rare-label filter on those counts. Each
+    retained concept is then either ``sized`` for evaluation or ``skipped``
+    with the reason, so only the sized ones need a table.
     """
 
     targets: TargetMatrix
     counts: dict[str, dict[str, tuple[int, int]]]
     retained: list[str]
+    sized: dict[str, ConceptSizing]
+    skipped: dict[str, str]
 
 
 def plan_concepts(
@@ -340,12 +342,13 @@ def plan_concepts(
     groups: Sequence[str],
     cfg: RunConfig,
 ) -> ConceptPlan:
-    """Decide which concepts get evaluated.
+    """Decide which concepts get evaluated, and how.
 
     Candidates are the targets of group-assigned images that some prediction
     scores. Each group's counts are column sums of the scored and target
     masks under its rows. A run whose only metric is ``hit_rate`` evaluates
-    no concept, so it retains none.
+    no concept, so it retains none. Each retained concept is sized with
+    ``size_concept``; one that cannot be is skipped with a warning.
     """
     targets = map_targets(
         images, assignments, predictions, cfg.mapping, strict=cfg.strict_mapping
@@ -373,7 +376,15 @@ def plan_concepts(
     )
     if all(m == "hit_rate" for m in cfg.metrics):
         retained = []
-    return ConceptPlan(targets=targets, counts=counts, retained=retained)
+    sized: dict[str, ConceptSizing] = {}
+    skipped: dict[str, str] = {}
+    for c in retained:
+        try:
+            sized[c] = size_concept(c, counts[c], cfg)
+        except DataError as e:
+            skipped[c] = str(e)
+            log.warning("skipping concept %s: %s", c, e)
+    return ConceptPlan(targets, counts, retained, sized, skipped)
 
 
 @dataclass
@@ -397,12 +408,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     summary = assignment_summary(assignments, groups=groups)
 
     plan = plan_concepts(images, assignments, predictions, groups, cfg)
-    estimates: list[MetricEstimate] = []
-    eval_diag: dict = {"concepts_evaluated": [], "concepts_skipped": {}}
-    if plan.retained:
-        tables = build_concept_tables(plan.targets, plan.retained)
-        point_estimates, eval_diag = evaluate_tables(tables, plan.retained, groups, cfg)
-        estimates.extend(point_estimates)
+    tables = build_concept_tables(plan.targets, plan.sized)
+    estimates, _ = evaluate_tables(tables, plan, groups, cfg)
     if "hit_rate" in cfg.metrics:
         estimates.extend(evaluate_hit_rate(plan.targets, groups, cfg))
 
@@ -434,7 +441,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                 "unscored_targets": len(plan.targets.unscored),
                 "retained_after_rare_filter": len(plan.retained),
                 "rare_filter_min_per_group": cfg.min_per_group,
-                "skipped": eval_diag.get("concepts_skipped", {}),
+                "skipped": plan.skipped,
             },
             "evaluation": {
                 "metrics": list(cfg.metrics),

@@ -1,0 +1,21 @@
+"""A run config for tests that build their records in memory."""
+
+from pathlib import Path
+
+from disparity_audit.config import RunConfig
+from disparity_audit.groups import NoBoxFilter
+
+
+def run_config(**fields) -> RunConfig:
+    """A ``RunConfig`` with stub paths, metadata groups and no class mapping;
+    ``fields`` override the defaults."""
+    stub = Path(".")
+    defaults = dict(
+        raw={}, annotations=stub, predictions=stub, group_method="metadata",
+        metadata_key="group", terms=None, region=None, box_filter=NoBoxFilter(),
+        mapping=None, strict_mapping=True, metrics=("ap",), k=5,
+        validation_fraction=0.2, threshold_scope="pooled", ratio=(1, 5),
+        bootstraps=250, seed=0, min_per_group=50, sampling_mode="reliable",
+        evaluation_version="custom", drop_unlabeled=False, top_n=5, output_dir=stub,
+    )
+    return RunConfig(**{**defaults, **fields})

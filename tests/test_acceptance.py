@@ -19,7 +19,6 @@ from disparity_audit import (
     build_concept_tables,
     compute_budget,
     generate,
-    map_targets,
     per_concept_disparity,
     rank_pool,
     ranked_metrics,
@@ -28,14 +27,9 @@ from disparity_audit import (
 )
 from disparity_audit.cli import main as cli_main
 from disparity_audit.concepts import ConceptEvalTable, GroupPool
-from disparity_audit.config import RunConfig
-from disparity_audit.groups import (
-    NoBoxFilter,
-    assign_group_from_boxes,
-    assign_group_from_captions,
-)
+from disparity_audit.groups import assign_group_from_boxes, assign_group_from_captions
 from disparity_audit.metrics import _rate_arrays
-from disparity_audit.pipeline import evaluate_tables
+from disparity_audit.pipeline import evaluate_tables, plan_concepts
 from disparity_audit.sampling import derive_rng, derive_rngs, draw_group
 
 from corpus import (
@@ -57,6 +51,7 @@ from oracles import (
     rates_from_confusion,
     threshold_oracle_f1,
 )
+from stubs import run_config
 
 
 def _report(criterion: int, name: str, detail: str = ""):
@@ -80,21 +75,6 @@ def _same(value, ref):
         assert math.isnan(value)
     else:
         assert value == ref
-
-
-def _mini_cfg(mode: str, seed: int, metrics=("ap",), ratio=(1, 5), bootstraps=250,
-              min_per_group=50) -> RunConfig:
-    stub = Path(".")
-    return RunConfig(
-        raw={}, base_dir=stub, annotations=stub, predictions=stub,
-        group_method="metadata", metadata_key="group", terms=None, region=None,
-        box_filter=NoBoxFilter(), mapping=None, strict_mapping=True,
-        metrics=tuple(metrics), k=5, validation_fraction=0.2,
-        threshold_scope="pooled", ratio=tuple(ratio), bootstraps=bootstraps,
-        seed=seed, min_per_group=min_per_group, sampling_mode=mode,
-        evaluation_version="custom", drop_unlabeled=False, top_n=5,
-        output_dir=stub,
-    )
 
 
 def test_criterion_01_rate_identities():
@@ -181,15 +161,14 @@ def test_criterion_03_prevalence_invariance():
     _report(3, f"TPR/FPR prevalence invariance on {checked} duplications", "exact")
 
 
-def _flagship_tables(seed: int):
+def _flagship_records(seed: int):
     cells = {
         "alpha": CellSpec(prevalence=0.5, mu_pos=1, sigma_pos=1, mu_neg=0, sigma_neg=1, n=2000),
         "beta": CellSpec(prevalence=0.05, mu_pos=1, sigma_pos=1, mu_neg=0, sigma_neg=1, n=2000),
     }
     spec = ScenarioSpec(concepts={"widget": cells}, seed=seed)
     images, assignments, predictions = generate(spec)
-    targets = map_targets(images, assignments, ScoreMatrix.from_records(predictions))
-    return build_concept_tables(targets, ["widget"])
+    return images, assignments, ScoreMatrix.from_records(predictions)
 
 
 def test_criterion_04_flagship_prevalence_reproduction():
@@ -198,12 +177,13 @@ def test_criterion_04_flagship_prevalence_reproduction():
     start = time.perf_counter()
     good = 0
     for seed in range(20):
-        tables = _flagship_tables(seed)
+        records = _flagship_records(seed)
         flags = {}
         for mode in ("baseline", "reliable"):
-            estimates, _ = evaluate_tables(
-                tables, ["widget"], ["alpha", "beta"], _mini_cfg(mode, seed)
-            )
+            cfg = run_config(sampling_mode=mode, seed=seed)
+            plan = plan_concepts(*records, ["alpha", "beta"], cfg)
+            tables = build_concept_tables(plan.targets, plan.sized)
+            estimates, _ = evaluate_tables(tables, plan, ["alpha", "beta"], cfg)
             per = [e for e in estimates if e.concept == "widget"][0]
             flags[mode] = significance_flag(per)
         if flags["baseline"] and not flags["reliable"]:

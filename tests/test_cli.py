@@ -1,13 +1,15 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from disparity_audit import cli, concepts, pipeline
 from disparity_audit.cli import main
 from disparity_audit.concepts import GroupPool, build_concept_tables, map_targets
 from disparity_audit.config import load_config
-from disparity_audit.pipeline import assign_groups, load_dataset
+from disparity_audit.metrics import rank_pool
+from disparity_audit.pipeline import assign_groups, load_dataset, read_results_csv
 
 TERMS = Path(__file__).resolve().parents[1] / "configs" / "terms_coco_captions.json"
 
@@ -94,10 +96,14 @@ class TestSubcommands:
         assert plan["mode"] == "reliable"
         c1 = plan["concepts"]["c1"]
         assert c1["retained"] is True
-        # budget: A has 60 pos / 90 neg, B has 30 pos / 120 neg; 1:2 ratio
-        assert c1["budget"] == [30, 60]
+        # A has 60 pos / 90 neg, B 30 / 120. tpr needs a 20% validation
+        # split, so the draws sample the test rows: A 48 / 72, B 24 / 96,
+        # and the 1:2 budget is 24 / 48.
+        assert c1["pools"] == {"A": [60, 90], "B": [30, 120]}
+        assert c1["evaluated"] == {"A": [48, 72], "B": [24, 96]}
+        assert c1["budget"] == [24, 48]
         c2 = plan["concepts"]["c2"]
-        assert c2["retained"] is False and "budget" not in c2
+        assert c2["retained"] is False and "budget" not in c2 and "evaluated" not in c2
         cfg = load_config(cfg_path)
         loaded = load_dataset(cfg)
         targets = map_targets(
@@ -128,7 +134,7 @@ class TestSubcommands:
             assert main(["sample-plan", "--config", str(cfg_path)]) == 0
         assert pools_built == []
         plan = json.loads((tmp_path / "out" / "sample_plan.json").read_text())
-        assert plan["concepts"]["c1"]["budget"] == [30, 60]
+        assert plan["concepts"]["c1"]["budget"] == [24, 48]
         # the spy sees the pools that run builds
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert pools_built
@@ -236,6 +242,149 @@ def test_ingest_order_does_not_change_artifacts(workspace):
     manifest = json.loads(outputs["as_is"]["manifest.json"])
     assert manifest["stages"]["ingest"]["score_coverage_gaps"] == 1
     assert b"hit_rate" in outputs["as_is"]["results.csv"]
+
+
+def _run_sizes(row, groups):
+    """Each group's ``[n_pos, n_neg]`` per draw, as a results row gives it:
+    one number when every group has it, else ``group=n`` pairs."""
+    def per_group(text):
+        if "=" not in text:
+            return dict.fromkeys(groups, int(text))
+        return {g: int(n) for g, n in (part.split("=") for part in text.split(";"))}
+
+    pos, neg = per_group(row["n_pos_per_group"]), per_group(row["n_neg_per_group"])
+    return {g: [pos[g], neg[g]] for g in groups}
+
+
+@pytest.mark.parametrize("metrics, sampling", [
+    (["ap", "tpr"], {}),
+    (["ap"], {}),
+    (["ap", "tpr"], {"mode": "baseline"}),
+    # c2 is retained, and its 4 test positives in B cannot host a 5:2 unit
+    (["ap", "tpr"], {"min_per_group": 5, "ratio": [5, 2]}),
+], ids=["threshold-reliable", "ranking-reliable", "threshold-baseline", "threshold-skip"])
+def test_sample_plan_agrees_with_run(workspace, monkeypatch, metrics, sampling):
+    """``sample-plan`` writes the sizes the run draws: its budget is the
+    run's per-group sample size, ``evaluated`` the pools the draws come from,
+    and its skip reasons the manifest's."""
+    tmp_path, cfg_path = workspace
+    raw = json.loads(cfg_path.read_text())
+    raw["metrics"] = metrics
+    raw["sampling"].update(sampling)
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["sample-plan", "--config", str(cfg_path)]) == 0
+    plan = json.loads((tmp_path / "out" / "sample_plan.json").read_text())["concepts"]
+
+    ranked = []  # each pool the run draws from, as [n_pos, n_neg]
+
+    def spy(scores, labels, *args, **kwargs):
+        n_pos = int(np.count_nonzero(labels))
+        ranked.append([n_pos, len(labels) - n_pos])
+        return rank_pool(scores, labels, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "rank_pool", spy)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    rows = [r for r in read_results_csv(out / "results.csv") if r["concept"] != "aggregate"]
+
+    evaluated = {c: e for c, e in plan.items() if "evaluated" in e}
+    pools = [n for c in sorted(evaluated) for _, n in sorted(evaluated[c]["evaluated"].items())]
+    assert ranked == pools
+    assert {r["concept"] for r in rows} == set(evaluated)
+    for row in rows:
+        entry = evaluated[row["concept"]]
+        budget = entry.get("budget")
+        expected = entry["evaluated"] if budget is None else dict.fromkeys(("A", "B"), budget)
+        assert _run_sizes(row, ("A", "B")) == expected
+        assert ("budget" in entry) == (raw["sampling"]["mode"] == "reliable")
+    skipped = {c: e["skip_reason"] for c, e in plan.items() if "skip_reason" in e}
+    assert skipped == manifest["stages"]["concepts"]["skipped"]
+    if "ratio" in sampling:
+        assert list(skipped) == ["c2"] and "4 positive(s)" in skipped["c2"]
+    elif metrics == ["ap"]:
+        assert evaluated["c1"]["budget"] == [30, 60]
+    elif "mode" not in sampling:
+        assert evaluated["c1"]["budget"] == [24, 48]
+
+
+def one_positive_workspace(tmp_path, scope, mode):
+    """Metadata groups A and B of 60 images each, at ``min_per_group`` 1.
+    ``many`` has 20 positives per group. ``solo1``-``solo4`` have one
+    positive per group among 5, 9, 12 and 20 scored images, so their splits
+    fall back to unstratified ones. ``lone`` is scored on one image per
+    group, a positive: no validation row and no negative."""
+    rng = np.random.default_rng(7)
+    solo = {"solo1": 5, "solo2": 9, "solo3": 12, "solo4": 20}
+    annotations, predictions = [], []
+    for g in ("A", "B"):
+        for k in range(60):
+            labels = ["bg"] + (["many"] if k < 20 else [])
+            labels += [c for j, c in enumerate(solo) if k == j]
+            scores = {"many": round(float(rng.random()), 3)}
+            for c, n in solo.items():
+                if k < n:
+                    scores[c] = round(float(rng.random()), 3)
+            if k == 59:
+                labels.append("lone")
+                scores["lone"] = 0.5
+            annotations.append({"image_id": f"{g}{k:02d}", "labels": labels,
+                                "metadata": {"group": g}})
+            predictions.append({"image_id": f"{g}{k:02d}", "scores": scores})
+    for name, records in (("ann.jsonl", annotations), ("pred.jsonl", predictions)):
+        (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+    (tmp_path / "region.json").write_text(json.dumps({"country_to_group": {"A": "A", "B": "B"}}))
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "annotations": "ann.jsonl", "predictions": "pred.jsonl",
+        "group_method": "metadata", "metadata_key": "group", "region": "region.json",
+        "metrics": ["ap", "tpr"], "threshold_scope": scope, "drop_unlabeled": False,
+        "sampling": {"mode": mode, "ratio": [1, 2], "bootstraps": 20, "seed": 6,
+                     "min_per_group": 1},
+        "output_dir": "out",
+    }))
+    return cfg_path
+
+
+NO_ROW = "select_threshold needs at least one row"
+NO_POSITIVE = "select_threshold needs at least one positive row"
+
+
+def _no_test_positive(concept):
+    return (f"concept {concept!r}: group 'A' has 0 positive(s), "
+            "fewer than the 1 required per ratio unit")
+
+
+@pytest.mark.parametrize("scope, mode, skipped", [
+    ("pooled", "reliable", {
+        "lone": NO_ROW, "solo1": NO_POSITIVE, "solo2": _no_test_positive("solo2"),
+        "solo3": _no_test_positive("solo3"), "solo4": NO_POSITIVE,
+    }),
+    ("per_group", "baseline", {
+        "lone": NO_ROW, "solo1": NO_POSITIVE, "solo2": NO_POSITIVE, "solo4": NO_POSITIVE,
+    }),
+    ("per_group", "reliable", {
+        "lone": NO_ROW, "solo1": NO_POSITIVE, "solo2": NO_POSITIVE,
+        "solo3": _no_test_positive("solo3"), "solo4": NO_POSITIVE,
+    }),
+])
+def test_skips_keep_their_reasons_and_order(tmp_path, caplog, scope, mode, skipped):
+    """The manifest's skip reasons, warned in concept order. The threshold
+    precondition is checked before the budget, so ``lone``, which has no
+    validation row and no negative to budget, reports the threshold message.
+    ``sample-plan`` gives the same reasons, in either mode."""
+    cfg_path = one_positive_workspace(tmp_path, scope, mode)
+    with caplog.at_level("WARNING", logger="disparity_audit.pipeline"):
+        assert main(["run", "--config", str(cfg_path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["stages"]["concepts"]["retained_after_rare_filter"] == 6
+    assert manifest["stages"]["concepts"]["skipped"] == skipped
+    warned = [r.getMessage() for r in caplog.records if r.getMessage().startswith("skipping")]
+    assert warned == [f"skipping concept {c}: {why}" for c, why in sorted(skipped.items())]
+    assert main(["sample-plan", "--config", str(cfg_path)]) == 0
+    plan = json.loads((tmp_path / "out" / "sample_plan.json").read_text())["concepts"]
+    assert plan["lone"]["pools"] == {"A": [1, 0], "B": [1, 0]}
+    assert {c: e["skip_reason"] for c, e in plan.items() if "skip_reason" in e} == skipped
 
 
 class TestExitCodes:

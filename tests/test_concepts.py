@@ -95,9 +95,11 @@ def tables_of(images, assignments, predictions, concepts, mapping=None):
     return build_concept_tables(targets_of(images, assignments, predictions, mapping), concepts)
 
 
-def pool_ids(targets, pool):
-    """The image id of each pool row."""
-    return targets.ids[pool.image_rows].tolist()
+def pool_ids(assignments, pool):
+    """The image id of each pool row: the target matrix holds the
+    group-assigned images in image-id order."""
+    ids = sorted(a.image_id for a in assignments if a.group is not None)
+    return [ids[r] for r in pool.image_rows]
 
 
 def _fixture_dataset():
@@ -130,7 +132,7 @@ class TestConceptTables:
         targets = targets_of(images, assignments, predictions)
         pool = build_concept_tables(targets, ["c"])["c"].pools["A"]
         assert pool.n_pos == 2 and pool.n_neg == 3
-        assert pool_ids(targets, pool) == ["a1", "a2", "a3", "a4", "a5"]
+        assert pool_ids(assignments, pool) == ["a1", "a2", "a3", "a4", "a5"]
         assert list(pool.labels) == [1, 1, 0, 0, 0]
 
     def test_excluded_image_in_no_table(self):
@@ -138,7 +140,7 @@ class TestConceptTables:
         targets = targets_of(images, assignments, predictions)
         for table in build_concept_tables(targets, ["c", "other"]).values():
             for pool in table.pools.values():
-                assert "x1" not in pool_ids(targets, pool)
+                assert "x1" not in pool_ids(assignments, pool)
 
     def test_missing_score_omitted(self, caplog):
         images, assignments, predictions = _fixture_dataset()
@@ -159,7 +161,7 @@ class TestConceptTables:
         targets = targets_of(images, assignments, predictions)
         assigned = {"a1", "a2", "a3", "a4", "a5"}
         for table in build_concept_tables(targets, ["c", "other"]).values():
-            ids = pool_ids(targets, table.pools["A"])
+            ids = pool_ids(assignments, table.pools["A"])
             assert set(ids) == assigned
             assert len(ids) == len(assigned)
 
@@ -176,9 +178,9 @@ class TestConceptTables:
         targets = targets_of(images, assignments, predictions, mapping=MAPPING_1K)
         tables = build_concept_tables(targets, ["cellphone", "parking meter"])
         cell = tables["cellphone"].pools["A"]
-        assert pool_ids(targets, cell) == ["i1", "i2"] and cell.n_pos == 1
+        assert pool_ids(assignments, cell) == ["i1", "i2"] and cell.n_pos == 1
         meter = tables["parking meter"].pools["A"]
-        assert pool_ids(targets, meter) == ["i2", "i1"] and meter.n_pos == 1
+        assert pool_ids(assignments, meter) == ["i2", "i1"] and meter.n_pos == 1
 
     def test_box_labels_count_as_dataset_labels(self):
         from disparity_audit import BoxAnnotation
@@ -203,9 +205,11 @@ class TestConceptTables:
             return mapped(image, *args, **kwargs)
 
         monkeypatch.setattr(concepts, "image_target_set", spy)
-        targets = map_targets(images, assignments, ScoreMatrix.from_records(predictions))
+        matrix = ScoreMatrix.from_records(predictions)
+        targets = map_targets(images, assignments, matrix)
         assert sorted(calls) == [["c"], ["other"], ["owl"]]
-        assert list(targets.ids) == ["a0", "a1", "a2", "a3", "a4", "a5"]
+        in_id_order = ["a0", "a1", "a2", "a3", "a4", "a5"]
+        assert targets.rows.tolist() == matrix.row_of(in_id_order).tolist()
         assert list(targets.groups) == ["B", "A", "A", "A", "A", "A"]
         assert targets.concepts == ("c", "other") and targets.unscored == ("owl",)
         assert targets.targets.tolist() == [

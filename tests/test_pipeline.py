@@ -4,9 +4,8 @@ from pathlib import Path
 import pytest
 
 from disparity_audit import DataError
-from disparity_audit.concepts import build_concept_tables, map_targets
+from disparity_audit.concepts import build_concept_tables
 from disparity_audit.data import ScoreMatrix
-from disparity_audit.config import resolve_config_dict
 from disparity_audit.pipeline import (
     assign_groups,
     compare_results,
@@ -21,67 +20,50 @@ from disparity_audit.pipeline import (
 )
 from disparity_audit.synth import CellSpec, ScenarioSpec, generate
 
+from stubs import run_config
 
-def two_group_tables(seed=0, n=300, prev_a=0.3, prev_b=0.3):
+
+def two_group_plan(cfg, seed=0, n=300, prev_a=0.3, prev_b=0.3):
     cells = {
         "A": CellSpec(prevalence=prev_a, mu_pos=1, sigma_pos=1, mu_neg=0, sigma_neg=1, n=n),
         "B": CellSpec(prevalence=prev_b, mu_pos=1, sigma_pos=1, mu_neg=0, sigma_neg=1, n=n),
     }
     spec = ScenarioSpec(concepts={"c1": cells, "c2": cells}, seed=seed)
-    return synth_tables(spec, ["c1", "c2"])
+    return synth_plan(spec, ["A", "B"], cfg)
 
 
-def synth_tables(spec, concepts):
+def synth_plan(spec, groups, cfg):
+    """The plan of a synthetic scenario, and the tables of the concepts it sizes."""
     images, assignments, predictions = generate(spec)
-    targets = map_targets(images, assignments, ScoreMatrix.from_records(predictions))
-    return build_concept_tables(targets, concepts)
+    plan = plan_concepts(images, assignments, ScoreMatrix.from_records(predictions), groups, cfg)
+    return plan, build_concept_tables(plan.targets, plan.sized)
 
 
 def cfg_for(tmp_path, mode="reliable", metrics=("ap", "tpr", "fpr"), ratio=(1, 4),
             bootstraps=60, seed=5, scope="pooled"):
-    resolved = resolve_config_dict({
-        "annotations": "unused.jsonl",
-        "predictions": "unused.jsonl",
-        "group_method": "metadata",
-        "metadata_key": "group",
-        "region": "unused.json",
-        "metrics": list(metrics),
-        "threshold_scope": scope,
-        "sampling": {"mode": mode, "ratio": list(ratio), "bootstraps": bootstraps,
-                     "seed": seed, "min_per_group": 10},
-        "drop_unlabeled": False,
-    })
-    # bypass file checks: construct the dataclass directly via a stub dir
-    from disparity_audit.config import RunConfig
-    from disparity_audit.groups import NoBoxFilter
-
-    return RunConfig(
-        raw=resolved, base_dir=tmp_path, annotations=tmp_path, predictions=tmp_path,
-        group_method="metadata", metadata_key="group", terms=None, region=None,
-        box_filter=NoBoxFilter(), mapping=None, strict_mapping=True,
-        metrics=tuple(metrics), k=5, validation_fraction=0.2, threshold_scope=scope,
-        ratio=tuple(ratio), bootstraps=bootstraps, seed=seed, min_per_group=10,
-        sampling_mode=mode, evaluation_version="custom", drop_unlabeled=False,
-        top_n=5, output_dir=tmp_path / "out",
+    return run_config(
+        metrics=tuple(metrics), threshold_scope=scope, ratio=tuple(ratio),
+        bootstraps=bootstraps, seed=seed, min_per_group=10, sampling_mode=mode,
+        output_dir=tmp_path / "out",
     )
 
 
 class TestEvaluateTables:
     def test_shapes_and_sign_convention(self, tmp_path):
-        tables = two_group_tables()
         cfg = cfg_for(tmp_path)
-        estimates, diag = evaluate_tables(tables, ["c1", "c2"], ["A", "B"], cfg)
+        plan, tables = two_group_plan(cfg)
+        estimates, _ = evaluate_tables(tables, plan, ["A", "B"], cfg)
         keys = {(e.metric, e.concept) for e in estimates}
         for metric in ("ap", "tpr", "fpr"):
             assert (metric, "c1") in keys and (metric, "aggregate") in keys
         for e in estimates:
             assert (e.group_a, e.group_b) == ("A", "B")
-        assert diag["concepts_evaluated"] == ["c1", "c2"]
+        assert list(plan.sized) == ["c1", "c2"]
 
     def test_ratio_mode_equalizes_sample_sizes(self, tmp_path):
-        tables = two_group_tables(prev_a=0.5, prev_b=0.2)
         cfg = cfg_for(tmp_path, mode="reliable", metrics=("ap",))
-        estimates, _ = evaluate_tables(tables, ["c1"], ["A", "B"], cfg)
+        plan, tables = two_group_plan(cfg, prev_a=0.5, prev_b=0.2)
+        estimates, _ = evaluate_tables(tables, plan, ["A", "B"], cfg)
         per = [e for e in estimates if e.concept == "c1"][0]
         sizes = set(per.sample_sizes.values())
         assert len(sizes) == 1  # identical budget across groups
@@ -89,26 +71,25 @@ class TestEvaluateTables:
         assert n == 4 * p
 
     def test_thresholds_fixed_from_validation(self, tmp_path):
-        tables = two_group_tables()
         cfg = cfg_for(tmp_path, metrics=("tpr", "fpr"))
-        _, diag = evaluate_tables(tables, ["c1"], ["A", "B"], cfg)
-        thresholds = diag["thresholds"]["c1"]
-        assert thresholds["A"] == thresholds["B"]  # pooled scope
+        plan, tables = two_group_plan(cfg)
+        _, thresholds = evaluate_tables(tables, plan, ["A", "B"], cfg)
+        assert thresholds["c1"]["A"] == thresholds["c1"]["B"]  # pooled scope
 
     def test_per_group_scope_thresholds_differ_in_general(self, tmp_path):
-        tables = two_group_tables(prev_a=0.5, prev_b=0.1)
         cfg = cfg_for(tmp_path, metrics=("tpr",), scope="per_group")
-        _, diag = evaluate_tables(tables, ["c1"], ["A", "B"], cfg)
-        thresholds = diag["thresholds"]["c1"]
-        assert set(thresholds) == {"A", "B"}
+        plan, tables = two_group_plan(cfg, prev_a=0.5, prev_b=0.1)
+        _, thresholds = evaluate_tables(tables, plan, ["A", "B"], cfg)
+        assert set(thresholds["c1"]) == {"A", "B"}
 
     def test_infeasible_budget_skipped_with_reason(self, tmp_path):
-        tables = two_group_tables(n=30, prev_a=0.9, prev_b=0.9)
         # 27 positives, 3 negatives: ratio 1:4 infeasible
         cfg = cfg_for(tmp_path, mode="reliable", metrics=("ap",))
-        estimates, diag = evaluate_tables(tables, ["c1", "c2"], ["A", "B"], cfg)
-        assert diag["concepts_evaluated"] == []
-        assert set(diag["concepts_skipped"]) == {"c1", "c2"}
+        plan, tables = two_group_plan(cfg, n=30, prev_a=0.9, prev_b=0.9)
+        assert plan.sized == {} and tables == {}
+        assert set(plan.skipped) == {"c1", "c2"}
+        assert "fewer than the 4 required per ratio unit" in plan.skipped["c1"]
+        estimates, _ = evaluate_tables(tables, plan, ["A", "B"], cfg)
         assert estimates == []
 
 
@@ -121,9 +102,9 @@ class TestMultiGroup:
             for i, g in enumerate(groups)
         }
         spec = ScenarioSpec(concepts={"c1": cells}, seed=2)
-        tables = synth_tables(spec, ["c1"])
         cfg = cfg_for(tmp_path, metrics=("ap",), ratio=(1, 2))
-        estimates, _ = evaluate_tables(tables, ["c1"], list(groups), cfg)
+        plan, tables = synth_plan(spec, list(groups), cfg)
+        estimates, _ = evaluate_tables(tables, plan, list(groups), cfg)
         per = [e for e in estimates if e.concept == "c1"]
         assert {(e.group_a, e.group_b) for e in per} == {
             (a, b) for i, a in enumerate(groups) for b in groups[i + 1:]
@@ -142,9 +123,9 @@ class TestMultiGroup:
 
 class TestResultsCsv:
     def test_round_trip(self, tmp_path):
-        tables = two_group_tables()
         cfg = cfg_for(tmp_path, metrics=("ap",))
-        estimates, _ = evaluate_tables(tables, ["c1"], ["A", "B"], cfg)
+        plan, tables = two_group_plan(cfg)
+        estimates, _ = evaluate_tables(tables, plan, ["A", "B"], cfg)
         path = tmp_path / "results.csv"
         write_results_csv(estimates, "custom", path)
         rows = read_results_csv(path)

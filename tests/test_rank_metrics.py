@@ -31,7 +31,7 @@ from disparity_audit.concepts import (
 )
 from disparity_audit.config import THRESHOLD_METRICS
 from disparity_audit.metrics import rank_pool, ranked_metrics
-from disparity_audit.pipeline import evaluate_concept
+from disparity_audit.pipeline import evaluate_concept, size_concept
 from disparity_audit.sampling import derive_rng, derive_seed, draw_baseline_group, draw_group
 
 from oracles import (
@@ -42,6 +42,7 @@ from oracles import (
     rates_from_confusion,
     threshold_oracle_f1,
 )
+from stubs import run_config
 
 ALL_METRICS = ("ap", "auc_roc") + THRESHOLD_METRICS
 
@@ -275,9 +276,13 @@ class TestMetricsThroughEvaluateConcept:
             "A": make_pool(30, 90, rng, distinct=12),
             "B": make_pool(3, 70, rng, distinct=12),
         })
+        cfg = run_config(
+            metrics=(metric,), sampling_mode=mode, ratio=(1, 4), seed=8, threshold_scope=scope,
+        )
+        sizing = size_concept("c", {g: (p.n_pos, p.n_neg) for g, p in table.pools.items()}, cfg)
         ev = evaluate_concept(
-            table, metrics=[metric], mode=mode, ratio=(1, 4), bootstraps=40, seed=8,
-            validation_fraction=0.2, threshold_scope=scope,
+            table, metrics=[metric], splits=sizing.splits, budget=sizing.budget,
+            bootstraps=40, seed=8, threshold_scope=scope,
         )
         thresholds, values, full = reference_evaluation(table, metric, mode, scope, 40, 8)
         assert ev.thresholds == thresholds
@@ -317,8 +322,8 @@ class TestTiesFollowImageIds:
         )
         table = build_concept_tables(targets, ["c"])["c"]
         ev = evaluate_concept(
-            table, metrics=["ap", "auc_roc"], mode="baseline", ratio=(1, 4), bootstraps=1,
-            seed=0, validation_fraction=0.2, threshold_scope="pooled",
+            table, metrics=["ap", "auc_roc"], splits=None, budget=None, bootstraps=1,
+            seed=0, threshold_scope="pooled",
         )
         for g in ("A", "B"):
             rows = [(i, pos, s) for i, grp, pos, s in self.ROWS if grp == g]

@@ -211,8 +211,8 @@ class TestBaseline:
         table = make_table(concept="c", A=(3, 5), B=(0, 0))
         with pytest.raises(InvariantError, match="concept 'c' group 'B': cannot resample"):
             evaluate_concept(
-                table, metrics=["ap"], mode="baseline", ratio=(1, 3), bootstraps=2, seed=0,
-                validation_fraction=0.5, threshold_scope="pooled",
+                table, metrics=["ap"], splits=None, budget=None, bootstraps=2, seed=0,
+                threshold_scope="pooled",
             )
 
 
