@@ -28,10 +28,8 @@ from .groups import (
 )
 from .concepts import (
     ClassMapping,
-    ConceptEvalTable,
     GroupPool,
     TargetMatrix,
-    build_concept_tables,
     canonicalize_label,
     image_target_set,
     map_targets,

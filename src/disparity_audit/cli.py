@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .concepts import image_target_set
 from .config import load_config
-from .data import load_annotations
+from .data import load_annotations, read_json_object
 from .errors import AuditError, ConfigError, DataError
 from .groups import assignment_summary
 from .pipeline import (
@@ -98,7 +98,7 @@ def _cmd_sample_plan(args) -> int:
         if c in plan.skipped:
             entry["skip_reason"] = plan.skipped[c]
         if c in plan.sized:
-            entry["evaluated"] = {g: list(n) for g, n in plan.sized[c].pools.items()}
+            entry["evaluated"] = {g: [p.n_pos, p.n_neg] for g, p in plan.sized[c].pools.items()}
             if plan.sized[c].budget is not None:
                 entry["budget"] = list(plan.sized[c].budget)
         plans[c] = entry
@@ -159,10 +159,7 @@ def _cmd_report(args) -> int:
     if args.top_n < 0:
         raise ConfigError(f"--top-n must be >= 0, got {args.top_n}")
     rows = read_results_csv(args.results)
-    manifest = None
-    if args.manifest:
-        with open(args.manifest, encoding="utf-8") as f:
-            manifest = json.load(f)
+    manifest = read_json_object(args.manifest, "manifest") if args.manifest else None
     text = render_report(rows, top_n=args.top_n, manifest=manifest)
     if args.output:
         out = Path(args.output)

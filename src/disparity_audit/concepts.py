@@ -1,5 +1,5 @@
-"""Label canonicalization, dataset-to-model class mapping, and per-concept
-evaluation tables.
+"""Label canonicalization, dataset-to-model class mapping, each image's
+targets, and the scored pool of one (concept, group).
 
 Concept reporting is done in model-class space; several dataset labels may
 collapse onto one model concept, in which case their positives are unioned.
@@ -7,7 +7,6 @@ collapse onto one model concept, in which case their positives are unioned.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from operator import attrgetter
@@ -16,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import AnnotatedImage, GroupAssignment, ScoreMatrix
+from .data import AnnotatedImage, GroupAssignment, ScoreMatrix, read_json_object
 from .errors import DataError, InvariantError
 
 log = logging.getLogger("disparity_audit.concepts")
@@ -36,6 +35,17 @@ def canonicalize_label(raw: str) -> ConceptId:
     if not out:
         raise DataError(f"label {raw!r} is empty after canonicalization")
     return out
+
+
+def canonicalize_labels(values: object, where: str) -> list[ConceptId]:
+    """The canonical form of each label in a side file's list.
+
+    Raises:
+        DataError: naming ``where`` when ``values`` is not a list of strings.
+    """
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise DataError(f"{where} must be a list of strings, got {values!r}")
+    return [canonicalize_label(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -63,12 +73,13 @@ class ClassMapping:
         whitelist = obj.get("model_class_whitelist")
         allowed: set[str] | None = None
         if whitelist is not None:
-            allowed = {canonicalize_label(c) for c in whitelist}
+            where = f"mapping {name!r}: model_class_whitelist"
+            allowed = set(canonicalize_labels(whitelist, where))
         table: dict[str, tuple[str, ...]] = {}
         for label, classes in raw_map.items():
             if not isinstance(classes, list) or not classes:
                 raise DataError(f"mapping {name!r}: label {label!r} must map to a non-empty list")
-            canon = [canonicalize_label(c) for c in classes]
+            canon = canonicalize_labels(classes, f"mapping {name!r}: label {label!r}")
             if allowed is not None:
                 kept = [c for c in canon if c in allowed]
                 dropped = [c for c in canon if c not in allowed]
@@ -89,11 +100,7 @@ class ClassMapping:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ClassMapping":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"mapping file not found: {path}")
-        with path.open(encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_json_object(path, "mapping"))
 
 
 def map_to_model_classes(
@@ -183,31 +190,6 @@ class GroupPool:
 
 
 @dataclass(frozen=True)
-class ConceptEvalTable:
-    """Aligned score/label rows for one concept, partitioned by group."""
-
-    concept: ConceptId
-    pools: Mapping[str, GroupPool]
-
-    @property
-    def groups(self) -> tuple[str, ...]:
-        return tuple(sorted(self.pools))
-
-    def n_pos(self, group: str) -> int:
-        return self.pools[group].n_pos if group in self.pools else 0
-
-    def n_neg(self, group: str) -> int:
-        return self.pools[group].n_neg if group in self.pools else 0
-
-    def restrict(self, rows: Mapping[str, np.ndarray]) -> "ConceptEvalTable":
-        """New table keeping only the given ascending row indices per group."""
-        return ConceptEvalTable(
-            concept=self.concept,
-            pools={g: self.pools[g].take(r) for g, r in rows.items()},
-        )
-
-
-@dataclass(frozen=True)
 class TargetMatrix:
     """The group-assigned images in image-id order, mapped to their
     model-class targets once per distinct label set.
@@ -216,8 +198,7 @@ class TargetMatrix:
     prediction scores, sorted. ``targets`` marks each image's targets among
     them; ``has_targets`` is False only for an image with no target at all,
     scored or not. ``unscored`` are the targets no prediction scores.
-    ``predictions`` is the score matrix the tables and the hit rate read, and
-    ``rows`` each image's row in it (``ScoreMatrix.row_of``).
+    ``rows`` gives each image's row in the score matrix (``ScoreMatrix.row_of``).
     """
 
     groups: np.ndarray
@@ -225,7 +206,6 @@ class TargetMatrix:
     targets: np.ndarray
     has_targets: np.ndarray
     unscored: tuple[ConceptId, ...]
-    predictions: ScoreMatrix
     rows: np.ndarray
 
 
@@ -272,55 +252,6 @@ def map_targets(
         targets=_readonly(key_targets),
         has_targets=_readonly(key_has_targets),
         unscored=tuple(sorted(universe - scored)),
-        predictions=predictions,
         rows=_readonly(predictions.row_of([img.image_id for img in assigned])),
     )
 
-
-def build_concept_tables(
-    targets: TargetMatrix, concepts: Iterable[ConceptId]
-) -> dict[ConceptId, ConceptEvalTable]:
-    """Build per-concept evaluation tables over group-assigned images.
-
-    An image contributes a row to concept ``c``'s table iff it carries a
-    score for ``c``; the row is positive iff ``c`` is among the image's
-    targets. Images lacking a score for a concept are omitted from that
-    concept's table with a coverage warning. Each pool holds its positives,
-    then its negatives, each in image-id order, and each row's image row in
-    ``targets``.
-
-    Raises:
-        DataError: if any requested concept ends up with zero scored rows.
-    """
-    concept_list = sorted({canonicalize_label(c) for c in concepts})
-    predictions = targets.predictions
-    scores = predictions.take_rows(targets.rows, predictions.columns(concept_list))
-    candidate = {c: j for j, c in enumerate(targets.concepts)}
-    masks = {g: targets.groups == g for g in sorted(set(targets.groups.tolist()))}
-    no_targets = np.zeros(len(targets.groups), dtype=bool)
-
-    tables: dict[str, ConceptEvalTable] = {}
-    for j, c in enumerate(concept_list):
-        column = scores[:, j]
-        scored = ~np.isnan(column)
-        gaps = int(scored.size - np.count_nonzero(scored))
-        if gaps:
-            log.warning(
-                "concept %s: %d assigned image(s) lack a score and were omitted", c, gaps
-            )
-        positive = targets.targets[:, candidate[c]] if c in candidate else no_targets
-        pools: dict[str, GroupPool] = {}
-        for g, mask in masks.items():
-            rows = mask & scored
-            pos = np.flatnonzero(rows & positive)
-            order = np.concatenate([pos, np.flatnonzero(rows & ~positive)])
-            if order.size:
-                pools[g] = GroupPool(
-                    scores=_readonly(column[order]),
-                    image_rows=_readonly(order),
-                    n_pos=int(pos.size),
-                )
-        if not pools:
-            raise DataError(f"concept {c!r} has no scored images")
-        tables[c] = ConceptEvalTable(concept=c, pools=pools)
-    return tables

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .concepts import ClassMapping
+from .data import read_json_object
 from .errors import ConfigError, DataError
 from .groups import BoxFilterRule, GroupTermConfig, RegionGroupConfig, parse_box_filter
 
@@ -92,7 +93,12 @@ def _deep_merge(base: dict, override: Mapping) -> dict:
 def resolve_config_dict(
     user: Mapping[str, Any], preset: str | None = None, seed: int | None = None
 ) -> dict[str, Any]:
-    """DEFAULTS, then the preset's expansion, then the user's explicit keys."""
+    """DEFAULTS, then the preset's expansion, then the user's explicit keys.
+
+    Raises:
+        ConfigError: for an unknown evaluation version, or a ``sampling``
+            value that is not an object.
+    """
     version = preset or user.get("evaluation_version") or "custom"
     if version != "custom" and version not in PRESETS:
         raise ConfigError(
@@ -104,9 +110,11 @@ def resolve_config_dict(
         resolved = _deep_merge(resolved, PRESETS[version])
     resolved = _deep_merge(resolved, user)
     resolved["evaluation_version"] = version
+    sampling = resolved["sampling"]
+    if not isinstance(sampling, dict):
+        raise ConfigError(f"sampling must be an object, got {sampling!r}")
     if seed is not None:
-        resolved.setdefault("sampling", {})
-        resolved["sampling"]["seed"] = int(seed)
+        sampling["seed"] = int(seed)
     return resolved
 
 
@@ -201,15 +209,10 @@ def load_config(
     Raises ConfigError for structural problems and missing referenced files.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file does not exist: {path}")
     try:
-        with path.open(encoding="utf-8") as f:
-            user = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
-    if not isinstance(user, dict):
-        raise ConfigError(f"config file {path} must contain a JSON object")
+        user = read_json_object(path, "config")
+    except DataError as e:
+        raise ConfigError(str(e)) from None
     resolved = resolve_config_dict(user, preset=preset, seed=seed)
     if output_dir is not None:
         # CLI-provided paths are CWD-relative, unlike config-file paths
@@ -244,9 +247,10 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
     except DataError as e:
         raise ConfigError(str(e)) from e
 
-    metrics = tuple(resolved.get("metrics") or ())
-    if not metrics:
-        raise ConfigError("config requires a non-empty 'metrics' list")
+    metrics = resolved.get("metrics")
+    if not isinstance(metrics, list) or not metrics:
+        raise ConfigError(f"metrics must be a non-empty list of metric names, got {metrics!r}")
+    metrics = tuple(metrics)
     unknown = [m for m in metrics if m not in KNOWN_METRICS]
     if unknown:
         raise ConfigError(f"unknown metrics: {unknown}; expected among {KNOWN_METRICS}")
@@ -259,7 +263,7 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
     if scope not in ("pooled", "per_group"):
         raise ConfigError(f"threshold_scope must be pooled or per_group, got {scope!r}")
 
-    sampling = resolved.get("sampling") or {}
+    sampling = resolved["sampling"]
     mode = sampling.get("mode", "baseline")
     if mode not in ("baseline", "reliable"):
         raise ConfigError(f"sampling mode must be baseline or reliable, got {mode!r}")

@@ -29,6 +29,29 @@ except ImportError:  # the optional ``fast`` extra: stdlib json decodes every li
     orjson = None
 
 
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object that a side file (``what``: terms, region, mapping,
+    scenario, manifest) holds.
+
+    Raises:
+        DataError: naming the file when it is missing or unreadable, is not
+            valid UTF-8 JSON, or holds something other than an object.
+    """
+    path = Path(path)
+    try:
+        with path.open(encoding="utf-8") as f:
+            obj = json.load(f)
+    except FileNotFoundError:
+        raise DataError(f"{what} file not found: {path}") from None
+    except OSError as e:
+        raise DataError(f"cannot read {what} file {path}: {e.strerror}") from None
+    except (ValueError, RecursionError) as e:  # malformed JSON or UTF-8
+        raise DataError(f"{what} file {path} is not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{what} file {path} must hold a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 @dataclass(frozen=True, slots=True)
 class BoxAnnotation:
     """One rectangular object annotation in pixel coordinates."""

@@ -12,14 +12,13 @@ mid-size ambiguity.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .concepts import canonicalize_label
-from .data import AnnotatedImage, ExclusionReason, GroupAssignment
+from .concepts import canonicalize_label, canonicalize_labels
+from .data import AnnotatedImage, ExclusionReason, GroupAssignment, read_json_object
 from .errors import DataError
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
@@ -64,16 +63,31 @@ BoxFilterRule = NoBoxFilter | MinAreaPixels | RelativeArea
 
 
 def parse_box_filter(obj: dict | None) -> BoxFilterRule:
-    """Build a filter rule from its config dict form."""
+    """Build a filter rule from its config dict form.
+
+    Raises:
+        DataError: naming the ``box_filter`` value when it is not an object,
+            its variant is unknown, or one of the variant's numbers is
+            missing or not a number.
+    """
     if obj is None:
         return NoBoxFilter()
+    if not isinstance(obj, dict):
+        raise DataError(f"box_filter must be an object, got {obj!r}")
+
+    def number(key: str) -> float:
+        value = obj.get(key)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise DataError(f"box_filter {obj!r}: {key!r} must be a number, got {value!r}")
+        return float(value)
+
     variant = obj.get("variant", "none")
     if variant == "none":
         return NoBoxFilter()
     if variant == "min_area_pixels":
-        return MinAreaPixels(threshold=float(obj["threshold"]))
+        return MinAreaPixels(threshold=number("threshold"))
     if variant == "relative_area":
-        return RelativeArea(use_min=float(obj["use_min"]), ignore_max=float(obj["ignore_max"]))
+        return RelativeArea(use_min=number("use_min"), ignore_max=number("ignore_max"))
     raise DataError(f"unknown box filter variant {variant!r}")
 
 
@@ -123,26 +137,28 @@ class GroupTermConfig:
         groups_raw = obj.get("groups")
         if not isinstance(groups_raw, dict) or not groups_raw:
             raise DataError("terms config requires a non-empty 'groups' object")
-        groups = {
-            str(g): frozenset(canonicalize_label(t) for t in terms)
-            for g, terms in groups_raw.items()
-        }
-        excluded = {
-            str(g): frozenset(canonicalize_label(t) for t in terms)
-            for g, terms in (obj.get("excluded_terms") or {}).items()
-        }
-        neutral = frozenset(
-            canonicalize_label(t) for t in (obj.get("neutral_exclusion_terms") or [])
+        excluded_raw = obj.get("excluded_terms") or {}
+        if not isinstance(excluded_raw, dict):
+            raise DataError(
+                f"terms config: 'excluded_terms' must be an object, got {excluded_raw!r}"
+            )
+
+        def terms(key: str, values: object) -> frozenset[str]:
+            return frozenset(canonicalize_labels(values, f"terms config: {key}"))
+
+        return cls(
+            groups={str(g): terms(f"groups[{g!r}]", t) for g, t in groups_raw.items()},
+            excluded_terms={
+                str(g): terms(f"excluded_terms[{g!r}]", t) for g, t in excluded_raw.items()
+            },
+            neutral_exclusion_terms=terms(
+                "'neutral_exclusion_terms'", obj.get("neutral_exclusion_terms") or []
+            ),
         )
-        return cls(groups=groups, excluded_terms=excluded, neutral_exclusion_terms=neutral)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GroupTermConfig":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"terms file not found: {path}")
-        with path.open(encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_json_object(path, "terms"))
 
 
 @dataclass(frozen=True)
@@ -159,15 +175,17 @@ class RegionGroupConfig:
         table = obj.get("country_to_group")
         if not isinstance(table, dict) or not table:
             raise DataError("region config requires a non-empty 'country_to_group' object")
-        return cls(country_to_group={str(k): str(v) for k, v in table.items()})
+        for country, group in table.items():
+            if not isinstance(group, str) or not group:
+                raise DataError(
+                    f"region config: country_to_group[{country!r}] must be a "
+                    f"non-empty string, got {group!r}"
+                )
+        return cls(country_to_group={str(k): v for k, v in table.items()})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RegionGroupConfig":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"region file not found: {path}")
-        with path.open(encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_json_object(path, "region"))
 
 
 def assign_group_from_boxes(

@@ -17,12 +17,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .concepts import (
-    ConceptEvalTable,
-    TargetMatrix,
-    build_concept_tables,
-    map_targets,
-)
+from .concepts import GroupPool, TargetMatrix, _readonly, map_targets
 from .config import THRESHOLD_METRICS, RunConfig, config_hash
 from .data import (
     AnnotatedImage,
@@ -125,11 +120,10 @@ class ConceptEvaluation:
 
 
 def evaluate_concept(
-    table: ConceptEvalTable,
+    concept: str,
+    sizing: ConceptSizing,
     *,
     metrics: Sequence[str],
-    splits: Mapping[str, tuple[np.ndarray, np.ndarray]] | None,
-    budget: tuple[int, int] | None,
     bootstraps: int,
     seed: int,
     threshold_scope: str,
@@ -137,35 +131,33 @@ def evaluate_concept(
     """Bootstrap one concept's metrics (ranking and threshold metrics, not
     ``hit_rate``) for every group, as its ``ConceptSizing`` says.
 
-    With ``splits``, thresholds are selected on each group's validation rows
-    (pooled across groups or per group) and every metric is scored on its
-    test rows; without, on the full pools. With a ``budget`` each draw takes
-    that many positives and negatives from every group; without, each group
-    is resampled whole.
+    With validation pools, thresholds are selected on them (pooled across
+    groups or per group). Every metric is scored on the pools the draws
+    sample from. With a ``budget`` each draw takes that many positives and
+    negatives from every group; without, each group is resampled whole.
     """
-    concept = table.concept
-    groups = table.groups
+    groups = sorted(sizing.pools)
     thresholds: dict[str, float] = {}
-    if splits is not None:
-        val = {g: (table.pools[g].scores[v], table.pools[g].labels[v])
-               for g, (v, _) in splits.items()}
+    val = sizing.validation
+    if val is not None:
         if threshold_scope == "pooled":
-            pooled = [np.concatenate([val[g][i] for g in groups]) for i in (0, 1)]
-            thresholds = dict.fromkeys(groups, select_threshold(*pooled)[0])
+            thresholds = dict.fromkeys(groups, select_threshold(
+                np.concatenate([val[g].scores for g in groups]),
+                np.concatenate([val[g].labels for g in groups]),
+            )[0])
         else:
-            thresholds = {g: select_threshold(*val[g])[0] for g in groups}
-        table = table.restrict({g: test for g, (_, test) in splits.items()})
+            thresholds = {g: select_threshold(val[g].scores, val[g].labels)[0] for g in groups}
 
     # One group at a time: sort its pool once, then score the draws (and the
     # identity draw, the full sample) from ranks into that order.
     values: dict[tuple[str, str], np.ndarray] = {}
     full_sample: dict[tuple[str, str], float | None] = {}
     for g in groups:
-        pool = table.pools[g]
+        pool = sizing.pools[g]
         ranked = rank_pool(pool.scores, pool.labels, pool.image_rows, threshold=thresholds.get(g))
-        if budget is not None:
+        if sizing.budget is not None:
             rngs = derive_rngs(seed, "draw", concept, g)
-            draws = (draw_group(pool, budget, rngs(b)) for b in range(bootstraps))
+            draws = (draw_group(pool, sizing.budget, rngs(b)) for b in range(bootstraps))
         else:
             rngs = derive_rngs(seed, "baseline", concept, g)
             draws = (draw_baseline_group(pool, rngs(b)) for b in range(bootstraps))
@@ -186,10 +178,7 @@ def _pairs(groups: Sequence[str]) -> list[tuple[str, str]]:
 
 
 def evaluate_tables(
-    tables: Mapping[str, ConceptEvalTable],
-    plan: ConceptPlan,
-    groups: Sequence[str],
-    cfg: RunConfig,
+    plan: ConceptPlan, groups: Sequence[str], cfg: RunConfig
 ) -> tuple[list[MetricEstimate], dict[str, dict[str, float]]]:
     """Evaluate the concepts the plan sized and reduce to per-concept and
     aggregate disparity estimates for every group pair. Also returns each
@@ -197,13 +186,16 @@ def evaluate_tables(
     point_metrics = [m for m in cfg.metrics if m != "hit_rate"]
     evaluations = {
         c: evaluate_concept(
-            tables[c], metrics=point_metrics, splits=s.splits, budget=s.budget,
-            bootstraps=cfg.bootstraps, seed=cfg.seed, threshold_scope=cfg.threshold_scope,
+            c, s, metrics=point_metrics, bootstraps=cfg.bootstraps, seed=cfg.seed,
+            threshold_scope=cfg.threshold_scope,
         )
         for c, s in plan.sized.items()
     }
-    draw_sizes = {c: s.pools if s.budget is None else dict.fromkeys(s.pools, s.budget)
-                  for c, s in plan.sized.items()}
+    draw_sizes = {
+        c: {g: (p.n_pos, p.n_neg) for g, p in s.pools.items()} if s.budget is None
+        else dict.fromkeys(s.pools, s.budget)
+        for c, s in plan.sized.items()
+    }
     estimates: list[MetricEstimate] = []
     for metric in point_metrics:
         for a, b in _pairs(groups):
@@ -230,10 +222,9 @@ def evaluate_tables(
 
 
 def evaluate_hit_rate(
-    targets: TargetMatrix, groups: Sequence[str], cfg: RunConfig
+    targets: TargetMatrix, predictions: ScoreMatrix, groups: Sequence[str], cfg: RunConfig
 ) -> list[MetricEstimate]:
     """Top-k hit rate per group with full-pool bootstrap CIs on pair differences."""
-    predictions = targets.predictions
     candidate_columns = predictions.columns(targets.concepts)
     hit_values: dict[str, np.ndarray] = {}
     for g in groups:
@@ -272,60 +263,58 @@ def evaluate_hit_rate(
 
 @dataclass(frozen=True)
 class ConceptSizing:
-    """How one concept is evaluated: each group's (validation, test) rows
-    when threshold metrics need a split, the ``(n_pos, n_neg)`` each group's
-    draws sample from, and in a reliable run the per-group budget."""
+    """How one concept is evaluated: each group's validation pool when
+    threshold metrics need a split, the pools each group's draws sample
+    from, and in a reliable run the per-group budget."""
 
-    splits: dict[str, tuple[np.ndarray, np.ndarray]] | None
-    pools: dict[str, tuple[int, int]]
+    validation: dict[str, GroupPool] | None
+    pools: dict[str, GroupPool]
     budget: tuple[int, int] | None
 
 
 def size_concept(
-    concept: str, counts: Mapping[str, tuple[int, int]], cfg: RunConfig
+    concept: str, pools: Mapping[str, GroupPool], cfg: RunConfig
 ) -> ConceptSizing:
-    """Size one concept from its groups' ``(n_pos, n_neg)`` alone, in sorted
-    group order. A pool is its positives, then its negatives, so its labels,
-    its split and the split's counts follow from those two numbers.
+    """Split and budget one concept's group pools, in sorted group order.
 
     Raises:
         DataError: when threshold selection would have no validation row or
             no positive one, or else when no budget fits every group.
     """
-    groups = sorted(counts)
-    pools = {g: counts[g] for g in groups}
-    splits = None
+    groups = sorted(pools)
+    pools = {g: pools[g] for g in groups}
+    validation = None
     if any(m in THRESHOLD_METRICS for m in cfg.metrics):
         splits = {
             g: split_validation_test(
-                np.repeat(np.int8([1, 0]), counts[g]), cfg.validation_fraction,
+                pools[g].labels, cfg.validation_fraction,
                 derive_seed(cfg.seed, "split", concept, g),
             )
             for g in groups
         }
-        val_labels = [splits[g][0] < counts[g][0] for g in groups]
+        validation = {g: pools[g].take(splits[g][0]) for g in groups}
+        val_labels = [validation[g].labels for g in groups]
         if cfg.threshold_scope == "pooled":
             val_labels = [np.concatenate(val_labels)]
         for labels in val_labels:
             check_threshold_rows(labels)
-        for g, (_, test) in splits.items():
-            n_pos = int(np.searchsorted(test, counts[g][0]))
-            pools[g] = (n_pos, test.size - n_pos)
+        pools = {g: pools[g].take(splits[g][1]) for g in groups}
     budget = None
     if cfg.sampling_mode == "reliable":
-        budget = compute_budget(concept, pools, cfg.ratio)
-    return ConceptSizing(splits=splits, pools=pools, budget=budget)
+        budget = compute_budget(
+            concept, {g: (p.n_pos, p.n_neg) for g, p in pools.items()}, cfg.ratio
+        )
+    return ConceptSizing(validation=validation, pools=pools, budget=budget)
 
 
 @dataclass
 class ConceptPlan:
-    """How each concept is evaluated, decided from per-group counts alone.
+    """How each concept is evaluated.
 
     ``counts`` maps each candidate and each group to the ``(n_pos, n_neg)``
-    scored rows ``build_concept_tables`` would give it; ``retained`` holds
-    the candidates that pass the rare-label filter on those counts. Each
-    retained concept is then either ``sized`` for evaluation or ``skipped``
-    with the reason, so only the sized ones need a table.
+    scored rows of its pool; ``retained`` holds the candidates that pass the
+    rare-label filter on those counts. Each retained concept is then either
+    ``sized`` for evaluation or ``skipped`` with the reason.
     """
 
     targets: TargetMatrix
@@ -347,8 +336,11 @@ def plan_concepts(
     Candidates are the targets of group-assigned images that some prediction
     scores. Each group's counts are column sums of the scored and target
     masks under its rows. A run whose only metric is ``hit_rate`` evaluates
-    no concept, so it retains none. Each retained concept is sized with
-    ``size_concept``; one that cannot be is skipped with a warning.
+    no concept, so it retains none. Each retained concept's group pools are
+    taken from those masks: a group's scored rows, positives then negatives,
+    each in image-id order. An image that lacks the concept's score is
+    omitted with a warning. The pools are sized with ``size_concept``; a
+    concept that cannot be is skipped with a warning.
     """
     targets = map_targets(
         images, assignments, predictions, cfg.mapping, strict=cfg.strict_mapping
@@ -358,13 +350,12 @@ def plan_concepts(
             "%d target concept(s) have no scores and were dropped: %s",
             len(targets.unscored), ", ".join(targets.unscored[:10]),
         )
-    scored = ~np.isnan(
-        predictions.take_rows(targets.rows, predictions.columns(targets.concepts))
-    )
+    columns = predictions.columns(targets.concepts)
+    scored = ~np.isnan(predictions.take_rows(targets.rows, columns))
     positive = scored & targets.targets
+    group_rows = {g: targets.groups == g for g in groups}
     counts: dict[str, dict[str, tuple[int, int]]] = {c: {} for c in targets.concepts}
-    for g in groups:
-        rows = targets.groups == g
+    for g, rows in group_rows.items():
         n_scored = np.count_nonzero(scored[rows], axis=0).tolist()
         n_pos = np.count_nonzero(positive[rows], axis=0).tolist()
         for c, p, n in zip(targets.concepts, n_pos, n_scored):
@@ -376,11 +367,28 @@ def plan_concepts(
     )
     if all(m == "hit_rate" for m in cfg.metrics):
         retained = []
+    column_of = {c: j for j, c in enumerate(targets.concepts)}
     sized: dict[str, ConceptSizing] = {}
     skipped: dict[str, str] = {}
     for c in retained:
+        j = column_of[c]
+        is_scored, is_pos = scored[:, j], positive[:, j]
+        gaps = is_scored.size - int(np.count_nonzero(is_scored))
+        if gaps:
+            log.warning(
+                "concept %s: %d assigned image(s) lack a score and were omitted", c, gaps
+            )
+        pools: dict[str, GroupPool] = {}
+        for g, rows in group_rows.items():
+            pos = np.flatnonzero(rows & is_pos)
+            order = np.concatenate([pos, np.flatnonzero(rows & is_scored & ~is_pos)])
+            pools[g] = GroupPool(
+                scores=_readonly(predictions.scores[targets.rows[order], columns[j]]),
+                image_rows=_readonly(order),
+                n_pos=int(pos.size),
+            )
         try:
-            sized[c] = size_concept(c, counts[c], cfg)
+            sized[c] = size_concept(c, pools, cfg)
         except DataError as e:
             skipped[c] = str(e)
             log.warning("skipping concept %s: %s", c, e)
@@ -408,10 +416,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     summary = assignment_summary(assignments, groups=groups)
 
     plan = plan_concepts(images, assignments, predictions, groups, cfg)
-    tables = build_concept_tables(plan.targets, plan.sized)
-    estimates, _ = evaluate_tables(tables, plan, groups, cfg)
+    estimates, _ = evaluate_tables(plan, groups, cfg)
     if "hit_rate" in cfg.metrics:
-        estimates.extend(evaluate_hit_rate(plan.targets, groups, cfg))
+        estimates.extend(evaluate_hit_rate(plan.targets, predictions, groups, cfg))
 
     manifest = {
         "tool": "disparity-audit",

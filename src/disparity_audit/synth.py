@@ -7,7 +7,6 @@ ground truth for the generated data.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import AnnotatedImage, GroupAssignment, PredictionRecord
+from .data import AnnotatedImage, GroupAssignment, PredictionRecord, read_json_object
 from .errors import DataError
 from .sampling import derive_rng
 
@@ -47,6 +46,29 @@ class CellSpec:
                 f"prevalence {self.prevalence} with n={self.n} rounds to zero positives"
             )
         return k
+
+
+_SCORE_LAW = ("prevalence", "mu_pos", "sigma_pos", "mu_neg", "sigma_neg")
+
+
+def _cell(raw: object, where: str) -> CellSpec:
+    """A scenario cell from its JSON object: every score-law field a number
+    and ``n`` an integer.
+
+    Raises:
+        DataError: naming ``where`` and the first missing or mistyped field.
+    """
+    if not isinstance(raw, dict):
+        raise DataError(f"{where} must be an object, got {raw!r}")
+    for key in (*_SCORE_LAW, "n"):
+        if key not in raw:
+            raise DataError(f"{where} has no {key!r}")
+        value = raw[key]
+        kinds = int if key == "n" else (int, float)
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            kind = "an integer" if key == "n" else "a number"
+            raise DataError(f"{where}: {key!r} must be {kind}, got {value!r}")
+    return CellSpec(**{key: float(raw[key]) for key in _SCORE_LAW}, n=raw["n"])
 
 
 @dataclass(frozen=True)
@@ -99,26 +121,19 @@ class ScenarioSpec:
             raise DataError("scenario requires a non-empty 'concepts' object")
         concepts = {}
         for concept, cells_raw in concepts_raw.items():
-            cells = {}
-            for group, cell in cells_raw.items():
-                cells[str(group)] = CellSpec(
-                    prevalence=float(cell["prevalence"]),
-                    mu_pos=float(cell["mu_pos"]),
-                    sigma_pos=float(cell["sigma_pos"]),
-                    mu_neg=float(cell["mu_neg"]),
-                    sigma_neg=float(cell["sigma_neg"]),
-                    n=int(cell["n"]),
+            if not isinstance(cells_raw, dict):
+                raise DataError(
+                    f"scenario concept {concept!r} must map groups to cells, got {cells_raw!r}"
                 )
-            concepts[str(concept)] = cells
+            concepts[str(concept)] = {
+                str(group): _cell(cell, f"scenario cell ({concept!r}, {group!r})")
+                for group, cell in cells_raw.items()
+            }
         return cls(concepts=concepts, seed=seed)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioSpec":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"scenario file not found: {path}")
-        with path.open(encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_json_object(path, "scenario"))
 
 
 def logistic(x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from disparity_audit import (
     CellSpec,
     ScenarioSpec,
     ScoreMatrix,
-    build_concept_tables,
     compute_budget,
     generate,
     per_concept_disparity,
@@ -26,7 +25,7 @@ from disparity_audit import (
     significance_flag,
 )
 from disparity_audit.cli import main as cli_main
-from disparity_audit.concepts import ConceptEvalTable, GroupPool
+from disparity_audit.concepts import GroupPool
 from disparity_audit.groups import assign_group_from_boxes, assign_group_from_captions
 from disparity_audit.metrics import _rate_arrays
 from disparity_audit.pipeline import evaluate_tables, plan_concepts
@@ -182,8 +181,7 @@ def test_criterion_04_flagship_prevalence_reproduction():
         for mode in ("baseline", "reliable"):
             cfg = run_config(sampling_mode=mode, seed=seed)
             plan = plan_concepts(*records, ["alpha", "beta"], cfg)
-            tables = build_concept_tables(plan.targets, plan.sized)
-            estimates, _ = evaluate_tables(tables, plan, ["alpha", "beta"], cfg)
+            estimates, _ = evaluate_tables(plan, ["alpha", "beta"], cfg)
             per = [e for e in estimates if e.concept == "widget"][0]
             flags[mode] = significance_flag(per)
         if flags["baseline"] and not flags["reliable"]:
@@ -241,22 +239,18 @@ def _pool(n_pos, n_neg, seed):
 def test_criterion_06_sampling_exactness():
     """Budget fixture gives p* = 36 with p*+1 infeasible; every 1:5 draw has
     prevalence exactly 1/6 per group."""
-    table = ConceptEvalTable(
-        concept="c", pools={"A": _pool(40, 300, 1), "B": _pool(60, 180, 2)}
-    )
-    sizes = {g: (table.n_pos(g), table.n_neg(g)) for g in table.groups}
-    budget = compute_budget(table.concept, sizes, (1, 5))
+    pools = {"A": _pool(40, 300, 1), "B": _pool(60, 180, 2)}
+    sizes = {g: (pool.n_pos, pool.n_neg) for g, pool in pools.items()}
+    budget = compute_budget("c", sizes, (1, 5))
     assert budget[0] == 36
     assert budget[1] == 180
     p_next = 37
     assert not all(
-        table.pools[g].n_pos >= p_next and table.pools[g].n_neg >= 5 * p_next
-        for g in table.groups
+        pool.n_pos >= p_next and pool.n_neg >= 5 * p_next for pool in pools.values()
     )
     for b in range(100):
-        for g in table.groups:
-            pool = table.pools[g]
-            rows = draw_group(pool, budget, derive_rng(9, "draw", table.concept, g, b))
+        for g, pool in pools.items():
+            rows = draw_group(pool, budget, derive_rng(9, "draw", "c", g, b))
             n_pos = np.count_nonzero(pool.labels[rows])
             total = rows.size
             assert n_pos * 6 == total  # prevalence exactly 1/6

@@ -1,15 +1,20 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from disparity_audit import cli, concepts, pipeline
+from disparity_audit import pipeline
 from disparity_audit.cli import main
-from disparity_audit.concepts import GroupPool, build_concept_tables, map_targets
 from disparity_audit.config import load_config
 from disparity_audit.metrics import rank_pool
-from disparity_audit.pipeline import assign_groups, load_dataset, read_results_csv
+from disparity_audit.pipeline import (
+    assign_groups,
+    load_dataset,
+    plan_concepts,
+    read_results_csv,
+)
 
 TERMS = Path(__file__).resolve().parents[1] / "configs" / "terms_coco_captions.json"
 
@@ -104,40 +109,18 @@ class TestSubcommands:
         assert c1["budget"] == [24, 48]
         c2 = plan["concepts"]["c2"]
         assert c2["retained"] is False and "budget" not in c2 and "evaluated" not in c2
-        cfg = load_config(cfg_path)
-        loaded = load_dataset(cfg)
-        targets = map_targets(
-            loaded.images, assign_groups(loaded.images, cfg), loaded.predictions
+        # c2's counts are the sizes of the pools a plan that retains it builds
+        cfg = dataclasses.replace(
+            load_config(cfg_path), metrics=("ap",), min_per_group=1, sampling_mode="baseline"
         )
-        table = build_concept_tables(targets, ["c2"])["c2"]
-        assert c2["pools"] == {g: [table.n_pos(g), table.n_neg(g)] for g in ("A", "B")}
+        loaded = load_dataset(cfg)
+        retained = plan_concepts(
+            loaded.images, assign_groups(loaded.images, cfg), loaded.predictions,
+            list(cfg.group_order()), cfg,
+        )
+        pools = retained.sized["c2"].pools
+        assert c2["pools"] == {g: [pools[g].n_pos, pools[g].n_neg] for g in ("A", "B")}
         assert c2["pools"]["B"] == [5, 145]
-
-    def test_sample_plan_builds_no_table(self, workspace, monkeypatch):
-        """Budgets come from the plan's per-group counts; no pool is built."""
-        tmp_path, cfg_path = workspace
-        pools_built = []
-        init = GroupPool.__init__
-
-        def spy(pool, *args, **kwargs):
-            pools_built.append(pool)
-            init(pool, *args, **kwargs)
-
-        def no_tables(*args, **kwargs):
-            raise AssertionError("sample-plan built concept tables")
-
-        monkeypatch.setattr(GroupPool, "__init__", spy)
-        assert not hasattr(cli, "build_concept_tables")
-        with monkeypatch.context() as m:
-            m.setattr(concepts, "build_concept_tables", no_tables)
-            m.setattr(pipeline, "build_concept_tables", no_tables)
-            assert main(["sample-plan", "--config", str(cfg_path)]) == 0
-        assert pools_built == []
-        plan = json.loads((tmp_path / "out" / "sample_plan.json").read_text())
-        assert plan["concepts"]["c1"]["budget"] == [24, 48]
-        # the spy sees the pools that run builds
-        assert main(["run", "--config", str(cfg_path)]) == 0
-        assert pools_built
 
     def test_sample_plan_hit_rate_only_retains_nothing(self, workspace):
         """``run`` evaluates no concept when hit rate is the only metric, so
@@ -392,6 +375,19 @@ class TestExitCodes:
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        (b'{"metrics": ', "is not valid JSON"),
+        (b'{"metrics": ["caf\xe9"]}', "is not valid JSON"),
+        (b'["ap"]', "must hold a JSON object, got list"),
+    ], ids=["malformed", "not-utf8", "not-object"])
+    def test_unreadable_config_is_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "run.json"
+        path.write_bytes(text)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert message in err and str(path) in err
+
     def test_bad_data_is_3(self, tmp_path, capsys):
         (tmp_path / "ann.jsonl").write_text("{broken\n")
         (tmp_path / "pred.jsonl").write_text("")
@@ -422,6 +418,51 @@ class TestExitCodes:
     def test_synth_missing_scenario_is_3(self, tmp_path, capsys):
         assert main(["synth", "--scenario", str(tmp_path / "missing.json")]) == 3
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"seed": 1, "concepts": ', "is not valid JSON"),
+        ("[1]", "must hold a JSON object, got list"),
+        ('{"seed": 1, "concepts": {"c": {"A": {"prevalence": 0.5, "mu_pos": 1, '
+         '"sigma_pos": 1, "mu_neg": 0, "n": 20}}}}', "('c', 'A') has no 'sigma_neg'"),
+        ('{"seed": 1, "concepts": {"c": {"A": {"prevalence": 0.5, "mu_pos": 1, '
+         '"sigma_pos": 1, "mu_neg": 0, "sigma_neg": 1, "n": 2.7}}}}',
+         "('c', 'A'): 'n' must be an integer, got 2.7"),
+    ], ids=["malformed", "not-object", "missing-field", "float-n"])
+    def test_malformed_scenario_is_3(self, tmp_path, capsys, text, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        assert main(["synth", "--scenario", str(path), "--output", str(tmp_path / "s")]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err and message in err
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "manifest file not found"),
+        ('{"stages": ', "is not valid JSON"),
+        ("[1]", "must hold a JSON object, got list"),
+    ], ids=["missing", "malformed", "not-object"])
+    def test_malformed_manifest_is_3(self, tmp_path, capsys, text, message):
+        results = tmp_path / "results.csv"
+        results.write_text(f"{RESULTS_HEADER}\n{RESULTS_ROW}\n")
+        manifest = tmp_path / "manifest.json"
+        if text is not None:
+            manifest.write_text(text)
+        argv = ["report", "--results", str(results), "--manifest", str(manifest)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert message in err and str(manifest) in err
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"country_to_group": ', "is not valid JSON"),
+        ('{"country_to_group": {"A": "A", "B": null}}',
+         "country_to_group['B'] must be a non-empty string, got None"),
+    ], ids=["malformed", "null-group"])
+    def test_malformed_region_file_is_2(self, workspace, capsys, text, message):
+        tmp_path, cfg_path = workspace
+        (tmp_path / "data" / "region_identity.json").write_text(text)
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err and message in err
+
     @pytest.mark.parametrize("section,key,value", [
         ("sampling", "bootstraps", "many"),
         ("sampling", "min_per_group", "x"),
@@ -451,6 +492,15 @@ class TestExitCodes:
         ("strict_mapping", "no"),
         ("metadata_key", 5),
         ("metadata_key", ""),
+        ("sampling", 5),
+        ("sampling", [1]),
+        ("sampling", None),
+        ("box_filter", "none"),
+        ("box_filter", {"variant": "min_area_pixels"}),
+        ("box_filter", {"variant": "min_area_pixels", "threshold": "abc"}),
+        ("box_filter", {"variant": "relative_area", "use_min": True, "ignore_max": 0.02}),
+        ("metrics", 5),
+        ("metrics", "ap"),
     ])
     def test_malformed_scalar_field_is_2(self, workspace, capsys, key, value):
         tmp_path, cfg_path = workspace
@@ -458,9 +508,21 @@ class TestExitCodes:
         raw[key] = value
         cfg_path.write_text(json.dumps(raw))
         for command in ("run", "sample-plan"):
-            assert main([command, "--config", str(cfg_path)]) == 2
-            err = capsys.readouterr().err
-            assert "config error" in err and key in err and repr(value) in err
+            for seed in ([], ["--seed", "3"]):
+                assert main([command, "--config", str(cfg_path), *seed]) == 2
+                err = capsys.readouterr().err
+                assert "config error" in err and "Traceback" not in err
+                assert key in err and repr(value) in err
+
+    def test_metrics_string_is_not_read_as_letters(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        raw = json.loads(cfg_path.read_text())
+        raw["metrics"] = "ap"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "metrics must be a non-empty list of metric names, got 'ap'" in err
+        assert "unknown metrics" not in err
 
     def test_report_negative_top_n_is_2(self, tmp_path, capsys):
         path = tmp_path / "results.csv"
@@ -582,7 +644,7 @@ class TestExitCodes:
 def test_concept_scored_only_on_excluded_image(tmp_path, monkeypatch):
     """Target ``z`` of an assigned image is scored only on an image excluded
     from group assignment: it is a candidate with zero scored positives, so
-    the rare-label filter drops it and no table is built for it."""
+    the rare-label filter drops it and no pool is built for it."""
     annotations, predictions = [], []
     for group in ("man", "woman"):
         for i in range(40):
@@ -606,12 +668,13 @@ def test_concept_scored_only_on_excluded_image(tmp_path, monkeypatch):
                      "seed": 1, "min_per_group": 5},
     }))
     built = []
+    size_concept = pipeline.size_concept
 
-    def spy(targets, concepts):
-        built.extend(concepts)
-        return build_concept_tables(targets, concepts)
+    def spy(concept, pools, cfg):
+        built.append(concept)
+        return size_concept(concept, pools, cfg)
 
-    monkeypatch.setattr(pipeline, "build_concept_tables", spy)
+    monkeypatch.setattr(pipeline, "size_concept", spy)
 
     assert main(["run", "--config", str(cfg_path)]) == 0
     concepts = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]["concepts"]

@@ -10,13 +10,15 @@ from disparity_audit import (
     GroupAssignment,
     PredictionRecord,
     ScoreMatrix,
-    build_concept_tables,
     canonicalize_label,
     image_target_set,
     map_targets,
     map_to_model_classes,
 )
 from disparity_audit.data import ExclusionReason
+from disparity_audit.pipeline import plan_concepts
+
+from stubs import run_config
 
 MAPPING_22K = ClassMapping.from_dict({
     "name": "imagenet22k",
@@ -80,6 +82,19 @@ class TestMapping:
         })
         assert mapping.table == {"phones": ("telephone",)}
 
+    @pytest.mark.parametrize("obj,message", [
+        ({"map": {"phones": ["telephone"]}, "model_class_whitelist": "telephone"},
+         "model_class_whitelist must be a list of strings, got 'telephone'"),
+        ({"map": {"phones": ["telephone"]}, "model_class_whitelist": 5},
+         "model_class_whitelist must be a list of strings, got 5"),
+        ({"map": {"phones": ["telephone", 5]}},
+         "label 'phones' must be a list of strings, got ['telephone', 5]"),
+    ])
+    def test_wrong_value_type_names_the_key(self, obj, message):
+        with pytest.raises(DataError) as info:
+            ClassMapping.from_dict({"name": "m", **obj})
+        assert message in str(info.value)
+
     def test_empty_class_list_rejected(self):
         with pytest.raises(DataError, match="non-empty"):
             ClassMapping.from_dict({"name": "m", "map": {"x": []}})
@@ -90,9 +105,19 @@ def targets_of(images, assignments, predictions, mapping=None):
     return map_targets(images, assignments, ScoreMatrix.from_records(predictions), mapping)
 
 
-def tables_of(images, assignments, predictions, concepts, mapping=None):
-    """Concept tables of hand-built records."""
-    return build_concept_tables(targets_of(images, assignments, predictions, mapping), concepts)
+def plan_of(images, assignments, predictions, groups=("A",), mapping=None):
+    """The plan of hand-built records for a ranking-only baseline run, which
+    evaluates every concept with a positive in each group on its full pools."""
+    cfg = run_config(mapping=mapping, min_per_group=1, sampling_mode="baseline")
+    return plan_concepts(
+        images, assignments, ScoreMatrix.from_records(predictions), list(groups), cfg
+    )
+
+
+def pools_of(images, assignments, predictions, mapping=None):
+    """Each evaluated concept's group pools, as the plan builds them."""
+    plan = plan_of(images, assignments, predictions, mapping=mapping)
+    return {c: sizing.pools for c, sizing in plan.sized.items()}
 
 
 def pool_ids(assignments, pool):
@@ -129,39 +154,45 @@ def _fixture_dataset():
 class TestConceptTables:
     def test_partition_two_pos_three_neg(self):
         images, assignments, predictions = _fixture_dataset()
-        targets = targets_of(images, assignments, predictions)
-        pool = build_concept_tables(targets, ["c"])["c"].pools["A"]
+        pool = pools_of(images, assignments, predictions)["c"]["A"]
         assert pool.n_pos == 2 and pool.n_neg == 3
         assert pool_ids(assignments, pool) == ["a1", "a2", "a3", "a4", "a5"]
         assert list(pool.labels) == [1, 1, 0, 0, 0]
 
     def test_excluded_image_in_no_table(self):
         images, assignments, predictions = _fixture_dataset()
-        targets = targets_of(images, assignments, predictions)
-        for table in build_concept_tables(targets, ["c", "other"]).values():
-            for pool in table.pools.values():
+        concept_pools = pools_of(images, assignments, predictions)
+        assert set(concept_pools) == {"c", "other"}
+        for pools in concept_pools.values():
+            for pool in pools.values():
                 assert "x1" not in pool_ids(assignments, pool)
 
     def test_missing_score_omitted(self, caplog):
         images, assignments, predictions = _fixture_dataset()
         predictions[0] = PredictionRecord(image_id="a1", scores={"other": 0.5})
         with caplog.at_level("WARNING"):
-            tables = tables_of(images, assignments, predictions, ["c"])
-        pool = tables["c"].pools["A"]
+            pool = pools_of(images, assignments, predictions)["c"]["A"]
         assert pool.n_pos == 1
         assert "lack a score" in caplog.text
 
     def test_zero_scored_concept_errors(self):
+        """A target that no prediction scores gets no pool; asked for its
+        score column, the matrix says it has no scored images."""
         images, assignments, predictions = _fixture_dataset()
+        images[0] = AnnotatedImage(
+            image_id="a1", direct_labels=frozenset({"c", "unscored_concept"})
+        )
+        plan = plan_of(images, assignments, predictions)
+        assert plan.targets.unscored == ("unscored_concept",)
+        assert set(plan.sized) == {"c", "other"}
         with pytest.raises(DataError, match="no scored images"):
-            tables_of(images, assignments, predictions, ["unscored_concept"])
+            ScoreMatrix.from_records(predictions).columns(["unscored_concept"])
 
     def test_positives_negatives_partition_group(self):
         images, assignments, predictions = _fixture_dataset()
-        targets = targets_of(images, assignments, predictions)
         assigned = {"a1", "a2", "a3", "a4", "a5"}
-        for table in build_concept_tables(targets, ["c", "other"]).values():
-            ids = pool_ids(assignments, table.pools["A"])
+        for pools in pools_of(images, assignments, predictions).values():
+            ids = pool_ids(assignments, pools["A"])
             assert set(ids) == assigned
             assert len(ids) == len(assigned)
 
@@ -175,11 +206,10 @@ class TestConceptTables:
             PredictionRecord(image_id="i1", scores={"cellphone": 0.9, "parking meter": 0.2}),
             PredictionRecord(image_id="i2", scores={"cellphone": 0.1, "parking meter": 0.8}),
         ]
-        targets = targets_of(images, assignments, predictions, mapping=MAPPING_1K)
-        tables = build_concept_tables(targets, ["cellphone", "parking meter"])
-        cell = tables["cellphone"].pools["A"]
+        pools = pools_of(images, assignments, predictions, mapping=MAPPING_1K)
+        cell = pools["cellphone"]["A"]
         assert pool_ids(assignments, cell) == ["i1", "i2"] and cell.n_pos == 1
-        meter = tables["parking meter"].pools["A"]
+        meter = pools["parking meter"]["A"]
         assert pool_ids(assignments, meter) == ["i2", "i1"] and meter.n_pos == 1
 
     def test_box_labels_count_as_dataset_labels(self):
@@ -217,7 +247,9 @@ class TestConceptTables:
             [False, True], [False, True], [False, True],
         ]
         assert targets.has_targets.all()
-        assert set(build_concept_tables(targets, ["c", "other"])["c"].pools) == {"A"}
+        # a0, the one image of B, has no score: B's pool of c is empty
+        plan = plan_of(images, assignments, predictions, groups=("A", "B"))
+        assert plan.counts["c"] == {"A": (2, 3), "B": (0, 0)}
 
     def test_box_labels_are_part_of_the_label_set(self):
         """An image with boxes and the direct labels of a box-free image is
@@ -262,13 +294,12 @@ class TestConceptTables:
 
     def test_pools_are_readonly(self):
         images, assignments, predictions = _fixture_dataset()
-        tables = tables_of(images, assignments, predictions, ["c"])
-        pool = tables["c"].pools["A"]
+        pool = pools_of(images, assignments, predictions)["c"]["A"]
         with pytest.raises(ValueError):
             pool.scores[0] = 42.0
 
     def test_restrict_subsets_rows(self):
         images, assignments, predictions = _fixture_dataset()
-        tables = tables_of(images, assignments, predictions, ["c"])
-        sub = tables["c"].restrict({"A": np.array([0, 3, 4])})
-        assert sub.pools["A"].n_pos == 1 and sub.pools["A"].n_neg == 2
+        pool = pools_of(images, assignments, predictions)["c"]["A"]
+        sub = pool.take(np.array([0, 3, 4]))
+        assert sub.n_pos == 1 and sub.n_neg == 2

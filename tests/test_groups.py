@@ -151,6 +151,32 @@ class TestCaptionAssignment:
         assert a.reason is ExclusionReason.NO_GROUP_EVIDENCE
 
 
+class TestRegionConfig:
+    @pytest.mark.parametrize("group", [None, 5, "", ["Europe"]])
+    def test_group_must_be_a_name(self, group):
+        with pytest.raises(DataError) as info:
+            RegionGroupConfig.from_dict({"country_to_group": {"FR": "Europe", "US": group}})
+        assert f"country_to_group['US'] must be a non-empty string, got {group!r}" in str(
+            info.value
+        )
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "region file not found"),
+        ('{"country_to_group": {', "is not valid JSON"),
+        ('["FR"]', "must hold a JSON object, got list"),
+        (b'{"country_to_group": {"caf\xe9": "Europe"}}', "is not valid JSON"),
+    ], ids=["missing", "malformed", "not-object", "not-utf8"])
+    def test_unreadable_file_names_it(self, tmp_path, text, message):
+        path = tmp_path / "region.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
+            path.write_text(text)
+        with pytest.raises(DataError) as info:
+            RegionGroupConfig.from_file(path)
+        assert message in str(info.value) and str(path) in str(info.value)
+
+
 class TestMetadataAssignment:
     CONFIG = RegionGroupConfig.from_dict({
         "country_to_group": {"Kenya": "Africa", "Brazil": "Americas", "United States": "Americas"},
@@ -211,6 +237,24 @@ class TestAssignmentSummary:
 
 
 class TestTermConfig:
+    @pytest.mark.parametrize("obj,message", [
+        ({"groups": {"man": "man"}}, "groups['man'] must be a list of strings, got 'man'"),
+        ({"groups": {"man": 5}}, "groups['man'] must be a list of strings, got 5"),
+        ({"groups": {"man": ["man", 5]}}, "groups['man'] must be a list of strings"),
+        ({"groups": {"man": ["man"]}, "excluded_terms": ["man"]},
+         "'excluded_terms' must be an object, got ['man']"),
+        ({"groups": {"man": ["man"]}, "excluded_terms": {"man": "man"}},
+         "excluded_terms['man'] must be a list of strings, got 'man'"),
+        ({"groups": {"man": ["man"]}, "neutral_exclusion_terms": "people"},
+         "'neutral_exclusion_terms' must be a list of strings, got 'people'"),
+        ({"groups": {"man": ["man"]}, "neutral_exclusion_terms": 3},
+         "'neutral_exclusion_terms' must be a list of strings, got 3"),
+    ])
+    def test_wrong_value_type_names_the_key(self, obj, message):
+        with pytest.raises(DataError) as info:
+            GroupTermConfig.from_dict(obj)
+        assert message in str(info.value)
+
     def test_excluded_terms_must_be_subset(self):
         with pytest.raises(DataError, match="not in the group's term set"):
             GroupTermConfig.from_dict({

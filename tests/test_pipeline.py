@@ -1,11 +1,20 @@
+import dataclasses
+import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from disparity_audit import DataError
-from disparity_audit.concepts import build_concept_tables
-from disparity_audit.data import ScoreMatrix
+from disparity_audit.data import (
+    ExclusionReason,
+    GroupAssignment,
+    PredictionRecord,
+    ScoreMatrix,
+)
 from disparity_audit.pipeline import (
     assign_groups,
     compare_results,
@@ -33,10 +42,9 @@ def two_group_plan(cfg, seed=0, n=300, prev_a=0.3, prev_b=0.3):
 
 
 def synth_plan(spec, groups, cfg):
-    """The plan of a synthetic scenario, and the tables of the concepts it sizes."""
+    """The plan of a synthetic scenario."""
     images, assignments, predictions = generate(spec)
-    plan = plan_concepts(images, assignments, ScoreMatrix.from_records(predictions), groups, cfg)
-    return plan, build_concept_tables(plan.targets, plan.sized)
+    return plan_concepts(images, assignments, ScoreMatrix.from_records(predictions), groups, cfg)
 
 
 def cfg_for(tmp_path, mode="reliable", metrics=("ap", "tpr", "fpr"), ratio=(1, 4),
@@ -51,8 +59,8 @@ def cfg_for(tmp_path, mode="reliable", metrics=("ap", "tpr", "fpr"), ratio=(1, 4
 class TestEvaluateTables:
     def test_shapes_and_sign_convention(self, tmp_path):
         cfg = cfg_for(tmp_path)
-        plan, tables = two_group_plan(cfg)
-        estimates, _ = evaluate_tables(tables, plan, ["A", "B"], cfg)
+        plan = two_group_plan(cfg)
+        estimates, _ = evaluate_tables(plan, ["A", "B"], cfg)
         keys = {(e.metric, e.concept) for e in estimates}
         for metric in ("ap", "tpr", "fpr"):
             assert (metric, "c1") in keys and (metric, "aggregate") in keys
@@ -62,8 +70,8 @@ class TestEvaluateTables:
 
     def test_ratio_mode_equalizes_sample_sizes(self, tmp_path):
         cfg = cfg_for(tmp_path, mode="reliable", metrics=("ap",))
-        plan, tables = two_group_plan(cfg, prev_a=0.5, prev_b=0.2)
-        estimates, _ = evaluate_tables(tables, plan, ["A", "B"], cfg)
+        plan = two_group_plan(cfg, prev_a=0.5, prev_b=0.2)
+        estimates, _ = evaluate_tables(plan, ["A", "B"], cfg)
         per = [e for e in estimates if e.concept == "c1"][0]
         sizes = set(per.sample_sizes.values())
         assert len(sizes) == 1  # identical budget across groups
@@ -72,24 +80,24 @@ class TestEvaluateTables:
 
     def test_thresholds_fixed_from_validation(self, tmp_path):
         cfg = cfg_for(tmp_path, metrics=("tpr", "fpr"))
-        plan, tables = two_group_plan(cfg)
-        _, thresholds = evaluate_tables(tables, plan, ["A", "B"], cfg)
+        plan = two_group_plan(cfg)
+        _, thresholds = evaluate_tables(plan, ["A", "B"], cfg)
         assert thresholds["c1"]["A"] == thresholds["c1"]["B"]  # pooled scope
 
     def test_per_group_scope_thresholds_differ_in_general(self, tmp_path):
         cfg = cfg_for(tmp_path, metrics=("tpr",), scope="per_group")
-        plan, tables = two_group_plan(cfg, prev_a=0.5, prev_b=0.1)
-        _, thresholds = evaluate_tables(tables, plan, ["A", "B"], cfg)
+        plan = two_group_plan(cfg, prev_a=0.5, prev_b=0.1)
+        _, thresholds = evaluate_tables(plan, ["A", "B"], cfg)
         assert set(thresholds["c1"]) == {"A", "B"}
 
     def test_infeasible_budget_skipped_with_reason(self, tmp_path):
         # 27 positives, 3 negatives: ratio 1:4 infeasible
         cfg = cfg_for(tmp_path, mode="reliable", metrics=("ap",))
-        plan, tables = two_group_plan(cfg, n=30, prev_a=0.9, prev_b=0.9)
-        assert plan.sized == {} and tables == {}
+        plan = two_group_plan(cfg, n=30, prev_a=0.9, prev_b=0.9)
+        assert plan.sized == {}
         assert set(plan.skipped) == {"c1", "c2"}
         assert "fewer than the 4 required per ratio unit" in plan.skipped["c1"]
-        estimates, _ = evaluate_tables(tables, plan, ["A", "B"], cfg)
+        estimates, _ = evaluate_tables(plan, ["A", "B"], cfg)
         assert estimates == []
 
 
@@ -103,8 +111,8 @@ class TestMultiGroup:
         }
         spec = ScenarioSpec(concepts={"c1": cells}, seed=2)
         cfg = cfg_for(tmp_path, metrics=("ap",), ratio=(1, 2))
-        plan, tables = synth_plan(spec, list(groups), cfg)
-        estimates, _ = evaluate_tables(tables, plan, list(groups), cfg)
+        plan = synth_plan(spec, list(groups), cfg)
+        estimates, _ = evaluate_tables(plan, list(groups), cfg)
         per = [e for e in estimates if e.concept == "c1"]
         assert {(e.group_a, e.group_b) for e in per} == {
             (a, b) for i, a in enumerate(groups) for b in groups[i + 1:]
@@ -124,8 +132,8 @@ class TestMultiGroup:
 class TestResultsCsv:
     def test_round_trip(self, tmp_path):
         cfg = cfg_for(tmp_path, metrics=("ap",))
-        plan, tables = two_group_plan(cfg)
-        estimates, _ = evaluate_tables(tables, plan, ["A", "B"], cfg)
+        plan = two_group_plan(cfg)
+        estimates, _ = evaluate_tables(plan, ["A", "B"], cfg)
         path = tmp_path / "results.csv"
         write_results_csv(estimates, "custom", path)
         rows = read_results_csv(path)
@@ -299,17 +307,18 @@ class TestRunPipeline:
         from disparity_audit.config import load_config
 
         built = []
+        size_concept = pipeline.size_concept
 
-        def spy(targets, concepts):
-            built.append(list(concepts))
-            return build_concept_tables(targets, concepts)
+        def spy(concept, pools, cfg):
+            built.append(concept)
+            return size_concept(concept, pools, cfg)
 
-        monkeypatch.setattr(pipeline, "build_concept_tables", spy)
+        monkeypatch.setattr(pipeline, "size_concept", spy)
         result = run_pipeline(load_config(synth_workspace(tmp_path, rare=True)))
         concepts = result.manifest["stages"]["concepts"]
         assert concepts["candidates"] == 3
         assert concepts["retained_after_rare_filter"] == 2
-        assert built == [["c1", "c2"]]
+        assert built == ["c1", "c2"]
 
     def test_plan_counts_are_table_pool_sizes(self, tmp_path):
         from disparity_audit.config import load_config
@@ -322,10 +331,18 @@ class TestRunPipeline:
         assert (candidates, plan.targets.unscored, plan.retained) == (
             ("c1", "c2", "c3"), (), ["c1", "c2"]
         )
-        tables = build_concept_tables(plan.targets, candidates)
+        # a ranking-only baseline plan that retains every candidate draws
+        # from the full pools
+        every = dataclasses.replace(
+            cfg, metrics=("ap",), min_per_group=1, sampling_mode="baseline"
+        )
+        sized = plan_concepts(
+            loaded.images, assignments, loaded.predictions, ["A", "B"], every
+        ).sized
+        assert list(sized) == list(candidates)
         for c in candidates:
-            for g in ("A", "B"):
-                assert counts[c][g] == (tables[c].n_pos(g), tables[c].n_neg(g))
+            for g, pool in sized[c].pools.items():
+                assert counts[c][g] == (pool.n_pos, pool.n_neg)
         assert counts["c3"]["B"][0] < 20 <= counts["c3"]["A"][0]
         assert sum(counts["c3"]["A"]) < 240  # every tenth image lacks a c3 score
 
@@ -397,3 +414,74 @@ class TestPlanConcepts:
         plan = plan_concepts(*self.records(), ["A", "B", "C"], self.cfg(tmp_path))
         assert plan.counts["cat"]["C"] == plan.counts["dog"]["C"] == (0, 0)
         assert plan.retained == []
+
+
+class TestPlanPools:
+    """The plan is the one place that builds pools: for every sized concept
+    and group, its validation and draw pools split exactly the group's
+    scored, assigned rows, positives first and each class in image-id order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(10, 40), min_size=2, max_size=3),
+        prevalences=st.lists(st.floats(0.2, 0.8), min_size=1, max_size=3),
+        seed=st.integers(0, 2**16),
+        gap=st.integers(2, 9),
+        metrics=st.sampled_from([("ap", "auc_roc"), ("ap", "tpr"), ("f1",)]),
+        scope=st.sampled_from(["pooled", "per_group"]),
+        mode=st.sampled_from(["baseline", "reliable"]),
+        fraction=st.sampled_from([0.2, 0.5]),
+    )
+    def test_pools_split_each_groups_scored_rows(
+        self, sizes, prevalences, seed, gap, metrics, scope, mode, fraction
+    ):
+        groups = [f"g{i}" for i in range(len(sizes))]
+        law = dict(mu_pos=1, sigma_pos=1, mu_neg=0, sigma_neg=1)
+        spec = ScenarioSpec(concepts={
+            f"c{j}": {g: CellSpec(prevalence=p, n=n, **law) for g, n in zip(groups, sizes)}
+            for j, p in enumerate(prevalences)
+        }, seed=seed)
+        images, assignments, records = generate(spec)
+        # every gap-th image is excluded, and every (gap + 1)-th score dropped
+        excluded = ExclusionReason.NO_GROUP_EVIDENCE
+        assignments = [
+            a if k % gap else GroupAssignment(a.image_id, reason=excluded)
+            for k, a in enumerate(assignments)
+        ]
+        cells = itertools.count()
+        records = [
+            PredictionRecord(
+                r.image_id, {c: v for c, v in r.scores.items() if next(cells) % (gap + 1)}
+            )
+            for r in records
+        ]
+        cfg = run_config(
+            metrics=metrics, threshold_scope=scope, sampling_mode=mode, ratio=(1, 2),
+            validation_fraction=fraction, min_per_group=1, seed=seed,
+        )
+        plan = plan_concepts(images, assignments, ScoreMatrix.from_records(records), groups, cfg)
+        event(f"sized {len(plan.sized)} of {len(plan.retained)} retained")
+
+        # image rows index the assigned images in id order
+        group_of = {a.image_id: a.group for a in assignments if a.group is not None}
+        ids = sorted(group_of)
+        labels = {img.image_id: img.direct_labels for img in images}
+        score = {r.image_id: r.scores for r in records}
+        for c, sizing in plan.sized.items():
+            for g in groups:
+                parts = [sizing.pools[g]]
+                if sizing.validation is not None:
+                    parts.insert(0, sizing.validation[g])
+                rows = [set(pool.image_rows.tolist()) for pool in parts]
+                assert sum(map(len, rows)) == sum(pool.image_rows.size for pool in parts)
+                assert len(set.union(*rows)) == sum(map(len, rows))  # disjoint
+                assert set.union(*rows) == {
+                    r for r, i in enumerate(ids) if group_of[i] == g and c in score[i]
+                }
+                for pool in parts:
+                    pool_ids = [ids[r] for r in pool.image_rows]
+                    positive = [c in labels[i] for i in pool_ids]
+                    assert positive == [True] * pool.n_pos + [False] * pool.n_neg
+                    assert pool.scores.tolist() == [score[i][c] for i in pool_ids]
+                    for class_rows in np.split(pool.image_rows, [pool.n_pos]):
+                        assert np.all(np.diff(class_rows) > 0)

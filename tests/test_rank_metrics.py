@@ -23,15 +23,10 @@ from disparity_audit import (
     select_threshold,
     split_validation_test,
 )
-from disparity_audit.concepts import (
-    ConceptEvalTable,
-    GroupPool,
-    build_concept_tables,
-    map_targets,
-)
+from disparity_audit.concepts import GroupPool
 from disparity_audit.config import THRESHOLD_METRICS
 from disparity_audit.metrics import rank_pool, ranked_metrics
-from disparity_audit.pipeline import evaluate_concept, size_concept
+from disparity_audit.pipeline import evaluate_concept, plan_concepts, size_concept
 from disparity_audit.sampling import derive_rng, derive_seed, draw_baseline_group, draw_group
 
 from oracles import (
@@ -83,7 +78,7 @@ def check_draws(scores, labels, ids, draws, threshold, tiebreak=None):
 
 
 def make_pool(n_pos, n_neg, rng, distinct=None):
-    """A pool sorted by id, as ``build_concept_tables`` makes it; with
+    """A pool sorted by id, as ``plan_concepts`` makes it; with
     ``distinct`` set, scores take only that many values (heavy ties)."""
     def scores(n):
         if distinct is None:
@@ -220,46 +215,47 @@ class TestRankedMetricsEquivalence:
         )
 
 
-def reference_evaluation(table, metric, mode, scope, bootstraps, seed, fraction=0.2):
+def reference_evaluation(concept, pools, metric, mode, scope, bootstraps, seed, fraction=0.2):
     """What ``evaluate_concept`` computes for one metric, from the scalar
     functions: for a threshold metric split, select and restrict first; then
     score every draw and the full sample."""
+    groups = sorted(pools)
     thresholds = {}
-    eval_table = table
+    eval_pools = pools
     if metric in THRESHOLD_METRICS:
-        val, test = {}, {}
-        for g in table.groups:
-            pool = table.pools[g]
-            split_seed = derive_seed(seed, "split", table.concept, g)
-            v, test[g] = split_validation_test(pool.labels, fraction, split_seed)
+        val, eval_pools = {}, {}
+        for g in groups:
+            pool = pools[g]
+            split_seed = derive_seed(seed, "split", concept, g)
+            v, test = split_validation_test(pool.labels, fraction, split_seed)
             val[g] = (pool.scores[v], pool.labels[v])
+            eval_pools[g] = pool.take(test)
         if scope == "pooled":
             t, _ = select_threshold(
-                np.concatenate([val[g][0] for g in table.groups]),
-                np.concatenate([val[g][1] for g in table.groups]),
+                np.concatenate([val[g][0] for g in groups]),
+                np.concatenate([val[g][1] for g in groups]),
             )
-            thresholds = {g: t for g in table.groups}
+            thresholds = {g: t for g in groups}
         else:
-            thresholds = {g: select_threshold(*val[g])[0] for g in table.groups}
-        eval_table = table.restrict(test)
-    sizes = {g: (eval_table.n_pos(g), eval_table.n_neg(g)) for g in table.groups}
-    budget = compute_budget(table.concept, sizes, (1, 4)) if mode == "reliable" else None
+            thresholds = {g: select_threshold(*val[g])[0] for g in groups}
+    sizes = {g: (eval_pools[g].n_pos, eval_pools[g].n_neg) for g in groups}
+    budget = compute_budget(concept, sizes, (1, 4)) if mode == "reliable" else None
 
     def value(pool, rows, g):
         return scalar_metrics(
             pool.scores[rows], pool.labels[rows], ids_of(pool)[rows], thresholds.get(g)
         )[metric]
 
-    values = {g: [] for g in table.groups}
+    values = {g: [] for g in groups}
     for b in range(bootstraps):
-        for g in table.groups:
-            pool = eval_table.pools[g]
+        for g in groups:
+            pool = eval_pools[g]
             if budget is not None:
-                rows = draw_group(pool, budget, derive_rng(seed, "draw", table.concept, g, b))
+                rows = draw_group(pool, budget, derive_rng(seed, "draw", concept, g, b))
             else:
-                rows = draw_baseline_group(pool, derive_rng(seed, "baseline", table.concept, g, b))
+                rows = draw_baseline_group(pool, derive_rng(seed, "baseline", concept, g, b))
             values[g].append(value(pool, rows, g))
-    full = {g: value(p, np.arange(p.labels.size), g) for g, p in eval_table.pools.items()}
+    full = {g: value(p, np.arange(p.labels.size), g) for g, p in eval_pools.items()}
     return thresholds, values, full
 
 
@@ -272,21 +268,20 @@ class TestMetricsThroughEvaluateConcept:
         # Scores tie across labels and every negative id sorts before every
         # positive id, so the AP tie-break matters; with two test positives
         # in B, some baseline draws have none.
-        table = ConceptEvalTable("c", {
+        pools = {
             "A": make_pool(30, 90, rng, distinct=12),
             "B": make_pool(3, 70, rng, distinct=12),
-        })
+        }
         cfg = run_config(
             metrics=(metric,), sampling_mode=mode, ratio=(1, 4), seed=8, threshold_scope=scope,
         )
-        sizing = size_concept("c", {g: (p.n_pos, p.n_neg) for g, p in table.pools.items()}, cfg)
         ev = evaluate_concept(
-            table, metrics=[metric], splits=sizing.splits, budget=sizing.budget,
-            bootstraps=40, seed=8, threshold_scope=scope,
+            "c", size_concept("c", pools, cfg), metrics=[metric], bootstraps=40, seed=8,
+            threshold_scope=scope,
         )
-        thresholds, values, full = reference_evaluation(table, metric, mode, scope, 40, 8)
+        thresholds, values, full = reference_evaluation("c", pools, metric, mode, scope, 40, 8)
         assert ev.thresholds == thresholds
-        for g in table.groups:
+        for g in sorted(pools):
             for b in range(40):
                 assert_same(ev.values[(metric, g)][b], values[g][b])
             assert ev.full_sample[(metric, g)] == full[g]
@@ -316,14 +311,14 @@ class TestTiesFollowImageIds:
             for i, _, _, s in reversed(self.ROWS)
         ))
         images = load_annotations(ann)
-        targets = map_targets(
+        cfg = run_config(metrics=("ap", "auc_roc"), min_per_group=1, sampling_mode="baseline")
+        plan = plan_concepts(
             images, [GroupAssignment(i, group=g) for i, g, _, _ in self.ROWS],
-            load_predictions(pred, images),
+            load_predictions(pred, images), ["A", "B"], cfg,
         )
-        table = build_concept_tables(targets, ["c"])["c"]
         ev = evaluate_concept(
-            table, metrics=["ap", "auc_roc"], splits=None, budget=None, bootstraps=1,
-            seed=0, threshold_scope="pooled",
+            "c", plan.sized["c"], metrics=["ap", "auc_roc"], bootstraps=1, seed=0,
+            threshold_scope="pooled",
         )
         for g in ("A", "B"):
             rows = [(i, pos, s) for i, grp, pos, s in self.ROWS if grp == g]

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disparity_audit import DataError, InvariantError, compute_budget, filter_rare_concepts
-from disparity_audit.concepts import ConceptEvalTable, GroupPool
-from disparity_audit.pipeline import evaluate_concept
+from disparity_audit.concepts import GroupPool
+from disparity_audit.pipeline import ConceptSizing, evaluate_concept
 from disparity_audit.sampling import (
     derive_rng,
     derive_rngs,
@@ -26,24 +26,22 @@ def make_pool(n_pos, n_neg, seed=0):
     )
 
 
-def make_table(concept="c", **pools):
-    return ConceptEvalTable(
-        concept=concept,
-        pools={g: make_pool(p, n, seed=hash(g) % 1000) for g, (p, n) in pools.items()},
-    )
+def make_pools(**pools):
+    """One pool per group, from its (positives, negatives)."""
+    return {g: make_pool(p, n, seed=hash(g) % 1000) for g, (p, n) in pools.items()}
 
 
-def sizes(table):
-    return {g: (table.n_pos(g), table.n_neg(g)) for g in table.groups}
+def sizes(pools):
+    return {g: (pool.n_pos, pool.n_neg) for g, pool in pools.items()}
 
 
-def draw_all(table, budget, seed, b):
-    """One fixed-prevalence draw per group, split into (positive, negative)
-    indices into that group's positives and negatives."""
+def draw_all(pools, budget, seed, b):
+    """One fixed-prevalence draw of concept ``c`` per group, split into
+    (positive, negative) indices into that group's positives and negatives."""
     out = {}
-    for g in table.groups:
-        pool = table.pools[g]
-        rows = draw_group(pool, budget, derive_rng(seed, "draw", table.concept, g, b))
+    for g in sorted(pools):
+        pool = pools[g]
+        rows = draw_group(pool, budget, derive_rng(seed, "draw", "c", g, b))
         out[g] = (rows[rows < pool.n_pos], rows[rows >= pool.n_pos] - pool.n_pos)
     return out
 
@@ -142,37 +140,37 @@ class TestComputeBudget:
 
 class TestDraws:
     def test_cardinality(self):
-        table = make_table(A=(5, 40), B=(5, 40))
-        budget = compute_budget("c", sizes(table), (1, 5))
-        draws = draw_all(table, budget, 1, 0)
+        pools = make_pools(A=(5, 40), B=(5, 40))
+        budget = compute_budget("c", sizes(pools), (1, 5))
+        draws = draw_all(pools, budget, 1, 0)
         for g in ("A", "B"):
             assert draws[g][0].shape == (budget[0],)
             assert draws[g][1].shape == (budget[1],)
 
     def test_prevalence_exact_every_draw(self):
-        table = make_table(A=(13, 90), B=(20, 70))
-        budget = compute_budget("c", sizes(table), (1, 5))
+        pools = make_pools(A=(13, 90), B=(20, 70))
+        budget = compute_budget("c", sizes(pools), (1, 5))
         for b in range(50):
-            for g, (pos, neg) in draw_all(table, budget, 2, b).items():
+            for g, (pos, neg) in draw_all(pools, budget, 2, b).items():
                 n_pos = pos.size
                 n_tot = n_pos + neg.size
                 assert n_pos / n_tot == pytest.approx(1 / 6)
 
     def test_determinism(self):
-        table = make_table(A=(5, 40))
-        budget = compute_budget("c", sizes(table), (1, 5))
-        a = draw_all(table, budget, 7, 1)["A"]
-        b = draw_all(table, budget, 7, 1)["A"]
+        pools = make_pools(A=(5, 40))
+        budget = compute_budget("c", sizes(pools), (1, 5))
+        a = draw_all(pools, budget, 7, 1)["A"]
+        b = draw_all(pools, budget, 7, 1)["A"]
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
     def test_uniformity_against_binomial_oracle(self):
         # 10,000 draws from 5 positives: each positive's frequency ~ Binomial(T, 1/5)
-        table = make_table(A=(5, 40))
-        budget = compute_budget("c", sizes(table), (1, 5))
+        pools = make_pools(A=(5, 40))
+        budget = compute_budget("c", sizes(pools), (1, 5))
         counts = np.zeros(5)
         for b in range(10_000):
-            pos, _ = draw_all(table, budget, 3, b)["A"]
+            pos, _ = draw_all(pools, budget, 3, b)["A"]
             counts += np.bincount(pos, minlength=5)
         total = counts.sum()
         expected = total / 5
@@ -180,10 +178,10 @@ class TestDraws:
         assert np.all(np.abs(counts - expected) <= 3 * sigma)
 
     def test_order_and_parallelism_independence(self):
-        table = make_table(A=(8, 30), B=(9, 31))
-        budget = compute_budget("c", sizes(table), (1, 3))
-        forward = [draw_all(table, budget, 11, b) for b in range(4)]
-        backward = [draw_all(table, budget, 11, b) for b in reversed(range(4))][::-1]
+        pools = make_pools(A=(8, 30), B=(9, 31))
+        budget = compute_budget("c", sizes(pools), (1, 3))
+        forward = [draw_all(pools, budget, 11, b) for b in range(4)]
+        backward = [draw_all(pools, budget, 11, b) for b in reversed(range(4))][::-1]
         for f, r in zip(forward, backward):
             for g in ("A", "B"):
                 assert np.array_equal(f[g][0], r[g][0])
@@ -192,13 +190,13 @@ class TestDraws:
 
 class TestBaseline:
     def test_bootstrap_draw_size_is_pool_size(self):
-        pool = make_table(A=(7, 13)).pools["A"]
+        pool = make_pools(A=(7, 13))["A"]
         for b in range(20):
             rows = draw_baseline_group(pool, derive_rng(5, "baseline", "c", "A", b))
             assert rows.size == 20
 
     def test_prevalence_matches_binomial_expectation(self):
-        pool = make_table(A=(7, 13)).pools["A"]
+        pool = make_pools(A=(7, 13))["A"]
         n_draws = 4000
         frac = np.empty(n_draws)
         for b in range(n_draws):
@@ -208,11 +206,10 @@ class TestBaseline:
         assert abs(frac.mean() - 0.35) < 4 * se
 
     def test_empty_pool_error_names_concept_and_group(self):
-        table = make_table(concept="c", A=(3, 5), B=(0, 0))
+        sizing = ConceptSizing(validation=None, pools=make_pools(A=(3, 5), B=(0, 0)), budget=None)
         with pytest.raises(InvariantError, match="concept 'c' group 'B': cannot resample"):
             evaluate_concept(
-                table, metrics=["ap"], splits=None, budget=None, bootstraps=2, seed=0,
-                threshold_scope="pooled",
+                "c", sizing, metrics=["ap"], bootstraps=2, seed=0, threshold_scope="pooled",
             )
 
 
