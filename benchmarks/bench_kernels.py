@@ -32,8 +32,14 @@ batched kernel's first three draws must equal the reference kernels', which
   own 3 to 8 labels out of 21,000 classes and a metadata URL of its own;
   times ``load_annotations`` and ``map_targets``, the steps whose work is
   once per distinct value.
+* corpus: the 30-image group corpus of ``tests/corpus.py`` 1,000 times
+  over (30,000 images, 20,000 with boxes and 10,000 with captions); times
+  ``assign_groups`` under the ``v3`` rule of the ``boxes`` and of the
+  ``captions`` method, the paths the benchmark workloads (all ``metadata``)
+  do not run.
 """
 
+import dataclasses
 import json
 import random
 import sys
@@ -52,7 +58,7 @@ from disparity_audit.data import (
     validate_dataset,
 )
 from disparity_audit.metrics import hit_vector, rank_pool, ranked_metrics, select_threshold
-from disparity_audit.pipeline import assign_groups
+from disparity_audit.groups import assign_groups
 from disparity_audit.synth import CellSpec, ScenarioSpec, generate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -61,6 +67,13 @@ from oracles import (  # noqa: E402
     average_precision,
     confusion_at_threshold,
     rates_from_confusion,
+)
+from corpus import (  # noqa: E402
+    BOX_CASES,
+    CAPTION_CASES,
+    box_rule,
+    caption_rule,
+    expected_assignments,
 )
 
 METRICS = ("ap", "auc_roc", "tpr", "fpr")
@@ -283,7 +296,7 @@ def test_assign_groups(benchmark, deep):
     path, cfg, _ = deep
     benchmark.group = "ingest-deep"
     images = load_annotations(path)
-    assignments = benchmark(assign_groups, images, cfg)
+    assignments = benchmark(assign_groups, images, cfg.group_rule)
     assert sum(a.assigned for a in assignments) == 30000
 
 
@@ -291,7 +304,7 @@ def test_map_targets(benchmark, deep):
     path, cfg, predictions = deep
     benchmark.group = "ingest-deep"
     images = load_annotations(path)
-    assignments = assign_groups(images, cfg)
+    assignments = assign_groups(images, cfg.group_rule)
     targets = benchmark(map_targets, images, assignments, predictions)
     assert targets.targets.shape == (30000, 3)
 
@@ -307,6 +320,27 @@ def test_map_targets_distinct(benchmark, distinct):
     path, cfg, predictions = distinct
     benchmark.group = "ingest-distinct"
     images = load_annotations(path)
-    assignments = assign_groups(images, cfg)
+    assignments = assign_groups(images, cfg.group_rule)
     targets = benchmark(map_targets, images, assignments, predictions)
     assert targets.targets.shape[0] == 30000
+
+
+@pytest.fixture(scope="module")
+def corpus_images():
+    """The group corpus 1,000 times over, each copy's ids suffixed ``-kkkk``."""
+    return [
+        dataclasses.replace(image, image_id=f"{image.image_id}-{k:04d}")
+        for k in range(1000) for image, _ in BOX_CASES + CAPTION_CASES
+    ]
+
+
+@pytest.mark.parametrize("method", ["boxes", "captions"])
+def test_assign_groups_corpus(benchmark, corpus_images, method):
+    benchmark.group = "groups-corpus"
+    rule = box_rule("v3") if method == "boxes" else caption_rule("v3")
+    assignments = benchmark(assign_groups, corpus_images, rule)
+    expected = expected_assignments(method, "v3")
+    assert len(assignments) == 30000
+    for a in assignments:
+        outcome = ("assigned", a.group) if a.assigned else ("excluded", a.reason.value)
+        assert outcome == expected[a.image_id[:-5]], a.image_id

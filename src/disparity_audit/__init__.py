@@ -16,15 +16,11 @@ from .data import (
 )
 from .errors import AuditError, ConfigError, DataError, InvariantError
 from .groups import (
-    GroupTermConfig,
-    MinAreaPixels,
-    NoBoxFilter,
-    RegionGroupConfig,
-    RelativeArea,
-    assign_group_from_boxes,
-    assign_group_from_captions,
-    assign_group_from_metadata,
+    GroupRule,
+    assign_groups,
     assignment_summary,
+    region_rule,
+    terms_rule,
 )
 from .concepts import (
     ClassMapping,

@@ -22,9 +22,8 @@ from .concepts import image_target_set
 from .config import load_config
 from .data import load_annotations, read_json_object
 from .errors import AuditError, ConfigError, DataError
-from .groups import assignment_summary
+from .groups import assign_groups, assignment_summary
 from .pipeline import (
-    assign_groups,
     compare_results,
     load_dataset,
     plan_concepts,
@@ -60,12 +59,12 @@ def _load(args):
 
 def _cmd_assign_groups(args) -> int:
     cfg, images = _load(args)
-    assignments = assign_groups(images, cfg)
+    assignments = assign_groups(images, cfg.group_rule)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     path = out / "assignments.csv"
     write_assignments_csv(assignments, path)
-    summary = assignment_summary(assignments, groups=cfg.group_order())
+    summary = assignment_summary(assignments, groups=cfg.group_rule.groups)
     print(json.dumps({"assignments": str(path), "summary": summary}, sort_keys=True, indent=2))
     return 0
 
@@ -86,8 +85,8 @@ def _cmd_map(args) -> int:
 def _cmd_sample_plan(args) -> int:
     cfg = load_config(args.config, preset=args.preset, seed=args.seed, output_dir=args.output)
     loaded = load_dataset(cfg)
-    assignments = assign_groups(loaded.images, cfg)
-    groups = list(cfg.group_order())
+    assignments = assign_groups(loaded.images, cfg.group_rule)
+    groups = list(cfg.group_rule.groups)
     plan = plan_concepts(loaded.images, assignments, loaded.predictions, groups, cfg)
     plans: dict[str, dict] = {}
     for c, counts in plan.counts.items():

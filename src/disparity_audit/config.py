@@ -17,7 +17,7 @@ from typing import Any, Mapping
 from .concepts import ClassMapping
 from .data import read_json_object
 from .errors import ConfigError, DataError
-from .groups import BoxFilterRule, GroupTermConfig, RegionGroupConfig, parse_box_filter
+from .groups import GroupRule, parse_box_filter, region_rule, terms_rule
 
 THRESHOLD_METRICS = ("tpr", "fpr", "precision", "recall", "accuracy", "f1")
 RANKING_METRICS = ("ap", "auc_roc")
@@ -130,11 +130,7 @@ class RunConfig:
     raw: dict[str, Any]
     annotations: Path
     predictions: Path
-    group_method: str
-    metadata_key: str
-    terms: GroupTermConfig | None
-    region: RegionGroupConfig | None
-    box_filter: BoxFilterRule
+    group_rule: GroupRule
     mapping: ClassMapping | None
     strict_mapping: bool
     metrics: tuple[str, ...]
@@ -150,11 +146,6 @@ class RunConfig:
     drop_unlabeled: bool
     top_n: int
     output_dir: Path
-
-    def group_order(self) -> tuple[str, ...]:
-        if self.group_method in ("boxes", "captions"):
-            return self.terms.group_order
-        return self.region.groups()
 
 
 def _path(resolved: Mapping, key: str, base: Path) -> Path:
@@ -222,7 +213,11 @@ def load_config(
 
 
 def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
-    group_method = resolved.get("group_method")
+    """The ``RunConfig`` of a config resolved over ``DEFAULTS``.
+
+    Raises ConfigError for a malformed value and missing referenced files.
+    """
+    group_method = resolved["group_method"]
     if group_method not in ("boxes", "captions", "metadata"):
         raise ConfigError(
             f"group_method must be one of boxes/captions/metadata, got {group_method!r}"
@@ -231,23 +226,26 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
     annotations = _path(resolved, "annotations", base)
     predictions = _path(resolved, "predictions", base)
 
-    terms = None
-    region = None
+    exclusions = _bool(resolved["apply_term_exclusions"], "apply_term_exclusions")
+    metadata_key = _str(resolved["metadata_key"], "metadata_key")
     try:
-        if group_method in ("boxes", "captions"):
-            terms = GroupTermConfig.from_file(_path(resolved, "terms", base))
-            if not _bool(resolved.get("apply_term_exclusions", False), "apply_term_exclusions"):
-                terms = terms.without_exclusions()
+        box_filter = parse_box_filter(resolved["box_filter"])
+        if group_method == "metadata":
+            rule = region_rule(
+                read_json_object(_path(resolved, "region", base), "region"), metadata_key
+            )
         else:
-            region = RegionGroupConfig.from_file(_path(resolved, "region", base))
-        box_filter = parse_box_filter(resolved.get("box_filter"))
+            rule = terms_rule(
+                read_json_object(_path(resolved, "terms", base), "terms"), group_method,
+                exclusions=exclusions, box_filter=box_filter,
+            )
         mapping = None
-        if resolved.get("mapping"):
+        if resolved["mapping"]:
             mapping = ClassMapping.from_file(_path(resolved, "mapping", base))
     except DataError as e:
         raise ConfigError(str(e)) from e
 
-    metrics = resolved.get("metrics")
+    metrics = resolved["metrics"]
     if not isinstance(metrics, list) or not metrics:
         raise ConfigError(f"metrics must be a non-empty list of metric names, got {metrics!r}")
     metrics = tuple(metrics)
@@ -255,29 +253,29 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown metrics: {unknown}; expected among {KNOWN_METRICS}")
 
-    k = _int(resolved.get("k", 5), "k", minimum=1)
-    vfrac = _float(resolved.get("validation_fraction", 0.2), "validation_fraction")
+    k = _int(resolved["k"], "k", minimum=1)
+    vfrac = _float(resolved["validation_fraction"], "validation_fraction")
     if not 0 < vfrac < 1:
         raise ConfigError(f"validation_fraction must be in (0, 1), got {vfrac}")
-    scope = resolved.get("threshold_scope", "pooled")
+    scope = resolved["threshold_scope"]
     if scope not in ("pooled", "per_group"):
         raise ConfigError(f"threshold_scope must be pooled or per_group, got {scope!r}")
 
     sampling = resolved["sampling"]
-    mode = sampling.get("mode", "baseline")
+    mode = sampling["mode"]
     if mode not in ("baseline", "reliable"):
         raise ConfigError(f"sampling mode must be baseline or reliable, got {mode!r}")
-    ratio_raw = sampling.get("ratio", [1, 5])
+    ratio_raw = sampling["ratio"]
     if (
         not isinstance(ratio_raw, (list, tuple)) or len(ratio_raw) != 2
         or any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in ratio_raw)
     ):
         raise ConfigError(f"sampling ratio must be two positive integers, got {ratio_raw!r}")
-    bootstraps = _int(sampling.get("bootstraps", 250), "bootstraps", minimum=1)
-    min_per_group = _int(sampling.get("min_per_group", 50), "min_per_group", minimum=1)
-    seed = _int(sampling.get("seed", 0), "seed")
+    bootstraps = _int(sampling["bootstraps"], "bootstraps", minimum=1)
+    min_per_group = _int(sampling["min_per_group"], "min_per_group", minimum=1)
+    seed = _int(sampling["seed"], "seed")
 
-    out_dir = resolved.get("output_dir") or "out"
+    out_dir = resolved["output_dir"] or "out"
     output_dir = Path(out_dir)
     if not output_dir.is_absolute():
         output_dir = base / output_dir
@@ -286,13 +284,9 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
         raw=resolved,
         annotations=annotations,
         predictions=predictions,
-        group_method=group_method,
-        metadata_key=_str(resolved.get("metadata_key", "country"), "metadata_key"),
-        terms=terms,
-        region=region,
-        box_filter=box_filter,
+        group_rule=rule,
         mapping=mapping,
-        strict_mapping=_bool(resolved.get("strict_mapping", True), "strict_mapping"),
+        strict_mapping=_bool(resolved["strict_mapping"], "strict_mapping"),
         metrics=metrics,
         k=k,
         validation_fraction=vfrac,
@@ -302,8 +296,8 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
         seed=seed,
         min_per_group=min_per_group,
         sampling_mode=mode,
-        evaluation_version=str(resolved.get("evaluation_version", "custom")),
-        drop_unlabeled=_bool(resolved.get("drop_unlabeled", True), "drop_unlabeled"),
-        top_n=_int(resolved.get("top_n", 5), "top_n", minimum=0),
+        evaluation_version=str(resolved["evaluation_version"]),
+        drop_unlabeled=_bool(resolved["drop_unlabeled"], "drop_unlabeled"),
+        top_n=_int(resolved["top_n"], "top_n", minimum=0),
         output_dir=output_dir,
     )

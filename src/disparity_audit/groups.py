@@ -1,243 +1,196 @@
 """Group operationalization from proxy annotations.
 
 Three evidence sources are supported: object-box labels, caption terms, and
-trusted metadata (e.g. country of origin). Box-based assignment supports a
-ladder of size filters; term-based assignment supports per-configuration
-term exclusions and neutral terms that disqualify an image outright.
+trusted metadata (e.g. country of origin). A run's choices (the method, its
+term or country table, the box filter, the metadata key) are one
+``GroupRule``, built once from the config: term exclusions are applied when
+the terms file is read, so assignment only looks terms up.
 
 Exclusion reasons are checked in a fixed order so the outcome is auditable:
-neutral terms before group evidence, and multi-group evidence before
-mid-size ambiguity.
+neutral terms before group evidence, multi-group evidence before mid-size
+ambiguity, and both before a single group; an image with none of these is
+``BoxTooSmall`` when a term box was filtered out, else ``NoGroupEvidence``.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .concepts import canonicalize_label, canonicalize_labels
-from .data import AnnotatedImage, ExclusionReason, GroupAssignment, read_json_object
+from .data import AnnotatedImage, ExclusionReason, GroupAssignment
 from .errors import DataError
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
-
-@dataclass(frozen=True)
-class NoBoxFilter:
-    """Accept every group-term box as evidence."""
-
-
-@dataclass(frozen=True)
-class MinAreaPixels:
-    """Boxes below ``threshold`` square pixels do not count as evidence."""
-
-    threshold: float
-
-    def __post_init__(self):
-        if self.threshold <= 0:
-            raise DataError(f"MinAreaPixels threshold must be > 0, got {self.threshold}")
+# (min_area, use_min, ignore_max): a term box is evidence when its area is at
+# least min_area pixels and its area fraction at least use_min; a term box
+# with ignore_max <= fraction < use_min makes the image ambiguous. All zero
+# accepts every term box.
+NO_BOX_FILTER = (0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class RelativeArea:
-    """Relative-size filter: evidence needs area fraction >= ``use_min``.
-
-    Boxes under ``ignore_max`` are ignored entirely; a group-term box in
-    between makes the whole image ambiguous.
-    """
-
-    use_min: float
-    ignore_max: float
-
-    def __post_init__(self):
-        if not 0 < self.ignore_max < self.use_min <= 1:
-            raise DataError(
-                "RelativeArea requires 0 < ignore_max < use_min <= 1, got "
-                f"use_min={self.use_min}, ignore_max={self.ignore_max}"
-            )
-
-
-BoxFilterRule = NoBoxFilter | MinAreaPixels | RelativeArea
-
-
-def parse_box_filter(obj: dict | None) -> BoxFilterRule:
-    """Build a filter rule from its config dict form.
+def parse_box_filter(obj: dict | None) -> tuple[float, float, float]:
+    """``(min_area, use_min, ignore_max)`` from the config's ``box_filter``.
 
     Raises:
         DataError: naming the ``box_filter`` value when it is not an object,
             its variant is unknown, or one of the variant's numbers is
-            missing or not a number.
+            missing, not a finite number, or out of range.
     """
     if obj is None:
-        return NoBoxFilter()
+        return NO_BOX_FILTER
     if not isinstance(obj, dict):
         raise DataError(f"box_filter must be an object, got {obj!r}")
 
     def number(key: str) -> float:
         value = obj.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise DataError(f"box_filter {obj!r}: {key!r} must be a number, got {value!r}")
+        if (
+            not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not math.isfinite(value)
+        ):
+            raise DataError(
+                f"box_filter {obj!r}: {key!r} must be a finite number, got {value!r}"
+            )
         return float(value)
 
     variant = obj.get("variant", "none")
     if variant == "none":
-        return NoBoxFilter()
+        return NO_BOX_FILTER
     if variant == "min_area_pixels":
-        return MinAreaPixels(threshold=number("threshold"))
+        threshold = number("threshold")
+        if threshold <= 0:
+            raise DataError(f"box_filter {obj!r}: 'threshold' must be > 0, got {threshold}")
+        return (threshold, 0.0, 0.0)
     if variant == "relative_area":
-        return RelativeArea(use_min=number("use_min"), ignore_max=number("ignore_max"))
+        use_min, ignore_max = number("use_min"), number("ignore_max")
+        if not 0 < ignore_max < use_min <= 1:
+            raise DataError(
+                f"box_filter {obj!r}: requires 0 < ignore_max < use_min <= 1, got "
+                f"use_min={use_min}, ignore_max={ignore_max}"
+            )
+        return (0.0, use_min, ignore_max)
     raise DataError(f"unknown box filter variant {variant!r}")
 
 
 @dataclass(frozen=True)
-class GroupTermConfig:
-    """Group taxonomy defined by term sets (synset keys or caption words).
+class GroupRule:
+    """How a run assigns each image one group or one exclusion reason.
 
-    ``excluded_terms`` lists, per group, terms disabled in this
-    configuration; ``neutral_exclusion_terms`` disqualify an image when any
-    of them appears in its captions.
+    ``table`` maps each active group term (``boxes``, ``captions``) or each
+    metadata value (``metadata``) to its group; ``groups`` is the group
+    order. ``box_filter`` is ``(min_area, use_min, ignore_max)``;
+    ``metadata_key`` is the key ``metadata`` looks up.
     """
 
-    groups: Mapping[str, frozenset[str]]
-    excluded_terms: Mapping[str, frozenset[str]]
-    neutral_exclusion_terms: frozenset[str]
+    method: str
+    groups: tuple[str, ...]
+    table: Mapping[str, str]
+    neutral_terms: frozenset[str] = frozenset()
+    box_filter: tuple[float, float, float] = NO_BOX_FILTER
+    metadata_key: str = ""
 
-    def __post_init__(self):
-        names = list(self.groups)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                overlap = self.groups[a] & self.groups[b]
-                if overlap:
-                    raise DataError(
-                        f"groups {a!r} and {b!r} share terms: {sorted(overlap)}"
-                    )
-        for g, excluded in self.excluded_terms.items():
-            if g not in self.groups:
-                raise DataError(f"excluded_terms references unknown group {g!r}")
-            extra = excluded - self.groups[g]
-            if extra:
-                raise DataError(
-                    f"excluded_terms for {g!r} not in the group's term set: {sorted(extra)}"
-                )
 
-    @property
-    def group_order(self) -> tuple[str, ...]:
-        return tuple(self.groups)
+def terms_rule(
+    obj: dict, method: str, *, exclusions: bool,
+    box_filter: tuple[float, float, float] = NO_BOX_FILTER,
+) -> GroupRule:
+    """The rule of a terms file (``groups``, ``excluded_terms``,
+    ``neutral_exclusion_terms``), with each group's excluded terms dropped
+    from the table when ``exclusions`` is set. Groups keep declaration order.
 
-    def active_terms(self, group: str) -> frozenset[str]:
-        return self.groups[group] - self.excluded_terms.get(group, frozenset())
-
-    def without_exclusions(self) -> "GroupTermConfig":
-        return replace(self, excluded_terms={g: frozenset() for g in self.groups})
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GroupTermConfig":
-        groups_raw = obj.get("groups")
-        if not isinstance(groups_raw, dict) or not groups_raw:
-            raise DataError("terms config requires a non-empty 'groups' object")
-        excluded_raw = obj.get("excluded_terms") or {}
-        if not isinstance(excluded_raw, dict):
-            raise DataError(
-                f"terms config: 'excluded_terms' must be an object, got {excluded_raw!r}"
-            )
-
-        def terms(key: str, values: object) -> frozenset[str]:
-            return frozenset(canonicalize_labels(values, f"terms config: {key}"))
-
-        return cls(
-            groups={str(g): terms(f"groups[{g!r}]", t) for g, t in groups_raw.items()},
-            excluded_terms={
-                str(g): terms(f"excluded_terms[{g!r}]", t) for g, t in excluded_raw.items()
-            },
-            neutral_exclusion_terms=terms(
-                "'neutral_exclusion_terms'", obj.get("neutral_exclusion_terms") or []
-            ),
+    Raises:
+        DataError: naming the key when a value has the wrong type, two
+            groups share a term, or an excluded term is not in its group.
+    """
+    groups_raw = obj.get("groups")
+    if not isinstance(groups_raw, dict) or not groups_raw:
+        raise DataError("terms config requires a non-empty 'groups' object")
+    excluded_raw = obj.get("excluded_terms") or {}
+    if not isinstance(excluded_raw, dict):
+        raise DataError(
+            f"terms config: 'excluded_terms' must be an object, got {excluded_raw!r}"
         )
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "GroupTermConfig":
-        return cls.from_dict(read_json_object(path, "terms"))
+    def terms(key: str, values: object) -> frozenset[str]:
+        return frozenset(canonicalize_labels(values, f"terms config: {key}"))
 
-
-@dataclass(frozen=True)
-class RegionGroupConfig:
-    """Total map from metadata country values to region group ids."""
-
-    country_to_group: Mapping[str, str]
-
-    def groups(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.country_to_group.values())))
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RegionGroupConfig":
-        table = obj.get("country_to_group")
-        if not isinstance(table, dict) or not table:
-            raise DataError("region config requires a non-empty 'country_to_group' object")
-        for country, group in table.items():
-            if not isinstance(group, str) or not group:
-                raise DataError(
-                    f"region config: country_to_group[{country!r}] must be a "
-                    f"non-empty string, got {group!r}"
-                )
-        return cls(country_to_group={str(k): v for k, v in table.items()})
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RegionGroupConfig":
-        return cls.from_dict(read_json_object(path, "region"))
-
-
-def assign_group_from_boxes(
-    image: AnnotatedImage,
-    terms: GroupTermConfig,
-    box_filter: BoxFilterRule = NoBoxFilter(),
-) -> GroupAssignment:
-    """Assign a group from box labels, applying the configured size filter.
-
-    Evidence is a group-term box that passes the filter. Multi-group
-    evidence excludes the image; so does any group-term box in the
-    relative-area mid range. When term boxes existed but all were removed by
-    the size filter, the exclusion reason is BoxTooSmall rather than
-    NoGroupEvidence.
-    """
-    term_to_group = {
-        t: g for g in terms.group_order for t in terms.active_terms(g)
+    groups = {str(g): terms(f"groups[{g!r}]", t) for g, t in groups_raw.items()}
+    excluded = {str(g): terms(f"excluded_terms[{g!r}]", t) for g, t in excluded_raw.items()}
+    neutral = terms("'neutral_exclusion_terms'", obj.get("neutral_exclusion_terms") or [])
+    names = list(groups)
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            overlap = groups[a] & groups[b]
+            if overlap:
+                raise DataError(f"groups {a!r} and {b!r} share terms: {sorted(overlap)}")
+    for g, dropped in excluded.items():
+        if g not in groups:
+            raise DataError(f"excluded_terms references unknown group {g!r}")
+        extra = dropped - groups[g]
+        if extra:
+            raise DataError(
+                f"excluded_terms for {g!r} not in the group's term set: {sorted(extra)}"
+            )
+    table = {
+        t: g for g in names
+        for t in (groups[g] - excluded.get(g, frozenset()) if exclusions else groups[g])
     }
+    return GroupRule(method, tuple(names), table, neutral, box_filter)
+
+
+def region_rule(obj: dict, metadata_key: str) -> GroupRule:
+    """The ``metadata`` rule of a region file: a total map from metadata
+    values to group ids. Groups are sorted.
+
+    Raises:
+        DataError: when ``country_to_group`` is missing or empty, or maps a
+            value to something other than a non-empty string.
+    """
+    table = obj.get("country_to_group")
+    if not isinstance(table, dict) or not table:
+        raise DataError("region config requires a non-empty 'country_to_group' object")
+    for country, group in table.items():
+        if not isinstance(group, str) or not group:
+            raise DataError(
+                f"region config: country_to_group[{country!r}] must be a "
+                f"non-empty string, got {group!r}"
+            )
+    return GroupRule(
+        "metadata", tuple(sorted(set(table.values()))), {str(k): v for k, v in table.items()},
+        metadata_key=metadata_key,
+    )
+
+
+def _from_boxes(image: AnnotatedImage, rule: GroupRule) -> GroupAssignment:
+    """Evidence is a term box that passes the box filter. Multi-group
+    evidence excludes the image; so does any term box in the mid range.
+    When term boxes existed but the filter removed all of them, the reason
+    is BoxTooSmall rather than NoGroupEvidence."""
+    min_area, use_min, ignore_max = rule.box_filter
     evidence: set[str] = set()
     midsize = False
     saw_term_box = False
     for box in image.boxes:
-        group = term_to_group.get(canonicalize_label(box.raw_label))
+        group = rule.table.get(canonicalize_label(box.raw_label))
         if group is None:
             continue
         saw_term_box = True
-        if isinstance(box_filter, NoBoxFilter):
+        frac = box.area_fraction(image.width, image.height)
+        if box.area >= min_area and frac >= use_min:
             evidence.add(group)
-        elif isinstance(box_filter, MinAreaPixels):
-            if box.area >= box_filter.threshold:
-                evidence.add(group)
-        elif isinstance(box_filter, RelativeArea):
-            if image.width is None or image.height is None:
-                raise DataError(
-                    f"image {image.image_id!r}: relative-area filtering needs width/height"
-                )
-            frac = box.area_fraction(image.width, image.height)
-            if frac >= box_filter.use_min:
-                evidence.add(group)
-            elif frac >= box_filter.ignore_max:
-                midsize = True
-            # below ignore_max: ignored entirely
-        else:
-            raise DataError(f"unknown box filter {box_filter!r}")
+        elif ignore_max <= frac < use_min:
+            midsize = True
 
     if len(evidence) > 1:
         return GroupAssignment(image.image_id, reason=ExclusionReason.MULTIPLE_GROUPS)
     if midsize:
         return GroupAssignment(image.image_id, reason=ExclusionReason.MID_SIZE_AMBIGUOUS)
-    if len(evidence) == 1:
+    if evidence:
         return GroupAssignment(image.image_id, group=next(iter(evidence)))
-    if saw_term_box and not isinstance(box_filter, NoBoxFilter):
+    if saw_term_box:
         return GroupAssignment(image.image_id, reason=ExclusionReason.BOX_TOO_SMALL)
     return GroupAssignment(image.image_id, reason=ExclusionReason.NO_GROUP_EVIDENCE)
 
@@ -250,40 +203,45 @@ def caption_tokens(captions: Iterable[str]) -> set[str]:
     return tokens
 
 
-def assign_group_from_captions(
-    image: AnnotatedImage, terms: GroupTermConfig
-) -> GroupAssignment:
-    """Assign a group from caption terms via whole-token matching.
-
-    Neutral exclusion terms are checked before group evidence; then the
-    single-group rule applies as for boxes.
-    """
+def _from_captions(image: AnnotatedImage, rule: GroupRule) -> GroupAssignment:
+    """Whole-token matching; neutral terms are checked before group
+    evidence, then the single-group rule applies as for boxes."""
     tokens = caption_tokens(image.captions)
-    if tokens & terms.neutral_exclusion_terms:
+    if not rule.neutral_terms.isdisjoint(tokens):
         return GroupAssignment(image.image_id, reason=ExclusionReason.NEUTRAL_TERM_PRESENT)
-    evidence = {
-        g for g in terms.group_order if tokens & terms.active_terms(g)
-    }
+    evidence = {rule.table[t] for t in tokens if t in rule.table}
     if len(evidence) > 1:
         return GroupAssignment(image.image_id, reason=ExclusionReason.MULTIPLE_GROUPS)
-    if len(evidence) == 1:
+    if evidence:
         return GroupAssignment(image.image_id, group=next(iter(evidence)))
     return GroupAssignment(image.image_id, reason=ExclusionReason.NO_GROUP_EVIDENCE)
 
 
-def assign_group_from_metadata(
-    image: AnnotatedImage, config: RegionGroupConfig, key: str = "country"
-) -> GroupAssignment:
-    """Assign a group by metadata lookup; uploader-provided, so no filtering."""
-    country = image.metadata.get(key)
+def _from_metadata(image: AnnotatedImage, rule: GroupRule) -> GroupAssignment:
+    """Metadata lookup; uploader-provided, so no filtering."""
+    country = image.metadata.get(rule.metadata_key)
     if country is None:
-        raise DataError(f"image {image.image_id!r} has no metadata key {key!r}")
-    group = config.country_to_group.get(country)
+        raise DataError(f"image {image.image_id!r} has no metadata key {rule.metadata_key!r}")
+    group = rule.table.get(country)
     if group is None:
         raise DataError(
             f"image {image.image_id!r}: country {country!r} missing from region config"
         )
     return GroupAssignment(image.image_id, group=group)
+
+
+_ASSIGN = {"boxes": _from_boxes, "captions": _from_captions, "metadata": _from_metadata}
+
+
+def assign_groups(images: Iterable[AnnotatedImage], rule: GroupRule) -> list[GroupAssignment]:
+    """Each image's group or exclusion reason under ``rule``.
+
+    Raises:
+        DataError: under ``metadata``, for an image without the metadata key
+            or with a value the region table lacks.
+    """
+    assign = _ASSIGN[rule.method]
+    return [assign(image, rule) for image in images]
 
 
 def assignment_summary(

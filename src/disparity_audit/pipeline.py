@@ -35,12 +35,7 @@ from .disparity import (
     significance_flag,
 )
 from .errors import DataError, InvariantError
-from .groups import (
-    assign_group_from_boxes,
-    assign_group_from_captions,
-    assign_group_from_metadata,
-    assignment_summary,
-)
+from .groups import assign_groups, assignment_summary
 from .metrics import (
     check_threshold_rows,
     hit_vector,
@@ -65,19 +60,6 @@ RESULT_COLUMNS = [
     "significant", "n_pos_per_group", "n_neg_per_group", "bootstraps_used",
     "evaluation_version", "full_sample",
 ]
-
-
-def assign_groups(
-    images: Sequence[AnnotatedImage], cfg: RunConfig
-) -> list[GroupAssignment]:
-    """Dispatch to the configured group operationalization method."""
-    if cfg.group_method == "boxes":
-        return [assign_group_from_boxes(img, cfg.terms, cfg.box_filter) for img in images]
-    if cfg.group_method == "captions":
-        return [assign_group_from_captions(img, cfg.terms) for img in images]
-    return [
-        assign_group_from_metadata(img, cfg.region, cfg.metadata_key) for img in images
-    ]
 
 
 @dataclass
@@ -411,8 +393,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     n_loaded = loaded.images_loaded
     n_unlabeled = len(validation["images_without_labels"])
 
-    assignments = assign_groups(images, cfg)
-    groups = list(cfg.group_order())
+    assignments = assign_groups(images, cfg.group_rule)
+    groups = list(cfg.group_rule.groups)
     summary = assignment_summary(assignments, groups=groups)
 
     plan = plan_concepts(images, assignments, predictions, groups, cfg)
@@ -437,7 +419,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                 "zero_positive_concepts": len(validation["zero_positive_concepts"]),
             },
             "group_assignment": {
-                "method": cfg.group_method,
+                "method": cfg.group_rule.method,
                 "groups": groups,
                 "summary": summary,
                 "assigned_total": sum(1 for a in assignments if a.assigned),

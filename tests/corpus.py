@@ -6,10 +6,14 @@ area/10000. Expected outcomes are ("assigned", group) or
 ("excluded", reason string).
 """
 
-from disparity_audit import AnnotatedImage, BoxAnnotation, GroupTermConfig
-from disparity_audit.groups import MinAreaPixels, NoBoxFilter, RelativeArea
+import json
+import random
+from pathlib import Path
 
-VG_TERMS = GroupTermConfig.from_dict({
+from disparity_audit import AnnotatedImage, BoxAnnotation, terms_rule
+from disparity_audit.groups import parse_box_filter
+
+VG_TERMS = {
     "groups": {
         "man": [
             "man.n.01", "male_child.n.01", "guy.n.01", "male.n.01",
@@ -25,9 +29,9 @@ VG_TERMS = GroupTermConfig.from_dict({
         "woman": ["mother.n.01", "daughter.n.01"],
     },
     "neutral_exclusion_terms": ["person.n.01", "people.n.01"],
-})
+}
 
-COCO_TERMS = GroupTermConfig.from_dict({
+COCO_TERMS = {
     "groups": {
         "man": ["man", "mans", "men", "boy", "boys", "father", "fathers",
                 "son", "sons", "he", "his", "him"],
@@ -40,24 +44,28 @@ COCO_TERMS = GroupTermConfig.from_dict({
         "woman": ["mother", "mothers", "daughter", "daughters"],
     },
     "neutral_exclusion_terms": ["person", "persons", "people"],
-})
+}
 
+# Each version's box filter, in its config form.
 BOX_FILTERS = {
-    "baseline": NoBoxFilter(),
-    "v1": MinAreaPixels(600),
-    "v2": RelativeArea(use_min=0.05, ignore_max=0.02),
-    "v3": RelativeArea(use_min=0.05, ignore_max=0.02),
+    "baseline": {"variant": "none"},
+    "v1": {"variant": "min_area_pixels", "threshold": 600},
+    "v2": {"variant": "relative_area", "use_min": 0.05, "ignore_max": 0.02},
+    "v3": {"variant": "relative_area", "use_min": 0.05, "ignore_max": 0.02},
 }
 
 VERSIONS = ("baseline", "v1", "v2", "v3")
 
 
-def box_terms(version: str) -> GroupTermConfig:
-    return VG_TERMS if version == "v3" else VG_TERMS.without_exclusions()
+def box_rule(version: str):
+    return terms_rule(
+        VG_TERMS, "boxes", exclusions=version == "v3",
+        box_filter=parse_box_filter(BOX_FILTERS[version]),
+    )
 
 
-def caption_terms(version: str) -> GroupTermConfig:
-    return COCO_TERMS if version == "v3" else COCO_TERMS.without_exclusions()
+def caption_rule(version: str):
+    return terms_rule(COCO_TERMS, "captions", exclusions=version == "v3")
 
 
 def _img(image_id, boxes=(), captions=(), size=(100, 100)):
@@ -139,3 +147,48 @@ CAPTION_CASES = [
 ]
 
 assert len(BOX_CASES) + len(CAPTION_CASES) == 30
+
+
+CONCEPTS = ("c1", "c2", "c3")
+
+
+def write_corpus(directory: Path, method: str) -> Path:
+    """The corpus as run inputs in ``directory``, for the ``boxes`` or
+    ``captions`` method: annotations (each image labelled with one or two of
+    ``CONCEPTS``), synthetic scores for every image and concept, the
+    method's terms file and a run config. Returns the config's path."""
+    rng = random.Random(8)
+    with (directory / "annotations.jsonl").open("w", encoding="utf-8") as f:
+        for k, (image, _) in enumerate(BOX_CASES + CAPTION_CASES):
+            labels = [CONCEPTS[k % 3]] + ([CONCEPTS[(k + 1) % 3]] if k % 4 == 0 else [])
+            f.write(json.dumps({
+                "image_id": image.image_id, "width": image.width, "height": image.height,
+                "boxes": [{"label": b.raw_label, "x": b.x, "y": b.y, "w": b.w, "h": b.h}
+                          for b in image.boxes],
+                "captions": list(image.captions), "labels": labels,
+            }) + "\n")
+    with (directory / "predictions.jsonl").open("w", encoding="utf-8") as f:
+        for image, _ in BOX_CASES + CAPTION_CASES:
+            scores = {c: round(rng.random(), 4) for c in CONCEPTS}
+            f.write(json.dumps({"image_id": image.image_id, "scores": scores}) + "\n")
+    terms = VG_TERMS if method == "boxes" else COCO_TERMS
+    (directory / "terms.json").write_text(json.dumps(terms), encoding="utf-8")
+    config = directory / "run.json"
+    config.write_text(json.dumps({
+        "annotations": "annotations.jsonl", "predictions": "predictions.jsonl",
+        "group_method": method, "terms": "terms.json",
+        "metrics": ["ap", "tpr", "hit_rate"], "k": 2,
+        "sampling": {"min_per_group": 2, "bootstraps": 20, "ratio": [1, 2]},
+        "output_dir": "out",
+    }), encoding="utf-8")
+    return config
+
+
+def expected_assignments(method: str, version: str) -> dict[str, tuple[str, str]]:
+    """Each corpus image's outcome under ``method``: its expected outcome in
+    that method's cases, and NoGroupEvidence for the other method's images
+    (no box image has a caption with a group term, no caption image a box)."""
+    own = BOX_CASES if method == "boxes" else CAPTION_CASES
+    out = {image.image_id: NONE_ for image, _ in BOX_CASES + CAPTION_CASES}
+    out.update({image.image_id: expected[version] for image, expected in own})
+    return out

@@ -11,7 +11,9 @@ This module holds the independent definitions those kernels must match:
 * the prevalence identities ``precision_from_rates`` and
   ``accuracy_from_rates``;
 * brute-force enumerators, kept deliberately naive: ``ap_oracle``,
-  ``auc_oracle``, ``f1_at`` and ``threshold_oracle_f1``.
+  ``auc_oracle``, ``f1_at`` and ``threshold_oracle_f1``;
+* ``box_outcome_oracle``, the README's box rule for group assignment, one
+  box at a time.
 """
 
 from __future__ import annotations
@@ -218,3 +220,35 @@ def f1_at(scores, labels, t):
 def threshold_oracle_f1(scores, labels):
     """Best F1 over every achievable non-all-negative prediction set."""
     return max(f1_at(scores, labels, t) for t in set(scores))
+
+
+def box_outcome_oracle(boxes, width, height, terms, min_area, use_min, ignore_max):
+    """One image's outcome under the ``boxes`` method, as the README states
+    it. ``boxes`` are ``(label, w, h)`` on a ``width`` x ``height`` canvas,
+    ``terms`` maps each group to its active terms. A term box is evidence
+    when its area is at least ``min_area`` and its area fraction at least
+    ``use_min``; mid-size when ``ignore_max <= fraction < use_min``; else
+    too small. Returns ``("assigned", group)`` or ``("excluded", reason)``."""
+    kinds = []
+    for label, w, h in boxes:
+        label = label.strip().lower()
+        groups = [g for g, active in terms.items() if label in active]
+        if not groups:
+            continue
+        fraction = (w * h) / (width * height)
+        if w * h >= min_area and fraction >= use_min:
+            kinds.append((groups[0], "evidence"))
+        elif ignore_max <= fraction < use_min:
+            kinds.append((groups[0], "mid-size"))
+        else:
+            kinds.append((groups[0], "too small"))
+    evidence = sorted({g for g, kind in kinds if kind == "evidence"})
+    if len(evidence) > 1:
+        return ("excluded", "MultipleGroups")
+    if any(kind == "mid-size" for _, kind in kinds):
+        return ("excluded", "MidSizeAmbiguous")
+    if evidence:
+        return ("assigned", evidence[0])
+    if kinds:
+        return ("excluded", "BoxTooSmall")
+    return ("excluded", "NoGroupEvidence")

@@ -3,7 +3,7 @@
 from pathlib import Path
 
 from disparity_audit.config import RunConfig
-from disparity_audit.groups import NoBoxFilter
+from disparity_audit.groups import GroupRule
 
 
 def run_config(**fields) -> RunConfig:
@@ -11,8 +11,8 @@ def run_config(**fields) -> RunConfig:
     ``fields`` override the defaults."""
     stub = Path(".")
     defaults = dict(
-        raw={}, annotations=stub, predictions=stub, group_method="metadata",
-        metadata_key="group", terms=None, region=None, box_filter=NoBoxFilter(),
+        raw={}, annotations=stub, predictions=stub,
+        group_rule=GroupRule("metadata", (), {}, metadata_key="group"),
         mapping=None, strict_mapping=True, metrics=("ap",), k=5,
         validation_fraction=0.2, threshold_scope="pooled", ratio=(1, 5),
         bootstraps=250, seed=0, min_per_group=50, sampling_mode="reliable",

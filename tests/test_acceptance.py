@@ -26,18 +26,17 @@ from disparity_audit import (
 )
 from disparity_audit.cli import main as cli_main
 from disparity_audit.concepts import GroupPool
-from disparity_audit.groups import assign_group_from_boxes, assign_group_from_captions
+from disparity_audit.groups import assign_groups
 from disparity_audit.metrics import _rate_arrays
 from disparity_audit.pipeline import evaluate_tables, plan_concepts
 from disparity_audit.sampling import derive_rng, derive_rngs, draw_group
 
 from corpus import (
     BOX_CASES,
-    BOX_FILTERS,
     CAPTION_CASES,
     VERSIONS,
-    box_terms,
-    caption_terms,
+    box_rule,
+    caption_rule,
 )
 from oracles import (
     ConfusionCounts,
@@ -281,16 +280,15 @@ def test_criterion_08_group_ops_corpus():
     """30-image corpus reproduces expected outcomes for every evaluation version."""
     checked = 0
     for version in VERSIONS:
-        terms = box_terms(version)
-        rule = BOX_FILTERS[version]
+        rule = box_rule(version)
         for image, expected in BOX_CASES:
-            a = assign_group_from_boxes(image, terms, rule)
+            [a] = assign_groups([image], rule)
             got = ("assigned", a.group) if a.assigned else ("excluded", a.reason.value)
             assert got == expected[version], f"{image.image_id}/{version}: {got}"
             checked += 1
-        cap_terms = caption_terms(version)
+        cap_rule = caption_rule(version)
         for image, expected in CAPTION_CASES:
-            a = assign_group_from_captions(image, cap_terms)
+            [a] = assign_groups([image], cap_rule)
             got = ("assigned", a.group) if a.assigned else ("excluded", a.reason.value)
             assert got == expected[version], f"{image.image_id}/{version}: {got}"
             checked += 1

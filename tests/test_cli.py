@@ -7,14 +7,16 @@ import pytest
 
 from disparity_audit import pipeline
 from disparity_audit.cli import main
-from disparity_audit.config import load_config
+from disparity_audit.config import PRESETS, load_config
+from disparity_audit.groups import assign_groups
 from disparity_audit.metrics import rank_pool
 from disparity_audit.pipeline import (
-    assign_groups,
     load_dataset,
     plan_concepts,
     read_results_csv,
 )
+
+from corpus import expected_assignments, write_corpus
 
 TERMS = Path(__file__).resolve().parents[1] / "configs" / "terms_coco_captions.json"
 
@@ -115,8 +117,8 @@ class TestSubcommands:
         )
         loaded = load_dataset(cfg)
         retained = plan_concepts(
-            loaded.images, assign_groups(loaded.images, cfg), loaded.predictions,
-            list(cfg.group_order()), cfg,
+            loaded.images, assign_groups(loaded.images, cfg.group_rule), loaded.predictions,
+            list(cfg.group_rule.groups), cfg,
         )
         pools = retained.sized["c2"].pools
         assert c2["pools"] == {g: [pools[g].n_pos, pools[g].n_neg] for g in ("A", "B")}
@@ -499,6 +501,12 @@ class TestExitCodes:
         ("box_filter", {"variant": "min_area_pixels"}),
         ("box_filter", {"variant": "min_area_pixels", "threshold": "abc"}),
         ("box_filter", {"variant": "relative_area", "use_min": True, "ignore_max": 0.02}),
+        ("box_filter", {"variant": "min_area_pixels", "threshold": float("nan")}),
+        ("box_filter", {"variant": "min_area_pixels", "threshold": float("inf")}),
+        ("box_filter", {"variant": "relative_area", "use_min": 0.05,
+                        "ignore_max": float("-inf")}),
+        ("apply_term_exclusions", "false"),
+        ("apply_term_exclusions", 1),
         ("metrics", 5),
         ("metrics", "ap"),
     ])
@@ -685,3 +693,27 @@ def test_concept_scored_only_on_excluded_image(tmp_path, monkeypatch):
     assert z["retained"] is False
     assert z["pools"] == {"man": [0, 0], "woman": [0, 0]}
     assert "z" not in built and set(built) == {"cat", "dog"}
+
+
+@pytest.mark.parametrize("method", ["boxes", "captions"])
+def test_presets_assign_the_corpus(tmp_path, capsys, method):
+    """Each preset's box filter and term exclusions reach assignment from a
+    config file: on the 30-image corpus, ``assign-groups`` writes the
+    corpus's expected outcomes (``reliable`` those of ``v3``), and ``run``
+    counts the same outcomes in its manifest."""
+    cfg_path = write_corpus(tmp_path, method)
+    for preset in PRESETS:
+        expected = expected_assignments(method, "v3" if preset == "reliable" else preset)
+        out = tmp_path / preset
+        args = ["--config", str(cfg_path), "--preset", preset, "--output", str(out)]
+        assert main(["assign-groups", *args]) == 0
+        rows = (out / "assignments.csv").read_text().splitlines()
+        assert rows[0] == "image_id,outcome,group_or_reason"
+        got = {i: (outcome, value) for i, outcome, value in (r.split(",") for r in rows[1:])}
+        assert got == expected, preset
+        assert main(["run", *args]) == 0
+        summary = json.loads((out / "manifest.json").read_text())["stages"]["group_assignment"]
+        counts = [value for _, value in expected.values()]
+        assert {k: v for k, v in summary["summary"].items() if v} == {
+            value: counts.count(value) for value in set(counts)
+        }, preset

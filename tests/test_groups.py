@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from disparity_audit import (
@@ -8,23 +8,27 @@ from disparity_audit import (
     DataError,
     ExclusionReason,
     GroupAssignment,
-    GroupTermConfig,
-    RegionGroupConfig,
-    assign_group_from_boxes,
-    assign_group_from_captions,
-    assign_group_from_metadata,
+    assign_groups,
     assignment_summary,
+    region_rule,
+    terms_rule,
 )
-from disparity_audit.groups import MinAreaPixels, RelativeArea, parse_box_filter
+from disparity_audit.data import read_json_object
+from disparity_audit.groups import parse_box_filter
 
 from corpus import (
     BOX_CASES,
-    BOX_FILTERS,
     CAPTION_CASES,
     VERSIONS,
-    box_terms,
-    caption_terms,
+    VG_TERMS,
+    box_rule,
+    caption_rule,
 )
+from oracles import box_outcome_oracle
+
+
+def assign(image, rule):
+    return assign_groups([image], rule)[0]
 
 
 def outcome_of(assignment: GroupAssignment):
@@ -36,10 +40,9 @@ def outcome_of(assignment: GroupAssignment):
 class TestBoxAssignment:
     @pytest.mark.parametrize("version", VERSIONS)
     def test_corpus_expectations(self, version):
-        terms = box_terms(version)
-        rule = BOX_FILTERS[version]
+        rule = box_rule(version)
         for image, expected in BOX_CASES:
-            got = outcome_of(assign_group_from_boxes(image, terms, rule))
+            got = outcome_of(assign(image, rule))
             assert got == expected[version], f"{image.image_id} under {version}"
 
     def test_relative_area_single_qualifying_box(self):
@@ -47,8 +50,7 @@ class TestBoxAssignment:
             image_id="i", width=100, height=100,
             boxes=(BoxAnnotation("man.n.01", 0, 0, 40, 20),),  # 8%
         )
-        rule = RelativeArea(use_min=0.05, ignore_max=0.02)
-        a = assign_group_from_boxes(img, box_terms("v2"), rule)
+        a = assign(img, box_rule("v2"))
         assert a.group == "man"
 
     def test_600px_equals_six_percent_on_100x100(self):
@@ -58,16 +60,15 @@ class TestBoxAssignment:
         )
         frac = img.boxes[0].area_fraction(100, 100)
         assert img.boxes[0].area == 600 and frac == pytest.approx(0.06)
-        a = assign_group_from_boxes(img, box_terms("v2"), RelativeArea(0.05, 0.02))
+        a = assign(img, box_rule("v2"))
         assert a.group == "man"
 
     def test_determinism(self):
         for version in VERSIONS:
-            terms = box_terms(version)
-            rule = BOX_FILTERS[version]
+            rule = box_rule(version)
             for image, _ in BOX_CASES:
-                first = assign_group_from_boxes(image, terms, rule)
-                second = assign_group_from_boxes(image, terms, rule)
+                first = assign(image, rule)
+                second = assign(image, rule)
                 assert first == second
 
     @given(
@@ -77,8 +78,8 @@ class TestBoxAssignment:
     )
     @settings(max_examples=60, deadline=None)
     def test_raising_min_area_shrinks_evidence(self, threshold_low, bump, data):
-        terms = box_terms("baseline")
-        term_pool = sorted(terms.groups["man"] | terms.groups["woman"]) + ["dog.n.01"]
+        terms = {g: set(t) for g, t in VG_TERMS["groups"].items()}
+        term_pool = sorted(terms["man"] | terms["woman"]) + ["dog.n.01"]
         n_boxes = data.draw(st.integers(min_value=0, max_value=5))
         boxes = []
         for _ in range(n_boxes):
@@ -93,8 +94,8 @@ class TestBoxAssignment:
         def evidence(threshold):
             groups = set()
             for b in img.boxes:
-                g = "man" if b.raw_label in terms.groups["man"] else (
-                    "woman" if b.raw_label in terms.groups["woman"] else None)
+                g = "man" if b.raw_label in terms["man"] else (
+                    "woman" if b.raw_label in terms["woman"] else None)
                 if g and b.area >= threshold:
                     groups.add(g)
             return groups
@@ -103,30 +104,72 @@ class TestBoxAssignment:
         assert evidence(t2) <= evidence(t1)
         # and the op agrees with the evidence-set semantics at each threshold
         for t in (t1, t2):
-            got = assign_group_from_boxes(img, terms, MinAreaPixels(t))
+            rule = terms_rule(VG_TERMS, "boxes", exclusions=False, box_filter=parse_box_filter(
+                {"variant": "min_area_pixels", "threshold": t}))
+            got = assign(img, rule)
             ev = evidence(t)
             if len(ev) > 1:
                 assert got.reason is ExclusionReason.MULTIPLE_GROUPS
             elif len(ev) == 1:
                 assert got.group == next(iter(ev))
 
+    @given(data=st.data(), exclusions=st.booleans(),
+           variant=st.sampled_from(["none", "min_area", "relative_area", "both"]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, data, exclusions, variant):
+        """Assignment equals the reference on random boxes and filters; a
+        filter bound is often exactly some box's area or area fraction."""
+        width = data.draw(st.integers(min_value=1, max_value=40))
+        height = data.draw(st.integers(min_value=1, max_value=40))
+        labels = sorted(t for ts in VG_TERMS["groups"].values() for t in ts)
+        boxes = data.draw(st.lists(st.tuples(
+            st.sampled_from(labels + ["dog.n.01", " Man.N.01 "]),
+            st.integers(min_value=1, max_value=width),
+            st.integers(min_value=1, max_value=height),
+        ), max_size=5))
+        fractions = [w * h / (width * height) for _, w, h in boxes]
+        bound = st.floats(min_value=1e-6, max_value=1.0)
+        if fractions:
+            bound = st.one_of(st.sampled_from(fractions), bound)
+        low, high = sorted((data.draw(bound), data.draw(bound)))
+        assume(low < high)
+        min_area = data.draw(st.one_of(
+            st.integers(min_value=1, max_value=width * height),
+            st.sampled_from([w * h for _, w, h in boxes] or [1]),
+        ))
+        box_filter = {
+            "none": (0.0, 0.0, 0.0),
+            "min_area": (float(min_area), 0.0, 0.0),
+            "relative_area": (0.0, high, low),
+            "both": (float(min_area), high, low),
+        }[variant]
+        image = AnnotatedImage(
+            image_id="i", width=width, height=height,
+            boxes=tuple(BoxAnnotation(label, 0, 0, w, h) for label, w, h in boxes),
+        )
+        rule = terms_rule(VG_TERMS, "boxes", exclusions=exclusions, box_filter=box_filter)
+        excluded = VG_TERMS["excluded_terms"] if exclusions else {}
+        terms = {g: set(ts) - set(excluded.get(g, ())) for g, ts in VG_TERMS["groups"].items()}
+        expected = box_outcome_oracle(boxes, width, height, terms, *box_filter)
+        assert outcome_of(assign(image, rule)) == expected
+
     def test_never_assigned_to_two_groups(self):
         # disjoint term sets make the single-assignment property structural
         with pytest.raises(DataError, match="share terms"):
-            GroupTermConfig.from_dict({
+            terms_rule({
                 "groups": {"man": ["man.n.01"], "woman": ["man.n.01", "woman.n.01"]},
-            })
+            }, "boxes", exclusions=True)
 
     def test_no_boxes_skips_dimension_requirement(self):
         img = AnnotatedImage(image_id="j", captions=("x",))
-        a = assign_group_from_boxes(img, box_terms("v2"), RelativeArea(0.05, 0.02))
+        a = assign(img, box_rule("v2"))
         assert a.reason is ExclusionReason.NO_GROUP_EVIDENCE
 
     def test_filter_validation(self):
         with pytest.raises(DataError):
-            MinAreaPixels(0)
+            parse_box_filter({"variant": "min_area_pixels", "threshold": 0})
         with pytest.raises(DataError):
-            RelativeArea(use_min=0.02, ignore_max=0.05)
+            parse_box_filter({"variant": "relative_area", "use_min": 0.02, "ignore_max": 0.05})
         with pytest.raises(DataError, match="variant"):
             parse_box_filter({"variant": "bogus"})
 
@@ -134,20 +177,20 @@ class TestBoxAssignment:
 class TestCaptionAssignment:
     @pytest.mark.parametrize("version", VERSIONS)
     def test_corpus_expectations(self, version):
-        terms = caption_terms(version)
+        rule = caption_rule(version)
         for image, expected in CAPTION_CASES:
-            got = outcome_of(assign_group_from_captions(image, terms))
+            got = outcome_of(assign(image, rule))
             assert got == expected[version], f"{image.image_id} under {version}"
 
     def test_whole_token_matching_only(self):
         img = AnnotatedImage(image_id="i", captions=("the woman's bike, she said",))
-        a = assign_group_from_captions(img, caption_terms("baseline"))
+        a = assign(img, caption_rule("baseline"))
         # "woman" and "she" both match as whole tokens after splitting on "'"
         assert a.group == "woman"
 
     def test_no_captions_means_no_evidence(self):
         img = AnnotatedImage(image_id="i")
-        a = assign_group_from_captions(img, caption_terms("baseline"))
+        a = assign(img, caption_rule("baseline"))
         assert a.reason is ExclusionReason.NO_GROUP_EVIDENCE
 
 
@@ -155,7 +198,7 @@ class TestRegionConfig:
     @pytest.mark.parametrize("group", [None, 5, "", ["Europe"]])
     def test_group_must_be_a_name(self, group):
         with pytest.raises(DataError) as info:
-            RegionGroupConfig.from_dict({"country_to_group": {"FR": "Europe", "US": group}})
+            region_rule({"country_to_group": {"FR": "Europe", "US": group}}, "country")
         assert f"country_to_group['US'] must be a non-empty string, got {group!r}" in str(
             info.value
         )
@@ -173,35 +216,35 @@ class TestRegionConfig:
         elif text is not None:
             path.write_text(text)
         with pytest.raises(DataError) as info:
-            RegionGroupConfig.from_file(path)
+            region_rule(read_json_object(path, "region"), "country")
         assert message in str(info.value) and str(path) in str(info.value)
 
 
 class TestMetadataAssignment:
-    CONFIG = RegionGroupConfig.from_dict({
+    CONFIG = region_rule({
         "country_to_group": {"Kenya": "Africa", "Brazil": "Americas", "United States": "Americas"},
-    })
+    }, "country")
 
     def test_simple_lookup(self):
         img = AnnotatedImage(image_id="i", metadata={"country": "Kenya"})
-        assert assign_group_from_metadata(img, self.CONFIG).group == "Africa"
+        assert assign(img, self.CONFIG).group == "Africa"
 
     def test_americas_merge(self):
         img = AnnotatedImage(image_id="i", metadata={"country": "Brazil"})
-        assert assign_group_from_metadata(img, self.CONFIG).group == "Americas"
+        assert assign(img, self.CONFIG).group == "Americas"
 
     def test_missing_country_errors(self):
         img = AnnotatedImage(image_id="i", metadata={"country": "Atlantis"})
         with pytest.raises(DataError, match="Atlantis"):
-            assign_group_from_metadata(img, self.CONFIG)
+            assign(img, self.CONFIG)
 
     def test_missing_key_errors(self):
         img = AnnotatedImage(image_id="i", metadata={})
         with pytest.raises(DataError, match="country"):
-            assign_group_from_metadata(img, self.CONFIG)
+            assign(img, self.CONFIG)
 
     def test_group_listing_sorted(self):
-        assert self.CONFIG.groups() == ("Africa", "Americas")
+        assert self.CONFIG.groups == ("Africa", "Americas")
 
 
 class TestAssignmentSummary:
@@ -252,20 +295,19 @@ class TestTermConfig:
     ])
     def test_wrong_value_type_names_the_key(self, obj, message):
         with pytest.raises(DataError) as info:
-            GroupTermConfig.from_dict(obj)
+            terms_rule(obj, "boxes", exclusions=True)
         assert message in str(info.value)
 
     def test_excluded_terms_must_be_subset(self):
         with pytest.raises(DataError, match="not in the group's term set"):
-            GroupTermConfig.from_dict({
+            terms_rule({
                 "groups": {"man": ["man.n.01"]},
                 "excluded_terms": {"man": ["woman.n.01"]},
-            })
+            }, "boxes", exclusions=False)
 
     def test_without_exclusions_restores_full_sets(self):
-        cfg = box_terms("v3")
-        assert "mother.n.01" not in cfg.active_terms("woman")
-        assert "mother.n.01" in cfg.without_exclusions().active_terms("woman")
+        assert "mother.n.01" not in box_rule("v3").table
+        assert box_rule("v2").table["mother.n.01"] == "woman"
 
     def test_group_order_is_declaration_order(self):
-        assert box_terms("baseline").group_order == ("man", "woman")
+        assert box_rule("baseline").groups == ("man", "woman")

@@ -15,8 +15,8 @@ from disparity_audit.data import (
     PredictionRecord,
     ScoreMatrix,
 )
+from disparity_audit.groups import assign_groups
 from disparity_audit.pipeline import (
-    assign_groups,
     compare_results,
     evaluate_tables,
     load_dataset,
@@ -325,7 +325,7 @@ class TestRunPipeline:
 
         cfg = load_config(synth_workspace(tmp_path, rare=True))
         loaded = load_dataset(cfg)
-        assignments = assign_groups(loaded.images, cfg)
+        assignments = assign_groups(loaded.images, cfg.group_rule)
         plan = plan_concepts(loaded.images, assignments, loaded.predictions, ["A", "B"], cfg)
         candidates, counts = plan.targets.concepts, plan.counts
         assert (candidates, plan.targets.unscored, plan.retained) == (

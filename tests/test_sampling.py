@@ -28,7 +28,7 @@ def make_pool(n_pos, n_neg, seed=0):
 
 def make_pools(**pools):
     """One pool per group, from its (positives, negatives)."""
-    return {g: make_pool(p, n, seed=hash(g) % 1000) for g, (p, n) in pools.items()}
+    return {g: make_pool(p, n, seed=derive_seed(g) % 1000) for g, (p, n) in pools.items()}
 
 
 def sizes(pools):
