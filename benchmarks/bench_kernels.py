@@ -19,6 +19,13 @@ and threshold selection on the pooled validation rows of three groups. The
 batched kernel's first three draws must equal the reference kernels', which
 ``tests/test_bench_smoke.py`` checks at these shapes with timing off.
 
+* draws: the bootstrap draws of one group at three shapes: skew, 250 draws
+  of 120 rows from 720 positives and 600 from 1,680 negatives; deep
+  baseline, 20 draws of 8,000 from 8,000; hit rate, 50 draws of 1,500 from
+  1,500. Each times ``sampling.draw_rows`` against the per-bootstrap
+  generators it replaced (``oracles.reference_rows``), and the first rows
+  must be equal.
+
 * wide: 200 concepts scored on 3 x 1,500 images, written by ``synth`` as a
   predictions file; times ``load_predictions`` on that file and
   ``hit_vector`` (k 5) on the loaded matrix.
@@ -59,6 +66,7 @@ from disparity_audit.data import (
 )
 from disparity_audit.metrics import hit_vector, rank_pool, ranked_metrics, select_threshold
 from disparity_audit.groups import assign_groups
+from disparity_audit.sampling import draw_rows
 from disparity_audit.synth import CellSpec, ScenarioSpec, generate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -67,6 +75,7 @@ from oracles import (  # noqa: E402
     average_precision,
     confusion_at_threshold,
     rates_from_confusion,
+    reference_rows,
 )
 from corpus import (  # noqa: E402
     BOX_CASES,
@@ -128,7 +137,7 @@ def test_ranked_metrics(benchmark, case):
     benchmark.group = f"kernel-{name}"
     ranked = rank_pool(pool.scores, pool.labels, pool.image_rows, threshold=0.6)
     assert ranked.mixed_ties == (name == "tied")
-    out = benchmark(ranked_metrics, ranked, draws, METRICS)
+    out = benchmark(ranked_metrics, ranked, [np.stack(draws)], METRICS)
     assert out["ap"].shape == (len(draws),)
     for b, rows in enumerate(draws[:3]):
         assert {m: out[m][b] for m in METRICS} == _scalar_metrics(pool, ids, rows)
@@ -169,6 +178,42 @@ def test_select_threshold(benchmark, case):
     benchmark.group = f"select_threshold-{name}"
     _, f1 = benchmark(select_threshold, val_scores, val_labels)
     assert 0.0 < f1 <= 1.0
+
+
+# name: (each draw's classes as (class size, rows drawn), draws)
+DRAW_SHAPES = {
+    "skew": ([(720, 120), (1680, 600)], 250),
+    "deep-baseline": ([(8000, 8000)], 20),
+    "hit-rate": ([(1500, 1500)], 50),
+}
+
+
+@pytest.fixture(params=sorted(DRAW_SHAPES))
+def draw_shape(request):
+    return (request.param, *DRAW_SHAPES[request.param])
+
+
+def test_draw_rows(benchmark, draw_shape):
+    name, sizes, n_draws = draw_shape
+    benchmark.group = f"draws-{name}"
+    key = (0, "draw", "c", name)
+
+    def draw():
+        # each block is read before the next, as the pipeline does
+        blocks = draw_rows(key, n_draws, sizes)
+        first = next(blocks).copy()
+        return first, len(first) + sum(len(block) for block in blocks)
+
+    first, drawn = benchmark(draw)
+    assert drawn == n_draws
+    assert np.array_equal(first[:3], reference_rows(key, 3, sizes))
+
+
+def test_draw_reference(benchmark, draw_shape):
+    name, sizes, n_draws = draw_shape
+    benchmark.group = f"draws-{name}"
+    rows = benchmark(reference_rows, (0, "draw", "c", name), n_draws, sizes)
+    assert rows.shape == (n_draws, sum(k for _, k in sizes))
 
 
 @pytest.fixture(scope="module")

@@ -157,7 +157,7 @@ class GroupPool:
     matrix is in image-id order, so these ints break score ties as the ids
     would.
     Splits, ranks and bootstrap draws all index these rows, so the order
-    makes them deterministic; ``draw_group`` relies on positives coming first.
+    makes them deterministic; the draws rely on positives coming first.
     """
 
     scores: np.ndarray

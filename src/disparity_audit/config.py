@@ -81,10 +81,17 @@ PRESETS: dict[str, dict[str, Any]] = {
 
 
 def _deep_merge(base: dict, override: Mapping) -> dict:
+    """``base`` with ``override``'s keys, objects merged key by key. An object
+    that names another ``variant`` (a box filter) replaces the old one whole,
+    so no key of the old variant is left in it."""
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, Mapping) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
+        old = out.get(key)
+        if (
+            isinstance(value, Mapping) and isinstance(old, dict)
+            and value.get("variant", old.get("variant")) == old.get("variant")
+        ):
+            out[key] = _deep_merge(old, value)
         else:
             out[key] = copy.deepcopy(value)
     return out

@@ -193,21 +193,12 @@ def _auc_rows(
 
 
 def _rank_blocks(pool: RankedPool, draws: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """The draws as ranks, in int32 blocks of whole rows holding at most
-    ``_BLOCK_ELEMENTS`` ranks (one row at least). The buffer is reused."""
-    block = None
-    filled = 0
+    """Each block of draws as ranks, in int32 blocks of whole rows holding at
+    most ``_BLOCK_ELEMENTS`` ranks (one row at least)."""
     for rows in draws:
-        if block is None:
-            n_rows = max(1, _BLOCK_ELEMENTS // max(rows.size, 1))
-            block = np.empty((n_rows, rows.size), dtype=np.int32)
-        block[filled] = pool.rank_of_row[rows]
-        filled += 1
-        if filled == block.shape[0]:
-            yield block
-            filled = 0
-    if filled:
-        yield block[:filled]
+        per_block = max(1, _BLOCK_ELEMENTS // max(rows.shape[1], 1))
+        for start in range(0, rows.shape[0], per_block):
+            yield pool.rank_of_row.take(rows[start:start + per_block])
 
 
 def ranked_metrics(
@@ -215,13 +206,15 @@ def ranked_metrics(
 ) -> dict[str, np.ndarray]:
     """Metric values of every draw from ``pool``, in draw order.
 
-    Each draw is an array of row indices into the pool's rows (repeats
-    allowed), all draws of the same length. A block of draws becomes a
-    matrix of ranks, one row per draw, sorted along rows once; one
-    ``np.flatnonzero`` of its labels gives every positive's row and 0-based
-    position, and each metric reads those. ``ap`` ranks ties by the pool's
-    key, ``auc_roc`` counts them one half, and the threshold metrics predict
-    positive iff score >= the pool's threshold. Each value equals the scalar
+    ``draws`` yields 2-D blocks of draws, one draw per row; a draw is row
+    indices into the pool's rows (repeats allowed), all draws of the same
+    length. Each block becomes matrices of ranks of at most
+    ``_BLOCK_ELEMENTS`` (``sampling.draw_rows`` yields blocks that fit), one
+    row per draw, sorted along rows once; one ``np.flatnonzero`` of their
+    labels gives every positive's row and 0-based position, and each metric
+    reads those. ``ap`` ranks ties by the pool's key, ``auc_roc`` counts
+    them one half, and the threshold metrics predict positive iff score >=
+    the pool's threshold. Each value equals the scalar
     reference kernel (``tests/oracles.py``) on the drawn rows bit for bit.
     NaN marks an undefined value.
     """

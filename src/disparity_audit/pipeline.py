@@ -44,14 +44,7 @@ from .metrics import (
     select_threshold,
     split_validation_test,
 )
-from .sampling import (
-    compute_budget,
-    derive_rngs,
-    derive_seed,
-    draw_baseline_group,
-    draw_group,
-    filter_rare_concepts,
-)
+from .sampling import compute_budget, derive_seed, draw_rows, filter_rare_concepts
 
 log = logging.getLogger("disparity_audit.pipeline")
 
@@ -138,17 +131,17 @@ def evaluate_concept(
         pool = sizing.pools[g]
         ranked = rank_pool(pool.scores, pool.labels, pool.image_rows, threshold=thresholds.get(g))
         if sizing.budget is not None:
-            rngs = derive_rngs(seed, "draw", concept, g)
-            draws = (draw_group(pool, sizing.budget, rngs(b)) for b in range(bootstraps))
+            sizes = [(pool.n_pos, sizing.budget[0]), (pool.n_neg, sizing.budget[1])]
+            draws = draw_rows((seed, "draw", concept, g), bootstraps, sizes)
         else:
-            rngs = derive_rngs(seed, "baseline", concept, g)
-            draws = (draw_baseline_group(pool, rngs(b)) for b in range(bootstraps))
+            n = pool.scores.size
+            draws = draw_rows((seed, "baseline", concept, g), bootstraps, [(n, n)])
         try:
             for m, v in ranked_metrics(ranked, draws, metrics).items():
                 values[(m, g)] = v
         except InvariantError as e:
             raise InvariantError(f"concept {concept!r} group {g!r}: {e}") from e
-        identity = [np.arange(pool.scores.size)]
+        identity = [np.arange(pool.scores.size)[None]]
         for m, v in ranked_metrics(ranked, identity, metrics).items():
             full_sample[(m, g)] = None if np.isnan(v[0]) else float(v[0])
 
@@ -221,11 +214,8 @@ def evaluate_hit_rate(
     for g, hits in hit_values.items():
         if hits.size == 0:
             continue
-        draws = np.empty(cfg.bootstraps)
-        rngs = derive_rngs(cfg.seed, "hit_rate", g)
-        for i in range(cfg.bootstraps):
-            draws[i] = hits[rngs(i).integers(0, hits.size, size=hits.size)].mean()
-        boots[g] = draws
+        blocks = draw_rows((cfg.seed, "hit_rate", g), cfg.bootstraps, [(hits.size, hits.size)])
+        boots[g] = np.concatenate([hits.take(rows).mean(axis=1) for rows in blocks])
 
     estimates: list[MetricEstimate] = []
     for a, b in _pairs(groups):

@@ -2,17 +2,19 @@
 
 Every draw's RNG stream is derived from (seed, concept, group, bootstrap
 index), so results are identical regardless of evaluation order.
+``draw_rows`` makes every bootstrap draw of a group, block by block.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterable, Mapping
+import sys
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .concepts import GroupPool
 from .errors import DataError, InvariantError
+from .metrics import _BLOCK_ELEMENTS
 
 
 def _part_hash(part) -> int:
@@ -37,19 +39,6 @@ def derive_seed(*parts) -> int:
 def derive_rng(*parts) -> np.random.Generator:
     """Deterministic generator keyed on the given parts; platform-independent."""
     return np.random.default_rng(np.random.SeedSequence(derive_seed(*parts)))
-
-
-def derive_rngs(*parts) -> Callable[[int | str], np.random.Generator]:
-    """``last -> derive_rng(*parts, last)``, hashing ``parts`` once for
-    every ``last``: the streams of one group's bootstraps."""
-    prefix = _hashed(parts)
-
-    def rng(last: int | str) -> np.random.Generator:
-        h = prefix.copy()
-        h.update(_part_hash(last).to_bytes(8, "big"))
-        return np.random.default_rng(np.random.SeedSequence(int.from_bytes(h.digest(), "big")))
-
-    return rng
 
 
 def filter_rare_concepts(
@@ -112,26 +101,167 @@ def compute_budget(
     return units * pos_parts, units * neg_parts
 
 
-def draw_group(
-    pool: GroupPool, budget: tuple[int, int], rng: np.random.Generator
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h). numpy keeps both
+# streams stable across releases; ``Generator.integers`` is emulated below
+# and checked against numpy in the tests.
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# where a native uint64's low half sits in its view as two uint32s
+_LOW_HALF = 0 if sys.byteorder == "little" else 1
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) constants of ``steps`` consecutive SeedSequence
+    hash steps, as columns: they do not depend on the data hashed."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & _MASK32)
+    return (
+        np.array(consts[:-1], dtype=np.uint32)[:, None],
+        np.array(consts[1:], dtype=np.uint32)[:, None],
+    )
+
+
+# mix_entropy's 16 steps (4 pool words, then 12 cross mixes) and
+# generate_state(4, np.uint64)'s 8
+_ENTROPY_STEPS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_STEPS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash_steps(values: np.ndarray, steps, start: int, stop: int) -> np.ndarray:
+    """Hash steps ``start .. stop - 1`` of ``steps``, one per row of the
+    result; ``values`` broadcast against them."""
+    xor, mult = steps
+    values = (values ^ xor[start:stop]) * mult[start:stop]
+    return values ^ (values >> 16)
+
+
+def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
+    """PCG64's ``(state, inc)`` once seeded from ``SeedSequence(seed)``, for
+    each 64-bit seed; the hash runs over all seeds at once.
+
+    A seed is two uint32 entropy words, low first (a seed below 2**32 is
+    one word, which the pool pads with the same zero word).
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    entropy = np.zeros((4, seeds.size), dtype=np.uint32)
+    entropy[0], entropy[1] = seeds & _MASK32, seeds >> 32
+    pool = _hash_steps(entropy, _ENTROPY_STEPS, 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        hashed = _hash_steps(pool[src], _ENTROPY_STEPS, 4 + 3 * src, 7 + 3 * src)
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        pool[dst] = mixed ^ (mixed >> 16)
+    # eight words cycling over the pool, read as little-endian uint64 pairs:
+    # seed high, seed low, inc high, inc low
+    words = _hash_steps(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_STEPS, 0, 8).astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        # pcg64_srandom_r: step from 0, add the seed, step again
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _reference_row(seed: int, sizes: Sequence[tuple[int, int]]) -> np.ndarray:
+    """One draw from numpy's own generator: what every row of ``draw_rows``
+    equals."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    parts, offset = [], 0
+    for n, k in sizes:
+        parts.append(rng.integers(0, n, size=k) + offset)
+        offset += n
+    return np.concatenate(parts)
+
+
+def _lemire_rows(
+    words: np.ndarray, sizes: Sequence[tuple[int, int]], block: np.ndarray
 ) -> np.ndarray:
-    """One group's fixed-prevalence draw, uniform with replacement from each
-    class: row indices into ``pool``, the budget's positives first.
+    """Fill ``block`` with the values numpy's ``integers`` makes from each
+    row of 64-bit ``words``; True for each row where numpy would redraw.
 
-    The pipeline draws bootstrap ``b`` of ``group`` with
-    ``derive_rng(seed, "draw", concept, group, b)``."""
-    pos = rng.integers(0, pool.n_pos, size=budget[0])
-    neg = rng.integers(0, pool.n_neg, size=budget[1])
-    return np.concatenate([pos, neg + pool.n_pos])
+    numpy reads the words as a stream of uint32 halves, low half first, that
+    runs on across calls, and maps each half ``x`` to ``(x * n) >> 32``
+    (Lemire), except that it redraws ``x`` when
+    ``(x * n) mod 2**32 < (2**32 - n) mod n``; ``n == 1`` reads no half.
+    """
+    halves = words.astype("<u8", copy=False).view("<u4")
+    redraw = np.zeros(block.shape[0], dtype=bool)
+    read = column = offset = 0
+    for n, k in sizes:
+        out = block[:, column:column + k].view(np.uint64)
+        if n == 1:
+            out[...] = 0
+        else:
+            np.multiply(halves[:, read:read + k], np.uint64(n), out=out)
+            threshold = ((1 << 32) - n) % n
+            if threshold and k:
+                redraw |= out.view(np.uint32)[:, _LOW_HALF::2].min(axis=1) < threshold
+            out >>= np.uint64(32)
+            read += k
+        if offset:
+            out += np.uint64(offset)
+        column += k
+        offset += n
+    return redraw
 
 
-def draw_baseline_group(pool: GroupPool, rng: np.random.Generator) -> np.ndarray:
-    """One group's standard bootstrap draw: row indices into ``pool``, the
-    whole pool resampled at its own size, so prevalence is not controlled.
+def draw_rows(
+    key: Sequence, bootstraps: int, sizes: Sequence[tuple[int, int]]
+) -> Iterator[np.ndarray]:
+    """Bootstrap draws ``0 .. bootstraps - 1`` of one group, in int64 blocks of
+    whole rows holding at most ``metrics._BLOCK_ELEMENTS`` values (one row at
+    least). The blocks are views of one buffer, each overwritten by the
+    next, so no block is allocated anew; a caller that keeps a block copies
+    it.
 
-    The pipeline draws bootstrap ``b`` of ``group`` with
-    ``derive_rng(seed, "baseline", concept, group, b)``."""
-    n = pool.n_pos + pool.n_neg
-    if n == 0:
+    ``sizes`` lists the classes a draw takes from as ``(n, k)``: ``k`` rows
+    uniform with replacement from class rows ``0 .. n - 1``, offset by the
+    sizes of the classes before it. Row ``b`` equals, bit for bit, the
+    consecutive ``integers(0, n, size=k)`` calls of
+    ``default_rng(SeedSequence(derive_seed(*key, b)))``, concatenated.
+
+    Each bootstrap's 64-bit words come from one reused ``PCG64`` set to the
+    state that seeding would give, and ``_lemire_rows`` turns them into
+    values. A row where numpy would redraw, or any row when some
+    ``n > 2**32``, is drawn by numpy's generator instead.
+
+    Raises:
+        InvariantError: when some class is empty.
+    """
+    if any(n < 1 for n, _ in sizes):
         raise InvariantError("cannot resample an empty pool")
-    return rng.integers(0, n, size=n)
+    prefix = _hashed(key)
+    seeds = []
+    for b in range(bootstraps):
+        h = prefix.copy()
+        h.update(_part_hash(b).to_bytes(8, "big"))
+        seeds.append(int.from_bytes(h.digest(), "big"))
+    width = sum(k for _, k in sizes)
+    emulated = all(n <= 1 << 32 for n, _ in sizes)
+    n_words = (sum(k for n, k in sizes if n > 1) + 1) // 2 if emulated else 0
+    states = _pcg64_states(seeds) if n_words else []
+    bitgen = np.random.PCG64(0)
+    per_block = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    rows = np.empty((min(per_block, bootstraps), width), dtype=np.int64)
+    buffer = np.empty((rows.shape[0], n_words), dtype=np.uint64)
+    for start in range(0, bootstraps, per_block):
+        stop = min(start + per_block, bootstraps)
+        block = rows[:stop - start]
+        if emulated:
+            words = buffer[:stop - start]
+            for i, (state, inc) in enumerate(states[start:stop]):
+                bitgen.state = {
+                    "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0,
+                }
+                words[i] = bitgen.random_raw(n_words)
+            redraw = np.flatnonzero(_lemire_rows(words, sizes, block))
+        else:
+            redraw = range(stop - start)
+        for i in redraw:
+            block[i] = _reference_row(seeds[start + i], sizes)
+        yield block

@@ -13,7 +13,11 @@ This module holds the independent definitions those kernels must match:
 * brute-force enumerators, kept deliberately naive: ``ap_oracle``,
   ``auc_oracle``, ``f1_at`` and ``threshold_oracle_f1``;
 * ``box_outcome_oracle``, the README's box rule for group assignment, one
-  box at a time.
+  box at a time;
+* the per-bootstrap draws that ``sampling.draw_rows`` must equal bit for
+  bit: one numpy generator per bootstrap (``derive_rngs``), drawn by
+  ``draw_group``, ``draw_baseline_group`` or, for any class sizes,
+  ``reference_rows``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from disparity_audit.errors import DataError
+from disparity_audit.errors import DataError, InvariantError
+from disparity_audit.sampling import derive_rng
 
 
 @dataclass(frozen=True)
@@ -252,3 +257,48 @@ def box_outcome_oracle(boxes, width, height, terms, min_area, use_min, ignore_ma
     if kinds:
         return ("excluded", "BoxTooSmall")
     return ("excluded", "NoGroupEvidence")
+
+
+def derive_rngs(*parts):
+    """``last -> derive_rng(*parts, last)``: the generator of each of one
+    group's bootstraps."""
+    return lambda last: derive_rng(*parts, last)
+
+
+def draw_group(pool, budget, rng):
+    """One group's fixed-prevalence draw, uniform with replacement from each
+    class: row indices into ``pool``, the budget's positives first.
+
+    The pipeline draws bootstrap ``b`` of ``group`` as
+    ``derive_rng(seed, "draw", concept, group, b)`` would."""
+    pos = rng.integers(0, pool.n_pos, size=budget[0])
+    neg = rng.integers(0, pool.n_neg, size=budget[1])
+    return np.concatenate([pos, neg + pool.n_pos])
+
+
+def draw_baseline_group(pool, rng):
+    """One group's standard bootstrap draw: row indices into ``pool``, the
+    whole pool resampled at its own size, so prevalence is not controlled.
+
+    The pipeline draws bootstrap ``b`` of ``group`` as
+    ``derive_rng(seed, "baseline", concept, group, b)`` would."""
+    n = pool.n_pos + pool.n_neg
+    if n == 0:
+        raise InvariantError("cannot resample an empty pool")
+    return rng.integers(0, n, size=n)
+
+
+def reference_rows(key, bootstraps, sizes):
+    """``draw_rows(key, bootstraps, sizes)`` one bootstrap at a time: row
+    ``b`` is the consecutive ``integers(0, n, size=k)`` calls of
+    ``derive_rng(*key, b)``, each offset by the class sizes before it."""
+    rngs = derive_rngs(*key)
+    rows = np.empty((bootstraps, sum(k for _, k in sizes)), dtype=np.int64)
+    for b in range(bootstraps):
+        rng, offset = rngs(b), 0
+        parts = []
+        for n, k in sizes:
+            parts.append(rng.integers(0, n, size=k) + offset)
+            offset += n
+        rows[b] = np.concatenate(parts)
+    return rows

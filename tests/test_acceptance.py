@@ -29,7 +29,7 @@ from disparity_audit.concepts import GroupPool
 from disparity_audit.groups import assign_groups
 from disparity_audit.metrics import _rate_arrays
 from disparity_audit.pipeline import evaluate_tables, plan_concepts
-from disparity_audit.sampling import derive_rng, derive_rngs, draw_group
+from disparity_audit.sampling import derive_rng
 
 from corpus import (
     BOX_CASES,
@@ -44,6 +44,8 @@ from oracles import (
     ap_oracle,
     auc_oracle,
     auc_roc,
+    derive_rngs,
+    draw_group,
     f1_at,
     precision_from_rates,
     rates_from_confusion,
@@ -62,7 +64,7 @@ def _full_sample(scores, labels, metrics, threshold=None):
     the identity draw through ``rank_pool`` + ``ranked_metrics``. NaN marks
     an undefined value."""
     pool = rank_pool(scores, labels, threshold=threshold)
-    values = ranked_metrics(pool, [np.arange(len(labels))], metrics)
+    values = ranked_metrics(pool, [np.arange(len(labels))[None]], metrics)
     return {m: float(v[0]) for m, v in values.items()}
 
 
@@ -209,7 +211,9 @@ def test_criterion_05_bootstrap_ci_calibration():
             labels = np.concatenate([np.ones(n_pos), np.zeros(n - n_pos)])
             rngs = derive_rngs(seed, "calibboot", g)
             draws = [rngs(b).integers(0, n, n) for b in range(n_boot)]
-            boots[g] = ranked_metrics(rank_pool(scores, labels), draws, ("auc_roc",))["auc_roc"]
+            boots[g] = ranked_metrics(
+                rank_pool(scores, labels), [np.stack(draws)], ("auc_roc",)
+            )["auc_roc"]
             if seed < 3:
                 for idx, v in zip(draws, boots[g]):
                     _same(v, auc_roc(scores[idx], labels[idx]))

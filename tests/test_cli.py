@@ -7,7 +7,7 @@ import pytest
 
 from disparity_audit import pipeline
 from disparity_audit.cli import main
-from disparity_audit.config import PRESETS, load_config
+from disparity_audit.config import PRESETS, config_hash, load_config, resolve_config_dict
 from disparity_audit.groups import assign_groups
 from disparity_audit.metrics import rank_pool
 from disparity_audit.pipeline import (
@@ -180,6 +180,35 @@ class TestSubcommands:
         assert manifest["config"]["evaluation_version"] == "reliable"
         assert manifest["config"]["sampling"]["ratio"] == [1, 5]
         assert manifest["stages"]["concepts"]["retained_after_rare_filter"] == 0
+
+    def test_preset_box_filter_of_another_variant_is_replaced(self, workspace):
+        tmp_path, cfg_path = workspace
+        raw = json.loads(cfg_path.read_text())
+        raw["box_filter"] = {"variant": "min_area_pixels", "threshold": 900}
+        cfg2 = tmp_path / "run2.json"
+        cfg2.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg2), "--preset", "reliable",
+                     "--output", str(tmp_path / "preset_out")]) == 0
+        manifest = json.loads((tmp_path / "preset_out" / "manifest.json").read_text())
+        assert manifest["config"]["box_filter"] == {"variant": "min_area_pixels", "threshold": 900}
+        assert manifest["config_hash"] == config_hash(manifest["config"])
+
+
+@pytest.mark.parametrize("preset,box_filter,resolved", [
+    # another variant replaces the preset's object whole
+    ("reliable", {"variant": "min_area_pixels", "threshold": 600},
+     {"variant": "min_area_pixels", "threshold": 600}),
+    ("v1", {"variant": "relative_area", "use_min": 0.1, "ignore_max": 0.01},
+     {"variant": "relative_area", "use_min": 0.1, "ignore_max": 0.01}),
+    # the same variant, or none named, merges into it
+    ("reliable", {"variant": "relative_area", "use_min": 0.1},
+     {"variant": "relative_area", "use_min": 0.1, "ignore_max": 0.02}),
+    ("v1", {"threshold": 900}, {"variant": "min_area_pixels", "threshold": 900}),
+    (None, {"variant": "min_area_pixels", "threshold": 600},
+     {"variant": "min_area_pixels", "threshold": 600}),
+])
+def test_box_filter_merges_only_into_its_own_variant(preset, box_filter, resolved):
+    assert resolve_config_dict({"box_filter": box_filter}, preset=preset)["box_filter"] == resolved
 
 
 def test_ingest_order_does_not_change_artifacts(workspace):

@@ -27,12 +27,14 @@ from disparity_audit.concepts import GroupPool
 from disparity_audit.config import THRESHOLD_METRICS
 from disparity_audit.metrics import rank_pool, ranked_metrics
 from disparity_audit.pipeline import evaluate_concept, plan_concepts, size_concept
-from disparity_audit.sampling import derive_rng, derive_seed, draw_baseline_group, draw_group
+from disparity_audit.sampling import derive_rng, derive_seed
 
 from oracles import (
     auc_roc,
     average_precision,
     confusion_at_threshold,
+    draw_baseline_group,
+    draw_group,
     f1_at,
     rates_from_confusion,
     threshold_oracle_f1,
@@ -67,7 +69,7 @@ def check_draws(scores, labels, ids, draws, threshold, tiebreak=None):
     scalar kernels by ``ids``."""
     metrics = ALL_METRICS if threshold is not None else ("ap", "auc_roc")
     pool = rank_pool(scores, labels, ids if tiebreak is None else tiebreak, threshold=threshold)
-    batched = ranked_metrics(pool, draws, metrics)
+    batched = ranked_metrics(pool, [np.stack(draws)], metrics)
     undefined = 0
     for b, rows in enumerate(draws):
         ref = scalar_metrics(scores[rows], labels[rows], ids[rows], threshold)
@@ -142,7 +144,7 @@ class TestRankedMetricsEquivalence:
         draws = [np.array(r) for r in ([0, 0, 1, 1], [2, 3, 3, 2], [1, 1, 1, 1], [0, 2, 2, 0])]
         assert check_draws(scores, labels, ids, draws, threshold=0.4) > 0
         pool = rank_pool(scores, labels, ids, threshold=0.4)
-        values = ranked_metrics(pool, draws, ALL_METRICS)
+        values = ranked_metrics(pool, [np.stack(draws)], ALL_METRICS)
         assert math.isnan(values["ap"][1]) and math.isnan(values["auc_roc"][0])
         assert math.isnan(values["tpr"][1]) and math.isnan(values["fpr"][2])
 

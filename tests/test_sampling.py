@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disparity_audit import DataError, InvariantError, compute_budget, filter_rare_concepts
 from disparity_audit.concepts import GroupPool
 from disparity_audit.pipeline import ConceptSizing, evaluate_concept
-from disparity_audit.sampling import (
-    derive_rng,
-    derive_rngs,
-    derive_seed,
-    draw_baseline_group,
-    draw_group,
-)
+from disparity_audit import sampling
+from disparity_audit.metrics import _BLOCK_ELEMENTS
+from disparity_audit.sampling import derive_rng, derive_seed, draw_rows
+
+from oracles import derive_rngs, draw_baseline_group, draw_group, reference_rows
 
 
 def make_pool(n_pos, n_neg, seed=0):
@@ -236,3 +234,86 @@ class TestDeriveRng:
         for last in (0, 7, "z"):
             assert np.array_equal(rngs(last).integers(0, 2**62, 8),
                                   derive_rng(*prefix, last).integers(0, 2**62, 8))
+
+
+def drawn_blocks(key, bootstraps, sizes):
+    """``draw_rows``' blocks, each checked for shape, and their rows."""
+    width = sum(k for _, k in sizes)
+    per_block = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    blocks = [block.copy() for block in draw_rows(key, bootstraps, sizes)]
+    assert [b.shape for b in blocks] == [
+        (min(per_block, bootstraps - start), width) for start in range(0, bootstraps, per_block)
+    ]
+    assert all(b.dtype == np.int64 for b in blocks)
+    return np.concatenate(blocks) if blocks else np.empty((0, width), dtype=np.int64)
+
+
+def assert_same_rows(key, bootstraps, sizes):
+    got = drawn_blocks(key, bootstraps, sizes)
+    want = reference_rows(key, bootstraps, sizes)
+    differ = np.flatnonzero((got != want).any(axis=1)) if got.shape == want.shape else None
+    assert differ is not None and differ.size == 0, (
+        f"numpy {np.__version__}: draw_rows{(key, bootstraps, sizes)} differs from "
+        f"the per-bootstrap generator in rows {differ}; numpy keeps SeedSequence and "
+        f"PCG64 streams stable, but not Generator.integers"
+    )
+
+
+# Class sizes: 1 reads no bits; 2**31 + 1 redraws about half of all values,
+# so nearly every row is redrawn; 2**32 is the widest emulated range, and
+# beyond it every row is redrawn.
+CLASS_SIZES = st.one_of(
+    st.sampled_from([1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40]),
+    st.integers(1, 50_000),
+)
+KEYS = st.lists(
+    st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=4)), max_size=4
+).map(tuple)
+
+
+class TestDrawRows:
+    """``draw_rows`` against the per-bootstrap generators of ``oracles``."""
+
+    @given(
+        key=KEYS,
+        bootstraps=st.integers(0, 40),
+        sizes=st.lists(st.tuples(CLASS_SIZES, st.integers(0, 3000)), min_size=1, max_size=3),
+    )
+    @example(key=(0, "draw", "c", "A"), bootstraps=25, sizes=[(720, 120), (1680, 600)])
+    @example(key=(5, "x"), bootstraps=7, sizes=[(5, 3), (1, 4), (2**31 + 1, 5), (9, 3)])
+    @example(key=(), bootstraps=1, sizes=[(2**32, 1), (2, 1)])
+    @example(key=("k",), bootstraps=0, sizes=[(7, 2)])
+    @example(key=("one",), bootstraps=3, sizes=[(1, 4), (1, 2)])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_bootstrap_reference(self, key, bootstraps, sizes):
+        assert_same_rows(key, bootstraps, sizes)
+
+    @pytest.mark.parametrize("width", [100, 719, 720, 8000, _BLOCK_ELEMENTS + 1])
+    def test_counts_around_a_block_boundary(self, width):
+        per_block = max(1, _BLOCK_ELEMENTS // width)
+        sizes = [(2 * width + 1, width // 2), (width + 3, width - width // 2)]
+        for bootstraps in (per_block - 1, per_block, per_block + 1, 2 * per_block + 1):
+            assert_same_rows((3, "b", width), bootstraps, sizes)
+
+    def test_deep_baseline_draws_take_the_redraw_path(self, monkeypatch):
+        # about 1.4% of 8,000-value rows meet a Lemire redraw at n = 8,000
+        redrawn = []
+        reference_row = sampling._reference_row
+        monkeypatch.setattr(
+            sampling, "_reference_row", lambda *a: redrawn.append(a) or reference_row(*a)
+        )
+        assert_same_rows((0, "baseline", "d0", "alpha"), 600, [(8000, 8000)])
+        assert redrawn
+
+    @pytest.mark.parametrize("sizes", [[(0, 0)], [(3, 1), (0, 2)]])
+    def test_empty_class_is_an_invariant_error(self, sizes):
+        with pytest.raises(InvariantError, match="cannot resample an empty pool"):
+            next(draw_rows(("c", "A"), 2, sizes))
+
+    def test_empty_reliable_class_error_names_concept_and_group(self):
+        pools = make_pools(A=(3, 5), B=(0, 8))
+        sizing = ConceptSizing(validation=None, pools=pools, budget=(1, 2))
+        with pytest.raises(InvariantError, match="concept 'c' group 'B': cannot resample"):
+            evaluate_concept(
+                "c", sizing, metrics=["ap"], bootstraps=2, seed=0, threshold_scope="pooled",
+            )
