@@ -26,6 +26,12 @@ batched kernel's first three draws must equal the reference kernels', which
   generators it replaced (``oracles.reference_rows``), and the first rows
   must be equal.
 
+* disparity: ``disparity.pair_disparity`` on one concept's row of 250
+  bootstraps and on an aggregate of 200 concepts x 250 bootstraps; on each
+  side about 1% of the bootstraps hold a NaN. Each estimate must equal the
+  reference reducer's (``oracles.per_concept_disparity`` or
+  ``oracles.aggregate_disparity``).
+
 * wide: 200 concepts scored on 3 x 1,500 images, written by ``synth`` as a
   predictions file; times ``load_predictions`` on that file and
   ``hit_vector`` (k 5) on the loaded matrix.
@@ -64,6 +70,7 @@ from disparity_audit.data import (
     load_predictions,
     validate_dataset,
 )
+from disparity_audit.disparity import pair_disparity
 from disparity_audit.metrics import hit_vector, rank_pool, ranked_metrics, select_threshold
 from disparity_audit.groups import assign_groups
 from disparity_audit.sampling import draw_rows
@@ -71,9 +78,11 @@ from disparity_audit.synth import CellSpec, ScenarioSpec, generate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import (  # noqa: E402
+    aggregate_disparity,
     auc_roc,
     average_precision,
     confusion_at_threshold,
+    per_concept_disparity,
     rates_from_confusion,
     reference_rows,
 )
@@ -216,6 +225,32 @@ def test_draw_reference(benchmark, draw_shape):
     assert rows.shape == (n_draws, sum(k for _, k in sizes))
 
 
+# name: (concepts (None: one concept's 1-D row), bootstraps)
+REDUCER_SHAPES = {"per-concept": (None, 250), "aggregate": (200, 250)}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCER_SHAPES))
+def test_pair_disparity(benchmark, name):
+    concepts, n_boot = REDUCER_SHAPES[name]
+    benchmark.group = f"disparity-{name}"
+    rng = np.random.default_rng(0)
+    shape = (n_boot,) if concepts is None else (concepts, n_boot)
+    a, b = rng.random(shape), rng.random(shape)
+    for side in (a, b):
+        rows = np.atleast_2d(side)  # a view of ``side``
+        undefined = np.flatnonzero(rng.random(n_boot) < 0.01)
+        rows[rng.integers(0, rows.shape[0], undefined.size), undefined] = np.nan
+    groups = dict(metric="ap", group_a="A", group_b="B")
+    if concepts is None:
+        want = per_concept_disparity(a, b, concept="c", **groups)
+    else:
+        names = [f"c{i:03d}" for i in range(concepts)]
+        want = aggregate_disparity(dict(zip(names, a)), dict(zip(names, b)), **groups)
+    got = benchmark(pair_disparity, a, b, concept=want.concept, sample_sizes={}, **groups)
+    assert got == want
+    assert 0.95 * n_boot < got.bootstraps_used < n_boot
+
+
 @pytest.fixture(scope="module")
 def wide(tmp_path_factory):
     """The wide shape: predictions file, annotated images, and each image's
@@ -246,7 +281,7 @@ def test_hit_vector(benchmark, wide):
     path, images, targets = wide
     benchmark.group = "ingest-wide"
     scores = load_predictions(path, images).scores
-    hits = benchmark(hit_vector, scores, targets, targets.any(axis=1), 5)
+    hits = benchmark(hit_vector, scores, targets, targets.any(axis=1), 5, group="alpha")
     assert 0 < hits.size <= len(images)
 
 

@@ -45,8 +45,7 @@ from .sampling import (
 )
 from .disparity import (
     MetricEstimate,
-    aggregate_disparity,
-    per_concept_disparity,
+    pair_disparity,
     percentile,
     significance_flag,
 )

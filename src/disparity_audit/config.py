@@ -255,6 +255,8 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
     metrics = resolved["metrics"]
     if not isinstance(metrics, list) or not metrics:
         raise ConfigError(f"metrics must be a non-empty list of metric names, got {metrics!r}")
+    if len(set(metrics)) < len(metrics):
+        raise ConfigError(f"metrics must name each metric once, got {metrics!r}")
     metrics = tuple(metrics)
     unknown = [m for m in metrics if m not in KNOWN_METRICS]
     if unknown:

@@ -58,12 +58,6 @@ def percentile(samples: Sequence[float], q: float) -> float:
     return float((1 - frac) * lo + frac * hi)
 
 
-def _as_float_array(values: Sequence[float | None]) -> np.ndarray:
-    if isinstance(values, np.ndarray):
-        return values.astype(float)
-    return np.array([np.nan if v is None else float(v) for v in values], dtype=float)
-
-
 def _estimate(d: np.ndarray, total: int, **fields) -> MetricEstimate:
     """The estimate from the finite disparities ``d`` of ``total``
     bootstraps: their mean and percentile interval, or no value when none
@@ -83,68 +77,46 @@ def _estimate(d: np.ndarray, total: int, **fields) -> MetricEstimate:
     )
 
 
-def per_concept_disparity(
-    values_a: Sequence[float | None],
-    values_b: Sequence[float | None],
+def pair_disparity(
+    values_a: np.ndarray,
+    values_b: np.ndarray,
     *,
     metric: str,
     concept: str,
     group_a: str,
     group_b: str,
-    sample_sizes: Mapping[str, tuple[int, int]] | None = None,
+    sample_sizes: Mapping[str, tuple[int, int]],
     full_sample: float | None = None,
 ) -> MetricEstimate:
-    """Disparity of one metric for one concept between two groups.
+    """Disparity of one metric between two groups, ``values_a - values_b``.
 
-    Per bootstrap b the disparity is ``values_a[b] - values_b[b]``; the point
-    estimate is the mean over surviving bootstraps and the interval the
-    (2.5, 97.5) percentiles.
+    Each side holds float values, NaN where undefined: 1-D, one concept's
+    bootstraps, or 2-D, concepts x bootstraps, where each bootstrap is
+    averaged over the concepts before the difference. A bootstrap with an
+    undefined value on either side is dropped. The point estimate is the
+    mean of the kept bootstraps' disparities and the interval their
+    (2.5, 97.5) percentiles. A 1-D side is differenced as it is: numpy's
+    mean of one row would turn a -0.0 into 0.0.
+
+    Raises:
+        InvariantError: when the two sides differ in shape.
+        DataError: when there is no concept or no bootstrap.
     """
-    a = _as_float_array(values_a)
-    b = _as_float_array(values_b)
+    a, b = np.asarray(values_a), np.asarray(values_b)
     if a.shape != b.shape:
-        raise InvariantError(
-            f"bootstrap streams differ in length: {a.shape} vs {b.shape}"
-        )
-    total = int(a.size)
-    if total == 0:
-        raise DataError("need at least one bootstrap value per group")
-    mask = np.isfinite(a) & np.isfinite(b)
+        raise InvariantError(f"bootstrap values differ in shape: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise DataError(f"a disparity needs a concept and a bootstrap, got shape {a.shape}")
+    kept = np.isfinite(a) & np.isfinite(b)
+    if a.ndim == 2:
+        kept = kept.all(axis=0)
+        a, b = a[:, kept].mean(axis=0), b[:, kept].mean(axis=0)
+    else:
+        a, b = a[kept], b[kept]
     return _estimate(
-        a[mask] - b[mask], total,
+        a - b, kept.size,
         metric=metric, concept=concept, group_a=group_a, group_b=group_b,
-        sample_sizes=dict(sample_sizes or {}), full_sample=full_sample,
-    )
-
-
-def aggregate_disparity(
-    values_a: Mapping[str, Sequence[float | None]],
-    values_b: Mapping[str, Sequence[float | None]],
-    *,
-    metric: str,
-    group_a: str,
-    group_b: str,
-) -> MetricEstimate:
-    """Aggregate disparity over a shared concept set.
-
-    Per bootstrap, the metric is first averaged over concepts within each
-    group, then differenced between groups. A bootstrap with any undefined
-    concept value in either group is dropped pairwise.
-    """
-    concepts = sorted(values_a)
-    if not concepts:
-        raise DataError("aggregate disparity needs a non-empty concept set")
-    if sorted(values_b) != concepts:
-        raise DataError("aggregate disparity needs the same concept set for both groups")
-    mat_a = np.vstack([_as_float_array(values_a[c]) for c in concepts])
-    mat_b = np.vstack([_as_float_array(values_b[c]) for c in concepts])
-    if mat_a.shape != mat_b.shape:
-        raise InvariantError("bootstrap streams differ in length across groups")
-    mask = np.all(np.isfinite(mat_a), axis=0) & np.all(np.isfinite(mat_b), axis=0)
-    return _estimate(
-        mat_a[:, mask].mean(axis=0) - mat_b[:, mask].mean(axis=0), mat_a.shape[1],
-        metric=metric, concept="aggregate", group_a=group_a, group_b=group_b,
-        sample_sizes={},
+        sample_sizes=dict(sample_sizes), full_sample=full_sample,
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,11 +84,6 @@ def select_threshold(
     f1 = _rate_arrays(tp, fp, neg_sorted.size - fp, pos_sorted.size - tp)["f1"]
     best = int(np.argmax(np.nan_to_num(f1, nan=0.0)))  # first maximum: lowest t
     return float(candidates[best]), float(f1[best])
-
-
-# Draws are scored in blocks of at most this many ranks, so the rank matrix
-# and the kernels' temporaries stay small whatever the draw count and size.
-_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -192,15 +187,6 @@ def _auc_rows(
         return np.where((n_pos > 0) & (n_neg > 0), twice_u / 2.0 / (n_pos * n_neg), np.nan)
 
 
-def _rank_blocks(pool: RankedPool, draws: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Each block of draws as ranks, in int32 blocks of whole rows holding at
-    most ``_BLOCK_ELEMENTS`` ranks (one row at least)."""
-    for rows in draws:
-        per_block = max(1, _BLOCK_ELEMENTS // max(rows.shape[1], 1))
-        for start in range(0, rows.shape[0], per_block):
-            yield pool.rank_of_row.take(rows[start:start + per_block])
-
-
 def ranked_metrics(
     pool: RankedPool, draws: Iterable[np.ndarray], metrics: Sequence[str]
 ) -> dict[str, np.ndarray]:
@@ -208,18 +194,18 @@ def ranked_metrics(
 
     ``draws`` yields 2-D blocks of draws, one draw per row; a draw is row
     indices into the pool's rows (repeats allowed), all draws of the same
-    length. Each block becomes matrices of ranks of at most
-    ``_BLOCK_ELEMENTS`` (``sampling.draw_rows`` yields blocks that fit), one
-    row per draw, sorted along rows once; one ``np.flatnonzero`` of their
-    labels gives every positive's row and 0-based position, and each metric
-    reads those. ``ap`` ranks ties by the pool's key, ``auc_roc`` counts
-    them one half, and the threshold metrics predict positive iff score >=
-    the pool's threshold. Each value equals the scalar
-    reference kernel (``tests/oracles.py``) on the drawn rows bit for bit.
-    NaN marks an undefined value.
+    length. Each block is scored as it comes (``sampling.draw_rows`` sizes
+    them): it becomes a matrix of ranks, one row per draw, sorted along rows
+    once; one ``np.flatnonzero`` of its labels gives every positive's row
+    and 0-based position, and each metric reads those. ``ap`` ranks ties by
+    the pool's key, ``auc_roc`` counts them one half, and the threshold
+    metrics predict positive iff score >= the pool's threshold. Each value
+    equals the scalar reference kernel (``tests/oracles.py``) on the drawn
+    rows bit for bit. NaN marks an undefined value.
     """
     parts: dict[str, list[np.ndarray]] = {metric: [] for metric in metrics}
-    for ranks in _rank_blocks(pool, draws):
+    for rows in draws:
+        ranks = pool.rank_of_row.take(rows)
         sorted_ranks = np.sort(ranks, axis=1)
         labels = pool.label_at_rank.take(sorted_ranks)
         row, at = np.divmod(np.flatnonzero(labels), ranks.shape[1])
@@ -283,7 +269,7 @@ def split_validation_test(
 
 
 def hit_vector(
-    scores: np.ndarray, targets: np.ndarray, has_targets: np.ndarray, k: int
+    scores: np.ndarray, targets: np.ndarray, has_targets: np.ndarray, k: int, *, group: str
 ) -> np.ndarray:
     """Per-image top-k hit indicators over images with usable targets/scores.
 
@@ -293,26 +279,24 @@ def hit_vector(
     target set is empty. An image is a hit when one of its k highest-scored
     concepts is a target; score ties break by concept id, and an unscored
     cell is never among the top k. Images with an empty target set or no
-    scores are excluded with a warning. Returns the 0/1 hit values of the
-    kept images, in row order.
+    scores are excluded with a warning that names their ``group``. Returns
+    the 0/1 hit values of the kept images, in row order.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     n_scored = np.count_nonzero(~np.isnan(scores), axis=1)
     kept = has_targets & (n_scored > 0)
-    skipped_empty = int(np.count_nonzero(~has_targets))
-    skipped_unscored = int(np.count_nonzero(has_targets & (n_scored == 0)))
-    short_of_k = int(np.count_nonzero(kept & (n_scored < k)))
+    for rows, what in (
+        (~has_targets, "with empty target sets excluded"),
+        (has_targets & (n_scored == 0), "without scores excluded"),
+        (kept & (n_scored < k), "scored for fewer than k concepts"),
+    ):
+        if rows.any():
+            log.warning(f"hit rate: %d image(s) of group %s {what}", np.count_nonzero(rows), group)
     kept_scores = scores[kept]
     # Stable on -score: ties keep column order, i.e. concept id; NaN sorts last.
     top = np.argsort(-kept_scores, axis=1, kind="stable")[:, :k]
     hit = np.take_along_axis(targets[kept], top, axis=1) & ~np.isnan(
         np.take_along_axis(kept_scores, top, axis=1)
     )
-    if skipped_empty:
-        log.warning("hit rate: %d image(s) with empty target sets excluded", skipped_empty)
-    if skipped_unscored:
-        log.warning("hit rate: %d image(s) without scores excluded", skipped_unscored)
-    if short_of_k:
-        log.warning("hit rate: %d image(s) scored for fewer than k concepts", short_of_k)
     return hit.any(axis=1).astype(float)

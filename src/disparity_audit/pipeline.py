@@ -28,12 +28,7 @@ from .data import (
     load_predictions,
     validate_dataset,
 )
-from .disparity import (
-    MetricEstimate,
-    aggregate_disparity,
-    per_concept_disparity,
-    significance_flag,
-)
+from .disparity import MetricEstimate, pair_disparity, significance_flag
 from .errors import DataError, InvariantError
 from .groups import assign_groups, assignment_summary
 from .metrics import (
@@ -166,33 +161,26 @@ def evaluate_tables(
         )
         for c, s in plan.sized.items()
     }
-    draw_sizes = {
-        c: {g: (p.n_pos, p.n_neg) for g, p in s.pools.items()} if s.budget is None
-        else dict.fromkeys(s.pools, s.budget)
-        for c, s in plan.sized.items()
-    }
     estimates: list[MetricEstimate] = []
     for metric in point_metrics:
         for a, b in _pairs(groups):
             for concept, ev in evaluations.items():
+                s = plan.sized[concept]
                 fs_a = ev.full_sample[(metric, a)]
                 fs_b = ev.full_sample[(metric, b)]
-                full = None if fs_a is None or fs_b is None else fs_a - fs_b
-                estimates.append(
-                    per_concept_disparity(
-                        ev.values[(metric, a)], ev.values[(metric, b)],
-                        metric=metric, concept=concept, group_a=a, group_b=b,
-                        sample_sizes=draw_sizes[concept], full_sample=full,
-                    )
-                )
+                estimates.append(pair_disparity(
+                    ev.values[(metric, a)], ev.values[(metric, b)],
+                    metric=metric, concept=concept, group_a=a, group_b=b,
+                    sample_sizes={g: s.budget or (p.n_pos, p.n_neg) for g, p in s.pools.items()},
+                    full_sample=None if fs_a is None or fs_b is None else fs_a - fs_b,
+                ))
             if evaluations:
-                estimates.append(
-                    aggregate_disparity(
-                        {c: ev.values[(metric, a)] for c, ev in evaluations.items()},
-                        {c: ev.values[(metric, b)] for c, ev in evaluations.items()},
-                        metric=metric, group_a=a, group_b=b,
-                    )
-                )
+                estimates.append(pair_disparity(
+                    np.stack([ev.values[(metric, a)] for ev in evaluations.values()]),
+                    np.stack([ev.values[(metric, b)] for ev in evaluations.values()]),
+                    metric=metric, concept="aggregate", group_a=a, group_b=b,
+                    sample_sizes={},
+                ))
     return estimates, {c: ev.thresholds for c, ev in evaluations.items() if ev.thresholds}
 
 
@@ -207,7 +195,7 @@ def evaluate_hit_rate(
         scores = predictions.take_rows(targets.rows[rows])
         is_target = np.zeros(scores.shape, dtype=bool)
         is_target[:, candidate_columns] = targets.targets[rows]
-        hit_values[g] = hit_vector(scores, is_target, targets.has_targets[rows], cfg.k)
+        hit_values[g] = hit_vector(scores, is_target, targets.has_targets[rows], cfg.k, group=g)
 
     # Draws are keyed per group, so each group's means serve every pair.
     boots: dict[str, np.ndarray] = {}
@@ -222,14 +210,12 @@ def evaluate_hit_rate(
         if a not in boots or b not in boots:
             log.warning("hit rate: empty pool for pair (%s, %s); skipped", a, b)
             continue
-        estimates.append(
-            per_concept_disparity(
-                boots[a], boots[b],
-                metric="hit_rate", concept="aggregate", group_a=a, group_b=b,
-                sample_sizes={a: (hit_values[a].size, 0), b: (hit_values[b].size, 0)},
-                full_sample=float(hit_values[a].mean() - hit_values[b].mean()),
-            )
-        )
+        estimates.append(pair_disparity(
+            boots[a], boots[b],
+            metric="hit_rate", concept="aggregate", group_a=a, group_b=b,
+            sample_sizes={a: (hit_values[a].size, 0), b: (hit_values[b].size, 0)},
+            full_sample=float(hit_values[a].mean() - hit_values[b].mean()),
+        ))
     return estimates
 
 
@@ -501,14 +487,16 @@ def read_results_csv(path: str | Path) -> list[dict]:
 
     Raises:
         DataError: naming the file, line and column of a missing key column
-            or value, or of a value that is not a number; or the file and
-            line of a byte that is not valid UTF-8.
+            or value, or of a value that is not a number; the file and line
+            of a byte that is not valid UTF-8; or the file, line and earlier
+            line of a repeated key row.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"results file not found: {path}")
     keys = ("metric", "concept", "group_a", "group_b")
     out: list[dict] = []
+    line_of: dict[tuple[str, ...], int] = {}
     with path.open(encoding="utf-8", errors="surrogateescape", newline="") as f:
         reader = csv.DictReader(_utf8_lines(f, path))
         missing = [k for k in keys if k not in (reader.fieldnames or ())]
@@ -520,6 +508,9 @@ def read_results_csv(path: str | Path) -> list[dict]:
             for key in keys:
                 if row[key] is None:
                     raise DataError(f"{where}: no value for column {key!r}")
+            first = line_of.setdefault(tuple(row[k] for k in keys), reader.line_num)
+            if first != reader.line_num:
+                raise DataError(f"{where}: repeats the {', '.join(keys)} of line {first}")
             for key in ("point", "ci_low", "ci_high", "full_sample"):
                 text = row.get(key)
                 try:

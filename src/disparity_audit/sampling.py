@@ -14,7 +14,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, InvariantError
-from .metrics import _BLOCK_ELEMENTS
+
+# Draws come in blocks of at most this many values, so each block, its rank
+# matrix and the metric kernels' temporaries stay small whatever the draw
+# count and size.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def _part_hash(part) -> int:
@@ -213,7 +217,7 @@ def draw_rows(
     key: Sequence, bootstraps: int, sizes: Sequence[tuple[int, int]]
 ) -> Iterator[np.ndarray]:
     """Bootstrap draws ``0 .. bootstraps - 1`` of one group, in int64 blocks of
-    whole rows holding at most ``metrics._BLOCK_ELEMENTS`` values (one row at
+    whole rows holding at most ``_BLOCK_ELEMENTS`` values (one row at
     least). The blocks are views of one buffer, each overwritten by the
     next, so no block is allocated anew; a caller that keeps a block copies
     it.

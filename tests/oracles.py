@@ -17,16 +17,21 @@ This module holds the independent definitions those kernels must match:
 * the per-bootstrap draws that ``sampling.draw_rows`` must equal bit for
   bit: one numpy generator per bootstrap (``derive_rngs``), drawn by
   ``draw_group``, ``draw_baseline_group`` or, for any class sizes,
-  ``reference_rows``.
+  ``reference_rows``;
+* the two disparity reducers that ``disparity.pair_disparity`` must equal
+  exactly: ``per_concept_disparity`` on one concept's bootstraps and
+  ``aggregate_disparity`` on a concept set's; undefined values may be
+  ``None``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from disparity_audit.disparity import MetricEstimate, _estimate
 from disparity_audit.errors import DataError, InvariantError
 from disparity_audit.sampling import derive_rng
 
@@ -302,3 +307,74 @@ def reference_rows(key, bootstraps, sizes):
             offset += n
         rows[b] = np.concatenate(parts)
     return rows
+
+
+def _as_float_array(values: Sequence[float | None]) -> np.ndarray:
+    if isinstance(values, np.ndarray):
+        return values.astype(float)
+    return np.array([np.nan if v is None else float(v) for v in values], dtype=float)
+
+
+def per_concept_disparity(
+    values_a: Sequence[float | None],
+    values_b: Sequence[float | None],
+    *,
+    metric: str,
+    concept: str,
+    group_a: str,
+    group_b: str,
+    sample_sizes: Mapping[str, tuple[int, int]] | None = None,
+    full_sample: float | None = None,
+) -> MetricEstimate:
+    """Disparity of one metric for one concept between two groups.
+
+    Per bootstrap b the disparity is ``values_a[b] - values_b[b]``; the point
+    estimate is the mean over surviving bootstraps and the interval the
+    (2.5, 97.5) percentiles.
+    """
+    a = _as_float_array(values_a)
+    b = _as_float_array(values_b)
+    if a.shape != b.shape:
+        raise InvariantError(
+            f"bootstrap streams differ in length: {a.shape} vs {b.shape}"
+        )
+    total = int(a.size)
+    if total == 0:
+        raise DataError("need at least one bootstrap value per group")
+    mask = np.isfinite(a) & np.isfinite(b)
+    return _estimate(
+        a[mask] - b[mask], total,
+        metric=metric, concept=concept, group_a=group_a, group_b=group_b,
+        sample_sizes=dict(sample_sizes or {}), full_sample=full_sample,
+    )
+
+
+def aggregate_disparity(
+    values_a: Mapping[str, Sequence[float | None]],
+    values_b: Mapping[str, Sequence[float | None]],
+    *,
+    metric: str,
+    group_a: str,
+    group_b: str,
+) -> MetricEstimate:
+    """Aggregate disparity over a shared concept set.
+
+    Per bootstrap, the metric is first averaged over concepts within each
+    group, then differenced between groups. A bootstrap with any undefined
+    concept value in either group is dropped pairwise.
+    """
+    concepts = sorted(values_a)
+    if not concepts:
+        raise DataError("aggregate disparity needs a non-empty concept set")
+    if sorted(values_b) != concepts:
+        raise DataError("aggregate disparity needs the same concept set for both groups")
+    mat_a = np.vstack([_as_float_array(values_a[c]) for c in concepts])
+    mat_b = np.vstack([_as_float_array(values_b[c]) for c in concepts])
+    if mat_a.shape != mat_b.shape:
+        raise InvariantError("bootstrap streams differ in length across groups")
+    mask = np.all(np.isfinite(mat_a), axis=0) & np.all(np.isfinite(mat_b), axis=0)
+    return _estimate(
+        mat_a[:, mask].mean(axis=0) - mat_b[:, mask].mean(axis=0), mat_a.shape[1],
+        metric=metric, concept="aggregate", group_a=group_a, group_b=group_b,
+        sample_sizes={},
+    )

@@ -18,7 +18,7 @@ from disparity_audit import (
     ScoreMatrix,
     compute_budget,
     generate,
-    per_concept_disparity,
+    pair_disparity,
     rank_pool,
     ranked_metrics,
     select_threshold,
@@ -217,9 +217,9 @@ def test_criterion_05_bootstrap_ci_calibration():
             if seed < 3:
                 for idx, v in zip(draws, boots[g]):
                     _same(v, auc_roc(scores[idx], labels[idx]))
-        est = per_concept_disparity(
+        est = pair_disparity(
             boots["a"], boots["b"], metric="auc_roc", concept="c",
-            group_a="a", group_b="b",
+            group_a="a", group_b="b", sample_sizes={},
         )
         if not significance_flag(est):
             covered += 1

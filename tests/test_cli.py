@@ -538,6 +538,7 @@ class TestExitCodes:
         ("apply_term_exclusions", 1),
         ("metrics", 5),
         ("metrics", "ap"),
+        ("metrics", ["ap", "ap"]),
     ])
     def test_malformed_scalar_field_is_2(self, workspace, capsys, key, value):
         tmp_path, cfg_path = workspace
@@ -579,8 +580,10 @@ class TestExitCodes:
         (f"{RESULTS_HEADER}\n{RESULTS_ROW}\nap,c2,A,B,0.1,0,0.2x,false,\n", 3, "'ci_high'"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW}\nap,c2,A,B,0.1,0,0.2,false,n/a\n", 3,
          "'full_sample'"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW}\nap,c2,A,B,0.3,0,0.5\n{RESULTS_ROW}\n", 4,
+         "repeats the metric, concept, group_a, group_b of line 2"),
     ], ids=["no-metric", "no-concept", "no-group_a", "no-group_b", "short-row",
-            "point", "ci_low", "ci_high", "full_sample"])
+            "point", "ci_low", "ci_high", "full_sample", "repeated-key"])
     def test_malformed_results_file_is_3(self, tmp_path, capsys, text, line, column):
         path = tmp_path / "results.csv"
         path.write_text(text)

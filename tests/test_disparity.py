@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from disparity_audit import (
     DataError,
-    aggregate_disparity,
-    per_concept_disparity,
+    InvariantError,
+    pair_disparity,
     percentile,
     significance_flag,
 )
+
+from oracles import aggregate_disparity, per_concept_disparity
 
 
 class TestPercentile:
@@ -43,9 +46,17 @@ class TestPercentile:
 
 
 def simple_estimate(a, b, **kw):
-    defaults = dict(metric="ap", concept="c", group_a="A", group_b="B")
+    defaults = dict(metric="ap", concept="c", group_a="A", group_b="B", sample_sizes={})
     defaults.update(kw)
-    return per_concept_disparity(a, b, **defaults)
+    return pair_disparity(a, b, **defaults)
+
+
+def aggregate(rows_a, rows_b):
+    """The aggregate row of concepts x bootstraps values."""
+    return pair_disparity(
+        np.array(rows_a, dtype=float), np.array(rows_b, dtype=float),
+        metric="ap", concept="aggregate", group_a="A", group_b="B", sample_sizes={},
+    )
 
 
 class TestPerConceptDisparity:
@@ -75,8 +86,8 @@ class TestPerConceptDisparity:
         assert rev.ci_high == -fwd.ci_low
 
     def test_undefined_dropped_pairwise_and_counted(self):
-        a = [0.5, None, 0.7, 0.9]
-        b = [0.1, 0.2, None, 0.3]
+        a = [0.5, np.nan, 0.7, 0.9]
+        b = [0.1, 0.2, np.nan, 0.3]
         est = simple_estimate(a, b)
         assert est.bootstrap_count == 4
         assert est.bootstraps_used == 2
@@ -84,19 +95,17 @@ class TestPerConceptDisparity:
         assert not est.unreliable
 
     def test_unreliable_flag_over_half(self):
-        est = simple_estimate([None, None, 0.5, None], [0.1, 0.2, 0.3, 0.4])
+        est = simple_estimate([np.nan, np.nan, 0.5, np.nan], [0.1, 0.2, 0.3, 0.4])
         assert est.unreliable
-        ok = simple_estimate([0.5, 0.6, 0.7, None], [0.1, 0.2, 0.3, 0.4])
+        ok = simple_estimate([0.5, 0.6, 0.7, np.nan], [0.1, 0.2, 0.3, 0.4])
         assert not ok.unreliable
 
     def test_all_undefined_has_no_point(self):
-        est = simple_estimate([None, None], [0.5, 0.5])
+        est = simple_estimate([np.nan, np.nan], [0.5, 0.5])
         assert est.point is None and est.ci_low is None
         assert est.unreliable and not significance_flag(est)
 
     def test_mismatched_lengths_rejected(self):
-        from disparity_audit import InvariantError
-
         with pytest.raises(InvariantError):
             simple_estimate([0.1, 0.2], [0.3])
 
@@ -105,7 +114,7 @@ class TestAggregateDisparity:
     def test_singleton_equals_per_concept(self):
         a = [0.4, 0.5, 0.6]
         b = [0.1, 0.3, 0.2]
-        agg = aggregate_disparity({"c": a}, {"c": b}, metric="ap", group_a="A", group_b="B")
+        agg = aggregate([a], [b])
         per = simple_estimate(a, b)
         assert agg.point == per.point
         assert agg.ci_low == per.ci_low and agg.ci_high == per.ci_high
@@ -114,43 +123,84 @@ class TestAggregateDisparity:
     def test_opposite_concepts_cancel(self):
         x = [0.1, 0.2, 0.3]
         zeros = [0.0, 0.0, 0.0]
-        a = {"c1": x, "c2": zeros}
-        b = {"c1": zeros, "c2": x}
-        agg = aggregate_disparity(a, b, metric="ap", group_a="A", group_b="B")
+        agg = aggregate([x, zeros], [zeros, x])
         assert agg.point == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_computed_fixture(self):
         # 3 concepts x 4 bootstraps, worked out by hand
-        a = {
-            "c1": [0.9, 0.8, 0.7, 0.6],
-            "c2": [0.5, 0.5, 0.5, 0.5],
-            "c3": [0.1, 0.2, 0.3, 0.4],
-        }
-        b = {
-            "c1": [0.3, 0.3, 0.3, 0.3],
-            "c2": [0.6, 0.5, 0.4, 0.3],
-            "c3": [0.0, 0.1, 0.2, 0.3],
-        }
+        a = [
+            [0.9, 0.8, 0.7, 0.6],
+            [0.5, 0.5, 0.5, 0.5],
+            [0.1, 0.2, 0.3, 0.4],
+        ]
+        b = [
+            [0.3, 0.3, 0.3, 0.3],
+            [0.6, 0.5, 0.4, 0.3],
+            [0.0, 0.1, 0.2, 0.3],
+        ]
         # per-bootstrap group means: a = [0.5, 0.5, 0.5, 0.5], b = [0.3, 0.3, 0.3, 0.3]
-        agg = aggregate_disparity(a, b, metric="ap", group_a="A", group_b="B")
+        agg = aggregate(a, b)
         assert agg.point == pytest.approx(0.2)
         assert agg.ci_low == pytest.approx(0.2) and agg.ci_high == pytest.approx(0.2)
 
     def test_bootstrap_with_any_undefined_concept_dropped(self):
-        a = {"c1": [0.5, None, 0.5], "c2": [0.5, 0.5, 0.5]}
-        b = {"c1": [0.1, 0.1, 0.1], "c2": [0.1, 0.1, 0.1]}
-        agg = aggregate_disparity(a, b, metric="ap", group_a="A", group_b="B")
+        a = [[0.5, np.nan, 0.5], [0.5, 0.5, 0.5]]
+        b = [[0.1, 0.1, 0.1], [0.1, 0.1, 0.1]]
+        agg = aggregate(a, b)
         assert agg.bootstraps_used == 2
 
     def test_empty_concept_set_rejected(self):
         with pytest.raises(DataError):
-            aggregate_disparity({}, {}, metric="ap", group_a="A", group_b="B")
+            aggregate(np.empty((0, 3)), np.empty((0, 3)))
 
     def test_differing_concept_sets_rejected(self):
-        with pytest.raises(DataError):
-            aggregate_disparity(
-                {"c1": [0.1]}, {"c2": [0.1]}, metric="ap", group_a="A", group_b="B"
-            )
+        """Concepts that differ between the groups show as differing shapes."""
+        with pytest.raises(InvariantError):
+            aggregate([[0.1]], [[0.1], [0.2]])
+
+
+# metric-like values, -0.0 among them, or undefined
+VALUES = st.one_of(st.just(np.nan), st.floats(-1, 1))
+FIELDS = ("point", "ci_low", "ci_high", "bootstraps_used", "bootstrap_count", "unreliable")
+
+
+@st.composite
+def bootstrap_values(draw):
+    """Both groups' values: 1-D, one concept's bootstraps, or concepts x
+    bootstraps; NaNs at random, and up to two rows of a side NaN
+    throughout (in 1-D, the whole side)."""
+    n_boot = draw(st.integers(1, 300))
+    shape = (n_boot,) if draw(st.booleans()) else (draw(st.integers(1, 6)), n_boot)
+    sides = [draw(arrays(np.float64, shape, elements=VALUES)) for _ in range(2)]
+    for side in sides:
+        rows = np.atleast_2d(side)  # a view: NaN rows land in ``side``
+        rows[draw(st.lists(st.integers(0, rows.shape[0] - 1), max_size=2))] = np.nan
+    return sides
+
+
+class TestMatchesReferenceReducers:
+    """``pair_disparity`` against the two reducers it replaced, field by
+    field; ``repr`` tells -0.0 from 0.0."""
+
+    @given(bootstrap_values())
+    @example([np.array([0.25]), np.array([0.5])])
+    @example([np.array([[0.25]]), np.array([[np.nan]])])
+    @example([np.array([-0.0]), np.array([0.0])])  # ci_low -0.0, which a mean loses
+    @example([np.array([[-0.0, 0.5], [-0.0, 0.25]]), np.array([[0.0, 0.5], [0.0, 0.5]])])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_concept_and_aggregate_reducers(self, values):
+        a, b = values
+        groups = dict(metric="ap", group_a="A", group_b="B")
+        if a.ndim == 1:
+            want = per_concept_disparity(a, b, concept="c", **groups)
+            got = pair_disparity(a, b, concept="c", sample_sizes={}, **groups)
+        else:
+            names = [f"c{i}" for i in range(a.shape[0])]
+            want = aggregate_disparity(dict(zip(names, a)), dict(zip(names, b)), **groups)
+            got = pair_disparity(a, b, concept="aggregate", sample_sizes={}, **groups)
+        assert [repr(getattr(got, f)) for f in FIELDS] == [
+            repr(getattr(want, f)) for f in FIELDS
+        ]
 
 
 class TestSignificance:

@@ -335,7 +335,9 @@ def matrix_hits(score_maps, target_sets, k):
     ).reshape(len(ids), len(matrix.concepts))
     has_targets = np.array([bool(target_sets[i]) for i in ids], dtype=bool)
     with mock.patch.object(metrics_log, "warning") as warn:
-        hits = hit_vector(matrix.take_rows(matrix.row_of(ids)), targets, has_targets, k)
+        hits = hit_vector(
+            matrix.take_rows(matrix.row_of(ids)), targets, has_targets, k, group="A"
+        )
     logged = {args[0]: args[1] for args, _ in warn.call_args_list}
     counts = tuple(
         next((n for msg, n in logged.items() if key in msg), 0) for key in WARNINGS
@@ -384,7 +386,9 @@ class TestHitRate:
 
     def test_bad_k(self):
         with pytest.raises(DataError, match="k must be"):
-            hit_vector(np.zeros((1, 1)), np.ones((1, 1), bool), np.ones(1, bool), 0)
+            hit_vector(
+                np.zeros((1, 1)), np.ones((1, 1), bool), np.ones(1, bool), 0, group="A"
+            )
 
     CONCEPTS = ("a", "b", "c", "d", "e")
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from disparity_audit import DataError
 from disparity_audit.data import (
+    AnnotatedImage,
     ExclusionReason,
     GroupAssignment,
     PredictionRecord,
@@ -18,6 +19,7 @@ from disparity_audit.data import (
 from disparity_audit.groups import assign_groups
 from disparity_audit.pipeline import (
     compare_results,
+    evaluate_hit_rate,
     evaluate_tables,
     load_dataset,
     plan_concepts,
@@ -414,6 +416,27 @@ class TestPlanConcepts:
         plan = plan_concepts(*self.records(), ["A", "B", "C"], self.cfg(tmp_path))
         assert plan.counts["cat"]["C"] == plan.counts["dog"]["C"] == (0, 0)
         assert plan.retained == []
+
+
+def test_hit_rate_warnings_name_their_group(tmp_path, caplog):
+    # only group B has an image without labels, so without targets; both
+    # groups' images have fewer than k scores
+    rows = [("a1", "A", {"cat"}), ("a2", "A", {"dog"}), ("b1", "B", {"cat"}),
+            ("b2", "B", set())]
+    images = [AnnotatedImage(image_id=i, direct_labels=frozenset(l)) for i, _, l in rows]
+    assignments = [GroupAssignment(image_id=i, group=g) for i, g, _ in rows]
+    predictions = ScoreMatrix.from_records(
+        PredictionRecord(image_id=i, scores={"cat": 0.5, "dog": 0.25}) for i, _, _ in rows
+    )
+    cfg = dataclasses.replace(cfg_for(tmp_path, metrics=("hit_rate",)), k=5)
+    plan = plan_concepts(images, assignments, predictions, ["A", "B"], cfg)
+    with caplog.at_level("WARNING", logger="disparity_audit.metrics"):
+        evaluate_hit_rate(plan.targets, predictions, ["A", "B"], cfg)
+    assert [r.getMessage() for r in caplog.records if r.name == "disparity_audit.metrics"] == [
+        "hit rate: 2 image(s) of group A scored for fewer than k concepts",
+        "hit rate: 1 image(s) of group B with empty target sets excluded",
+        "hit rate: 1 image(s) of group B scored for fewer than k concepts",
+    ]
 
 
 class TestPlanPools:

@@ -7,8 +7,7 @@ from disparity_audit import DataError, InvariantError, compute_budget, filter_ra
 from disparity_audit.concepts import GroupPool
 from disparity_audit.pipeline import ConceptSizing, evaluate_concept
 from disparity_audit import sampling
-from disparity_audit.metrics import _BLOCK_ELEMENTS
-from disparity_audit.sampling import derive_rng, derive_seed, draw_rows
+from disparity_audit.sampling import _BLOCK_ELEMENTS, derive_rng, derive_seed, draw_rows
 
 from oracles import derive_rngs, draw_baseline_group, draw_group, reference_rows
 
