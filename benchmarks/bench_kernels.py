@@ -40,7 +40,10 @@ batched kernel's first three draws must equal the reference kernels', which
   metadata, 8 distinct label sets) and a predictions file (30,000 records
   of 3 scores); times ``load_annotations`` and ``load_predictions`` on
   those files, then ``validate_dataset``, ``assign_groups`` (metadata
-  method) and ``map_targets`` on the loaded dataset.
+  method), ``map_targets`` and ``plan_concepts`` on the loaded dataset. The
+  plan runs with the deep workload's metrics (``ap``, ``auc_roc``, ``tpr``,
+  ``fpr``), so it times the pools, the validation splits and the threshold
+  selection of every concept.
 * distinct: the deep images with no value repeated: each line carries its
   own 3 to 8 labels out of 21,000 classes and a metadata URL of its own;
   times ``load_annotations`` and ``map_targets``, the steps whose work is
@@ -72,6 +75,7 @@ from disparity_audit.data import (
 )
 from disparity_audit.disparity import pair_disparity
 from disparity_audit.metrics import hit_vector, rank_pool, ranked_metrics, select_threshold
+from disparity_audit.pipeline import plan_concepts
 from disparity_audit.groups import assign_groups
 from disparity_audit.sampling import draw_rows
 from disparity_audit.synth import CellSpec, ScenarioSpec, generate
@@ -387,6 +391,21 @@ def test_map_targets(benchmark, deep):
     assignments = assign_groups(images, cfg.group_rule)
     targets = benchmark(map_targets, images, assignments, predictions)
     assert targets.targets.shape == (30000, 3)
+
+
+def test_plan_concepts(benchmark, deep):
+    path, cfg, predictions = deep
+    benchmark.group = "ingest-deep"
+    cfg = dataclasses.replace(cfg, metrics=("ap", "auc_roc", "tpr", "fpr"), min_per_group=30)
+    images = load_annotations(path)
+    assignments = assign_groups(images, cfg.group_rule)
+    groups = list(cfg.group_rule.groups)
+    plan = benchmark(plan_concepts, images, assignments, predictions, groups, cfg)
+    assert list(plan.sized) == ["d0", "d1", "d2"] and plan.skipped == {}
+    for c, sizing in plan.sized.items():
+        assert list(sizing.thresholds) == groups
+        for g, pool in sizing.pools.items():
+            assert pool.scores.size < sum(plan.counts[c][g])  # test rows only
 
 
 def test_load_annotations_distinct(benchmark, distinct):

@@ -91,7 +91,7 @@ def _cmd_sample_plan(args) -> int:
     plans: dict[str, dict] = {}
     for c, counts in plan.counts.items():
         entry: dict = {
-            "retained": c in plan.retained,
+            "retained": c in plan.sized or c in plan.skipped,
             "pools": {g: list(counts[g]) for g in groups},
         }
         if c in plan.skipped:
@@ -154,12 +154,25 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _manifest_accounting(path: str) -> dict:
+    """A manifest file's image accounting (``stages.group_assignment.summary``),
+    ``{}`` if it has none; a data error names the file and the first key on
+    that path whose value is not an object."""
+    node = read_json_object(path, "manifest")
+    for key in ("stages", "group_assignment", "summary"):
+        node = node.get(key, {})
+        if not isinstance(node, dict):
+            what = type(node).__name__
+            raise DataError(f"manifest file {path}: {key!r} must hold a JSON object, got {what}")
+    return node
+
+
 def _cmd_report(args) -> int:
     if args.top_n < 0:
         raise ConfigError(f"--top-n must be >= 0, got {args.top_n}")
     rows = read_results_csv(args.results)
-    manifest = read_json_object(args.manifest, "manifest") if args.manifest else None
-    text = render_report(rows, top_n=args.top_n, manifest=manifest)
+    accounting = _manifest_accounting(args.manifest) if args.manifest else None
+    text = render_report(rows, top_n=args.top_n, accounting=accounting)
     if args.output:
         out = Path(args.output)
         out.mkdir(parents=True, exist_ok=True)

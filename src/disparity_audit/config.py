@@ -22,6 +22,8 @@ from .groups import GroupRule, parse_box_filter, region_rule, terms_rule
 THRESHOLD_METRICS = ("tpr", "fpr", "precision", "recall", "accuracy", "f1")
 RANKING_METRICS = ("ap", "auc_roc")
 KNOWN_METRICS = THRESHOLD_METRICS + RANKING_METRICS + ("hit_rate",)
+# Side-file paths a config may name besides the DEFAULTS keys
+FILE_KEYS = ("annotations", "predictions", "region", "terms")
 
 DEFAULTS: dict[str, Any] = {
     "group_method": "boxes",
@@ -103,10 +105,19 @@ def resolve_config_dict(
     """DEFAULTS, then the preset's expansion, then the user's explicit keys.
 
     Raises:
-        ConfigError: for an unknown evaluation version, or a ``sampling``
-            value that is not an object.
+        ConfigError: for a key that is neither a ``DEFAULTS`` key nor a side
+            file's, or a ``sampling`` key that ``DEFAULTS`` lacks; for an
+            evaluation version that is unknown or not a string; or for a
+            ``sampling`` value that is not an object.
     """
+    unknown = [repr(k) for k in user if k not in DEFAULTS and k not in FILE_KEYS]
+    if isinstance(user.get("sampling"), Mapping):
+        unknown += [f"'sampling.{k}'" for k in user["sampling"] if k not in DEFAULTS["sampling"]]
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     version = preset or user.get("evaluation_version") or "custom"
+    if not isinstance(version, str):
+        raise ConfigError(f"evaluation_version must be a string, got {version!r}")
     if version != "custom" and version not in PRESETS:
         raise ConfigError(
             f"unknown evaluation version {version!r}; expected one of "
@@ -253,7 +264,10 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
         raise ConfigError(str(e)) from e
 
     metrics = resolved["metrics"]
-    if not isinstance(metrics, list) or not metrics:
+    if (
+        not isinstance(metrics, list) or not metrics
+        or not all(isinstance(m, str) for m in metrics)
+    ):
         raise ConfigError(f"metrics must be a non-empty list of metric names, got {metrics!r}")
     if len(set(metrics)) < len(metrics):
         raise ConfigError(f"metrics must name each metric once, got {metrics!r}")
@@ -285,6 +299,8 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
     seed = _int(sampling["seed"], "seed")
 
     out_dir = resolved["output_dir"] or "out"
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"output_dir must be a path string, got {out_dir!r}")
     output_dir = Path(out_dir)
     if not output_dir.is_absolute():
         output_dir = base / output_dir

@@ -41,17 +41,6 @@ def _rate_arrays(
         }
 
 
-def check_threshold_rows(labels: Sequence[int]) -> np.ndarray:
-    """The positive mask of ``select_threshold``'s labels; a data error
-    when they hold no row or no positive row."""
-    pos = np.asarray(labels) == 1
-    if pos.shape[0] == 0:
-        raise DataError("select_threshold needs at least one row")
-    if not pos.any():
-        raise DataError("select_threshold needs at least one positive row")
-    return pos
-
-
 def select_threshold(
     scores: Sequence[float], labels: Sequence[int]
 ) -> tuple[float, float]:
@@ -68,9 +57,16 @@ def select_threshold(
     One sort per class, then every candidate's confusion counts come from a
     ``searchsorted`` (Lipton et al., ECML 2014): O(n log n) instead of one
     confusion pass per candidate.
+
+    Raises:
+        DataError: when the labels hold no row or no positive row.
     """
     s = np.asarray(scores, dtype=float)
-    pos = check_threshold_rows(labels)
+    pos = np.asarray(labels) == 1
+    if pos.shape[0] == 0:
+        raise DataError("select_threshold needs at least one row")
+    if not pos.any():
+        raise DataError("select_threshold needs at least one positive row")
     s_sorted = np.sort(s)
     distinct = s_sorted[np.concatenate(([True], s_sorted[1:] != s_sorted[:-1]))]
     lower, upper = distinct[:-1], distinct[1:]

@@ -32,7 +32,6 @@ from .disparity import MetricEstimate, pair_disparity, significance_flag
 from .errors import DataError, InvariantError
 from .groups import assign_groups, assignment_summary
 from .metrics import (
-    check_threshold_rows,
     hit_vector,
     rank_pool,
     ranked_metrics,
@@ -54,7 +53,7 @@ RESULT_COLUMNS = [
 class LoadedDataset:
     images: list[AnnotatedImage]
     predictions: ScoreMatrix
-    validation: dict
+    checks: dict  # validate_dataset's report
     images_loaded: int
 
 
@@ -67,26 +66,17 @@ def load_dataset(cfg: RunConfig) -> LoadedDataset:
     """
     images = load_annotations(cfg.annotations)
     predictions = load_predictions(cfg.predictions, images)
-    validation = validate_dataset(images, predictions)
+    checks = validate_dataset(images, predictions)
     n_loaded = len(images)
-    unlabeled = validation["images_without_labels"]
+    unlabeled = checks["images_without_labels"]
     if cfg.drop_unlabeled and unlabeled:
         dropped = set(unlabeled)
         images = [img for img in images if img.image_id not in dropped]
         predictions = predictions.without(dropped)
         log.info("dropped %d image(s) without labels", len(dropped))
     return LoadedDataset(
-        images=images, predictions=predictions, validation=validation, images_loaded=n_loaded
+        images=images, predictions=predictions, checks=checks, images_loaded=n_loaded
     )
-
-
-@dataclass
-class ConceptEvaluation:
-    """Per-bootstrap metric values for one concept, keyed (metric, group)."""
-
-    values: dict[tuple[str, str], np.ndarray]
-    full_sample: dict[tuple[str, str], float | None]
-    thresholds: dict[str, float]
 
 
 def evaluate_concept(
@@ -96,35 +86,22 @@ def evaluate_concept(
     metrics: Sequence[str],
     bootstraps: int,
     seed: int,
-    threshold_scope: str,
-) -> ConceptEvaluation:
+) -> tuple[dict[tuple[str, str], np.ndarray], dict[tuple[str, str], float | None]]:
     """Bootstrap one concept's metrics (ranking and threshold metrics, not
     ``hit_rate``) for every group, as its ``ConceptSizing`` says.
 
-    With validation pools, thresholds are selected on them (pooled across
-    groups or per group). Every metric is scored on the pools the draws
-    sample from. With a ``budget`` each draw takes that many positives and
-    negatives from every group; without, each group is resampled whole.
+    Every metric is scored on the pools the draws sample from, the threshold
+    metrics at the sizing's thresholds. With a ``budget`` each draw takes
+    that many positives and negatives from every group; without, each group
+    is resampled whole. Returns the per-bootstrap values and the full-sample
+    value (``None`` where undefined), both keyed (metric, group).
     """
-    groups = sorted(sizing.pools)
-    thresholds: dict[str, float] = {}
-    val = sizing.validation
-    if val is not None:
-        if threshold_scope == "pooled":
-            thresholds = dict.fromkeys(groups, select_threshold(
-                np.concatenate([val[g].scores for g in groups]),
-                np.concatenate([val[g].labels for g in groups]),
-            )[0])
-        else:
-            thresholds = {g: select_threshold(val[g].scores, val[g].labels)[0] for g in groups}
-
     # One group at a time: sort its pool once, then score the draws (and the
     # identity draw, the full sample) from ranks into that order.
     values: dict[tuple[str, str], np.ndarray] = {}
     full_sample: dict[tuple[str, str], float | None] = {}
-    for g in groups:
-        pool = sizing.pools[g]
-        ranked = rank_pool(pool.scores, pool.labels, pool.image_rows, threshold=thresholds.get(g))
+    for g, pool in sizing.pools.items():
+        ranked = rank_pool(pool.scores, pool.labels, pool.image_rows, sizing.thresholds.get(g))
         if sizing.budget is not None:
             sizes = [(pool.n_pos, sizing.budget[0]), (pool.n_neg, sizing.budget[1])]
             draws = draw_rows((seed, "draw", concept, g), bootstraps, sizes)
@@ -139,8 +116,7 @@ def evaluate_concept(
         identity = [np.arange(pool.scores.size)[None]]
         for m, v in ranked_metrics(ranked, identity, metrics).items():
             full_sample[(m, g)] = None if np.isnan(v[0]) else float(v[0])
-
-    return ConceptEvaluation(values=values, full_sample=full_sample, thresholds=thresholds)
+    return values, full_sample
 
 
 def _pairs(groups: Sequence[str]) -> list[tuple[str, str]]:
@@ -149,39 +125,35 @@ def _pairs(groups: Sequence[str]) -> list[tuple[str, str]]:
 
 def evaluate_tables(
     plan: ConceptPlan, groups: Sequence[str], cfg: RunConfig
-) -> tuple[list[MetricEstimate], dict[str, dict[str, float]]]:
+) -> list[MetricEstimate]:
     """Evaluate the concepts the plan sized and reduce to per-concept and
-    aggregate disparity estimates for every group pair. Also returns each
-    concept's per-group thresholds, for the concepts that have them."""
+    aggregate disparity estimates for every group pair."""
     point_metrics = [m for m in cfg.metrics if m != "hit_rate"]
     evaluations = {
-        c: evaluate_concept(
-            c, s, metrics=point_metrics, bootstraps=cfg.bootstraps, seed=cfg.seed,
-            threshold_scope=cfg.threshold_scope,
-        )
+        c: evaluate_concept(c, s, metrics=point_metrics, bootstraps=cfg.bootstraps, seed=cfg.seed)
         for c, s in plan.sized.items()
     }
     estimates: list[MetricEstimate] = []
     for metric in point_metrics:
         for a, b in _pairs(groups):
-            for concept, ev in evaluations.items():
+            for concept, (values, full_sample) in evaluations.items():
                 s = plan.sized[concept]
-                fs_a = ev.full_sample[(metric, a)]
-                fs_b = ev.full_sample[(metric, b)]
+                fs_a = full_sample[(metric, a)]
+                fs_b = full_sample[(metric, b)]
                 estimates.append(pair_disparity(
-                    ev.values[(metric, a)], ev.values[(metric, b)],
+                    values[(metric, a)], values[(metric, b)],
                     metric=metric, concept=concept, group_a=a, group_b=b,
                     sample_sizes={g: s.budget or (p.n_pos, p.n_neg) for g, p in s.pools.items()},
                     full_sample=None if fs_a is None or fs_b is None else fs_a - fs_b,
                 ))
             if evaluations:
                 estimates.append(pair_disparity(
-                    np.stack([ev.values[(metric, a)] for ev in evaluations.values()]),
-                    np.stack([ev.values[(metric, b)] for ev in evaluations.values()]),
+                    np.stack([values[(metric, a)] for values, _ in evaluations.values()]),
+                    np.stack([values[(metric, b)] for values, _ in evaluations.values()]),
                     metric=metric, concept="aggregate", group_a=a, group_b=b,
                     sample_sizes={},
                 ))
-    return estimates, {c: ev.thresholds for c, ev in evaluations.items() if ev.thresholds}
+    return estimates
 
 
 def evaluate_hit_rate(
@@ -221,48 +193,55 @@ def evaluate_hit_rate(
 
 @dataclass(frozen=True)
 class ConceptSizing:
-    """How one concept is evaluated: each group's validation pool when
-    threshold metrics need a split, the pools each group's draws sample
-    from, and in a reliable run the per-group budget."""
+    """How one concept is evaluated: the pools each group's draws sample
+    from, in sorted group order; each group's decision threshold (``{}``
+    when no threshold metric is requested); and in a reliable run the
+    per-group budget."""
 
-    validation: dict[str, GroupPool] | None
     pools: dict[str, GroupPool]
+    thresholds: dict[str, float]
     budget: tuple[int, int] | None
 
 
 def size_concept(
     concept: str, pools: Mapping[str, GroupPool], cfg: RunConfig
 ) -> ConceptSizing:
-    """Split and budget one concept's group pools, in sorted group order.
+    """Split, threshold and budget one concept's group pools, in sorted
+    group order.
+
+    With threshold metrics, each group's pool is split into validation and
+    test rows; thresholds are selected on the validation rows, of all groups
+    at once (``pooled``) or of one group at a time (``per_group``), and only
+    the test rows are kept.
 
     Raises:
-        DataError: when threshold selection would have no validation row or
-            no positive one, or else when no budget fits every group.
+        DataError: when threshold selection has no validation row or no
+            positive one, or else when no budget fits every group.
     """
     groups = sorted(pools)
     pools = {g: pools[g] for g in groups}
-    validation = None
+    thresholds: dict[str, float] = {}
     if any(m in THRESHOLD_METRICS for m in cfg.metrics):
-        splits = {
-            g: split_validation_test(
+        validation: dict[str, GroupPool] = {}
+        for g in groups:
+            val, test = split_validation_test(
                 pools[g].labels, cfg.validation_fraction,
                 derive_seed(cfg.seed, "split", concept, g),
             )
-            for g in groups
-        }
-        validation = {g: pools[g].take(splits[g][0]) for g in groups}
-        val_labels = [validation[g].labels for g in groups]
-        if cfg.threshold_scope == "pooled":
-            val_labels = [np.concatenate(val_labels)]
-        for labels in val_labels:
-            check_threshold_rows(labels)
-        pools = {g: pools[g].take(splits[g][1]) for g in groups}
+            validation[g], pools[g] = pools[g].take(val), pools[g].take(test)
+        scopes = [groups] if cfg.threshold_scope == "pooled" else [[g] for g in groups]
+        for scope in scopes:
+            threshold, _ = select_threshold(
+                np.concatenate([validation[g].scores for g in scope]),
+                np.concatenate([validation[g].labels for g in scope]),
+            )
+            thresholds.update(dict.fromkeys(scope, threshold))
     budget = None
     if cfg.sampling_mode == "reliable":
         budget = compute_budget(
             concept, {g: (p.n_pos, p.n_neg) for g, p in pools.items()}, cfg.ratio
         )
-    return ConceptSizing(validation=validation, pools=pools, budget=budget)
+    return ConceptSizing(pools=pools, thresholds=thresholds, budget=budget)
 
 
 @dataclass
@@ -270,14 +249,13 @@ class ConceptPlan:
     """How each concept is evaluated.
 
     ``counts`` maps each candidate and each group to the ``(n_pos, n_neg)``
-    scored rows of its pool; ``retained`` holds the candidates that pass the
-    rare-label filter on those counts. Each retained concept is then either
-    ``sized`` for evaluation or ``skipped`` with the reason.
+    scored rows of its pool. Each candidate that passes the rare-label
+    filter on those counts is retained, and then either ``sized`` for
+    evaluation or ``skipped`` with the reason.
     """
 
     targets: TargetMatrix
     counts: dict[str, dict[str, tuple[int, int]]]
-    retained: list[str]
     sized: dict[str, ConceptSizing]
     skipped: dict[str, str]
 
@@ -350,7 +328,7 @@ def plan_concepts(
         except DataError as e:
             skipped[c] = str(e)
             log.warning("skipping concept %s: %s", c, e)
-    return ConceptPlan(targets, counts, retained, sized, skipped)
+    return ConceptPlan(targets, counts, sized, skipped)
 
 
 @dataclass
@@ -363,18 +341,15 @@ class PipelineResult:
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Execute the full audit pipeline in memory."""
     loaded = load_dataset(cfg)
-    images = loaded.images
-    predictions = loaded.predictions
-    validation = loaded.validation
-    n_loaded = loaded.images_loaded
-    n_unlabeled = len(validation["images_without_labels"])
+    images, predictions, checks = loaded.images, loaded.predictions, loaded.checks
+    n_unlabeled = len(checks["images_without_labels"])
 
     assignments = assign_groups(images, cfg.group_rule)
     groups = list(cfg.group_rule.groups)
     summary = assignment_summary(assignments, groups=groups)
 
     plan = plan_concepts(images, assignments, predictions, groups, cfg)
-    estimates, _ = evaluate_tables(plan, groups, cfg)
+    estimates = evaluate_tables(plan, groups, cfg)
     if "hit_rate" in cfg.metrics:
         estimates.extend(evaluate_hit_rate(plan.targets, predictions, groups, cfg))
 
@@ -386,13 +361,13 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         "seed": cfg.seed,
         "stages": {
             "ingest": {
-                "images_loaded": n_loaded,
+                "images_loaded": loaded.images_loaded,
                 "images_without_labels": n_unlabeled,
                 "images_dropped_unlabeled": n_unlabeled if cfg.drop_unlabeled else 0,
                 "images_used": len(images),
                 "prediction_records": len(predictions),
-                "score_coverage_gaps": validation["score_coverage_gaps"],
-                "zero_positive_concepts": len(validation["zero_positive_concepts"]),
+                "score_coverage_gaps": checks["score_coverage_gaps"],
+                "zero_positive_concepts": len(checks["zero_positive_concepts"]),
             },
             "group_assignment": {
                 "method": cfg.group_rule.method,
@@ -404,7 +379,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             "concepts": {
                 "candidates": len(plan.targets.concepts),
                 "unscored_targets": len(plan.targets.unscored),
-                "retained_after_rare_filter": len(plan.retained),
+                "retained_after_rare_filter": len(plan.sized) + len(plan.skipped),
                 "rare_filter_min_per_group": cfg.min_per_group,
                 "skipped": plan.skipped,
             },
@@ -614,9 +589,10 @@ def _interval(row: dict) -> str:
     return f"[{low}, {high}]"
 
 
-def render_report(rows: Sequence[dict], top_n: int = 5, manifest: dict | None = None) -> str:
+def render_report(rows: Sequence[dict], top_n: int = 5, accounting: Mapping | None = None) -> str:
     """Human-readable summary: largest per-concept disparities per metric and
-    group pair, aggregate rows, and exclusion accounting when available."""
+    group pair, aggregate rows, and the image ``accounting`` (a manifest's
+    group-assignment summary) when available."""
     lines: list[str] = []
     if not rows:
         return "no results to report (empty results table)\n"
@@ -650,14 +626,11 @@ def render_report(rows: Sequence[dict], top_n: int = 5, manifest: dict | None = 
             )
         lines.append("")
 
-    if manifest:
-        ga = manifest.get("stages", {}).get("group_assignment", {})
-        summary = ga.get("summary", {})
-        if summary:
-            lines.append("== image accounting ==")
-            for key in sorted(summary):
-                lines.append(f"  {key:<22} {summary[key]}")
-            lines.append("")
+    if accounting:
+        lines.append("== image accounting ==")
+        for key in sorted(accounting):
+            lines.append(f"  {key:<22} {accounting[key]}")
+        lines.append("")
     return "\n".join(lines) + "\n"
 
 
@@ -677,9 +650,9 @@ def write_outputs(result: PipelineResult, cfg: RunConfig) -> dict[str, Path]:
     exclusions_path = out / "exclusions.csv"
     write_assignments_csv(result.assignments, exclusions_path, only_excluded=True)
     report_path = out / "report.txt"
-    report_path.write_text(
-        render_report(rows, top_n=cfg.top_n, manifest=result.manifest), encoding="utf-8"
-    )
+    accounting = result.manifest["stages"]["group_assignment"]["summary"]
+    text = render_report(rows, top_n=cfg.top_n, accounting=accounting)
+    report_path.write_text(text, encoding="utf-8")
     return {
         "results": results_path,
         "plotdata": plot_dir,

@@ -182,7 +182,7 @@ def test_criterion_04_flagship_prevalence_reproduction():
         for mode in ("baseline", "reliable"):
             cfg = run_config(sampling_mode=mode, seed=seed)
             plan = plan_concepts(*records, ["alpha", "beta"], cfg)
-            estimates, _ = evaluate_tables(plan, ["alpha", "beta"], cfg)
+            estimates = evaluate_tables(plan, ["alpha", "beta"], cfg)
             per = [e for e in estimates if e.concept == "widget"][0]
             flags[mode] = significance_flag(per)
         if flags["baseline"] and not flags["reliable"]:

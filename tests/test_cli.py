@@ -469,7 +469,12 @@ class TestExitCodes:
         (None, "manifest file not found"),
         ('{"stages": ', "is not valid JSON"),
         ("[1]", "must hold a JSON object, got list"),
-    ], ids=["missing", "malformed", "not-object"])
+        ('{"stages": 5}', "'stages' must hold a JSON object, got int"),
+        ('{"stages": {"group_assignment": []}}',
+         "'group_assignment' must hold a JSON object, got list"),
+        ('{"stages": {"group_assignment": {"summary": [1, 2]}}}',
+         "'summary' must hold a JSON object, got list"),
+    ], ids=["missing", "malformed", "not-object", "stages", "group_assignment", "summary"])
     def test_malformed_manifest_is_3(self, tmp_path, capsys, text, message):
         results = tmp_path / "results.csv"
         results.write_text(f"{RESULTS_HEADER}\n{RESULTS_ROW}\n")
@@ -539,6 +544,12 @@ class TestExitCodes:
         ("metrics", 5),
         ("metrics", "ap"),
         ("metrics", ["ap", "ap"]),
+        ("metrics", [["ap"]]),
+        ("metrics", [{"ap": 1}]),
+        ("evaluation_version", ["reliable"]),
+        ("evaluation_version", {"a": 1}),
+        ("output_dir", 5),
+        ("output_dir", ["x"]),
     ])
     def test_malformed_scalar_field_is_2(self, workspace, capsys, key, value):
         tmp_path, cfg_path = workspace
@@ -551,6 +562,25 @@ class TestExitCodes:
                 err = capsys.readouterr().err
                 assert "config error" in err and "Traceback" not in err
                 assert key in err and repr(value) in err
+
+    @pytest.mark.parametrize("section,key,value", [
+        (None, "metric", ["auc_roc"]),
+        (None, "bootstraps", 7),
+        ("sampling", "bootstrap", 7),
+        ("sampling", "threshold_scope", "per_group"),
+    ])
+    def test_unknown_config_key_is_2(self, workspace, capsys, section, key, value):
+        tmp_path, cfg_path = workspace
+        raw = json.loads(cfg_path.read_text())
+        (raw[section] if section else raw)[key] = value
+        cfg_path.write_text(json.dumps(raw))
+        for command in ("run", "sample-plan"):
+            assert main([command, "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "Traceback" not in err
+            name = f"{section}.{key}" if section else key
+            assert f"unknown config key(s): {name!r}" in err
+        assert not (tmp_path / "out").exists()
 
     def test_metrics_string_is_not_read_as_letters(self, workspace, capsys):
         tmp_path, cfg_path = workspace

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from disparity_audit import DataError
+from disparity_audit import DataError, select_threshold, split_validation_test
+from disparity_audit.concepts import GroupPool
+from disparity_audit.config import THRESHOLD_METRICS
 from disparity_audit.data import (
     AnnotatedImage,
     ExclusionReason,
@@ -29,6 +31,7 @@ from disparity_audit.pipeline import (
     write_outputs,
     write_results_csv,
 )
+from disparity_audit.sampling import derive_seed
 from disparity_audit.synth import CellSpec, ScenarioSpec, generate
 
 from stubs import run_config
@@ -62,7 +65,7 @@ class TestEvaluateTables:
     def test_shapes_and_sign_convention(self, tmp_path):
         cfg = cfg_for(tmp_path)
         plan = two_group_plan(cfg)
-        estimates, _ = evaluate_tables(plan, ["A", "B"], cfg)
+        estimates = evaluate_tables(plan, ["A", "B"], cfg)
         keys = {(e.metric, e.concept) for e in estimates}
         for metric in ("ap", "tpr", "fpr"):
             assert (metric, "c1") in keys and (metric, "aggregate") in keys
@@ -73,7 +76,7 @@ class TestEvaluateTables:
     def test_ratio_mode_equalizes_sample_sizes(self, tmp_path):
         cfg = cfg_for(tmp_path, mode="reliable", metrics=("ap",))
         plan = two_group_plan(cfg, prev_a=0.5, prev_b=0.2)
-        estimates, _ = evaluate_tables(plan, ["A", "B"], cfg)
+        estimates = evaluate_tables(plan, ["A", "B"], cfg)
         per = [e for e in estimates if e.concept == "c1"][0]
         sizes = set(per.sample_sizes.values())
         assert len(sizes) == 1  # identical budget across groups
@@ -83,14 +86,13 @@ class TestEvaluateTables:
     def test_thresholds_fixed_from_validation(self, tmp_path):
         cfg = cfg_for(tmp_path, metrics=("tpr", "fpr"))
         plan = two_group_plan(cfg)
-        _, thresholds = evaluate_tables(plan, ["A", "B"], cfg)
-        assert thresholds["c1"]["A"] == thresholds["c1"]["B"]  # pooled scope
+        thresholds = plan.sized["c1"].thresholds
+        assert thresholds["A"] == thresholds["B"]  # pooled scope
 
     def test_per_group_scope_thresholds_differ_in_general(self, tmp_path):
         cfg = cfg_for(tmp_path, metrics=("tpr",), scope="per_group")
         plan = two_group_plan(cfg, prev_a=0.5, prev_b=0.1)
-        _, thresholds = evaluate_tables(plan, ["A", "B"], cfg)
-        assert set(thresholds["c1"]) == {"A", "B"}
+        assert set(plan.sized["c1"].thresholds) == {"A", "B"}
 
     def test_infeasible_budget_skipped_with_reason(self, tmp_path):
         # 27 positives, 3 negatives: ratio 1:4 infeasible
@@ -99,7 +101,7 @@ class TestEvaluateTables:
         assert plan.sized == {}
         assert set(plan.skipped) == {"c1", "c2"}
         assert "fewer than the 4 required per ratio unit" in plan.skipped["c1"]
-        estimates, _ = evaluate_tables(plan, ["A", "B"], cfg)
+        estimates = evaluate_tables(plan, ["A", "B"], cfg)
         assert estimates == []
 
 
@@ -114,7 +116,7 @@ class TestMultiGroup:
         spec = ScenarioSpec(concepts={"c1": cells}, seed=2)
         cfg = cfg_for(tmp_path, metrics=("ap",), ratio=(1, 2))
         plan = synth_plan(spec, list(groups), cfg)
-        estimates, _ = evaluate_tables(plan, list(groups), cfg)
+        estimates = evaluate_tables(plan, list(groups), cfg)
         per = [e for e in estimates if e.concept == "c1"]
         assert {(e.group_a, e.group_b) for e in per} == {
             (a, b) for i, a in enumerate(groups) for b in groups[i + 1:]
@@ -135,7 +137,7 @@ class TestResultsCsv:
     def test_round_trip(self, tmp_path):
         cfg = cfg_for(tmp_path, metrics=("ap",))
         plan = two_group_plan(cfg)
-        estimates, _ = evaluate_tables(plan, ["A", "B"], cfg)
+        estimates = evaluate_tables(plan, ["A", "B"], cfg)
         path = tmp_path / "results.csv"
         write_results_csv(estimates, "custom", path)
         rows = read_results_csv(path)
@@ -330,7 +332,7 @@ class TestRunPipeline:
         assignments = assign_groups(loaded.images, cfg.group_rule)
         plan = plan_concepts(loaded.images, assignments, loaded.predictions, ["A", "B"], cfg)
         candidates, counts = plan.targets.concepts, plan.counts
-        assert (candidates, plan.targets.unscored, plan.retained) == (
+        assert (candidates, plan.targets.unscored, [*plan.sized, *plan.skipped]) == (
             ("c1", "c2", "c3"), (), ["c1", "c2"]
         )
         # a ranking-only baseline plan that retains every candidate draws
@@ -403,7 +405,7 @@ class TestPlanConcepts:
             "cat": {"A": (1, 1), "B": (1, 1)},
             "dog": {"A": (1, 2), "B": (0, 1)},
         }
-        assert plan.retained == ["cat"]
+        assert [*plan.sized, *plan.skipped] == ["cat"]
 
     def test_unscored_target_dropped_with_warning(self, tmp_path, caplog):
         with caplog.at_level("WARNING", logger="disparity_audit.pipeline"):
@@ -415,7 +417,7 @@ class TestPlanConcepts:
     def test_group_without_images_blocks_retention(self, tmp_path):
         plan = plan_concepts(*self.records(), ["A", "B", "C"], self.cfg(tmp_path))
         assert plan.counts["cat"]["C"] == plan.counts["dog"]["C"] == (0, 0)
-        assert plan.retained == []
+        assert plan.sized == plan.skipped == {}
 
 
 def test_hit_rate_warnings_name_their_group(tmp_path, caplog):
@@ -442,7 +444,8 @@ def test_hit_rate_warnings_name_their_group(tmp_path, caplog):
 class TestPlanPools:
     """The plan is the one place that builds pools: for every sized concept
     and group, its validation and draw pools split exactly the group's
-    scored, assigned rows, positives first and each class in image-id order."""
+    scored, assigned rows, positives first and each class in image-id order,
+    and the thresholds are selected on the validation pools."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -483,18 +486,33 @@ class TestPlanPools:
             validation_fraction=fraction, min_per_group=1, seed=seed,
         )
         plan = plan_concepts(images, assignments, ScoreMatrix.from_records(records), groups, cfg)
-        event(f"sized {len(plan.sized)} of {len(plan.retained)} retained")
+        event(f"sized {len(plan.sized)} of {len(plan.sized) + len(plan.skipped)} retained")
 
         # image rows index the assigned images in id order
         group_of = {a.image_id: a.group for a in assignments if a.group is not None}
         ids = sorted(group_of)
         labels = {img.image_id: img.direct_labels for img in images}
         score = {r.image_id: r.scores for r in records}
+        split = any(m in THRESHOLD_METRICS for m in metrics)
         for c, sizing in plan.sized.items():
+            validation = {}
             for g in groups:
                 parts = [sizing.pools[g]]
-                if sizing.validation is not None:
-                    parts.insert(0, sizing.validation[g])
+                if split:
+                    # the group's full pool, rebuilt from the records, split
+                    # under the plan's seed
+                    rows = [r for r, i in enumerate(ids) if group_of[i] == g and c in score[i]]
+                    rows.sort(key=lambda r: c not in labels[ids[r]])  # stable: positives first
+                    full = GroupPool(
+                        scores=np.array([score[ids[r]][c] for r in rows]),
+                        image_rows=np.array(rows, dtype=np.int64),
+                        n_pos=sum(c in labels[ids[r]] for r in rows),
+                    )
+                    val, _ = split_validation_test(
+                        full.labels, fraction, derive_seed(seed, "split", c, g)
+                    )
+                    validation[g] = full.take(val)
+                    parts.insert(0, validation[g])
                 rows = [set(pool.image_rows.tolist()) for pool in parts]
                 assert sum(map(len, rows)) == sum(pool.image_rows.size for pool in parts)
                 assert len(set.union(*rows)) == sum(map(len, rows))  # disjoint
@@ -508,3 +526,12 @@ class TestPlanPools:
                     assert pool.scores.tolist() == [score[i][c] for i in pool_ids]
                     for class_rows in np.split(pool.image_rows, [pool.n_pos]):
                         assert np.all(np.diff(class_rows) > 0)
+            expected = {}
+            scopes = [groups] if scope == "pooled" else [[g] for g in groups]
+            for part in scopes if split else []:
+                threshold, _ = select_threshold(
+                    np.concatenate([validation[g].scores for g in part]),
+                    np.concatenate([validation[g].labels for g in part]),
+                )
+                expected.update(dict.fromkeys(part, threshold))
+            assert sizing.thresholds == expected

@@ -218,9 +218,9 @@ class TestRankedMetricsEquivalence:
 
 
 def reference_evaluation(concept, pools, metric, mode, scope, bootstraps, seed, fraction=0.2):
-    """What ``evaluate_concept`` computes for one metric, from the scalar
-    functions: for a threshold metric split, select and restrict first; then
-    score every draw and the full sample."""
+    """What ``size_concept`` then ``evaluate_concept`` compute for one
+    metric, from the scalar functions: for a threshold metric split, select
+    and restrict first; then score every draw and the full sample."""
     groups = sorted(pools)
     thresholds = {}
     eval_pools = pools
@@ -277,16 +277,16 @@ class TestMetricsThroughEvaluateConcept:
         cfg = run_config(
             metrics=(metric,), sampling_mode=mode, ratio=(1, 4), seed=8, threshold_scope=scope,
         )
-        ev = evaluate_concept(
-            "c", size_concept("c", pools, cfg), metrics=[metric], bootstraps=40, seed=8,
-            threshold_scope=scope,
+        sizing = size_concept("c", pools, cfg)
+        got_values, got_full = evaluate_concept(
+            "c", sizing, metrics=[metric], bootstraps=40, seed=8
         )
         thresholds, values, full = reference_evaluation("c", pools, metric, mode, scope, 40, 8)
-        assert ev.thresholds == thresholds
+        assert sizing.thresholds == thresholds
         for g in sorted(pools):
             for b in range(40):
-                assert_same(ev.values[(metric, g)][b], values[g][b])
-            assert ev.full_sample[(metric, g)] == full[g]
+                assert_same(got_values[(metric, g)][b], values[g][b])
+            assert got_full[(metric, g)] == full[g]
         if mode == "baseline" and metric in ("tpr", "recall", "f1"):
             assert None in values["B"]
 
@@ -318,9 +318,8 @@ class TestTiesFollowImageIds:
             images, [GroupAssignment(i, group=g) for i, g, _, _ in self.ROWS],
             load_predictions(pred, images), ["A", "B"], cfg,
         )
-        ev = evaluate_concept(
-            "c", plan.sized["c"], metrics=["ap", "auc_roc"], bootstraps=1, seed=0,
-            threshold_scope="pooled",
+        _, full_sample = evaluate_concept(
+            "c", plan.sized["c"], metrics=["ap", "auc_roc"], bootstraps=1, seed=0
         )
         for g in ("A", "B"):
             rows = [(i, pos, s) for i, grp, pos, s in self.ROWS if grp == g]
@@ -330,8 +329,8 @@ class TestTiesFollowImageIds:
             ap = average_precision(scores, labels, tiebreak=ids)
             # the tie-break decides AP here: positives-first order differs
             assert ap != average_precision(scores, labels, tiebreak=1 - labels)
-            assert ev.full_sample[("ap", g)] == ap
-            assert ev.full_sample[("auc_roc", g)] == auc_roc(scores, labels)
+            assert full_sample[("ap", g)] == ap
+            assert full_sample[("auc_roc", g)] == auc_roc(scores, labels)
 
 
 def scan_select_threshold(scores, labels):

@@ -203,11 +203,9 @@ class TestBaseline:
         assert abs(frac.mean() - 0.35) < 4 * se
 
     def test_empty_pool_error_names_concept_and_group(self):
-        sizing = ConceptSizing(validation=None, pools=make_pools(A=(3, 5), B=(0, 0)), budget=None)
+        sizing = ConceptSizing(pools=make_pools(A=(3, 5), B=(0, 0)), thresholds={}, budget=None)
         with pytest.raises(InvariantError, match="concept 'c' group 'B': cannot resample"):
-            evaluate_concept(
-                "c", sizing, metrics=["ap"], bootstraps=2, seed=0, threshold_scope="pooled",
-            )
+            evaluate_concept("c", sizing, metrics=["ap"], bootstraps=2, seed=0)
 
 
 class TestDeriveRng:
@@ -311,8 +309,6 @@ class TestDrawRows:
 
     def test_empty_reliable_class_error_names_concept_and_group(self):
         pools = make_pools(A=(3, 5), B=(0, 8))
-        sizing = ConceptSizing(validation=None, pools=pools, budget=(1, 2))
+        sizing = ConceptSizing(pools=pools, thresholds={}, budget=(1, 2))
         with pytest.raises(InvariantError, match="concept 'c' group 'B': cannot resample"):
-            evaluate_concept(
-                "c", sizing, metrics=["ap"], bootstraps=2, seed=0, threshold_scope="pooled",
-            )
+            evaluate_concept("c", sizing, metrics=["ap"], bootstraps=2, seed=0)
