@@ -33,8 +33,10 @@ batched kernel's first three draws must equal the reference kernels', which
   ``oracles.aggregate_disparity``).
 
 * wide: 200 concepts scored on 3 x 1,500 images, written by ``synth`` as a
-  predictions file; times ``load_predictions`` on that file and
-  ``hit_vector`` (k 5) on the loaded matrix.
+  predictions file; times ``load_predictions`` on that file,
+  ``hit_vector`` (k 5) on the loaded matrix, and ``plan_concepts`` with
+  metrics ``ap`` and ``hit_rate``, whose hit values must equal each
+  group's ``hit_vector``.
 * deep: 3 concepts labelled and scored on 3 x 10,000 images, written by
   ``synth`` as an annotations file (30,000 lines of id, labels and
   metadata, 8 distinct label sets) and a predictions file (30,000 records
@@ -90,6 +92,7 @@ from oracles import (  # noqa: E402
     rates_from_confusion,
     reference_rows,
 )
+from stubs import run_config  # noqa: E402
 from corpus import (  # noqa: E402
     BOX_CASES,
     CAPTION_CASES,
@@ -257,36 +260,56 @@ def test_pair_disparity(benchmark, name):
 
 @pytest.fixture(scope="module")
 def wide(tmp_path_factory):
-    """The wide shape: predictions file, annotated images, and each image's
-    labels as a target mask over the sorted concepts."""
+    """The wide shape: predictions file, annotated images, each image's
+    labels as a target mask over the sorted concepts, and each image's
+    group assignment."""
     cells = {
         g: CellSpec(prevalence=p, mu_pos=1.0, sigma_pos=1.0, mu_neg=0.0, sigma_neg=1.0, n=1500)
         for g, p in (("alpha", 0.04), ("beta", 0.02), ("gamma", 0.05))
     }
     spec = ScenarioSpec(concepts={f"w{i:03d}": cells for i in range(200)}, seed=0)
-    images, _, predictions = generate(spec)
+    images, assignments, predictions = generate(spec)
     path = tmp_path_factory.mktemp("wide") / "predictions.jsonl"
     with path.open("w", encoding="utf-8") as f:
         for p in predictions:
             f.write(json.dumps({"image_id": p.image_id, "scores": p.scores}) + "\n")
     concepts = sorted(spec.concepts)
     targets = np.array([[c in img.direct_labels for c in concepts] for img in images])
-    return path, images, targets
+    return path, images, targets, assignments
 
 
 def test_load_predictions(benchmark, wide):
-    path, images, _ = wide
+    path, images, _, _ = wide
     benchmark.group = "ingest-wide"
     matrix = benchmark(load_predictions, path, images)
     assert matrix.scores.shape == (4500, 200)
 
 
 def test_hit_vector(benchmark, wide):
-    path, images, targets = wide
+    path, images, targets, _ = wide
     benchmark.group = "ingest-wide"
     scores = load_predictions(path, images).scores
     hits = benchmark(hit_vector, scores, targets, targets.any(axis=1), 5, group="alpha")
     assert 0 < hits.size <= len(images)
+
+
+def test_plan_concepts_wide(benchmark, wide):
+    path, images, targets, assignments = wide
+    benchmark.group = "ingest-wide"
+    predictions = load_predictions(path, images)
+    groups = ["alpha", "beta", "gamma"]
+    cfg = run_config(metrics=("ap", "hit_rate"), min_per_group=30)
+    plan = benchmark(plan_concepts, images, assignments, predictions, groups, cfg)
+    assert len(plan.sized) == 200 and plan.skipped == {}
+    # the images are in id order, and every scored concept is a candidate
+    group_of = np.array([a.group for a in assignments])
+    for g in groups:
+        rows = group_of == g
+        want = hit_vector(
+            predictions.scores[rows], targets[rows], targets[rows].any(axis=1), 5, group=g
+        )
+        assert np.array_equal(plan.hits[g], want)
+        assert want.size == np.count_nonzero(targets[rows].any(axis=1))  # every image scored
 
 
 def _deep_spec():

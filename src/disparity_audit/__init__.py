@@ -37,12 +37,7 @@ from .metrics import (
     select_threshold,
     split_validation_test,
 )
-from .sampling import (
-    compute_budget,
-    derive_rng,
-    derive_seed,
-    filter_rare_concepts,
-)
+from .sampling import compute_budget, derive_rng, derive_seed
 from .disparity import (
     MetricEstimate,
     pair_disparity,

@@ -107,17 +107,17 @@ def resolve_config_dict(
     Raises:
         ConfigError: for a key that is neither a ``DEFAULTS`` key nor a side
             file's, or a ``sampling`` key that ``DEFAULTS`` lacks; for an
-            evaluation version that is unknown or not a string; or for a
-            ``sampling`` value that is not an object.
+            evaluation version that is unknown or not a non-empty string
+            (only an absent one is ``custom``); or for a ``sampling`` value
+            that is not an object.
     """
     unknown = [repr(k) for k in user if k not in DEFAULTS and k not in FILE_KEYS]
     if isinstance(user.get("sampling"), Mapping):
         unknown += [f"'sampling.{k}'" for k in user["sampling"] if k not in DEFAULTS["sampling"]]
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    version = preset or user.get("evaluation_version") or "custom"
-    if not isinstance(version, str):
-        raise ConfigError(f"evaluation_version must be a string, got {version!r}")
+    version = preset if preset is not None else user.get("evaluation_version", "custom")
+    _str(version, "evaluation_version")
     if version != "custom" and version not in PRESETS:
         raise ConfigError(
             f"unknown evaluation version {version!r}; expected one of "
@@ -298,8 +298,8 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
     min_per_group = _int(sampling["min_per_group"], "min_per_group", minimum=1)
     seed = _int(sampling["seed"], "seed")
 
-    out_dir = resolved["output_dir"] or "out"
-    if not isinstance(out_dir, str):
+    out_dir = resolved["output_dir"]
+    if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError(f"output_dir must be a path string, got {out_dir!r}")
     output_dir = Path(out_dir)
     if not output_dir.is_absolute():

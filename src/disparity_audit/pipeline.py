@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .concepts import GroupPool, TargetMatrix, _readonly, map_targets
+from .concepts import GroupPool, _readonly, map_targets
 from .config import THRESHOLD_METRICS, RunConfig, config_hash
 from .data import (
     AnnotatedImage,
@@ -38,7 +38,7 @@ from .metrics import (
     select_threshold,
     split_validation_test,
 )
-from .sampling import compute_budget, derive_seed, draw_rows, filter_rare_concepts
+from .sampling import compute_budget, derive_seed, draw_rows
 
 log = logging.getLogger("disparity_audit.pipeline")
 
@@ -157,21 +157,13 @@ def evaluate_tables(
 
 
 def evaluate_hit_rate(
-    targets: TargetMatrix, predictions: ScoreMatrix, groups: Sequence[str], cfg: RunConfig
+    plan: ConceptPlan, groups: Sequence[str], cfg: RunConfig
 ) -> list[MetricEstimate]:
-    """Top-k hit rate per group with full-pool bootstrap CIs on pair differences."""
-    candidate_columns = predictions.columns(targets.concepts)
-    hit_values: dict[str, np.ndarray] = {}
-    for g in groups:
-        rows = targets.groups == g
-        scores = predictions.take_rows(targets.rows[rows])
-        is_target = np.zeros(scores.shape, dtype=bool)
-        is_target[:, candidate_columns] = targets.targets[rows]
-        hit_values[g] = hit_vector(scores, is_target, targets.has_targets[rows], cfg.k, group=g)
-
+    """Top-k hit rate per group, from the plan's hit values, with full-pool
+    bootstrap CIs on pair differences."""
     # Draws are keyed per group, so each group's means serve every pair.
     boots: dict[str, np.ndarray] = {}
-    for g, hits in hit_values.items():
+    for g, hits in plan.hits.items():
         if hits.size == 0:
             continue
         blocks = draw_rows((cfg.seed, "hit_rate", g), cfg.bootstraps, [(hits.size, hits.size)])
@@ -185,8 +177,8 @@ def evaluate_hit_rate(
         estimates.append(pair_disparity(
             boots[a], boots[b],
             metric="hit_rate", concept="aggregate", group_a=a, group_b=b,
-            sample_sizes={a: (hit_values[a].size, 0), b: (hit_values[b].size, 0)},
-            full_sample=float(hit_values[a].mean() - hit_values[b].mean()),
+            sample_sizes={a: (plan.hits[a].size, 0), b: (plan.hits[b].size, 0)},
+            full_sample=float(plan.hits[a].mean() - plan.hits[b].mean()),
         ))
     return estimates
 
@@ -246,18 +238,21 @@ def size_concept(
 
 @dataclass
 class ConceptPlan:
-    """How each concept is evaluated.
+    """How each concept is evaluated, and each group's top-k hits.
 
     ``counts`` maps each candidate and each group to the ``(n_pos, n_neg)``
-    scored rows of its pool. Each candidate that passes the rare-label
-    filter on those counts is retained, and then either ``sized`` for
-    evaluation or ``skipped`` with the reason.
+    scored rows of its pool; ``unscored`` are the targets no prediction
+    scores. Each candidate that passes the rare-label rule on those counts
+    is retained, and then either ``sized`` for evaluation or ``skipped``
+    with the reason. ``hits`` holds each group's ``hit_vector`` values when
+    ``hit_rate`` is requested, and is empty otherwise.
     """
 
-    targets: TargetMatrix
     counts: dict[str, dict[str, tuple[int, int]]]
+    unscored: tuple[str, ...]
     sized: dict[str, ConceptSizing]
     skipped: dict[str, str]
+    hits: dict[str, np.ndarray]
 
 
 def plan_concepts(
@@ -271,12 +266,15 @@ def plan_concepts(
 
     Candidates are the targets of group-assigned images that some prediction
     scores. Each group's counts are column sums of the scored and target
-    masks under its rows. A run whose only metric is ``hit_rate`` evaluates
-    no concept, so it retains none. Each retained concept's group pools are
-    taken from those masks: a group's scored rows, positives then negatives,
-    each in image-id order. An image that lacks the concept's score is
-    omitted with a warning. The pools are sized with ``size_concept``; a
-    concept that cannot be is skipped with a warning.
+    masks under its rows. A concept is retained when every group has at
+    least ``min_per_group`` scored positives; a run whose only metric is
+    ``hit_rate`` evaluates no concept, so it retains none. Each retained
+    concept's group pools are taken from those masks: a group's scored
+    rows, positives then negatives, each in image-id order. An image that
+    lacks the concept's score is omitted with a warning. The pools are
+    sized with ``size_concept``; a concept that cannot be is skipped with a
+    warning. With ``hit_rate``, each group's hits are then taken over every
+    scored column.
     """
     targets = map_targets(
         images, assignments, predictions, cfg.mapping, strict=cfg.strict_mapping
@@ -297,12 +295,11 @@ def plan_concepts(
         for c, p, n in zip(targets.concepts, n_pos, n_scored):
             counts[c][g] = (p, n - p)
 
-    retained = filter_rare_concepts(
-        {c: {g: p for g, (p, _) in by_group.items()} for c, by_group in counts.items()},
-        cfg.min_per_group, groups=groups,
-    )
-    if all(m == "hit_rate" for m in cfg.metrics):
-        retained = []
+    evaluates = any(m != "hit_rate" for m in cfg.metrics)
+    retained = [
+        c for c, by_group in counts.items()
+        if evaluates and all(p >= cfg.min_per_group for p, _ in by_group.values())
+    ]
     column_of = {c: j for j, c in enumerate(targets.concepts)}
     sized: dict[str, ConceptSizing] = {}
     skipped: dict[str, str] = {}
@@ -328,7 +325,14 @@ def plan_concepts(
         except DataError as e:
             skipped[c] = str(e)
             log.warning("skipping concept %s: %s", c, e)
-    return ConceptPlan(targets, counts, sized, skipped)
+    hits: dict[str, np.ndarray] = {}
+    if "hit_rate" in cfg.metrics:
+        for g, rows in group_rows.items():
+            scores = predictions.take_rows(targets.rows[rows])
+            is_target = np.zeros(scores.shape, dtype=bool)
+            is_target[:, columns] = targets.targets[rows]
+            hits[g] = hit_vector(scores, is_target, targets.has_targets[rows], cfg.k, group=g)
+    return ConceptPlan(counts, targets.unscored, sized, skipped, hits)
 
 
 @dataclass
@@ -351,7 +355,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     plan = plan_concepts(images, assignments, predictions, groups, cfg)
     estimates = evaluate_tables(plan, groups, cfg)
     if "hit_rate" in cfg.metrics:
-        estimates.extend(evaluate_hit_rate(plan.targets, predictions, groups, cfg))
+        estimates.extend(evaluate_hit_rate(plan, groups, cfg))
 
     manifest = {
         "tool": "disparity-audit",
@@ -377,8 +381,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                 "excluded_total": sum(1 for a in assignments if not a.assigned),
             },
             "concepts": {
-                "candidates": len(plan.targets.concepts),
-                "unscored_targets": len(plan.targets.unscored),
+                "candidates": len(plan.counts),
+                "unscored_targets": len(plan.unscored),
                 "retained_after_rare_filter": len(plan.sized) + len(plan.skipped),
                 "rare_filter_min_per_group": cfg.min_per_group,
                 "skipped": plan.skipped,
@@ -518,24 +522,33 @@ def _safe_name(text: str) -> str:
 
 def write_plot_data(rows: Sequence[dict], out_dir: Path) -> list[Path]:
     """One CSV per (metric, group pair): (concept, point, ci_low, ci_high)
-    sorted by point; the data behind ranked-disparity charts."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    sorted by point; the data behind ranked-disparity charts.
+
+    Raises:
+        DataError: before any file is written, naming the file and both
+            keys when two (metric, group pair) keys map to one file name.
+    """
     by_key: dict[tuple[str, str, str], list[dict]] = {}
     for row in rows:
         if row["concept"] == "aggregate" or row["point"] is None:
             continue
         by_key.setdefault((row["metric"], row["group_a"], row["group_b"]), []).append(row)
-    written: list[Path] = []
-    for (metric, a, b), items in sorted(by_key.items()):
-        items.sort(key=lambda r: (r["point"], r["concept"]))
+    key_of: dict[Path, tuple[str, str, str]] = {}
+    for key in sorted(by_key):
+        metric, a, b = key
         path = out_dir / f"{_safe_name(metric)}__{_safe_name(a)}_vs_{_safe_name(b)}.csv"
+        other = key_of.setdefault(path, key)
+        if other != key:
+            raise DataError(f"plot data file {path} would hold both {other} and {key}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path, key in key_of.items():
+        items = sorted(by_key[key], key=lambda r: (r["point"], r["concept"]))
         with path.open("w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(["concept", "point", "ci_low", "ci_high"])
             for r in items:
                 writer.writerow([r["concept"], _fmt(r["point"]), _fmt(r["ci_low"]), _fmt(r["ci_high"])])
-        written.append(path)
-    return written
+    return list(key_of)
 
 
 def compare_results(rows_a: Sequence[dict], rows_b: Sequence[dict]) -> list[dict]:

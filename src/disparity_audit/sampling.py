@@ -1,4 +1,4 @@
-"""Rare-label filtering and prevalence-controlled bootstrap sampling.
+"""Prevalence-controlled bootstrap sampling.
 
 Every draw's RNG stream is derived from (seed, concept, group, bootstrap
 index), so results are identical regardless of evaluation order.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,30 +43,6 @@ def derive_seed(*parts) -> int:
 def derive_rng(*parts) -> np.random.Generator:
     """Deterministic generator keyed on the given parts; platform-independent."""
     return np.random.default_rng(np.random.SeedSequence(derive_seed(*parts)))
-
-
-def filter_rare_concepts(
-    positives: Mapping[str, Mapping[str, int]],
-    k: int,
-    groups: Iterable[str] | None = None,
-) -> list[str]:
-    """Concepts retained under the rare-label rule: every group has >= k positives.
-
-    ``positives`` maps concept -> group -> scored positive count. ``groups``
-    defaults to the union of groups seen across all concepts, so a concept
-    missing a group entirely is removed.
-    """
-    if k < 1:
-        raise DataError(f"rare-label threshold must be >= 1, got {k}")
-    if groups is None:
-        required = sorted({g for per_group in positives.values() for g in per_group})
-    else:
-        required = sorted(groups)
-    retained = [
-        c for c in sorted(positives)
-        if all(positives[c].get(g, 0) >= k for g in required)
-    ]
-    return retained
 
 
 def compute_budget(

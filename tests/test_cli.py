@@ -506,6 +506,7 @@ class TestExitCodes:
         ("sampling", "bootstraps", 2.7),
         ("sampling", "seed", True),
         ("sampling", "bootstraps", 0),
+        ("sampling", "min_per_group", 0),
         (None, "k", 2.7),
         (None, "top_n", True),
         (None, "top_n", -1),
@@ -550,6 +551,16 @@ class TestExitCodes:
         ("evaluation_version", {"a": 1}),
         ("output_dir", 5),
         ("output_dir", ["x"]),
+        # a falsy value is not an absent key: it is not read as the default
+        ("evaluation_version", []),
+        ("evaluation_version", False),
+        ("evaluation_version", 0),
+        ("evaluation_version", ""),
+        ("evaluation_version", None),
+        ("output_dir", 0),
+        ("output_dir", False),
+        ("output_dir", []),
+        ("output_dir", ""),
     ])
     def test_malformed_scalar_field_is_2(self, workspace, capsys, key, value):
         tmp_path, cfg_path = workspace
@@ -709,6 +720,39 @@ class TestExitCodes:
         assert "data error" in err and "Traceback" not in err
         assert f"{path}:1: string " in err and "lone surrogate" in err
         assert not (tmp_path / "out" / "assignments.csv").exists()
+
+
+def test_plot_files_of_two_pairs_may_not_collide(tmp_path, capsys):
+    """Groups ``a b`` and ``a_b`` have one plot file name, so the pairs
+    (``a b``, ``z``) and (``a_b``, ``z``) would share a file: ``run`` and
+    ``report --output`` fail before writing any plot file."""
+    cell = {"prevalence": 0.4, "mu_pos": 1, "sigma_pos": 1, "mu_neg": 0, "sigma_neg": 1,
+            "n": 60}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(
+        {"seed": 1, "concepts": {"c": {g: cell for g in ("a b", "a_b", "z")}}}
+    ))
+    assert main(["synth", "--scenario", str(scenario), "--output", str(tmp_path / "data")]) == 0
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "annotations": "data/annotations.jsonl", "predictions": "data/predictions.jsonl",
+        "group_method": "metadata", "metadata_key": "group",
+        "region": "data/region_identity.json", "metrics": ["ap"], "output_dir": "out",
+        "sampling": {"bootstraps": 10, "min_per_group": 5},
+    }))
+    capsys.readouterr()
+    plot_file = Path("plotdata") / "ap__a_b_vs_z.csv"
+    message = "would hold both ('ap', 'a b', 'z') and ('ap', 'a_b', 'z')"
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(tmp_path / "out" / plot_file) in err and message in err
+    assert not list((tmp_path / "out").glob("plotdata/*"))
+
+    results = tmp_path / "out" / "results.csv"
+    assert main(["report", "--results", str(results), "--output", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert str(tmp_path / "r" / plot_file) in err and message in err
+    assert not list((tmp_path / "r").glob("plotdata/*"))
 
 
 def test_concept_scored_only_on_excluded_image(tmp_path, monkeypatch):

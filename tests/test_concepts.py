@@ -183,7 +183,7 @@ class TestConceptTables:
             image_id="a1", direct_labels=frozenset({"c", "unscored_concept"})
         )
         plan = plan_of(images, assignments, predictions)
-        assert plan.targets.unscored == ("unscored_concept",)
+        assert plan.unscored == ("unscored_concept",)
         assert set(plan.sized) == {"c", "other"}
         with pytest.raises(DataError, match="no scored images"):
             ScoreMatrix.from_records(predictions).columns(["unscored_concept"])

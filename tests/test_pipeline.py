@@ -9,7 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from disparity_audit import DataError, select_threshold, split_validation_test
-from disparity_audit.concepts import GroupPool
+from disparity_audit.concepts import GroupPool, map_targets
 from disparity_audit.config import THRESHOLD_METRICS
 from disparity_audit.data import (
     AnnotatedImage,
@@ -19,9 +19,9 @@ from disparity_audit.data import (
     ScoreMatrix,
 )
 from disparity_audit.groups import assign_groups
+from disparity_audit.metrics import hit_vector
 from disparity_audit.pipeline import (
     compare_results,
-    evaluate_hit_rate,
     evaluate_tables,
     load_dataset,
     plan_concepts,
@@ -331,8 +331,8 @@ class TestRunPipeline:
         loaded = load_dataset(cfg)
         assignments = assign_groups(loaded.images, cfg.group_rule)
         plan = plan_concepts(loaded.images, assignments, loaded.predictions, ["A", "B"], cfg)
-        candidates, counts = plan.targets.concepts, plan.counts
-        assert (candidates, plan.targets.unscored, [*plan.sized, *plan.skipped]) == (
+        candidates, counts = tuple(plan.counts), plan.counts
+        assert (candidates, plan.unscored, [*plan.sized, *plan.skipped]) == (
             ("c1", "c2", "c3"), (), ["c1", "c2"]
         )
         # a ranking-only baseline plan that retains every candidate draws
@@ -400,7 +400,6 @@ class TestPlanConcepts:
 
     def test_counts_skip_excluded_images_and_unscored_rows(self, tmp_path):
         plan = plan_concepts(*self.records(), ["A", "B"], self.cfg(tmp_path))
-        assert plan.targets.concepts == ("cat", "dog")
         assert plan.counts == {
             "cat": {"A": (1, 1), "B": (1, 1)},
             "dog": {"A": (1, 2), "B": (0, 1)},
@@ -410,8 +409,8 @@ class TestPlanConcepts:
     def test_unscored_target_dropped_with_warning(self, tmp_path, caplog):
         with caplog.at_level("WARNING", logger="disparity_audit.pipeline"):
             plan = plan_concepts(*self.records(), ["A", "B"], self.cfg(tmp_path))
-        assert plan.targets.unscored == ("owl",)
-        assert "owl" not in plan.targets.concepts and "owl" not in plan.counts
+        assert plan.unscored == ("owl",)
+        assert "owl" not in plan.counts
         assert "have no scores" in caplog.text and "owl" in caplog.text
 
     def test_group_without_images_blocks_retention(self, tmp_path):
@@ -431,14 +430,95 @@ def test_hit_rate_warnings_name_their_group(tmp_path, caplog):
         PredictionRecord(image_id=i, scores={"cat": 0.5, "dog": 0.25}) for i, _, _ in rows
     )
     cfg = dataclasses.replace(cfg_for(tmp_path, metrics=("hit_rate",)), k=5)
-    plan = plan_concepts(images, assignments, predictions, ["A", "B"], cfg)
     with caplog.at_level("WARNING", logger="disparity_audit.metrics"):
-        evaluate_hit_rate(plan.targets, predictions, ["A", "B"], cfg)
+        plan = plan_concepts(images, assignments, predictions, ["A", "B"], cfg)
     assert [r.getMessage() for r in caplog.records if r.name == "disparity_audit.metrics"] == [
         "hit rate: 2 image(s) of group A scored for fewer than k concepts",
         "hit rate: 1 image(s) of group B with empty target sets excluded",
         "hit rate: 1 image(s) of group B scored for fewer than k concepts",
     ]
+    # a hit-rate-only run evaluates no concept, so it retains none
+    assert plan.sized == plan.skipped == {}
+
+
+def test_plan_hits_are_each_groups_hit_vector(tmp_path):
+    """``plan.hits`` equals ``hit_vector`` over each group's rows of the
+    full score matrix, with the candidates' target mask placed in their
+    columns; ``emu`` is scored but never a target, ``parrot`` a target
+    that nothing scores."""
+    rows = [  # image_id, group, labels, scores (None: no prediction record)
+        ("a1", "A", {"cat"}, {"cat": 0.9, "dog": 0.8, "emu": 0.7}),
+        ("a2", "A", {"owl"}, {"emu": 0.9, "cat": 0.8, "owl": 0.1}),
+        ("a3", "A", {"dog"}, {"dog": 0.3}),
+        ("b1", "B", set(), {"cat": 0.5}),
+        ("b2", "B", {"cat"}, {"dog": 0.6, "emu": 0.6, "cat": 0.5}),
+        ("b3", "B", {"owl", "cat"}, None),
+        ("c1", "C", {"dog"}, {"dog": 0.2, "owl": 0.4, "cat": 0.1}),
+        ("c2", "C", {"parrot"}, {"cat": 0.9}),
+    ]
+    images = [AnnotatedImage(image_id=i, direct_labels=frozenset(l)) for i, _, l, _ in rows]
+    assignments = [GroupAssignment(image_id=i, group=g) for i, g, _, _ in rows]
+    predictions = ScoreMatrix.from_records(
+        PredictionRecord(image_id=i, scores=s) for i, _, _, s in rows if s is not None
+    )
+    groups = ["A", "B", "C"]
+    cfg = dataclasses.replace(cfg_for(tmp_path, metrics=("ap", "hit_rate")), k=2)
+    plan = plan_concepts(images, assignments, predictions, groups, cfg)
+
+    targets = map_targets(images, assignments, predictions)
+    assert targets.unscored == ("parrot",) and "emu" not in targets.concepts
+    columns = predictions.columns(targets.concepts)
+    for g in groups:
+        in_group = targets.groups == g
+        scores = predictions.take_rows(targets.rows[in_group])
+        is_target = np.zeros(scores.shape, dtype=bool)
+        is_target[:, columns] = targets.targets[in_group]
+        want = hit_vector(scores, is_target, targets.has_targets[in_group], cfg.k, group=g)
+        assert plan.hits[g].tolist() == want.tolist()
+    # b1 has no target and b3 no score; ties break by concept id (b2: dog, emu)
+    assert {g: h.tolist() for g, h in plan.hits.items()} == {
+        "A": [1.0, 0.0, 1.0], "B": [0.0], "C": [1.0, 0.0],
+    }
+    without = plan_concepts(images, assignments, predictions, groups, cfg_for(tmp_path))
+    assert without.hits == {}
+
+
+class TestRareLabelRule:
+    """A concept is retained when every group has at least ``min_per_group``
+    scored positives."""
+
+    @staticmethod
+    def retained(positives, min_per_group, unscored=()):
+        """The concepts retained from one concept ``c`` with the given
+        positives per group and as many negatives; the positives of the
+        ``unscored`` groups have no score for ``c``."""
+        images, assignments, records = [], [], []
+        for g, n in positives.items():
+            for k in range(2 * n):
+                image_id = f"{g}{k:03d}"
+                images.append(AnnotatedImage(
+                    image_id=image_id, direct_labels=frozenset({"c"} if k < n else {"x"})
+                ))
+                assignments.append(GroupAssignment(image_id=image_id, group=g))
+                unscored_positive = g in unscored and k < n
+                records.append(PredictionRecord(
+                    image_id, {"x": 0.5} if unscored_positive else {"c": k / (2 * n)}
+                ))
+        cfg = run_config(min_per_group=min_per_group, sampling_mode="baseline")
+        plan = plan_concepts(
+            images, assignments, ScoreMatrix.from_records(records), list(positives), cfg
+        )
+        return [*plan.sized, *plan.skipped]
+
+    def test_retained_when_every_group_clears_the_floor(self):
+        assert self.retained({"A": 60, "B": 55}, 50) == ["c"]
+
+    def test_dropped_one_short(self):
+        assert self.retained({"A": 49, "B": 80}, 50) == []
+
+    def test_dropped_when_a_group_has_no_scored_positive(self):
+        assert self.retained({"A": 60, "B": 60}, 50, unscored={"B"}) == []
+        assert self.retained({"A": 60, "B": 60}, 50) == ["c"]
 
 
 class TestPlanPools:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from disparity_audit import DataError, InvariantError, compute_budget, filter_rare_concepts
+from disparity_audit import DataError, InvariantError, compute_budget
 from disparity_audit.concepts import GroupPool
 from disparity_audit.pipeline import ConceptSizing, evaluate_concept
 from disparity_audit import sampling
@@ -63,31 +63,6 @@ class TestGroupPool:
     def test_take_of_no_rows_is_empty(self):
         sub = make_pool(4, 6).take(np.array([], dtype=np.intp))
         assert (sub.n_pos, sub.n_neg, sub.image_rows.size) == (0, 0, 0)
-
-
-class TestRareFilter:
-    """The filter reads concept -> group -> scored positive count."""
-
-    def test_retained_when_all_groups_clear_k(self):
-        assert filter_rare_concepts({"c": {"A": 60, "B": 55}}, 50) == ["c"]
-
-    def test_boundary_one_short(self):
-        assert filter_rare_concepts({"c": {"A": 49, "B": 80}}, 50) == []
-
-    def test_single_positive_removed_at_k30(self):
-        positives = {"musical_instrument": {"Africa": 1, "Europe": 7}}
-        assert filter_rare_concepts(positives, 30) == []
-
-    def test_missing_group_counts_as_zero(self):
-        positives = {"c": {"A": 60, "B": 60}, "d": {"A": 60}}
-        assert filter_rare_concepts(positives, 50) == ["c"]
-
-    def test_explicit_group_list(self):
-        assert filter_rare_concepts({"c": {"A": 60}}, 50, groups=["A", "B"]) == []
-
-    def test_k_below_one_errors(self):
-        with pytest.raises(DataError):
-            filter_rare_concepts({}, 0)
 
 
 class TestComputeBudget:
