@@ -42,7 +42,9 @@ batched kernel's first three draws must equal the reference kernels', which
   metadata, 8 distinct label sets) and a predictions file (30,000 records
   of 3 scores); times ``load_annotations`` and ``load_predictions`` on
   those files, then ``validate_dataset``, ``assign_groups`` (metadata
-  method), ``map_targets`` and ``plan_concepts`` on the loaded dataset. The
+  method), ``map_targets`` and ``plan_concepts`` on the loaded dataset;
+  also ``load_dataset`` with ``drop_unlabeled`` on, which drops the 19,318
+  images that no concept labels (the benchmark workloads keep them). The
   plan runs with the deep workload's metrics (``ap``, ``auc_roc``, ``tpr``,
   ``fpr``), so it times the pools, the validation splits and the threshold
   selection of every concept.
@@ -77,7 +79,7 @@ from disparity_audit.data import (
 )
 from disparity_audit.disparity import pair_disparity
 from disparity_audit.metrics import hit_vector, rank_pool, ranked_metrics, select_threshold
-from disparity_audit.pipeline import plan_concepts
+from disparity_audit.pipeline import load_dataset, plan_concepts
 from disparity_audit.groups import assign_groups
 from disparity_audit.sampling import draw_rows
 from disparity_audit.synth import CellSpec, ScenarioSpec, generate
@@ -396,7 +398,22 @@ def test_validate_dataset(benchmark, deep):
     benchmark.group = "ingest-deep"
     images = load_annotations(path)
     report = benchmark(validate_dataset, images, load_predictions(cfg.predictions, images))
-    assert report["score_coverage_gaps"] == 0
+    assert report == {
+        "images_without_labels": 19318, "score_coverage_gaps": 0, "zero_positive_concepts": 0,
+    }
+
+
+def test_load_dataset_drop(benchmark, deep):
+    _, cfg, _ = deep
+    benchmark.group = "ingest-deep"
+    cfg = dataclasses.replace(cfg, drop_unlabeled=True)
+    images, predictions, ingest = benchmark(load_dataset, cfg)
+    assert ingest == {
+        "images_loaded": 30000, "images_without_labels": 19318,
+        "images_dropped_unlabeled": 19318, "images_used": 10682, "prediction_records": 10682,
+        "score_coverage_gaps": 0, "zero_positive_concepts": 0,
+    }
+    assert len(images) == len(predictions) == 10682
 
 
 def test_assign_groups(benchmark, deep):

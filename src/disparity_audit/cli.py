@@ -84,10 +84,10 @@ def _cmd_map(args) -> int:
 
 def _cmd_sample_plan(args) -> int:
     cfg = load_config(args.config, preset=args.preset, seed=args.seed, output_dir=args.output)
-    loaded = load_dataset(cfg)
-    assignments = assign_groups(loaded.images, cfg.group_rule)
+    images, predictions, _ = load_dataset(cfg)
+    assignments = assign_groups(images, cfg.group_rule)
     groups = list(cfg.group_rule.groups)
-    plan = plan_concepts(loaded.images, assignments, loaded.predictions, groups, cfg)
+    plan = plan_concepts(images, assignments, predictions, groups, cfg)
     plans: dict[str, dict] = {}
     for c, counts in plan.counts.items():
         entry: dict = {

@@ -169,7 +169,7 @@ class RunConfig:
 def _path(resolved: Mapping, key: str, base: Path) -> Path:
     value = resolved.get(key)
     if not isinstance(value, str) or not value:
-        raise ConfigError(f"config requires a {key!r} file path")
+        raise ConfigError(f"config requires a {key!r} file path, got {value!r}")
     p = Path(value)
     if not p.is_absolute():
         p = base / p
@@ -258,7 +258,7 @@ def build_config(resolved: dict[str, Any], base: Path) -> RunConfig:
                 exclusions=exclusions, box_filter=box_filter,
             )
         mapping = None
-        if resolved["mapping"]:
+        if resolved["mapping"] is not None:
             mapping = ClassMapping.from_file(_path(resolved, "mapping", base))
     except DataError as e:
         raise ConfigError(str(e)) from e

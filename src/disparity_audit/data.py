@@ -622,28 +622,20 @@ def load_predictions(path: str | Path, images: Sequence[AnnotatedImage]) -> Scor
 def validate_dataset(images: Sequence[AnnotatedImage], predictions: ScoreMatrix) -> dict:
     """Cross-check annotations against predictions; reporting only, never mutates.
 
-    Returns a dict with keys:
-      - ``images_without_labels``: ids with no direct labels and no boxes
+    Every prediction row must belong to an image in ``images``, as
+    ``load_predictions`` ensures. Returns the counts of:
+      - ``images_without_labels``: images with no direct labels and no boxes
         (candidates for removal downstream);
-      - ``score_coverage_gaps``: the number of concepts that some, but not
-        all, of these images have a score for;
+      - ``score_coverage_gaps``: concepts that some, but not all, of these
+        images have a score for;
       - ``zero_positive_concepts``: scored concepts that appear in no image's
         labels (compared in raw label space, before any class mapping).
     """
-    without_labels = sorted(img.image_id for img in images if not img.has_labels)
-    # Coverage from column counts over the rows of these images only.
-    known = {img.image_id for img in images}
-    missing = np.isnan(predictions.scores)
-    n_scored = len(predictions) - np.count_nonzero(missing, axis=0)
-    stray = [predictions.rows[i] for i in predictions.rows.keys() - known]
-    if stray:
-        n_scored -= len(stray) - np.count_nonzero(missing[stray], axis=0)
-    gaps = np.count_nonzero((n_scored > 0) & (n_scored < len(known)))
+    n_scored = len(predictions) - np.count_nonzero(np.isnan(predictions.scores), axis=0)
     label_universe: set[str] = set().union(*{img.direct_labels for img in images})
     label_universe.update(b.raw_label for img in images for b in img.boxes)
-    zero_positive = [c for c in predictions.concepts if c not in label_universe]
     return {
-        "images_without_labels": without_labels,
-        "score_coverage_gaps": int(gaps),
-        "zero_positive_concepts": zero_positive,
+        "images_without_labels": sum(1 for img in images if not img.has_labels),
+        "score_coverage_gaps": int(np.count_nonzero((n_scored > 0) & (n_scored < len(images)))),
+        "zero_positive_concepts": sum(1 for c in predictions.concepts if c not in label_universe),
     }

@@ -81,8 +81,9 @@ class GroupRule:
 
     ``table`` maps each active group term (``boxes``, ``captions``) or each
     metadata value (``metadata``) to its group; ``groups`` is the group
-    order. ``box_filter`` is ``(min_area, use_min, ignore_max)``;
-    ``metadata_key`` is the key ``metadata`` looks up.
+    order; none may take an exclusion reason's name (a ``DataError``).
+    ``box_filter`` is ``(min_area, use_min, ignore_max)``; ``metadata_key``
+    is the key ``metadata`` looks up.
     """
 
     method: str
@@ -91,6 +92,12 @@ class GroupRule:
     neutral_terms: frozenset[str] = frozenset()
     box_filter: tuple[float, float, float] = NO_BOX_FILTER
     metadata_key: str = ""
+
+    def __post_init__(self):
+        # assignment_summary counts groups and exclusion reasons by name
+        for reason in ExclusionReason:
+            if reason.value in self.groups:
+                raise DataError(f"group {reason.value!r} has the name of an exclusion reason")
 
 
 def terms_rule(
@@ -108,8 +115,10 @@ def terms_rule(
     groups_raw = obj.get("groups")
     if not isinstance(groups_raw, dict) or not groups_raw:
         raise DataError("terms config requires a non-empty 'groups' object")
-    excluded_raw = obj.get("excluded_terms") or {}
-    if not isinstance(excluded_raw, dict):
+    excluded_raw = obj.get("excluded_terms")
+    if excluded_raw is None:
+        excluded_raw = {}
+    elif not isinstance(excluded_raw, dict):
         raise DataError(
             f"terms config: 'excluded_terms' must be an object, got {excluded_raw!r}"
         )
@@ -119,7 +128,8 @@ def terms_rule(
 
     groups = {str(g): terms(f"groups[{g!r}]", t) for g, t in groups_raw.items()}
     excluded = {str(g): terms(f"excluded_terms[{g!r}]", t) for g, t in excluded_raw.items()}
-    neutral = terms("'neutral_exclusion_terms'", obj.get("neutral_exclusion_terms") or [])
+    neutral_raw = obj.get("neutral_exclusion_terms")
+    neutral = terms("'neutral_exclusion_terms'", [] if neutral_raw is None else neutral_raw)
     names = list(groups)
     for i, a in enumerate(names):
         for b in names[i + 1:]:

@@ -49,34 +49,28 @@ RESULT_COLUMNS = [
 ]
 
 
-@dataclass
-class LoadedDataset:
-    images: list[AnnotatedImage]
-    predictions: ScoreMatrix
-    checks: dict  # validate_dataset's report
-    images_loaded: int
-
-
-def load_dataset(cfg: RunConfig) -> LoadedDataset:
+def load_dataset(cfg: RunConfig) -> tuple[list[AnnotatedImage], ScoreMatrix, dict[str, int]]:
     """Load and cross-validate both files, then apply the unlabeled-image drop.
 
-    Predictions are resolved against the full ingested set first (referential
-    integrity is a property of the files), and records for dropped images are
-    discarded alongside them.
+    Returns the images and predictions the run uses, and the manifest's
+    ingest block. Predictions are resolved against the full ingested set
+    first (referential integrity is a property of the files), and records
+    for dropped images are discarded alongside them.
     """
     images = load_annotations(cfg.annotations)
     predictions = load_predictions(cfg.predictions, images)
-    checks = validate_dataset(images, predictions)
-    n_loaded = len(images)
-    unlabeled = checks["images_without_labels"]
-    if cfg.drop_unlabeled and unlabeled:
-        dropped = set(unlabeled)
-        images = [img for img in images if img.image_id not in dropped]
-        predictions = predictions.without(dropped)
-        log.info("dropped %d image(s) without labels", len(dropped))
-    return LoadedDataset(
-        images=images, predictions=predictions, checks=checks, images_loaded=n_loaded
+    ingest = {"images_loaded": len(images), **validate_dataset(images, predictions)}
+    unlabeled = ingest["images_without_labels"] if cfg.drop_unlabeled else 0
+    if unlabeled:
+        predictions = predictions.without({img.image_id for img in images if not img.has_labels})
+        images = [img for img in images if img.has_labels]
+        log.info("dropped %d image(s) without labels", unlabeled)
+    ingest.update(
+        images_dropped_unlabeled=unlabeled,
+        images_used=len(images),
+        prediction_records=len(predictions),
     )
+    return images, predictions, ingest
 
 
 def evaluate_concept(
@@ -271,10 +265,10 @@ def plan_concepts(
     ``hit_rate`` evaluates no concept, so it retains none. Each retained
     concept's group pools are taken from those masks: a group's scored
     rows, positives then negatives, each in image-id order. An image that
-    lacks the concept's score is omitted with a warning. The pools are
-    sized with ``size_concept``; a concept that cannot be is skipped with a
-    warning. With ``hit_rate``, each group's hits are then taken over every
-    scored column.
+    lacks the concept's score is omitted; one warning sums the omissions
+    of every concept. The pools are sized with ``size_concept``; a concept
+    that cannot be is skipped with a warning. With ``hit_rate``, each
+    group's hits are then taken over every scored column.
     """
     targets = map_targets(
         images, assignments, predictions, cfg.mapping, strict=cfg.strict_mapping
@@ -301,16 +295,20 @@ def plan_concepts(
         if evaluates and all(p >= cfg.min_per_group for p, _ in by_group.values())
     ]
     column_of = {c: j for j, c in enumerate(targets.concepts)}
+    omitted = (len(scored) - np.count_nonzero(scored, axis=0)).tolist()
+    gaps = {c: omitted[column_of[c]] for c in retained if omitted[column_of[c]]}
+    if gaps:
+        log.warning(
+            "assigned images that lack a score were omitted from %d concept(s), %d in all: %s",
+            len(gaps), sum(gaps.values()), ", ".join(list(gaps)[:10]),
+        )
+    for c, n in gaps.items():
+        log.debug("concept %s: %d assigned image(s) lack a score and were omitted", c, n)
     sized: dict[str, ConceptSizing] = {}
     skipped: dict[str, str] = {}
     for c in retained:
         j = column_of[c]
         is_scored, is_pos = scored[:, j], positive[:, j]
-        gaps = is_scored.size - int(np.count_nonzero(is_scored))
-        if gaps:
-            log.warning(
-                "concept %s: %d assigned image(s) lack a score and were omitted", c, gaps
-            )
         pools: dict[str, GroupPool] = {}
         for g, rows in group_rows.items():
             pos = np.flatnonzero(rows & is_pos)
@@ -344,13 +342,12 @@ class PipelineResult:
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Execute the full audit pipeline in memory."""
-    loaded = load_dataset(cfg)
-    images, predictions, checks = loaded.images, loaded.predictions, loaded.checks
-    n_unlabeled = len(checks["images_without_labels"])
+    images, predictions, ingest = load_dataset(cfg)
 
     assignments = assign_groups(images, cfg.group_rule)
     groups = list(cfg.group_rule.groups)
     summary = assignment_summary(assignments, groups=groups)
+    assigned = sum(summary[g] for g in groups)
 
     plan = plan_concepts(images, assignments, predictions, groups, cfg)
     estimates = evaluate_tables(plan, groups, cfg)
@@ -364,21 +361,13 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         "config": cfg.raw,
         "seed": cfg.seed,
         "stages": {
-            "ingest": {
-                "images_loaded": loaded.images_loaded,
-                "images_without_labels": n_unlabeled,
-                "images_dropped_unlabeled": n_unlabeled if cfg.drop_unlabeled else 0,
-                "images_used": len(images),
-                "prediction_records": len(predictions),
-                "score_coverage_gaps": checks["score_coverage_gaps"],
-                "zero_positive_concepts": len(checks["zero_positive_concepts"]),
-            },
+            "ingest": ingest,
             "group_assignment": {
                 "method": cfg.group_rule.method,
                 "groups": groups,
                 "summary": summary,
-                "assigned_total": sum(1 for a in assignments if a.assigned),
-                "excluded_total": sum(1 for a in assignments if not a.assigned),
+                "assigned_total": assigned,
+                "excluded_total": len(assignments) - assigned,
             },
             "concepts": {
                 "candidates": len(plan.counts),

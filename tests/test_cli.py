@@ -115,9 +115,9 @@ class TestSubcommands:
         cfg = dataclasses.replace(
             load_config(cfg_path), metrics=("ap",), min_per_group=1, sampling_mode="baseline"
         )
-        loaded = load_dataset(cfg)
+        images, predictions, _ = load_dataset(cfg)
         retained = plan_concepts(
-            loaded.images, assign_groups(loaded.images, cfg.group_rule), loaded.predictions,
+            images, assign_groups(images, cfg.group_rule), predictions,
             list(cfg.group_rule.groups), cfg,
         )
         pools = retained.sized["c2"].pools
@@ -561,6 +561,11 @@ class TestExitCodes:
         ("output_dir", False),
         ("output_dir", []),
         ("output_dir", ""),
+        ("mapping", False),
+        ("mapping", 0),
+        ("mapping", ""),
+        ("mapping", []),
+        ("mapping", {}),
     ])
     def test_malformed_scalar_field_is_2(self, workspace, capsys, key, value):
         tmp_path, cfg_path = workspace
@@ -673,6 +678,32 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "apply_term_exclusions" in err and "'false'" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("excluded_terms", []),
+        ("excluded_terms", 0),
+        ("excluded_terms", False),
+        ("neutral_exclusion_terms", 0),
+        ("neutral_exclusion_terms", {}),
+    ])
+    def test_falsy_terms_file_value_is_2(self, workspace, capsys, key, value):
+        """Only an absent key or ``null`` reads as no terms."""
+        tmp_path, cfg_path = workspace
+        terms = json.loads(TERMS.read_text())
+        terms_path = tmp_path / "terms.json"
+        raw = json.loads(cfg_path.read_text())
+        raw.update(group_method="captions", terms=str(terms_path))
+        cfg_path.write_text(json.dumps(raw))
+        rest = {k: v for k, v in terms.items() if k != key}
+        for none in (rest, {**rest, key: None}):
+            terms_path.write_text(json.dumps(none))
+            assert main(["sample-plan", "--config", str(cfg_path)]) == 0
+        terms_path.write_text(json.dumps({**rest, key: value}))
+        for command in ("run", "sample-plan"):
+            assert main([command, "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "Traceback" not in err
+            assert f"terms config: {key!r} must be" in err and f"got {value!r}" in err
 
     def test_huge_integer_score_is_3(self, workspace, capsys):
         tmp_path, cfg_path = workspace

@@ -173,7 +173,35 @@ class TestConceptTables:
         with caplog.at_level("WARNING"):
             pool = pools_of(images, assignments, predictions)["c"]["A"]
         assert pool.n_pos == 1
-        assert "lack a score" in caplog.text
+        assert [r.getMessage() for r in caplog.records] == [
+            "assigned images that lack a score were omitted from 1 concept(s), 1 in all: c"
+        ]
+
+    def test_missing_scores_summed_in_one_warning(self, caplog):
+        """One WARNING sums the omissions and names the first ten concepts;
+        each concept's count is a DEBUG line."""
+        concepts = [f"k{j:02d}" for j in range(12)]
+        lacks = {f"m{j:02d}": {c} for j, c in enumerate(concepts)}
+        lacks["m00"].add("k01")
+        images = [AnnotatedImage(image_id="p", direct_labels=frozenset(concepts))]
+        images += [AnnotatedImage(image_id=i) for i in lacks]
+        assignments = [GroupAssignment(img.image_id, group="A") for img in images]
+        predictions = [PredictionRecord("p", dict.fromkeys(concepts, 0.5))]
+        predictions += [
+            PredictionRecord(i, {c: 0.1 for c in concepts if c not in lacked})
+            for i, lacked in lacks.items()
+        ]
+        with caplog.at_level("DEBUG", logger="disparity_audit.pipeline"):
+            plan = plan_of(images, assignments, predictions)
+        assert list(plan.sized) == concepts
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            "assigned images that lack a score were omitted from 12 concept(s), 13 in all: "
+            + ", ".join(concepts[:10])
+        ]
+        assert [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"] == [
+            f"concept {c}: {2 if c == 'k01' else 1} assigned image(s) lack a score and were "
+            "omitted" for c in concepts
+        ]
 
     def test_zero_scored_concept_errors(self):
         """A target that no prediction scores gets no pool; asked for its

@@ -298,6 +298,17 @@ class TestTermConfig:
             terms_rule(obj, "boxes", exclusions=True)
         assert message in str(info.value)
 
+    @pytest.mark.parametrize("build", [
+        lambda g: terms_rule({"groups": {g: ["man"], "woman": ["woman"]}}, "captions",
+                             exclusions=False),
+        lambda g: region_rule({"country_to_group": {"US": g, "FR": "europe"}}, "country"),
+    ], ids=["terms", "region"])
+    def test_group_named_after_exclusion_reason_rejected(self, build):
+        """The assignment summary counts both by name, so they would merge."""
+        with pytest.raises(DataError, match="'NoGroupEvidence' has the name of an exclusion"):
+            build("NoGroupEvidence")
+        assert build("NoGroupEvidence2").groups
+
     def test_excluded_terms_must_be_subset(self):
         with pytest.raises(DataError, match="not in the group's term set"):
             terms_rule({

@@ -328,9 +328,9 @@ class TestRunPipeline:
         from disparity_audit.config import load_config
 
         cfg = load_config(synth_workspace(tmp_path, rare=True))
-        loaded = load_dataset(cfg)
-        assignments = assign_groups(loaded.images, cfg.group_rule)
-        plan = plan_concepts(loaded.images, assignments, loaded.predictions, ["A", "B"], cfg)
+        images, predictions, _ = load_dataset(cfg)
+        assignments = assign_groups(images, cfg.group_rule)
+        plan = plan_concepts(images, assignments, predictions, ["A", "B"], cfg)
         candidates, counts = tuple(plan.counts), plan.counts
         assert (candidates, plan.unscored, [*plan.sized, *plan.skipped]) == (
             ("c1", "c2", "c3"), (), ["c1", "c2"]
@@ -340,9 +340,7 @@ class TestRunPipeline:
         every = dataclasses.replace(
             cfg, metrics=("ap",), min_per_group=1, sampling_mode="baseline"
         )
-        sized = plan_concepts(
-            loaded.images, assignments, loaded.predictions, ["A", "B"], every
-        ).sized
+        sized = plan_concepts(images, assignments, predictions, ["A", "B"], every).sized
         assert list(sized) == list(candidates)
         for c in candidates:
             for g, pool in sized[c].pools.items():
@@ -363,6 +361,69 @@ class TestRunPipeline:
         ingest = result.manifest["stages"]["ingest"]
         assert ingest["images_dropped_unlabeled"] == ingest["images_without_labels"]
         assert ingest["images_used"] == ingest["images_loaded"] - ingest["images_dropped_unlabeled"]
+
+
+class TestIngest:
+    """The ingest block ``load_dataset`` returns is the manifest's."""
+
+    @staticmethod
+    def workspace(tmp_path, drop_unlabeled):
+        """Six images in groups A and B. a2 and b1 have no labels; b3 has only
+        a box. cat is scored on every image; dog on all but b1; zebra on
+        every image but in no label; yak only on a2 and in no label."""
+        annotations = [
+            {"image_id": "a1", "labels": ["cat"], "metadata": {"group": "A"}},
+            {"image_id": "a2", "metadata": {"group": "A"}},
+            {"image_id": "a3", "labels": ["cat", "dog"], "metadata": {"group": "A"}},
+            {"image_id": "b1", "metadata": {"group": "B"}},
+            {"image_id": "b2", "labels": ["dog"], "metadata": {"group": "B"}},
+            {"image_id": "b3", "width": 10, "height": 10, "metadata": {"group": "B"},
+             "boxes": [{"label": "cat", "w": 5, "h": 5}]},
+        ]
+        predictions = [
+            {"image_id": "a1", "scores": {"cat": 0.9, "dog": 0.1, "zebra": 0.5}},
+            {"image_id": "a2", "scores": {"cat": 0.2, "dog": 0.3, "zebra": 0.4, "yak": 0.6}},
+            {"image_id": "a3", "scores": {"cat": 0.8, "dog": 0.7, "zebra": 0.1}},
+            {"image_id": "b1", "scores": {"cat": 0.3, "zebra": 0.2}},
+            {"image_id": "b2", "scores": {"cat": 0.6, "dog": 0.9, "zebra": 0.3}},
+            {"image_id": "b3", "scores": {"cat": 0.7, "dog": 0.2, "zebra": 0.6}},
+        ]
+        for name, records in (("ann.jsonl", annotations), ("pred.jsonl", predictions)):
+            (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+        (tmp_path / "region.json").write_text(
+            json.dumps({"country_to_group": {"A": "A", "B": "B"}})
+        )
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "annotations": "ann.jsonl", "predictions": "pred.jsonl",
+            "group_method": "metadata", "metadata_key": "group", "region": "region.json",
+            "metrics": ["ap"], "drop_unlabeled": drop_unlabeled, "output_dir": "out",
+        }))
+        return cfg_path
+
+    @pytest.mark.parametrize("drop_unlabeled", [True, False])
+    def test_ingest_block_counts(self, tmp_path, drop_unlabeled):
+        from disparity_audit.config import load_config
+
+        cfg = load_config(self.workspace(tmp_path, drop_unlabeled))
+        images, predictions, ingest = load_dataset(cfg)
+        # the validation counts are taken before the drop: dog and yak are
+        # partially scored, zebra and yak are in no label
+        used = 4 if drop_unlabeled else 6
+        assert ingest == {
+            "images_loaded": 6,
+            "images_without_labels": 2,
+            "images_dropped_unlabeled": 6 - used,
+            "images_used": used,
+            "prediction_records": used,
+            "score_coverage_gaps": 2,
+            "zero_positive_concepts": 2,
+        }
+        ids = ["a1", "a3", "b2", "b3"] if drop_unlabeled else ["a1", "a2", "a3", "b1", "b2", "b3"]
+        assert [img.image_id for img in images] == ids == list(predictions.rows)
+        # only a2 scored yak, so its column goes with it
+        assert ("yak" in predictions.concepts) is not drop_unlabeled
+        assert run_pipeline(cfg).manifest["stages"]["ingest"] == ingest
 
 
 class TestPlanConcepts:
