@@ -52,6 +52,11 @@ batched kernel's first three draws must equal the reference kernels', which
   own 3 to 8 labels out of 21,000 classes and a metadata URL of its own;
   times ``load_annotations`` and ``map_targets``, the steps whose work is
   once per distinct value.
+* vocabulary: 500 images, each scored on 50 of 21,000 classes and
+  labelled with 3 of those, so the score matrix has 21,000 columns (84 MB
+  dense), the scale of the paper's case-study vocabularies; times
+  ``map_targets``, which picks the 1,482 candidates' columns out of the
+  score matrix's concepts.
 * corpus: the 30-image group corpus of ``tests/corpus.py`` 1,000 times
   over (30,000 images, 20,000 with boxes and 10,000 with captions); times
   ``assign_groups`` under the ``v3`` rule of the ``boxes`` and of the
@@ -71,6 +76,8 @@ import pytest
 from disparity_audit.concepts import GroupPool, map_targets
 from disparity_audit.config import load_config
 from disparity_audit.data import (
+    AnnotatedImage,
+    GroupAssignment,
     PredictionRecord,
     ScoreMatrix,
     load_annotations,
@@ -299,9 +306,9 @@ def test_plan_concepts_wide(benchmark, wide):
     path, images, targets, assignments = wide
     benchmark.group = "ingest-wide"
     predictions = load_predictions(path, images)
-    groups = ["alpha", "beta", "gamma"]
-    cfg = run_config(metrics=("ap", "hit_rate"), min_per_group=30)
-    plan = benchmark(plan_concepts, images, assignments, predictions, groups, cfg)
+    groups = ("alpha", "beta", "gamma")
+    cfg = run_config(groups=groups, metrics=("ap", "hit_rate"), min_per_group=30)
+    plan = benchmark(plan_concepts, images, assignments, predictions, cfg)
     assert len(plan.sized) == 200 and plan.skipped == {}
     # the images are in id order, and every scored concept is a candidate
     group_of = np.array([a.group for a in assignments])
@@ -439,11 +446,10 @@ def test_plan_concepts(benchmark, deep):
     cfg = dataclasses.replace(cfg, metrics=("ap", "auc_roc", "tpr", "fpr"), min_per_group=30)
     images = load_annotations(path)
     assignments = assign_groups(images, cfg.group_rule)
-    groups = list(cfg.group_rule.groups)
-    plan = benchmark(plan_concepts, images, assignments, predictions, groups, cfg)
+    plan = benchmark(plan_concepts, images, assignments, predictions, cfg)
     assert list(plan.sized) == ["d0", "d1", "d2"] and plan.skipped == {}
     for c, sizing in plan.sized.items():
-        assert list(sizing.thresholds) == groups
+        assert tuple(sizing.thresholds) == cfg.group_rule.groups
         for g, pool in sizing.pools.items():
             assert pool.scores.size < sum(plan.counts[c][g])  # test rows only
 
@@ -462,6 +468,25 @@ def test_map_targets_distinct(benchmark, distinct):
     assignments = assign_groups(images, cfg.group_rule)
     targets = benchmark(map_targets, images, assignments, predictions)
     assert targets.targets.shape[0] == 30000
+
+
+def test_map_targets_vocabulary(benchmark):
+    benchmark.group = "ingest-vocabulary"
+    rng = random.Random(0)
+    classes = [f"c{k:05d}" for k in range(21000)]
+    images, assignments, records = [], [], []
+    for i in range(500):
+        image_id = f"i{i:03d}"
+        # consecutive windows of 50 classes, 42 apart: every class is scored
+        scored = [classes[(42 * i + j) % 21000] for j in range(50)]
+        images.append(AnnotatedImage(image_id, direct_labels=frozenset(rng.sample(scored, 3))))
+        assignments.append(GroupAssignment(image_id, group="AB"[i % 2]))
+        records.append(PredictionRecord(image_id, dict.fromkeys(scored, 0.5)))
+    predictions = ScoreMatrix.from_records(records)
+    assert predictions.scores.shape == (500, 21000)
+    targets = benchmark(map_targets, images, assignments, predictions)
+    assert len(targets.concepts) == 1482 and targets.unscored == ()
+    assert [predictions.concepts[j] for j in targets.columns] == list(targets.concepts)
 
 
 @pytest.fixture(scope="module")

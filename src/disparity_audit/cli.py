@@ -4,8 +4,9 @@ Subcommands mirror the pipeline stages so each is independently runnable:
 assign-groups, map, sample-plan, evaluate, compare, report, synth, and run
 (the full pipeline).
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 internal invariant
-violation. Set DISPARITY_AUDIT_LOG to control log verbosity.
+Exit codes: 0 success, 2 config error, 3 data error or a file that cannot
+be read or written, 4 internal invariant violation. Set DISPARITY_AUDIT_LOG
+to control log verbosity.
 """
 
 from __future__ import annotations
@@ -85,14 +86,12 @@ def _cmd_map(args) -> int:
 def _cmd_sample_plan(args) -> int:
     cfg = load_config(args.config, preset=args.preset, seed=args.seed, output_dir=args.output)
     images, predictions, _ = load_dataset(cfg)
-    assignments = assign_groups(images, cfg.group_rule)
-    groups = list(cfg.group_rule.groups)
-    plan = plan_concepts(images, assignments, predictions, groups, cfg)
+    plan = plan_concepts(images, assign_groups(images, cfg.group_rule), predictions, cfg)
     plans: dict[str, dict] = {}
     for c, counts in plan.counts.items():
         entry: dict = {
             "retained": c in plan.sized or c in plan.skipped,
-            "pools": {g: list(counts[g]) for g in groups},
+            "pools": {g: list(n) for g, n in counts.items()},
         }
         if c in plan.skipped:
             entry["skip_reason"] = plan.skipped[c]
@@ -117,18 +116,17 @@ def _cmd_sample_plan(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = load_config(args.config, preset=args.preset, seed=args.seed, output_dir=args.output)
-    result = run_pipeline(cfg)
+    estimates, _, _ = run_pipeline(cfg)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.output_dir / "results.csv"
-    write_results_csv(result.estimates, cfg.evaluation_version, path)
+    write_results_csv(estimates, cfg.evaluation_version, path)
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config, preset=args.preset, seed=args.seed, output_dir=args.output)
-    result = run_pipeline(cfg)
-    paths = write_outputs(result, cfg)
+    paths = write_outputs(run_pipeline(cfg), cfg)
     report = paths["report"].read_text(encoding="utf-8")
     sys.stdout.write(report)
     print(json.dumps({k: str(v) for k, v in paths.items()}, sort_keys=True, indent=2))
@@ -281,6 +279,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except DataError as e:
         print(f"[{args.command}] data error: {e}", file=sys.stderr)
+        return 3
+    except OSError as e:
+        where = "" if e.filename is None else f"{e.filename}: "
+        print(f"[{args.command}] file error: {where}{e.strerror or e}", file=sys.stderr)
         return 3
     except AuditError as e:
         print(f"[{args.command}] internal error: {e}", file=sys.stderr)

@@ -195,14 +195,16 @@ class TargetMatrix:
     model-class targets once per distinct label set.
 
     ``concepts`` are the candidates: targets of these images that some
-    prediction scores, sorted. ``targets`` marks each image's targets among
-    them; ``has_targets`` is False only for an image with no target at all,
+    prediction scores, sorted, and ``columns`` their columns in the score
+    matrix. ``targets`` marks each image's targets among them;
+    ``has_targets`` is False only for an image with no target at all,
     scored or not. ``unscored`` are the targets no prediction scores.
     ``rows`` gives each image's row in the score matrix (``ScoreMatrix.row_of``).
     """
 
     groups: np.ndarray
     concepts: tuple[ConceptId, ...]
+    columns: np.ndarray
     targets: np.ndarray
     has_targets: np.ndarray
     unscored: tuple[ConceptId, ...]
@@ -235,8 +237,9 @@ def map_targets(
             key_of[key] = len(target_sets)
             target_sets.append(image_target_set(img, mapping, strict=strict))
     universe = frozenset().union(*target_sets)
-    scored = frozenset(predictions.concepts)
-    concepts = sorted(universe & scored)
+    # the score matrix's concepts are sorted, so the candidates are too
+    columns = [j for j, c in enumerate(predictions.concepts) if c in universe]
+    concepts = [predictions.concepts[j] for j in columns]
     column = {c: j for j, c in enumerate(concepts)}
     cells = [(k, column[c]) for k, ts in enumerate(target_sets) for c in ts if c in column]
     key_targets = np.zeros((len(target_sets), len(concepts)), dtype=bool)
@@ -249,9 +252,10 @@ def map_targets(
     return TargetMatrix(
         groups=_readonly(np.array([group_of[img.image_id] for img in assigned], dtype=object)),
         concepts=tuple(concepts),
+        columns=_readonly(np.array(columns, dtype=np.intp)),
         targets=_readonly(key_targets),
         has_targets=_readonly(key_has_targets),
-        unscored=tuple(sorted(universe - scored)),
+        unscored=tuple(sorted(universe.difference(concepts))),
         rows=_readonly(predictions.row_of([img.image_id for img in assigned])),
     )
 

@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -160,20 +159,6 @@ class ScoreMatrix:
             ((r.image_id, (r.image_id, r.scores)) for r in records),
             lambda image_id: f"image {image_id!r}",
         )
-
-    def columns(self, concepts: Iterable[str]) -> np.ndarray:
-        """Column index of each concept.
-
-        Raises:
-            DataError: for a concept that no image has a score for.
-        """
-        out = []
-        for concept in concepts:
-            j = bisect_left(self.concepts, concept)
-            if j == len(self.concepts) or self.concepts[j] != concept:
-                raise DataError(f"concept {concept!r} has no scored images")
-            out.append(j)
-        return np.array(out, dtype=np.intp)
 
     def row_of(self, image_ids: Sequence[str]) -> np.ndarray:
         """Row of each image in ``scores``, -1 for an image without predictions."""

@@ -109,12 +109,15 @@ def terms_rule(
     from the table when ``exclusions`` is set. Groups keep declaration order.
 
     Raises:
-        DataError: naming the key when a value has the wrong type, two
-            groups share a term, or an excluded term is not in its group.
+        DataError: naming the key when a group name is empty, a value has
+            the wrong type, two groups share a term, or an excluded term is
+            not in its group.
     """
     groups_raw = obj.get("groups")
     if not isinstance(groups_raw, dict) or not groups_raw:
         raise DataError("terms config requires a non-empty 'groups' object")
+    if "" in groups_raw:
+        raise DataError("terms config: 'groups' has a group with an empty name")
     excluded_raw = obj.get("excluded_terms")
     if excluded_raw is None:
         excluded_raw = {}

@@ -117,11 +117,10 @@ def _pairs(groups: Sequence[str]) -> list[tuple[str, str]]:
     return [(a, b) for i, a in enumerate(groups) for b in groups[i + 1:]]
 
 
-def evaluate_tables(
-    plan: ConceptPlan, groups: Sequence[str], cfg: RunConfig
-) -> list[MetricEstimate]:
+def evaluate_tables(plan: ConceptPlan, cfg: RunConfig) -> list[MetricEstimate]:
     """Evaluate the concepts the plan sized and reduce to per-concept and
-    aggregate disparity estimates for every group pair."""
+    aggregate disparity estimates for every pair of the run's groups, in the
+    group rule's order."""
     point_metrics = [m for m in cfg.metrics if m != "hit_rate"]
     evaluations = {
         c: evaluate_concept(c, s, metrics=point_metrics, bootstraps=cfg.bootstraps, seed=cfg.seed)
@@ -129,7 +128,7 @@ def evaluate_tables(
     }
     estimates: list[MetricEstimate] = []
     for metric in point_metrics:
-        for a, b in _pairs(groups):
+        for a, b in _pairs(cfg.group_rule.groups):
             for concept, (values, full_sample) in evaluations.items():
                 s = plan.sized[concept]
                 fs_a = full_sample[(metric, a)]
@@ -150,11 +149,10 @@ def evaluate_tables(
     return estimates
 
 
-def evaluate_hit_rate(
-    plan: ConceptPlan, groups: Sequence[str], cfg: RunConfig
-) -> list[MetricEstimate]:
+def evaluate_hit_rate(plan: ConceptPlan, cfg: RunConfig) -> list[MetricEstimate]:
     """Top-k hit rate per group, from the plan's hit values, with full-pool
-    bootstrap CIs on pair differences."""
+    bootstrap CIs on pair differences; a plan without hit values gives no
+    estimate."""
     # Draws are keyed per group, so each group's means serve every pair.
     boots: dict[str, np.ndarray] = {}
     for g, hits in plan.hits.items():
@@ -164,7 +162,7 @@ def evaluate_hit_rate(
         boots[g] = np.concatenate([hits.take(rows).mean(axis=1) for rows in blocks])
 
     estimates: list[MetricEstimate] = []
-    for a, b in _pairs(groups):
+    for a, b in _pairs(list(plan.hits)):
         if a not in boots or b not in boots:
             log.warning("hit rate: empty pool for pair (%s, %s); skipped", a, b)
             continue
@@ -238,8 +236,9 @@ class ConceptPlan:
     scored rows of its pool; ``unscored`` are the targets no prediction
     scores. Each candidate that passes the rare-label rule on those counts
     is retained, and then either ``sized`` for evaluation or ``skipped``
-    with the reason. ``hits`` holds each group's ``hit_vector`` values when
-    ``hit_rate`` is requested, and is empty otherwise.
+    with the reason. ``hits`` holds each group's ``hit_vector`` values, in
+    the group rule's order, when ``hit_rate`` is requested, and is empty
+    otherwise.
     """
 
     counts: dict[str, dict[str, tuple[int, int]]]
@@ -253,22 +252,25 @@ def plan_concepts(
     images: Sequence[AnnotatedImage],
     assignments: Sequence[GroupAssignment],
     predictions: ScoreMatrix,
-    groups: Sequence[str],
     cfg: RunConfig,
 ) -> ConceptPlan:
     """Decide which concepts get evaluated, and how.
 
     Candidates are the targets of group-assigned images that some prediction
-    scores. Each group's counts are column sums of the scored and target
-    masks under its rows. A concept is retained when every group has at
-    least ``min_per_group`` scored positives; a run whose only metric is
-    ``hit_rate`` evaluates no concept, so it retains none. Each retained
-    concept's group pools are taken from those masks: a group's scored
-    rows, positives then negatives, each in image-id order. An image that
-    lacks the concept's score is omitted; one warning sums the omissions
-    of every concept. The pools are sized with ``size_concept``; a concept
+    scores. The counts of each group of the run's rule are column sums of
+    the scored and target masks under its rows. A concept is retained when
+    every group has at least ``min_per_group`` scored positives; a run
+    whose only metric is ``hit_rate`` evaluates no concept, so it retains
+    none. Each retained concept's group pools are taken from those masks: a
+    group's scored rows, positives then negatives, each in image-id order.
+    An image that lacks the concept's score is omitted; one warning sums the
+    omissions of every concept. The pools are sized with ``size_concept``; a concept
     that cannot be is skipped with a warning. With ``hit_rate``, each
     group's hits are then taken over every scored column.
+
+    Raises:
+        DataError: when a sized concept is named ``aggregate``, the name of
+            the aggregate row.
     """
     targets = map_targets(
         images, assignments, predictions, cfg.mapping, strict=cfg.strict_mapping
@@ -278,10 +280,9 @@ def plan_concepts(
             "%d target concept(s) have no scores and were dropped: %s",
             len(targets.unscored), ", ".join(targets.unscored[:10]),
         )
-    columns = predictions.columns(targets.concepts)
-    scored = ~np.isnan(predictions.take_rows(targets.rows, columns))
+    scored = ~np.isnan(predictions.take_rows(targets.rows, targets.columns))
     positive = scored & targets.targets
-    group_rows = {g: targets.groups == g for g in groups}
+    group_rows = {g: targets.groups == g for g in cfg.group_rule.groups}
     counts: dict[str, dict[str, tuple[int, int]]] = {c: {} for c in targets.concepts}
     for g, rows in group_rows.items():
         n_scored = np.count_nonzero(scored[rows], axis=0).tolist()
@@ -314,7 +315,7 @@ def plan_concepts(
             pos = np.flatnonzero(rows & is_pos)
             order = np.concatenate([pos, np.flatnonzero(rows & is_scored & ~is_pos)])
             pools[g] = GroupPool(
-                scores=_readonly(predictions.scores[targets.rows[order], columns[j]]),
+                scores=_readonly(predictions.scores[targets.rows[order], targets.columns[j]]),
                 image_rows=_readonly(order),
                 n_pos=int(pos.size),
             )
@@ -323,25 +324,24 @@ def plan_concepts(
         except DataError as e:
             skipped[c] = str(e)
             log.warning("skipping concept %s: %s", c, e)
+    if "aggregate" in sized:
+        raise DataError(
+            "concept 'aggregate' would be evaluated, but the name is reserved for the "
+            "aggregate row"
+        )
     hits: dict[str, np.ndarray] = {}
     if "hit_rate" in cfg.metrics:
         for g, rows in group_rows.items():
             scores = predictions.take_rows(targets.rows[rows])
             is_target = np.zeros(scores.shape, dtype=bool)
-            is_target[:, columns] = targets.targets[rows]
+            is_target[:, targets.columns] = targets.targets[rows]
             hits[g] = hit_vector(scores, is_target, targets.has_targets[rows], cfg.k, group=g)
     return ConceptPlan(counts, targets.unscored, sized, skipped, hits)
 
 
-@dataclass
-class PipelineResult:
-    estimates: list[MetricEstimate]
-    assignments: list[GroupAssignment]
-    manifest: dict
-
-
-def run_pipeline(cfg: RunConfig) -> PipelineResult:
-    """Execute the full audit pipeline in memory."""
+def run_pipeline(cfg: RunConfig) -> tuple[list[MetricEstimate], list[GroupAssignment], dict]:
+    """Execute the full audit pipeline in memory: the estimates, each
+    image's group assignment, and the manifest."""
     images, predictions, ingest = load_dataset(cfg)
 
     assignments = assign_groups(images, cfg.group_rule)
@@ -349,10 +349,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     summary = assignment_summary(assignments, groups=groups)
     assigned = sum(summary[g] for g in groups)
 
-    plan = plan_concepts(images, assignments, predictions, groups, cfg)
-    estimates = evaluate_tables(plan, groups, cfg)
-    if "hit_rate" in cfg.metrics:
-        estimates.extend(evaluate_hit_rate(plan, groups, cfg))
+    plan = plan_concepts(images, assignments, predictions, cfg)
+    estimates = evaluate_tables(plan, cfg) + evaluate_hit_rate(plan, cfg)
 
     manifest = {
         "tool": "disparity-audit",
@@ -385,7 +383,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             },
         },
     }
-    return PipelineResult(estimates=estimates, assignments=assignments, manifest=manifest)
+    return estimates, assignments, manifest
 
 
 def _fmt(value) -> str:
@@ -636,23 +634,27 @@ def render_report(rows: Sequence[dict], top_n: int = 5, accounting: Mapping | No
     return "\n".join(lines) + "\n"
 
 
-def write_outputs(result: PipelineResult, cfg: RunConfig) -> dict[str, Path]:
-    """Write results.csv, plotdata/, manifest.json, and exclusions.csv."""
+def write_outputs(
+    result: tuple[list[MetricEstimate], list[GroupAssignment], dict], cfg: RunConfig
+) -> dict[str, Path]:
+    """Write results.csv, plotdata/, manifest.json, and exclusions.csv from
+    ``run_pipeline``'s result."""
+    estimates, assignments, manifest = result
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     results_path = out / "results.csv"
-    write_results_csv(result.estimates, cfg.evaluation_version, results_path)
+    write_results_csv(estimates, cfg.evaluation_version, results_path)
     rows = read_results_csv(results_path)
     plot_dir = out / "plotdata"
     write_plot_data(rows, plot_dir)
     manifest_path = out / "manifest.json"
     with manifest_path.open("w", encoding="utf-8") as f:
-        json.dump(result.manifest, f, sort_keys=True, indent=2)
+        json.dump(manifest, f, sort_keys=True, indent=2)
         f.write("\n")
     exclusions_path = out / "exclusions.csv"
-    write_assignments_csv(result.assignments, exclusions_path, only_excluded=True)
+    write_assignments_csv(assignments, exclusions_path, only_excluded=True)
     report_path = out / "report.txt"
-    accounting = result.manifest["stages"]["group_assignment"]["summary"]
+    accounting = manifest["stages"]["group_assignment"]["summary"]
     text = render_report(rows, top_n=cfg.top_n, accounting=accounting)
     report_path.write_text(text, encoding="utf-8")
     return {

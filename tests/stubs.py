@@ -1,18 +1,19 @@
 """A run config for tests that build their records in memory."""
 
 from pathlib import Path
+from typing import Sequence
 
 from disparity_audit.config import RunConfig
 from disparity_audit.groups import GroupRule
 
 
-def run_config(**fields) -> RunConfig:
-    """A ``RunConfig`` with stub paths, metadata groups and no class mapping;
-    ``fields`` override the defaults."""
+def run_config(groups: Sequence[str] = (), **fields) -> RunConfig:
+    """A ``RunConfig`` with stub paths, metadata ``groups`` in that order
+    and no class mapping; ``fields`` override the defaults."""
     stub = Path(".")
     defaults = dict(
         raw={}, annotations=stub, predictions=stub,
-        group_rule=GroupRule("metadata", (), {}, metadata_key="group"),
+        group_rule=GroupRule("metadata", tuple(groups), {}, metadata_key="group"),
         mapping=None, strict_mapping=True, metrics=("ap",), k=5,
         validation_fraction=0.2, threshold_scope="pooled", ratio=(1, 5),
         bootstraps=250, seed=0, min_per_group=50, sampling_mode="reliable",

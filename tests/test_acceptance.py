@@ -180,9 +180,9 @@ def test_criterion_04_flagship_prevalence_reproduction():
         records = _flagship_records(seed)
         flags = {}
         for mode in ("baseline", "reliable"):
-            cfg = run_config(sampling_mode=mode, seed=seed)
-            plan = plan_concepts(*records, ["alpha", "beta"], cfg)
-            estimates = evaluate_tables(plan, ["alpha", "beta"], cfg)
+            cfg = run_config(groups=("alpha", "beta"), sampling_mode=mode, seed=seed)
+            plan = plan_concepts(*records, cfg)
+            estimates = evaluate_tables(plan, cfg)
             per = [e for e in estimates if e.concept == "widget"][0]
             flags[mode] = significance_flag(per)
         if flags["baseline"] and not flags["reliable"]:

@@ -116,10 +116,7 @@ class TestSubcommands:
             load_config(cfg_path), metrics=("ap",), min_per_group=1, sampling_mode="baseline"
         )
         images, predictions, _ = load_dataset(cfg)
-        retained = plan_concepts(
-            images, assign_groups(images, cfg.group_rule), predictions,
-            list(cfg.group_rule.groups), cfg,
-        )
+        retained = plan_concepts(images, assign_groups(images, cfg.group_rule), predictions, cfg)
         pools = retained.sized["c2"].pools
         assert c2["pools"] == {g: [pools[g].n_pos, pools[g].n_neg] for g in ("A", "B")}
         assert c2["pools"]["B"] == [5, 145]
@@ -739,6 +736,45 @@ class TestExitCodes:
         assert "data error" in err and "Traceback" not in err
         assert f"{path}:3: {message}" in err
 
+    @pytest.mark.parametrize("key", ["annotations", "predictions"])
+    def test_input_file_that_is_a_directory_is_3(self, workspace, capsys, key):
+        tmp_path, cfg_path = workspace
+        raw = json.loads(cfg_path.read_text())
+        raw[key] = "data"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"[run] file error: {tmp_path / 'data'}: Is a directory" in err
+
+    def test_report_results_that_is_a_directory_is_3(self, tmp_path, capsys):
+        assert main(["report", "--results", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"[report] file error: {tmp_path}: Is a directory" in err
+
+    @pytest.mark.parametrize("command", ["run", "evaluate"])
+    def test_output_that_is_a_file_is_3(self, workspace, capsys, command):
+        tmp_path, cfg_path = workspace
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main([command, "--config", str(cfg_path), "--output", str(taken)]) == 3
+        err = capsys.readouterr().err
+        assert f"[{command}] file error: {taken}: File exists" in err
+        assert taken.read_text() == ""
+
+    def test_empty_terms_group_name_is_2(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        terms = json.loads(TERMS.read_text())
+        terms["groups"] = {"": terms["groups"]["man"], "woman": terms["groups"]["woman"]}
+        terms["excluded_terms"] = {"woman": terms["excluded_terms"]["woman"]}
+        terms_path = tmp_path / "terms.json"
+        terms_path.write_text(json.dumps(terms))
+        raw = json.loads(cfg_path.read_text())
+        raw.update(group_method="captions", terms=str(terms_path))
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: terms config: 'groups' has a group with an empty name" in err
+
     def test_lone_surrogate_id_is_3_before_assignments_are_written(self, workspace, capsys):
         tmp_path, cfg_path = workspace
         path = tmp_path / "data" / "annotations.jsonl"
@@ -784,6 +820,102 @@ def test_plot_files_of_two_pairs_may_not_collide(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(tmp_path / "r" / plot_file) in err and message in err
     assert not list((tmp_path / "r").glob("plotdata/*"))
+
+
+def aggregate_workspace(tmp_path, positives_b):
+    """Metadata groups A and B of 40 images each, every image labelled
+    ``aggregate`` or ``dog`` and scored on both. A has 20 ``aggregate``
+    positives and B ``positives_b``, at ``min_per_group`` 5."""
+    rng = np.random.default_rng(3)
+    annotations, predictions = [], []
+    for g, positives in (("A", 20), ("B", positives_b)):
+        for k in range(40):
+            image_id = f"{g}{k:02d}"
+            label = "aggregate" if k < positives else "dog"
+            annotations.append({"image_id": image_id, "labels": [label],
+                                "metadata": {"group": g}})
+            scores = {c: round(float(rng.random()), 3) for c in ("aggregate", "dog")}
+            predictions.append({"image_id": image_id, "scores": scores})
+    for name, records in (("ann.jsonl", annotations), ("pred.jsonl", predictions)):
+        (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+    (tmp_path / "region.json").write_text(json.dumps({"country_to_group": {"A": "A", "B": "B"}}))
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "annotations": "ann.jsonl", "predictions": "pred.jsonl",
+        "group_method": "metadata", "metadata_key": "group", "region": "region.json",
+        "metrics": ["ap"], "drop_unlabeled": False, "output_dir": "out",
+        "sampling": {"mode": "reliable", "ratio": [1, 1], "bootstraps": 10, "seed": 2,
+                     "min_per_group": 5},
+    }))
+    return cfg_path
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("run", "results.csv"), ("evaluate", "results.csv"), ("sample-plan", "sample_plan.json"),
+])
+def test_evaluated_concept_named_aggregate_is_3(tmp_path, capsys, command, artifact):
+    """Its row would share the aggregate row's key, so the run stops before
+    writing anything."""
+    cfg_path = aggregate_workspace(tmp_path, positives_b=20)
+    assert main([command, "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"[{command}] data error: concept 'aggregate' would be evaluated" in err
+    assert "reserved for the aggregate row" in err
+    assert not (tmp_path / "out" / artifact).exists()
+
+
+def test_rare_concept_named_aggregate_runs(tmp_path, capsys):
+    """With 2 positives in B, ``aggregate`` is rare: only ``dog`` is
+    evaluated, and the one aggregate row per metric and pair is dog's."""
+    cfg_path = aggregate_workspace(tmp_path, positives_b=2)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    rows = read_results_csv(tmp_path / "out" / "results.csv")
+    assert [(r["metric"], r["concept"]) for r in rows] == [("ap", "aggregate"), ("ap", "dog")]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["stages"]["concepts"]["retained_after_rare_filter"] == 1
+
+
+def test_terms_declaration_order_sets_the_direction(tmp_path):
+    """A captions terms file that declares ``woman`` before ``man`` makes
+    ``woman`` group_a in every row, per-concept, aggregate and hit rate;
+    each point is the negation of the run that declares ``man`` first."""
+    annotations, predictions = [], []
+    for group in ("man", "woman"):
+        for i in range(40):
+            image_id = f"{group}-{i:02d}"
+            annotations.append({"image_id": image_id, "labels": ["dog"] if i % 2 else ["cat"],
+                                "captions": [f"a {group} in a park"]})
+            shift = 0.1 if group == "woman" else 0.0
+            predictions.append({"image_id": image_id, "scores": {
+                "cat": round((i % 7) / 7 + shift, 3), "dog": round((i % 5) / 5, 3),
+            }})
+    for name, records in (("ann.jsonl", annotations), ("pred.jsonl", predictions)):
+        (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+    terms = json.loads(TERMS.read_text())
+    points = {}
+    for first, second in (("woman", "man"), ("man", "woman")):
+        terms["groups"] = {g: terms["groups"][g] for g in (first, second)}
+        (tmp_path / "terms.json").write_text(json.dumps(terms))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "annotations": "ann.jsonl", "predictions": "pred.jsonl",
+            "group_method": "captions", "terms": "terms.json", "output_dir": first,
+            "metrics": ["ap", "tpr", "hit_rate"], "k": 1, "threshold_scope": "per_group",
+            "drop_unlabeled": False,
+            "sampling": {"mode": "reliable", "ratio": [1, 1], "bootstraps": 10, "seed": 1,
+                         "min_per_group": 5},
+        }))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        out = tmp_path / first
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stages"]["group_assignment"]["groups"] == [first, second]
+        rows = read_results_csv(out / "results.csv")
+        assert {(r["metric"], r["concept"]) for r in rows} == {
+            (m, c) for m in ("ap", "tpr") for c in ("aggregate", "cat", "dog")
+        } | {("hit_rate", "aggregate")}
+        assert {(r["group_a"], r["group_b"]) for r in rows} == {(first, second)}
+        points[first] = {(r["metric"], r["concept"]): r["point"] for r in rows}
+    assert points["woman"] == {k: -v for k, v in points["man"].items()}
 
 
 def test_concept_scored_only_on_excluded_image(tmp_path, monkeypatch):

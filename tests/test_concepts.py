@@ -108,10 +108,8 @@ def targets_of(images, assignments, predictions, mapping=None):
 def plan_of(images, assignments, predictions, groups=("A",), mapping=None):
     """The plan of hand-built records for a ranking-only baseline run, which
     evaluates every concept with a positive in each group on its full pools."""
-    cfg = run_config(mapping=mapping, min_per_group=1, sampling_mode="baseline")
-    return plan_concepts(
-        images, assignments, ScoreMatrix.from_records(predictions), list(groups), cfg
-    )
+    cfg = run_config(groups=groups, mapping=mapping, min_per_group=1, sampling_mode="baseline")
+    return plan_concepts(images, assignments, ScoreMatrix.from_records(predictions), cfg)
 
 
 def pools_of(images, assignments, predictions, mapping=None):
@@ -204,8 +202,8 @@ class TestConceptTables:
         ]
 
     def test_zero_scored_concept_errors(self):
-        """A target that no prediction scores gets no pool; asked for its
-        score column, the matrix says it has no scored images."""
+        """A target that no prediction scores gets no pool and no score
+        column; each candidate's column names it in the score matrix."""
         images, assignments, predictions = _fixture_dataset()
         images[0] = AnnotatedImage(
             image_id="a1", direct_labels=frozenset({"c", "unscored_concept"})
@@ -213,8 +211,11 @@ class TestConceptTables:
         plan = plan_of(images, assignments, predictions)
         assert plan.unscored == ("unscored_concept",)
         assert set(plan.sized) == {"c", "other"}
-        with pytest.raises(DataError, match="no scored images"):
-            ScoreMatrix.from_records(predictions).columns(["unscored_concept"])
+        matrix = ScoreMatrix.from_records(predictions)
+        targets = map_targets(images, assignments, matrix)
+        assert targets.unscored == ("unscored_concept",)
+        assert [matrix.concepts[j] for j in targets.columns] == list(targets.concepts)
+        assert "unscored_concept" not in targets.concepts
 
     def test_positives_negatives_partition_group(self):
         images, assignments, predictions = _fixture_dataset()

@@ -292,6 +292,8 @@ class TestTermConfig:
          "'neutral_exclusion_terms' must be a list of strings, got 'people'"),
         ({"groups": {"man": ["man"]}, "neutral_exclusion_terms": 3},
          "'neutral_exclusion_terms' must be a list of strings, got 3"),
+        ({"groups": {"": ["man"], "woman": ["woman"]}},
+         "'groups' has a group with an empty name"),
     ])
     def test_wrong_value_type_names_the_key(self, obj, message):
         with pytest.raises(DataError) as info:

@@ -22,6 +22,7 @@ from disparity_audit.groups import assign_groups
 from disparity_audit.metrics import hit_vector
 from disparity_audit.pipeline import (
     compare_results,
+    evaluate_hit_rate,
     evaluate_tables,
     load_dataset,
     plan_concepts,
@@ -43,19 +44,19 @@ def two_group_plan(cfg, seed=0, n=300, prev_a=0.3, prev_b=0.3):
         "B": CellSpec(prevalence=prev_b, mu_pos=1, sigma_pos=1, mu_neg=0, sigma_neg=1, n=n),
     }
     spec = ScenarioSpec(concepts={"c1": cells, "c2": cells}, seed=seed)
-    return synth_plan(spec, ["A", "B"], cfg)
+    return synth_plan(spec, cfg)
 
 
-def synth_plan(spec, groups, cfg):
+def synth_plan(spec, cfg):
     """The plan of a synthetic scenario."""
     images, assignments, predictions = generate(spec)
-    return plan_concepts(images, assignments, ScoreMatrix.from_records(predictions), groups, cfg)
+    return plan_concepts(images, assignments, ScoreMatrix.from_records(predictions), cfg)
 
 
 def cfg_for(tmp_path, mode="reliable", metrics=("ap", "tpr", "fpr"), ratio=(1, 4),
-            bootstraps=60, seed=5, scope="pooled"):
+            bootstraps=60, seed=5, scope="pooled", groups=("A", "B")):
     return run_config(
-        metrics=tuple(metrics), threshold_scope=scope, ratio=tuple(ratio),
+        groups=groups, metrics=tuple(metrics), threshold_scope=scope, ratio=tuple(ratio),
         bootstraps=bootstraps, seed=seed, min_per_group=10, sampling_mode=mode,
         output_dir=tmp_path / "out",
     )
@@ -65,7 +66,7 @@ class TestEvaluateTables:
     def test_shapes_and_sign_convention(self, tmp_path):
         cfg = cfg_for(tmp_path)
         plan = two_group_plan(cfg)
-        estimates = evaluate_tables(plan, ["A", "B"], cfg)
+        estimates = evaluate_tables(plan, cfg)
         keys = {(e.metric, e.concept) for e in estimates}
         for metric in ("ap", "tpr", "fpr"):
             assert (metric, "c1") in keys and (metric, "aggregate") in keys
@@ -76,7 +77,7 @@ class TestEvaluateTables:
     def test_ratio_mode_equalizes_sample_sizes(self, tmp_path):
         cfg = cfg_for(tmp_path, mode="reliable", metrics=("ap",))
         plan = two_group_plan(cfg, prev_a=0.5, prev_b=0.2)
-        estimates = evaluate_tables(plan, ["A", "B"], cfg)
+        estimates = evaluate_tables(plan, cfg)
         per = [e for e in estimates if e.concept == "c1"][0]
         sizes = set(per.sample_sizes.values())
         assert len(sizes) == 1  # identical budget across groups
@@ -101,8 +102,19 @@ class TestEvaluateTables:
         assert plan.sized == {}
         assert set(plan.skipped) == {"c1", "c2"}
         assert "fewer than the 4 required per ratio unit" in plan.skipped["c1"]
-        estimates = evaluate_tables(plan, ["A", "B"], cfg)
+        estimates = evaluate_tables(plan, cfg)
         assert estimates == []
+
+
+def test_hit_rate_without_hit_values_is_empty(tmp_path, caplog):
+    """A plan made without ``hit_rate`` holds no hit values, so no pair
+    gets an estimate, and none is warned about."""
+    cfg = cfg_for(tmp_path, metrics=("ap",))
+    plan = two_group_plan(cfg)
+    assert plan.hits == {}
+    with caplog.at_level("DEBUG"):
+        assert evaluate_hit_rate(plan, cfg) == []
+    assert caplog.records == []
 
 
 class TestMultiGroup:
@@ -114,9 +126,9 @@ class TestMultiGroup:
             for i, g in enumerate(groups)
         }
         spec = ScenarioSpec(concepts={"c1": cells}, seed=2)
-        cfg = cfg_for(tmp_path, metrics=("ap",), ratio=(1, 2))
-        plan = synth_plan(spec, list(groups), cfg)
-        estimates = evaluate_tables(plan, list(groups), cfg)
+        cfg = cfg_for(tmp_path, metrics=("ap",), ratio=(1, 2), groups=groups)
+        plan = synth_plan(spec, cfg)
+        estimates = evaluate_tables(plan, cfg)
         per = [e for e in estimates if e.concept == "c1"]
         assert {(e.group_a, e.group_b) for e in per} == {
             (a, b) for i, a in enumerate(groups) for b in groups[i + 1:]
@@ -137,7 +149,7 @@ class TestResultsCsv:
     def test_round_trip(self, tmp_path):
         cfg = cfg_for(tmp_path, metrics=("ap",))
         plan = two_group_plan(cfg)
-        estimates = evaluate_tables(plan, ["A", "B"], cfg)
+        estimates = evaluate_tables(plan, cfg)
         path = tmp_path / "results.csv"
         write_results_csv(estimates, "custom", path)
         rows = read_results_csv(path)
@@ -277,14 +289,14 @@ class TestRunPipeline:
         from disparity_audit.config import load_config
 
         cfg = load_config(synth_workspace(tmp_path))
-        result = run_pipeline(cfg)
-        stages = result.manifest["stages"]
+        estimates, _, manifest = run_pipeline(cfg)
+        stages = manifest["stages"]
         ga = stages["group_assignment"]
         assert ga["assigned_total"] + ga["excluded_total"] == stages["ingest"]["images_used"]
         assert stages["concepts"]["retained_after_rare_filter"] == 2
-        metrics_seen = {e.metric for e in result.estimates}
+        metrics_seen = {e.metric for e in estimates}
         assert metrics_seen == {"ap", "auc_roc", "tpr", "fpr", "hit_rate"}
-        hit = [e for e in result.estimates if e.metric == "hit_rate"]
+        hit = [e for e in estimates if e.metric == "hit_rate"]
         assert len(hit) == 1 and hit[0].concept == "aggregate"
 
     def test_outputs_written_and_deterministic(self, tmp_path):
@@ -318,8 +330,8 @@ class TestRunPipeline:
             return size_concept(concept, pools, cfg)
 
         monkeypatch.setattr(pipeline, "size_concept", spy)
-        result = run_pipeline(load_config(synth_workspace(tmp_path, rare=True)))
-        concepts = result.manifest["stages"]["concepts"]
+        _, _, manifest = run_pipeline(load_config(synth_workspace(tmp_path, rare=True)))
+        concepts = manifest["stages"]["concepts"]
         assert concepts["candidates"] == 3
         assert concepts["retained_after_rare_filter"] == 2
         assert built == ["c1", "c2"]
@@ -330,7 +342,7 @@ class TestRunPipeline:
         cfg = load_config(synth_workspace(tmp_path, rare=True))
         images, predictions, _ = load_dataset(cfg)
         assignments = assign_groups(images, cfg.group_rule)
-        plan = plan_concepts(images, assignments, predictions, ["A", "B"], cfg)
+        plan = plan_concepts(images, assignments, predictions, cfg)
         candidates, counts = tuple(plan.counts), plan.counts
         assert (candidates, plan.unscored, [*plan.sized, *plan.skipped]) == (
             ("c1", "c2", "c3"), (), ["c1", "c2"]
@@ -340,7 +352,7 @@ class TestRunPipeline:
         every = dataclasses.replace(
             cfg, metrics=("ap",), min_per_group=1, sampling_mode="baseline"
         )
-        sized = plan_concepts(images, assignments, predictions, ["A", "B"], every).sized
+        sized = plan_concepts(images, assignments, predictions, every).sized
         assert list(sized) == list(candidates)
         for c in candidates:
             for g, pool in sized[c].pools.items():
@@ -357,8 +369,8 @@ class TestRunPipeline:
         raw["metrics"] = ["ap"]
         cfg_path.write_text(json.dumps(raw))
         cfg = load_config(cfg_path)
-        result = run_pipeline(cfg)
-        ingest = result.manifest["stages"]["ingest"]
+        _, _, manifest = run_pipeline(cfg)
+        ingest = manifest["stages"]["ingest"]
         assert ingest["images_dropped_unlabeled"] == ingest["images_without_labels"]
         assert ingest["images_used"] == ingest["images_loaded"] - ingest["images_dropped_unlabeled"]
 
@@ -423,7 +435,7 @@ class TestIngest:
         assert [img.image_id for img in images] == ids == list(predictions.rows)
         # only a2 scored yak, so its column goes with it
         assert ("yak" in predictions.concepts) is not drop_unlabeled
-        assert run_pipeline(cfg).manifest["stages"]["ingest"] == ingest
+        assert run_pipeline(cfg)[2]["stages"]["ingest"] == ingest
 
 
 class TestPlanConcepts:
@@ -454,13 +466,13 @@ class TestPlanConcepts:
         )
         return images, assignments, predictions
 
-    def cfg(self, tmp_path):
+    def cfg(self, tmp_path, groups=("A", "B")):
         import dataclasses
 
-        return dataclasses.replace(cfg_for(tmp_path), min_per_group=1)
+        return dataclasses.replace(cfg_for(tmp_path, groups=groups), min_per_group=1)
 
     def test_counts_skip_excluded_images_and_unscored_rows(self, tmp_path):
-        plan = plan_concepts(*self.records(), ["A", "B"], self.cfg(tmp_path))
+        plan = plan_concepts(*self.records(), self.cfg(tmp_path))
         assert plan.counts == {
             "cat": {"A": (1, 1), "B": (1, 1)},
             "dog": {"A": (1, 2), "B": (0, 1)},
@@ -469,13 +481,13 @@ class TestPlanConcepts:
 
     def test_unscored_target_dropped_with_warning(self, tmp_path, caplog):
         with caplog.at_level("WARNING", logger="disparity_audit.pipeline"):
-            plan = plan_concepts(*self.records(), ["A", "B"], self.cfg(tmp_path))
+            plan = plan_concepts(*self.records(), self.cfg(tmp_path))
         assert plan.unscored == ("owl",)
         assert "owl" not in plan.counts
         assert "have no scores" in caplog.text and "owl" in caplog.text
 
     def test_group_without_images_blocks_retention(self, tmp_path):
-        plan = plan_concepts(*self.records(), ["A", "B", "C"], self.cfg(tmp_path))
+        plan = plan_concepts(*self.records(), self.cfg(tmp_path, groups=("A", "B", "C")))
         assert plan.counts["cat"]["C"] == plan.counts["dog"]["C"] == (0, 0)
         assert plan.sized == plan.skipped == {}
 
@@ -492,7 +504,7 @@ def test_hit_rate_warnings_name_their_group(tmp_path, caplog):
     )
     cfg = dataclasses.replace(cfg_for(tmp_path, metrics=("hit_rate",)), k=5)
     with caplog.at_level("WARNING", logger="disparity_audit.metrics"):
-        plan = plan_concepts(images, assignments, predictions, ["A", "B"], cfg)
+        plan = plan_concepts(images, assignments, predictions, cfg)
     assert [r.getMessage() for r in caplog.records if r.name == "disparity_audit.metrics"] == [
         "hit rate: 2 image(s) of group A scored for fewer than k concepts",
         "hit rate: 1 image(s) of group B with empty target sets excluded",
@@ -522,25 +534,24 @@ def test_plan_hits_are_each_groups_hit_vector(tmp_path):
     predictions = ScoreMatrix.from_records(
         PredictionRecord(image_id=i, scores=s) for i, _, _, s in rows if s is not None
     )
-    groups = ["A", "B", "C"]
-    cfg = dataclasses.replace(cfg_for(tmp_path, metrics=("ap", "hit_rate")), k=2)
-    plan = plan_concepts(images, assignments, predictions, groups, cfg)
+    groups = ("A", "B", "C")
+    cfg = dataclasses.replace(cfg_for(tmp_path, metrics=("ap", "hit_rate"), groups=groups), k=2)
+    plan = plan_concepts(images, assignments, predictions, cfg)
 
     targets = map_targets(images, assignments, predictions)
     assert targets.unscored == ("parrot",) and "emu" not in targets.concepts
-    columns = predictions.columns(targets.concepts)
     for g in groups:
         in_group = targets.groups == g
         scores = predictions.take_rows(targets.rows[in_group])
         is_target = np.zeros(scores.shape, dtype=bool)
-        is_target[:, columns] = targets.targets[in_group]
+        is_target[:, targets.columns] = targets.targets[in_group]
         want = hit_vector(scores, is_target, targets.has_targets[in_group], cfg.k, group=g)
         assert plan.hits[g].tolist() == want.tolist()
     # b1 has no target and b3 no score; ties break by concept id (b2: dog, emu)
     assert {g: h.tolist() for g, h in plan.hits.items()} == {
         "A": [1.0, 0.0, 1.0], "B": [0.0], "C": [1.0, 0.0],
     }
-    without = plan_concepts(images, assignments, predictions, groups, cfg_for(tmp_path))
+    without = plan_concepts(images, assignments, predictions, cfg_for(tmp_path, groups=groups))
     assert without.hits == {}
 
 
@@ -565,10 +576,10 @@ class TestRareLabelRule:
                 records.append(PredictionRecord(
                     image_id, {"x": 0.5} if unscored_positive else {"c": k / (2 * n)}
                 ))
-        cfg = run_config(min_per_group=min_per_group, sampling_mode="baseline")
-        plan = plan_concepts(
-            images, assignments, ScoreMatrix.from_records(records), list(positives), cfg
+        cfg = run_config(
+            groups=tuple(positives), min_per_group=min_per_group, sampling_mode="baseline"
         )
+        plan = plan_concepts(images, assignments, ScoreMatrix.from_records(records), cfg)
         return [*plan.sized, *plan.skipped]
 
     def test_retained_when_every_group_clears_the_floor(self):
@@ -623,10 +634,10 @@ class TestPlanPools:
             for r in records
         ]
         cfg = run_config(
-            metrics=metrics, threshold_scope=scope, sampling_mode=mode, ratio=(1, 2),
-            validation_fraction=fraction, min_per_group=1, seed=seed,
+            groups=groups, metrics=metrics, threshold_scope=scope, sampling_mode=mode,
+            ratio=(1, 2), validation_fraction=fraction, min_per_group=1, seed=seed,
         )
-        plan = plan_concepts(images, assignments, ScoreMatrix.from_records(records), groups, cfg)
+        plan = plan_concepts(images, assignments, ScoreMatrix.from_records(records), cfg)
         event(f"sized {len(plan.sized)} of {len(plan.sized) + len(plan.skipped)} retained")
 
         # image rows index the assigned images in id order

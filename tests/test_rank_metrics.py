@@ -313,10 +313,13 @@ class TestTiesFollowImageIds:
             for i, _, _, s in reversed(self.ROWS)
         ))
         images = load_annotations(ann)
-        cfg = run_config(metrics=("ap", "auc_roc"), min_per_group=1, sampling_mode="baseline")
+        cfg = run_config(
+            groups=("A", "B"), metrics=("ap", "auc_roc"), min_per_group=1,
+            sampling_mode="baseline",
+        )
         plan = plan_concepts(
             images, [GroupAssignment(i, group=g) for i, g, _, _ in self.ROWS],
-            load_predictions(pred, images), ["A", "B"], cfg,
+            load_predictions(pred, images), cfg,
         )
         _, full_sample = evaluate_concept(
             "c", plan.sized["c"], metrics=["ap", "auc_roc"], bootstraps=1, seed=0
