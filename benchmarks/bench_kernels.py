@@ -19,12 +19,15 @@ and threshold selection on the pooled validation rows of three groups. The
 batched kernel's first three draws must equal the reference kernels', which
 ``tests/test_bench_smoke.py`` checks at these shapes with timing off.
 
-* draws: the bootstrap draws of one group at three shapes: skew, 250 draws
+* draws: the bootstrap draws of one group at five shapes: skew, 250 draws
   of 120 rows from 720 positives and 600 from 1,680 negatives; deep
   baseline, 20 draws of 8,000 from 8,000; hit rate, 50 draws of 1,500 from
-  1,500. Each times ``sampling.draw_rows`` against the per-bootstrap
-  generators it replaced (``oracles.reference_rows``), and the first rows
-  must be equal.
+  1,500; rejection, 50 draws of 600 from 2**31 + 1, where about half the
+  uint32 halves are rejected, so every row is continued; large pool, 20
+  draws of 100,000 from 100,000, where about 80% of rows meet a rejection
+  and are continued. Each times ``sampling.draw_rows`` against the
+  per-bootstrap generators it replaced (``oracles.reference_rows``), and the
+  first rows must be equal.
 
 * disparity: ``disparity.pair_disparity`` on one concept's row of 250
   bootstraps and on an aggregate of 200 concepts x 250 bootstraps; on each
@@ -210,6 +213,8 @@ DRAW_SHAPES = {
     "skew": ([(720, 120), (1680, 600)], 250),
     "deep-baseline": ([(8000, 8000)], 20),
     "hit-rate": ([(1500, 1500)], 50),
+    "rejection": ([(2**31 + 1, 600)], 50),
+    "large-pool": ([(100000, 100000)], 20),
 }
 
 
@@ -224,14 +229,17 @@ def test_draw_rows(benchmark, draw_shape):
     key = (0, "draw", "c", name)
 
     def draw():
-        # each block is read before the next, as the pipeline does
-        blocks = draw_rows(key, n_draws, sizes)
-        first = next(blocks).copy()
-        return first, len(first) + sum(len(block) for block in blocks)
+        # each block is read before the next, as the pipeline does; the first
+        # three rows are kept, whatever the rows per block
+        first, drawn = [], 0
+        for block in draw_rows(key, n_draws, sizes):
+            first.extend(block[:max(0, 3 - drawn)].copy())
+            drawn += len(block)
+        return np.array(first), drawn
 
     first, drawn = benchmark(draw)
     assert drawn == n_draws
-    assert np.array_equal(first[:3], reference_rows(key, 3, sizes))
+    assert np.array_equal(first, reference_rows(key, 3, sizes))
 
 
 def test_draw_reference(benchmark, draw_shape):

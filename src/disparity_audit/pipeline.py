@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -178,7 +179,7 @@ def evaluate_hit_rate(plan: ConceptPlan, cfg: RunConfig) -> list[MetricEstimate]
 @dataclass(frozen=True)
 class ConceptSizing:
     """How one concept is evaluated: the pools each group's draws sample
-    from, in sorted group order; each group's decision threshold (``{}``
+    from, in the group rule's order; each group's decision threshold (``{}``
     when no threshold metric is requested); and in a reliable run the
     per-group budget."""
 
@@ -190,8 +191,8 @@ class ConceptSizing:
 def size_concept(
     concept: str, pools: Mapping[str, GroupPool], cfg: RunConfig
 ) -> ConceptSizing:
-    """Split, threshold and budget one concept's group pools, in sorted
-    group order.
+    """Split, threshold and budget one concept's group pools, in the order
+    given: the plan's, the group rule's.
 
     With threshold metrics, each group's pool is split into validation and
     test rows; thresholds are selected on the validation rows, of all groups
@@ -200,25 +201,28 @@ def size_concept(
 
     Raises:
         DataError: when threshold selection has no validation row or no
-            positive one, or else when no budget fits every group.
+            positive one (naming the concept and the groups in scope), or
+            else when no budget fits every group.
     """
-    groups = sorted(pools)
-    pools = {g: pools[g] for g in groups}
+    pools = dict(pools)
     thresholds: dict[str, float] = {}
     if any(m in THRESHOLD_METRICS for m in cfg.metrics):
         validation: dict[str, GroupPool] = {}
-        for g in groups:
+        for g, pool in pools.items():
             val, test = split_validation_test(
-                pools[g].labels, cfg.validation_fraction,
-                derive_seed(cfg.seed, "split", concept, g),
+                pool.labels, cfg.validation_fraction, derive_seed(cfg.seed, "split", concept, g)
             )
-            validation[g], pools[g] = pools[g].take(val), pools[g].take(test)
-        scopes = [groups] if cfg.threshold_scope == "pooled" else [[g] for g in groups]
+            validation[g], pools[g] = pool.take(val), pool.take(test)
+        scopes = [list(pools)] if cfg.threshold_scope == "pooled" else [[g] for g in pools]
         for scope in scopes:
-            threshold, _ = select_threshold(
-                np.concatenate([validation[g].scores for g in scope]),
-                np.concatenate([validation[g].labels for g in scope]),
-            )
+            try:
+                threshold, _ = select_threshold(
+                    np.concatenate([validation[g].scores for g in scope]),
+                    np.concatenate([validation[g].labels for g in scope]),
+                )
+            except DataError as e:
+                named = f"group{'s' if len(scope) > 1 else ''} {', '.join(map(repr, scope))}"
+                raise DataError(f"concept {concept!r}: {named}: {e}") from e
             thresholds.update(dict.fromkeys(scope, threshold))
     budget = None
     if cfg.sampling_mode == "reliable":
@@ -453,9 +457,9 @@ def read_results_csv(path: str | Path) -> list[dict]:
 
     Raises:
         DataError: naming the file, line and column of a missing key column
-            or value, or of a value that is not a number; the file and line
-            of a byte that is not valid UTF-8; or the file, line and earlier
-            line of a repeated key row.
+            or value, or of a value that is not a finite number; the file
+            and line of a byte that is not valid UTF-8; or the file, line
+            and earlier line of a repeated key row.
     """
     path = Path(path)
     if not path.exists():
@@ -482,9 +486,9 @@ def read_results_csv(path: str | Path) -> list[dict]:
                 try:
                     parsed[key] = float(text) if text else None
                 except ValueError:
-                    raise DataError(
-                        f"{where}: column {key!r} is not a number: {text!r}"
-                    ) from None
+                    parsed[key] = math.nan  # not a number: reported below, as nan is
+                if parsed[key] is not None and not math.isfinite(parsed[key]):
+                    raise DataError(f"{where}: column {key!r} is not a finite number: {text!r}")
             parsed["significant"] = row.get("significant") == "true"
             out.append(parsed)
     return out

@@ -83,8 +83,7 @@ def compute_budget(
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
 # 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h). numpy keeps both
-# streams stable across releases; ``Generator.integers`` is emulated below
-# and checked against numpy in the tests.
+# streams stable across releases, and draws rely on nothing else of numpy's.
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
@@ -118,9 +117,9 @@ def _hash_steps(values: np.ndarray, steps, start: int, stop: int) -> np.ndarray:
     return values ^ (values >> 16)
 
 
-def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
-    """PCG64's ``(state, inc)`` once seeded from ``SeedSequence(seed)``, for
-    each 64-bit seed; the hash runs over all seeds at once.
+def _pcg64_states(seeds: Sequence[int]) -> list[dict]:
+    """``PCG64.state`` once seeded from ``SeedSequence(seed)``, for each
+    64-bit seed; the hash runs over all seeds at once.
 
     A seed is two uint32 entropy words, low first (a seed below 2**32 is
     one word, which the pool pads with the same zero word).
@@ -142,19 +141,45 @@ def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
     for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
         # pcg64_srandom_r: step from 0, add the seed, step again
         inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
     return states
 
 
-def _reference_row(seed: int, sizes: Sequence[tuple[int, int]]) -> np.ndarray:
-    """One draw from numpy's own generator: what every row of ``draw_rows``
-    equals."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    parts, offset = [], 0
+def _window(short: int, threshold: int) -> int:
+    """Halves to map for ``short`` more values: room for twice the rejections expected."""
+    return short + 2 * (short * threshold // ((1 << 32) - threshold)) + 8
+
+
+def _continue_row(
+    row: np.ndarray, words: np.ndarray, bitgen: np.random.PCG64, sizes: Sequence[tuple[int, int]]
+) -> None:
+    """Remake ``row`` as numpy's ``integers`` does when it rejects halves:
+    each class skips them and reads on, past ``words``, from ``bitgen``,
+    which stands just after them, up to the half that completes it."""
+    halves = words.astype("<u8", copy=False).view("<u4")
+    read = column = offset = 0
     for n, k in sizes:
-        parts.append(rng.integers(0, n, size=k) + offset)
+        threshold = ((1 << 32) - n) % n
+        out = row[column:column + k].view(np.uint64)
+        got = 0 if n > 1 else k
+        while got < k:
+            stop = read + _window(k - got, threshold)
+            if stop > halves.size:
+                more = bitgen.random_raw((stop - halves.size + 1) // 2)
+                halves = np.concatenate([halves, more.astype("<u8", copy=False).view("<u4")])
+            window = halves[read:stop]
+            # the low half of x * n, as uint32 arithmetic wraps it
+            accepted = (window * np.uint32(n & _MASK32) >= threshold).nonzero()[0][:k - got]
+            np.multiply(window[accepted], np.uint64(n), out=out[got:got + accepted.size])
+            got += accepted.size
+            read += int(accepted[-1]) + 1 if got == k else window.size
+        if n > 1:
+            out >>= np.uint64(32)
+            out += np.uint64(offset)
+        column += k
         offset += n
-    return np.concatenate(parts)
 
 
 def _lemire_rows(
@@ -206,14 +231,16 @@ def draw_rows(
 
     Each bootstrap's 64-bit words come from one reused ``PCG64`` set to the
     state that seeding would give, and ``_lemire_rows`` turns them into
-    values. A row where numpy would redraw, or any row when some
-    ``n > 2**32``, is drawn by numpy's generator instead.
+    values. A row where numpy would redraw is made again by
+    ``_continue_row``, which reads on from the row's own stream.
 
     Raises:
-        InvariantError: when some class is empty.
+        InvariantError: when some class is empty or holds over 2**32 rows.
     """
     if any(n < 1 for n, _ in sizes):
         raise InvariantError("cannot resample an empty pool")
+    if any(n > 1 << 32 for n, _ in sizes):
+        raise InvariantError(f"cannot resample a pool of {max(sizes)[0]} rows, over 2**32")
     prefix = _hashed(key)
     seeds = []
     for b in range(bootstraps):
@@ -221,8 +248,7 @@ def draw_rows(
         h.update(_part_hash(b).to_bytes(8, "big"))
         seeds.append(int.from_bytes(h.digest(), "big"))
     width = sum(k for _, k in sizes)
-    emulated = all(n <= 1 << 32 for n, _ in sizes)
-    n_words = (sum(k for n, k in sizes if n > 1) + 1) // 2 if emulated else 0
+    n_words = (sum(k for n, k in sizes if n > 1) + 1) // 2
     states = _pcg64_states(seeds) if n_words else []
     bitgen = np.random.PCG64(0)
     per_block = max(1, _BLOCK_ELEMENTS // max(width, 1))
@@ -230,18 +256,12 @@ def draw_rows(
     buffer = np.empty((rows.shape[0], n_words), dtype=np.uint64)
     for start in range(0, bootstraps, per_block):
         stop = min(start + per_block, bootstraps)
-        block = rows[:stop - start]
-        if emulated:
-            words = buffer[:stop - start]
-            for i, (state, inc) in enumerate(states[start:stop]):
-                bitgen.state = {
-                    "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                    "has_uint32": 0, "uinteger": 0,
-                }
-                words[i] = bitgen.random_raw(n_words)
-            redraw = np.flatnonzero(_lemire_rows(words, sizes, block))
-        else:
-            redraw = range(stop - start)
-        for i in redraw:
-            block[i] = _reference_row(seeds[start + i], sizes)
+        block, words = rows[:stop - start], buffer[:stop - start]
+        for i, state in enumerate(states[start:stop]):
+            bitgen.state = state
+            words[i] = bitgen.random_raw(n_words)
+        for i in np.flatnonzero(_lemire_rows(words, sizes, block)):
+            bitgen.state = states[start + i]
+            bitgen.advance(n_words)
+            _continue_row(block[i], words[i], bitgen, sizes)
         yield block

@@ -361,6 +361,12 @@ NO_ROW = "select_threshold needs at least one row"
 NO_POSITIVE = "select_threshold needs at least one positive row"
 
 
+def _threshold_skip(concept, groups, why):
+    """A threshold skip reason names the concept and the groups in scope."""
+    named = ", ".join(repr(g) for g in groups)
+    return f"concept {concept!r}: group{'s' if len(groups) > 1 else ''} {named}: {why}"
+
+
 def _no_test_positive(concept):
     return (f"concept {concept!r}: group 'A' has 0 positive(s), "
             "fewer than the 1 required per ratio unit")
@@ -368,15 +374,23 @@ def _no_test_positive(concept):
 
 @pytest.mark.parametrize("scope, mode, skipped", [
     ("pooled", "reliable", {
-        "lone": NO_ROW, "solo1": NO_POSITIVE, "solo2": _no_test_positive("solo2"),
-        "solo3": _no_test_positive("solo3"), "solo4": NO_POSITIVE,
+        "lone": _threshold_skip("lone", "AB", NO_ROW),
+        "solo1": _threshold_skip("solo1", "AB", NO_POSITIVE),
+        "solo2": _no_test_positive("solo2"), "solo3": _no_test_positive("solo3"),
+        "solo4": _threshold_skip("solo4", "AB", NO_POSITIVE),
     }),
     ("per_group", "baseline", {
-        "lone": NO_ROW, "solo1": NO_POSITIVE, "solo2": NO_POSITIVE, "solo4": NO_POSITIVE,
+        "lone": _threshold_skip("lone", "A", NO_ROW),
+        "solo1": _threshold_skip("solo1", "A", NO_POSITIVE),
+        "solo2": _threshold_skip("solo2", "B", NO_POSITIVE),
+        "solo4": _threshold_skip("solo4", "A", NO_POSITIVE),
     }),
     ("per_group", "reliable", {
-        "lone": NO_ROW, "solo1": NO_POSITIVE, "solo2": NO_POSITIVE,
-        "solo3": _no_test_positive("solo3"), "solo4": NO_POSITIVE,
+        "lone": _threshold_skip("lone", "A", NO_ROW),
+        "solo1": _threshold_skip("solo1", "A", NO_POSITIVE),
+        "solo2": _threshold_skip("solo2", "B", NO_POSITIVE),
+        "solo3": _no_test_positive("solo3"),
+        "solo4": _threshold_skip("solo4", "A", NO_POSITIVE),
     }),
 ])
 def test_skips_keep_their_reasons_and_order(tmp_path, caplog, scope, mode, skipped):
@@ -625,8 +639,17 @@ class TestExitCodes:
          "'full_sample'"),
         (f"{RESULTS_HEADER}\n{RESULTS_ROW}\nap,c2,A,B,0.3,0,0.5\n{RESULTS_ROW}\n", 4,
          "repeats the metric, concept, group_a, group_b of line 2"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW}\nap,c2,A,B,nan,0,0.2,false,\n", 3,
+         "column 'point' is not a finite number: 'nan'"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW}\nap,c2,A,B,0.1,inf,0.2,false,\n", 3,
+         "column 'ci_low' is not a finite number: 'inf'"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW}\nap,c2,A,B,0.1,0,-inf,false,\n", 3,
+         "column 'ci_high' is not a finite number: '-inf'"),
+        (f"{RESULTS_HEADER}\n{RESULTS_ROW}\nap,c2,A,B,0.1,0,0.2,false,NaN\n", 3,
+         "column 'full_sample' is not a finite number: 'NaN'"),
     ], ids=["no-metric", "no-concept", "no-group_a", "no-group_b", "short-row",
-            "point", "ci_low", "ci_high", "full_sample", "repeated-key"])
+            "point", "ci_low", "ci_high", "full_sample", "repeated-key",
+            "nan", "inf", "-inf", "full_sample-nan"])
     def test_malformed_results_file_is_3(self, tmp_path, capsys, text, line, column):
         path = tmp_path / "results.csv"
         path.write_text(text)

@@ -18,7 +18,7 @@ from disparity_audit.data import (
     PredictionRecord,
     ScoreMatrix,
 )
-from disparity_audit.groups import assign_groups
+from disparity_audit.groups import assign_groups, terms_rule
 from disparity_audit.metrics import hit_vector
 from disparity_audit.pipeline import (
     compare_results,
@@ -490,6 +490,41 @@ class TestPlanConcepts:
         plan = plan_concepts(*self.records(), self.cfg(tmp_path, groups=("A", "B", "C")))
         assert plan.counts["cat"]["C"] == plan.counts["dog"]["C"] == (0, 0)
         assert plan.sized == plan.skipped == {}
+
+    @pytest.mark.parametrize("scope, named", [
+        ("per_group", "group 'woman'"), ("pooled", "groups 'woman', 'man'"),
+    ])
+    def test_sizing_keeps_an_unsorted_terms_order(self, tmp_path, scope, named):
+        """A terms file that declares ``woman`` before ``man``: the plan
+        sizes the pools in that order, and the threshold skip of ``lone``
+        (scored on one image per group, a positive, so no validation row)
+        names the groups in it, though ``man`` sorts first."""
+        rule = terms_rule(
+            {"groups": {"woman": ["woman"], "man": ["man"]}}, "captions", exclusions=False
+        )
+        images, records = [], []
+        for g in ("man", "woman"):
+            for k in range(30):
+                labels, scores = {"many"} if k < 10 else set(), {"many": (k % 7) / 7}
+                if k == 29:
+                    labels.add("lone")
+                    scores["lone"] = 0.5
+                images.append(AnnotatedImage(
+                    image_id=f"{g}{k:02d}", captions=(f"a {g} in a park",),
+                    direct_labels=frozenset(labels),
+                ))
+                records.append(PredictionRecord(image_id=f"{g}{k:02d}", scores=scores))
+        cfg = dataclasses.replace(
+            cfg_for(tmp_path, metrics=("ap", "tpr"), scope=scope), group_rule=rule,
+            min_per_group=1,
+        )
+        plan = plan_concepts(
+            images, assign_groups(images, rule), ScoreMatrix.from_records(records), cfg
+        )
+        assert list(plan.sized["many"].pools) == ["woman", "man"]
+        assert plan.skipped == {
+            "lone": f"concept 'lone': {named}: select_threshold needs at least one row"
+        }
 
 
 def test_hit_rate_warnings_name_their_group(tmp_path, caplog):

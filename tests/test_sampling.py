@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -234,8 +236,11 @@ def assert_same_rows(key, bootstraps, sizes):
 # Class sizes: 1 reads no bits; 2**31 + 1 redraws about half of all values,
 # so nearly every row is redrawn; 2**32 is the widest emulated range, and
 # beyond it every row is redrawn.
+# 2**32 is the widest range numpy draws from a half with no rejection;
+# 2**31 + 1 rejects about half the halves, 3 * 2**30 a quarter (a threshold
+# of 2**30, far below n)
 CLASS_SIZES = st.one_of(
-    st.sampled_from([1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40]),
+    st.sampled_from([1, 2, 3, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]),
     st.integers(1, 50_000),
 )
 KEYS = st.lists(
@@ -254,11 +259,30 @@ class TestDrawRows:
     @example(key=(0, "draw", "c", "A"), bootstraps=25, sizes=[(720, 120), (1680, 600)])
     @example(key=(5, "x"), bootstraps=7, sizes=[(5, 3), (1, 4), (2**31 + 1, 5), (9, 3)])
     @example(key=(), bootstraps=1, sizes=[(2**32, 1), (2, 1)])
+    @example(key=("q",), bootstraps=5, sizes=[(3 * 2**30, 40), (7, 9)])
     @example(key=("k",), bootstraps=0, sizes=[(7, 2)])
     @example(key=("one",), bootstraps=3, sizes=[(1, 4), (1, 2)])
     @settings(max_examples=150, deadline=None)
     def test_matches_per_bootstrap_reference(self, key, bootstraps, sizes):
         assert_same_rows(key, bootstraps, sizes)
+
+    @pytest.mark.parametrize(
+        "window", [lambda short, threshold: short, lambda short, threshold: 1],
+        ids=["shortfall", "one-half"],
+    )
+    @given(
+        key=KEYS,
+        bootstraps=st.integers(1, 12),
+        sizes=st.lists(st.tuples(CLASS_SIZES, st.integers(0, 300)), min_size=1, max_size=3),
+    )
+    @example(key=(5, "x"), bootstraps=7, sizes=[(5, 3), (1, 4), (2**31 + 1, 5), (9, 3)])
+    @example(key=("w",), bootstraps=4, sizes=[(2**31 + 1, 300), (3, 7), (2**31 + 1, 41)])
+    @settings(max_examples=60, deadline=None)
+    def test_rows_do_not_depend_on_the_window(self, window, key, bootstraps, sizes):
+        # windows with no room for rejections fall short at each one, so the
+        # continuation reads on round after round
+        with mock.patch.object(sampling, "_window", window):
+            assert_same_rows(key, bootstraps, sizes)
 
     @pytest.mark.parametrize("width", [100, 719, 720, 8000, _BLOCK_ELEMENTS + 1])
     def test_counts_around_a_block_boundary(self, width):
@@ -268,14 +292,25 @@ class TestDrawRows:
             assert_same_rows((3, "b", width), bootstraps, sizes)
 
     def test_deep_baseline_draws_take_the_redraw_path(self, monkeypatch):
-        # about 1.4% of 8,000-value rows meet a Lemire redraw at n = 8,000
-        redrawn = []
-        reference_row = sampling._reference_row
+        # about 1.4% of 8,000-value rows meet a Lemire rejection at n = 8,000:
+        # this key's first 600 draws meet two, its first 6,000 draws 63
+        continued = []
+        continue_row = sampling._continue_row
         monkeypatch.setattr(
-            sampling, "_reference_row", lambda *a: redrawn.append(a) or reference_row(*a)
+            sampling, "_continue_row", lambda *a: continued.append(a) or continue_row(*a)
         )
         assert_same_rows((0, "baseline", "d0", "alpha"), 600, [(8000, 8000)])
-        assert redrawn
+        assert len(continued) == 2
+        continued.clear()
+        for _ in draw_rows((0, "baseline", "d0", "alpha"), 6000, [(8000, 8000)]):
+            pass
+        assert len(continued) == 63
+
+    @pytest.mark.parametrize("n", [2**32 + 1, 2**40])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_class_over_2_32_rows_is_an_invariant_error(self, n, k):
+        with pytest.raises(InvariantError, match=f"pool of {n} rows"):
+            next(draw_rows(("c", "A"), 2, [(5, 2), (n, k)]))
 
     @pytest.mark.parametrize("sizes", [[(0, 0)], [(3, 1), (0, 2)]])
     def test_empty_class_is_an_invariant_error(self, sizes):
