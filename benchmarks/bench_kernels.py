@@ -79,8 +79,8 @@ import pytest
 from disparity_audit.concepts import GroupPool, map_targets
 from disparity_audit.config import load_config
 from disparity_audit.data import (
+    EXCLUSION_REASONS,
     AnnotatedImage,
-    GroupAssignment,
     PredictionRecord,
     ScoreMatrix,
     load_annotations,
@@ -319,7 +319,7 @@ def test_plan_concepts_wide(benchmark, wide):
     plan = benchmark(plan_concepts, images, assignments, predictions, cfg)
     assert len(plan.sized) == 200 and plan.skipped == {}
     # the images are in id order, and every scored concept is a candidate
-    group_of = np.array([a.group for a in assignments])
+    group_of = np.array(list(assignments.values()))
     for g in groups:
         rows = group_of == g
         want = hit_vector(
@@ -436,7 +436,8 @@ def test_assign_groups(benchmark, deep):
     benchmark.group = "ingest-deep"
     images = load_annotations(path)
     assignments = benchmark(assign_groups, images, cfg.group_rule)
-    assert sum(a.assigned for a in assignments) == 30000
+    assert not EXCLUSION_REASONS.intersection(assignments.values())
+    assert len(assignments) == 30000
 
 
 def test_map_targets(benchmark, deep):
@@ -482,13 +483,13 @@ def test_map_targets_vocabulary(benchmark):
     benchmark.group = "ingest-vocabulary"
     rng = random.Random(0)
     classes = [f"c{k:05d}" for k in range(21000)]
-    images, assignments, records = [], [], []
+    images, assignments, records = [], {}, []
     for i in range(500):
         image_id = f"i{i:03d}"
         # consecutive windows of 50 classes, 42 apart: every class is scored
         scored = [classes[(42 * i + j) % 21000] for j in range(50)]
         images.append(AnnotatedImage(image_id, direct_labels=frozenset(rng.sample(scored, 3))))
-        assignments.append(GroupAssignment(image_id, group="AB"[i % 2]))
+        assignments[image_id] = "AB"[i % 2]
         records.append(PredictionRecord(image_id, dict.fromkeys(scored, 0.5)))
     predictions = ScoreMatrix.from_records(records)
     assert predictions.scores.shape == (500, 21000)
@@ -513,6 +514,6 @@ def test_assign_groups_corpus(benchmark, corpus_images, method):
     assignments = benchmark(assign_groups, corpus_images, rule)
     expected = expected_assignments(method, "v3")
     assert len(assignments) == 30000
-    for a in assignments:
-        outcome = ("assigned", a.group) if a.assigned else ("excluded", a.reason.value)
-        assert outcome == expected[a.image_id[:-5]], a.image_id
+    for image_id, a in assignments.items():
+        outcome = ("excluded" if a in EXCLUSION_REASONS else "assigned", a)
+        assert outcome == expected[image_id[:-5]], image_id

@@ -7,7 +7,6 @@ from .data import (
     AnnotatedImage,
     BoxAnnotation,
     ExclusionReason,
-    GroupAssignment,
     PredictionRecord,
     ScoreMatrix,
     load_annotations,

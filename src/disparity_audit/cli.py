@@ -203,7 +203,7 @@ def _cmd_synth(args) -> int:
                 sort_keys=True,
             ) + "\n")
     write_assignments_csv(assignments, out / "assignments.csv")
-    groups = sorted({a.group for a in assignments})
+    groups = sorted(set(assignments.values()))
     region_path = out / "region_identity.json"
     with region_path.open("w", encoding="utf-8") as f:
         json.dump({"country_to_group": {g: g for g in groups}}, f, sort_keys=True, indent=2)

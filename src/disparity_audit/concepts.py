@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import AnnotatedImage, GroupAssignment, ScoreMatrix, read_json_object
+from .data import EXCLUSION_REASONS, AnnotatedImage, ScoreMatrix, read_json_object
 from .errors import DataError, InvariantError
 
 log = logging.getLogger("disparity_audit.concepts")
@@ -213,18 +213,17 @@ class TargetMatrix:
 
 def map_targets(
     images: Sequence[AnnotatedImage],
-    assignments: Sequence[GroupAssignment],
+    assignments: Mapping[str, str],
     predictions: ScoreMatrix,
     mapping: ClassMapping | None = None,
     strict: bool = True,
 ) -> TargetMatrix:
-    """Map the group-assigned images with ``image_target_set``, once per
+    """Map the images that ``assignments`` (``assign_groups``' outcome for
+    each of ``images``) puts in a group with ``image_target_set``, once per
     distinct label set: an image's targets depend only on its direct labels
     and its box labels."""
-    group_of = {a.image_id: a.group for a in assignments if a.group is not None}
-    assigned = sorted(
-        (img for img in images if img.image_id in group_of), key=attrgetter("image_id")
-    )
+    kept = [img for img in images if assignments[img.image_id] not in EXCLUSION_REASONS]
+    assigned = sorted(kept, key=attrgetter("image_id"))
     keys = [
         (img.direct_labels, tuple(b.raw_label for b in img.boxes)) if img.boxes
         else img.direct_labels
@@ -250,7 +249,7 @@ def map_targets(
         image_key = np.fromiter(map(key_of.__getitem__, keys), dtype=np.intp, count=len(keys))
         key_targets, key_has_targets = key_targets[image_key], key_has_targets[image_key]
     return TargetMatrix(
-        groups=_readonly(np.array([group_of[img.image_id] for img in assigned], dtype=object)),
+        groups=_readonly(np.array([assignments[img.image_id] for img in assigned], dtype=object)),
         concepts=tuple(concepts),
         columns=_readonly(np.array(columns, dtype=np.intp)),
         targets=_readonly(key_targets),

@@ -296,30 +296,9 @@ class ExclusionReason(Enum):
     NEUTRAL_TERM_PRESENT = "NeutralTermPresent"
 
 
-@dataclass(frozen=True, slots=True)
-class GroupAssignment:
-    """Outcome of group operationalization for one image.
-
-    Exactly one of ``group`` (assigned) or ``reason`` (excluded) is set.
-    """
-
-    image_id: str
-    group: str | None = None
-    reason: ExclusionReason | None = None
-
-    def __post_init__(self):
-        if (self.group is None) == (self.reason is None):
-            raise DataError(
-                f"assignment for {self.image_id!r} must carry exactly one of group/reason"
-            )
-
-    @property
-    def assigned(self) -> bool:
-        return self.group is not None
-
-    @property
-    def group_or_reason(self) -> str:
-        return self.group if self.group is not None else self.reason.value
+# An image's group outcome is its group's name or one of these; no group may
+# take one of them (``GroupRule``), so this is the only test of "excluded".
+EXCLUSION_REASONS = frozenset(r.value for r in ExclusionReason)
 
 
 # A \u escape of a surrogate code point: the only way a decoded string can

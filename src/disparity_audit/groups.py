@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .concepts import canonicalize_label, canonicalize_labels
-from .data import AnnotatedImage, ExclusionReason, GroupAssignment
+from .data import AnnotatedImage, ExclusionReason
 from .errors import DataError
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
@@ -94,7 +94,8 @@ class GroupRule:
     metadata_key: str = ""
 
     def __post_init__(self):
-        # assignment_summary counts groups and exclusion reasons by name
+        # an image's outcome is one string, its group or its exclusion reason;
+        # checked in enum order, so a clash is named the same on every run
         for reason in ExclusionReason:
             if reason.value in self.groups:
                 raise DataError(f"group {reason.value!r} has the name of an exclusion reason")
@@ -177,7 +178,7 @@ def region_rule(obj: dict, metadata_key: str) -> GroupRule:
     )
 
 
-def _from_boxes(image: AnnotatedImage, rule: GroupRule) -> GroupAssignment:
+def _from_boxes(image: AnnotatedImage, rule: GroupRule) -> str:
     """Evidence is a term box that passes the box filter. Multi-group
     evidence excludes the image; so does any term box in the mid range.
     When term boxes existed but the filter removed all of them, the reason
@@ -198,14 +199,14 @@ def _from_boxes(image: AnnotatedImage, rule: GroupRule) -> GroupAssignment:
             midsize = True
 
     if len(evidence) > 1:
-        return GroupAssignment(image.image_id, reason=ExclusionReason.MULTIPLE_GROUPS)
+        return ExclusionReason.MULTIPLE_GROUPS.value
     if midsize:
-        return GroupAssignment(image.image_id, reason=ExclusionReason.MID_SIZE_AMBIGUOUS)
+        return ExclusionReason.MID_SIZE_AMBIGUOUS.value
     if evidence:
-        return GroupAssignment(image.image_id, group=next(iter(evidence)))
+        return next(iter(evidence))
     if saw_term_box:
-        return GroupAssignment(image.image_id, reason=ExclusionReason.BOX_TOO_SMALL)
-    return GroupAssignment(image.image_id, reason=ExclusionReason.NO_GROUP_EVIDENCE)
+        return ExclusionReason.BOX_TOO_SMALL.value
+    return ExclusionReason.NO_GROUP_EVIDENCE.value
 
 
 def caption_tokens(captions: Iterable[str]) -> set[str]:
@@ -216,21 +217,21 @@ def caption_tokens(captions: Iterable[str]) -> set[str]:
     return tokens
 
 
-def _from_captions(image: AnnotatedImage, rule: GroupRule) -> GroupAssignment:
+def _from_captions(image: AnnotatedImage, rule: GroupRule) -> str:
     """Whole-token matching; neutral terms are checked before group
     evidence, then the single-group rule applies as for boxes."""
     tokens = caption_tokens(image.captions)
     if not rule.neutral_terms.isdisjoint(tokens):
-        return GroupAssignment(image.image_id, reason=ExclusionReason.NEUTRAL_TERM_PRESENT)
+        return ExclusionReason.NEUTRAL_TERM_PRESENT.value
     evidence = {rule.table[t] for t in tokens if t in rule.table}
     if len(evidence) > 1:
-        return GroupAssignment(image.image_id, reason=ExclusionReason.MULTIPLE_GROUPS)
+        return ExclusionReason.MULTIPLE_GROUPS.value
     if evidence:
-        return GroupAssignment(image.image_id, group=next(iter(evidence)))
-    return GroupAssignment(image.image_id, reason=ExclusionReason.NO_GROUP_EVIDENCE)
+        return next(iter(evidence))
+    return ExclusionReason.NO_GROUP_EVIDENCE.value
 
 
-def _from_metadata(image: AnnotatedImage, rule: GroupRule) -> GroupAssignment:
+def _from_metadata(image: AnnotatedImage, rule: GroupRule) -> str:
     """Metadata lookup; uploader-provided, so no filtering."""
     country = image.metadata.get(rule.metadata_key)
     if country is None:
@@ -240,31 +241,31 @@ def _from_metadata(image: AnnotatedImage, rule: GroupRule) -> GroupAssignment:
         raise DataError(
             f"image {image.image_id!r}: country {country!r} missing from region config"
         )
-    return GroupAssignment(image.image_id, group=group)
+    return group
 
 
 _ASSIGN = {"boxes": _from_boxes, "captions": _from_captions, "metadata": _from_metadata}
 
 
-def assign_groups(images: Iterable[AnnotatedImage], rule: GroupRule) -> list[GroupAssignment]:
-    """Each image's group or exclusion reason under ``rule``.
+def assign_groups(images: Iterable[AnnotatedImage], rule: GroupRule) -> dict[str, str]:
+    """Each image's outcome under ``rule``, by image id in image order: its
+    group, or its ``ExclusionReason`` value (``EXCLUSION_REASONS``).
 
     Raises:
         DataError: under ``metadata``, for an image without the metadata key
             or with a value the region table lacks.
     """
     assign = _ASSIGN[rule.method]
-    return [assign(image, rule) for image in images]
+    return {image.image_id: assign(image, rule) for image in images}
 
 
 def assignment_summary(
-    assignments: Iterable[GroupAssignment], groups: Iterable[str] = ()
+    assignments: Mapping[str, str], groups: Iterable[str] = ()
 ) -> dict[str, int]:
     """Counts per group and per exclusion reason; the counts partition the input."""
     summary: dict[str, int] = {g: 0 for g in groups}
     for reason in ExclusionReason:
         summary[reason.value] = 0
-    for a in assignments:
-        key = a.group_or_reason
-        summary[key] = summary.get(key, 0) + 1
+    for outcome in assignments.values():
+        summary[outcome] = summary.get(outcome, 0) + 1
     return summary

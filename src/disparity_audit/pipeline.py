@@ -21,8 +21,8 @@ from . import __version__
 from .concepts import GroupPool, _readonly, map_targets
 from .config import THRESHOLD_METRICS, RunConfig, config_hash
 from .data import (
+    EXCLUSION_REASONS,
     AnnotatedImage,
-    GroupAssignment,
     ScoreMatrix,
     _check_utf8,
     load_annotations,
@@ -254,7 +254,7 @@ class ConceptPlan:
 
 def plan_concepts(
     images: Sequence[AnnotatedImage],
-    assignments: Sequence[GroupAssignment],
+    assignments: Mapping[str, str],
     predictions: ScoreMatrix,
     cfg: RunConfig,
 ) -> ConceptPlan:
@@ -343,9 +343,9 @@ def plan_concepts(
     return ConceptPlan(counts, targets.unscored, sized, skipped, hits)
 
 
-def run_pipeline(cfg: RunConfig) -> tuple[list[MetricEstimate], list[GroupAssignment], dict]:
+def run_pipeline(cfg: RunConfig) -> tuple[list[MetricEstimate], dict[str, str], dict]:
     """Execute the full audit pipeline in memory: the estimates, each
-    image's group assignment, and the manifest."""
+    image's group outcome (``assign_groups``), and the manifest."""
     images, predictions, ingest = load_dataset(cfg)
 
     assignments = assign_groups(images, cfg.group_rule)
@@ -495,16 +495,15 @@ def read_results_csv(path: str | Path) -> list[dict]:
 
 
 def write_assignments_csv(
-    assignments: Sequence[GroupAssignment], path: Path, only_excluded: bool = False
+    assignments: Mapping[str, str], path: Path, only_excluded: bool = False
 ) -> None:
-    rows = [a for a in assignments if not (only_excluded and a.assigned)]
     with path.open("w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["image_id", "outcome", "group_or_reason"])
-        for a in sorted(rows, key=lambda a: a.image_id):
-            writer.writerow(
-                [a.image_id, "assigned" if a.assigned else "excluded", a.group_or_reason]
-            )
+        for image_id, outcome in sorted(assignments.items()):
+            excluded = outcome in EXCLUSION_REASONS
+            if excluded or not only_excluded:
+                writer.writerow([image_id, "excluded" if excluded else "assigned", outcome])
 
 
 def _safe_name(text: str) -> str:
@@ -639,7 +638,7 @@ def render_report(rows: Sequence[dict], top_n: int = 5, accounting: Mapping | No
 
 
 def write_outputs(
-    result: tuple[list[MetricEstimate], list[GroupAssignment], dict], cfg: RunConfig
+    result: tuple[list[MetricEstimate], dict[str, str], dict], cfg: RunConfig
 ) -> dict[str, Path]:
     """Write results.csv, plotdata/, manifest.json, and exclusions.csv from
     ``run_pipeline``'s result."""

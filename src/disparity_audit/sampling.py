@@ -55,15 +55,14 @@ def compute_budget(
     draw takes ``(p*, r*p*)`` rows from every group.
 
     Raises:
-        DataError: naming the first group whose pool cannot host even one
-            ratio unit.
+        DataError: naming the first group, in ``sizes``' order, whose pool
+            cannot host even one ratio unit.
     """
     pos_parts, neg_parts = int(ratio[0]), int(ratio[1])
     if pos_parts < 1 or neg_parts < 1:
         raise DataError(f"ratio parts must be positive integers, got {ratio}")
     units = None
-    for g in sorted(sizes):
-        n_pos, n_neg = sizes[g]
+    for g, (n_pos, n_neg) in sizes.items():
         if n_pos < pos_parts:
             raise DataError(
                 f"concept {concept!r}: group {g!r} has {n_pos} positive(s), "

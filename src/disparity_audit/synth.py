@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import AnnotatedImage, GroupAssignment, PredictionRecord, read_json_object
+from .data import EXCLUSION_REASONS, AnnotatedImage, PredictionRecord, read_json_object
 from .errors import DataError
 from .sampling import derive_rng
 
@@ -91,6 +91,8 @@ class ScenarioSpec:
             if not cells:
                 raise DataError(f"concept {concept!r} has no group cells")
             for group, cell in cells.items():
+                if group in EXCLUSION_REASONS:
+                    raise DataError(f"group {group!r} has the name of an exclusion reason")
                 if group in sizes and sizes[group] != cell.n:
                     raise DataError(
                         f"group {group!r} has inconsistent image counts across concepts"
@@ -142,8 +144,8 @@ def logistic(x: np.ndarray) -> np.ndarray:
 
 def generate(
     spec: ScenarioSpec,
-) -> tuple[list[AnnotatedImage], list[GroupAssignment], list[PredictionRecord]]:
-    """Materialize a scenario as core-data records.
+) -> tuple[list[AnnotatedImage], dict[str, str], list[PredictionRecord]]:
+    """Materialize a scenario: the images, each one's group by id, the predictions.
 
     Per group, ``n`` images are generated and shared by all concepts; each
     concept independently marks exactly round(n * prevalence) of them
@@ -151,7 +153,7 @@ def generate(
     its positive or negative law. Deterministic per seed.
     """
     images: list[AnnotatedImage] = []
-    assignments: list[GroupAssignment] = []
+    assignments: dict[str, str] = {}
     scores: dict[str, dict[str, float]] = {}
     labels: dict[str, set[str]] = {}
 
@@ -161,7 +163,7 @@ def generate(
         for image_id in ids:
             scores[image_id] = {}
             labels[image_id] = set()
-            assignments.append(GroupAssignment(image_id, group=group))
+            assignments[image_id] = group
 
         for concept in spec.concepts:
             cell = spec.concepts[concept].get(group)

@@ -992,7 +992,8 @@ def test_presets_assign_the_corpus(tmp_path, capsys, method):
     """Each preset's box filter and term exclusions reach assignment from a
     config file: on the 30-image corpus, ``assign-groups`` writes the
     corpus's expected outcomes (``reliable`` those of ``v3``), and ``run``
-    counts the same outcomes in its manifest."""
+    counts the same outcomes in its manifest and writes the excluded ones,
+    sorted by image id, to ``exclusions.csv``."""
     cfg_path = write_corpus(tmp_path, method)
     for preset in PRESETS:
         expected = expected_assignments(method, "v3" if preset == "reliable" else preset)
@@ -1009,3 +1010,10 @@ def test_presets_assign_the_corpus(tmp_path, capsys, method):
         assert {k: v for k, v in summary["summary"].items() if v} == {
             value: counts.count(value) for value in set(counts)
         }, preset
+        excluded = [
+            f"{i},excluded,{value}" for i, (outcome, value) in sorted(expected.items())
+            if outcome == "excluded"
+        ]
+        assert (out / "exclusions.csv").read_text().splitlines() == [
+            "image_id,outcome,group_or_reason", *excluded
+        ], preset

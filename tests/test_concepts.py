@@ -7,7 +7,6 @@ from disparity_audit import (
     AnnotatedImage,
     ClassMapping,
     DataError,
-    GroupAssignment,
     PredictionRecord,
     ScoreMatrix,
     canonicalize_label,
@@ -15,7 +14,7 @@ from disparity_audit import (
     map_targets,
     map_to_model_classes,
 )
-from disparity_audit.data import ExclusionReason
+from disparity_audit.data import EXCLUSION_REASONS, ExclusionReason
 from disparity_audit.pipeline import plan_concepts
 
 from stubs import run_config
@@ -121,7 +120,7 @@ def pools_of(images, assignments, predictions, mapping=None):
 def pool_ids(assignments, pool):
     """The image id of each pool row: the target matrix holds the
     group-assigned images in image-id order."""
-    ids = sorted(a.image_id for a in assignments if a.group is not None)
+    ids = sorted(i for i, outcome in assignments.items() if outcome not in EXCLUSION_REASONS)
     return [ids[r] for r in pool.image_rows]
 
 
@@ -134,14 +133,10 @@ def _fixture_dataset():
         AnnotatedImage(image_id="a5", direct_labels=frozenset({"other"})),
         AnnotatedImage(image_id="x1", direct_labels=frozenset({"c"})),
     ]
-    assignments = [
-        GroupAssignment("a1", group="A"),
-        GroupAssignment("a2", group="A"),
-        GroupAssignment("a3", group="A"),
-        GroupAssignment("a4", group="A"),
-        GroupAssignment("a5", group="A"),
-        GroupAssignment("x1", reason=ExclusionReason.MULTIPLE_GROUPS),
-    ]
+    assignments = {
+        "a1": "A", "a2": "A", "a3": "A", "a4": "A", "a5": "A",
+        "x1": ExclusionReason.MULTIPLE_GROUPS.value,
+    }
     predictions = [
         PredictionRecord(image_id=i, scores={"c": 0.1 * k, "other": 0.5})
         for k, i in enumerate(["a1", "a2", "a3", "a4", "a5", "x1"])
@@ -183,7 +178,7 @@ class TestConceptTables:
         lacks["m00"].add("k01")
         images = [AnnotatedImage(image_id="p", direct_labels=frozenset(concepts))]
         images += [AnnotatedImage(image_id=i) for i in lacks]
-        assignments = [GroupAssignment(img.image_id, group="A") for img in images]
+        assignments = dict.fromkeys((img.image_id for img in images), "A")
         predictions = [PredictionRecord("p", dict.fromkeys(concepts, 0.5))]
         predictions += [
             PredictionRecord(i, {c: 0.1 for c in concepts if c not in lacked})
@@ -230,7 +225,7 @@ class TestConceptTables:
             AnnotatedImage(image_id="i1", direct_labels=frozenset({"phones"})),
             AnnotatedImage(image_id="i2", direct_labels=frozenset({"parking lots"})),
         ]
-        assignments = [GroupAssignment("i1", group="A"), GroupAssignment("i2", group="A")]
+        assignments = {"i1": "A", "i2": "A"}
         predictions = [
             PredictionRecord(image_id="i1", scores={"cellphone": 0.9, "parking meter": 0.2}),
             PredictionRecord(image_id="i2", scores={"cellphone": 0.1, "parking meter": 0.8}),
@@ -255,7 +250,7 @@ class TestConceptTables:
 
         images, assignments, predictions = _fixture_dataset()
         images.append(AnnotatedImage(image_id="a0", direct_labels=frozenset({"owl"})))
-        assignments.append(GroupAssignment("a0", group="B"))
+        assignments["a0"] = "B"
         calls = []
         mapped = concepts.image_target_set
 
@@ -296,7 +291,7 @@ class TestConceptTables:
                 boxes=(BoxAnnotation("owl", 0, 0, 5, 5),),
             ),
         ]
-        assignments = [GroupAssignment(img.image_id, group="A") for img in images]
+        assignments = dict.fromkeys((img.image_id for img in images), "A")
         predictions = ScoreMatrix.from_records(
             PredictionRecord(img.image_id, {"c": 0.5, "other": 0.5, "owl": 0.5})
             for img in images
@@ -312,7 +307,7 @@ class TestConceptTables:
             AnnotatedImage(image_id=f"i{k}", direct_labels=frozenset({"phones", "owl"}))
             for k in range(4)
         ] + [AnnotatedImage(image_id="j", direct_labels=frozenset({"owl"}))]
-        assignments = [GroupAssignment(img.image_id, group="A") for img in images]
+        assignments = dict.fromkeys((img.image_id for img in images), "A")
         predictions = ScoreMatrix.from_records(
             PredictionRecord(img.image_id, {"cellphone": 0.5}) for img in images
         )

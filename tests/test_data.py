@@ -13,8 +13,6 @@ from disparity_audit import (
     AnnotatedImage,
     BoxAnnotation,
     DataError,
-    ExclusionReason,
-    GroupAssignment,
     PredictionRecord,
     ScoreMatrix,
     data,
@@ -419,14 +417,6 @@ class TestTypes:
         box = BoxAnnotation(raw_label="x", x=0, y=0, w=30, h=20)
         assert box.area == 600
         assert box.area_fraction(100, 100) == pytest.approx(0.06)
-
-    def test_assignment_exactly_one_outcome(self):
-        with pytest.raises(DataError):
-            GroupAssignment("i", group="man", reason=ExclusionReason.MULTIPLE_GROUPS)
-        with pytest.raises(DataError):
-            GroupAssignment("i")
-        assert GroupAssignment("i", group="man").assigned
-        assert not GroupAssignment("i", reason=ExclusionReason.NO_GROUP_EVIDENCE).assigned
 
 
 class TestDecoding:

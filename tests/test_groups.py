@@ -7,13 +7,12 @@ from disparity_audit import (
     BoxAnnotation,
     DataError,
     ExclusionReason,
-    GroupAssignment,
     assign_groups,
     assignment_summary,
     region_rule,
     terms_rule,
 )
-from disparity_audit.data import read_json_object
+from disparity_audit.data import EXCLUSION_REASONS, read_json_object
 from disparity_audit.groups import parse_box_filter
 
 from corpus import (
@@ -28,13 +27,28 @@ from oracles import box_outcome_oracle
 
 
 def assign(image, rule):
-    return assign_groups([image], rule)[0]
+    return assign_groups([image], rule)[image.image_id]
 
 
-def outcome_of(assignment: GroupAssignment):
-    if assignment.assigned:
-        return ("assigned", assignment.group)
-    return ("excluded", assignment.reason.value)
+def outcome_of(outcome: str):
+    return ("excluded" if outcome in EXCLUSION_REASONS else "assigned", outcome)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ([image for image, _ in BOX_CASES[::-1]], box_rule("v3")),
+    lambda: ([image for image, _ in CAPTION_CASES[::-1]], caption_rule("v3")),
+    lambda: (
+        [AnnotatedImage(image_id=i, metadata={"country": c})
+         for i, c in [("z", "Kenya"), ("b", "Brazil"), ("m", "Kenya"), ("a", "Brazil")]],
+        region_rule({"country_to_group": {"Kenya": "Africa", "Brazil": "Americas"}}, "country"),
+    ),
+], ids=["boxes", "captions", "metadata"])
+def test_outcomes_are_keyed_by_image_id_in_image_order(build):
+    images, rule = build()
+    assignments = assign_groups(images, rule)
+    assert list(assignments) == [image.image_id for image in images]
+    assert list(assignments) != sorted(assignments)
+    assert assignments == {image.image_id: assign(image, rule) for image in images}
 
 
 class TestBoxAssignment:
@@ -50,8 +64,7 @@ class TestBoxAssignment:
             image_id="i", width=100, height=100,
             boxes=(BoxAnnotation("man.n.01", 0, 0, 40, 20),),  # 8%
         )
-        a = assign(img, box_rule("v2"))
-        assert a.group == "man"
+        assert assign(img, box_rule("v2")) == "man"
 
     def test_600px_equals_six_percent_on_100x100(self):
         img = AnnotatedImage(
@@ -60,8 +73,7 @@ class TestBoxAssignment:
         )
         frac = img.boxes[0].area_fraction(100, 100)
         assert img.boxes[0].area == 600 and frac == pytest.approx(0.06)
-        a = assign(img, box_rule("v2"))
-        assert a.group == "man"
+        assert assign(img, box_rule("v2")) == "man"
 
     def test_determinism(self):
         for version in VERSIONS:
@@ -109,9 +121,9 @@ class TestBoxAssignment:
             got = assign(img, rule)
             ev = evidence(t)
             if len(ev) > 1:
-                assert got.reason is ExclusionReason.MULTIPLE_GROUPS
+                assert got == ExclusionReason.MULTIPLE_GROUPS.value
             elif len(ev) == 1:
-                assert got.group == next(iter(ev))
+                assert got == next(iter(ev))
 
     @given(data=st.data(), exclusions=st.booleans(),
            variant=st.sampled_from(["none", "min_area", "relative_area", "both"]))
@@ -162,8 +174,7 @@ class TestBoxAssignment:
 
     def test_no_boxes_skips_dimension_requirement(self):
         img = AnnotatedImage(image_id="j", captions=("x",))
-        a = assign(img, box_rule("v2"))
-        assert a.reason is ExclusionReason.NO_GROUP_EVIDENCE
+        assert assign(img, box_rule("v2")) == ExclusionReason.NO_GROUP_EVIDENCE.value
 
     def test_filter_validation(self):
         with pytest.raises(DataError):
@@ -184,14 +195,12 @@ class TestCaptionAssignment:
 
     def test_whole_token_matching_only(self):
         img = AnnotatedImage(image_id="i", captions=("the woman's bike, she said",))
-        a = assign(img, caption_rule("baseline"))
         # "woman" and "she" both match as whole tokens after splitting on "'"
-        assert a.group == "woman"
+        assert assign(img, caption_rule("baseline")) == "woman"
 
     def test_no_captions_means_no_evidence(self):
         img = AnnotatedImage(image_id="i")
-        a = assign(img, caption_rule("baseline"))
-        assert a.reason is ExclusionReason.NO_GROUP_EVIDENCE
+        assert assign(img, caption_rule("baseline")) == ExclusionReason.NO_GROUP_EVIDENCE.value
 
 
 class TestRegionConfig:
@@ -227,11 +236,11 @@ class TestMetadataAssignment:
 
     def test_simple_lookup(self):
         img = AnnotatedImage(image_id="i", metadata={"country": "Kenya"})
-        assert assign(img, self.CONFIG).group == "Africa"
+        assert assign(img, self.CONFIG) == "Africa"
 
     def test_americas_merge(self):
         img = AnnotatedImage(image_id="i", metadata={"country": "Brazil"})
-        assert assign(img, self.CONFIG).group == "Americas"
+        assert assign(img, self.CONFIG) == "Americas"
 
     def test_missing_country_errors(self):
         img = AnnotatedImage(image_id="i", metadata={"country": "Atlantis"})
@@ -249,34 +258,35 @@ class TestMetadataAssignment:
 
 class TestAssignmentSummary:
     def test_counts(self):
-        assignments = [
-            GroupAssignment("a", group="man"),
-            GroupAssignment("b", group="man"),
-            GroupAssignment("c", group="man"),
-            GroupAssignment("d", reason=ExclusionReason.MULTIPLE_GROUPS),
-        ]
+        assignments = {
+            "a": "man", "b": "man", "c": "man", "d": ExclusionReason.MULTIPLE_GROUPS.value,
+        }
         summary = assignment_summary(assignments)
         assert summary["man"] == 3
         assert summary["MultipleGroups"] == 1
         assert summary["NoGroupEvidence"] == 0
 
     def test_empty_input_all_zero(self):
-        summary = assignment_summary([], groups=["man", "woman"])
+        summary = assignment_summary({}, groups=["man", "woman"])
         assert set(summary.values()) == {0}
         assert summary["man"] == 0 and summary["woman"] == 0
 
     def test_rerun_identical(self):
-        assignments = [GroupAssignment("a", group="x")]
+        assignments = {"a": "x"}
         assert assignment_summary(assignments) == assignment_summary(assignments)
 
     def test_counts_partition_input(self):
-        assignments = [
-            GroupAssignment("a", group="man"),
-            GroupAssignment("b", reason=ExclusionReason.BOX_TOO_SMALL),
-            GroupAssignment("c", reason=ExclusionReason.NEUTRAL_TERM_PRESENT),
-        ]
+        assignments = {
+            "a": "man",
+            "b": ExclusionReason.BOX_TOO_SMALL.value,
+            "c": ExclusionReason.NEUTRAL_TERM_PRESENT.value,
+        }
         summary = assignment_summary(assignments)
         assert sum(summary.values()) == len(assignments)
+
+    def test_keys_are_the_groups_then_the_reasons_in_enum_order(self):
+        summary = assignment_summary({"a": "woman"}, groups=["woman", "man"])
+        assert list(summary) == ["woman", "man", *(r.value for r in ExclusionReason)]
 
 
 class TestTermConfig:
@@ -306,10 +316,16 @@ class TestTermConfig:
         lambda g: region_rule({"country_to_group": {"US": g, "FR": "europe"}}, "country"),
     ], ids=["terms", "region"])
     def test_group_named_after_exclusion_reason_rejected(self, build):
-        """The assignment summary counts both by name, so they would merge."""
+        """An image's outcome is one string, so such a group would read as
+        an exclusion."""
         with pytest.raises(DataError, match="'NoGroupEvidence' has the name of an exclusion"):
             build("NoGroupEvidence")
         assert build("NoGroupEvidence2").groups
+
+    def test_clash_names_the_first_reason_in_enum_order(self):
+        rule = {"groups": {"NeutralTermPresent": ["a"], "MultipleGroups": ["b"]}}
+        with pytest.raises(DataError, match="'MultipleGroups' has the name"):
+            terms_rule(rule, "captions", exclusions=False)
 
     def test_excluded_terms_must_be_subset(self):
         with pytest.raises(DataError, match="not in the group's term set"):

@@ -12,9 +12,9 @@ from disparity_audit import DataError, select_threshold, split_validation_test
 from disparity_audit.concepts import GroupPool, map_targets
 from disparity_audit.config import THRESHOLD_METRICS
 from disparity_audit.data import (
+    EXCLUSION_REASONS,
     AnnotatedImage,
     ExclusionReason,
-    GroupAssignment,
     PredictionRecord,
     ScoreMatrix,
 )
@@ -443,10 +443,6 @@ class TestPlanConcepts:
 
     @staticmethod
     def records():
-        from disparity_audit.data import (
-            AnnotatedImage, ExclusionReason, GroupAssignment, PredictionRecord,
-        )
-
         rows = [  # image_id, group (None = excluded), labels, scores
             ("a1", "A", {"cat"}, {"cat": 0.9, "dog": 0.2}),
             ("a2", "A", {"dog"}, {"cat": 0.1, "dog": 0.8}),
@@ -456,11 +452,10 @@ class TestPlanConcepts:
             ("x1", None, {"cat", "dog"}, {"cat": 0.6, "dog": 0.6}),
         ]
         images = [AnnotatedImage(image_id=i, direct_labels=frozenset(l)) for i, _, l, _ in rows]
-        assignments = [
-            GroupAssignment(image_id=i, group=g) if g is not None else
-            GroupAssignment(image_id=i, reason=ExclusionReason.NO_GROUP_EVIDENCE)
+        assignments = {
+            i: g if g is not None else ExclusionReason.NO_GROUP_EVIDENCE.value
             for i, g, _, _ in rows
-        ]
+        }
         predictions = ScoreMatrix.from_records(
             PredictionRecord(image_id=i, scores=s) for i, _, _, s in rows
         )
@@ -491,14 +486,12 @@ class TestPlanConcepts:
         assert plan.counts["cat"]["C"] == plan.counts["dog"]["C"] == (0, 0)
         assert plan.sized == plan.skipped == {}
 
-    @pytest.mark.parametrize("scope, named", [
-        ("per_group", "group 'woman'"), ("pooled", "groups 'woman', 'man'"),
-    ])
-    def test_sizing_keeps_an_unsorted_terms_order(self, tmp_path, scope, named):
-        """A terms file that declares ``woman`` before ``man``: the plan
-        sizes the pools in that order, and the threshold skip of ``lone``
-        (scored on one image per group, a positive, so no validation row)
-        names the groups in it, though ``man`` sorts first."""
+    @staticmethod
+    def woman_first_plan(cfg):
+        """The plan, under a terms file that declares ``woman`` before
+        ``man``, of 30 captioned images per group. ``lone`` is scored on one
+        image per group, a positive, so it has no negative and no validation
+        row in either group."""
         rule = terms_rule(
             {"groups": {"woman": ["woman"], "man": ["man"]}}, "captions", exclusions=False
         )
@@ -514,16 +507,32 @@ class TestPlanConcepts:
                     direct_labels=frozenset(labels),
                 ))
                 records.append(PredictionRecord(image_id=f"{g}{k:02d}", scores=scores))
-        cfg = dataclasses.replace(
-            cfg_for(tmp_path, metrics=("ap", "tpr"), scope=scope), group_rule=rule,
-            min_per_group=1,
-        )
-        plan = plan_concepts(
+        cfg = dataclasses.replace(cfg, group_rule=rule, min_per_group=1)
+        return plan_concepts(
             images, assign_groups(images, rule), ScoreMatrix.from_records(records), cfg
         )
+
+    @pytest.mark.parametrize("scope, named", [
+        ("per_group", "group 'woman'"), ("pooled", "groups 'woman', 'man'"),
+    ])
+    def test_sizing_keeps_an_unsorted_terms_order(self, tmp_path, scope, named):
+        """The plan sizes the pools in the terms file's order, and the
+        threshold skip of ``lone`` names the groups in it, though ``man``
+        sorts first."""
+        plan = self.woman_first_plan(cfg_for(tmp_path, metrics=("ap", "tpr"), scope=scope))
         assert list(plan.sized["many"].pools) == ["woman", "man"]
         assert plan.skipped == {
             "lone": f"concept 'lone': {named}: select_threshold needs at least one row"
+        }
+
+    def test_budget_skip_names_the_first_group_in_terms_order(self, tmp_path):
+        """Both groups' pools of ``lone`` fail the budget; the skip names
+        ``woman``, the first in the terms file, though ``man`` sorts first."""
+        plan = self.woman_first_plan(cfg_for(tmp_path, metrics=("ap",)))
+        assert list(plan.sized) == ["many"]
+        assert plan.skipped == {
+            "lone": "concept 'lone': group 'woman' has 0 negative(s), fewer than the 4 "
+            "required per ratio unit"
         }
 
 
@@ -533,7 +542,7 @@ def test_hit_rate_warnings_name_their_group(tmp_path, caplog):
     rows = [("a1", "A", {"cat"}), ("a2", "A", {"dog"}), ("b1", "B", {"cat"}),
             ("b2", "B", set())]
     images = [AnnotatedImage(image_id=i, direct_labels=frozenset(l)) for i, _, l in rows]
-    assignments = [GroupAssignment(image_id=i, group=g) for i, g, _ in rows]
+    assignments = {i: g for i, g, _ in rows}
     predictions = ScoreMatrix.from_records(
         PredictionRecord(image_id=i, scores={"cat": 0.5, "dog": 0.25}) for i, _, _ in rows
     )
@@ -565,7 +574,7 @@ def test_plan_hits_are_each_groups_hit_vector(tmp_path):
         ("c2", "C", {"parrot"}, {"cat": 0.9}),
     ]
     images = [AnnotatedImage(image_id=i, direct_labels=frozenset(l)) for i, _, l, _ in rows]
-    assignments = [GroupAssignment(image_id=i, group=g) for i, g, _, _ in rows]
+    assignments = {i: g for i, g, _, _ in rows}
     predictions = ScoreMatrix.from_records(
         PredictionRecord(image_id=i, scores=s) for i, _, _, s in rows if s is not None
     )
@@ -599,14 +608,14 @@ class TestRareLabelRule:
         """The concepts retained from one concept ``c`` with the given
         positives per group and as many negatives; the positives of the
         ``unscored`` groups have no score for ``c``."""
-        images, assignments, records = [], [], []
+        images, assignments, records = [], {}, []
         for g, n in positives.items():
             for k in range(2 * n):
                 image_id = f"{g}{k:03d}"
                 images.append(AnnotatedImage(
                     image_id=image_id, direct_labels=frozenset({"c"} if k < n else {"x"})
                 ))
-                assignments.append(GroupAssignment(image_id=image_id, group=g))
+                assignments[image_id] = g
                 unscored_positive = g in unscored and k < n
                 records.append(PredictionRecord(
                     image_id, {"x": 0.5} if unscored_positive else {"c": k / (2 * n)}
@@ -656,11 +665,10 @@ class TestPlanPools:
         }, seed=seed)
         images, assignments, records = generate(spec)
         # every gap-th image is excluded, and every (gap + 1)-th score dropped
-        excluded = ExclusionReason.NO_GROUP_EVIDENCE
-        assignments = [
-            a if k % gap else GroupAssignment(a.image_id, reason=excluded)
-            for k, a in enumerate(assignments)
-        ]
+        excluded = ExclusionReason.NO_GROUP_EVIDENCE.value
+        assignments = {
+            i: g if k % gap else excluded for k, (i, g) in enumerate(assignments.items())
+        }
         cells = itertools.count()
         records = [
             PredictionRecord(
@@ -676,7 +684,7 @@ class TestPlanPools:
         event(f"sized {len(plan.sized)} of {len(plan.sized) + len(plan.skipped)} retained")
 
         # image rows index the assigned images in id order
-        group_of = {a.image_id: a.group for a in assignments if a.group is not None}
+        group_of = {i: g for i, g in assignments.items() if g not in EXCLUSION_REASONS}
         ids = sorted(group_of)
         labels = {img.image_id: img.direct_labels for img in images}
         score = {r.image_id: r.scores for r in records}

@@ -16,7 +16,6 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from disparity_audit import (
-    GroupAssignment,
     compute_budget,
     load_annotations,
     load_predictions,
@@ -318,7 +317,7 @@ class TestTiesFollowImageIds:
             sampling_mode="baseline",
         )
         plan = plan_concepts(
-            images, [GroupAssignment(i, group=g) for i, g, _, _ in self.ROWS],
+            images, {i: g for i, g, _, _ in self.ROWS},
             load_predictions(pred, images), cfg,
         )
         _, full_sample = evaluate_concept(

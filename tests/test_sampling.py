@@ -89,8 +89,8 @@ class TestComputeBudget:
         with pytest.raises(DataError, match="'A'"):
             compute_budget("c", {"A": (0, 30), "B": (5, 30)}, (1, 5))
 
-    def test_first_failing_group_in_sorted_order(self):
-        with pytest.raises(DataError, match="group 'A' has 0 positive"):
+    def test_first_failing_group_in_given_order(self):
+        with pytest.raises(DataError, match="group 'B' has 0 positive"):
             compute_budget("c", {"B": (0, 30), "A": (0, 30)}, (1, 5))
 
     def test_no_groups(self):

@@ -25,7 +25,7 @@ class TestGenerate:
         positives = [i for i in images if "c" in i.direct_labels]
         assert len(positives) == 20
         assert len(images) == 100 and len(predictions) == 100
-        assert all(a.assigned and a.group == "g" for a in assignments)
+        assert assignments == {img.image_id: "g" for img in images}
 
     def test_rounding_to_nearest_with_floor_half_up(self):
         images, _, _ = generate(scenario(prevalence=0.25, n=10))
@@ -71,6 +71,13 @@ class TestGenerate:
         cell_b = CellSpec(prevalence=0.5, mu_pos=1, sigma_pos=1, mu_neg=0, sigma_neg=1, n=20)
         with pytest.raises(DataError, match="inconsistent"):
             ScenarioSpec(concepts={"c1": {"g": cell_a}, "c2": {"g": cell_b}}, seed=0)
+
+    def test_group_named_after_exclusion_reason_rejected(self):
+        """``generate`` maps each image id to its group, and a reason's name
+        there would read as an exclusion."""
+        cell = CellSpec(prevalence=0.5, mu_pos=1, sigma_pos=1, mu_neg=0, sigma_neg=1, n=10)
+        with pytest.raises(DataError, match="'BoxTooSmall' has the name of an exclusion"):
+            ScenarioSpec(concepts={"c": {"g": cell, "BoxTooSmall": cell}}, seed=0)
 
 
 class TestClosedFormAuc:
