@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -101,6 +102,9 @@ class AnnotatedImage:
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        """Checks the id and, when the image has boxes, a width or a height,
+        those; ingest's ``_plain_image`` relies on nothing else being checked
+        for an image without them."""
         if not self.image_id:
             raise DataError("image_id must be a non-empty string")
         if not self.boxes and self.width is None and self.height is None:
@@ -192,8 +196,16 @@ class ScoreMatrix:
         )
 
 
-_FLOAT_ONLY = frozenset({float})
-_CHUNK_CELLS = 1 << 16
+# Exact types that pass a chunk's checks in one C-level pass each; ``bool``
+# is a type of its own, so ``true`` is no number here.
+_DICT_ONLY = frozenset({dict})
+_STR_ONLY = frozenset({str})
+_NUMBERS = frozenset({float, int})
+# Checked cells are kept in blocks of at least this many: large enough for
+# malloc to map each apart from the heap, as the small arrays of a chunk of
+# lines are not, so that they do not leave the heap grown after a load. A
+# record stream is checked a block at a time.
+_BLOCK_CELLS = 1 << 16
 
 
 def _checked_scores(
@@ -217,6 +229,111 @@ def _checked_scores(
     return values
 
 
+# A chunk of records as columns: each record's key, image id and scores.
+_Chunk = tuple[Sequence[object], list[str], list[Mapping[str, float]]]
+_Cells = tuple[np.ndarray, np.ndarray, np.ndarray]  # lengths, columns, values
+
+
+def _cell_chunks(
+    records: Iterable[tuple[object, tuple[str, Mapping[str, float]]]],
+) -> Iterator[_Chunk]:
+    """``(key, (image_id, scores))`` records in chunks of about
+    ``_BLOCK_CELLS`` scores.
+
+    When reading the records raises a ``DataError``, the records read
+    before it are yielded first, so that a bad record among them is the one
+    reported.
+    """
+    keys: list[object] = []
+    ids: list[str] = []
+    scores: list[Mapping[str, float]] = []
+    cells = 0
+    try:
+        for key, (image_id, record_scores) in records:
+            keys.append(key)
+            ids.append(image_id)
+            scores.append(record_scores)
+            cells += len(record_scores)
+            if cells >= _BLOCK_CELLS:
+                yield keys, ids, scores
+                keys, ids, scores = [], [], []
+                cells = 0
+    except DataError:
+        yield keys, ids, scores
+        raise
+    yield keys, ids, scores
+
+
+def _chunk_cells(
+    chunk: _Chunk, row_of: dict[str, int], column_of: dict[str, int]
+) -> _Cells | None:
+    """The cells of a chunk that passes every check, each check one C-level
+    pass over the chunk; ``row_of`` and ``column_of`` take its rows and new
+    concepts.
+
+    Returns None, leaving ``row_of`` and ``column_of`` unchanged, when an
+    id repeats, some scores are not a ``dict``, a score is not a ``float``
+    or an ``int``, an ``int`` is too large for a float, a score is not
+    finite, or a new concept key is empty.
+    """
+    _, ids, scores = chunk
+    rows = dict(zip(ids, range(len(row_of), len(row_of) + len(ids))))
+    if (
+        len(rows) < len(ids)
+        or not row_of.keys().isdisjoint(rows)
+        or not _DICT_ONLY.issuperset(map(type, scores))
+    ):
+        return None
+    values = list(itertools.chain.from_iterable(map(dict.values, scores)))
+    if not _NUMBERS.issuperset(map(type, values)):
+        return None
+    try:  # converts each int as float() does
+        values = np.fromiter(values, dtype=float, count=len(values))
+    except OverflowError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    concepts = list(itertools.chain.from_iterable(scores))
+    try:
+        columns = np.fromiter(map(column_of.__getitem__, concepts), np.int32, len(concepts))
+    except KeyError:  # a concept new to the matrix; "" never enters it
+        if "" in concepts:
+            return None
+        for c in dict.fromkeys(concepts):
+            column_of.setdefault(c, len(column_of))
+        columns = np.fromiter(map(column_of.__getitem__, concepts), np.int32, len(concepts))
+    row_of.update(rows)
+    return np.fromiter(map(len, scores), np.intp, len(scores)), columns, values
+
+
+def _record_cells(
+    chunk: _Chunk,
+    row_of: dict[str, int],
+    column_of: dict[str, int],
+    where: Callable[[object], str],
+) -> _Cells:
+    """The cells of a chunk checked one record at a time, as
+    ``_chunk_cells`` checks the whole chunk; the error names the first bad
+    record."""
+    lengths: list[int] = []
+    columns: list[int] = []
+    values: list[float] = []
+    for key, image_id, scores in zip(*chunk):
+        if image_id in row_of:
+            raise DataError(f"{where(key)}: duplicate prediction for image {image_id!r}")
+        if "" in scores:
+            raise DataError(f"{where(key)}: empty concept key in scores")
+        values.extend(_checked_scores(scores, where, key))
+        columns.extend(column_of.setdefault(c, len(column_of)) for c in scores)
+        lengths.append(len(scores))
+        row_of[image_id] = len(row_of)
+    return (
+        np.array(lengths, dtype=np.intp),
+        np.array(columns, dtype=np.int32),
+        np.array(values, dtype=float),
+    )
+
+
 def build_score_matrix(
     records: Iterable[tuple[object, tuple[str, Mapping[str, float]]]],
     where: Callable[[object], str],
@@ -231,47 +348,35 @@ def build_score_matrix(
     Raises:
         DataError: on the first bad record, naming it and the concept.
     """
+    return _score_matrix(_cell_chunks(records), where)
+
+
+def _score_matrix(chunks: Iterable[_Chunk], where: Callable[[object], str]) -> ScoreMatrix:
+    """The score matrix of chunks of records, as ``build_score_matrix``
+    makes it.
+
+    Each chunk is checked by C-level passes over the whole chunk; only a
+    chunk that fails them is checked again record by record, which names
+    the first bad record.
+    """
     row_of: dict[str, int] = {}
     column_of: dict[str, int] = {}  # in order of first appearance
-    # Cells are gathered in Python lists and moved into arrays every
-    # _CHUNK_CELLS, so the parsed float objects do not all live at once.
-    chunks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-    lengths: list[int] = []
-    columns: list[int] = []
-    values: list[float] = []
-
-    def flush() -> None:
-        chunks.append((
-            len(row_of) - len(lengths),
-            np.array(lengths, dtype=np.intp),
-            np.array(columns, dtype=np.int32),
-            np.array(values, dtype=float),
-        ))
-        lengths.clear()
-        columns.clear()
-        values.clear()
-
-    for key, (image_id, scores) in records:
-        if image_id in row_of:
-            raise DataError(f"{where(key)}: duplicate prediction for image {image_id!r}")
-        if "" in scores:
-            raise DataError(f"{where(key)}: empty concept key in scores")
-        cells = scores.values()
-        # Floats with a finite sum are all finite: one C-level check per record.
-        if not _FLOAT_ONLY.issuperset(map(type, cells)) or not math.isfinite(sum(cells)):
-            cells = _checked_scores(scores, where, key)
-        start = len(columns)
-        try:
-            columns.extend(map(column_of.__getitem__, scores))
-        except KeyError:
-            del columns[start:]
-            columns.extend(column_of.setdefault(c, len(column_of)) for c in scores)
-        values.extend(cells)
-        lengths.append(len(cells))
-        row_of[image_id] = len(row_of)
-        if len(values) >= _CHUNK_CELLS:
-            flush()
-    flush()
+    blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+    parts: list[_Cells] = []  # of the block that starts at first_row
+    first_row = cells = 0
+    for chunk in chunks:
+        checked = _chunk_cells(chunk, row_of, column_of)
+        if checked is None:
+            checked = _record_cells(chunk, row_of, column_of, where)
+        parts.append(checked)
+        cells += checked[2].size
+        if cells >= _BLOCK_CELLS:
+            blocks.append((first_row, *map(np.concatenate, zip(*parts))))
+            parts = []
+            first_row = len(row_of)
+            cells = 0
+    if parts:
+        blocks.append((first_row, *map(np.concatenate, zip(*parts))))
 
     concepts = sorted(column_of)
     sorted_column = np.empty(len(concepts), dtype=np.intp)
@@ -279,9 +384,9 @@ def build_score_matrix(
         len(concepts)
     )
     matrix = np.full((len(row_of), len(concepts)), np.nan)
-    for first_row, chunk_lengths, chunk_columns, chunk_values in chunks:
-        rows = np.repeat(np.arange(first_row, first_row + chunk_lengths.size), chunk_lengths)
-        matrix[rows, sorted_column[chunk_columns]] = chunk_values
+    for first_row, block_lengths, block_columns, block_values in blocks:
+        rows = np.repeat(np.arange(first_row, first_row + block_lengths.size), block_lengths)
+        matrix[rows, sorted_column[block_columns]] = block_values
     matrix.setflags(write=False)
     return ScoreMatrix(rows=row_of, concepts=tuple(concepts), scores=matrix)
 
@@ -358,47 +463,86 @@ def _decode(line: str) -> object:
     return obj
 
 
-def _iter_jsonl(path: Path, parse: Callable[[dict, int], object]) -> Iterator[tuple[int, object]]:
-    """``(line number, parse(obj, line number))`` for the JSON object on each
-    non-blank line of a JSON Lines file; lines end at ``\\n``, ``\\r\\n`` or
-    ``\\r``.
+# Characters of lines read and decoded at once. An annotation line brings
+# a few containers and keeps an image; at 8 KiB (about 70 lines of an id,
+# labels and metadata) the collector's youngest generation fills about as
+# often as when lines are read one by one. A prediction line keeps no
+# container; 32 KiB (a few lines of 200 scores) spreads a chunk's fixed
+# cost over more scores.
+_ANNOTATION_CHARS = 1 << 13
+_PREDICTION_CHARS = 1 << 15
 
-    orjson decodes each line when it imports. A line that orjson rejects, or
-    whose orjson value is not an object or fails ``parse``, is decoded again
-    by ``_decode`` (stdlib), and that decode's or that parse's error is the
-    one reported, so errors are the same with or without orjson. A valid
-    line is decoded once. The one difference left: orjson decodes a valid
-    line nested deeper than stdlib's recursion limit, which stdlib rejects.
+
+def _orjson_value(line: str) -> object:
+    """orjson's value of one stripped line, or None where orjson rejects it."""
+    try:
+        return orjson.loads(line.strip())
+    except orjson.JSONDecodeError:
+        return None
+
+
+def _iter_jsonl(path: Path, chunk_chars: int) -> Iterator[tuple[int, list[str], list]]:
+    """``(first line number, lines, values)`` for each chunk of about
+    ``chunk_chars`` characters of a JSON Lines file; lines end at ``\\n``,
+    ``\\r\\n`` or ``\\r``.
+
+    ``values`` holds orjson's value of each stripped line when orjson
+    imports, and None for a line that orjson rejects (a blank line among
+    them) or for every line without orjson. orjson first gets the raw
+    lines: JSON whitespace is a subset of what ``str.strip`` removes, so a
+    line that orjson accepts decodes as its stripped text would. A chunk
+    with a line that orjson rejects raw is decoded again line by line,
+    stripped.
     """
-    loads = orjson.loads if orjson is not None else None
     # surrogateescape defers a bad byte to the line that holds it, so the
     # error names that line, after every earlier line is checked.
     with path.open(encoding="utf-8", errors="surrogateescape") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if loads is not None:
+        first = 1
+        while lines := f.readlines(chunk_chars):
+            if orjson is None:
+                values = [None] * len(lines)
+            else:
                 try:
-                    obj = loads(line)
+                    values = list(map(orjson.loads, lines))
                 except orjson.JSONDecodeError:
-                    pass
-                else:
-                    if type(obj) is dict:
-                        try:
-                            item = parse(obj, line_no)
-                        except DataError:
-                            pass
-                        else:
-                            yield line_no, item
-                            continue
+                    values = list(map(_orjson_value, lines))
+            yield first, lines, values
+            first += len(lines)
+
+
+def _parse_lines(
+    name: str, first: int, lines: list[str], values: list, parse: Callable[[dict, int], object]
+) -> Iterator[tuple[int, object]]:
+    """``(line number, parse(obj, line number))`` for the JSON object on each
+    non-blank line of one ``_iter_jsonl`` chunk of the file ``name``, line
+    by line.
+
+    A line whose orjson value is missing, is not an object or fails
+    ``parse`` is decoded again by ``_decode`` (stdlib), and that decode's or
+    that parse's error is the one reported, so errors are the same with or
+    without orjson. A valid line is decoded by stdlib only without orjson.
+    The one difference left: orjson decodes a valid line nested deeper than
+    stdlib's recursion limit, which stdlib rejects.
+    """
+    for line_no, line, obj in zip(itertools.count(first), lines, values):
+        if type(obj) is dict:
             try:
-                obj = _decode(line)
-            except DataError as e:
-                raise DataError(f"{path}:{line_no}: {e}") from e.__cause__
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{line_no}: expected a JSON object")
-            yield line_no, parse(obj, line_no)
+                item = parse(obj, line_no)
+            except DataError:
+                pass
+            else:
+                yield line_no, item
+                continue
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = _decode(line)
+        except DataError as e:
+            raise DataError(f"{name}:{line_no}: {e}") from e.__cause__
+        if not isinstance(obj, dict):
+            raise DataError(f"{name}:{line_no}: expected a JSON object")
+        yield line_no, parse(obj, line_no)
 
 
 def _wrong_type(ctx: str, key: str, kind: str, value: object) -> DataError:
@@ -496,12 +640,47 @@ def _parse_image(
     height = get("height")
     if height is not None and type(height) is not int:
         raise DataError(f"{name}:{line_no}: 'height' must be an integer, got {height!r}")
+    if not boxes and width is None and height is None:
+        return _plain_image(image_id, tuple(captions), direct_labels, metadata)
     try:
         return AnnotatedImage(
             image_id, width, height, boxes, tuple(captions), direct_labels, metadata
         )
     except DataError as e:
         raise DataError(f"{name}:{line_no}: {e}") from e
+
+
+_IMAGE_FIELDS = ("image_id", "width", "height", "boxes", "captions", "direct_labels", "metadata")
+if tuple(f.name for f in dataclasses.fields(AnnotatedImage)) != _IMAGE_FIELDS:
+    raise TypeError("_plain_image must set every field of AnnotatedImage")
+(
+    _set_image_id, _set_width, _set_height, _set_boxes, _set_captions, _set_direct_labels,
+    _set_metadata,
+) = (getattr(AnnotatedImage, name).__set__ for name in _IMAGE_FIELDS)
+
+
+def _plain_image(
+    image_id: str,
+    captions: tuple[str, ...],
+    direct_labels: frozenset[str],
+    metadata: Mapping[str, str],
+) -> AnnotatedImage:
+    """``AnnotatedImage(image_id, captions=..., direct_labels=...,
+    metadata=...)``, without boxes, width or height, for a non-empty id.
+
+    ``__post_init__`` checks nothing else of such an image, so it is built
+    without ``__init__``, through each field's slot: about half the cost of
+    the dataclass constructor.
+    """
+    img = object.__new__(AnnotatedImage)
+    _set_image_id(img, image_id)
+    _set_width(img, None)
+    _set_height(img, None)
+    _set_boxes(img, ())
+    _set_captions(img, captions)
+    _set_direct_labels(img, direct_labels)
+    _set_metadata(img, metadata)
+    return img
 
 
 def load_annotations(path: str | Path) -> list[AnnotatedImage]:
@@ -522,22 +701,24 @@ def load_annotations(path: str | Path) -> list[AnnotatedImage]:
     if not path.exists():
         raise DataError(f"annotations file not found: {path}")
     by_id: dict[str, AnnotatedImage] = {}  # in order of first appearance
-    parse = functools.partial(_parse_image, str(path), {}, {})
-    for line_no, img in _iter_jsonl(path, parse):
-        prev = by_id.get(img.image_id)
-        if prev is None:
-            by_id[img.image_id] = img
-            continue
-        merged_labels = prev.direct_labels | img.direct_labels
-        if (
-            dataclasses.replace(prev, direct_labels=frozenset())
-            != dataclasses.replace(img, direct_labels=frozenset())
-        ):
-            raise DataError(
-                f"{path}:{line_no}: duplicate image_id {img.image_id!r} with "
-                "conflicting fields (only label-only repetitions are collapsed)"
-            )
-        by_id[img.image_id] = dataclasses.replace(prev, direct_labels=merged_labels)
+    name = str(path)
+    parse = functools.partial(_parse_image, name, {}, {})
+    for first, lines, values in _iter_jsonl(path, _ANNOTATION_CHARS):
+        for line_no, img in _parse_lines(name, first, lines, values, parse):
+            prev = by_id.get(img.image_id)
+            if prev is None:
+                by_id[img.image_id] = img
+                continue
+            merged_labels = prev.direct_labels | img.direct_labels
+            if (
+                dataclasses.replace(prev, direct_labels=frozenset())
+                != dataclasses.replace(img, direct_labels=frozenset())
+            ):
+                raise DataError(
+                    f"{path}:{line_no}: duplicate image_id {img.image_id!r} with "
+                    "conflicting fields (only label-only repetitions are collapsed)"
+                )
+            by_id[img.image_id] = dataclasses.replace(prev, direct_labels=merged_labels)
     return list(by_id.values())
 
 
@@ -557,7 +738,7 @@ def load_predictions(path: str | Path, images: Sequence[AnnotatedImage]) -> Scor
     path = Path(path)
     if not path.exists():
         raise DataError(f"predictions file not found: {path}")
-    known = {img.image_id for img in images}
+    known = set(map(operator.attrgetter("image_id"), images))
     unknown: list[tuple[str, int]] = []
     name = str(path)
 
@@ -572,7 +753,27 @@ def load_predictions(path: str | Path, images: Sequence[AnnotatedImage]) -> Scor
             unknown.append((image_id, line_no))
         return image_id, scores
 
-    matrix = build_score_matrix(_iter_jsonl(path, record), lambda line_no: f"{name}:{line_no}")
+    def chunks() -> Iterator[_Chunk]:
+        # A chunk of lines is checked as ``record`` checks each line, a
+        # field at a time, and only a chunk that fails is read line by line.
+        for first, lines, values in _iter_jsonl(path, _PREDICTION_CHARS):
+            if _DICT_ONLY.issuperset(map(type, values)):
+                ids = list(map(dict.get, values, itertools.repeat("image_id")))
+                scores = list(map(dict.get, values, itertools.repeat("scores")))
+                if (
+                    _STR_ONLY.issuperset(map(type, ids))
+                    and "" not in ids
+                    and _DICT_ONLY.issuperset(map(type, scores))
+                ):
+                    if not known.issuperset(ids):
+                        unknown.extend(
+                            (i, n) for n, i in enumerate(ids, first) if i not in known
+                        )
+                    yield range(first, first + len(lines)), ids, scores
+                    continue
+            yield from _cell_chunks(_parse_lines(name, first, lines, values, record))
+
+    matrix = _score_matrix(chunks(), lambda line_no: f"{name}:{line_no}")
     if unknown:
         unknown.sort()
         raise DataError(

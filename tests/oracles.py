@@ -21,16 +21,21 @@ This module holds the independent definitions those kernels must match:
 * the two disparity reducers that ``disparity.pair_disparity`` must equal
   exactly: ``per_concept_disparity`` on one concept's bootstraps and
   ``aggregate_disparity`` on a concept set's; undefined values may be
-  ``None``.
+  ``None``;
+* ``build_score_matrix``, which checks and loads one score record at a
+  time, and whose matrix or first error ``data.build_score_matrix`` must
+  equal for any record stream.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from disparity_audit.data import ScoreMatrix
 from disparity_audit.disparity import MetricEstimate, _estimate
 from disparity_audit.errors import DataError, InvariantError
 from disparity_audit.sampling import derive_rng
@@ -378,3 +383,97 @@ def aggregate_disparity(
         metric=metric, concept="aggregate", group_a=group_a, group_b=group_b,
         sample_sizes={},
     )
+
+
+_FLOAT_ONLY = frozenset({float})
+_CHUNK_CELLS = 1 << 16
+
+
+def _checked_scores(
+    scores: Mapping[str, float], where: Callable[[object], str], key: object
+) -> list[float]:
+    """Every score of one record as a finite float, or the error naming the
+    record (``where(key)``) and the first bad score."""
+    values = []
+    for concept, score in scores.items():
+        if not isinstance(score, (int, float)) or isinstance(score, bool):
+            raise DataError(f"{where(key)}: score for {concept!r} is not a number")
+        try:
+            value = float(score)
+        except OverflowError:
+            raise DataError(
+                f"{where(key)}: score for {concept!r} is too large for a float"
+            ) from None
+        if not math.isfinite(value):
+            raise DataError(f"{where(key)}: non-finite score {score!r} for {concept!r}")
+        values.append(value)
+    return values
+
+
+def build_score_matrix(
+    records: Iterable[tuple[object, tuple[str, Mapping[str, float]]]],
+    where: Callable[[object], str],
+) -> ScoreMatrix:
+    """The score matrix of ``(key, (image_id, scores))`` records.
+
+    Each score must be an int or float (not a bool), finite as a float, and
+    keyed by a non-empty concept id; each image id may occur once.
+    ``where(key)`` names a bad record in its error, e.g. as ``file:line``;
+    it is called only then.
+
+    Raises:
+        DataError: on the first bad record, naming it and the concept.
+    """
+    row_of: dict[str, int] = {}
+    column_of: dict[str, int] = {}  # in order of first appearance
+    # Cells are gathered in Python lists and moved into arrays every
+    # _CHUNK_CELLS, so the parsed float objects do not all live at once.
+    chunks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+    lengths: list[int] = []
+    columns: list[int] = []
+    values: list[float] = []
+
+    def flush() -> None:
+        chunks.append((
+            len(row_of) - len(lengths),
+            np.array(lengths, dtype=np.intp),
+            np.array(columns, dtype=np.int32),
+            np.array(values, dtype=float),
+        ))
+        lengths.clear()
+        columns.clear()
+        values.clear()
+
+    for key, (image_id, scores) in records:
+        if image_id in row_of:
+            raise DataError(f"{where(key)}: duplicate prediction for image {image_id!r}")
+        if "" in scores:
+            raise DataError(f"{where(key)}: empty concept key in scores")
+        cells = scores.values()
+        # Floats with a finite sum are all finite: one C-level check per record.
+        if not _FLOAT_ONLY.issuperset(map(type, cells)) or not math.isfinite(sum(cells)):
+            cells = _checked_scores(scores, where, key)
+        start = len(columns)
+        try:
+            columns.extend(map(column_of.__getitem__, scores))
+        except KeyError:
+            del columns[start:]
+            columns.extend(column_of.setdefault(c, len(column_of)) for c in scores)
+        values.extend(cells)
+        lengths.append(len(cells))
+        row_of[image_id] = len(row_of)
+        if len(values) >= _CHUNK_CELLS:
+            flush()
+    flush()
+
+    concepts = sorted(column_of)
+    sorted_column = np.empty(len(concepts), dtype=np.intp)
+    sorted_column[np.array([column_of[c] for c in concepts], dtype=np.intp)] = np.arange(
+        len(concepts)
+    )
+    matrix = np.full((len(row_of), len(concepts)), np.nan)
+    for first_row, chunk_lengths, chunk_columns, chunk_values in chunks:
+        rows = np.repeat(np.arange(first_row, first_row + chunk_lengths.size), chunk_lengths)
+        matrix[rows, sorted_column[chunk_columns]] = chunk_values
+    matrix.setflags(write=False)
+    return ScoreMatrix(rows=row_of, concepts=tuple(concepts), scores=matrix)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -20,6 +21,8 @@ from disparity_audit import (
     load_predictions,
     validate_dataset,
 )
+
+import oracles
 
 
 @contextlib.contextmanager
@@ -58,6 +61,14 @@ class TestLoadAnnotations:
         assert images[0].boxes[0].area == 900
         assert images[1].direct_labels == {"umbrella"}
 
+    def test_image_without_boxes_or_size_keeps_every_field(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [{"image_id": "c1", "captions": ["a man"], "labels": ["x"],
+                            "metadata": {"k": "v"}}])
+        assert load_annotations(path) == [AnnotatedImage(
+            "c1", captions=("a man",), direct_labels=frozenset({"x"}), metadata={"k": "v"}
+        )]
+
     def test_duplicate_label_only_records_collapse(self, tmp_path):
         path = tmp_path / "a.jsonl"
         write_jsonl(path, [
@@ -77,11 +88,15 @@ class TestLoadAnnotations:
         with pytest.raises(DataError, match="duplicate image_id"):
             load_annotations(path)
 
-    def test_missing_image_id_names_line(self, tmp_path):
+    @pytest.mark.parametrize("bad", [{}, {"image_id": ""}, {"image_id": 5}, {"image_id": None}])
+    def test_missing_image_id_names_line(self, tmp_path, bad):
         path = tmp_path / "a.jsonl"
-        write_jsonl(path, [{"image_id": "ok"}, {"labels": ["x"]}])
-        with pytest.raises(DataError, match=":2"):
+        write_jsonl(path, [{"image_id": "ok"}, {**bad, "labels": ["x"]}])
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: missing or invalid 'image_id'")):
             load_annotations(path)
+        write_jsonl(path, [{"image_id": "ok", "scores": {}}, {**bad, "scores": {"x": 0.5}}])
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: missing or invalid 'image_id'")):
+            load_predictions(path, [AnnotatedImage(image_id="ok")])
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "a.jsonl"
@@ -267,6 +282,51 @@ class TestLoadPredictions:
             expected = [scores.get(c, math.nan) for c in loaded.concepts]
             np.testing.assert_array_equal(row, expected)
 
+    def test_bad_score_is_reported_before_a_later_malformed_line(
+        self, tmp_path, annotations_path
+    ):
+        images = load_annotations(annotations_path)
+        path = tmp_path / "p.jsonl"
+        path.write_text(
+            '{"image_id": "img1", "scores": {"a": 0.1}}\n'
+            '{"image_id": "img2", "scores": {"a": 0.2, "b": "high"}}\n'
+            '{"image_id": "img3", "scores": {"a": 0.3}}\n'
+            '{"image_id": "img4", "scores": {"a": 0.4\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: score for 'b' is not a number")):
+            load_predictions(path, images)
+
+    def test_duplicate_of_an_earlier_chunk_is_named_at_its_own_line(self, tmp_path):
+        ids = [f"i{k:04d}" for k in range(3000)]
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [{"image_id": i, "scores": {"a": 0.5, "b": 0.25, "c": 0.125}}
+                           for i in ids] + [{"image_id": "i0001", "scores": {"a": 0.5}}])
+        images = [AnnotatedImage(image_id=i) for i in ids]
+        message = "3001: duplicate prediction for image 'i0001'"
+        with pytest.raises(DataError, match=re.escape(f"{path}:{message}")):
+            load_predictions(path, images)
+        records = {i: {"a": 0.5, "b": 0.25, "c": 0.125} for i in ids}
+        with pytest.raises(DataError, match="image 'i0001': duplicate prediction"):
+            ScoreMatrix.from_records([
+                *(PredictionRecord(i, s) for i, s in records.items()),
+                PredictionRecord("i0001", {"a": 0.5}),
+            ])
+
+    def test_int_and_float_scores_load_as_float_of_each(self, tmp_path):
+        ints = [0, 1, -3, 7, 2**53 + 1, -(2**53) - 1, 2**63, 2**64 + 7, -(2**70)]
+        records = [
+            {"image_id": f"i{k:04d}", "scores": {"a": ints[k % len(ints)], "b": k / 7}}
+            for k in range(3000)
+        ]
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, records)
+        loaded = load_predictions(path, [AnnotatedImage(image_id=r["image_id"]) for r in records])
+        assert loaded.concepts == ("a", "b")
+        assert [[x.hex() for x in row] for row in loaded.scores.tolist()] == [
+            [float(r["scores"]["a"]).hex(), float(r["scores"]["b"]).hex()] for r in records
+        ]
+
     def test_nan_score_is_error(self, tmp_path, annotations_path):
         images = load_annotations(annotations_path)
         path = tmp_path / "p.jsonl"
@@ -347,6 +407,52 @@ class TestLoadPredictions:
         assert dict(kept.rows) == {"i2": 0}
         assert kept.concepts == ("a",)
         assert kept.scores.tolist() == [[0.3]]
+
+
+good_scores = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([0, -0.0, 2**53 + 1, 2**64, -(2**64) - 1]),
+)
+bad_scores = st.sampled_from([10**400, -(10**400), True, False, "0.5", None,
+                              math.nan, math.inf, -math.inf])
+score_records = st.lists(st.tuples(
+    st.sampled_from([f"i{k}" for k in range(12)]),
+    # key order varies with the drawn order; dict() keeps each key's first place
+    st.lists(st.tuples(st.sampled_from(["a", "b", "c", "é"] * 3 + [""]),
+                       st.one_of(good_scores, good_scores, good_scores, bad_scores)),
+             max_size=4).map(dict),
+), max_size=10)
+
+
+def score_stream(records, stop):
+    """``(index, (image_id, scores))`` records; a ``DataError`` instead of
+    record ``stop``, as a file's unreadable line would raise."""
+    for k, record in enumerate(records):
+        if k == stop:
+            raise DataError(f"record {k}: unreadable")
+        yield k, record
+    if stop == len(records):
+        raise DataError("end: unreadable")
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=score_records, stop=st.one_of(st.none(), st.integers(0, 10)),
+       block=st.sampled_from([1, 2, 3, 5, 1 << 16]))
+def test_score_matrix_matches_record_by_record_reference(monkeypatch, records, stop, block):
+    """Chunked checks give the reference's matrix, bit for bit, or its first
+    error, for chunks of any number of scores."""
+    monkeypatch.setattr(data, "_BLOCK_CELLS", block)
+
+    def build(build_score_matrix):
+        try:
+            m = build_score_matrix(score_stream(records, stop), lambda k: f"record {k}")
+        except DataError as e:
+            return f"DataError: {e}"
+        return list(m.rows.items()), m.concepts, m.scores.shape, m.scores.tobytes()
+
+    assert build(data.build_score_matrix) == build(oracles.build_score_matrix)
 
 
 class TestValidateDataset:
@@ -534,6 +640,16 @@ class TestDecoding:
         path.write_text('{"image_id": "b", "extra": ' + "[" * 5000 + "]" * 5000 + "}\n")
         assert [img.image_id for img in load_annotations(path)] == ["b"]
 
+    @pytest.mark.parametrize("edge", ["\x0c", "\xa0", "\u2028"])
+    def test_line_edges_that_json_rejects_are_stripped_for_orjson(self, tmp_path, edge):
+        """Whitespace that ``str.strip`` removes but JSON rejects, at a line's
+        edges, does not send a line too deep for stdlib off orjson."""
+        pytest.importorskip("orjson")
+        path = tmp_path / "a.jsonl"
+        deep = '{"image_id": "b", "extra": ' + "[" * 5000 + "]" * 5000 + "}"
+        path.write_text(f'{{"image_id": "a"}}\n{edge}{deep}{edge}\n', encoding="utf-8")
+        assert [img.image_id for img in load_annotations(path)] == ["a", "b"]
+
     @pytest.mark.parametrize("key,kind", [
         ("labels", "an array"), ("captions", "an array"), ("boxes", "an array"),
         ("metadata", "an object"),
@@ -629,15 +745,21 @@ offset = (st.sampled_from(["0", "5", "10"]), numbers)
 extent = (st.sampled_from(["1", "5", "64"]), numbers)
 label = (st.sampled_from(['"cat"', '"dog"', '"man"']), strings)
 box = json_object({'"label"': label, '"x"': offset, '"y"': offset, '"w"': extent, '"h"': extent})
-annotation_line = json_object({
+common_fields = {
     '"image_id"': (st.sampled_from(['"i0"', '"i1"', '"i2"']), values),
+    '"labels"': (arrays(st.one_of(*label)), values),
+    '"metadata"': (st.lists(st.tuples(strings, strings), max_size=2).map(object_text), values),
+}
+# Lines with and without boxes, captions, width and height: an image
+# without boxes, width and height is built through its slots, any other by
+# the dataclass constructor.
+annotation_line = st.one_of(json_object(common_fields), json_object({
+    **common_fields,
     '"width"': (st.sampled_from(["100", str(2**64)]), numbers),
     '"height"': (st.sampled_from(["100", str(2**64)]), numbers),
     '"boxes"': (arrays(box, 2), values),
     '"captions"': (arrays(strings), values),
-    '"labels"': (arrays(st.one_of(*label)), values),
-    '"metadata"': (st.lists(st.tuples(strings, strings), max_size=2).map(object_text), values),
-})
+}))
 concept = st.one_of(st.sampled_from(['"cat"', '"dog"', '"é"']), strings)
 prediction_line = json_object({
     '"image_id"': (st.sampled_from(['"i0"', '"i1"', '"i2"', '"i3"']), values),
@@ -663,6 +785,24 @@ def outcome(load):
         return f"DataError: {e}"
 
 
+def assert_ordinary_image(img):
+    """``img`` compares, hashes and refuses assignment as the image built
+    by ``AnnotatedImage(...)`` from its fields does."""
+    built = AnnotatedImage(**{f.name: getattr(img, f.name) for f in dataclasses.fields(img)})
+    assert type(img) is AnnotatedImage and img == built
+    assert outcome_of(hash, img) == outcome_of(hash, built)
+    for f in dataclasses.fields(img):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(img, f.name, getattr(img, f.name))
+
+
+def outcome_of(f, *args):
+    try:
+        return f(*args)
+    except TypeError as e:  # an unhashable field
+        return str(e)
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(annotations=jsonl(annotation_line), predictions=jsonl(prediction_line))
@@ -684,5 +824,8 @@ def test_orjson_and_stdlib_decode_alike(tmp_path, annotations, predictions):
         return outcome(lambda: load_annotations(ann)), outcome(load_scores)
 
     fast = load()
+    if not isinstance(fast[0], str):
+        for img in fast[0]:
+            assert_ordinary_image(img)
     with stdlib_decoder():
         assert load() == fast
