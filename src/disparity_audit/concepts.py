@@ -41,11 +41,15 @@ def canonicalize_labels(values: object, where: str) -> list[ConceptId]:
     """The canonical form of each label in a side file's list.
 
     Raises:
-        DataError: naming ``where`` when ``values`` is not a list of strings.
+        DataError: naming ``where`` when ``values`` is not a list of strings
+            or a label is empty after canonicalization.
     """
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
         raise DataError(f"{where} must be a list of strings, got {values!r}")
-    return [canonicalize_label(v) for v in values]
+    try:
+        return [canonicalize_label(v) for v in values]
+    except DataError as e:
+        raise DataError(f"{where}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,10 @@ class ClassMapping:
                     name, label,
                 )
                 continue
-            table[canonicalize_label(label)] = tuple(dict.fromkeys(canon))
+            try:
+                table[canonicalize_label(label)] = tuple(dict.fromkeys(canon))
+            except DataError as e:
+                raise DataError(f"mapping {name!r}: {e}") from None
         return cls(name=name, table=table)
 
     @classmethod

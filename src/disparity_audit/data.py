@@ -159,10 +159,15 @@ class ScoreMatrix:
 
     @classmethod
     def from_records(cls, records: Iterable[PredictionRecord]) -> "ScoreMatrix":
-        return build_score_matrix(
+        """The matrix of the records, checked as ``load_predictions`` checks
+        a file's; an error names the image."""
+        row_of: dict[str, int] = {}
+        column_of: dict[str, int] = {}
+        cells = _record_cells(
             ((r.image_id, (r.image_id, r.scores)) for r in records),
-            lambda image_id: f"image {image_id!r}",
+            row_of, column_of, lambda image_id: f"image {image_id!r}",
         )
+        return _score_matrix([cells], row_of, column_of)
 
     def row_of(self, image_ids: Sequence[str]) -> np.ndarray:
         """Row of each image in ``scores``, -1 for an image without predictions."""
@@ -203,95 +208,47 @@ _STR_ONLY = frozenset({str})
 _NUMBERS = frozenset({float, int})
 # Checked cells are kept in blocks of at least this many: large enough for
 # malloc to map each apart from the heap, as the small arrays of a chunk of
-# lines are not, so that they do not leave the heap grown after a load. A
-# record stream is checked a block at a time.
+# lines are not, so that they do not leave the heap grown after a load.
 _BLOCK_CELLS = 1 << 16
 
-
-def _checked_scores(
-    scores: Mapping[str, float], where: Callable[[object], str], key: object
-) -> list[float]:
-    """Every score of one record as a finite float, or the error naming the
-    record (``where(key)``) and the first bad score."""
-    values = []
-    for concept, score in scores.items():
-        if not isinstance(score, (int, float)) or isinstance(score, bool):
-            raise DataError(f"{where(key)}: score for {concept!r} is not a number")
-        try:
-            value = float(score)
-        except OverflowError:
-            raise DataError(
-                f"{where(key)}: score for {concept!r} is too large for a float"
-            ) from None
-        if not math.isfinite(value):
-            raise DataError(f"{where(key)}: non-finite score {score!r} for {concept!r}")
-        values.append(value)
-    return values
-
-
-# A chunk of records as columns: each record's key, image id and scores.
-_Chunk = tuple[Sequence[object], list[str], list[Mapping[str, float]]]
 _Cells = tuple[np.ndarray, np.ndarray, np.ndarray]  # lengths, columns, values
-
-
-def _cell_chunks(
-    records: Iterable[tuple[object, tuple[str, Mapping[str, float]]]],
-) -> Iterator[_Chunk]:
-    """``(key, (image_id, scores))`` records in chunks of about
-    ``_BLOCK_CELLS`` scores.
-
-    When reading the records raises a ``DataError``, the records read
-    before it are yielded first, so that a bad record among them is the one
-    reported.
-    """
-    keys: list[object] = []
-    ids: list[str] = []
-    scores: list[Mapping[str, float]] = []
-    cells = 0
-    try:
-        for key, (image_id, record_scores) in records:
-            keys.append(key)
-            ids.append(image_id)
-            scores.append(record_scores)
-            cells += len(record_scores)
-            if cells >= _BLOCK_CELLS:
-                yield keys, ids, scores
-                keys, ids, scores = [], [], []
-                cells = 0
-    except DataError:
-        yield keys, ids, scores
-        raise
-    yield keys, ids, scores
+_IMAGE_ID = operator.itemgetter("image_id")
 
 
 def _chunk_cells(
-    chunk: _Chunk, row_of: dict[str, int], column_of: dict[str, int]
+    values: list, row_of: dict[str, int], column_of: dict[str, int]
 ) -> _Cells | None:
-    """The cells of a chunk that passes every check, each check one C-level
-    pass over the chunk; ``row_of`` and ``column_of`` take its rows and new
-    concepts.
+    """The cells of a chunk of decoded prediction lines that passes every
+    check, each check one C-level pass over the chunk; ``row_of`` and
+    ``column_of`` take its rows and new concepts.
 
-    Returns None, leaving ``row_of`` and ``column_of`` unchanged, when an
-    id repeats, some scores are not a ``dict``, a score is not a ``float``
-    or an ``int``, an ``int`` is too large for a float, a score is not
-    finite, or a new concept key is empty.
+    Returns None, leaving ``row_of`` and ``column_of`` unchanged, when a
+    value is not a ``dict`` (a blank or undecodable line is None), an id is
+    not a non-empty ``str`` or repeats, some scores are not a ``dict``, a
+    score is not a ``float`` or an ``int``, an ``int`` is too large for a
+    float, a score is not finite, or a new concept key is empty.
     """
-    _, ids, scores = chunk
-    rows = dict(zip(ids, range(len(row_of), len(row_of) + len(ids))))
+    if not _DICT_ONLY.issuperset(map(type, values)):
+        return None
+    ids = list(map(dict.get, values, itertools.repeat("image_id")))
+    scores = list(map(dict.get, values, itertools.repeat("scores")))
     if (
-        len(rows) < len(ids)
-        or not row_of.keys().isdisjoint(rows)
+        not _STR_ONLY.issuperset(map(type, ids))
+        or "" in ids
         or not _DICT_ONLY.issuperset(map(type, scores))
     ):
         return None
-    values = list(itertools.chain.from_iterable(map(dict.values, scores)))
-    if not _NUMBERS.issuperset(map(type, values)):
+    rows = dict(zip(ids, range(len(row_of), len(row_of) + len(ids))))
+    if len(rows) < len(ids) or not row_of.keys().isdisjoint(rows):
+        return None
+    cells = list(itertools.chain.from_iterable(map(dict.values, scores)))
+    if not _NUMBERS.issuperset(map(type, cells)):
         return None
     try:  # converts each int as float() does
-        values = np.fromiter(values, dtype=float, count=len(values))
+        cells = np.fromiter(cells, dtype=float, count=len(cells))
     except OverflowError:
         return None
-    if not np.isfinite(values).all():
+    if not np.isfinite(cells).all():
         return None
     concepts = list(itertools.chain.from_iterable(scores))
     try:
@@ -303,27 +260,48 @@ def _chunk_cells(
             column_of.setdefault(c, len(column_of))
         columns = np.fromiter(map(column_of.__getitem__, concepts), np.int32, len(concepts))
     row_of.update(rows)
-    return np.fromiter(map(len, scores), np.intp, len(scores)), columns, values
+    return np.fromiter(map(len, scores), np.intp, len(scores)), columns, cells
 
 
 def _record_cells(
-    chunk: _Chunk,
+    records: Iterable[tuple[object, tuple[str, Mapping[str, float]]]],
     row_of: dict[str, int],
     column_of: dict[str, int],
     where: Callable[[object], str],
 ) -> _Cells:
-    """The cells of a chunk checked one record at a time, as
-    ``_chunk_cells`` checks the whole chunk; the error names the first bad
-    record."""
+    """The cells of ``(key, (image_id, scores))`` records, each checked as
+    it is read, as ``_chunk_cells`` checks a chunk; ``row_of`` and
+    ``column_of`` take their rows and new concepts.
+
+    Each score must be an int or float (not a bool), finite as a float, and
+    keyed by a non-empty concept id; each image id may occur once.
+    ``where(key)`` names a bad record in its error, e.g. as ``file:line``;
+    it is called only then.
+
+    Raises:
+        DataError: on the first bad record, naming it and the concept,
+            before a later record is read.
+    """
     lengths: list[int] = []
     columns: list[int] = []
     values: list[float] = []
-    for key, image_id, scores in zip(*chunk):
+    for key, (image_id, scores) in records:
         if image_id in row_of:
             raise DataError(f"{where(key)}: duplicate prediction for image {image_id!r}")
         if "" in scores:
             raise DataError(f"{where(key)}: empty concept key in scores")
-        values.extend(_checked_scores(scores, where, key))
+        for concept, score in scores.items():
+            if not isinstance(score, (int, float)) or isinstance(score, bool):
+                raise DataError(f"{where(key)}: score for {concept!r} is not a number")
+            try:
+                value = float(score)
+            except OverflowError:
+                raise DataError(
+                    f"{where(key)}: score for {concept!r} is too large for a float"
+                ) from None
+            if not math.isfinite(value):
+                raise DataError(f"{where(key)}: non-finite score {score!r} for {concept!r}")
+            values.append(value)
         columns.extend(column_of.setdefault(c, len(column_of)) for c in scores)
         lengths.append(len(scores))
         row_of[image_id] = len(row_of)
@@ -334,49 +312,24 @@ def _record_cells(
     )
 
 
-def build_score_matrix(
-    records: Iterable[tuple[object, tuple[str, Mapping[str, float]]]],
-    where: Callable[[object], str],
+def _score_matrix(
+    parts: Iterable[_Cells], row_of: dict[str, int], column_of: dict[str, int]
 ) -> ScoreMatrix:
-    """The score matrix of ``(key, (image_id, scores))`` records.
-
-    Each score must be an int or float (not a bool), finite as a float, and
-    keyed by a non-empty concept id; each image id may occur once.
-    ``where(key)`` names a bad record in its error, e.g. as ``file:line``;
-    it is called only then.
-
-    Raises:
-        DataError: on the first bad record, naming it and the concept.
-    """
-    return _score_matrix(_cell_chunks(records), where)
-
-
-def _score_matrix(chunks: Iterable[_Chunk], where: Callable[[object], str]) -> ScoreMatrix:
-    """The score matrix of chunks of records, as ``build_score_matrix``
-    makes it.
-
-    Each chunk is checked by C-level passes over the whole chunk; only a
-    chunk that fails them is checked again record by record, which names
-    the first bad record.
-    """
-    row_of: dict[str, int] = {}
-    column_of: dict[str, int] = {}  # in order of first appearance
-    blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-    parts: list[_Cells] = []  # of the block that starts at first_row
-    first_row = cells = 0
-    for chunk in chunks:
-        checked = _chunk_cells(chunk, row_of, column_of)
-        if checked is None:
-            checked = _record_cells(chunk, row_of, column_of, where)
-        parts.append(checked)
-        cells += checked[2].size
+    """The score matrix of ``parts``, the cells of consecutive rows; once
+    they are read, ``row_of`` holds every row and ``column_of`` numbers
+    every concept in order of first appearance. The parts are joined into
+    blocks of at least ``_BLOCK_CELLS`` cells as they are read."""
+    blocks: list[_Cells] = []
+    pending: list[_Cells] = []
+    cells = 0
+    for part in parts:
+        pending.append(part)
+        cells += part[2].size
         if cells >= _BLOCK_CELLS:
-            blocks.append((first_row, *map(np.concatenate, zip(*parts))))
-            parts = []
-            first_row = len(row_of)
-            cells = 0
-    if parts:
-        blocks.append((first_row, *map(np.concatenate, zip(*parts))))
+            blocks.append(tuple(map(np.concatenate, zip(*pending))))
+            pending, cells = [], 0
+    if pending:
+        blocks.append(tuple(map(np.concatenate, zip(*pending))))
 
     concepts = sorted(column_of)
     sorted_column = np.empty(len(concepts), dtype=np.intp)
@@ -384,9 +337,11 @@ def _score_matrix(chunks: Iterable[_Chunk], where: Callable[[object], str]) -> S
         len(concepts)
     )
     matrix = np.full((len(row_of), len(concepts)), np.nan)
-    for first_row, block_lengths, block_columns, block_values in blocks:
-        rows = np.repeat(np.arange(first_row, first_row + block_lengths.size), block_lengths)
-        matrix[rows, sorted_column[block_columns]] = block_values
+    first_row = 0
+    for lengths, columns, values in blocks:
+        rows = np.repeat(np.arange(first_row, first_row + lengths.size), lengths)
+        matrix[rows, sorted_column[columns]] = values
+        first_row += lengths.size
     matrix.setflags(write=False)
     return ScoreMatrix(rows=row_of, concepts=tuple(concepts), scores=matrix)
 
@@ -473,11 +428,19 @@ _ANNOTATION_CHARS = 1 << 13
 _PREDICTION_CHARS = 1 << 15
 
 
-def _orjson_value(line: str) -> object:
-    """orjson's value of one stripped line, or None where orjson rejects it."""
+def _line_value(line: str) -> object:
+    """The JSON value of one stripped line: orjson's when orjson imports and
+    reads it, else stdlib's (``_decode``), and None for a blank line or one
+    that neither reads."""
+    line = line.strip()
+    if orjson is not None:
+        try:
+            return orjson.loads(line)
+        except orjson.JSONDecodeError:
+            pass
     try:
-        return orjson.loads(line.strip())
-    except orjson.JSONDecodeError:
+        return _decode(line)
+    except DataError:
         return None
 
 
@@ -486,13 +449,12 @@ def _iter_jsonl(path: Path, chunk_chars: int) -> Iterator[tuple[int, list[str], 
     ``chunk_chars`` characters of a JSON Lines file; lines end at ``\\n``,
     ``\\r\\n`` or ``\\r``.
 
-    ``values`` holds orjson's value of each stripped line when orjson
-    imports, and None for a line that orjson rejects (a blank line among
-    them) or for every line without orjson. orjson first gets the raw
-    lines: JSON whitespace is a subset of what ``str.strip`` removes, so a
-    line that orjson accepts decodes as its stripped text would. A chunk
-    with a line that orjson rejects raw is decoded again line by line,
-    stripped.
+    Every line is decoded before any is checked: ``values`` holds each
+    line's ``_line_value``. orjson first gets the chunk's raw lines: JSON
+    whitespace is a subset of what ``str.strip`` removes, so a line that
+    orjson accepts decodes as its stripped text would. Only a chunk with a
+    line that orjson rejects raw (a blank line among them), or every chunk
+    without orjson, is decoded line by line.
     """
     # surrogateescape defers a bad byte to the line that holds it, so the
     # error names that line, after every earlier line is checked.
@@ -500,12 +462,12 @@ def _iter_jsonl(path: Path, chunk_chars: int) -> Iterator[tuple[int, list[str], 
         first = 1
         while lines := f.readlines(chunk_chars):
             if orjson is None:
-                values = [None] * len(lines)
+                values = list(map(_line_value, lines))
             else:
                 try:
                     values = list(map(orjson.loads, lines))
                 except orjson.JSONDecodeError:
-                    values = list(map(_orjson_value, lines))
+                    values = list(map(_line_value, lines))
             yield first, lines, values
             first += len(lines)
 
@@ -517,12 +479,11 @@ def _parse_lines(
     non-blank line of one ``_iter_jsonl`` chunk of the file ``name``, line
     by line.
 
-    A line whose orjson value is missing, is not an object or fails
-    ``parse`` is decoded again by ``_decode`` (stdlib), and that decode's or
-    that parse's error is the one reported, so errors are the same with or
-    without orjson. A valid line is decoded by stdlib only without orjson.
-    The one difference left: orjson decodes a valid line nested deeper than
-    stdlib's recursion limit, which stdlib rejects.
+    A line whose value is None, is not an object or fails ``parse`` is
+    decoded again by ``_decode`` (stdlib), and that decode's or that parse's
+    error is the one reported, so errors are the same with or without
+    orjson. The one difference left: orjson decodes a valid line nested
+    deeper than stdlib's recursion limit, which stdlib rejects.
     """
     for line_no, line, obj in zip(itertools.count(first), lines, values):
         if type(obj) is dict:
@@ -557,7 +518,7 @@ def _parse_boxes(boxes: object, name: str, line_no: int) -> tuple[BoxAnnotation,
         if type(b) is not dict:
             raise DataError(f"{name}:{line_no}: box #{i} is not an object")
         raw_label = b.get("label")
-        if type(raw_label) is not str or not raw_label:
+        if type(raw_label) is not str or not raw_label.strip():
             raise DataError(f"{name}:{line_no} box #{i}: missing or invalid 'label'")
         try:
             out.append(
@@ -614,7 +575,7 @@ def _parse_image(
             direct_labels = None
         checked = label_sets.get(direct_labels)
         if checked is None:
-            if not all(isinstance(s, str) and s for s in labels):
+            if not all(isinstance(s, str) and s.strip() for s in labels):
                 raise DataError(f"{name}:{line_no}: labels must be non-empty strings")
             checked = label_sets[direct_labels] = direct_labels
         direct_labels = checked
@@ -753,27 +714,24 @@ def load_predictions(path: str | Path, images: Sequence[AnnotatedImage]) -> Scor
             unknown.append((image_id, line_no))
         return image_id, scores
 
-    def chunks() -> Iterator[_Chunk]:
-        # A chunk of lines is checked as ``record`` checks each line, a
-        # field at a time, and only a chunk that fails is read line by line.
-        for first, lines, values in _iter_jsonl(path, _PREDICTION_CHARS):
-            if _DICT_ONLY.issuperset(map(type, values)):
-                ids = list(map(dict.get, values, itertools.repeat("image_id")))
-                scores = list(map(dict.get, values, itertools.repeat("scores")))
-                if (
-                    _STR_ONLY.issuperset(map(type, ids))
-                    and "" not in ids
-                    and _DICT_ONLY.issuperset(map(type, scores))
-                ):
-                    if not known.issuperset(ids):
-                        unknown.extend(
-                            (i, n) for n, i in enumerate(ids, first) if i not in known
-                        )
-                    yield range(first, first + len(lines)), ids, scores
-                    continue
-            yield from _cell_chunks(_parse_lines(name, first, lines, values, record))
+    row_of: dict[str, int] = {}
+    column_of: dict[str, int] = {}
 
-    matrix = _score_matrix(chunks(), lambda line_no: f"{name}:{line_no}")
+    def parts() -> Iterator[_Cells]:
+        # A chunk passes the bulk checks whole, or is walked record by
+        # record, which names its first bad record.
+        for first, lines, values in _iter_jsonl(path, _PREDICTION_CHARS):
+            cells = _chunk_cells(values, row_of, column_of)
+            if cells is None:
+                cells = _record_cells(
+                    _parse_lines(name, first, lines, values, record), row_of, column_of,
+                    lambda line_no: f"{name}:{line_no}",
+                )
+            elif not known.issuperset(ids := list(map(_IMAGE_ID, values))):
+                unknown.extend((i, n) for n, i in enumerate(ids, first) if i not in known)
+            yield cells
+
+    matrix = _score_matrix(parts(), row_of, column_of)
     if unknown:
         unknown.sort()
         raise DataError(

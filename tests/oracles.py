@@ -23,8 +23,8 @@ This module holds the independent definitions those kernels must match:
   ``aggregate_disparity`` on a concept set's; undefined values may be
   ``None``;
 * ``build_score_matrix``, which checks and loads one score record at a
-  time, and whose matrix or first error ``data.build_score_matrix`` must
-  equal for any record stream.
+  time, and whose matrix or first error ``data.load_predictions`` must
+  equal for any file of those records.
 """
 
 from __future__ import annotations

@@ -88,6 +88,12 @@ class TestMapping:
          "model_class_whitelist must be a list of strings, got 5"),
         ({"map": {"phones": ["telephone", 5]}},
          "label 'phones' must be a list of strings, got ['telephone', 5]"),
+        ({"map": {"phones": ["telephone", "  "]}},
+         "mapping 'm': label 'phones': label '  ' is empty after canonicalization"),
+        ({"map": {"phones": ["telephone"], " ": ["telephone"]}},
+         "mapping 'm': label ' ' is empty after canonicalization"),
+        ({"map": {"phones": ["telephone"]}, "model_class_whitelist": ["telephone", "\t"]},
+         "mapping 'm': model_class_whitelist: label '\\t' is empty after canonicalization"),
     ])
     def test_wrong_value_type_names_the_key(self, obj, message):
         with pytest.raises(DataError) as info:

@@ -143,6 +143,9 @@ class TestLoadAnnotations:
         ({"image_id": "a", "width": 1.5}, ":1: 'width' must be an integer, got 1.5"),
         ({"image_id": "a", "width": 9, "height": 9, "boxes": [{"x": 0, "w": 1, "h": 1}]},
          ":1 box #0: missing or invalid 'label'"),
+        ({"image_id": "a", "width": 9, "height": 9,
+          "boxes": [{"label": "x", "w": 1, "h": 1}, {"label": " \n", "w": 1, "h": 1}]},
+         ":1 box #1: missing or invalid 'label'"),
     ])
     def test_field_error_names_file_line_once(self, tmp_path, record, message):
         path = tmp_path / "a.jsonl"
@@ -192,7 +195,9 @@ class TestLoadAnnotations:
             first.metadata["k"] = "changed"
         assert dict(second.metadata) == {"k": "v"}
 
-    @pytest.mark.parametrize("bad", [["a", ""], ["a", 1], ["a", ["b"]], ["a", None]])
+    @pytest.mark.parametrize("bad", [
+        ["a", ""], ["a", "   "], ["\t"], ["a", 1], ["a", ["b"]], ["a", None],
+    ])
     @pytest.mark.parametrize("line", [1, 2, 4])
     def test_bad_label_list_is_error_on_every_line(self, tmp_path, bad, line):
         """A bad list is never interned, so each line carrying it is checked,
@@ -229,6 +234,11 @@ class TestLoadAnnotations:
         a = sorted(load_annotations(p1), key=lambda i: i.image_id)
         b = sorted(load_annotations(p2), key=lambda i: i.image_id)
         assert a == b
+
+
+def bits(m):
+    """A matrix's rows, concepts, shape and score bytes."""
+    return list(m.rows.items()), m.concepts, m.scores.shape, m.scores.tobytes()
 
 
 def matrix(records):
@@ -312,6 +322,45 @@ class TestLoadPredictions:
                 *(PredictionRecord(i, s) for i, s in records.items()),
                 PredictionRecord("i0001", {"a": 0.5}),
             ])
+
+    def test_bulk_checks_and_record_walk_load_alike(self, tmp_path, monkeypatch):
+        """A file of several chunks, across blocks, with a blank line and a
+        line with edges that JSON rejects: every chunk walked record by
+        record gives the bulk checks' matrix, bit for bit, and their
+        unknown-id error."""
+        monkeypatch.setattr(data, "_PREDICTION_CHARS", 200)
+        monkeypatch.setattr(data, "_BLOCK_CELLS", 7)
+        scores = [2**64 + 7, -(2**70), 3, 0.1, -0.0, 1e-320, 2.5e300]
+        lines = [
+            json.dumps({"image_id": f"i{k:02d}", "scores": {
+                f"c{(k * j) % 5}": scores[(k + j) % len(scores)] for j in range(k % 4)
+            }})
+            for k in range(40)
+        ]
+        lines[11] = "\xa0" + lines[11] + " \x0c"
+        lines.insert(23, "  ")
+        path = tmp_path / "p.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        images = [AnnotatedImage(image_id=f"i{k:02d}") for k in range(40)]
+
+        def loaded():
+            return tuple(outcome(lambda: bits(load_predictions(path, known)))
+                         for known in (images, images[::3]))
+
+        bulk = loaded()
+        assert len(bulk[0][0]) == 40 and "(lines 2, 3, 5, 6, 8, 9," in bulk[1]
+        monkeypatch.setattr(data, "_chunk_cells", lambda *args: None)
+        assert loaded() == bulk
+
+    def test_valid_file_without_blank_lines_is_never_walked(self, tmp_path, monkeypatch):
+        """Every line is decoded before the bulk checks, also a line with
+        edges that JSON rejects, on either decoder."""
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"image_id": "a", "scores": {"x": 1}}\n'
+                        '\xa0{"image_id": "b", "scores": {"x": 0.5}}\n', encoding="utf-8")
+        monkeypatch.setattr(data, "_record_cells", None)
+        loaded = load_predictions(path, [AnnotatedImage("a"), AnnotatedImage("b")])
+        assert loaded.scores.tolist() == [[1.0], [0.5]]
 
     def test_int_and_float_scores_load_as_float_of_each(self, tmp_path):
         ints = [0, 1, -3, 7, 2**53 + 1, -(2**53) - 1, 2**63, 2**64 + 7, -(2**70)]
@@ -425,34 +474,43 @@ score_records = st.lists(st.tuples(
 ), max_size=10)
 
 
-def score_stream(records, stop):
-    """``(index, (image_id, scores))`` records; a ``DataError`` instead of
-    record ``stop``, as a file's unreadable line would raise."""
-    for k, record in enumerate(records):
-        if k == stop:
-            raise DataError(f"record {k}: unreadable")
-        yield k, record
-    if stop == len(records):
-        raise DataError("end: unreadable")
+# A line that neither decoder reads, and stdlib's error for it.
+MALFORMED = '{"image_id": "i0", "scores": {'
+MALFORMED_ERROR = "malformed JSON (Expecting property name enclosed in double quotes)"
 
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(records=score_records, stop=st.one_of(st.none(), st.integers(0, 10)),
+       chars=st.sampled_from([1, 60, 150, 1 << 15]),
        block=st.sampled_from([1, 2, 3, 5, 1 << 16]))
-def test_score_matrix_matches_record_by_record_reference(monkeypatch, records, stop, block):
-    """Chunked checks give the reference's matrix, bit for bit, or its first
-    error, for chunks of any number of scores."""
+def test_score_matrix_matches_record_by_record_reference(
+    tmp_path, monkeypatch, records, stop, chars, block
+):
+    """``load_predictions`` gives the reference's matrix, bit for bit, or its
+    first error, whether a chunk of lines passes the bulk checks or is
+    walked record by record, and for blocks of any number of scores; a
+    malformed line before record ``stop`` ends the readable records."""
+    monkeypatch.setattr(data, "_PREDICTION_CHARS", chars)
     monkeypatch.setattr(data, "_BLOCK_CELLS", block)
+    path = tmp_path / "p.jsonl"
+    lines = [json.dumps({"image_id": i, "scores": scores}) for i, scores in records]
+    unreadable = None
+    if stop is not None and stop <= len(records):
+        lines.insert(stop, MALFORMED)
+        records = records[:stop]
+        unreadable = f"{path}:{stop + 1}: {MALFORMED_ERROR}"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
-    def build(build_score_matrix):
-        try:
-            m = build_score_matrix(score_stream(records, stop), lambda k: f"record {k}")
-        except DataError as e:
-            return f"DataError: {e}"
-        return list(m.rows.items()), m.concepts, m.scores.shape, m.scores.tobytes()
+    def stream():
+        yield from enumerate(records, 1)
+        if unreadable is not None:
+            raise DataError(unreadable)
 
-    assert build(data.build_score_matrix) == build(oracles.build_score_matrix)
+    images = [AnnotatedImage(image_id=f"i{k}") for k in range(12)]
+    assert outcome(lambda: bits(load_predictions(path, images))) == outcome(
+        lambda: bits(oracles.build_score_matrix(stream(), lambda line_no: f"{path}:{line_no}"))
+    )
 
 
 class TestValidateDataset:

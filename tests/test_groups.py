@@ -304,6 +304,10 @@ class TestTermConfig:
          "'neutral_exclusion_terms' must be a list of strings, got 3"),
         ({"groups": {"": ["man"], "woman": ["woman"]}},
          "'groups' has a group with an empty name"),
+        ({"groups": {"man": ["man", " "]}},
+         "terms config: groups['man']: label ' ' is empty after canonicalization"),
+        ({"groups": {"man": ["man"]}, "neutral_exclusion_terms": ["people", ""]},
+         "terms config: 'neutral_exclusion_terms': label '' is empty after canonicalization"),
     ])
     def test_wrong_value_type_names_the_key(self, obj, message):
         with pytest.raises(DataError) as info:
