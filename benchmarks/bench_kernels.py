@@ -49,8 +49,8 @@ batched kernel's first three draws must equal the reference kernels', which
   also ``load_dataset`` with ``drop_unlabeled`` on, which drops the 19,318
   images that no concept labels (the benchmark workloads keep them). The
   plan runs with the deep workload's metrics (``ap``, ``auc_roc``, ``tpr``,
-  ``fpr``), so it times the pools, the validation splits and the threshold
-  selection of every concept.
+  ``fpr``), so it times the pools, the validation splits, the threshold
+  selection and the ranking of every concept's pools.
 * distinct: the deep images with no value repeated: each line carries its
   own 3 to 8 labels out of 21,000 classes and a metadata URL of its own;
   times ``load_annotations`` and ``map_targets``, the steps whose work is
@@ -76,7 +76,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from disparity_audit.concepts import GroupPool, map_targets
+from disparity_audit.concepts import map_targets
 from disparity_audit.config import load_config
 from disparity_audit.data import (
     EXCLUSION_REASONS,
@@ -137,10 +137,10 @@ def _case(name):
     n_pos, n_neg, ratio, n_draws, n_val, grid = SHAPES[name]
     rng = np.random.default_rng(0)
     ids = np.concatenate([_ids("p", n_pos), _ids("n", n_neg)])
-    pool = GroupPool(
-        scores=np.concatenate([_scores(rng, n_pos, 1.0, grid), _scores(rng, n_neg, 0.0, grid)]),
-        image_rows=np.argsort(np.argsort(ids)),  # each id's rank: rows in id order
-        n_pos=n_pos,
+    pool = (  # scores, labels and image rows, positives first
+        np.concatenate([_scores(rng, n_pos, 1.0, grid), _scores(rng, n_neg, 0.0, grid)]),
+        (np.arange(n_pos + n_neg) < n_pos).astype(np.int8),
+        np.argsort(np.argsort(ids)),  # each id's rank: rows in id order
     )
     if ratio is None:
         draws = [rng.integers(0, n_pos + n_neg, size=n_pos + n_neg) for _ in range(n_draws)]
@@ -163,7 +163,7 @@ def case(request):
 def test_ranked_metrics(benchmark, case):
     name, (pool, ids, draws, _, _) = case
     benchmark.group = f"kernel-{name}"
-    ranked = rank_pool(pool.scores, pool.labels, pool.image_rows, threshold=0.6)
+    ranked = rank_pool(*pool, threshold=0.6)
     assert ranked.mixed_ties == (name == "tied")
     out = benchmark(ranked_metrics, ranked, [np.stack(draws)], METRICS)
     assert out["ap"].shape == (len(draws),)
@@ -174,7 +174,7 @@ def test_ranked_metrics(benchmark, case):
 def _scalar_metrics(pool, ids, rows):
     """The reference kernels' values of ``METRICS`` on one draw, ties
     broken by the id strings."""
-    s, y = pool.scores[rows], pool.labels[rows]
+    s, y = pool[0][rows], pool[1][rows]
     bundle = rates_from_confusion(confusion_at_threshold(s, y, 0.6))
     return {
         "ap": average_precision(s, y, tiebreak=ids[rows]),
@@ -198,7 +198,7 @@ def test_scalar_loop(benchmark, case):
 def test_rank_pool(benchmark, case):
     name, (pool, _, _, _, _) = case
     benchmark.group = f"kernel-{name}"
-    benchmark(rank_pool, pool.scores, pool.labels, pool.image_rows, threshold=0.6)
+    benchmark(rank_pool, *pool, threshold=0.6)
 
 
 def test_select_threshold(benchmark, case):
@@ -460,7 +460,7 @@ def test_plan_concepts(benchmark, deep):
     for c, sizing in plan.sized.items():
         assert tuple(sizing.thresholds) == cfg.group_rule.groups
         for g, pool in sizing.pools.items():
-            assert pool.scores.size < sum(plan.counts[c][g])  # test rows only
+            assert pool.rank_of_row.size < sum(plan.counts[c][g])  # test rows only
 
 
 def test_load_annotations_distinct(benchmark, distinct):

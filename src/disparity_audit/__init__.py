@@ -23,7 +23,6 @@ from .groups import (
 )
 from .concepts import (
     ClassMapping,
-    GroupPool,
     TargetMatrix,
     canonicalize_label,
     image_target_set,

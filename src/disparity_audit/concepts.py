@@ -1,5 +1,5 @@
-"""Label canonicalization, dataset-to-model class mapping, each image's
-targets, and the scored pool of one (concept, group).
+"""Label canonicalization, dataset-to-model class mapping, and the targets
+of the group-assigned images.
 
 Concept reporting is done in model-class space; several dataset labels may
 collapse onto one model concept, in which case their positives are unioned.
@@ -15,26 +15,18 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import EXCLUSION_REASONS, AnnotatedImage, ScoreMatrix, read_json_object
-from .errors import DataError, InvariantError
+from .data import (
+    EXCLUSION_REASONS,
+    AnnotatedImage,
+    ScoreMatrix,
+    canonicalize_label,
+    read_json_object,
+)
+from .errors import DataError
 
 log = logging.getLogger("disparity_audit.concepts")
 
 ConceptId = str
-
-
-def canonicalize_label(raw: str) -> ConceptId:
-    """Canonical form of a dataset label or model class key.
-
-    Lowercases and strips surrounding whitespace; synset keys such as
-    ``"male_child.n.01"`` pass through otherwise unchanged. Idempotent.
-    """
-    if not isinstance(raw, str):
-        raise DataError(f"label must be a string, got {raw!r}")
-    out = raw.strip().lower()
-    if not out:
-        raise DataError(f"label {raw!r} is empty after canonicalization")
-    return out
 
 
 def canonicalize_labels(values: object, where: str) -> list[ConceptId]:
@@ -153,47 +145,6 @@ def image_target_set(
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class GroupPool:
-    """Scored rows for one (concept, group): the ``n_pos`` positives first,
-    then the negatives, each class in image-id order.
-
-    ``image_rows`` gives each pool row's row in the ``TargetMatrix``. That
-    matrix is in image-id order, so these ints break score ties as the ids
-    would.
-    Splits, ranks and bootstrap draws all index these rows, so the order
-    makes them deterministic; the draws rely on positives coming first.
-    """
-
-    scores: np.ndarray
-    image_rows: np.ndarray
-    n_pos: int
-
-    @property
-    def labels(self) -> np.ndarray:
-        """1 for each of the ``n_pos`` positives, then 0 (int8)."""
-        return np.repeat(np.int8([1, 0]), [self.n_pos, self.n_neg])
-
-    @property
-    def n_neg(self) -> int:
-        return int(self.scores.shape[0]) - self.n_pos
-
-    def take(self, rows: np.ndarray) -> "GroupPool":
-        """The pool of the given strictly ascending row indices, so its
-        positives still come first.
-
-        Raises:
-            InvariantError: for row indices that are not strictly ascending.
-        """
-        if np.any(rows[1:] <= rows[:-1]):
-            raise InvariantError("pool rows must be taken in strictly ascending order")
-        return GroupPool(
-            scores=_readonly(self.scores[rows]),
-            image_rows=_readonly(self.image_rows[rows]),
-            n_pos=int(np.searchsorted(rows, self.n_pos)),
-        )
 
 
 @dataclass(frozen=True)

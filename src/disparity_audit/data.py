@@ -52,6 +52,20 @@ def read_json_object(path: str | Path, what: str) -> dict:
     return obj
 
 
+def canonicalize_label(raw: str) -> str:
+    """Canonical form of a dataset label or model class key.
+
+    Lowercases and strips surrounding whitespace; synset keys such as
+    ``"male_child.n.01"`` pass through otherwise unchanged. Idempotent.
+    """
+    if not isinstance(raw, str):
+        raise DataError(f"label must be a string, got {raw!r}")
+    out = raw.strip().lower()
+    if not out:
+        raise DataError(f"label {raw!r} is empty after canonicalization")
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class BoxAnnotation:
     """One rectangular object annotation in pixel coordinates."""
@@ -145,7 +159,8 @@ class ScoreMatrix:
     """Prediction scores in columnar form.
 
     ``rows`` maps each scored image id to its row, in file order;
-    ``concepts`` are the column concept ids, sorted; ``scores`` is the
+    ``concepts`` are the column concept ids, canonical
+    (``canonicalize_label``) and sorted; ``scores`` is the
     read-only float64 ``images x concepts`` array, NaN where an image has no
     score for a concept. Every column holds at least one score.
     """
@@ -163,11 +178,12 @@ class ScoreMatrix:
         a file's; an error names the image."""
         row_of: dict[str, int] = {}
         column_of: dict[str, int] = {}
+        concepts: dict[str, int] = {}
         cells = _record_cells(
             ((r.image_id, (r.image_id, r.scores)) for r in records),
-            row_of, column_of, lambda image_id: f"image {image_id!r}",
+            row_of, column_of, concepts, lambda image_id: f"image {image_id!r}",
         )
-        return _score_matrix([cells], row_of, column_of)
+        return _score_matrix([cells], row_of, concepts)
 
     def row_of(self, image_ids: Sequence[str]) -> np.ndarray:
         """Row of each image in ``scores``, -1 for an image without predictions."""
@@ -215,18 +231,51 @@ _Cells = tuple[np.ndarray, np.ndarray, np.ndarray]  # lengths, columns, values
 _IMAGE_ID = operator.itemgetter("image_id")
 
 
+def _add_columns(
+    keys: Iterable[str], column_of: dict[str, int], concepts: dict[str, int]
+) -> None:
+    """Give each of ``keys`` new to ``column_of`` the next column, and its
+    concept, the key's ``canonicalize_label``, that column in ``concepts``:
+    each key is canonicalized once, when it is first met.
+
+    Raises:
+        DataError: leaving both unchanged, naming the key, when a new key is
+            empty after canonicalization; or naming both keys when two keys
+            are one concept, in ``keys`` or with an earlier column.
+    """
+    added: dict[str, str] = {}  # concept -> its new key
+    for key in keys:
+        if key in column_of:
+            continue
+        try:
+            concept = canonicalize_label(key)
+        except DataError:
+            raise DataError(
+                f"concept key {key!r} in scores is empty after canonicalization"
+            ) from None
+        if concept in concepts:
+            other = next(k for k, j in column_of.items() if j == concepts[concept])
+        else:
+            other = added.setdefault(concept, key)
+        if other != key:
+            raise DataError(f"score keys {other!r} and {key!r} are one concept, {concept!r}")
+    for concept, key in added.items():
+        concepts[concept] = column_of[key] = len(column_of)
+
+
 def _chunk_cells(
-    values: list, row_of: dict[str, int], column_of: dict[str, int]
+    values: list, row_of: dict[str, int], column_of: dict[str, int], concepts: dict[str, int]
 ) -> _Cells | None:
     """The cells of a chunk of decoded prediction lines that passes every
-    check, each check one C-level pass over the chunk; ``row_of`` and
-    ``column_of`` take its rows and new concepts.
+    check, each check one C-level pass over the chunk; ``row_of`` takes its
+    rows, and ``column_of`` and ``concepts`` its new keys (``_add_columns``).
 
-    Returns None, leaving ``row_of`` and ``column_of`` unchanged, when a
-    value is not a ``dict`` (a blank or undecodable line is None), an id is
-    not a non-empty ``str`` or repeats, some scores are not a ``dict``, a
-    score is not a ``float`` or an ``int``, an ``int`` is too large for a
-    float, a score is not finite, or a new concept key is empty.
+    Returns None, leaving all three unchanged, when a value is not a
+    ``dict`` (a blank or undecodable line is None), an id is not a
+    non-empty ``str`` or repeats, some scores are not a ``dict``, a score
+    is not a ``float`` or an ``int``, an ``int`` is too large for a float, a
+    score is not finite, or a new key is empty after canonicalization or
+    is one concept with another key.
     """
     if not _DICT_ONLY.issuperset(map(type, values)):
         return None
@@ -250,15 +299,15 @@ def _chunk_cells(
         return None
     if not np.isfinite(cells).all():
         return None
-    concepts = list(itertools.chain.from_iterable(scores))
+    keys = list(itertools.chain.from_iterable(scores))
     try:
-        columns = np.fromiter(map(column_of.__getitem__, concepts), np.int32, len(concepts))
-    except KeyError:  # a concept new to the matrix; "" never enters it
-        if "" in concepts:
+        columns = np.fromiter(map(column_of.__getitem__, keys), np.int32, len(keys))
+    except KeyError:  # a key new to the matrix
+        try:
+            _add_columns(dict.fromkeys(keys), column_of, concepts)
+        except DataError:
             return None
-        for c in dict.fromkeys(concepts):
-            column_of.setdefault(c, len(column_of))
-        columns = np.fromiter(map(column_of.__getitem__, concepts), np.int32, len(concepts))
+        columns = np.fromiter(map(column_of.__getitem__, keys), np.int32, len(keys))
     row_of.update(rows)
     return np.fromiter(map(len, scores), np.intp, len(scores)), columns, cells
 
@@ -267,14 +316,17 @@ def _record_cells(
     records: Iterable[tuple[object, tuple[str, Mapping[str, float]]]],
     row_of: dict[str, int],
     column_of: dict[str, int],
+    concepts: dict[str, int],
     where: Callable[[object], str],
 ) -> _Cells:
     """The cells of ``(key, (image_id, scores))`` records, each checked as
-    it is read, as ``_chunk_cells`` checks a chunk; ``row_of`` and
-    ``column_of`` take their rows and new concepts.
+    it is read, as ``_chunk_cells`` checks a chunk; ``row_of`` takes their
+    rows, and ``column_of`` and ``concepts`` their new keys
+    (``_add_columns``).
 
     Each score must be an int or float (not a bool), finite as a float, and
-    keyed by a non-empty concept id; each image id may occur once.
+    keyed by a concept id that is not empty after canonicalization and is
+    no other key's concept; each image id may occur once.
     ``where(key)`` names a bad record in its error, e.g. as ``file:line``;
     it is called only then.
 
@@ -302,7 +354,11 @@ def _record_cells(
             if not math.isfinite(value):
                 raise DataError(f"{where(key)}: non-finite score {score!r} for {concept!r}")
             values.append(value)
-        columns.extend(column_of.setdefault(c, len(column_of)) for c in scores)
+        try:
+            _add_columns(scores, column_of, concepts)
+        except DataError as e:
+            raise DataError(f"{where(key)}: {e}") from None
+        columns.extend(map(column_of.__getitem__, scores))
         lengths.append(len(scores))
         row_of[image_id] = len(row_of)
     return (
@@ -313,12 +369,12 @@ def _record_cells(
 
 
 def _score_matrix(
-    parts: Iterable[_Cells], row_of: dict[str, int], column_of: dict[str, int]
+    parts: Iterable[_Cells], row_of: dict[str, int], concepts: dict[str, int]
 ) -> ScoreMatrix:
     """The score matrix of ``parts``, the cells of consecutive rows; once
-    they are read, ``row_of`` holds every row and ``column_of`` numbers
-    every concept in order of first appearance. The parts are joined into
-    blocks of at least ``_BLOCK_CELLS`` cells as they are read."""
+    they are read, ``row_of`` holds every row and ``concepts`` gives every
+    concept's column. The parts are joined into blocks of at least
+    ``_BLOCK_CELLS`` cells as they are read."""
     blocks: list[_Cells] = []
     pending: list[_Cells] = []
     cells = 0
@@ -331,19 +387,17 @@ def _score_matrix(
     if pending:
         blocks.append(tuple(map(np.concatenate, zip(*pending))))
 
-    concepts = sorted(column_of)
-    sorted_column = np.empty(len(concepts), dtype=np.intp)
-    sorted_column[np.array([column_of[c] for c in concepts], dtype=np.intp)] = np.arange(
-        len(concepts)
-    )
-    matrix = np.full((len(row_of), len(concepts)), np.nan)
+    names = sorted(concepts)
+    sorted_column = np.empty(len(names), dtype=np.intp)
+    sorted_column[np.array([concepts[c] for c in names], dtype=np.intp)] = np.arange(len(names))
+    matrix = np.full((len(row_of), len(names)), np.nan)
     first_row = 0
     for lengths, columns, values in blocks:
         rows = np.repeat(np.arange(first_row, first_row + lengths.size), lengths)
         matrix[rows, sorted_column[columns]] = values
         first_row += lengths.size
     matrix.setflags(write=False)
-    return ScoreMatrix(rows=row_of, concepts=tuple(concepts), scores=matrix)
+    return ScoreMatrix(rows=row_of, concepts=tuple(names), scores=matrix)
 
 
 class ExclusionReason(Enum):
@@ -692,9 +746,10 @@ def load_predictions(path: str | Path, images: Sequence[AnnotatedImage]) -> Scor
         images: the already-loaded annotation records.
 
     Raises:
-        DataError: malformed line, duplicate image_id, bad score (each with
-            ``file:line``), or image_ids absent from ``images`` (all
-            offenders listed, with their lines).
+        DataError: malformed line, duplicate image_id, bad score, a score
+            key empty after canonicalization or two keys of one concept
+            (each with ``file:line``), or image_ids absent from ``images``
+            (all offenders listed, with their lines).
     """
     path = Path(path)
     if not path.exists():
@@ -716,22 +771,23 @@ def load_predictions(path: str | Path, images: Sequence[AnnotatedImage]) -> Scor
 
     row_of: dict[str, int] = {}
     column_of: dict[str, int] = {}
+    concepts: dict[str, int] = {}
 
     def parts() -> Iterator[_Cells]:
         # A chunk passes the bulk checks whole, or is walked record by
         # record, which names its first bad record.
         for first, lines, values in _iter_jsonl(path, _PREDICTION_CHARS):
-            cells = _chunk_cells(values, row_of, column_of)
+            cells = _chunk_cells(values, row_of, column_of, concepts)
             if cells is None:
                 cells = _record_cells(
                     _parse_lines(name, first, lines, values, record), row_of, column_of,
-                    lambda line_no: f"{name}:{line_no}",
+                    concepts, lambda line_no: f"{name}:{line_no}",
                 )
             elif not known.issuperset(ids := list(map(_IMAGE_ID, values))):
                 unknown.extend((i, n) for n, i in enumerate(ids, first) if i not in known)
             yield cells
 
-    matrix = _score_matrix(parts(), row_of, column_of)
+    matrix = _score_matrix(parts(), row_of, concepts)
     if unknown:
         unknown.sort()
         raise DataError(
@@ -752,11 +808,13 @@ def validate_dataset(images: Sequence[AnnotatedImage], predictions: ScoreMatrix)
       - ``score_coverage_gaps``: concepts that some, but not all, of these
         images have a score for;
       - ``zero_positive_concepts``: scored concepts that appear in no image's
-        labels (compared in raw label space, before any class mapping).
+        labels or boxes (compared in canonical form, before any class
+        mapping).
     """
     n_scored = len(predictions) - np.count_nonzero(np.isnan(predictions.scores), axis=0)
-    label_universe: set[str] = set().union(*{img.direct_labels for img in images})
-    label_universe.update(b.raw_label for img in images for b in img.boxes)
+    raw_labels: set[str] = set().union(*{img.direct_labels for img in images})
+    raw_labels.update(b.raw_label for img in images for b in img.boxes)
+    label_universe = set(map(canonicalize_label, raw_labels))
     return {
         "images_without_labels": sum(1 for img in images if not img.has_labels),
         "score_coverage_gaps": int(np.count_nonzero((n_scored > 0) & (n_scored < len(images)))),

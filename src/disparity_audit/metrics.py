@@ -88,13 +88,19 @@ class RankedPool:
 
     A row's rank is its position in that order, so a bootstrap draw is a
     vector of ranks, and sorting it gives the drawn rows' ranking order.
+    The arrays are read-only.
     """
 
+    n_pos: int  # rows labelled positive
     rank_of_row: np.ndarray  # int32, per row in pool order
     label_at_rank: np.ndarray  # bool, positive label
     tie_at_rank: np.ndarray  # int32, equal scores share an id; ids ascend with rank
     mixed_ties: bool  # some tie group holds both labels, so ties can move AUC
     cut: int | None  # ranks below it score >= the decision threshold
+
+    @property
+    def n_neg(self) -> int:
+        return self.rank_of_row.size - self.n_pos
 
 
 def rank_pool(
@@ -120,7 +126,10 @@ def rank_pool(
     mixed = bool(np.any(~new_tie & (label_at_rank[1:] != label_at_rank[:-1])))
     # score >= threshold is a prefix of the descending order
     cut = None if threshold is None else int(np.count_nonzero(s >= threshold))
+    for a in (rank_of_row, label_at_rank, tie):
+        a.setflags(write=False)
     return RankedPool(
+        n_pos=int(np.count_nonzero(label_at_rank)),
         rank_of_row=rank_of_row,
         label_at_rank=label_at_rank,
         tie_at_rank=tie,

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .concepts import GroupPool, _readonly, map_targets
+from .concepts import map_targets
 from .config import THRESHOLD_METRICS, RunConfig, config_hash
 from .data import (
     EXCLUSION_REASONS,
@@ -33,6 +33,7 @@ from .disparity import MetricEstimate, pair_disparity, significance_flag
 from .errors import DataError, InvariantError
 from .groups import assign_groups, assignment_summary
 from .metrics import (
+    RankedPool,
     hit_vector,
     rank_pool,
     ranked_metrics,
@@ -85,31 +86,28 @@ def evaluate_concept(
     """Bootstrap one concept's metrics (ranking and threshold metrics, not
     ``hit_rate``) for every group, as its ``ConceptSizing`` says.
 
-    Every metric is scored on the pools the draws sample from, the threshold
-    metrics at the sizing's thresholds. With a ``budget`` each draw takes
-    that many positives and negatives from every group; without, each group
-    is resampled whole. Returns the per-bootstrap values and the full-sample
-    value (``None`` where undefined), both keyed (metric, group).
+    Each group's ranked pool scores its draws and the identity draw, the
+    full sample (``ranked_metrics``); nothing is ranked here. With a
+    ``budget`` each draw takes that many positives and negatives from every
+    group; without, each group is resampled whole. Returns the per-bootstrap
+    values and the full-sample value (``None`` where undefined), both keyed
+    (metric, group).
     """
-    # One group at a time: sort its pool once, then score the draws (and the
-    # identity draw, the full sample) from ranks into that order.
     values: dict[tuple[str, str], np.ndarray] = {}
     full_sample: dict[tuple[str, str], float | None] = {}
     for g, pool in sizing.pools.items():
-        ranked = rank_pool(pool.scores, pool.labels, pool.image_rows, sizing.thresholds.get(g))
+        n = pool.rank_of_row.size
         if sizing.budget is not None:
             sizes = [(pool.n_pos, sizing.budget[0]), (pool.n_neg, sizing.budget[1])]
             draws = draw_rows((seed, "draw", concept, g), bootstraps, sizes)
         else:
-            n = pool.scores.size
             draws = draw_rows((seed, "baseline", concept, g), bootstraps, [(n, n)])
         try:
-            for m, v in ranked_metrics(ranked, draws, metrics).items():
+            for m, v in ranked_metrics(pool, draws, metrics).items():
                 values[(m, g)] = v
         except InvariantError as e:
             raise InvariantError(f"concept {concept!r} group {g!r}: {e}") from e
-        identity = [np.arange(pool.scores.size)[None]]
-        for m, v in ranked_metrics(ranked, identity, metrics).items():
+        for m, v in ranked_metrics(pool, [np.arange(n)[None]], metrics).items():
             full_sample[(m, g)] = None if np.isnan(v[0]) else float(v[0])
     return values, full_sample
 
@@ -178,47 +176,54 @@ def evaluate_hit_rate(plan: ConceptPlan, cfg: RunConfig) -> list[MetricEstimate]
 
 @dataclass(frozen=True)
 class ConceptSizing:
-    """How one concept is evaluated: the pools each group's draws sample
-    from, in the group rule's order; each group's decision threshold (``{}``
-    when no threshold metric is requested); and in a reliable run the
-    per-group budget."""
+    """How one concept is evaluated: each group's pool of the rows its
+    draws sample from, ranked at the group's threshold, in the group rule's
+    order; each group's decision threshold (``{}`` when no threshold metric
+    is requested); and in a reliable run the per-group budget."""
 
-    pools: dict[str, GroupPool]
+    pools: dict[str, RankedPool]
     thresholds: dict[str, float]
     budget: tuple[int, int] | None
 
 
 def size_concept(
-    concept: str, pools: Mapping[str, GroupPool], cfg: RunConfig
+    concept: str, pools: Mapping[str, tuple[np.ndarray, np.ndarray, int]], cfg: RunConfig
 ) -> ConceptSizing:
-    """Split, threshold and budget one concept's group pools, in the order
-    given: the plan's, the group rule's.
+    """Split, threshold, budget and rank one concept's group pools, in the
+    order given: the plan's, the group rule's.
 
-    With threshold metrics, each group's pool is split into validation and
-    test rows; thresholds are selected on the validation rows, of all groups
-    at once (``pooled``) or of one group at a time (``per_group``), and only
-    the test rows are kept.
+    A group's pool is its scored rows' ``(scores, image_rows, n_pos)``: the
+    ``n_pos`` positives come first, each class in image-id order, and
+    ``image_rows`` index the target matrix, which is in image-id order, so
+    they break score ties as the ids would. With threshold metrics, each
+    group's rows are split into validation and test rows; thresholds are
+    selected on the validation rows, of all groups at once (``pooled``) or
+    of one group at a time (``per_group``), and only the test rows are kept.
+    The split gives ascending rows, so the kept rows keep their positives
+    first. The budget is computed from the kept rows. Only then is each
+    group's pool of kept rows ranked, once (``rank_pool``), so a concept
+    that is skipped ranks none.
 
     Raises:
         DataError: when threshold selection has no validation row or no
             positive one (naming the concept and the groups in scope), or
             else when no budget fits every group.
     """
-    pools = dict(pools)
+    kept = {g: np.arange(scores.size) for g, (scores, _, _) in pools.items()}
     thresholds: dict[str, float] = {}
     if any(m in THRESHOLD_METRICS for m in cfg.metrics):
-        validation: dict[str, GroupPool] = {}
-        for g, pool in pools.items():
-            val, test = split_validation_test(
-                pool.labels, cfg.validation_fraction, derive_seed(cfg.seed, "split", concept, g)
+        validation: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for g, (scores, _, n_pos) in pools.items():
+            val, kept[g] = split_validation_test(
+                kept[g] < n_pos, cfg.validation_fraction, derive_seed(cfg.seed, "split", concept, g)
             )
-            validation[g], pools[g] = pool.take(val), pool.take(test)
+            validation[g] = (scores[val], val < n_pos)
         scopes = [list(pools)] if cfg.threshold_scope == "pooled" else [[g] for g in pools]
         for scope in scopes:
             try:
                 threshold, _ = select_threshold(
-                    np.concatenate([validation[g].scores for g in scope]),
-                    np.concatenate([validation[g].labels for g in scope]),
+                    np.concatenate([validation[g][0] for g in scope]),
+                    np.concatenate([validation[g][1] for g in scope]),
                 )
             except DataError as e:
                 named = f"group{'s' if len(scope) > 1 else ''} {', '.join(map(repr, scope))}"
@@ -226,10 +231,15 @@ def size_concept(
             thresholds.update(dict.fromkeys(scope, threshold))
     budget = None
     if cfg.sampling_mode == "reliable":
+        kept_pos = {g: int(np.searchsorted(rows, pools[g][2])) for g, rows in kept.items()}
         budget = compute_budget(
-            concept, {g: (p.n_pos, p.n_neg) for g, p in pools.items()}, cfg.ratio
+            concept, {g: (p, kept[g].size - p) for g, p in kept_pos.items()}, cfg.ratio
         )
-    return ConceptSizing(pools=pools, thresholds=thresholds, budget=budget)
+    ranked = {
+        g: rank_pool(scores[kept[g]], kept[g] < n_pos, image_rows[kept[g]], thresholds.get(g))
+        for g, (scores, image_rows, n_pos) in pools.items()
+    }
+    return ConceptSizing(pools=ranked, thresholds=thresholds, budget=budget)
 
 
 @dataclass
@@ -239,8 +249,8 @@ class ConceptPlan:
     ``counts`` maps each candidate and each group to the ``(n_pos, n_neg)``
     scored rows of its pool; ``unscored`` are the targets no prediction
     scores. Each candidate that passes the rare-label rule on those counts
-    is retained, and then either ``sized`` for evaluation or ``skipped``
-    with the reason. ``hits`` holds each group's ``hit_vector`` values, in
+    is retained, and then either ``sized`` for evaluation, its pools ranked
+    (``size_concept``), or ``skipped`` with the reason. ``hits`` holds each group's ``hit_vector`` values, in
     the group rule's order, when ``hit_rate`` is requested, and is empty
     otherwise.
     """
@@ -268,8 +278,9 @@ def plan_concepts(
     none. Each retained concept's group pools are taken from those masks: a
     group's scored rows, positives then negatives, each in image-id order.
     An image that lacks the concept's score is omitted; one warning sums the
-    omissions of every concept. The pools are sized with ``size_concept``; a concept
-    that cannot be is skipped with a warning. With ``hit_rate``, each
+    omissions of every concept. The pools are sized and ranked with
+    ``size_concept``; a concept that cannot be sized is skipped with a
+    warning, and ranks no pool. With ``hit_rate``, each
     group's hits are then taken over every scored column.
 
     Raises:
@@ -314,15 +325,11 @@ def plan_concepts(
     for c in retained:
         j = column_of[c]
         is_scored, is_pos = scored[:, j], positive[:, j]
-        pools: dict[str, GroupPool] = {}
+        pools: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
         for g, rows in group_rows.items():
             pos = np.flatnonzero(rows & is_pos)
             order = np.concatenate([pos, np.flatnonzero(rows & is_scored & ~is_pos)])
-            pools[g] = GroupPool(
-                scores=_readonly(predictions.scores[targets.rows[order], targets.columns[j]]),
-                image_rows=_readonly(order),
-                n_pos=int(pos.size),
-            )
+            pools[g] = (predictions.scores[targets.rows[order], targets.columns[j]], order, pos.size)
         try:
             sized[c] = size_concept(c, pools, cfg)
         except DataError as e:

@@ -275,24 +275,26 @@ def derive_rngs(*parts):
     return lambda last: derive_rng(*parts, last)
 
 
-def draw_group(pool, budget, rng):
+def draw_group(sizes, budget, rng):
     """One group's fixed-prevalence draw, uniform with replacement from each
-    class: row indices into ``pool``, the budget's positives first.
+    class: row indices into a pool of ``sizes``, ``(n_pos, n_neg)``, whose
+    positives come first; the budget's positives first.
 
     The pipeline draws bootstrap ``b`` of ``group`` as
     ``derive_rng(seed, "draw", concept, group, b)`` would."""
-    pos = rng.integers(0, pool.n_pos, size=budget[0])
-    neg = rng.integers(0, pool.n_neg, size=budget[1])
-    return np.concatenate([pos, neg + pool.n_pos])
+    n_pos, n_neg = sizes
+    pos = rng.integers(0, n_pos, size=budget[0])
+    neg = rng.integers(0, n_neg, size=budget[1])
+    return np.concatenate([pos, neg + n_pos])
 
 
-def draw_baseline_group(pool, rng):
-    """One group's standard bootstrap draw: row indices into ``pool``, the
-    whole pool resampled at its own size, so prevalence is not controlled.
+def draw_baseline_group(n, rng):
+    """One group's standard bootstrap draw: row indices into a pool of ``n``
+    rows, the whole pool resampled at its own size, so prevalence is not
+    controlled.
 
     The pipeline draws bootstrap ``b`` of ``group`` as
     ``derive_rng(seed, "baseline", concept, group, b)`` would."""
-    n = pool.n_pos + pool.n_neg
     if n == 0:
         raise InvariantError("cannot resample an empty pool")
     return rng.integers(0, n, size=n)
@@ -417,7 +419,9 @@ def build_score_matrix(
     """The score matrix of ``(key, (image_id, scores))`` records.
 
     Each score must be an int or float (not a bool), finite as a float, and
-    keyed by a non-empty concept id; each image id may occur once.
+    keyed by a non-empty concept id; each image id may occur once. A key's
+    concept, the matrix's column name, is the key stripped and lowercased;
+    it may not be empty, nor any other key's concept.
     ``where(key)`` names a bad record in its error, e.g. as ``file:line``;
     it is called only then.
 
@@ -426,6 +430,7 @@ def build_score_matrix(
     """
     row_of: dict[str, int] = {}
     column_of: dict[str, int] = {}  # in order of first appearance
+    key_of: dict[str, str] = {}  # each concept's key
     # Cells are gathered in Python lists and moved into arrays every
     # _CHUNK_CELLS, so the parsed float objects do not all live at once.
     chunks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
@@ -458,7 +463,22 @@ def build_score_matrix(
             columns.extend(map(column_of.__getitem__, scores))
         except KeyError:
             del columns[start:]
-            columns.extend(column_of.setdefault(c, len(column_of)) for c in scores)
+            for c in scores:
+                if c in column_of:
+                    continue
+                concept = c.strip().lower()
+                if not concept:
+                    raise DataError(
+                        f"{where(key)}: concept key {c!r} in scores is empty after canonicalization"
+                    )
+                if concept in key_of:
+                    raise DataError(
+                        f"{where(key)}: score keys {key_of[concept]!r} and {c!r} are one concept, "
+                        f"{concept!r}"
+                    )
+                key_of[concept] = c
+                column_of[c] = len(column_of)
+            columns.extend(map(column_of.__getitem__, scores))
         values.extend(cells)
         lengths.append(len(cells))
         row_of[image_id] = len(row_of)
@@ -466,9 +486,9 @@ def build_score_matrix(
             flush()
     flush()
 
-    concepts = sorted(column_of)
+    concepts = sorted(key_of)
     sorted_column = np.empty(len(concepts), dtype=np.intp)
-    sorted_column[np.array([column_of[c] for c in concepts], dtype=np.intp)] = np.arange(
+    sorted_column[np.array([column_of[key_of[c]] for c in concepts], dtype=np.intp)] = np.arange(
         len(concepts)
     )
     matrix = np.full((len(row_of), len(concepts)), np.nan)

@@ -25,7 +25,6 @@ from disparity_audit import (
     significance_flag,
 )
 from disparity_audit.cli import main as cli_main
-from disparity_audit.concepts import GroupPool
 from disparity_audit.data import EXCLUSION_REASONS
 from disparity_audit.groups import assign_groups
 from disparity_audit.metrics import _rate_arrays
@@ -231,31 +230,21 @@ def test_criterion_05_bootstrap_ci_calibration():
     _report(5, f"CI coverage {rate:.3f} over 500 regenerations", f"{elapsed:.1f}s")
 
 
-def _pool(n_pos, n_neg, seed):
-    rng = np.random.default_rng(seed)
-    return GroupPool(
-        scores=np.concatenate([rng.random(n_pos), rng.random(n_neg)]),
-        image_rows=np.arange(n_pos + n_neg),
-        n_pos=n_pos,
-    )
-
-
 def test_criterion_06_sampling_exactness():
     """Budget fixture gives p* = 36 with p*+1 infeasible; every 1:5 draw has
     prevalence exactly 1/6 per group."""
-    pools = {"A": _pool(40, 300, 1), "B": _pool(60, 180, 2)}
-    sizes = {g: (pool.n_pos, pool.n_neg) for g, pool in pools.items()}
+    sizes = {"A": (40, 300), "B": (60, 180)}  # each pool's (positives, negatives)
     budget = compute_budget("c", sizes, (1, 5))
     assert budget[0] == 36
     assert budget[1] == 180
     p_next = 37
     assert not all(
-        pool.n_pos >= p_next and pool.n_neg >= 5 * p_next for pool in pools.values()
+        n_pos >= p_next and n_neg >= 5 * p_next for n_pos, n_neg in sizes.values()
     )
     for b in range(100):
-        for g, pool in pools.items():
+        for g, pool in sizes.items():
             rows = draw_group(pool, budget, derive_rng(9, "draw", "c", g, b))
-            n_pos = np.count_nonzero(pool.labels[rows])
+            n_pos = np.count_nonzero(rows < pool[0])  # a pool's positives come first
             total = rows.size
             assert n_pos * 6 == total  # prevalence exactly 1/6
     _report(6, "budget fixture p*=36; all draws at prevalence exactly 1/6", "exact")

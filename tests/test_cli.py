@@ -9,7 +9,6 @@ from disparity_audit import pipeline
 from disparity_audit.cli import main
 from disparity_audit.config import PRESETS, config_hash, load_config, resolve_config_dict
 from disparity_audit.groups import assign_groups
-from disparity_audit.metrics import rank_pool
 from disparity_audit.pipeline import (
     load_dataset,
     plan_concepts,
@@ -17,6 +16,7 @@ from disparity_audit.pipeline import (
 )
 
 from corpus import expected_assignments, write_corpus
+from stubs import spy_rank_pool
 
 TERMS = Path(__file__).resolve().parents[1] / "configs" / "terms_coco_captions.json"
 
@@ -286,14 +286,7 @@ def test_sample_plan_agrees_with_run(workspace, monkeypatch, metrics, sampling):
     assert main(["sample-plan", "--config", str(cfg_path)]) == 0
     plan = json.loads((tmp_path / "out" / "sample_plan.json").read_text())["concepts"]
 
-    ranked = []  # each pool the run draws from, as [n_pos, n_neg]
-
-    def spy(scores, labels, *args, **kwargs):
-        n_pos = int(np.count_nonzero(labels))
-        ranked.append([n_pos, len(labels) - n_pos])
-        return rank_pool(scores, labels, *args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "rank_pool", spy)
+    ranked = spy_rank_pool(monkeypatch)  # each pool the run draws from
     assert main(["run", "--config", str(cfg_path)]) == 0
     out = tmp_path / "out"
     manifest = json.loads((out / "manifest.json").read_text())
@@ -301,7 +294,7 @@ def test_sample_plan_agrees_with_run(workspace, monkeypatch, metrics, sampling):
 
     evaluated = {c: e for c, e in plan.items() if "evaluated" in e}
     pools = [n for c in sorted(evaluated) for _, n in sorted(evaluated[c]["evaluated"].items())]
-    assert ranked == pools
+    assert [[np.count_nonzero(y), np.count_nonzero(~y)] for _, y, _ in ranked] == pools
     assert {r["concept"] for r in rows} == set(evaluated)
     for row in rows:
         entry = evaluated[row["concept"]]

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +16,7 @@ from disparity_audit import (
 from disparity_audit.data import EXCLUSION_REASONS, ExclusionReason
 from disparity_audit.pipeline import plan_concepts
 
-from stubs import run_config
+from stubs import run_config, spy_rank_pool
 
 MAPPING_22K = ClassMapping.from_dict({
     "name": "imagenet22k",
@@ -118,16 +117,28 @@ def plan_of(images, assignments, predictions, groups=("A",), mapping=None):
 
 
 def pools_of(images, assignments, predictions, mapping=None):
-    """Each evaluated concept's group pools, as the plan builds them."""
+    """Each evaluated concept's ranked group pools, as the plan holds them."""
     plan = plan_of(images, assignments, predictions, mapping=mapping)
     return {c: sizing.pools for c, sizing in plan.sized.items()}
 
 
-def pool_ids(assignments, pool):
+def ranked_rows_of(monkeypatch, images, assignments, predictions, mapping=None):
+    """The ``(scores, labels, image_rows)`` the plan ranks for each evaluated
+    concept and group, as ``pipeline.rank_pool`` is given them."""
+    calls = spy_rank_pool(monkeypatch)
+    plan = plan_of(images, assignments, predictions, mapping=mapping)
+    keys = [(c, g) for c, sizing in plan.sized.items() for g in sizing.pools]
+    out = {c: {} for c in plan.sized}
+    for (c, g), rows in zip(keys, calls, strict=True):
+        out[c][g] = rows
+    return out
+
+
+def pool_ids(assignments, image_rows):
     """The image id of each pool row: the target matrix holds the
     group-assigned images in image-id order."""
     ids = sorted(i for i, outcome in assignments.items() if outcome not in EXCLUSION_REASONS)
-    return [ids[r] for r in pool.image_rows]
+    return [ids[r] for r in image_rows]
 
 
 def _fixture_dataset():
@@ -151,20 +162,24 @@ def _fixture_dataset():
 
 
 class TestConceptTables:
-    def test_partition_two_pos_three_neg(self):
+    def test_partition_two_pos_three_neg(self, monkeypatch):
         images, assignments, predictions = _fixture_dataset()
+        scores, labels, image_rows = ranked_rows_of(
+            monkeypatch, images, assignments, predictions
+        )["c"]["A"]
+        assert pool_ids(assignments, image_rows) == ["a1", "a2", "a3", "a4", "a5"]
+        assert labels.tolist() == [True, True, False, False, False]
+        assert scores.tolist() == [0.1 * k for k in range(5)]
         pool = pools_of(images, assignments, predictions)["c"]["A"]
         assert pool.n_pos == 2 and pool.n_neg == 3
-        assert pool_ids(assignments, pool) == ["a1", "a2", "a3", "a4", "a5"]
-        assert list(pool.labels) == [1, 1, 0, 0, 0]
 
-    def test_excluded_image_in_no_table(self):
+    def test_excluded_image_in_no_table(self, monkeypatch):
         images, assignments, predictions = _fixture_dataset()
-        concept_pools = pools_of(images, assignments, predictions)
+        concept_pools = ranked_rows_of(monkeypatch, images, assignments, predictions)
         assert set(concept_pools) == {"c", "other"}
         for pools in concept_pools.values():
-            for pool in pools.values():
-                assert "x1" not in pool_ids(assignments, pool)
+            for _, _, image_rows in pools.values():
+                assert "x1" not in pool_ids(assignments, image_rows)
 
     def test_missing_score_omitted(self, caplog):
         images, assignments, predictions = _fixture_dataset()
@@ -218,15 +233,15 @@ class TestConceptTables:
         assert [matrix.concepts[j] for j in targets.columns] == list(targets.concepts)
         assert "unscored_concept" not in targets.concepts
 
-    def test_positives_negatives_partition_group(self):
+    def test_positives_negatives_partition_group(self, monkeypatch):
         images, assignments, predictions = _fixture_dataset()
         assigned = {"a1", "a2", "a3", "a4", "a5"}
-        for pools in pools_of(images, assignments, predictions).values():
-            ids = pool_ids(assignments, pools["A"])
+        for pools in ranked_rows_of(monkeypatch, images, assignments, predictions).values():
+            ids = pool_ids(assignments, pools["A"][2])
             assert set(ids) == assigned
             assert len(ids) == len(assigned)
 
-    def test_mapping_changes_targets_not_scores(self):
+    def test_mapping_changes_targets_not_scores(self, monkeypatch):
         images = [
             AnnotatedImage(image_id="i1", direct_labels=frozenset({"phones"})),
             AnnotatedImage(image_id="i2", direct_labels=frozenset({"parking lots"})),
@@ -236,11 +251,13 @@ class TestConceptTables:
             PredictionRecord(image_id="i1", scores={"cellphone": 0.9, "parking meter": 0.2}),
             PredictionRecord(image_id="i2", scores={"cellphone": 0.1, "parking meter": 0.8}),
         ]
-        pools = pools_of(images, assignments, predictions, mapping=MAPPING_1K)
-        cell = pools["cellphone"]["A"]
-        assert pool_ids(assignments, cell) == ["i1", "i2"] and cell.n_pos == 1
-        meter = pools["parking meter"]["A"]
-        assert pool_ids(assignments, meter) == ["i2", "i1"] and meter.n_pos == 1
+        pools = ranked_rows_of(monkeypatch, images, assignments, predictions, MAPPING_1K)
+        _, labels, image_rows = pools["cellphone"]["A"]
+        assert pool_ids(assignments, image_rows) == ["i1", "i2"]
+        assert labels.tolist() == [True, False]
+        _, labels, image_rows = pools["parking meter"]["A"]
+        assert pool_ids(assignments, image_rows) == ["i2", "i1"]
+        assert labels.tolist() == [True, False]
 
     def test_box_labels_count_as_dataset_labels(self):
         from disparity_audit import BoxAnnotation
@@ -325,11 +342,6 @@ class TestConceptTables:
     def test_pools_are_readonly(self):
         images, assignments, predictions = _fixture_dataset()
         pool = pools_of(images, assignments, predictions)["c"]["A"]
-        with pytest.raises(ValueError):
-            pool.scores[0] = 42.0
-
-    def test_restrict_subsets_rows(self):
-        images, assignments, predictions = _fixture_dataset()
-        pool = pools_of(images, assignments, predictions)["c"]["A"]
-        sub = pool.take(np.array([0, 3, 4]))
-        assert sub.n_pos == 1 and sub.n_neg == 2
+        for array in (pool.rank_of_row, pool.label_at_rank, pool.tie_at_rank):
+            with pytest.raises(ValueError):
+                array[0] = 1

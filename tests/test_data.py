@@ -391,6 +391,10 @@ class TestLoadPredictions:
         ('{"cat": 0.1, "dog": -Infinity}', "non-finite score -inf for 'dog'"),
         ('{"cat": 0.1, "dog": 1' + "0" * 400 + "}", "score for 'dog' is too large"),
         ('{"cat": 0.1, "": 0.5}', "empty concept key"),
+        ('{"cat": 0.1, "  ": 0.5}', "concept key '  ' in scores is empty after canonicalization"),
+        # two keys of one concept, in one record or with an earlier column
+        ('{"Bird": 0.1, "bird ": 0.5}', "score keys 'Bird' and 'bird ' are one concept, 'bird'"),
+        ('{"cat": 0.1, "Dog": 0.5}', "score keys 'dog' and 'Dog' are one concept, 'dog'"),
     ])
     def test_bad_score_names_file_line_and_concept(
         self, tmp_path, annotations_path, scores, message
@@ -404,6 +408,21 @@ class TestLoadPredictions:
         )
         with pytest.raises(DataError, match=re.escape(f"{path}:3: {message}")):
             load_predictions(path, images)
+
+    def test_score_keys_load_as_their_concepts(self, tmp_path, annotations_path):
+        images = load_annotations(annotations_path)
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [
+            {"image_id": "img1", "scores": {" Cat": 0.5, "DOG": 1}},
+            {"image_id": "img2", "scores": {"DOG": 0.25}},
+        ])
+        loaded = load_predictions(path, images)
+        assert loaded.concepts == ("cat", "dog")
+        assert loaded.scores[0].tolist() == [0.5, 1.0]
+        assert np.isnan(loaded.scores[1, 0]) and loaded.scores[1, 1] == 0.25
+        assert matrix({"i1": {"DOG": 0.5, " cat": 0.1}}).concepts == ("cat", "dog")
+        with pytest.raises(DataError, match="image 'i1': score keys 'Dog' and 'dog' are one"):
+            matrix({"i1": {"Dog": 0.5, "dog": 0.1}})
 
     def test_duplicate_names_file_line(self, tmp_path, annotations_path):
         images = load_annotations(annotations_path)
@@ -468,7 +487,8 @@ bad_scores = st.sampled_from([10**400, -(10**400), True, False, "0.5", None,
 score_records = st.lists(st.tuples(
     st.sampled_from([f"i{k}" for k in range(12)]),
     # key order varies with the drawn order; dict() keeps each key's first place
-    st.lists(st.tuples(st.sampled_from(["a", "b", "c", "é"] * 3 + [""]),
+    # "A" and " b " are the concepts of "a" and "b", and " " is blank
+    st.lists(st.tuples(st.sampled_from(["a", "b", "c", "é"] * 3 + ["", "A", " b ", " "]),
                        st.one_of(good_scores, good_scores, good_scores, bad_scores)),
              max_size=4).map(dict),
 ), max_size=10)
@@ -541,6 +561,19 @@ class TestValidateDataset:
         )
         assert report["score_coverage_gaps"] == 1
         assert report["zero_positive_concepts"] == 1  # dog
+
+    def test_labels_and_score_keys_compare_as_concepts(self):
+        """A label ``Dog`` and a box `` Cat`` are the concepts of the score
+        keys ``DOG`` and ``cat``; only ``owl`` has no positive."""
+        images = [
+            AnnotatedImage(image_id="i1", direct_labels=frozenset({"Dog"})),
+            AnnotatedImage(
+                image_id="i2", width=10, height=10, boxes=(BoxAnnotation(" Cat", 0, 0, 5, 5),)
+            ),
+        ]
+        scores = {"DOG": 0.9, "cat": 0.1, "owl": 0.2}
+        report = validate_dataset(images, matrix({"i1": scores, "i2": scores}))
+        assert report["zero_positive_concepts"] == 1
 
     def test_image_without_prediction_missing_everywhere(self):
         images = [

@@ -295,6 +295,15 @@ class TestSplit:
         with pytest.raises(DataError):
             split_validation_test([1, 0], 1.0, seed=0)
 
+    @pytest.mark.parametrize("labels", [[1] * 10 + [0] * 30, [1] + [0] * 9])
+    def test_both_parts_ascend(self, labels):
+        """The plan keeps a pool's split rows in this order, so its
+        positives stay first; the second labels fall back to an unstratified
+        split."""
+        for seed in range(5):
+            for part in split_validation_test(labels, 0.2, seed=seed):
+                assert np.all(np.diff(part) > 0)
+
 
 def top_k_oracle(scores, k):
     """The per-dict rule the matrix top-k replaced: sort every score, ties by

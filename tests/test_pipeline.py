@@ -9,7 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from disparity_audit import DataError, select_threshold, split_validation_test
-from disparity_audit.concepts import GroupPool, map_targets
+from disparity_audit.concepts import map_targets
 from disparity_audit.config import THRESHOLD_METRICS
 from disparity_audit.data import (
     EXCLUSION_REASONS,
@@ -35,7 +35,7 @@ from disparity_audit.pipeline import (
 from disparity_audit.sampling import derive_seed
 from disparity_audit.synth import CellSpec, ScenarioSpec, generate
 
-from stubs import run_config
+from stubs import run_config, spy_rank_pool
 
 
 def two_group_plan(cfg, seed=0, n=300, prev_a=0.3, prev_b=0.3):
@@ -535,6 +535,61 @@ class TestPlanConcepts:
             "required per ratio unit"
         }
 
+    @pytest.mark.parametrize("metrics", [("ap", "tpr"), ("ap",)], ids=["threshold", "budget"])
+    def test_a_skipped_concept_ranks_no_pool(self, tmp_path, monkeypatch, metrics):
+        """``lone`` is skipped for its threshold, or, with ranking metrics
+        only, for its budget, before any of its pools is ranked: the plan
+        ranks ``many``'s two pools and no other."""
+        ranked = spy_rank_pool(monkeypatch)
+        plan = self.woman_first_plan(cfg_for(tmp_path, metrics=metrics))
+        assert list(plan.sized) == ["many"] and list(plan.skipped) == ["lone"]
+        pools = plan.sized["many"].pools
+        assert [labels.size for _, labels, _ in ranked] == [
+            pools[g].rank_of_row.size for g in ("woman", "man")
+        ]
+        assert all(labels.size > 1 for _, labels, _ in ranked)  # lone's pools hold one row
+
+
+def test_mixed_case_model_key_is_its_labels_concept(tmp_path):
+    """Images labelled ``Dog`` and a model class keyed ``Dog`` meet as the
+    concept ``dog``: ``map_targets`` finds it scored, the run evaluates it,
+    and hit rate counts its column as a target, so every image's top score,
+    its own label's, is a hit."""
+    from disparity_audit.config import load_config
+
+    images, predictions = [], []
+    for g in ("A", "B"):
+        for k in range(6):
+            label = "Dog" if k % 2 else "cat"
+            images.append({"image_id": f"{g}{k}", "labels": [label], "metadata": {"group": g}})
+            own, other = 0.6 + 0.05 * k, 0.1 + 0.05 * k
+            scores = {"Dog": own, "cat": other} if label == "Dog" else {"Dog": other, "cat": own}
+            predictions.append({"image_id": f"{g}{k}", "scores": scores})
+    for name, records in (("annotations", images), ("predictions", predictions)):
+        (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    (tmp_path / "region.json").write_text(json.dumps({"country_to_group": {"A": "A", "B": "B"}}))
+    (tmp_path / "run.json").write_text(json.dumps({
+        "annotations": "annotations.jsonl", "predictions": "predictions.jsonl",
+        "group_method": "metadata", "metadata_key": "group", "region": "region.json",
+        "metrics": ["ap", "hit_rate"],
+        "k": 1, "sampling": {"mode": "baseline", "bootstraps": 5, "min_per_group": 1},
+        "output_dir": "out",
+    }))
+    cfg = load_config(tmp_path / "run.json")
+    loaded, matrix, _ = load_dataset(cfg)
+    assert matrix.concepts == ("cat", "dog")
+    targets = map_targets(loaded, assign_groups(loaded, cfg.group_rule), matrix)
+    assert (targets.concepts, targets.unscored) == (("cat", "dog"), ())
+    estimates, _, manifest = run_pipeline(cfg)
+    assert manifest["stages"]["concepts"]["retained_after_rare_filter"] == 2
+    assert {(e.metric, e.concept) for e in estimates} == {
+        ("ap", "cat"), ("ap", "dog"), ("ap", "aggregate"), ("hit_rate", "aggregate")
+    }
+    [hit_rate] = [e for e in estimates if e.metric == "hit_rate"]
+    assert hit_rate.full_sample == 0.0 and hit_rate.sample_sizes == {"A": (6, 0), "B": (6, 0)}
+    plan = plan_concepts(loaded, assign_groups(loaded, cfg.group_rule), matrix, cfg)
+    assert all(hits.tolist() == [1.0] * 6 for hits in plan.hits.values())
+
 
 def test_hit_rate_warnings_name_their_group(tmp_path, caplog):
     # only group B has an image without labels, so without targets; both
@@ -638,10 +693,11 @@ class TestRareLabelRule:
 
 
 class TestPlanPools:
-    """The plan is the one place that builds pools: for every sized concept
-    and group, its validation and draw pools split exactly the group's
-    scored, assigned rows, positives first and each class in image-id order,
-    and the thresholds are selected on the validation pools."""
+    """The plan is the one place that builds and ranks pools: for every
+    sized concept and group, its validation rows and the rows it ranks for
+    the draws split exactly the group's scored, assigned rows, positives
+    first and each class in image-id order, and the thresholds are selected
+    on the validation rows. A skipped concept ranks nothing."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -680,53 +736,64 @@ class TestPlanPools:
             groups=groups, metrics=metrics, threshold_scope=scope, sampling_mode=mode,
             ratio=(1, 2), validation_fraction=fraction, min_per_group=1, seed=seed,
         )
-        plan = plan_concepts(images, assignments, ScoreMatrix.from_records(records), cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            ranked = spy_rank_pool(mp)
+            plan = plan_concepts(images, assignments, ScoreMatrix.from_records(records), cfg)
         event(f"sized {len(plan.sized)} of {len(plan.sized) + len(plan.skipped)} retained")
 
         # image rows index the assigned images in id order
         group_of = {i: g for i, g in assignments.items() if g not in EXCLUSION_REASONS}
         ids = sorted(group_of)
-        labels = {img.image_id: img.direct_labels for img in images}
+        label_sets = {img.image_id: img.direct_labels for img in images}
         score = {r.image_id: r.scores for r in records}
         split = any(m in THRESHOLD_METRICS for m in metrics)
+        calls = iter(ranked)
         for c, sizing in plan.sized.items():
             validation = {}
             for g in groups:
-                parts = [sizing.pools[g]]
+                # the (scores, labels, image rows) the plan ranks, in order
+                parts = [next(calls)]
+                pool = sizing.pools[g]
+                assert (pool.n_pos, pool.n_neg) == (
+                    np.count_nonzero(parts[0][1]), np.count_nonzero(~parts[0][1])
+                )
                 if split:
                     # the group's full pool, rebuilt from the records, split
                     # under the plan's seed
                     rows = [r for r, i in enumerate(ids) if group_of[i] == g and c in score[i]]
-                    rows.sort(key=lambda r: c not in labels[ids[r]])  # stable: positives first
-                    full = GroupPool(
-                        scores=np.array([score[ids[r]][c] for r in rows]),
-                        image_rows=np.array(rows, dtype=np.int64),
-                        n_pos=sum(c in labels[ids[r]] for r in rows),
-                    )
+                    rows.sort(key=lambda r: c not in label_sets[ids[r]])  # stable: positives first
+                    rows = np.array(rows, dtype=np.int64)
+                    full_scores = np.array([score[ids[r]][c] for r in rows])
+                    full_labels = np.array([c in label_sets[ids[r]] for r in rows], dtype=bool)
                     val, _ = split_validation_test(
-                        full.labels, fraction, derive_seed(seed, "split", c, g)
+                        full_labels, fraction, derive_seed(seed, "split", c, g)
                     )
-                    validation[g] = full.take(val)
+                    validation[g] = (full_scores[val], full_labels[val], rows[val])
                     parts.insert(0, validation[g])
-                rows = [set(pool.image_rows.tolist()) for pool in parts]
-                assert sum(map(len, rows)) == sum(pool.image_rows.size for pool in parts)
+                rows = [set(image_rows.tolist()) for _, _, image_rows in parts]
+                assert sum(map(len, rows)) == sum(image_rows.size for _, _, image_rows in parts)
                 assert len(set.union(*rows)) == sum(map(len, rows))  # disjoint
                 assert set.union(*rows) == {
                     r for r, i in enumerate(ids) if group_of[i] == g and c in score[i]
                 }
-                for pool in parts:
-                    pool_ids = [ids[r] for r in pool.image_rows]
-                    positive = [c in labels[i] for i in pool_ids]
-                    assert positive == [True] * pool.n_pos + [False] * pool.n_neg
-                    assert pool.scores.tolist() == [score[i][c] for i in pool_ids]
-                    for class_rows in np.split(pool.image_rows, [pool.n_pos]):
+                for scores, labels, image_rows in parts:
+                    pool_ids = [ids[r] for r in image_rows]
+                    positive = [c in label_sets[i] for i in pool_ids]
+                    assert labels.tolist() == positive
+                    assert positive == sorted(positive, reverse=True)  # positives first
+                    assert scores.tolist() == [score[i][c] for i in pool_ids]
+                    for class_rows in np.split(image_rows, [sum(positive)]):
                         assert np.all(np.diff(class_rows) > 0)
+                scores = parts[-1][0]
+                cut = np.count_nonzero(scores >= sizing.thresholds[g]) if split else None
+                assert pool.cut == cut
             expected = {}
             scopes = [groups] if scope == "pooled" else [[g] for g in groups]
             for part in scopes if split else []:
                 threshold, _ = select_threshold(
-                    np.concatenate([validation[g].scores for g in part]),
-                    np.concatenate([validation[g].labels for g in part]),
+                    np.concatenate([validation[g][0] for g in part]),
+                    np.concatenate([validation[g][1] for g in part]),
                 )
                 expected.update(dict.fromkeys(part, threshold))
             assert sizing.thresholds == expected
+        assert next(calls, None) is None  # a skipped concept ranks no pool

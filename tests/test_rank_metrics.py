@@ -22,7 +22,6 @@ from disparity_audit import (
     select_threshold,
     split_validation_test,
 )
-from disparity_audit.concepts import GroupPool
 from disparity_audit.config import THRESHOLD_METRICS
 from disparity_audit.metrics import rank_pool, ranked_metrics
 from disparity_audit.pipeline import evaluate_concept, plan_concepts, size_concept
@@ -79,8 +78,9 @@ def check_draws(scores, labels, ids, draws, threshold, tiebreak=None):
 
 
 def make_pool(n_pos, n_neg, rng, distinct=None):
-    """A pool sorted by id, as ``plan_concepts`` makes it; with
-    ``distinct`` set, scores take only that many values (heavy ties)."""
+    """A group's ``(scores, image_rows, n_pos)``, positives first and each
+    class sorted by id, as ``plan_concepts`` gives it to ``size_concept``;
+    with ``distinct`` set, scores take only that many values (heavy ties)."""
     def scores(n):
         if distinct is None:
             return rng.random(n)
@@ -91,18 +91,21 @@ def make_pool(n_pos, n_neg, rng, distinct=None):
         return np.array(sorted(f"{prefix}{k:05d}" for k in rng.permutation(n)), dtype=object)
 
     parts = [(scores(n), ids(prefix, n)) for prefix, n in (("x", n_pos), ("m", n_neg))]
-    return GroupPool(
-        scores=np.concatenate([s for s, _ in parts]),
+    return (
+        np.concatenate([s for s, _ in parts]),
         # each id's rank among the pool's ids: image rows in id order
-        image_rows=np.argsort(np.argsort(np.concatenate([i for _, i in parts]))),
-        n_pos=n_pos,
+        np.argsort(np.argsort(np.concatenate([i for _, i in parts]))),
+        n_pos,
     )
 
 
-def ids_of(pool):
-    """Image ids that sort as the pool's image rows: the scalar kernels'
+def rows_of(pool):
+    """A pool's ``(scores, labels, ids)``: 1 for each of its positives,
+    then 0, and image ids that sort as its image rows, the scalar kernels'
     tie-break, where the pipeline ranks by the rows themselves."""
-    return np.array([f"i{r:06d}" for r in pool.image_rows], dtype=object)
+    scores, image_rows, n_pos = pool
+    labels = (np.arange(scores.size) < n_pos).astype(np.int8)
+    return scores, labels, np.array([f"i{r:06d}" for r in image_rows], dtype=object)
 
 
 class TestRankedMetricsEquivalence:
@@ -112,26 +115,26 @@ class TestRankedMetricsEquivalence:
         rng = np.random.default_rng(n_pos + n_neg + (distinct or 0))
         pool = make_pool(n_pos, n_neg, rng, distinct)
         budget = compute_budget("c", {"A": (n_pos, n_neg)}, (1, 5))
-        scores, labels, ids = pool.scores, pool.labels, ids_of(pool)
+        scores, labels, ids = rows_of(pool)
         draws = [
-            draw_group(pool, budget, derive_rng(3, "draw", "c", "A", b))
+            draw_group((n_pos, n_neg), budget, derive_rng(3, "draw", "c", "A", b))
             for b in range(9 if n_neg > 1000 else 25)
         ]
         threshold = float(np.median(scores))
-        check_draws(scores, labels, ids, draws, threshold, pool.image_rows)
+        check_draws(scores, labels, ids, draws, threshold, pool[1])
 
     @pytest.mark.parametrize("distinct", [None, 2, 25])
     @pytest.mark.parametrize("n_pos,n_neg", [(1, 5), (2, 40), (40, 900), (400, 9000)])
     def test_baseline_draws(self, n_pos, n_neg, distinct):
         rng = np.random.default_rng(7 * n_pos + n_neg + (distinct or 0))
         pool = make_pool(n_pos, n_neg, rng, distinct)
-        scores, labels, ids = pool.scores, pool.labels, ids_of(pool)
+        scores, labels, ids = rows_of(pool)
         draws = [
-            draw_baseline_group(pool, derive_rng(11, "baseline", "c", "A", b))
+            draw_baseline_group(n_pos + n_neg, derive_rng(11, "baseline", "c", "A", b))
             for b in range(6 if n_neg > 1000 else 40)
         ]
         threshold = float(np.quantile(scores, 0.8))
-        undefined = check_draws(scores, labels, ids, draws, threshold, pool.image_rows)
+        undefined = check_draws(scores, labels, ids, draws, threshold, pool[1])
         if n_pos == 1:
             # a single positive is missed by about a third of the draws
             assert undefined > 0
@@ -159,10 +162,8 @@ class TestRankedMetricsEquivalence:
     def test_full_sample_is_identity_draw(self):
         rng = np.random.default_rng(5)
         pool = make_pool(60, 240, rng, distinct=10)
-        scores, labels, ids = pool.scores, pool.labels, ids_of(pool)
-        check_draws(
-            scores, labels, ids, [np.arange(scores.size)], threshold=0.5, tiebreak=pool.image_rows
-        )
+        scores, labels, ids = rows_of(pool)
+        check_draws(scores, labels, ids, [np.arange(scores.size)], threshold=0.5, tiebreak=pool[1])
 
     @pytest.mark.parametrize("scores,labels,mixed", [
         ([0.9, 0.7, 0.5, 0.3, 0.1], [1, 0, 1, 0, 0], False),
@@ -222,15 +223,15 @@ def reference_evaluation(concept, pools, metric, mode, scope, bootstraps, seed, 
     and restrict first; then score every draw and the full sample."""
     groups = sorted(pools)
     thresholds = {}
-    eval_pools = pools
+    eval_rows = {g: rows_of(pool) for g, pool in pools.items()}
     if metric in THRESHOLD_METRICS:
-        val, eval_pools = {}, {}
+        val = {}
         for g in groups:
-            pool = pools[g]
+            scores, labels, ids = eval_rows[g]
             split_seed = derive_seed(seed, "split", concept, g)
-            v, test = split_validation_test(pool.labels, fraction, split_seed)
-            val[g] = (pool.scores[v], pool.labels[v])
-            eval_pools[g] = pool.take(test)
+            v, test = split_validation_test(labels, fraction, split_seed)
+            val[g] = (scores[v], labels[v])
+            eval_rows[g] = (scores[test], labels[test], ids[test])
         if scope == "pooled":
             t, _ = select_threshold(
                 np.concatenate([val[g][0] for g in groups]),
@@ -239,24 +240,26 @@ def reference_evaluation(concept, pools, metric, mode, scope, bootstraps, seed, 
             thresholds = {g: t for g in groups}
         else:
             thresholds = {g: select_threshold(*val[g])[0] for g in groups}
-    sizes = {g: (eval_pools[g].n_pos, eval_pools[g].n_neg) for g in groups}
+    # the split rows ascend, so each group's positives still come first
+    sizes = {
+        g: (np.count_nonzero(y), np.count_nonzero(y == 0)) for g, (_, y, _) in eval_rows.items()
+    }
     budget = compute_budget(concept, sizes, (1, 4)) if mode == "reliable" else None
 
-    def value(pool, rows, g):
-        return scalar_metrics(
-            pool.scores[rows], pool.labels[rows], ids_of(pool)[rows], thresholds.get(g)
-        )[metric]
+    def value(g, rows):
+        scores, labels, ids = eval_rows[g]
+        return scalar_metrics(scores[rows], labels[rows], ids[rows], thresholds.get(g))[metric]
 
     values = {g: [] for g in groups}
     for b in range(bootstraps):
         for g in groups:
-            pool = eval_pools[g]
             if budget is not None:
-                rows = draw_group(pool, budget, derive_rng(seed, "draw", concept, g, b))
+                rows = draw_group(sizes[g], budget, derive_rng(seed, "draw", concept, g, b))
             else:
-                rows = draw_baseline_group(pool, derive_rng(seed, "baseline", concept, g, b))
-            values[g].append(value(pool, rows, g))
-    full = {g: value(p, np.arange(p.labels.size), g) for g, p in eval_pools.items()}
+                rng = derive_rng(seed, "baseline", concept, g, b)
+                rows = draw_baseline_group(sum(sizes[g]), rng)
+            values[g].append(value(g, rows))
+    full = {g: value(g, np.arange(sum(sizes[g]))) for g in groups}
     return thresholds, values, full
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disparity_audit import DataError, InvariantError, compute_budget
-from disparity_audit.concepts import GroupPool
+from disparity_audit.metrics import rank_pool
 from disparity_audit.pipeline import ConceptSizing, evaluate_concept
 from disparity_audit import sampling
 from disparity_audit.sampling import _BLOCK_ELEMENTS, derive_rng, derive_seed, draw_rows
@@ -15,13 +15,14 @@ from oracles import derive_rngs, draw_baseline_group, draw_group, reference_rows
 
 
 def make_pool(n_pos, n_neg, seed=0):
-    """Positives and negatives interleave in image order: the k-th positive
-    is image row 2k + 1, the k-th negative image row 2k."""
+    """A ranked pool of ``n_pos`` positives, then ``n_neg`` negatives, which
+    interleave in image order: the k-th positive is image row 2k + 1, the
+    k-th negative image row 2k."""
     rng = np.random.default_rng(seed)
-    return GroupPool(
-        scores=np.concatenate([rng.random(n_pos), rng.random(n_neg)]),
-        image_rows=np.concatenate([2 * np.arange(n_pos) + 1, 2 * np.arange(n_neg)]),
-        n_pos=n_pos,
+    return rank_pool(
+        np.concatenate([rng.random(n_pos), rng.random(n_neg)]),
+        np.arange(n_pos + n_neg) < n_pos,
+        np.concatenate([2 * np.arange(n_pos) + 1, 2 * np.arange(n_neg)]),
     )
 
 
@@ -40,31 +41,9 @@ def draw_all(pools, budget, seed, b):
     out = {}
     for g in sorted(pools):
         pool = pools[g]
-        rows = draw_group(pool, budget, derive_rng(seed, "draw", "c", g, b))
+        rows = draw_group((pool.n_pos, pool.n_neg), budget, derive_rng(seed, "draw", "c", g, b))
         out[g] = (rows[rows < pool.n_pos], rows[rows >= pool.n_pos] - pool.n_pos)
     return out
-
-
-class TestGroupPool:
-    def test_labels_are_positives_first(self):
-        labels = make_pool(2, 3).labels
-        assert labels.dtype == np.int8 and labels.tolist() == [1, 1, 0, 0, 0]
-
-    def test_take_keeps_class_order(self):
-        sub = make_pool(4, 6).take(np.array([1, 3, 4, 9]))
-        assert (sub.n_pos, sub.n_neg) == (2, 2)
-        assert sub.image_rows.tolist() == [3, 7, 0, 10]
-        assert sub.labels.tolist() == [1, 1, 0, 0]
-
-    @pytest.mark.parametrize("rows", [[4, 1], [1, 1], [0, 5, 2]])
-    def test_take_rejects_rows_not_strictly_ascending(self, rows):
-        # labels follow from n_pos, so such a take would mislabel rows
-        with pytest.raises(InvariantError, match="strictly ascending"):
-            make_pool(4, 6).take(np.array(rows))
-
-    def test_take_of_no_rows_is_empty(self):
-        sub = make_pool(4, 6).take(np.array([], dtype=np.intp))
-        assert (sub.n_pos, sub.n_neg, sub.image_rows.size) == (0, 0, 0)
 
 
 class TestComputeBudget:
@@ -164,18 +143,17 @@ class TestDraws:
 
 class TestBaseline:
     def test_bootstrap_draw_size_is_pool_size(self):
-        pool = make_pools(A=(7, 13))["A"]
         for b in range(20):
-            rows = draw_baseline_group(pool, derive_rng(5, "baseline", "c", "A", b))
+            rows = draw_baseline_group(20, derive_rng(5, "baseline", "c", "A", b))
             assert rows.size == 20
 
     def test_prevalence_matches_binomial_expectation(self):
-        pool = make_pools(A=(7, 13))["A"]
+        # 7 positives, the first rows, among 20
         n_draws = 4000
         frac = np.empty(n_draws)
         for b in range(n_draws):
-            rows = draw_baseline_group(pool, derive_rng(6, "baseline", "c", "A", b))
-            frac[b] = np.count_nonzero(rows < pool.n_pos) / 20
+            rows = draw_baseline_group(20, derive_rng(6, "baseline", "c", "A", b))
+            frac[b] = np.count_nonzero(rows < 7) / 20
         se = np.sqrt(0.35 * 0.65 / (20 * n_draws))
         assert abs(frac.mean() - 0.35) < 4 * se
 
