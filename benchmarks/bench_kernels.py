@@ -59,7 +59,10 @@ batched kernel's first three draws must equal the reference kernels', which
   labelled with 3 of those, so the score matrix has 21,000 columns (84 MB
   dense), the scale of the paper's case-study vocabularies; times
   ``map_targets``, which picks the 1,482 candidates' columns out of the
-  score matrix's concepts.
+  score matrix's concepts; and 2,000 images scored the same way, each
+  with 3 targets among its 50 scores, for ``hit_vector`` (k 5) on the
+  2,000 x 21,000 matrix (336 MB), whose first rows' hits must equal one
+  stable sort per row (``oracles.hit_vector``).
 * corpus: the 30-image group corpus of ``tests/corpus.py`` 1,000 times
   over (30,000 images, 20,000 with boxes and 10,000 with captions); times
   ``assign_groups`` under the ``v3`` rule of the ``boxes`` and of the
@@ -100,6 +103,7 @@ from oracles import (  # noqa: E402
     auc_roc,
     average_precision,
     confusion_at_threshold,
+    hit_vector as sorted_hit_vector,
     per_concept_disparity,
     rates_from_confusion,
     reference_rows,
@@ -496,6 +500,25 @@ def test_map_targets_vocabulary(benchmark):
     targets = benchmark(map_targets, images, assignments, predictions)
     assert len(targets.concepts) == 1482 and targets.unscored == ()
     assert [predictions.concepts[j] for j in targets.columns] == list(targets.concepts)
+
+
+def test_hit_vector_sparse_vocabulary(benchmark):
+    benchmark.group = "ingest-vocabulary"
+    rng = np.random.default_rng(0)
+    n_images, n_classes = 2000, 21000
+    scored = np.stack([rng.choice(n_classes, 50, replace=False) for _ in range(n_images)])
+    rows = np.arange(n_images)[:, None]
+    scores = np.full((n_images, n_classes), np.nan)
+    # half the scores on a grid of 1/8, so top-k ties are common
+    values = rng.random(scored.shape)
+    scores[rows, scored] = np.where(values < 0.5, np.round(values * 8) / 8, values)
+    targets = np.zeros(scores.shape, dtype=bool)
+    targets[rows, scored[:, :3]] = True
+    has_targets = np.ones(n_images, dtype=bool)
+    hits = benchmark(hit_vector, scores, targets, has_targets, 5, group="alpha")
+    assert hits.shape == (n_images,) and 0 < hits.sum() < n_images
+    want = sorted_hit_vector(scores[:50], targets[:50], has_targets[:50], 5)
+    assert hits[:50].tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ to control log verbosity.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -289,5 +290,18 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
 
+def entry() -> int:
+    """``main()`` for a process of its own: ``python -m disparity_audit`` and
+    the ``disparity-audit`` script.
+
+    The objects made by importing numpy, the stdlib and this package live
+    until the process exits; freezing them first keeps every full collection,
+    during the run and at exit, from walking them again. ``main()`` called
+    as a library does not freeze its caller's heap.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

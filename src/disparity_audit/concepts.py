@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -27,6 +29,11 @@ from .errors import DataError
 log = logging.getLogger("disparity_audit.concepts")
 
 ConceptId = str
+
+# Canonical forms cached by raw label: a process canonicalizes each distinct
+# label once, however many label sets hold it. A label that raises is not
+# cached, so it raises again where it is next met.
+_canonical = lru_cache(maxsize=1 << 16)(canonicalize_label)
 
 
 def canonicalize_labels(values: object, where: str) -> list[ConceptId]:
@@ -112,7 +119,7 @@ def map_to_model_classes(
     """
     out: set[str] = set()
     for label in labels:
-        canon = canonicalize_label(label)
+        canon = _canonical(label)
         classes = mapping.table.get(canon)
         if classes is None:
             if strict:
@@ -134,11 +141,11 @@ def image_target_set(
     canonicalized; with no mapping the canonical labels are the targets
     (zero-shot identity mapping).
     """
-    raw = set(image.direct_labels)
-    raw.update(b.raw_label for b in image.boxes)
-    canon = {canonicalize_label(x) for x in raw}
+    canon = frozenset(map(_canonical, image.direct_labels))
+    if image.boxes:
+        canon = canon.union(map(_canonical, (b.raw_label for b in image.boxes)))
     if mapping is None:
-        return frozenset(canon)
+        return canon
     return map_to_model_classes(canon, mapping, strict=strict)
 
 
@@ -198,11 +205,16 @@ def map_targets(
     columns = [j for j, c in enumerate(predictions.concepts) if c in universe]
     concepts = [predictions.concepts[j] for j in columns]
     column = {c: j for j, c in enumerate(concepts)}
-    cells = [(k, column[c]) for k, ts in enumerate(target_sets) for c in ts if c in column]
+    sizes = np.fromiter(map(len, target_sets), dtype=np.intp, count=len(target_sets))
+    # each target's column, and len(concepts) for a target no prediction scores
+    cells = np.fromiter(
+        map(column.get, chain.from_iterable(target_sets), repeat(len(concepts))),
+        dtype=np.intp, count=int(sizes.sum()),
+    )
+    scored = cells < len(concepts)
     key_targets = np.zeros((len(target_sets), len(concepts)), dtype=bool)
-    if cells:
-        key_targets[tuple(np.array(cells, dtype=np.intp).T)] = True
-    key_has_targets = np.array([bool(ts) for ts in target_sets], dtype=bool)
+    key_targets[np.repeat(np.arange(len(target_sets)), sizes)[scored], cells[scored]] = True
+    key_has_targets = sizes > 0
     if len(target_sets) < len(keys):  # else each image has its own key, in image order
         image_key = np.fromiter(map(key_of.__getitem__, keys), dtype=np.intp, count=len(keys))
         key_targets, key_has_targets = key_targets[image_key], key_has_targets[image_key]

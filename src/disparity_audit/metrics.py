@@ -286,10 +286,15 @@ def hit_vector(
     cell is never among the top k. Images with an empty target set or no
     scores are excluded with a warning that names their ``group``. Returns
     the 0/1 hit values of the kept images, in row order.
+
+    Each row's top k is selected, not sorted: one partition finds its k-th
+    highest score, the cells above it are in, and its tied cells fill the
+    remaining slots in column order. A row with fewer than k scores keeps
+    them all.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    n_scored = np.count_nonzero(~np.isnan(scores), axis=1)
+    n_scored = scores.shape[1] - np.count_nonzero(np.isnan(scores), axis=1)
     kept = has_targets & (n_scored > 0)
     for rows, what in (
         (~has_targets, "with empty target sets excluded"),
@@ -298,10 +303,22 @@ def hit_vector(
     ):
         if rows.any():
             log.warning(f"hit rate: %d image(s) of group %s {what}", np.count_nonzero(rows), group)
-    kept_scores = scores[kept]
-    # Stable on -score: ties keep column order, i.e. concept id; NaN sorts last.
-    top = np.argsort(-kept_scores, axis=1, kind="stable")[:, :k]
-    hit = np.take_along_axis(targets[kept], top, axis=1) & ~np.isnan(
-        np.take_along_axis(kept_scores, top, axis=1)
-    )
-    return hit.any(axis=1).astype(float)
+    neg = scores[kept]
+    if neg.shape[0] == 0:
+        return np.empty(0)
+    np.negative(neg, out=neg)  # NaN stays NaN, and partitions last
+    kth = min(k, neg.shape[1]) - 1
+    cut = np.partition(neg, kth, axis=1)[:, kth:kth + 1]
+    # NaN where a row has fewer than k scores, which are then all in
+    cut[np.isnan(cut)] = np.inf
+    top = neg <= cut
+    n_top = np.count_nonzero(top, axis=1)
+    over = np.flatnonzero(n_top > k)
+    if over.size:
+        # ties at the cut overflow these rows' k slots: keep the first
+        # tied cells in column order, dropping the last n_top - k
+        tied = neg[over] == cut[over]
+        keep = np.count_nonzero(tied, axis=1) - (n_top[over] - k)
+        top[over] &= ~tied | (np.cumsum(tied, axis=1) <= keep[:, None])
+    top &= targets[kept]
+    return top.any(axis=1).astype(float)

@@ -504,13 +504,15 @@ def read_results_csv(path: str | Path) -> list[dict]:
 def write_assignments_csv(
     assignments: Mapping[str, str], path: Path, only_excluded: bool = False
 ) -> None:
+    items = assignments.items()
+    if only_excluded:
+        items = [(i, outcome) for i, outcome in items if outcome in EXCLUSION_REASONS]
     with path.open("w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["image_id", "outcome", "group_or_reason"])
-        for image_id, outcome in sorted(assignments.items()):
+        for image_id, outcome in sorted(items):
             excluded = outcome in EXCLUSION_REASONS
-            if excluded or not only_excluded:
-                writer.writerow([image_id, "excluded" if excluded else "assigned", outcome])
+            writer.writerow([image_id, "excluded" if excluded else "assigned", outcome])
 
 
 def _safe_name(text: str) -> str:

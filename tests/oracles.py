@@ -24,7 +24,9 @@ This module holds the independent definitions those kernels must match:
   ``None``;
 * ``build_score_matrix``, which checks and loads one score record at a
   time, and whose matrix or first error ``data.load_predictions`` must
-  equal for any file of those records.
+  equal for any file of those records;
+* ``hit_vector``, top-k hit rate by one stable sort of every row, whose
+  hit values ``metrics.hit_vector`` must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -497,3 +499,18 @@ def build_score_matrix(
         matrix[rows, sorted_column[chunk_columns]] = chunk_values
     matrix.setflags(write=False)
     return ScoreMatrix(rows=row_of, concepts=tuple(concepts), scores=matrix)
+
+
+def hit_vector(
+    scores: np.ndarray, targets: np.ndarray, has_targets: np.ndarray, k: int
+) -> np.ndarray:
+    """Top-k hit values of the images with a target and a score, in row
+    order, by one stable sort of each row on -score: ties keep column order,
+    and NaN sorts last and is never a hit."""
+    kept = has_targets & (np.count_nonzero(~np.isnan(scores), axis=1) > 0)
+    kept_scores = scores[kept]
+    top = np.argsort(-kept_scores, axis=1, kind="stable")[:, :k]
+    hit = np.take_along_axis(targets[kept], top, axis=1) & ~np.isnan(
+        np.take_along_axis(kept_scores, top, axis=1)
+    )
+    return hit.any(axis=1).astype(float)

@@ -1,11 +1,13 @@
 import dataclasses
+import gc
 import json
+import runpy
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from disparity_audit import pipeline
+from disparity_audit import cli, pipeline
 from disparity_audit.cli import main
 from disparity_audit.config import PRESETS, config_hash, load_config, resolve_config_dict
 from disparity_audit.groups import assign_groups
@@ -18,7 +20,8 @@ from disparity_audit.pipeline import (
 from corpus import expected_assignments, write_corpus
 from stubs import spy_rank_pool
 
-TERMS = Path(__file__).resolve().parents[1] / "configs" / "terms_coco_captions.json"
+ROOT = Path(__file__).resolve().parents[1]
+TERMS = ROOT / "configs" / "terms_coco_captions.json"
 
 
 RESULTS_HEADER = (
@@ -1010,3 +1013,30 @@ def test_presets_assign_the_corpus(tmp_path, capsys, method):
         assert (out / "exclusions.csv").read_text().splitlines() == [
             "image_id,outcome,group_or_reason", *excluded
         ], preset
+
+
+class TestEntry:
+    """A process runs ``cli.entry``, which freezes the import-time heap and
+    then runs ``main``. ``gc.freeze`` is patched in each test, so the test
+    session itself is never frozen."""
+
+    def test_package_main_freezes_once_then_exits_with_mains_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("disparity_audit", run_name="__main__")
+        assert exit_.value.code == 3
+        assert calls == ["freeze", "main"]
+
+    def test_main_as_a_library_does_not_freeze(self, workspace, monkeypatch):
+        _, cfg_path = workspace
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert calls == []
+
+    def test_console_script_is_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+        assert project["scripts"] == {"disparity-audit": "disparity_audit.cli:entry"}

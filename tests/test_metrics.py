@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disparity_audit import DataError, select_threshold, split_validation_test
@@ -18,6 +18,7 @@ from oracles import (
     auc_roc,
     average_precision,
     confusion_at_threshold,
+    hit_vector as sorted_hit_vector,
     precision_from_rates,
     rates_from_confusion,
     threshold_oracle_f1,
@@ -426,3 +427,43 @@ class TestHitRate:
         assert matrix_hits(score_maps, target_sets, k) == hit_oracle(
             score_maps, target_sets, k
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(0, 12),
+        columns=st.integers(1, 40),
+        k=st.integers(1, 44),
+        nan_share=st.floats(0, 1),
+        grid_share=st.floats(0, 1),
+        target_share=st.floats(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=5, columns=40, k=1, nan_share=1.0, grid_share=0.5,
+             target_share=0.5, seed=0)  # no row scored
+    @example(rows=5, columns=40, k=1, nan_share=0.0, grid_share=0.5,
+             target_share=0.0, seed=0)  # no row with a target
+    @example(rows=8, columns=6, k=9, nan_share=0.5, grid_share=1.0,
+             target_share=0.3, seed=1)  # k past the columns
+    def test_selection_matches_stable_sort(
+        self, rows, columns, k, nan_share, grid_share, target_share, seed
+    ):
+        """The selection kernel gives the bytes of one stable sort per row
+        on wide matrices: scores tied on a grid of {0.0, -0.0, 0.25, 0.5}
+        among uniform floats, any share of unscored cells, rows scored for
+        fewer than k concepts, and rows without targets or without a target
+        among the columns."""
+        rng = np.random.default_rng(seed)
+        shape = (rows, columns)
+        scores = np.where(
+            rng.random(shape) < grid_share,
+            rng.choice([0.0, -0.0, 0.25, 0.5], size=shape),
+            rng.random(shape),
+        )
+        scores[rng.random(shape) < nan_share] = np.nan
+        targets = rng.random(shape) < target_share
+        # an image's targets may all be unscored concepts
+        has_targets = targets.any(axis=1) | (rng.random(rows) < 0.2)
+        got = hit_vector(scores, targets, has_targets, k, group="A")
+        want = sorted_hit_vector(scores, targets, has_targets, k)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
