@@ -525,7 +525,7 @@ def test_hit_vector_sparse_vocabulary(benchmark):
 def corpus_images():
     """The group corpus 1,000 times over, each copy's ids suffixed ``-kkkk``."""
     return [
-        dataclasses.replace(image, image_id=f"{image.image_id}-{k:04d}")
+        image._replace(image_id=f"{image.image_id}-{k:04d}")
         for k in range(1000) for image, _ in BOX_CASES + CAPTION_CASES
     ]
 

@@ -42,4 +42,15 @@ from .disparity import (
     percentile,
     significance_flag,
 )
-from .synth import CellSpec, ScenarioSpec, closed_form_auc, generate
+
+_SYNTH = frozenset({"CellSpec", "ScenarioSpec", "closed_form_auc", "generate"})
+
+
+def __getattr__(name: str):
+    """``synth``'s public names, imported on first use (PEP 562): no audit
+    subcommand reads them, so importing the package does not import ``synth``."""
+    if name in _SYNTH:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -38,7 +38,6 @@ from .pipeline import (
     write_plot_data,
     write_results_csv,
 )
-from .synth import ScenarioSpec, generate
 
 log = logging.getLogger("disparity_audit")
 
@@ -182,6 +181,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import ScenarioSpec, generate  # only this subcommand needs it
+
     spec = ScenarioSpec.from_file(args.scenario)
     if args.seed is not None:
         spec = ScenarioSpec(concepts=spec.concepts, seed=args.seed)

@@ -6,18 +6,17 @@ downstream modules receive read-only views.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,50 +98,74 @@ class BoxAnnotation:
         return self.area / (width * height)
 
 
-@dataclass(frozen=True, slots=True)
-class AnnotatedImage:
+class _ImageFields(NamedTuple):
+    """``AnnotatedImage``'s fields, in order."""
+
+    image_id: str
+    width: int | None
+    height: int | None
+    boxes: tuple[BoxAnnotation, ...]
+    captions: tuple[str, ...]
+    direct_labels: frozenset[str]
+    metadata: Mapping[str, str]
+
+
+class AnnotatedImage(_ImageFields):
     """One image's boxes, captions, direct labels, and source metadata.
 
     ``width``/``height`` may be omitted only for images without boxes
-    (caption- or metadata-only sources).
+    (caption- or metadata-only sources). A named tuple: immutable, and
+    equal and hashed as the tuple of its fields; ``metadata`` defaults to a
+    new empty dict for each image.
     """
 
-    image_id: str
-    width: int | None = None
-    height: int | None = None
-    boxes: tuple[BoxAnnotation, ...] = ()
-    captions: tuple[str, ...] = ()
-    direct_labels: frozenset[str] = frozenset()
-    metadata: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls,
+        image_id: str,
+        width: int | None = None,
+        height: int | None = None,
+        boxes: tuple[BoxAnnotation, ...] = (),
+        captions: tuple[str, ...] = (),
+        direct_labels: frozenset[str] = frozenset(),
+        metadata: Mapping[str, str] | None = None,
+    ) -> AnnotatedImage:
         """Checks the id and, when the image has boxes, a width or a height,
-        those; ingest's ``_plain_image`` relies on nothing else being checked
-        for an image without them."""
-        if not self.image_id:
+        those; ingest builds an image without them by ``tuple.__new__``,
+        relying on nothing else being checked for it."""
+        if metadata is None:
+            metadata = {}
+        if not image_id:
             raise DataError("image_id must be a non-empty string")
-        if not self.boxes and self.width is None and self.height is None:
-            return
-        for name in ("width", "height"):
-            v = getattr(self, name)
-            if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v <= 0):
-                raise DataError(f"{name} must be a positive integer, got {v!r}")
-        if self.boxes:
-            if self.width is None or self.height is None:
-                raise DataError(
-                    f"image {self.image_id!r} has boxes but no width/height"
-                )
-            for b in self.boxes:
-                if b.x + b.w > self.width or b.y + b.h > self.height:
-                    raise DataError(
-                        f"image {self.image_id!r}: box {b.raw_label!r} at "
-                        f"({b.x},{b.y},{b.w},{b.h}) exceeds {self.width}x{self.height} bounds"
-                    )
+        if boxes or width is not None or height is not None:
+            for name, v in (("width", width), ("height", height)):
+                if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v <= 0):
+                    raise DataError(f"{name} must be a positive integer, got {v!r}")
+            if boxes:
+                if width is None or height is None:
+                    raise DataError(f"image {image_id!r} has boxes but no width/height")
+                for b in boxes:
+                    if b.x + b.w > width or b.y + b.h > height:
+                        raise DataError(
+                            f"image {image_id!r}: box {b.raw_label!r} at "
+                            f"({b.x},{b.y},{b.w},{b.h}) exceeds {width}x{height} bounds"
+                        )
+        return tuple.__new__(
+            cls, (image_id, width, height, boxes, captions, direct_labels, metadata)
+        )
 
     @property
     def has_labels(self) -> bool:
         """True if the image carries any label evidence (direct labels or boxes)."""
         return bool(self.direct_labels) or bool(self.boxes)
+
+
+# C-level getters of an image's fields, for passes over every image.
+_ID_OF, _BOXES_OF, _LABELS_OF = (
+    operator.itemgetter(AnnotatedImage._fields.index(name))
+    for name in ("image_id", "boxes", "direct_labels")
+)
 
 
 @dataclass(frozen=True)
@@ -655,47 +678,16 @@ def _parse_image(
     height = get("height")
     if height is not None and type(height) is not int:
         raise DataError(f"{name}:{line_no}: 'height' must be an integer, got {height!r}")
-    if not boxes and width is None and height is None:
-        return _plain_image(image_id, tuple(captions), direct_labels, metadata)
+    if not boxes and width is None and height is None:  # nothing for ``__new__`` to check
+        return tuple.__new__(
+            AnnotatedImage, (image_id, None, None, (), tuple(captions), direct_labels, metadata)
+        )
     try:
         return AnnotatedImage(
             image_id, width, height, boxes, tuple(captions), direct_labels, metadata
         )
     except DataError as e:
         raise DataError(f"{name}:{line_no}: {e}") from e
-
-
-_IMAGE_FIELDS = ("image_id", "width", "height", "boxes", "captions", "direct_labels", "metadata")
-if tuple(f.name for f in dataclasses.fields(AnnotatedImage)) != _IMAGE_FIELDS:
-    raise TypeError("_plain_image must set every field of AnnotatedImage")
-(
-    _set_image_id, _set_width, _set_height, _set_boxes, _set_captions, _set_direct_labels,
-    _set_metadata,
-) = (getattr(AnnotatedImage, name).__set__ for name in _IMAGE_FIELDS)
-
-
-def _plain_image(
-    image_id: str,
-    captions: tuple[str, ...],
-    direct_labels: frozenset[str],
-    metadata: Mapping[str, str],
-) -> AnnotatedImage:
-    """``AnnotatedImage(image_id, captions=..., direct_labels=...,
-    metadata=...)``, without boxes, width or height, for a non-empty id.
-
-    ``__post_init__`` checks nothing else of such an image, so it is built
-    without ``__init__``, through each field's slot: about half the cost of
-    the dataclass constructor.
-    """
-    img = object.__new__(AnnotatedImage)
-    _set_image_id(img, image_id)
-    _set_width(img, None)
-    _set_height(img, None)
-    _set_boxes(img, ())
-    _set_captions(img, captions)
-    _set_direct_labels(img, direct_labels)
-    _set_metadata(img, metadata)
-    return img
 
 
 def load_annotations(path: str | Path) -> list[AnnotatedImage]:
@@ -724,16 +716,14 @@ def load_annotations(path: str | Path) -> list[AnnotatedImage]:
             if prev is None:
                 by_id[img.image_id] = img
                 continue
-            merged_labels = prev.direct_labels | img.direct_labels
-            if (
-                dataclasses.replace(prev, direct_labels=frozenset())
-                != dataclasses.replace(img, direct_labels=frozenset())
-            ):
+            if prev._replace(direct_labels=_NO_LABELS) != img._replace(direct_labels=_NO_LABELS):
                 raise DataError(
                     f"{path}:{line_no}: duplicate image_id {img.image_id!r} with "
                     "conflicting fields (only label-only repetitions are collapsed)"
                 )
-            by_id[img.image_id] = dataclasses.replace(prev, direct_labels=merged_labels)
+            by_id[img.image_id] = prev._replace(
+                direct_labels=prev.direct_labels | img.direct_labels
+            )
     return list(by_id.values())
 
 
@@ -754,7 +744,7 @@ def load_predictions(path: str | Path, images: Sequence[AnnotatedImage]) -> Scor
     path = Path(path)
     if not path.exists():
         raise DataError(f"predictions file not found: {path}")
-    known = set(map(operator.attrgetter("image_id"), images))
+    known = set(map(_ID_OF, images))
     unknown: list[tuple[str, int]] = []
     name = str(path)
 
@@ -812,11 +802,17 @@ def validate_dataset(images: Sequence[AnnotatedImage], predictions: ScoreMatrix)
         mapping).
     """
     n_scored = len(predictions) - np.count_nonzero(np.isnan(predictions.scores), axis=0)
-    raw_labels: set[str] = set().union(*{img.direct_labels for img in images})
-    raw_labels.update(b.raw_label for img in images for b in img.boxes)
+    # One C-level pass per field; only images with boxes cost a Python walk.
+    label_sets = list(map(_LABELS_OF, images))
+    raw_labels: set[str] = set().union(*set(label_sets))
+    if any(map(_BOXES_OF, images)):
+        raw_labels.update(b.raw_label for boxes in map(_BOXES_OF, images) for b in boxes)
+        without_labels = sum(1 for img in images if not img.has_labels)
+    else:
+        without_labels = operator.countOf(label_sets, _NO_LABELS)
     label_universe = set(map(canonicalize_label, raw_labels))
     return {
-        "images_without_labels": sum(1 for img in images if not img.has_labels),
+        "images_without_labels": without_labels,
         "score_coverage_gaps": int(np.count_nonzero((n_scored > 0) & (n_scored < len(images)))),
         "zero_positive_concepts": sum(1 for c in predictions.concepts if c not in label_universe),
     }

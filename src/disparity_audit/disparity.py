@@ -9,7 +9,6 @@ half its bootstraps is flagged unreliable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,7 +39,7 @@ class MetricEstimate:
 def percentile(samples: Sequence[float], q: float) -> float:
     """Linear-interpolation percentile on the sorted samples.
 
-    Interpolation is done in exact rational arithmetic and rounded once, so
+    Interpolation is done in exact integer arithmetic and rounded once, so
     percentile(-x, 100-q) == -percentile(x, q) exactly.
     """
     a = np.sort(np.asarray(samples, dtype=float))
@@ -48,14 +47,16 @@ def percentile(samples: Sequence[float], q: float) -> float:
         raise DataError("percentile of an empty sample is undefined")
     if not 0 <= q <= 100:
         raise DataError(f"percentile rank must be in [0, 100], got {q}")
-    pos = Fraction(float(q)) * (a.size - 1) / 100
-    i = int(pos)
-    frac = pos - i
-    if frac == 0:
+    # The position q * (n - 1) / 100 is i + r / d, exactly.
+    q_num, q_den = float(q).as_integer_ratio()
+    d = 100 * q_den
+    i, r = divmod(q_num * (a.size - 1), d)
+    if r == 0:
         return float(a[i])
-    lo = Fraction(float(a[i]))
-    hi = Fraction(float(a[i + 1]))
-    return float((1 - frac) * lo + frac * hi)
+    lo_num, lo_den = float(a[i]).as_integer_ratio()
+    hi_num, hi_den = float(a[i + 1]).as_integer_ratio()
+    # ((d - r) * lo + r * hi) / d over one denominator; int / int rounds once.
+    return ((d - r) * lo_num * hi_den + r * hi_num * lo_den) / (d * lo_den * hi_den)
 
 
 def _estimate(d: np.ndarray, total: int, **fields) -> MetricEstimate:

@@ -26,13 +26,18 @@ This module holds the independent definitions those kernels must match:
   time, and whose matrix or first error ``data.load_predictions`` must
   equal for any file of those records;
 * ``hit_vector``, top-k hit rate by one stable sort of every row, whose
-  hit values ``metrics.hit_vector`` must equal bit for bit.
+  hit values ``metrics.hit_vector`` must equal bit for bit;
+* ``percentile`` in ``fractions.Fraction`` arithmetic, which
+  ``disparity.percentile`` must equal bit for bit;
+* ``validate_counts``, ``data.validate_dataset``'s three counts taken one
+  image and one concept at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -514,3 +519,39 @@ def hit_vector(
         np.take_along_axis(kept_scores, top, axis=1)
     )
     return hit.any(axis=1).astype(float)
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """Linear-interpolation percentile on the sorted samples, interpolated
+    in ``Fraction`` arithmetic and rounded once."""
+    a = np.sort(np.asarray(samples, dtype=float))
+    pos = Fraction(float(q)) * (a.size - 1) / 100
+    i = int(pos)
+    frac = pos - i
+    if frac == 0:
+        return float(a[i])
+    lo = Fraction(float(a[i]))
+    hi = Fraction(float(a[i + 1]))
+    return float((1 - frac) * lo + frac * hi)
+
+
+def validate_counts(images, predictions: ScoreMatrix) -> dict:
+    """``validate_dataset``'s counts, one image and one concept at a time."""
+    without_labels = 0
+    raw_labels: set[str] = set()
+    for img in images:
+        if not img.direct_labels and not img.boxes:
+            without_labels += 1
+        raw_labels.update(img.direct_labels)
+        raw_labels.update(b.raw_label for b in img.boxes)
+    universe = {label.strip().lower() for label in raw_labels}
+    gaps = zero_positive = 0
+    for j, concept in enumerate(predictions.concepts):
+        scored = sum(not math.isnan(row[j]) for row in predictions.scores.tolist())
+        gaps += 0 < scored < len(images)
+        zero_positive += concept not in universe
+    return {
+        "images_without_labels": without_labels,
+        "score_coverage_gaps": gaps,
+        "zero_positive_concepts": zero_positive,
+    }

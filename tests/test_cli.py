@@ -1,7 +1,10 @@
 import dataclasses
 import gc
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1040,3 +1043,30 @@ class TestEntry:
         tomllib = pytest.importorskip("tomllib")
         project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
         assert project["scripts"] == {"disparity-audit": "disparity_audit.cli:entry"}
+
+
+class TestImports:
+    """Importing the CLI, as every run does, imports nothing that only the
+    ``synth`` subcommand or exact fractions would need."""
+
+    def test_cli_import_leaves_out_synth_fractions_and_decimal(self):
+        code = (
+            "import sys, disparity_audit.cli; "
+            "print(sorted({'disparity_audit.synth', 'fractions', 'decimal'} & set(sys.modules)))"
+        )
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_package_serves_synth_names_on_first_use(self):
+        import disparity_audit
+        from disparity_audit import synth
+
+        for name in ("CellSpec", "ScenarioSpec", "closed_form_auc", "generate"):
+            assert getattr(disparity_audit, name) is getattr(synth, name)
+        with pytest.raises(AttributeError, match="no attribute 'logistic'"):
+            disparity_audit.logistic

@@ -1,8 +1,8 @@
 import contextlib
 import copy
-import dataclasses
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -79,11 +79,26 @@ class TestLoadAnnotations:
         assert len(images) == 1
         assert images[0].direct_labels == {"showers", "floor"}
 
-    def test_conflicting_duplicate_is_error(self, tmp_path):
+    def test_merged_duplicate_is_an_ordinary_image(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        record = {"image_id": "d1", "captions": ["a shower"], "metadata": {"k": "v"}}
+        write_jsonl(path, [{**record, "labels": ["showers"]}, {**record, "labels": ["floor"]}])
+        [image] = load_annotations(path)
+        assert image.direct_labels == {"showers", "floor"} and image.captions == ("a shower",)
+        assert_ordinary_image(image)
+        with pytest.raises(AttributeError):
+            image.extra = 1
+
+    @pytest.mark.parametrize("first, second", [
+        ({"width": 10, "height": 10}, {"width": 20, "height": 10}),
+        ({"captions": ["a"]}, {"captions": ["b"]}),
+        ({"metadata": {"k": "v"}}, {"metadata": {"k": "w"}}),
+    ])
+    def test_conflicting_duplicate_is_error(self, tmp_path, first, second):
         path = tmp_path / "a.jsonl"
         write_jsonl(path, [
-            {"image_id": "d1", "width": 10, "height": 10, "labels": ["x"]},
-            {"image_id": "d1", "width": 20, "height": 10, "labels": ["y"]},
+            {"image_id": "d1", **first, "labels": ["x"]},
+            {"image_id": "d1", **second, "labels": ["y"]},
         ])
         with pytest.raises(DataError, match="duplicate image_id"):
             load_annotations(path)
@@ -596,6 +611,32 @@ class TestValidateDataset:
         }))
         assert report["score_coverage_gaps"] == 1  # dog; every image has cat
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_counts_match_per_image_reference(self, data):
+        """Mixes of labelled, unlabelled and boxed images, scored in part."""
+        boxed = data.draw(st.booleans())
+        box = st.builds(
+            BoxAnnotation, raw_label=st.sampled_from(["cat", "Fish", "bird "]),
+            x=st.just(0), y=st.just(0), w=st.integers(1, 10), h=st.integers(1, 10),
+        )
+        labels = st.frozensets(st.sampled_from(["cat", "Dog", " dog ", "bird"]), max_size=3)
+        kinds = data.draw(st.lists(
+            st.tuples(labels, st.lists(box, max_size=2) if boxed else st.just([])),
+            min_size=1, max_size=12,
+        ))
+        images = [
+            AnnotatedImage(f"i{k}", width=10 if b else None, height=10 if b else None,
+                           boxes=tuple(b), direct_labels=ls)
+            for k, (ls, b) in enumerate(kinds)
+        ]
+        scored = data.draw(st.lists(st.sampled_from([img.image_id for img in images]), unique=True))
+        concepts = st.lists(st.sampled_from(["cat", "dog", "bird", "fish", "owl"]), unique=True)
+        preds = matrix({
+            image_id: dict.fromkeys(data.draw(concepts), 0.5) for image_id in scored
+        })
+        assert validate_dataset(images, preds) == oracles.validate_counts(images, preds)
+
     def test_pure_never_mutates(self):
         images = [AnnotatedImage(image_id="i1", direct_labels=frozenset({"cat"}))]
         preds = matrix({"i1": {"cat": 0.9}})
@@ -614,6 +655,32 @@ class TestTypes:
         box = BoxAnnotation(raw_label="x", x=0, y=0, w=30, h=20)
         assert box.area == 600
         assert box.area_fraction(100, 100) == pytest.approx(0.06)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"image_id": ""}, "image_id must be a non-empty string"),
+        ({"image_id": "i", "width": 0}, "width must be a positive integer, got 0"),
+        ({"image_id": "i", "height": True}, "height must be a positive integer, got True"),
+        ({"image_id": "i", "boxes": (BoxAnnotation("cat", 0, 0, 5, 5),), "width": 10},
+         "image 'i' has boxes but no width/height"),
+        ({"image_id": "i", "boxes": (BoxAnnotation("cat", 6, 0, 5, 5),), "width": 10,
+          "height": 10}, "image 'i': box 'cat' at (6,0,5,5) exceeds 10x10 bounds"),
+    ])
+    def test_image_constructor_checks(self, kwargs, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            AnnotatedImage(**kwargs)
+
+    def test_image_round_trips_through_deepcopy_and_pickle(self):
+        image = AnnotatedImage(
+            "i1", 40, 30, (BoxAnnotation("cat", 0, 0, 10, 10),), ("a cat",),
+            frozenset({"cat"}), {"k": "v"},
+        )
+        for copied in (copy.deepcopy(image), pickle.loads(pickle.dumps(image))):
+            assert type(copied) is AnnotatedImage and copied == image
+            assert copied.metadata is not image.metadata
+
+    def test_default_metadata_is_a_new_dict_per_image(self):
+        a, b = AnnotatedImage("a"), AnnotatedImage("b")
+        assert a.metadata == {} and b.metadata == {} and a.metadata is not b.metadata
 
 
 class TestDecoding:
@@ -879,12 +946,12 @@ def outcome(load):
 def assert_ordinary_image(img):
     """``img`` compares, hashes and refuses assignment as the image built
     by ``AnnotatedImage(...)`` from its fields does."""
-    built = AnnotatedImage(**{f.name: getattr(img, f.name) for f in dataclasses.fields(img)})
+    built = AnnotatedImage(**{name: getattr(img, name) for name in img._fields})
     assert type(img) is AnnotatedImage and img == built
     assert outcome_of(hash, img) == outcome_of(hash, built)
-    for f in dataclasses.fields(img):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(img, f.name, getattr(img, f.name))
+    for name in img._fields:
+        with pytest.raises(AttributeError):
+            setattr(img, name, getattr(img, name))
 
 
 def outcome_of(f, *args):

@@ -13,6 +13,7 @@ from disparity_audit import (
 )
 
 from oracles import aggregate_disparity, per_concept_disparity
+from oracles import percentile as fraction_percentile
 
 
 class TestPercentile:
@@ -43,6 +44,24 @@ class TestPercentile:
         ours = percentile(samples, q)
         theirs = float(np.percentile(np.array(samples), q))
         assert ours == pytest.approx(theirs, rel=1e-9, abs=1e-9)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                 -1.5e-310, 1.7976931348623157e308, -1.7976931348623157e308]),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(-1.0, 1.0),
+            ),
+            min_size=1, max_size=300,
+        ),
+        st.one_of(st.sampled_from([0, 2.5, 97.5, 100]), st.floats(0, 100)),
+    )
+    @example([-0.0, 0.0], 50.0)
+    @example([5e-324, 1e308], 2.5)
+    @settings(max_examples=400)
+    def test_matches_fraction_reference_bit_for_bit(self, samples, q):
+        assert percentile(samples, q).hex() == fraction_percentile(samples, q).hex()
 
 
 def simple_estimate(a, b, **kw):
