@@ -45,6 +45,19 @@ from .disparity import (
 
 _SYNTH = frozenset({"CellSpec", "ScenarioSpec", "closed_form_auc", "generate"})
 
+# A star import reads ``synth``'s names through ``__getattr__``, importing it.
+__all__ = sorted({
+    "AnnotatedImage", "BoxAnnotation", "ExclusionReason", "PredictionRecord", "ScoreMatrix",
+    "load_annotations", "load_predictions", "validate_dataset",
+    "AuditError", "ConfigError", "DataError", "InvariantError",
+    "GroupRule", "assign_groups", "assignment_summary", "region_rule", "terms_rule",
+    "ClassMapping", "TargetMatrix", "canonicalize_label", "image_target_set", "map_targets",
+    "map_to_model_classes",
+    "rank_pool", "ranked_metrics", "select_threshold", "split_validation_test",
+    "compute_budget", "derive_rng", "derive_seed",
+    "MetricEstimate", "pair_disparity", "percentile", "significance_flag",
+} | _SYNTH)
+
 
 def __getattr__(name: str):
     """``synth``'s public names, imported on first use (PEP 562): no audit
@@ -54,3 +67,7 @@ def __getattr__(name: str):
 
         return getattr(synth, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SYNTH)

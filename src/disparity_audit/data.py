@@ -161,12 +161,6 @@ class AnnotatedImage(_ImageFields):
         return bool(self.direct_labels) or bool(self.boxes)
 
 
-# C-level getters of an image's fields, for passes over every image.
-_ID_OF, _BOXES_OF, _LABELS_OF = (
-    operator.itemgetter(AnnotatedImage._fields.index(name))
-    for name in ("image_id", "boxes", "direct_labels")
-)
-
 
 @dataclass(frozen=True)
 class PredictionRecord:
@@ -744,7 +738,7 @@ def load_predictions(path: str | Path, images: Sequence[AnnotatedImage]) -> Scor
     path = Path(path)
     if not path.exists():
         raise DataError(f"predictions file not found: {path}")
-    known = set(map(_ID_OF, images))
+    known = set(map(operator.attrgetter("image_id"), images))
     unknown: list[tuple[str, int]] = []
     name = str(path)
 
@@ -802,14 +796,16 @@ def validate_dataset(images: Sequence[AnnotatedImage], predictions: ScoreMatrix)
         mapping).
     """
     n_scored = len(predictions) - np.count_nonzero(np.isnan(predictions.scores), axis=0)
-    # One C-level pass per field; only images with boxes cost a Python walk.
-    label_sets = list(map(_LABELS_OF, images))
+    # C-level passes over the images; only the boxed images are walked again. An empty
+    # label set is counted by equality, so it must be a set, as the field declares.
+    labels_of = operator.attrgetter("direct_labels")
+    label_sets = list(map(labels_of, images))
+    boxed = list(filter(operator.attrgetter("boxes"), images))
     raw_labels: set[str] = set().union(*set(label_sets))
-    if any(map(_BOXES_OF, images)):
-        raw_labels.update(b.raw_label for boxes in map(_BOXES_OF, images) for b in boxes)
-        without_labels = sum(1 for img in images if not img.has_labels)
-    else:
-        without_labels = operator.countOf(label_sets, _NO_LABELS)
+    raw_labels.update(b.raw_label for img in boxed for b in img.boxes)
+    without_labels = operator.countOf(label_sets, _NO_LABELS) - operator.countOf(
+        map(labels_of, boxed), _NO_LABELS
+    )
     label_universe = set(map(canonicalize_label, raw_labels))
     return {
         "images_without_labels": without_labels,

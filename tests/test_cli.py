@@ -1045,6 +1045,9 @@ class TestEntry:
         assert project["scripts"] == {"disparity-audit": "disparity_audit.cli:entry"}
 
 
+_SYNTH_NAMES = {"CellSpec", "ScenarioSpec", "closed_form_auc", "generate"}
+
+
 class TestImports:
     """Importing the CLI, as every run does, imports nothing that only the
     ``synth`` subcommand or exact fractions would need."""
@@ -1066,7 +1069,12 @@ class TestImports:
         import disparity_audit
         from disparity_audit import synth
 
-        for name in ("CellSpec", "ScenarioSpec", "closed_form_auc", "generate"):
+        for name in _SYNTH_NAMES:
             assert getattr(disparity_audit, name) is getattr(synth, name)
         with pytest.raises(AttributeError, match="no attribute 'logistic'"):
             disparity_audit.logistic
+        assert _SYNTH_NAMES <= set(dir(disparity_audit))
+        namespace: dict = {}
+        exec("from disparity_audit import *", namespace)
+        assert _SYNTH_NAMES <= set(namespace) and set(disparity_audit.__all__) <= set(namespace)
+        assert all(hasattr(disparity_audit, name) for name in disparity_audit.__all__)
