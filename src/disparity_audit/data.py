@@ -155,6 +155,12 @@ class AnnotatedImage(_ImageFields):
             cls, (image_id, width, height, boxes, captions, direct_labels, metadata)
         )
 
+    def __getnewargs__(self) -> tuple:
+        """Arguments that rebuild the image; ``pickle`` and ``copy`` cannot
+        copy a loaded image's read-only metadata mapping, so a copy gets an
+        equal dict."""
+        return (*self[:6], dict(self.metadata))
+
     @property
     def has_labels(self) -> bool:
         """True if the image carries any label evidence (direct labels or boxes)."""
@@ -212,11 +218,12 @@ class ScoreMatrix:
     def take_rows(self, rows: np.ndarray, columns: np.ndarray | None = None) -> np.ndarray:
         """Scores of the images at the given rows (as ``row_of`` gives them),
         one row each (all NaN for row -1), over the given columns or all."""
-        if columns is None:
-            columns = np.arange(len(self.concepts))
-        out = np.full((rows.size, columns.size), np.nan)
         scored = rows >= 0
-        out[scored] = self.scores[np.ix_(rows[scored], columns)]
+        picked = self.scores.take(rows[scored], axis=0)
+        if columns is not None:
+            picked = picked.take(columns, axis=1)
+        out = np.full((rows.size, picked.shape[1]), np.nan)
+        out[scored] = picked
         return out
 
     def without(self, image_ids: AbstractSet[str]) -> "ScoreMatrix":
@@ -515,40 +522,41 @@ def _line_value(line: str) -> object:
         return None
 
 
-def _iter_jsonl(path: Path, chunk_chars: int) -> Iterator[tuple[int, list[str], list]]:
-    """``(first line number, lines, values)`` for each chunk of about
-    ``chunk_chars`` characters of a JSON Lines file; lines end at ``\\n``,
-    ``\\r\\n`` or ``\\r``.
-
-    Every line is decoded before any is checked: ``values`` holds each
-    line's ``_line_value``. orjson first gets the chunk's raw lines: JSON
-    whitespace is a subset of what ``str.strip`` removes, so a line that
-    orjson accepts decodes as its stripped text would. Only a chunk with a
-    line that orjson rejects raw (a blank line among them), or every chunk
-    without orjson, is decoded line by line.
-    """
+def _iter_jsonl(path: Path, chunk_chars: int) -> Iterator[tuple[int, list[str]]]:
+    """``(first line number, lines)`` for each chunk of about ``chunk_chars``
+    characters of a JSON Lines file; lines end at ``\\n``, ``\\r\\n`` or
+    ``\\r``."""
     # surrogateescape defers a bad byte to the line that holds it, so the
     # error names that line, after every earlier line is checked.
     with path.open(encoding="utf-8", errors="surrogateescape") as f:
         first = 1
         while lines := f.readlines(chunk_chars):
-            if orjson is None:
-                values = list(map(_line_value, lines))
-            else:
-                try:
-                    values = list(map(orjson.loads, lines))
-                except orjson.JSONDecodeError:
-                    values = list(map(_line_value, lines))
-            yield first, lines, values
+            yield first, lines
             first += len(lines)
+
+
+def _line_values(lines: list[str]) -> list:
+    """Each line's ``_line_value``, every line decoded before any is checked.
+
+    orjson first gets the raw lines: JSON whitespace is a subset of what
+    ``str.strip`` removes, so a line that orjson accepts decodes as its
+    stripped text would. When orjson rejects one raw line (a blank line,
+    say), and always without orjson, each line is decoded on its own.
+    """
+    if orjson is not None:
+        try:
+            return list(map(orjson.loads, lines))
+        except orjson.JSONDecodeError:
+            pass
+    return list(map(_line_value, lines))
 
 
 def _parse_lines(
     name: str, first: int, lines: list[str], values: list, parse: Callable[[dict, int], object]
 ) -> Iterator[tuple[int, object]]:
     """``(line number, parse(obj, line number))`` for the JSON object on each
-    non-blank line of one ``_iter_jsonl`` chunk of the file ``name``, line
-    by line.
+    non-blank line of one ``_iter_jsonl`` chunk of the file ``name``, whose
+    ``_line_values`` are ``values``, line by line.
 
     A line whose value is None, is not an object or fails ``parse`` is
     decoded again by ``_decode`` (stdlib), and that decode's or that parse's
@@ -684,6 +692,83 @@ def _parse_image(
         raise DataError(f"{name}:{line_no}: {e}") from e
 
 
+# ``json.dumps`` writes an annotation line as this head, its id, and the
+# rest after the id's closing ``", ``. In an audit's files the rests repeat:
+# the deep benchmark's 30,000 lines have about two dozen.
+_ID_HEAD = '{"image_id": "'
+_ID_END = '", '
+_ID_IN_HEAD = operator.itemgetter(slice(len(_ID_HEAD), None))
+
+
+def _chunk_images(
+    lines: list[str],
+    fields_of: dict[str, tuple | None],
+    by_id: Mapping[str, AnnotatedImage],
+    parse: Callable[[dict, int], AnnotatedImage],
+) -> dict[str, AnnotatedImage] | bool | None:
+    """The images of a chunk of annotation lines, by id, from one decode and
+    one ``parse`` per distinct rest of a line after its id, each check one
+    C-level pass over the chunk.
+
+    ``fields_of`` maps each rest met in the file to its image's six fields
+    after the id, or to None where they failed; it takes the chunk's new
+    rests. Each line must be ``{"image_id": "`` and an id, then ``", `` and
+    a rest. The id must be non-empty, hold no ``"`` and no ``\\`` and be
+    printable, so it is a JSON string as it stands; then the stripped line
+    is valid JSON exactly when ``{`` and the stripped rest is a non-empty
+    object, and both decoders read the line as ``{"image_id": id, **rest}``.
+    So a rest whose object has no ``image_id`` key and passes ``parse`` with
+    one id gives every line that carries it the image that the line gives
+    on its own, but for the id.
+
+    Returns False when more than half the chunk's rests are new to
+    ``fields_of``, before any other check, or more than half its lines do
+    not start with ``{"image_id": "``: a file of distinct lines, or of
+    another shape (compact separators, another key first), gains nothing
+    here, so the chunk and every later one are walked line by line.
+    Returns None, for the chunk alone to be walked, when a line does not
+    split so, an id repeats in the chunk or is in ``by_id`` (a duplicate
+    merges or fails in the walk), or a rest fails.
+    """
+    heads, _, rests = zip(*map(str.partition, lines, itertools.repeat(_ID_END)))
+    new = list(itertools.filterfalse(fields_of.__contains__, dict.fromkeys(rests)))
+    if 2 * len(new) > len(lines):
+        return False
+    shaped = operator.countOf(map(str.startswith, heads, itertools.repeat(_ID_HEAD)), True)
+    if 2 * shaped < len(lines):
+        return False
+    if shaped < len(lines):
+        return None
+    ids = list(map(_ID_IN_HEAD, heads))
+    text = "".join(ids)
+    if (
+        "" in ids
+        or '"' in text
+        or "\\" in text
+        or not text.isprintable()
+        or len(set(ids)) < len(ids)
+        or not by_id.keys().isdisjoint(ids)
+    ):
+        return None
+    for rest in new:
+        value = _line_value("{" + rest)
+        fields = None
+        if type(value) is dict and value and "image_id" not in value:
+            value["image_id"] = ids[0]
+            try:
+                fields = parse(value, 0)[1:]
+            except DataError:  # the walk names the line
+                pass
+        fields_of[rest] = fields
+    fields = list(map(fields_of.__getitem__, rests))
+    if None in fields:
+        return None
+    images = map(
+        tuple.__new__, itertools.repeat(AnnotatedImage), map(operator.add, zip(ids), fields)
+    )
+    return dict(zip(ids, images))
+
+
 def load_annotations(path: str | Path) -> list[AnnotatedImage]:
     """Load an annotations file into AnnotatedImage records.
 
@@ -704,8 +789,16 @@ def load_annotations(path: str | Path) -> list[AnnotatedImage]:
     by_id: dict[str, AnnotatedImage] = {}  # in order of first appearance
     name = str(path)
     parse = functools.partial(_parse_image, name, {}, {})
-    for first, lines, values in _iter_jsonl(path, _ANNOTATION_CHARS):
-        for line_no, img in _parse_lines(name, first, lines, values, parse):
+    fields_of: dict[str, tuple | None] | None = {}  # ``_chunk_images``' table
+    for first, lines in _iter_jsonl(path, _ANNOTATION_CHARS):
+        if fields_of is not None:
+            images = _chunk_images(lines, fields_of, by_id, parse)
+            if images:
+                by_id.update(images)
+                continue
+            if images is False:
+                fields_of = None
+        for line_no, img in _parse_lines(name, first, lines, _line_values(lines), parse):
             prev = by_id.get(img.image_id)
             if prev is None:
                 by_id[img.image_id] = img
@@ -760,7 +853,8 @@ def load_predictions(path: str | Path, images: Sequence[AnnotatedImage]) -> Scor
     def parts() -> Iterator[_Cells]:
         # A chunk passes the bulk checks whole, or is walked record by
         # record, which names its first bad record.
-        for first, lines, values in _iter_jsonl(path, _PREDICTION_CHARS):
+        for first, lines in _iter_jsonl(path, _PREDICTION_CHARS):
+            values = _line_values(lines)
             cells = _chunk_cells(values, row_of, column_of, concepts)
             if cells is None:
                 cells = _record_cells(

@@ -27,6 +27,8 @@ This module holds the independent definitions those kernels must match:
   equal for any file of those records;
 * ``hit_vector``, top-k hit rate by one stable sort of every row, whose
   hit values ``metrics.hit_vector`` must equal bit for bit;
+* ``take_rows``, a matrix's rows gathered by one ``np.ix_`` index, which
+  ``ScoreMatrix.take_rows`` must equal bit for bit;
 * ``percentile`` in ``fractions.Fraction`` arithmetic, which
   ``disparity.percentile`` must equal bit for bit;
 * ``validate_counts``, ``data.validate_dataset``'s three counts taken one
@@ -519,6 +521,19 @@ def hit_vector(
         np.take_along_axis(kept_scores, top, axis=1)
     )
     return hit.any(axis=1).astype(float)
+
+
+def take_rows(
+    matrix: ScoreMatrix, rows: np.ndarray, columns: np.ndarray | None = None
+) -> np.ndarray:
+    """The scores of ``matrix`` at ``rows`` (all NaN for row -1) over
+    ``columns`` or all, gathered by one ``np.ix_`` index."""
+    if columns is None:
+        columns = np.arange(len(matrix.concepts))
+    out = np.full((rows.size, columns.size), np.nan)
+    scored = rows >= 0
+    out[scored] = matrix.scores[np.ix_(rows[scored], columns)]
+    return out
 
 
 def percentile(samples: Sequence[float], q: float) -> float:

@@ -3,6 +3,7 @@ import copy
 import json
 import math
 import pickle
+import random
 import re
 
 import numpy as np
@@ -250,6 +251,49 @@ class TestLoadAnnotations:
         b = sorted(load_annotations(p2), key=lambda i: i.image_id)
         assert a == b
 
+    def test_repeated_rests_are_decoded_once_and_never_walked(self, tmp_path, monkeypatch):
+        """A deep-shaped file, 3,000 lines over 8 label sets and 3 metadata
+        values: one decode per distinct rest after the id, and no line walked."""
+        rng = random.Random(0)
+        label_sets = [[c for j, c in enumerate(("d0", "d1", "d2")) if m >> j & 1] for m in range(8)]
+        records = [
+            {"image_id": f"{group}-{k:06d}", "labels": rng.choice(label_sets),
+             "metadata": {"group": group}}
+            for k, group in enumerate(rng.choices(["alpha", "beta", "gamma"], k=3000))
+        ]
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, records)
+        rests = {json.dumps(r).partition('", ')[2] for r in records}
+        decoded = []
+        line_value = data._line_value
+        monkeypatch.setattr(data, "_line_value", lambda line: decoded.append(line) or line_value(line))
+        monkeypatch.setattr(data, "_parse_lines", None)
+        assert load_annotations(path) == [
+            AnnotatedImage(r["image_id"], direct_labels=frozenset(r["labels"]),
+                           metadata=r["metadata"])
+            for r in records
+        ]
+        assert len(decoded) == len(rests) == 24
+
+    @pytest.mark.parametrize("line", [
+        lambda k: json.dumps({"image_id": f"i{k}", "labels": [f"c{k}"]}),
+        lambda k: json.dumps({"image_id": f"i{k}", "labels": ["cat"]}, separators=(",", ":")),
+        lambda k: json.dumps({"labels": ["cat"], "image_id": f"i{k}"}),
+    ], ids=["distinct", "compact", "id-last"])
+    def test_distinct_or_other_lines_are_tried_for_shared_rests_once(
+        self, tmp_path, monkeypatch, line
+    ):
+        """A file whose lines share no rest, or whose lines are compact or
+        start with another key, stops after its first chunk."""
+        path = tmp_path / "a.jsonl"
+        path.write_text("".join(line(k) + "\n" for k in range(1000)))
+        calls = []
+        chunk_images = data._chunk_images
+        monkeypatch.setattr(data, "_chunk_images",
+                            lambda *args: calls.append(chunk_images(*args)) or calls[-1])
+        assert [img.image_id for img in load_annotations(path)] == [f"i{k}" for k in range(1000)]
+        assert calls == [False] and path.stat().st_size > 4 * data._ANNOTATION_CHARS
+
 
 def bits(m):
     """A matrix's rows, concepts, shape and score bytes."""
@@ -484,6 +528,24 @@ class TestLoadPredictions:
         with pytest.raises(DataError, match="duplicate"):
             load_predictions(path, images)
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 6])
+    @pytest.mark.parametrize("columns", [None, [], [2], [3, 0, 3], [0, 1, 2, 3]])
+    def test_take_rows_matches_ix_reference(self, n_rows, columns):
+        """Rows of -1 are all NaN, also when every row is -1 or the matrix
+        has no rows; columns may repeat, reorder or be absent."""
+        rng = np.random.default_rng(n_rows)
+        scores = rng.random((n_rows, 4))
+        scores[rng.random((n_rows, 4)) < 0.3] = np.nan
+        scores.setflags(write=False)
+        loaded = ScoreMatrix({f"i{r}": r for r in range(n_rows)}, ("a", "b", "c", "d"), scores)
+        columns = None if columns is None else np.array(columns, dtype=np.intp)
+        for rows in ([], [-1, -1], list(range(n_rows)), [*range(n_rows)][::-1] * 2 + [-1]):
+            rows = np.array(rows, dtype=np.intp)
+            got = loaded.take_rows(rows, columns)
+            want = oracles.take_rows(loaded, rows, columns)
+            assert got.shape == want.shape and got.flags.writeable
+            assert np.array_equal(got, want, equal_nan=True)
+
     def test_without_drops_rows_and_columns_only_they_scored(self):
         loaded = matrix({"i1": {"a": 0.1, "b": 0.2}, "i2": {"a": 0.3}, "i3": {"c": 0.4}})
         kept = loaded.without({"i1", "i3"})
@@ -669,14 +731,21 @@ class TestTypes:
         with pytest.raises(DataError, match=re.escape(message)):
             AnnotatedImage(**kwargs)
 
-    def test_image_round_trips_through_deepcopy_and_pickle(self):
+    def test_image_round_trips_through_deepcopy_and_pickle(self, tmp_path):
+        """Also a loaded image, whose metadata is a shared read-only mapping."""
         image = AnnotatedImage(
             "i1", 40, 30, (BoxAnnotation("cat", 0, 0, 10, 10),), ("a cat",),
             frozenset({"cat"}), {"k": "v"},
         )
-        for copied in (copy.deepcopy(image), pickle.loads(pickle.dumps(image))):
-            assert type(copied) is AnnotatedImage and copied == image
-            assert copied.metadata is not image.metadata
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [{"image_id": "i1", "width": 40, "height": 30, "boxes": [
+            {"label": "cat", "x": 0, "y": 0, "w": 10, "h": 10}], "captions": ["a cat"],
+            "labels": ["cat"], "metadata": {"k": "v"}}, {"image_id": "i2"}])
+        for image in (image, *load_annotations(path)):
+            for copied in (copy.deepcopy(image), pickle.loads(pickle.dumps(image))):
+                assert type(copied) is AnnotatedImage and copied == image
+                assert copied.metadata is not image.metadata
+                assert list(copied.metadata.items()) == list(image.metadata.items())
 
     def test_default_metadata_is_a_new_dict_per_image(self):
         a, b = AnnotatedImage("a"), AnnotatedImage("b")
@@ -911,13 +980,14 @@ common_fields = {
 # Lines with and without boxes, captions, width and height: an image
 # without boxes, width and height is built through its slots, any other by
 # the dataclass constructor.
-annotation_line = st.one_of(json_object(common_fields), json_object({
+image_fields = {
     **common_fields,
     '"width"': (st.sampled_from(["100", str(2**64)]), numbers),
     '"height"': (st.sampled_from(["100", str(2**64)]), numbers),
     '"boxes"': (arrays(box, 2), values),
     '"captions"': (arrays(strings), values),
-}))
+}
+annotation_line = st.one_of(json_object(common_fields), json_object(image_fields))
 concept = st.one_of(st.sampled_from(['"cat"', '"dog"', '"é"']), strings)
 prediction_line = json_object({
     '"image_id"': (st.sampled_from(['"i0"', '"i1"', '"i2"', '"i3"']), values),
@@ -987,3 +1057,137 @@ def test_orjson_and_stdlib_decode_alike(tmp_path, annotations, predictions):
             assert_ordinary_image(img)
     with stdlib_decoder():
         assert load() == fast
+
+
+# Ids that do not stand as JSON strings as they are, or need an escape,
+# written by one of ``id_writers``; "\udcff" is written as the byte 0xff.
+odd_ids = st.sampled_from(
+    ['a"b', "a\\b", "é", "\x01", "\x7f", "\xa0", "\u2028", "\udcff", ""]
+)
+id_writers = st.sampled_from([
+    json.dumps, lambda i: json.dumps(i, ensure_ascii=False), lambda i: f'"{i}"',
+])
+# A line's text after its id and ``", ``: label-only and conflicting
+# variants of one record and other valid rests; an empty, unclosed or
+# trailed object, a second id, a bad label, a box out of bounds, numbers
+# that orjson rejects or reads as a float; and generated fields.
+valid_rests = st.sampled_from([
+    '"labels": ["cat"], "metadata": {"g": "a"}}',
+    '"labels": ["dog", "cat"], "metadata": {"g": "a"}}',
+    '"labels": ["cat"], "metadata": {"g": "b"}}',
+    '"width": 10, "height": 10, "boxes": [{"label": "cat", "x": 5, "w": 5, "h": 5}]}',
+    '"captions": ["a cat"], "labels": []}',
+    '"labels": ["cat"]}\xa0',
+])
+rest = st.one_of(
+    valid_rests,
+    valid_rests,
+    valid_rests,
+    st.sampled_from([
+        "}", '"labels": ["cat"]', '"labels": ["cat"]} x', '"image_id": "i9"}',
+        '"labels": [" "]}', '"labels": NaN}', f'"width": {2**64}}}',
+        '"width": 10, "height": 10, "boxes": [{"label": "cat", "x": 6, "w": 5, "h": 5}]}',
+    ]),
+    json_object({k: v for k, v in image_fields.items() if k != '"image_id"'}).map(
+        lambda text: text[1:]
+    ),
+)
+
+
+@st.composite
+def shared_rest_files(draw):
+    """An annotation file's text whose lines start with a new plain id, as
+    ``json.dumps`` writes it, and end with one of a few rests, so that whole
+    chunks share rests; then up to two lines are replaced by a line with
+    an odd or a repeated id, another head, a blank line or a generated
+    line. CRLF, and a last line without a newline."""
+    rests = draw(st.lists(rest, min_size=1, max_size=3))
+    n = draw(st.sampled_from([1, 5, 12, 40, 40, 60]))
+    picks = draw(st.lists(st.sampled_from(rests), min_size=n, max_size=n))
+    lines = [f'{{"image_id": "i{k}", {r}' for k, r in enumerate(picks)]
+    for k, kind in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(
+        ["odd", "repeat", "head", "blank", "line"])), max_size=2)):
+        if kind == "blank":
+            lines[k] = draw(st.sampled_from(["", " "]))
+        elif kind == "line":
+            lines[k] = draw(annotation_line)
+        else:
+            image_id = draw(odd_ids) if kind == "odd" else f"i{draw(st.integers(0, n - 1))}"
+            head = '{"image_id": '
+            if kind == "head":
+                head = draw(st.sampled_from(['{"image_id":', ' {"image_id": ']))
+            lines[k] = head + draw(id_writers)(image_id) + ", " + picks[k]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+def image_fields_of(img):
+    """An image's type, its fields and their types, and its metadata's items
+    in order."""
+    return type(img), tuple(map(type, img)), tuple(img), list(img.metadata.items())
+
+
+def shared_chunks_load_as_the_walk(path, monkeypatch):
+    """Assert that ``load_annotations(path)`` gives the images, field by
+    field, or the error, that a walk of every line gives; return how many
+    chunks the shared decode built."""
+    built = []
+    chunk_images = data._chunk_images
+
+    def loaded():
+        return outcome(lambda: [image_fields_of(img) for img in load_annotations(path)])
+
+    with monkeypatch.context() as m:
+        m.setattr(data, "_chunk_images",
+                  lambda *args: built.append(chunk_images(*args)) or built[-1])
+        shared = loaded()
+    with monkeypatch.context() as m:
+        m.setattr(data, "_chunk_images", lambda *args: None)
+        assert loaded() == shared
+    return sum(1 for images in built if images)
+
+
+SHARED = '"labels": ["cat"], "metadata": {"g": "a"}}'
+
+
+@pytest.mark.parametrize("chars", [150, 1 << 13])
+@pytest.mark.parametrize("line", [
+    '{"image_id": "i8", "image_id": "z"}',  # the last id wins
+    '{"image_id": "i8", }',
+    '{"image_id": "i8", "labels": ["cat"], "metadata": {"g": "a"}',
+    '{"image_id": "i8", "labels": NaN}',
+    '{"image_id": "i8", "labels": [" "]}',
+    f'{{"image_id": "i8", "width": {2**64}}}',
+    '{"image_id": "i8", ' + SHARED[:-1] + ", " + SHARED,
+    *(f'{{"image_id": {image_id}, {SHARED}'
+      for image_id in ['""', '"a"b"', '"a\\\\b"', '"a\\b"', '"\\u00e9"', '"é"',
+                       '"\udcff"', '"\x01"', '"\t"', '"\x7f"', '"\xa0"', '"\u2028"']),
+    *(f'{{"image_id": "{image_id}", {rest}'
+      for image_id in ("i1", "i7")
+      for rest in (SHARED, '"labels": ["dog"], "metadata": {"g": "a"}}',
+                   '"labels": ["cat"], "metadata": {"g": "b"}}')),
+    "", '{"image_id":"i8", ' + SHARED, ' {"image_id": "i8", ' + SHARED,
+])
+def test_odd_line_among_shared_rests_loads_as_the_record_walk(tmp_path, monkeypatch, line, chars):
+    """A file of lines that share two rests, with one line of each kind that
+    the shared decode must walk, read as a walk reads it, or merge or fail
+    as a duplicate of a line in the same chunk or an earlier one; in chunks
+    of three lines and in one."""
+    monkeypatch.setattr(data, "_ANNOTATION_CHARS", chars)
+    lines = [f'{{"image_id": "i{k}", ' + (SHARED if k % 4 != 3 else
+             '"labels": [], "captions": ["a cat"]}') for k in range(12)]
+    lines[8] = line
+    path = tmp_path / "a.jsonl"
+    path.write_bytes("".join(x + "\n" for x in lines).encode("utf-8", "surrogateescape"))
+    assert shared_chunks_load_as_the_walk(path, monkeypatch) >= (1 if chars == 150 else 0)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(text=shared_rest_files(), chars=st.sampled_from([1, 300, 1000, 1 << 13]))
+def test_shared_rests_load_as_the_record_walk(tmp_path, monkeypatch, text, chars):
+    """Generated files load as the walk loads them, for chunks of any size."""
+    monkeypatch.setattr(data, "_ANNOTATION_CHARS", chars)
+    path = tmp_path / "a.jsonl"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    shared_chunks_load_as_the_walk(path, monkeypatch)
