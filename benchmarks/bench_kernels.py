@@ -84,8 +84,6 @@ from disparity_audit.config import load_config
 from disparity_audit.data import (
     EXCLUSION_REASONS,
     AnnotatedImage,
-    PredictionRecord,
-    ScoreMatrix,
     load_annotations,
     load_predictions,
     validate_dataset,
@@ -108,7 +106,7 @@ from oracles import (  # noqa: E402
     rates_from_confusion,
     reference_rows,
 )
-from stubs import run_config  # noqa: E402
+from stubs import run_config, score_matrix  # noqa: E402
 from corpus import (  # noqa: E402
     BOX_CASES,
     CAPTION_CASES,
@@ -358,7 +356,7 @@ def _write_run(directory, spec):
 def deep(tmp_path_factory):
     """The deep shape: an annotations file of 30,000 lines, a run config that
     assigns groups from its metadata and reads the predictions file written
-    beside it, and the scores as a matrix."""
+    beside it, and that file loaded as a matrix."""
     spec = _deep_spec()
     images, _, predictions = generate(spec)
     directory = tmp_path_factory.mktemp("deep")
@@ -371,7 +369,7 @@ def deep(tmp_path_factory):
     with cfg.predictions.open("w", encoding="utf-8") as f:
         for p in predictions:
             f.write(json.dumps({"image_id": p.image_id, "scores": p.scores}) + "\n")
-    return path, cfg, ScoreMatrix.from_records(predictions)
+    return path, cfg, load_predictions(cfg.predictions, images)
 
 
 @pytest.fixture(scope="module")
@@ -390,9 +388,8 @@ def distinct(tmp_path_factory):
             f.write(json.dumps({"image_id": img.image_id,
                                 "labels": rng.sample(classes, rng.randint(3, 8)),
                                 "metadata": metadata}) + "\n")
-    predictions = ScoreMatrix.from_records(
-        PredictionRecord(img.image_id, {classes[i % 210 * 100]: 0.5})
-        for i, img in enumerate(images)
+    predictions = score_matrix(
+        {img.image_id: {classes[i % 210 * 100]: 0.5} for i, img in enumerate(images)}
     )
     return path, _write_run(directory, spec), predictions
 
@@ -487,15 +484,15 @@ def test_map_targets_vocabulary(benchmark):
     benchmark.group = "ingest-vocabulary"
     rng = random.Random(0)
     classes = [f"c{k:05d}" for k in range(21000)]
-    images, assignments, records = [], {}, []
+    images, assignments, records = [], {}, {}
     for i in range(500):
         image_id = f"i{i:03d}"
         # consecutive windows of 50 classes, 42 apart: every class is scored
         scored = [classes[(42 * i + j) % 21000] for j in range(50)]
         images.append(AnnotatedImage(image_id, direct_labels=frozenset(rng.sample(scored, 3))))
         assignments[image_id] = "AB"[i % 2]
-        records.append(PredictionRecord(image_id, dict.fromkeys(scored, 0.5)))
-    predictions = ScoreMatrix.from_records(records)
+        records[image_id] = dict.fromkeys(scored, 0.5)
+    predictions = score_matrix(records)
     assert predictions.scores.shape == (500, 21000)
     targets = benchmark(map_targets, images, assignments, predictions)
     assert len(targets.concepts) == 1482 and targets.unscored == ()

@@ -7,7 +7,6 @@ from .data import (
     AnnotatedImage,
     BoxAnnotation,
     ExclusionReason,
-    PredictionRecord,
     ScoreMatrix,
     load_annotations,
     load_predictions,
@@ -43,11 +42,11 @@ from .disparity import (
     significance_flag,
 )
 
-_SYNTH = frozenset({"CellSpec", "ScenarioSpec", "closed_form_auc", "generate"})
+_SYNTH = frozenset({"CellSpec", "PredictionRecord", "ScenarioSpec", "closed_form_auc", "generate"})
 
 # A star import reads ``synth``'s names through ``__getattr__``, importing it.
 __all__ = sorted({
-    "AnnotatedImage", "BoxAnnotation", "ExclusionReason", "PredictionRecord", "ScoreMatrix",
+    "AnnotatedImage", "BoxAnnotation", "ExclusionReason", "ScoreMatrix",
     "load_annotations", "load_predictions", "validate_dataset",
     "AuditError", "ConfigError", "DataError", "InvariantError",
     "GroupRule", "assign_groups", "assignment_summary", "region_rule", "terms_rule",

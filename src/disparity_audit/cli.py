@@ -200,10 +200,7 @@ def _cmd_synth(args) -> int:
     pred_path = out / "predictions.jsonl"
     with pred_path.open("w", encoding="utf-8") as f:
         for p in predictions:
-            f.write(json.dumps(
-                {"image_id": p.image_id, "scores": dict(sorted(p.scores.items()))},
-                sort_keys=True,
-            ) + "\n")
+            f.write(json.dumps({"image_id": p.image_id, "scores": p.scores}, sort_keys=True) + "\n")
     write_assignments_csv(assignments, out / "assignments.csv")
     groups = sorted(set(assignments.values()))
     region_path = out / "region_identity.json"

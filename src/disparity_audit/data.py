@@ -1,7 +1,8 @@
 """Core data model and JSONL ingestion for annotations and predictions.
 
 All types are immutable after load. Loaders are single-threaded per file;
-downstream modules receive read-only views.
+downstream modules receive read-only views. Scores enter a run only through
+``load_predictions``, which builds the ``ScoreMatrix`` from a file.
 """
 
 from __future__ import annotations
@@ -169,15 +170,6 @@ class AnnotatedImage(_ImageFields):
 
 
 @dataclass(frozen=True)
-class PredictionRecord:
-    """One image's confidence scores keyed by concept id, as ``synth`` makes
-    them; ``ScoreMatrix.from_records`` checks every score and loads them."""
-
-    image_id: str
-    scores: Mapping[str, float]
-
-
-@dataclass(frozen=True)
 class ScoreMatrix:
     """Prediction scores in columnar form.
 
@@ -194,19 +186,6 @@ class ScoreMatrix:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def from_records(cls, records: Iterable[PredictionRecord]) -> "ScoreMatrix":
-        """The matrix of the records, checked as ``load_predictions`` checks
-        a file's; an error names the image."""
-        row_of: dict[str, int] = {}
-        column_of: dict[str, int] = {}
-        concepts: dict[str, int] = {}
-        cells = _record_cells(
-            ((r.image_id, (r.image_id, r.scores)) for r in records),
-            row_of, column_of, concepts, lambda image_id: f"image {image_id!r}",
-        )
-        return _score_matrix([cells], row_of, concepts)
 
     def row_of(self, image_ids: Sequence[str]) -> np.ndarray:
         """Row of each image in ``scores``, -1 for an image without predictions."""
@@ -337,51 +316,50 @@ def _chunk_cells(
 
 
 def _record_cells(
-    records: Iterable[tuple[object, tuple[str, Mapping[str, float]]]],
+    name: str,
+    records: Iterable[tuple[int, tuple[str, dict]]],
     row_of: dict[str, int],
     column_of: dict[str, int],
     concepts: dict[str, int],
-    where: Callable[[object], str],
 ) -> _Cells:
-    """The cells of ``(key, (image_id, scores))`` records, each checked as
-    it is read, as ``_chunk_cells`` checks a chunk; ``row_of`` takes their
-    rows, and ``column_of`` and ``concepts`` their new keys
+    """The cells of the ``(line number, (image_id, scores))`` records that
+    ``_parse_lines`` reads from the predictions file ``name``, each checked
+    as it is read, as ``_chunk_cells`` checks a chunk; ``row_of`` takes
+    their rows, and ``column_of`` and ``concepts`` their new keys
     (``_add_columns``).
 
     Each score must be an int or float (not a bool), finite as a float, and
     keyed by a concept id that is not empty after canonicalization and is
     no other key's concept; each image id may occur once.
-    ``where(key)`` names a bad record in its error, e.g. as ``file:line``;
-    it is called only then.
 
     Raises:
-        DataError: on the first bad record, naming it and the concept,
-            before a later record is read.
+        DataError: on the first bad record, naming it as ``file:line`` and
+            the concept, before a later record is read.
     """
     lengths: list[int] = []
     columns: list[int] = []
     values: list[float] = []
-    for key, (image_id, scores) in records:
+    for line_no, (image_id, scores) in records:
         if image_id in row_of:
-            raise DataError(f"{where(key)}: duplicate prediction for image {image_id!r}")
+            raise DataError(f"{name}:{line_no}: duplicate prediction for image {image_id!r}")
         if "" in scores:
-            raise DataError(f"{where(key)}: empty concept key in scores")
+            raise DataError(f"{name}:{line_no}: empty concept key in scores")
         for concept, score in scores.items():
             if not isinstance(score, (int, float)) or isinstance(score, bool):
-                raise DataError(f"{where(key)}: score for {concept!r} is not a number")
+                raise DataError(f"{name}:{line_no}: score for {concept!r} is not a number")
             try:
                 value = float(score)
             except OverflowError:
                 raise DataError(
-                    f"{where(key)}: score for {concept!r} is too large for a float"
+                    f"{name}:{line_no}: score for {concept!r} is too large for a float"
                 ) from None
             if not math.isfinite(value):
-                raise DataError(f"{where(key)}: non-finite score {score!r} for {concept!r}")
+                raise DataError(f"{name}:{line_no}: non-finite score {score!r} for {concept!r}")
             values.append(value)
         try:
             _add_columns(scores, column_of, concepts)
         except DataError as e:
-            raise DataError(f"{where(key)}: {e}") from None
+            raise DataError(f"{name}:{line_no}: {e}") from None
         columns.extend(map(column_of.__getitem__, scores))
         lengths.append(len(scores))
         row_of[image_id] = len(row_of)
@@ -858,8 +836,8 @@ def load_predictions(path: str | Path, images: Sequence[AnnotatedImage]) -> Scor
             cells = _chunk_cells(values, row_of, column_of, concepts)
             if cells is None:
                 cells = _record_cells(
-                    _parse_lines(name, first, lines, values, record), row_of, column_of,
-                    concepts, lambda line_no: f"{name}:{line_no}",
+                    name, _parse_lines(name, first, lines, values, record),
+                    row_of, column_of, concepts,
                 )
             elif not known.issuperset(ids := list(map(_IMAGE_ID, values))):
                 unknown.extend((i, n) for n, i in enumerate(ids, first) if i not in known)

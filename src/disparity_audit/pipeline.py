@@ -8,6 +8,7 @@ byte-identical across runs with the same inputs.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
@@ -86,12 +87,12 @@ def evaluate_concept(
     """Bootstrap one concept's metrics (ranking and threshold metrics, not
     ``hit_rate``) for every group, as its ``ConceptSizing`` says.
 
-    Each group's ranked pool scores its draws and the identity draw, the
-    full sample (``ranked_metrics``); nothing is ranked here. With a
-    ``budget`` each draw takes that many positives and negatives from every
-    group; without, each group is resampled whole. Returns the per-bootstrap
-    values and the full-sample value (``None`` where undefined), both keyed
-    (metric, group).
+    Each group's ranked pool scores its draws and then the identity draw,
+    the full sample, in one ``ranked_metrics`` call; nothing is ranked
+    here. With a ``budget`` each draw takes that many positives and
+    negatives from every group; without, each group is resampled whole.
+    Returns the per-bootstrap values and the full-sample value (``None``
+    where undefined), both keyed (metric, group).
     """
     values: dict[tuple[str, str], np.ndarray] = {}
     full_sample: dict[tuple[str, str], float | None] = {}
@@ -103,12 +104,12 @@ def evaluate_concept(
         else:
             draws = draw_rows((seed, "baseline", concept, g), bootstraps, [(n, n)])
         try:
-            for m, v in ranked_metrics(pool, draws, metrics).items():
-                values[(m, g)] = v
+            scored = ranked_metrics(pool, itertools.chain(draws, [np.arange(n)[None]]), metrics)
         except InvariantError as e:
             raise InvariantError(f"concept {concept!r} group {g!r}: {e}") from e
-        for m, v in ranked_metrics(pool, [np.arange(n)[None]], metrics).items():
-            full_sample[(m, g)] = None if np.isnan(v[0]) else float(v[0])
+        for m, v in scored.items():
+            values[(m, g)] = v[:-1]
+            full_sample[(m, g)] = None if np.isnan(v[-1]) else float(v[-1])
     return values, full_sample
 
 

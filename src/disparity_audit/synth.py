@@ -2,7 +2,9 @@
 
 Scores are logistic-squashed Gaussians: the squash keeps scores in (0, 1)
 while preserving rank order, so the Gaussian closed-form AUC remains exact
-ground truth for the generated data.
+ground truth for the generated data. ``generate`` returns the scores as
+``PredictionRecord``s, which the ``synth`` subcommand writes to a
+predictions file; an audit reads them back with ``load_predictions``.
 """
 
 from __future__ import annotations
@@ -14,9 +16,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import EXCLUSION_REASONS, AnnotatedImage, PredictionRecord, read_json_object
+from .data import EXCLUSION_REASONS, AnnotatedImage, read_json_object
 from .errors import DataError
 from .sampling import derive_rng
+
+
+@dataclass(frozen=True)
+class PredictionRecord:
+    """One generated image's confidence scores keyed by concept id."""
+
+    image_id: str
+    scores: Mapping[str, float]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
-"""A run config for tests that build their records in memory, and a spy on
-the pools the pipeline ranks."""
+"""A run config for tests that build their records in memory, a score
+matrix loaded the way a run loads one, and a spy on the pools the pipeline
+ranks."""
 
+import json
+import tempfile
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from disparity_audit import pipeline
 from disparity_audit.config import RunConfig
+from disparity_audit.data import AnnotatedImage, ScoreMatrix, load_predictions
 from disparity_audit.groups import GroupRule
 
 
@@ -22,6 +26,20 @@ def run_config(groups: Sequence[str] = (), **fields) -> RunConfig:
         evaluation_version="custom", drop_unlabeled=False, top_n=5, output_dir=stub,
     )
     return RunConfig(**{**defaults, **fields})
+
+
+def score_matrix(scores: Mapping[str, Mapping[str, float]]) -> ScoreMatrix:
+    """The score matrix of ``{image_id: scores}``: the records are written,
+    in that order, to a predictions file in a temporary directory, which
+    ``load_predictions`` loads against a bare ``AnnotatedImage`` per id. A
+    JSON float reads back as the same double, so every cell is the one
+    given."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "predictions.jsonl"
+        with path.open("w", encoding="utf-8") as f:
+            for image_id, row in scores.items():
+                f.write(json.dumps({"image_id": image_id, "scores": row}) + "\n")
+        return load_predictions(path, [AnnotatedImage(i) for i in scores])
 
 
 def spy_rank_pool(monkeypatch) -> list[tuple]:

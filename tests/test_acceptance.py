@@ -15,7 +15,6 @@ import numpy as np
 from disparity_audit import (
     CellSpec,
     ScenarioSpec,
-    ScoreMatrix,
     compute_budget,
     generate,
     pair_disparity,
@@ -51,7 +50,7 @@ from oracles import (
     rates_from_confusion,
     threshold_oracle_f1,
 )
-from stubs import run_config
+from stubs import run_config, score_matrix
 
 
 def _report(criterion: int, name: str, detail: str = ""):
@@ -168,7 +167,7 @@ def _flagship_records(seed: int):
     }
     spec = ScenarioSpec(concepts={"widget": cells}, seed=seed)
     images, assignments, predictions = generate(spec)
-    return images, assignments, ScoreMatrix.from_records(predictions)
+    return images, assignments, score_matrix({p.image_id: p.scores for p in predictions})
 
 
 def test_criterion_04_flagship_prevalence_reproduction():

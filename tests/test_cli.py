@@ -94,6 +94,23 @@ class TestSubcommands:
         assert len(lines) == 301  # 300 images + header
         assert all(",assigned," in l for l in lines[1:])
 
+    def test_synth_files_load_as_generated(self, workspace):
+        """The files ``synth`` writes load as the data ``generate`` made:
+        the same images in the same order, and every score bit for bit."""
+        from disparity_audit.synth import ScenarioSpec, generate
+
+        tmp_path, cfg_path = workspace
+        spec = ScenarioSpec.from_file(tmp_path / "scenario.json")
+        images, _, records = generate(spec)
+        loaded, matrix, _ = load_dataset(load_config(cfg_path))
+        assert [(i.image_id, i.direct_labels, i.metadata) for i in loaded] == [
+            (i.image_id, i.direct_labels, i.metadata) for i in images
+        ]
+        assert matrix.concepts == ("c1", "c2")
+        assert list(matrix.rows) == [r.image_id for r in records]
+        for r, row in zip(records, matrix.scores.tolist(), strict=True):
+            assert list(map(float.hex, row)) == [r.scores[c].hex() for c in matrix.concepts]
+
     def test_map_targets(self, workspace):
         tmp_path, cfg_path = workspace
         assert main(["map", "--config", str(cfg_path)]) == 0
@@ -1045,7 +1062,7 @@ class TestEntry:
         assert project["scripts"] == {"disparity-audit": "disparity_audit.cli:entry"}
 
 
-_SYNTH_NAMES = {"CellSpec", "ScenarioSpec", "closed_form_auc", "generate"}
+_SYNTH_NAMES = {"CellSpec", "PredictionRecord", "ScenarioSpec", "closed_form_auc", "generate"}
 
 
 class TestImports:
@@ -1071,6 +1088,7 @@ class TestImports:
 
         for name in _SYNTH_NAMES:
             assert getattr(disparity_audit, name) is getattr(synth, name)
+        assert not hasattr(disparity_audit.data, "PredictionRecord")
         with pytest.raises(AttributeError, match="no attribute 'logistic'"):
             disparity_audit.logistic
         assert _SYNTH_NAMES <= set(dir(disparity_audit))

@@ -6,8 +6,6 @@ from disparity_audit import (
     AnnotatedImage,
     ClassMapping,
     DataError,
-    PredictionRecord,
-    ScoreMatrix,
     canonicalize_label,
     image_target_set,
     map_targets,
@@ -16,7 +14,7 @@ from disparity_audit import (
 from disparity_audit.data import EXCLUSION_REASONS, ExclusionReason
 from disparity_audit.pipeline import plan_concepts
 
-from stubs import run_config, spy_rank_pool
+from stubs import run_config, score_matrix, spy_rank_pool
 
 MAPPING_22K = ClassMapping.from_dict({
     "name": "imagenet22k",
@@ -104,16 +102,12 @@ class TestMapping:
             ClassMapping.from_dict({"name": "m", "map": {"x": []}})
 
 
-def targets_of(images, assignments, predictions, mapping=None):
-    """Target matrix of hand-built records."""
-    return map_targets(images, assignments, ScoreMatrix.from_records(predictions), mapping)
-
-
 def plan_of(images, assignments, predictions, groups=("A",), mapping=None):
-    """The plan of hand-built records for a ranking-only baseline run, which
-    evaluates every concept with a positive in each group on its full pools."""
+    """The plan of hand-built records (``predictions`` maps each image id to
+    its scores) for a ranking-only baseline run, which evaluates every
+    concept with a positive in each group on its full pools."""
     cfg = run_config(groups=groups, mapping=mapping, min_per_group=1, sampling_mode="baseline")
-    return plan_concepts(images, assignments, ScoreMatrix.from_records(predictions), cfg)
+    return plan_concepts(images, assignments, score_matrix(predictions), cfg)
 
 
 def pools_of(images, assignments, predictions, mapping=None):
@@ -154,10 +148,9 @@ def _fixture_dataset():
         "a1": "A", "a2": "A", "a3": "A", "a4": "A", "a5": "A",
         "x1": ExclusionReason.MULTIPLE_GROUPS.value,
     }
-    predictions = [
-        PredictionRecord(image_id=i, scores={"c": 0.1 * k, "other": 0.5})
-        for k, i in enumerate(["a1", "a2", "a3", "a4", "a5", "x1"])
-    ]
+    predictions = {
+        i: {"c": 0.1 * k, "other": 0.5} for k, i in enumerate(["a1", "a2", "a3", "a4", "a5", "x1"])
+    }
     return images, assignments, predictions
 
 
@@ -183,7 +176,7 @@ class TestConceptTables:
 
     def test_missing_score_omitted(self, caplog):
         images, assignments, predictions = _fixture_dataset()
-        predictions[0] = PredictionRecord(image_id="a1", scores={"other": 0.5})
+        predictions["a1"] = {"other": 0.5}
         with caplog.at_level("WARNING"):
             pool = pools_of(images, assignments, predictions)["c"]["A"]
         assert pool.n_pos == 1
@@ -200,11 +193,10 @@ class TestConceptTables:
         images = [AnnotatedImage(image_id="p", direct_labels=frozenset(concepts))]
         images += [AnnotatedImage(image_id=i) for i in lacks]
         assignments = dict.fromkeys((img.image_id for img in images), "A")
-        predictions = [PredictionRecord("p", dict.fromkeys(concepts, 0.5))]
-        predictions += [
-            PredictionRecord(i, {c: 0.1 for c in concepts if c not in lacked})
-            for i, lacked in lacks.items()
-        ]
+        predictions = {"p": dict.fromkeys(concepts, 0.5)}
+        predictions.update(
+            (i, {c: 0.1 for c in concepts if c not in lacked}) for i, lacked in lacks.items()
+        )
         with caplog.at_level("DEBUG", logger="disparity_audit.pipeline"):
             plan = plan_of(images, assignments, predictions)
         assert list(plan.sized) == concepts
@@ -227,7 +219,7 @@ class TestConceptTables:
         plan = plan_of(images, assignments, predictions)
         assert plan.unscored == ("unscored_concept",)
         assert set(plan.sized) == {"c", "other"}
-        matrix = ScoreMatrix.from_records(predictions)
+        matrix = score_matrix(predictions)
         targets = map_targets(images, assignments, matrix)
         assert targets.unscored == ("unscored_concept",)
         assert [matrix.concepts[j] for j in targets.columns] == list(targets.concepts)
@@ -247,10 +239,10 @@ class TestConceptTables:
             AnnotatedImage(image_id="i2", direct_labels=frozenset({"parking lots"})),
         ]
         assignments = {"i1": "A", "i2": "A"}
-        predictions = [
-            PredictionRecord(image_id="i1", scores={"cellphone": 0.9, "parking meter": 0.2}),
-            PredictionRecord(image_id="i2", scores={"cellphone": 0.1, "parking meter": 0.8}),
-        ]
+        predictions = {
+            "i1": {"cellphone": 0.9, "parking meter": 0.2},
+            "i2": {"cellphone": 0.1, "parking meter": 0.8},
+        }
         pools = ranked_rows_of(monkeypatch, images, assignments, predictions, MAPPING_1K)
         _, labels, image_rows = pools["cellphone"]["A"]
         assert pool_ids(assignments, image_rows) == ["i1", "i2"]
@@ -282,7 +274,7 @@ class TestConceptTables:
             return mapped(image, *args, **kwargs)
 
         monkeypatch.setattr(concepts, "image_target_set", spy)
-        matrix = ScoreMatrix.from_records(predictions)
+        matrix = score_matrix(predictions)
         targets = map_targets(images, assignments, matrix)
         assert sorted(calls) == [["c"], ["other"], ["owl"]]
         in_id_order = ["a0", "a1", "a2", "a3", "a4", "a5"]
@@ -315,9 +307,8 @@ class TestConceptTables:
             ),
         ]
         assignments = dict.fromkeys((img.image_id for img in images), "A")
-        predictions = ScoreMatrix.from_records(
-            PredictionRecord(img.image_id, {"c": 0.5, "other": 0.5, "owl": 0.5})
-            for img in images
+        predictions = score_matrix(
+            {img.image_id: {"c": 0.5, "other": 0.5, "owl": 0.5} for img in images}
         )
         targets = map_targets(images, assignments, predictions)
         assert targets.concepts == ("c", "other", "owl")
@@ -331,9 +322,7 @@ class TestConceptTables:
             for k in range(4)
         ] + [AnnotatedImage(image_id="j", direct_labels=frozenset({"owl"}))]
         assignments = dict.fromkeys((img.image_id for img in images), "A")
-        predictions = ScoreMatrix.from_records(
-            PredictionRecord(img.image_id, {"cellphone": 0.5}) for img in images
-        )
+        predictions = score_matrix({img.image_id: {"cellphone": 0.5} for img in images})
         with caplog.at_level("WARNING", logger="disparity_audit.concepts"):
             targets = map_targets(images, assignments, predictions, MAPPING_1K, strict=False)
         assert targets.targets.tolist() == [[True]] * 4 + [[False]]

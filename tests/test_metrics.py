@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disparity_audit import DataError, select_threshold, split_validation_test
-from disparity_audit.data import PredictionRecord, ScoreMatrix
 from disparity_audit.metrics import hit_vector, log as metrics_log
 
 from oracles import (
@@ -23,6 +22,7 @@ from oracles import (
     rates_from_confusion,
     threshold_oracle_f1,
 )
+from stubs import score_matrix
 
 
 # The scalar reference kernels (``oracles``) against hand counts and brute
@@ -336,9 +336,7 @@ WARNINGS = ("empty target sets", "without scores", "fewer than k")
 def matrix_hits(score_maps, target_sets, k):
     """``hit_vector`` on the matrix form of per-image score dicts, with rows
     in image-id order; returns the hits and the three warning counts."""
-    matrix = ScoreMatrix.from_records(
-        PredictionRecord(image_id=i, scores=s) for i, s in score_maps.items()
-    )
+    matrix = score_matrix(score_maps)
     ids = sorted(target_sets)
     targets = np.array(
         [[c in target_sets[i] for c in matrix.concepts] for i in ids], dtype=bool

@@ -15,8 +15,6 @@ from disparity_audit.data import (
     EXCLUSION_REASONS,
     AnnotatedImage,
     ExclusionReason,
-    PredictionRecord,
-    ScoreMatrix,
 )
 from disparity_audit.groups import assign_groups, terms_rule
 from disparity_audit.metrics import hit_vector
@@ -35,7 +33,7 @@ from disparity_audit.pipeline import (
 from disparity_audit.sampling import derive_seed
 from disparity_audit.synth import CellSpec, ScenarioSpec, generate
 
-from stubs import run_config, spy_rank_pool
+from stubs import run_config, score_matrix, spy_rank_pool
 
 
 def two_group_plan(cfg, seed=0, n=300, prev_a=0.3, prev_b=0.3):
@@ -50,7 +48,8 @@ def two_group_plan(cfg, seed=0, n=300, prev_a=0.3, prev_b=0.3):
 def synth_plan(spec, cfg):
     """The plan of a synthetic scenario."""
     images, assignments, predictions = generate(spec)
-    return plan_concepts(images, assignments, ScoreMatrix.from_records(predictions), cfg)
+    matrix = score_matrix({p.image_id: p.scores for p in predictions})
+    return plan_concepts(images, assignments, matrix, cfg)
 
 
 def cfg_for(tmp_path, mode="reliable", metrics=("ap", "tpr", "fpr"), ratio=(1, 4),
@@ -456,10 +455,7 @@ class TestPlanConcepts:
             i: g if g is not None else ExclusionReason.NO_GROUP_EVIDENCE.value
             for i, g, _, _ in rows
         }
-        predictions = ScoreMatrix.from_records(
-            PredictionRecord(image_id=i, scores=s) for i, _, _, s in rows
-        )
-        return images, assignments, predictions
+        return images, assignments, score_matrix({i: s for i, _, _, s in rows})
 
     def cfg(self, tmp_path, groups=("A", "B")):
         import dataclasses
@@ -495,7 +491,7 @@ class TestPlanConcepts:
         rule = terms_rule(
             {"groups": {"woman": ["woman"], "man": ["man"]}}, "captions", exclusions=False
         )
-        images, records = [], []
+        images, records = [], {}
         for g in ("man", "woman"):
             for k in range(30):
                 labels, scores = {"many"} if k < 10 else set(), {"many": (k % 7) / 7}
@@ -506,11 +502,9 @@ class TestPlanConcepts:
                     image_id=f"{g}{k:02d}", captions=(f"a {g} in a park",),
                     direct_labels=frozenset(labels),
                 ))
-                records.append(PredictionRecord(image_id=f"{g}{k:02d}", scores=scores))
+                records[f"{g}{k:02d}"] = scores
         cfg = dataclasses.replace(cfg, group_rule=rule, min_per_group=1)
-        return plan_concepts(
-            images, assign_groups(images, rule), ScoreMatrix.from_records(records), cfg
-        )
+        return plan_concepts(images, assign_groups(images, rule), score_matrix(records), cfg)
 
     @pytest.mark.parametrize("scope, named", [
         ("per_group", "group 'woman'"), ("pooled", "groups 'woman', 'man'"),
@@ -598,9 +592,7 @@ def test_hit_rate_warnings_name_their_group(tmp_path, caplog):
             ("b2", "B", set())]
     images = [AnnotatedImage(image_id=i, direct_labels=frozenset(l)) for i, _, l in rows]
     assignments = {i: g for i, g, _ in rows}
-    predictions = ScoreMatrix.from_records(
-        PredictionRecord(image_id=i, scores={"cat": 0.5, "dog": 0.25}) for i, _, _ in rows
-    )
+    predictions = score_matrix({i: {"cat": 0.5, "dog": 0.25} for i, _, _ in rows})
     cfg = dataclasses.replace(cfg_for(tmp_path, metrics=("hit_rate",)), k=5)
     with caplog.at_level("WARNING", logger="disparity_audit.metrics"):
         plan = plan_concepts(images, assignments, predictions, cfg)
@@ -630,9 +622,7 @@ def test_plan_hits_are_each_groups_hit_vector(tmp_path):
     ]
     images = [AnnotatedImage(image_id=i, direct_labels=frozenset(l)) for i, _, l, _ in rows]
     assignments = {i: g for i, g, _, _ in rows}
-    predictions = ScoreMatrix.from_records(
-        PredictionRecord(image_id=i, scores=s) for i, _, _, s in rows if s is not None
-    )
+    predictions = score_matrix({i: s for i, _, _, s in rows if s is not None})
     groups = ("A", "B", "C")
     cfg = dataclasses.replace(cfg_for(tmp_path, metrics=("ap", "hit_rate"), groups=groups), k=2)
     plan = plan_concepts(images, assignments, predictions, cfg)
@@ -663,7 +653,7 @@ class TestRareLabelRule:
         """The concepts retained from one concept ``c`` with the given
         positives per group and as many negatives; the positives of the
         ``unscored`` groups have no score for ``c``."""
-        images, assignments, records = [], {}, []
+        images, assignments, records = [], {}, {}
         for g, n in positives.items():
             for k in range(2 * n):
                 image_id = f"{g}{k:03d}"
@@ -672,13 +662,11 @@ class TestRareLabelRule:
                 ))
                 assignments[image_id] = g
                 unscored_positive = g in unscored and k < n
-                records.append(PredictionRecord(
-                    image_id, {"x": 0.5} if unscored_positive else {"c": k / (2 * n)}
-                ))
+                records[image_id] = {"x": 0.5} if unscored_positive else {"c": k / (2 * n)}
         cfg = run_config(
             groups=tuple(positives), min_per_group=min_per_group, sampling_mode="baseline"
         )
-        plan = plan_concepts(images, assignments, ScoreMatrix.from_records(records), cfg)
+        plan = plan_concepts(images, assignments, score_matrix(records), cfg)
         return [*plan.sized, *plan.skipped]
 
     def test_retained_when_every_group_clears_the_floor(self):
@@ -726,26 +714,23 @@ class TestPlanPools:
             i: g if k % gap else excluded for k, (i, g) in enumerate(assignments.items())
         }
         cells = itertools.count()
-        records = [
-            PredictionRecord(
-                r.image_id, {c: v for c, v in r.scores.items() if next(cells) % (gap + 1)}
-            )
+        score = {
+            r.image_id: {c: v for c, v in r.scores.items() if next(cells) % (gap + 1)}
             for r in records
-        ]
+        }
         cfg = run_config(
             groups=groups, metrics=metrics, threshold_scope=scope, sampling_mode=mode,
             ratio=(1, 2), validation_fraction=fraction, min_per_group=1, seed=seed,
         )
         with pytest.MonkeyPatch.context() as mp:
             ranked = spy_rank_pool(mp)
-            plan = plan_concepts(images, assignments, ScoreMatrix.from_records(records), cfg)
+            plan = plan_concepts(images, assignments, score_matrix(score), cfg)
         event(f"sized {len(plan.sized)} of {len(plan.sized) + len(plan.skipped)} retained")
 
         # image rows index the assigned images in id order
         group_of = {i: g for i, g in assignments.items() if g not in EXCLUSION_REASONS}
         ids = sorted(group_of)
         label_sets = {img.image_id: img.direct_labels for img in images}
-        score = {r.image_id: r.scores for r in records}
         split = any(m in THRESHOLD_METRICS for m in metrics)
         calls = iter(ranked)
         for c, sizing in plan.sized.items():
