@@ -42,10 +42,8 @@ from .disparity import (
     significance_flag,
 )
 
-_SYNTH = frozenset({"CellSpec", "PredictionRecord", "ScenarioSpec", "closed_form_auc", "generate"})
-
-# A star import reads ``synth``'s names through ``__getattr__``, importing it.
-__all__ = sorted({
+# ``synth``'s names come from ``disparity_audit.synth``, which the package does not import
+__all__ = [
     "AnnotatedImage", "BoxAnnotation", "ExclusionReason", "ScoreMatrix",
     "load_annotations", "load_predictions", "validate_dataset",
     "AuditError", "ConfigError", "DataError", "InvariantError",
@@ -55,18 +53,4 @@ __all__ = sorted({
     "rank_pool", "ranked_metrics", "select_threshold", "split_validation_test",
     "compute_budget", "derive_rng", "derive_seed",
     "MetricEstimate", "pair_disparity", "percentile", "significance_flag",
-} | _SYNTH)
-
-
-def __getattr__(name: str):
-    """``synth``'s public names, imported on first use (PEP 562): no audit
-    subcommand reads them, so importing the package does not import ``synth``."""
-    if name in _SYNTH:
-        from . import synth
-
-        return getattr(synth, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _SYNTH)
+]

@@ -1,5 +1,5 @@
-"""Label canonicalization, dataset-to-model class mapping, and the targets
-of the group-assigned images.
+"""Side files' label lists in canonical form (``data.canonicalize_label``),
+dataset-to-model class mapping, and the targets of the group-assigned images.
 
 Concept reporting is done in model-class space; several dataset labels may
 collapse onto one model concept, in which case their positives are unioned.
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
@@ -29,11 +28,6 @@ from .errors import DataError
 log = logging.getLogger("disparity_audit.concepts")
 
 ConceptId = str
-
-# Canonical forms cached by raw label: a process canonicalizes each distinct
-# label once, however many label sets hold it. A label that raises is not
-# cached, so it raises again where it is next met.
-_canonical = lru_cache(maxsize=1 << 16)(canonicalize_label)
 
 
 def canonicalize_labels(values: object, where: str) -> list[ConceptId]:
@@ -79,10 +73,20 @@ class ClassMapping:
             where = f"mapping {name!r}: model_class_whitelist"
             allowed = set(canonicalize_labels(whitelist, where))
         table: dict[str, tuple[str, ...]] = {}
+        key_of: dict[str, str] = {}  # canonical label -> its raw key
         for label, classes in raw_map.items():
             if not isinstance(classes, list) or not classes:
                 raise DataError(f"mapping {name!r}: label {label!r} must map to a non-empty list")
             canon = canonicalize_labels(classes, f"mapping {name!r}: label {label!r}")
+            try:
+                key = canonicalize_label(label)
+            except DataError as e:
+                raise DataError(f"mapping {name!r}: {e}") from None
+            if key_of.setdefault(key, label) != label:
+                raise DataError(
+                    f"mapping {name!r}: map keys {key_of[key]!r} and {label!r} "
+                    f"are one label, {key!r}"
+                )
             if allowed is not None:
                 kept = [c for c in canon if c in allowed]
                 dropped = [c for c in canon if c not in allowed]
@@ -98,10 +102,7 @@ class ClassMapping:
                     name, label,
                 )
                 continue
-            try:
-                table[canonicalize_label(label)] = tuple(dict.fromkeys(canon))
-            except DataError as e:
-                raise DataError(f"mapping {name!r}: {e}") from None
+            table[key] = tuple(dict.fromkeys(canon))
         return cls(name=name, table=table)
 
     @classmethod
@@ -119,7 +120,7 @@ def map_to_model_classes(
     """
     out: set[str] = set()
     for label in labels:
-        canon = _canonical(label)
+        canon = canonicalize_label(label)
         classes = mapping.table.get(canon)
         if classes is None:
             if strict:
@@ -141,9 +142,9 @@ def image_target_set(
     canonicalized; with no mapping the canonical labels are the targets
     (zero-shot identity mapping).
     """
-    canon = frozenset(map(_canonical, image.direct_labels))
+    canon = frozenset(map(canonicalize_label, image.direct_labels))
     if image.boxes:
-        canon = canon.union(map(_canonical, (b.raw_label for b in image.boxes)))
+        canon = canon.union(map(canonicalize_label, (b.raw_label for b in image.boxes)))
     if mapping is None:
         return canon
     return map_to_model_classes(canon, mapping, strict=strict)

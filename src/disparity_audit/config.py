@@ -49,35 +49,19 @@ DEFAULTS: dict[str, Any] = {
     "output_dir": "out",
 }
 
+_RELATIVE_AREA = {"variant": "relative_area", "use_min": 0.05, "ignore_max": 0.02}
 # Evaluation-version presets: the group-filter ladder plus the
-# prevalence-controlled "reliable" protocol.
+# prevalence-controlled "reliable" protocol. Each rung lists only its values
+# that differ from DEFAULTS; every rung keeps its 250 bootstraps and K = 50.
 PRESETS: dict[str, dict[str, Any]] = {
-    "baseline": {
-        "box_filter": {"variant": "none"},
-        "apply_term_exclusions": False,
-        "sampling": {"mode": "baseline", "min_per_group": 50, "bootstraps": 250},
-    },
-    "v1": {
-        "box_filter": {"variant": "min_area_pixels", "threshold": 600},
-        "apply_term_exclusions": False,
-        "sampling": {"mode": "baseline", "min_per_group": 50, "bootstraps": 250},
-    },
-    "v2": {
-        "box_filter": {"variant": "relative_area", "use_min": 0.05, "ignore_max": 0.02},
-        "apply_term_exclusions": False,
-        "sampling": {"mode": "baseline", "min_per_group": 50, "bootstraps": 250},
-    },
-    "v3": {
-        "box_filter": {"variant": "relative_area", "use_min": 0.05, "ignore_max": 0.02},
-        "apply_term_exclusions": True,
-        "sampling": {"mode": "baseline", "min_per_group": 50, "bootstraps": 250},
-    },
+    "baseline": {},
+    "v1": {"box_filter": {"variant": "min_area_pixels", "threshold": 600}},
+    "v2": {"box_filter": _RELATIVE_AREA},
+    "v3": {"box_filter": _RELATIVE_AREA, "apply_term_exclusions": True},
     "reliable": {
-        "box_filter": {"variant": "relative_area", "use_min": 0.05, "ignore_max": 0.02},
+        "box_filter": _RELATIVE_AREA,
         "apply_term_exclusions": True,
-        "sampling": {
-            "mode": "reliable", "ratio": [1, 5], "min_per_group": 50, "bootstraps": 250,
-        },
+        "sampling": {"mode": "reliable"},
     },
 }
 

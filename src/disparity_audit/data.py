@@ -52,11 +52,14 @@ def read_json_object(path: str | Path, what: str) -> dict:
     return obj
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def canonicalize_label(raw: str) -> str:
     """Canonical form of a dataset label or model class key.
 
     Lowercases and strips surrounding whitespace; synset keys such as
     ``"male_child.n.01"`` pass through otherwise unchanged. Idempotent.
+    Cached by raw label; a label that raises is not cached, so it raises
+    again where it is next met.
     """
     if not isinstance(raw, str):
         raise DataError(f"label must be a string, got {raw!r}")

@@ -19,8 +19,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .concepts import canonicalize_label, canonicalize_labels
-from .data import AnnotatedImage, ExclusionReason
+from .concepts import canonicalize_labels
+from .data import AnnotatedImage, ExclusionReason, canonicalize_label
 from .errors import DataError
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)

@@ -308,7 +308,8 @@ def hit_vector(
         return np.empty(0)
     np.negative(neg, out=neg)  # NaN stays NaN, and partitions last
     kth = min(k, neg.shape[1]) - 1
-    cut = np.partition(neg, kth, axis=1)[:, kth:kth + 1]
+    # a copy of the column, so the partitioned copy is freed at once
+    cut = np.partition(neg, kth, axis=1)[:, [kth]]
     # NaN where a row has fewer than k scores, which are then all in
     cut[np.isnan(cut)] = np.inf
     top = neg <= cut

@@ -5,6 +5,7 @@ while preserving rank order, so the Gaussian closed-form AUC remains exact
 ground truth for the generated data. ``generate`` returns the scores as
 ``PredictionRecord``s, which the ``synth`` subcommand writes to a
 predictions file; an audit reads them back with ``load_predictions``.
+Only this module serves its names: importing the package does not import it.
 """
 
 from __future__ import annotations

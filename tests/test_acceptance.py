@@ -13,10 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from disparity_audit import (
-    CellSpec,
-    ScenarioSpec,
     compute_budget,
-    generate,
     pair_disparity,
     rank_pool,
     ranked_metrics,
@@ -29,6 +26,7 @@ from disparity_audit.groups import assign_groups
 from disparity_audit.metrics import _rate_arrays
 from disparity_audit.pipeline import evaluate_tables, plan_concepts
 from disparity_audit.sampling import derive_rng
+from disparity_audit.synth import CellSpec, ScenarioSpec, generate
 
 from corpus import (
     BOX_CASES,

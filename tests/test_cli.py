@@ -12,7 +12,9 @@ import pytest
 
 from disparity_audit import cli, pipeline
 from disparity_audit.cli import main
-from disparity_audit.config import PRESETS, config_hash, load_config, resolve_config_dict
+from disparity_audit.config import (
+    DEFAULTS, PRESETS, config_hash, load_config, resolve_config_dict,
+)
 from disparity_audit.groups import assign_groups
 from disparity_audit.pipeline import (
     load_dataset,
@@ -229,6 +231,36 @@ class TestSubcommands:
 ])
 def test_box_filter_merges_only_into_its_own_variant(preset, box_filter, resolved):
     assert resolve_config_dict({"box_filter": box_filter}, preset=preset)["box_filter"] == resolved
+
+
+RELATIVE_AREA = {"variant": "relative_area", "use_min": 0.05, "ignore_max": 0.02}
+
+
+@pytest.mark.parametrize("preset,box_filter,exclusions,mode", [
+    ("baseline", {"variant": "none"}, False, "baseline"),
+    ("v1", {"variant": "min_area_pixels", "threshold": 600}, False, "baseline"),
+    ("v2", RELATIVE_AREA, False, "baseline"),
+    ("v3", RELATIVE_AREA, True, "baseline"),
+    ("reliable", RELATIVE_AREA, True, "reliable"),
+])
+def test_presets_state_only_their_rungs_changes(preset, box_filter, exclusions, mode):
+    """Each rung names only the values it changes from ``DEFAULTS`` and
+    resolves to the ladder's full parameter set; a resolved config shares
+    no object with the presets."""
+    for key, value in PRESETS[preset].items():
+        if isinstance(value, dict) and "variant" not in value:
+            assert all(DEFAULTS[key][k] != v for k, v in value.items()), key
+        else:
+            assert DEFAULTS[key] != value, key
+    resolved = resolve_config_dict({}, preset=preset)
+    assert resolved == {
+        **DEFAULTS, "box_filter": box_filter, "apply_term_exclusions": exclusions,
+        "sampling": {**DEFAULTS["sampling"], "mode": mode}, "evaluation_version": preset,
+    }
+    assert resolved["sampling"]["bootstraps"] == 250 and resolved["sampling"]["min_per_group"] == 50
+    resolved["box_filter"]["use_min"] = resolved["sampling"]["mode"] = None
+    assert PRESETS["v3"]["box_filter"] == RELATIVE_AREA
+    assert resolve_config_dict({}, preset=preset)["box_filter"] == box_filter
 
 
 def test_ingest_order_does_not_change_artifacts(workspace):
@@ -1069,30 +1101,34 @@ class TestImports:
     """Importing the CLI, as every run does, imports nothing that only the
     ``synth`` subcommand or exact fractions would need."""
 
-    def test_cli_import_leaves_out_synth_fractions_and_decimal(self):
-        code = (
-            "import sys, disparity_audit.cli; "
-            "print(sorted({'disparity_audit.synth', 'fractions', 'decimal'} & set(sys.modules)))"
-        )
+    @staticmethod
+    def fresh(code: str) -> str:
+        """What ``code`` prints in a new interpreter that imports from ``src``."""
         path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
             [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=120,
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
 
-    def test_package_serves_synth_names_on_first_use(self):
+    def test_cli_import_leaves_out_synth_fractions_and_decimal(self):
+        assert self.fresh(
+            "import sys, disparity_audit.cli; "
+            "print(sorted({'disparity_audit.synth', 'fractions', 'decimal'} & set(sys.modules)))"
+        ) == "[]"
+
+    def test_package_names_and_synths_own(self):
+        """A star import binds every ``__all__`` name and each resolves;
+        ``synth``'s names come from ``disparity_audit.synth`` alone, which
+        importing the package does not load."""
+        assert self.fresh(
+            "import sys; from disparity_audit import *; import disparity_audit as d; "
+            "print('disparity_audit.synth' in sys.modules, "
+            "sorted(n for n in d.__all__ if n not in globals() or not hasattr(d, n)))"
+        ) == "False []"
         import disparity_audit
         from disparity_audit import synth
 
-        for name in _SYNTH_NAMES:
-            assert getattr(disparity_audit, name) is getattr(synth, name)
-        assert not hasattr(disparity_audit.data, "PredictionRecord")
-        with pytest.raises(AttributeError, match="no attribute 'logistic'"):
-            disparity_audit.logistic
-        assert _SYNTH_NAMES <= set(dir(disparity_audit))
-        namespace: dict = {}
-        exec("from disparity_audit import *", namespace)
-        assert _SYNTH_NAMES <= set(namespace) and set(disparity_audit.__all__) <= set(namespace)
-        assert all(hasattr(disparity_audit, name) for name in disparity_audit.__all__)
+        assert all(callable(getattr(synth, name)) for name in _SYNTH_NAMES)
+        assert _SYNTH_NAMES.isdisjoint(vars(disparity_audit))

@@ -49,6 +49,18 @@ class TestCanonicalize:
         with pytest.raises(DataError):
             canonicalize_label("   ")
 
+    def test_one_cache_and_errors_not_cached(self):
+        """Every layer calls the one cached canonicalizer, and a label that
+        raises raises again where it is next met."""
+        from disparity_audit import concepts, data, groups
+
+        assert concepts.canonicalize_label is groups.canonicalize_label is data.canonicalize_label
+        misses = canonicalize_label.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(DataError, match="empty after canonicalization"):
+                canonicalize_label(" \t ")
+        assert canonicalize_label.cache_info().misses == misses + 2
+
 
 class TestMapping:
     def test_parking_lots_both_mappings(self):
@@ -77,6 +89,17 @@ class TestMapping:
             "model_class_whitelist": ["telephone"],
         })
         assert mapping.table == {"phones": ("telephone",)}
+
+    @pytest.mark.parametrize("whitelist", [None, ["canine", "puppy"], ["canine"], ["cat"]])
+    def test_keys_of_one_label_rejected(self, whitelist):
+        """Two map keys that canonicalize alike are a data error naming both,
+        whatever the whitelist keeps, rather than the last one winning."""
+        obj = {"name": "m", "map": {"Dog": ["canine"], "cat": ["cat"], "dog ": ["puppy"]}}
+        if whitelist is not None:
+            obj["model_class_whitelist"] = whitelist
+        with pytest.raises(DataError) as info:
+            ClassMapping.from_dict(obj)
+        assert str(info.value) == "mapping 'm': map keys 'Dog' and 'dog ' are one label, 'dog'"
 
     @pytest.mark.parametrize("obj,message", [
         ({"map": {"phones": ["telephone"]}, "model_class_whitelist": "telephone"},

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from disparity_audit import CellSpec, DataError, ScenarioSpec, closed_form_auc, generate
+from disparity_audit import DataError
 from disparity_audit.sampling import derive_seed
-from disparity_audit.synth import logistic
+from disparity_audit.synth import CellSpec, ScenarioSpec, closed_form_auc, generate, logistic
 
 from oracles import auc_roc, average_precision, confusion_at_threshold, rates_from_confusion
 
